@@ -4,24 +4,29 @@ The server learns about a client only through ``Client.query(h, rho)``, which
 returns a single scalar summary (plus solver metadata).  At rho = 0 that is
 the plain empirical risk; at rho > 0 it is the worst-case risk over all data
 distributions within transport cost rho of the client's empirical sample,
-computed through the dual
 
     sup_{Q in ball(rho)}  E_Q[loss]
         =  min_{gamma >= 0}  gamma * rho + mean_i sup_{z'} [loss(z') - gamma c(z', z_i)]
 
 with the minimizing gamma known to lie in [0, 1/rho] for losses in [0, 1].
-The outer minimization is a golden-section search (the objective is convex in
-gamma); the inner per-sample suprema are solved by one of three routes chosen
-from the loss/hypothesis pair:
+Each inner solver answers ``query(rho)``; the route is chosen from the
+loss/hypothesis pair:
 
+  * zero-one loss with a binary linear rule on continuous features: solved in
+    the primal.  A correctly classified sample either stays (loss 0) or pays
+    the cost of reaching the decision boundary for loss 1, so the worst case
+    is a fractional knapsack: spend the budget n * rho on the sorted flip
+    costs, cheapest first, splitting at most one sample.  The sort is done
+    once per hypothesis; gamma_star is the marginal slope 1 / c_split (exact);
   * discrete lookup spaces: exhaustive maximization over the declared grid
-    (exact);
-  * zero-one loss with a binary linear rule on continuous features: the
-    supremum is 1 minus gamma times the cost of reaching the decision
-    boundary, in closed form (exact);
+    plus each sample's own point (exact);
   * differentiable losses: projected gradient ascent with a curvature-aware
-    step and deterministic restarts seeded at the loss-clip plateau (a valid
-    lower bound, flagged when the iteration cap is hit).
+    step and deterministic restarts seeded at the loss-clip plateau.  The
+    ascent only lower-bounds each inner supremum, so these answers are
+    flagged ``iterative``.
+
+The last two routes solve the dual: a golden-section search over gamma (the
+objective is convex in gamma) around the per-sample suprema.
 
 Label changes carry infinite transport cost throughout: adversaries move
 features, never labels.
@@ -142,19 +147,43 @@ class _InnerSolver:
 
     iterations = 0
 
+    def query(self, rho: float) -> QueryValue:
+        """Worst-case mean loss over the ball of radius rho > 0, by the dual."""
+        gamma_star, best = _golden_min(
+            lambda g: g * rho + float(np.mean(self.phi(g))), 0.0, 1.0 / rho
+        )
+        return QueryValue(
+            value=float(np.clip(best, 0.0, 1.0)),
+            rho=float(rho),
+            gamma_star=float(gamma_star),
+            inner_iterations=int(self.iterations),
+            status="exact" if self.exact else "iterative",
+        )
+
 
 class _GridInner(_InnerSolver):
-    """Exhaustive search over a declared finite feature grid."""
+    """Exhaustive search over a declared finite feature grid.
+
+    Each sample's own point joins its candidates at cost 0, so the ball always
+    contains the empirical distribution even when the data lie off the grid.
+    A lookup table has losses only at its grid points, so its samples must
+    already lie there.
+    """
 
     def __init__(self, h, X, y, grid, cost, loss_fn):
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        X = np.atleast_2d(X)
         labels = np.asarray(y)
         # loss of every grid point under every distinct label present
-        self._L = np.empty((len(X), len(grid)))
+        L = np.empty((len(X), len(grid)))
         for lab in np.unique(labels):
             row = loss_values(loss_fn, h, grid, np.full(len(grid), lab))
-            self._L[labels == lab] = row
-        self._C = cost.pairwise(np.atleast_2d(X), grid)
+            L[labels == lab] = row
+        C = cost.pairwise(X, grid)
+        if h.kind != LOOKUP:
+            L = np.column_stack([L, loss_values(loss_fn, h, X, labels)])
+            C = np.column_stack([C, np.zeros(len(X))])
+        self._L, self._C = L, C
         self.iterations = len(grid)
 
     def phi(self, gamma: float) -> np.ndarray:
@@ -168,6 +197,12 @@ class _FlipInner(_InnerSolver):
     or pays the cost of reaching the decision surface for payoff 1; the
     cheapest flip crosses a pairwise class boundary orthogonally, so the
     supremum is available in closed form.
+
+    Queries are answered in the primal: the worst case over the ball moves
+    mass p_i in [0, 1] of each correctly classified sample across the
+    boundary to maximize sum p_i subject to sum p_i c_i <= n rho, a fractional
+    knapsack that the cheapest flips fill first.  The finite flip costs are
+    sorted once per hypothesis; a query is a search in their prefix sums.
     """
 
     def __init__(self, h, X, y, cost):
@@ -176,12 +211,40 @@ class _FlipInner(_InnerSolver):
         self._wrong = (h.predict(X) != y)
         flip_dist = _distance_to_flip(h, X)
         self._flip_cost = cost.of_distance(flip_dist)
+        finite = self._flip_cost[~self._wrong & np.isfinite(self._flip_cost)]
+        self._sorted_cost = np.sort(finite)
+        self._paid = np.cumsum(self._sorted_cost)
+        self._n_wrong = int(np.count_nonzero(self._wrong))
         self.iterations = 1
 
     def phi(self, gamma: float) -> np.ndarray:
-        out = np.maximum(0.0, 1.0 - gamma * self._flip_cost)
+        # an infinite flip cost means no boundary to reach, even at gamma = 0
+        out = np.zeros(len(self._flip_cost))
+        flip = np.isfinite(self._flip_cost)
+        out[flip] = np.maximum(0.0, 1.0 - gamma * self._flip_cost[flip])
         out[self._wrong] = 1.0
         return out
+
+    def query(self, rho: float) -> QueryValue:
+        n = len(self._wrong)
+        budget = n * rho
+        # flips paid in full; the next one, if any, takes the rest of the budget
+        k = int(np.searchsorted(self._paid, budget, side="right"))
+        if k == len(self._sorted_cost):
+            moved, gamma_star = float(k), 0.0
+        else:
+            c_split = float(self._sorted_cost[k])
+            spent = float(self._paid[k - 1]) if k else 0.0
+            moved = k + (budget - spent) / c_split
+            gamma_star = 1.0 / c_split
+        value = (self._n_wrong + moved) / n
+        return QueryValue(
+            value=float(np.clip(value, 0.0, 1.0)),
+            rho=float(rho),
+            gamma_star=gamma_star,
+            inner_iterations=self.iterations,
+            status="exact",
+        )
 
 
 def _distance_to_flip(h: Hypothesis, X: np.ndarray) -> np.ndarray:
@@ -340,19 +403,6 @@ def _golden_min(fn, a: float, b: float) -> tuple[float, float]:
     return x_star, evals[x_star]
 
 
-def _dual_query(inner: _InnerSolver, rho: float) -> QueryValue:
-    gamma_star, best = _golden_min(
-        lambda g: g * rho + float(np.mean(inner.phi(g))), 0.0, 1.0 / rho
-    )
-    return QueryValue(
-        value=float(np.clip(best, 0.0, 1.0)),
-        rho=float(rho),
-        gamma_star=float(gamma_star),
-        inner_iterations=int(inner.iterations),
-        status="exact" if inner.exact else "iterative",
-    )
-
-
 def adversarial_risk(
     h: Hypothesis,
     dataset: LocalDataset,
@@ -361,14 +411,13 @@ def adversarial_risk(
     loss_fn: LossFn = LossFn(ZERO_ONE),
     grid: np.ndarray | None = None,
 ) -> QueryValue:
-    """Worst-case mean loss over the transport ball of radius rho, via the
-    dual minimization over gamma in [0, 1/rho]."""
+    """Worst-case mean loss over the transport ball of radius rho."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     if rho == 0.0:
         return empirical_risk(h, dataset, loss_fn)
     inner = _make_inner(h, dataset.features, dataset.labels, cost, loss_fn, grid)
-    return _dual_query(inner, rho)
+    return inner.query(rho)
 
 
 class Client:
@@ -427,4 +476,4 @@ class Client:
                 self._cost, self._loss_fn, self._grid,
             )
             self._inner_cache = (key, inner)
-        return _dual_query(self._inner_cache[1], rho)
+        return self._inner_cache[1].query(rho)

@@ -15,9 +15,12 @@ Each client is queried once per point of a fixed radius grid; the resulting
 profile is replaced by its concave upper envelope (robust query values are
 concave and nondecreasing in the radius, so the envelope is both an upper
 bound and exact at the grid).  The allocation over piecewise-linear concave
-envelopes is solved exactly by greedy water-filling on segment slopes, and
-the certificate level is located by bisection on [0, 1], returning the upper
-end of the final bracket so the answer errs upward.
+envelopes is solved exactly by greedy water-filling on segment slopes, once
+per certificate, and the certificate level is located by bisection on [0, 1]
+against that maximum, returning the upper end of the final bracket so the
+answer errs upward.  When any profile query was not exact (the ascent route
+only lower-bounds its inner supremum), the certificate's status is
+``iterative`` instead of ``optimal``.
 """
 from __future__ import annotations
 
@@ -55,6 +58,7 @@ class QvProfile:
     n_samples: int
     rhos: np.ndarray
     qvs: np.ndarray
+    exact: bool = True        # every query solved its inner supremum exactly
     hull_x: np.ndarray = field(init=False)
     hull_y: np.ndarray = field(init=False)
 
@@ -157,10 +161,11 @@ def build_profiles(
 
     profiles = []
     for c in clients:
-        qvs = np.array([c.query(h, float(r)).value for r in grid])
+        answers = [c.query(h, float(r)) for r in grid]
         profiles.append(
             QvProfile(client_id=c.client_id, n_samples=c.n_samples,
-                      rhos=grid.copy(), qvs=qvs)
+                      rhos=grid.copy(), qvs=np.array([q.value for q in answers]),
+                      exact=all(q.status == "exact" for q in answers))
         )
     return profiles
 
@@ -230,6 +235,8 @@ def bisection_certificate(
         raise ValueError("level_tol must lie in (0, 1)")
     a, b = 0.0, 1.0
     trace = BisectionTrace()
+    # the maximizer does not depend on the level, so every check compares
+    # against the same allocation
     feasible0, witness = feasibility_check(
         a, profiles, epsilon, delta, c1, include_slack=include_slack
     )
@@ -237,12 +244,10 @@ def bisection_certificate(
     max_iter = int(np.ceil(np.log2(1.0 / level_tol)))
     for _ in range(max_iter):
         t = 0.5 * (a + b)
-        ok, alloc = feasibility_check(
-            t, profiles, epsilon, delta, c1, include_slack=include_slack
-        )
+        ok = witness.objective >= t
         trace.record(a, b, t, ok)
         if ok:
-            a, witness = t, alloc
+            a = t
         else:
             b = t
     trace.final_width = b - a
@@ -290,6 +295,8 @@ def wass_mean_bound(
         kind="wass-mean",
         value=float(min(raw, 1.0)),
         raw_value=raw,
+        # an inexact query only lower-bounds its inner supremum
+        status="optimal" if all(p.exact for p in profiles) else "iterative",
         slack={"meta": meta, "per_client": per_client},
         params={
             "K": K, "delta": delta, "epsilon": epsilon,

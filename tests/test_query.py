@@ -267,6 +267,93 @@ def test_flip_solver_agrees_with_fine_grid():
         assert exact.status == "exact"
 
 
+# -- the exact flip route ----------------------------------------------------
+# Expected values are worked out by hand or checked through the public
+# phi_gamma, never through the knapsack the route solves.
+
+UNIT_RULE = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
+
+
+def test_flip_knapsack_hand_instance_splits_one_sample():
+    # correct samples at x = 1, 2, 3 flip at half-squared costs 0.5, 2, 4.5;
+    # the sample at x = -1 is already wrong.  Budget n * rho = 2 pays the first
+    # flip and 1.5 / 2 of the second: value (1 + 1 + 0.75) / 4, slope 1 / 2
+    ds = dataset([[1.0], [2.0], [3.0], [-1.0]], [1, 1, 1, 1])
+    qv = adversarial_risk(UNIT_RULE, ds, 0.5)
+    assert abs(qv.value - 0.6875) < 1e-15
+    assert abs(qv.gamma_star - 0.5) < 1e-15
+    assert qv.status == "exact" and qv.inner_iterations == 1
+
+
+def test_flip_constant_rule_gives_empirical_value():
+    h = Hypothesis(kind=LOGISTIC, weights=np.array([0.0, 0.0]), bias=0.3)
+    ds = dataset([[0.1, 2.0], [-1.0, 0.5], [3.0, -2.0]], [1, 0, 1])
+    emp = empirical_risk(h, ds, LossFn(ZERO_ONE)).value
+    assert emp == pytest.approx(1 / 3)
+    for rho in (1e-3, 0.1, 10.0):
+        qv = adversarial_risk(h, ds, rho)
+        assert qv.value == emp and qv.gamma_star == 0.0
+
+
+def test_flip_boundary_samples_flip_for_free():
+    # score 0 predicts class 1, so the first two samples are correct yet sit on
+    # the boundary; the tiny budget goes to the third, whose flip costs 2
+    ds = dataset([[0.0], [0.0], [2.0]], [1, 1, 1])
+    rho = 1e-6
+    qv = adversarial_risk(UNIT_RULE, ds, rho)
+    assert abs(qv.value - (2.0 + 3 * rho / 2.0) / 3.0) < 1e-15
+    assert qv.gamma_star == 0.5
+
+
+def test_flip_saturates_once_every_finite_flip_is_paid():
+    ds = dataset([[1.0], [2.0], [-1.0]], [1, 1, 1])   # costs 0.5 and 2
+    just_short = adversarial_risk(UNIT_RULE, ds, 2.5 / 3 - 1e-9)
+    assert just_short.value < 1.0 and just_short.gamma_star == 0.5
+    for rho in (2.5 / 3 + 1e-9, 5.0):
+        qv = adversarial_risk(UNIT_RULE, ds, rho)
+        assert qv.value == 1.0 and qv.gamma_star == 0.0
+
+
+def test_flip_route_weak_duality_and_shape_on_random_instances():
+    rng = np.random.default_rng(np.random.SeedSequence(1201))
+    rhos = np.linspace(0.01, 1.0, 25)
+    for trial in range(20):
+        d = int(rng.integers(1, 4))
+        weights = rng.normal(size=d) if trial % 5 else np.zeros(d)
+        h = Hypothesis(kind=LOGISTIC, weights=weights, bias=float(rng.normal()))
+        n = int(rng.integers(1, 30))
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, 2, size=n)
+        ds = dataset(X, y)
+        samples = [Sample(features=X[i], label=y[i]) for i in range(n)]
+        vals = []
+        for rho in rhos:
+            qv = adversarial_risk(h, ds, float(rho))
+            assert 0.0 <= qv.gamma_star <= 1.0 / rho
+            dual = qv.gamma_star * rho + np.mean(
+                [phi_gamma(h, qv.gamma_star, z) for z in samples])
+            assert abs(qv.value - dual) < 1e-12, (trial, rho)
+            vals.append(qv.value)
+        vals = np.array(vals)
+        assert np.all(np.diff(vals) >= -1e-12)
+        assert np.all(np.diff(vals, 2) <= 1e-12)
+
+
+def test_grid_route_off_grid_data_never_below_empirical():
+    # continuous data off the declared grid: each sample may stay where it is
+    rng = np.random.default_rng(np.random.SeedSequence(1202))
+    h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, -0.5]), bias=0.1)
+    axis = np.linspace(-3.0, 3.0, 7)
+    grid = np.array([[a, b] for a in axis for b in axis])
+    ds = dataset(rng.normal(size=(40, 2)), rng.integers(0, 2, size=40))
+    c = Client(0, ds, LossFn(ZERO_ONE), grid=grid)
+    emp = c.query(h, 0.0).value
+    assert emp > 0.0
+    vals = [c.query(h, float(r)).value for r in np.geomspace(1e-4, 2.0, 12)]
+    assert vals[0] >= emp
+    assert np.all(np.diff(vals) >= 0.0)
+
+
 # -- the client boundary -----------------------------------------------------
 
 def make_client(max_queries=None):

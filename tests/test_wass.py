@@ -16,7 +16,8 @@ from fedcert import (
     LossFn,
     empirical_risk,
 )
-from fedcert.losses import LOGISTIC
+from fedcert import wass
+from fedcert.losses import CROSS_ENTROPY, LOGISTIC
 from fedcert.oracle import wass_alloc_grid_oracle
 from fedcert.wass import (
     QvProfile,
@@ -155,6 +156,21 @@ def test_bisection_brackets_the_optimum():
         assert len(trace.steps) <= int(np.ceil(np.log2(1.0 / tol))) + 1
 
 
+def test_bisection_waterfills_once(monkeypatch):
+    rng = np.random.default_rng(np.random.SeedSequence(813))
+    eps, delta, _, _, _, profiles, _ = _alloc_instance(rng)
+    calls = []
+    real = wass._waterfill
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wass, "_waterfill", counting)
+    _, trace, _ = bisection_certificate(profiles, eps, delta, 1e-3)
+    assert len(calls) == 1 and len(trace.steps) == 11
+
+
 def test_constant_profiles_stay_at_the_floor():
     x = np.linspace(0.05, 1.0, 8)
     profiles = [
@@ -263,6 +279,21 @@ def test_mean_bound_slack_formula_and_extras():
     assert b.value == min(b.raw_value, 1.0)
     assert b.extra["final_width"] <= 1e-3 + 1e-15
     assert b.extra["witness_mean_rho"] <= b.params["mean_radius_cap"] + 1e-12
+
+
+def test_status_reports_inexact_queries():
+    rng = np.random.default_rng(np.random.SeedSequence(814))
+    datasets = [
+        LocalDataset(client_id=i, features=rng.normal(size=(4, 2)),
+                     labels=rng.integers(0, 2, size=4))
+        for i in range(2)
+    ]
+    flip = [Client(i, ds, LossFn(ZERO_ONE)) for i, ds in enumerate(datasets)]
+    assert wass_mean_bound(flip, H, 0.05, 0.1, grid_size=2).status == "optimal"
+    # the ascent route only lower-bounds the inner supremum
+    mixed = [Client(0, datasets[0], LossFn(ZERO_ONE)),
+             Client(1, datasets[1], LossFn(CROSS_ENTROPY))]
+    assert wass_mean_bound(mixed, H, 0.05, 0.1, grid_size=2).status == "iterative"
 
 
 def test_mean_bound_validation():
