@@ -27,6 +27,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
+from .certificates import CdfCurve
 from .fdiv import fdiv_cdf_bound, fdiv_mean_bound
 from .losses import Hypothesis, LossFn, ZERO_ONE, LOSS_KINDS
 from .metasim import (
@@ -447,14 +448,15 @@ def cmd_emit_plots(args) -> int:
         if kind in _CURVE_KINDS:
             with open(out / files["curve"]) as fh:
                 curve = list(csv.DictReader(fh))
-            lams = np.array([float(r["lambda"]) for r in curve])
-            vals = np.array([float(r["bound"]) for r in curve])
+            try:
+                steps = CdfCurve([float(r["lambda"]) for r in curve],
+                                 [float(r["bound"]) for r in curve])
+            except ValueError as exc:
+                raise ConfigError(f"bad curve {out / files['curve']}: {exc}") from exc
             for r in target:
                 lam = float(r["lambda"])
                 emp = float(r["empirical"])
-                # survival bounds are right-continuous steps on the curve grid
-                idx = np.searchsorted(lams, lam + 1e-12) - 1
-                bound = float(vals[idx]) if idx >= 0 else 1.0
+                bound = steps.at(lam)
                 rows.append([r["lambda"], r["empirical"], _fmt(bound), kind])
                 if emp > bound + 1e-9:
                     violations.append((kind, lam, emp, bound))
@@ -488,19 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="certified loss bounds for shifted federated client populations",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-        ("simulate", cmd_simulate, True),
-        ("certify", cmd_certify, True),
-        ("verify", cmd_verify, True),
-        ("emit-plots", cmd_emit_plots, False),
-    ):
+    for name, fn in (("simulate", cmd_simulate), ("certify", cmd_certify),
+                     ("verify", cmd_verify), ("emit-plots", cmd_emit_plots)):
         sp = sub.add_parser(name)
-        if needs_config:
+        if fn is not cmd_emit_plots:
             sp.add_argument("--config", required=True, help="experiment config JSON")
+            sp.add_argument("--seed", type=int, default=None, help="override the world seed")
+        if fn is cmd_verify:
+            sp.add_argument("--trials", type=int, default=None, help="override trial count")
+            sp.add_argument("--jobs", type=int, default=1, help="parallel trials")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override the world seed")
-        sp.add_argument("--trials", type=int, default=None, help="override trial count")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel trials")
         sp.set_defaults(fn=fn)
     return p
 

@@ -30,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .certificates import CdfCurve, CertifiedBound
+from .concave import GreedyFill
+from .nonrobust import _validate, _validate_grid
 
 __all__ = [
     "DivergenceSpec",
@@ -65,6 +66,8 @@ def _f_chi2(t):
 
 
 _GENERATORS = {KL: _f_kl, CHI2: _f_chi2}
+# where each generator attains its minimum over t > 0
+_ARGMINS = {KL: float(np.exp(-1.0)), CHI2: 1.0}
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class DivergenceSpec:
     cap: float        # likelihood-ratio truncation level
     c1: float         # band scale
     c2: float         # divergence-budget inflation scale
-    f_argmin: float   # where f attains its minimum on [0, cap]
+    f_argmin: float   # where f attains its minimum on [1/cap, cap]
 
     def f(self, t):
         return _GENERATORS[self.name](t)
@@ -119,13 +122,9 @@ def make_divergence(name: str, epsilon: float, delta: float) -> DivergenceSpec:
         return DivergenceSpec(name, epsilon, delta, 1.0, 0.0, 0.0, 1.0)
 
     c1 = (cap - 1.0 / cap) / _SQRT2
-    res = minimize_scalar(
-        lambda t: float(f(t)), bounds=(1.0 / cap, cap), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    cands = [(float(f(1.0 / cap)), 1.0 / cap), (float(f(cap)), cap),
-             (float(res.fun), float(res.x))]
-    fmin, argmin = min(cands)
+    # f convex: its minimum over [1/cap, cap] is the clipped global argmin
+    argmin = float(np.clip(_ARGMINS[name], 1.0 / cap, cap))
+    fmin = float(f(argmin))
     fmax = max(float(f(1.0 / cap)), float(f(cap)))  # f convex: max at an endpoint
     c2 = (fmax - fmin) / _SQRT2
     return DivergenceSpec(name, epsilon, delta, cap, c1, c2, argmin)
@@ -206,17 +205,7 @@ def _lp_vertex(q: np.ndarray, spec: DivergenceSpec, band: float) -> np.ndarray:
     """Exact solution of the relaxation without the divergence constraint:
     saturate the largest coefficients at cap until the mean budget K(1+band)
     runs out, with one fractional coordinate at the boundary."""
-    K = len(q)
-    order = np.argsort(-q, kind="stable")
-    alpha = np.zeros(K)
-    rem = K * (1.0 + band)
-    for idx in order:
-        take = min(spec.cap, rem)
-        alpha[idx] = take
-        rem -= take
-        if rem <= 0.0:
-            break
-    return alpha
+    return GreedyFill(np.full(len(q), spec.cap), spec.cap * q).taken(len(q) * (1.0 + band))
 
 
 def solve_reweight(q, spec: DivergenceSpec, eps_budget: float, band: float,
@@ -304,27 +293,11 @@ def solve_reweight(q, spec: DivergenceSpec, eps_budget: float, band: float,
 # certificates
 # ---------------------------------------------------------------------------
 
-def _validate_inputs(qv, n, delta):
-    qv = np.asarray(qv, dtype=float)
-    n = np.asarray(n, dtype=int)
-    if qv.ndim != 1 or len(qv) == 0:
-        raise ValueError("qv must be a nonempty vector")
-    if n.shape != qv.shape:
-        raise ValueError("one sample count per client required")
-    if np.any(qv < 0) or np.any(qv > 1):
-        raise ValueError("query values must lie in [0, 1]")
-    if np.any(n <= 0):
-        raise ValueError("sample counts must be positive")
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    return qv, n
-
-
 def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str,
                     *, include_slack: bool = True) -> CertifiedBound:
     """Certified upper bound on the target population's mean risk when the
     target is any f-divergence-epsilon reweighting of the source."""
-    qv, n = _validate_inputs(qv, n, delta)
+    qv, n = _validate(qv, n, delta)
     K = len(qv)
     spec = make_divergence(name, epsilon, delta)
     band, eps_budget = divergence_budgets(spec, K, "mean")
@@ -404,11 +377,9 @@ def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
     sqrt(ln(2(K+2)/delta)/(2K)).  The pre-padding program values are kept in
     ``raw``.
     """
-    qv, n = _validate_inputs(qv, n, delta)
+    qv, n = _validate(qv, n, delta)
     K = len(qv)
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
-        raise ValueError("lambda_grid must be a nonempty vector")
+    lambda_grid = _validate_grid(lambda_grid)
     spec = make_divergence(name, epsilon, delta)
     band, eps_budget = divergence_budgets(spec, K, "cdf")
 

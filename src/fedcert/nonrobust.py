@@ -40,6 +40,13 @@ def _validate(qv, n, delta):
     return qv, n
 
 
+def _validate_grid(lambda_grid) -> np.ndarray:
+    lambda_grid = np.asarray(lambda_grid, dtype=float)
+    if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
+        raise ValueError("lambda_grid must be a nonempty vector")
+    return lambda_grid
+
+
 def mean_bound(qv, n, delta: float, *, include_slack: bool = True) -> CertifiedBound:
     """Certified upper bound on the population-average true risk."""
     qv, n = _validate(qv, n, delta)
@@ -69,9 +76,7 @@ def cdf_bound(qv, n, delta: float, lambda_grid, *, include_slack: bool = True) -
     """
     qv, n = _validate(qv, n, delta)
     K = len(qv)
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
-        raise ValueError("lambda_grid must be a nonempty vector")
+    lambda_grid = _validate_grid(lambda_grid)
 
     if include_slack:
         shifts = np.sqrt(np.log((K + 1) / delta) / (2 * n))

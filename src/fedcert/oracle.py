@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import ndtr
 
 from .certificates import CdfCurve
@@ -129,6 +128,8 @@ def wass_ball_lp_oracle(masses, loss_values, rho: float, cost_matrix) -> float:
         raise ValueError("LP oracle is for small instances (<= 20 points)")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("masses must sum to 1")
+    # imported here: scipy.optimize is slow to import and only this oracle needs it
+    from scipy.optimize import linprog
 
     c = -np.tile(ell, n)                       # maximize sum_ij T_ij * loss_j
     A_eq = np.zeros((n, n * m))

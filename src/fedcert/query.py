@@ -12,33 +12,32 @@ with the minimizing gamma known to lie in [0, 1/rho] for losses in [0, 1].
 Each inner solver answers ``query(rho)``; the route is chosen from the
 loss/hypothesis pair:
 
-  * zero-one loss with a binary linear rule on continuous features: solved in
-    the primal.  A correctly classified sample either stays (loss 0) or pays
-    the cost of reaching the decision boundary for loss 1, so the worst case
-    is a fractional knapsack: spend the budget n * rho on the sorted flip
-    costs, cheapest first, splitting at most one sample.  The sort is done
-    once per hypothesis; gamma_star is the marginal slope 1 / c_split (exact);
-  * discrete lookup spaces: exhaustive maximization over the declared grid
-    plus each sample's own point (exact);
+  * zero-one loss with a binary linear rule on continuous features: a
+    correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
+  * a declared perturbation grid (always for lookup tables): each sample's
+    worst case is the upper hull of its (cost, loss) candidates, the grid
+    points plus its own point at cost 0;
   * differentiable losses: projected gradient ascent with a curvature-aware
     step and deterministic restarts seeded at the loss-clip plateau.  The
     ascent only lower-bounds each inner supremum, so these answers are
-    flagged ``iterative``.
+    flagged ``iterative``, and a golden-section search over gamma (the
+    objective is convex in gamma) solves the dual around them.
 
-The last two routes solve the dual: a golden-section search over gamma (the
-objective is convex in gamma) around the per-sample suprema.
+The first two routes are exact primal knapsacks: the budget n * rho buys the
+samples' concave pieces best gain per unit cost first (``concave``), and
+gamma_star is the marginal slope at the budget.
 
 Label changes carry infinite transport cost throughout: adversaries move
 features, never labels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .concave import GreedyFill, upper_hull
 from .losses import (
-    CROSS_ENTROPY,
     LINEAR,
     LOGISTIC,
     LOOKUP,
@@ -66,9 +65,6 @@ __all__ = [
 HALF_SQ = "half-squared-l2"
 PLAIN_L2 = "l2"
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_GAMMA_TOL = 1e-12
-_GAMMA_MAX_ITER = 200
 _ASCENT_STEPS = 100
 
 
@@ -139,35 +135,22 @@ def empirical_risk(h: Hypothesis, dataset: LocalDataset, loss_fn: LossFn) -> Que
 # inner suprema  sup_{x'} loss(x') - gamma * c(x', x)
 # ---------------------------------------------------------------------------
 
-class _InnerSolver:
-    exact = True
-
-    def phi(self, gamma: float) -> np.ndarray:   # (n,) per-sample suprema
-        raise NotImplementedError
-
-    iterations = 0
+class _FillInner:
+    """Exact primal answer: ``_n`` samples of total loss ``_base`` spend n * rho on ``_fill``."""
 
     def query(self, rho: float) -> QueryValue:
-        """Worst-case mean loss over the ball of radius rho > 0, by the dual."""
-        gamma_star, best = _golden_min(
-            lambda g: g * rho + float(np.mean(self.phi(g))), 0.0, 1.0 / rho
-        )
-        return QueryValue(
-            value=float(np.clip(best, 0.0, 1.0)),
-            rho=float(rho),
-            gamma_star=float(gamma_star),
-            inner_iterations=int(self.iterations),
-            status="exact" if self.exact else "iterative",
-        )
+        gain, slope = self._fill(self._n * rho)
+        return QueryValue(value=float(np.clip((self._base + gain) / self._n, 0.0, 1.0)),
+                          rho=float(rho), gamma_star=slope, inner_iterations=1)
 
 
-class _GridInner(_InnerSolver):
+class _GridInner(_FillInner):
     """Exhaustive search over a declared finite feature grid.
 
     Each sample's own point joins its candidates at cost 0, so the ball always
     contains the empirical distribution even when the data lie off the grid.
-    A lookup table has losses only at its grid points, so its samples must
-    already lie there.
+    A lookup table has losses only at its grid points: a robust query of
+    lookup data off the table is refused, and ``phi`` searches the grid alone.
     """
 
     def __init__(self, h, X, y, grid, cost, loss_fn):
@@ -180,17 +163,41 @@ class _GridInner(_InnerSolver):
             row = loss_values(loss_fn, h, grid, np.full(len(grid), lab))
             L[labels == lab] = row
         C = cost.pairwise(X, grid)
-        if h.kind != LOOKUP:
-            L = np.column_stack([L, loss_values(loss_fn, h, X, labels)])
-            C = np.column_stack([C, np.zeros(len(X))])
-        self._L, self._C = L, C
-        self.iterations = len(grid)
+        try:
+            own = loss_values(loss_fn, h, X, labels)
+        except ValueError:
+            if h.kind != LOOKUP:
+                raise
+            self._L, self._C, self._fill = L, C, None
+            return
+        self._L = np.column_stack([own, L])
+        self._C = np.column_stack([np.zeros(len(X)), C])
+        self._n = len(X)
+        self._base, self._fill = _hull_fill(self._C, self._L)
 
     def phi(self, gamma: float) -> np.ndarray:
         return np.max(self._L - gamma * self._C, axis=1)
 
+    def query(self, rho: float) -> QueryValue:
+        if self._fill is None:
+            raise ValueError("lookup-table data must lie on the table's grid")
+        return super().query(rho)
 
-class _FlipInner(_InnerSolver):
+
+def _hull_fill(C: np.ndarray, L: np.ndarray) -> tuple[float, GreedyFill]:
+    """Total loss at cost 0, and the fill over the rising segments of each
+    row's upper hull of its (C, L) points."""
+    order = np.lexsort((-L, C))
+    Cs, Ls = (np.take_along_axis(a, order, axis=1) for a in (C, L))
+    # only a point that beats every cheaper one can be on the rising hull
+    best_before = np.maximum.accumulate(Ls, axis=1)[:, :-1]
+    keep = np.column_stack([np.ones(len(Ls), dtype=bool), Ls[:, 1:] > best_before])
+    cost, gain = np.concatenate(
+        [np.diff(upper_hull(c[k], l[k])) for c, l, k in zip(Cs, Ls, keep)], axis=1)
+    return float(np.sum(Ls[:, 0])), GreedyFill(cost, gain)
+
+
+class _FlipInner(_FillInner):
     """Zero-one loss with a binary linear rule on continuous features.
 
     A perturbation either leaves the prediction alone (payoff = current loss)
@@ -198,24 +205,18 @@ class _FlipInner(_InnerSolver):
     cheapest flip crosses a pairwise class boundary orthogonally, so the
     supremum is available in closed form.
 
-    Queries are answered in the primal: the worst case over the ball moves
-    mass p_i in [0, 1] of each correctly classified sample across the
-    boundary to maximize sum p_i subject to sum p_i c_i <= n rho, a fractional
-    knapsack that the cheapest flips fill first.  The finite flip costs are
-    sorted once per hypothesis; a query is a search in their prefix sums.
+    The pieces are the finite flips of the correctly classified samples,
+    each of gain 1.
     """
 
     def __init__(self, h, X, y, cost):
         X = np.atleast_2d(X)
         y = np.asarray(y).astype(int)
         self._wrong = (h.predict(X) != y)
-        flip_dist = _distance_to_flip(h, X)
-        self._flip_cost = cost.of_distance(flip_dist)
+        self._flip_cost = cost.of_distance(_distance_to_flip(h, X))
         finite = self._flip_cost[~self._wrong & np.isfinite(self._flip_cost)]
-        self._sorted_cost = np.sort(finite)
-        self._paid = np.cumsum(self._sorted_cost)
-        self._n_wrong = int(np.count_nonzero(self._wrong))
-        self.iterations = 1
+        self._n, self._base = len(X), int(np.count_nonzero(self._wrong))
+        self._fill = GreedyFill(finite, np.ones(len(finite)))
 
     def phi(self, gamma: float) -> np.ndarray:
         # an infinite flip cost means no boundary to reach, even at gamma = 0
@@ -224,27 +225,6 @@ class _FlipInner(_InnerSolver):
         out[flip] = np.maximum(0.0, 1.0 - gamma * self._flip_cost[flip])
         out[self._wrong] = 1.0
         return out
-
-    def query(self, rho: float) -> QueryValue:
-        n = len(self._wrong)
-        budget = n * rho
-        # flips paid in full; the next one, if any, takes the rest of the budget
-        k = int(np.searchsorted(self._paid, budget, side="right"))
-        if k == len(self._sorted_cost):
-            moved, gamma_star = float(k), 0.0
-        else:
-            c_split = float(self._sorted_cost[k])
-            spent = float(self._paid[k - 1]) if k else 0.0
-            moved = k + (budget - spent) / c_split
-            gamma_star = 1.0 / c_split
-        value = (self._n_wrong + moved) / n
-        return QueryValue(
-            value=float(np.clip(value, 0.0, 1.0)),
-            rho=float(rho),
-            gamma_star=gamma_star,
-            inner_iterations=self.iterations,
-            status="exact",
-        )
 
 
 def _distance_to_flip(h: Hypothesis, X: np.ndarray) -> np.ndarray:
@@ -276,7 +256,7 @@ def _distance_to_flip(h: Hypothesis, X: np.ndarray) -> np.ndarray:
     return dists
 
 
-class _AscentInner(_InnerSolver):
+class _AscentInner:
     """Gradient ascent on loss(x') - gamma * c(x', x) for smooth losses.
 
     Step size 1/(gamma + beta) with beta the loss curvature bound keeps the
@@ -286,7 +266,9 @@ class _AscentInner(_InnerSolver):
     loss saturates at 1, which covers the plateau branch of the supremum.
     """
 
-    exact = False
+    _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+    _GAMMA_TOL = 1e-12
+    _GAMMA_MAX_ITER = 200
 
     def __init__(self, h, X, y, cost, loss_fn):
         if cost.kind != HALF_SQ:
@@ -346,13 +328,45 @@ class _AscentInner(_InnerSolver):
         c = self._cost.of_distance(np.linalg.norm(Xp - self._X, axis=1))
         return lv - gamma * c
 
+    def query(self, rho: float) -> QueryValue:
+        """Worst-case mean loss over the ball of radius rho > 0, by the dual."""
+        gamma_star, best = self._golden_min(
+            lambda g: g * rho + float(np.mean(self.phi(g))), 0.0, 1.0 / rho)
+        return QueryValue(value=float(np.clip(best, 0.0, 1.0)), rho=float(rho),
+                          gamma_star=float(gamma_star),
+                          inner_iterations=int(self.iterations), status="iterative")
 
-def _make_inner(h, X, y, cost, loss_fn, grid) -> _InnerSolver:
-    if h.kind == LOOKUP:
-        pts = grid if grid is not None else h.grid
-        return _GridInner(h, X, y, pts, cost, loss_fn)
-    if grid is not None:
-        return _GridInner(h, X, y, grid, cost, loss_fn)
+    @classmethod
+    def _golden_min(cls, fn, a: float, b: float) -> tuple[float, float]:
+        """Minimize a convex scalar function over [a, b]; returns (argmin, min).
+
+        Endpoints are always evaluated, so boundary minimizers are found exactly.
+        """
+        evals = {a: fn(a), b: fn(b)}
+        x1 = b - cls._GOLDEN * (b - a)
+        x2 = a + cls._GOLDEN * (b - a)
+        f1, f2 = fn(x1), fn(x2)
+        evals[x1], evals[x2] = f1, f2
+        it = 0
+        while (b - a) > cls._GAMMA_TOL and it < cls._GAMMA_MAX_ITER:
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - cls._GOLDEN * (b - a)
+                f1 = fn(x1)
+                evals[x1] = f1
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + cls._GOLDEN * (b - a)
+                f2 = fn(x2)
+                evals[x2] = f2
+            it += 1
+        x_star = min(evals, key=lambda g: (evals[g], g))
+        return x_star, evals[x_star]
+
+
+def _make_inner(h, X, y, cost, loss_fn, grid):
+    if h.kind == LOOKUP or grid is not None:
+        return _GridInner(h, X, y, h.grid if grid is None else grid, cost, loss_fn)
     if loss_fn.kind == ZERO_ONE:
         if h.kind == LOGISTIC or (h.kind == LINEAR and h.n_classes == 2):
             return _FlipInner(h, X, y, cost)
@@ -374,33 +388,6 @@ def phi_gamma(
         raise ValueError("gamma must be nonnegative")
     inner = _make_inner(h, z.features[None, :], np.array([z.label]), cost, loss_fn, grid)
     return float(inner.phi(gamma)[0])
-
-
-def _golden_min(fn, a: float, b: float) -> tuple[float, float]:
-    """Minimize a convex scalar function over [a, b]; returns (argmin, min).
-
-    Endpoints are always evaluated, so boundary minimizers are found exactly.
-    """
-    evals = {a: fn(a), b: fn(b)}
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    evals[x1], evals[x2] = f1, f2
-    it = 0
-    while (b - a) > _GAMMA_TOL and it < _GAMMA_MAX_ITER:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-            evals[x1] = f1
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-            evals[x2] = f2
-        it += 1
-    x_star = min(evals, key=lambda g: (evals[g], g))
-    return x_star, evals[x_star]
 
 
 def adversarial_risk(
@@ -445,7 +432,7 @@ class Client:
         self._cost = cost
         self._grid = grid
         self._used = 0
-        self._inner_cache: tuple[str, _InnerSolver] | None = None
+        self._inner_cache: tuple[str, _FillInner | _AscentInner] | None = None
 
     @property
     def queries_used(self) -> int:

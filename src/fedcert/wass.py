@@ -15,12 +15,13 @@ Each client is queried once per point of a fixed radius grid; the resulting
 profile is replaced by its concave upper envelope (robust query values are
 concave and nondecreasing in the radius, so the envelope is both an upper
 bound and exact at the grid).  The allocation over piecewise-linear concave
-envelopes is solved exactly by greedy water-filling on segment slopes, once
-per certificate, and the certificate level is located by bisection on [0, 1]
-against that maximum, returning the upper end of the final bracket so the
-answer errs upward.  When any profile query was not exact (the ascent route
-only lower-bounds its inner supremum), the certificate's status is
-``iterative`` instead of ``optimal``.
+envelopes is solved exactly by greedy water-filling on segment slopes
+(``concave``, as in the exact query routes), once per certificate, and the
+certificate level is located by bisection on [0, 1] against that maximum,
+returning the upper end of the final bracket so the answer errs upward.
+When any profile query was not exact (the ascent route only lower-bounds its
+inner supremum), the certificate's status is ``iterative`` instead of
+``optimal``.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import CertifiedBound
+from .concave import GreedyFill, upper_hull
 from .losses import Hypothesis
 from .query import Client
 
@@ -69,7 +71,7 @@ class QvProfile:
             raise ValueError("profile needs matching nonempty grids")
         if np.any(np.diff(self.rhos) <= 0):
             raise ValueError("radius grid must be strictly increasing")
-        self.hull_x, self.hull_y = _upper_hull(self.rhos, self.qvs)
+        self.hull_x, self.hull_y = upper_hull(self.rhos, self.qvs)
 
     def envelope(self, rho) -> np.ndarray:
         """Piecewise-linear envelope value; clamps outside the grid range."""
@@ -83,23 +85,6 @@ class QvProfile:
             s = (self.hull_y[i + 1] - self.hull_y[i]) / w
             out.append((float(s), float(self.hull_x[i]), float(w)))
         return out
-
-
-def _upper_hull(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper convex hull of the points (monotone chain); input x increasing."""
-    hull: list[tuple[float, float]] = []
-    for xi, yi in zip(x, y):
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep the chain concave: drop the middle point when it sags
-            if (y2 - y1) * (xi - x1) <= (yi - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append((float(xi), float(yi)))
-    hx = np.array([p[0] for p in hull])
-    hy = np.array([p[1] for p in hull])
-    return hx, hy
 
 
 @dataclass
@@ -174,25 +159,18 @@ def _waterfill(profiles: list[QvProfile], floor: float, mean_cap: float) -> Radi
     """Exact maximizer of the mean envelope value under the radius floor and
     mean cap: pour the spare budget onto hull segments in slope order."""
     K = len(profiles)
-    rho = np.full(K, floor)
-    budget = K * (mean_cap - floor)
-    segs = []  # (negative slope for sorting, client, seg_start, width)
+    segs = []   # (client, left end, width, rise) of each rising hull segment
     for i, p in enumerate(profiles):
-        for slope, x0, width in p.segments():
-            lo = max(x0, floor)
-            hi = x0 + width
-            if hi <= lo or slope <= 0.0:
-                continue
-            segs.append((slope, i, lo, hi - lo))
-    segs.sort(key=lambda s: (-s[0], s[1], s[2]))
-    for slope, i, lo, width in segs:
-        if budget <= 1e-18:
-            break
-        # segments are visited left to right within a client because concavity
-        # sorts its slopes in decreasing order
-        take = min(width, budget)
-        rho[i] = lo + take
-        budget -= take
+        lo = np.maximum(p.hull_x[:-1], floor)
+        segs += [(i, *s) for s in zip(lo, p.hull_x[1:] - lo, p.hull_y[1:] - p.envelope(lo))
+                 if s[1] > 0.0 and s[2] > 0.0]
+    segs = np.array(segs).reshape(-1, 4)
+    taken = GreedyFill(segs[:, 2], segs[:, 3]).taken(K * (mean_cap - floor))
+    # a client's segments fill left to right, so its radius ends in the
+    # rightmost segment it touched
+    rho = np.full(K, floor)
+    used = taken > 0.0
+    np.maximum.at(rho, segs[used, 0].astype(int), segs[used, 1] + taken[used])
     values = np.array([p.envelope(r) for p, r in zip(profiles, rho)])
     return RadiusAllocation(
         rho=rho,

@@ -3,6 +3,8 @@ subcommands, exit codes, and byte-for-byte rerun stability."""
 import copy
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,3 +247,52 @@ def test_emit_plots_flags_dominance_violation(tmp_path, capsys):
     rc = main(["emit-plots", "--out", str(out)])
     assert rc == 2
     assert "dominance violated" in capsys.readouterr().err
+
+
+def test_emit_plots_reads_a_step_just_past_the_threshold_correctly(tmp_path):
+    # the curve steps down at 0.5 + 5e-13, just right of the target threshold
+    # 0.5, so the bound at 0.5 is still the step from 0.0
+    out = tmp_path / "run"
+    out.mkdir()
+    files = {"certificate": "00_cdf.json", "curve": "00_cdf.csv", "target": "00_cdf_target.csv"}
+    (out / "summary.json").write_text(json.dumps({"requests": [{"kind": "cdf", "files": files}]}))
+    (out / files["certificate"]).write_text("{}")
+    (out / files["curve"]).write_text(
+        "lambda,bound\n0,1\n0.50000000000050004,0.59999999999999998\n1,0.10000000000000001\n")
+    (out / files["target"]).write_text("lambda,empirical\n0.5,0.80000000000000004\n")
+    assert main(["emit-plots", "--out", str(out)]) == 0
+    assert (out / "plots.csv").read_text().splitlines()[1] == "0.5,0.80000000000000004,1,cdf"
+
+
+def test_emit_plots_rejects_an_unsorted_curve(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    files = {"certificate": "00_cdf.json", "curve": "00_cdf.csv", "target": "00_cdf_target.csv"}
+    (out / "summary.json").write_text(json.dumps({"requests": [{"kind": "cdf", "files": files}]}))
+    (out / files["certificate"]).write_text("{}")
+    (out / files["curve"]).write_text("lambda,bound\n0.5,0.5\n0,1\n")
+    (out / files["target"]).write_text("lambda,empirical\n0.2,0.3\n")
+    assert main(["emit-plots", "--out", str(out)]) == 1
+    assert "00_cdf.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("certify", "--trials"), ("certify", "--jobs"), ("simulate", "--jobs"),
+    ("emit-plots", "--seed"), ("emit-plots", "--trials"),
+])
+def test_flags_exist_only_where_read(tmp_path, command, flag):
+    argv = [command, "--out", str(tmp_path), flag, "2"]
+    if command != "emit-plots":
+        argv += ["--config", write_config(tmp_path)]
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import fedcert.cli; "
+             "print('scipy.optimize' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", probe, src],
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -1,0 +1,60 @@
+"""The greedy fill over concave pieces, on hand instances.
+
+Expected values are worked out by hand, never through the fill itself.
+"""
+import numpy as np
+
+from fedcert import (
+    LOOKUP, SQUARED, Hypothesis, LocalDataset, LossFn, TransportCost, adversarial_risk,
+)
+from fedcert.concave import GreedyFill, upper_hull
+
+
+def test_free_piece_is_bought_with_no_budget():
+    fill = GreedyFill([2.0, 0.0], [1.0, 0.5])
+    assert fill(0.0) == (0.5, 0.5)
+    assert fill.taken(0.0).tolist() == [0.0, 0.0]
+    assert fill(1.0) == (1.0, 0.5)
+
+
+def test_slope_ties_keep_the_given_order():
+    fill = GreedyFill([2.0, 1.0, 4.0], [1.0, 0.5, 2.0])
+    assert fill(2.5) == (1.25, 0.5)
+    assert fill.taken(2.5).tolist() == [2.0, 0.5, 0.0]
+
+
+def test_zero_budget_buys_nothing_at_the_best_slope():
+    fill = GreedyFill([4.0, 1.0], [1.0, 1.0])
+    assert fill(0.0) == (0.0, 1.0)
+    assert fill.taken(0.0).tolist() == [0.0, 0.0]
+
+
+def test_exact_saturation_has_slope_zero():
+    fill = GreedyFill([1.0, 4.0], [0.5, 0.25])
+    assert fill(3.0) == (0.625, 0.0625)
+    assert fill(5.0) == (0.75, 0.0)
+    assert fill.taken(5.0).tolist() == [1.0, 4.0]
+    assert fill(9.0) == (0.75, 0.0)
+
+
+def test_no_pieces():
+    fill = GreedyFill([], [])
+    assert fill(1.0) == (0.0, 0.0)
+    assert fill.taken(1.0).tolist() == []
+
+
+def test_split_on_a_middle_hull_segment():
+    # one sample at 0 under the l2 cost; a lookup table whose squared losses
+    # at costs 0, 1, 2, 3, 5 are 0, 1/4, 25/64, 9/16, 49/64.  The point at
+    # cost 2 sags below the chord, so the hull pieces are (1, 1/4),
+    # (2, 5/16) and (2, 13/64).  Budget 2 buys the first and half the second.
+    x = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+    t = np.array([0.0, 0.5, 0.625, 0.75, 0.875])
+    hx, hy = upper_hull(x, t ** 2)
+    assert hx.tolist() == [0.0, 1.0, 3.0, 5.0]
+    h = Hypothesis(kind=LOOKUP, weights=t, grid=x.reshape(-1, 1))
+    ds = LocalDataset(client_id=0, features=np.array([[0.0]]), labels=np.array([0.0]))
+    qv = adversarial_risk(h, ds, 2.0, TransportCost("l2"), LossFn(SQUARED))
+    assert qv.value == 0.25 + 0.15625
+    assert qv.gamma_star == 0.15625
+    assert qv.status == "exact"

@@ -354,6 +354,40 @@ def test_grid_route_off_grid_data_never_below_empirical():
     assert np.all(np.diff(vals) >= 0.0)
 
 
+def test_grid_route_lookup_data_on_a_subset_grid():
+    # a ramp table on 11 points searched over every other point: the sample
+    # at 0.5 is wrong, the others flip at the nearest point across 0.5 for a
+    # half-squared cost of 0.125 each, slope 8
+    table = np.linspace(0.0, 1.0, 11)
+    h = Hypothesis(kind=LOOKUP, weights=table.copy(), grid=table.reshape(-1, 1))
+    X = [[0.1], [0.5], [0.9]]
+    y = [0, 0, 1]
+    ds = dataset(X, y)
+    c = Client(0, ds, LossFn(ZERO_ONE), grid=table[::2].reshape(-1, 1))
+    emp = c.query(h, 0.0).value
+    assert emp == pytest.approx(1 / 3)
+    qv = c.query(h, 1e-6)
+    assert qv.value >= emp
+    assert abs(qv.value - (1.0 + 3e-6 / 0.125) / 3.0) < 1e-15
+    assert qv.gamma_star == 8.0 and qv.status == "exact"
+    dual = qv.gamma_star * 1e-6 + np.mean([
+        phi_gamma(h, qv.gamma_star, Sample(features=np.array(x), label=lab),
+                  COST, LossFn(ZERO_ONE), grid=table[::2].reshape(-1, 1))
+        for x, lab in zip(X, y)])
+    assert abs(qv.value - dual) < 1e-15
+    # the budget 3 / 24 pays exactly one flip; 0.1 pays both
+    assert abs(c.query(h, 1.0 / 24.0).value - 2.0 / 3.0) < 1e-15
+    qv = c.query(h, 0.1)
+    assert qv.value == 1.0 and qv.gamma_star == 0.0
+
+
+def test_grid_route_refuses_lookup_data_off_its_table():
+    h = ramp_lookup(11)
+    ds = dataset([[0.55]], [0.3])
+    with pytest.raises(ValueError):
+        adversarial_risk(h, ds, 0.1, COST, LossFn(SQUARED))
+
+
 # -- the client boundary -----------------------------------------------------
 
 def make_client(max_queries=None):
