@@ -73,9 +73,7 @@ from .query import (
 from .wass import (
     QvProfile,
     RadiusAllocation,
-    bisection_certificate,
     build_profiles,
-    feasibility_check,
     mean_radius_cap,
     wass_mean_bound,
 )

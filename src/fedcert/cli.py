@@ -48,7 +48,7 @@ from .oracle import (
     tightness_probe,
 )
 from .query import BudgetExceededError, Client, TransportCost, HALF_SQ, PLAIN_L2
-from .wass import DEFAULT_GRID_SIZE, DEFAULT_LEVEL_TOL, wass_mean_bound
+from .wass import DEFAULT_GRID_SIZE, wass_mean_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -57,6 +57,7 @@ EXIT_BUDGET = 3
 
 _BOUND_KINDS = ("mean", "cdf", "fdiv-mean", "fdiv-cdf", "wass-mean")
 _CURVE_KINDS = ("cdf", "fdiv-cdf")
+_FDIV_KINDS = ("fdiv-mean", "fdiv-cdf")
 
 PLOTS_HEADER = ["lambda", "empirical", "bound", "kind"]
 
@@ -80,6 +81,26 @@ _LAMBDA_GRID_SCHEMA = {
         },
     ]
 }
+
+
+def _when_kind(kinds, then: dict) -> dict:
+    """Schema clause: an entry whose ``kind`` is one of ``kinds`` must also
+    satisfy ``then``."""
+    return {"if": {"required": ["kind"], "properties": {"kind": {"enum": list(kinds)}}},
+            "then": then}
+
+
+_REQUEST_PROPERTIES = {
+    "kind": {"enum": list(_BOUND_KINDS)},
+    "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "epsilon": {"type": "number", "minimum": 0},
+    "f_name": {"enum": ["kl", "chi-square"]},
+    "lambda_grid": _LAMBDA_GRID_SCHEMA,
+}
+
+# the transport certificate's per-client slack carries log(1/epsilon)
+_WASS_NEEDS_EPSILON = _when_kind(["wass-mean"], {
+    "required": ["epsilon"], "properties": {"epsilon": {"exclusiveMinimum": 0}}})
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -130,17 +151,16 @@ CONFIG_SCHEMA = {
                 "type": "object",
                 "required": ["kind", "delta"],
                 "properties": {
-                    "kind": {"enum": list(_BOUND_KINDS)},
-                    "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                    "epsilon": {"type": "number", "minimum": 0},
-                    "f_name": {"enum": ["kl", "chi-square"]},
-                    "lambda_grid": _LAMBDA_GRID_SCHEMA,
+                    **_REQUEST_PROPERTIES,
                     "gap_constant": {"type": "number", "minimum": 0},
-                    "level_tol": {"type": "number", "exclusiveMinimum": 0},
                     "grid_size": {"type": "integer", "minimum": 2},
                     "target_clients": {"type": "integer", "minimum": 1},
                 },
                 "additionalProperties": False,
+                "allOf": [
+                    _when_kind(_FDIV_KINDS, {"required": ["epsilon", "f_name"]}),
+                    _WASS_NEEDS_EPSILON,
+                ],
             },
         },
         "verify": {
@@ -148,7 +168,18 @@ CONFIG_SCHEMA = {
             "properties": {
                 "trials": {"type": "integer", "minimum": 1},
                 "target_clients": {"type": "integer", "minimum": 1},
-                "kinds": {"type": "array", "minItems": 1},
+                "kinds": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": {
+                        "type": "object",
+                        "required": ["kind"],
+                        "properties": _REQUEST_PROPERTIES,
+                        "additionalProperties": False,
+                        "allOf": [_when_kind(_FDIV_KINDS, {"required": ["f_name"]}),
+                                  _WASS_NEEDS_EPSILON],
+                    },
+                },
                 "tightness": {
                     "type": "object",
                     "required": ["bound_kind", "K_schedule", "n_schedule"],
@@ -167,25 +198,56 @@ CONFIG_SCHEMA = {
     },
 }
 
+# what emit-plots reads from a certify run's summary.json
+_SUMMARY_SCHEMA = {
+    "type": "object",
+    "required": ["requests"],
+    "properties": {
+        "requests": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["kind", "files"],
+                "properties": {
+                    "kind": {"enum": list(_BOUND_KINDS)},
+                    "files": {
+                        "type": "object",
+                        "required": ["certificate", "target"],
+                        "additionalProperties": {"type": "string"},
+                    },
+                },
+                "allOf": [_when_kind(_CURVE_KINDS,
+                                     {"properties": {"files": {"required": ["curve"]}}})],
+            },
+        },
+    },
+}
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _load_json(path: Path, schema: dict, what: str):
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    # the schemas are constants, checked against the metaschema by the tests,
+    # so only the document is validated here
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"{what} error at {error.json_path}: {error.message}")
+    return doc
 
 
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config error at {exc.json_path}: {exc.message}") from exc
-    return cfg
+    return _load_json(path, CONFIG_SCHEMA, "config")
 
 
 def config_digest(cfg: dict) -> str:
@@ -267,10 +329,21 @@ def _target_world(world: MetaConfig, req: dict, h: Hypothesis) -> MetaConfig:
     return shifted
 
 
-def _require(req: dict, key: str):
-    if key not in req:
-        raise ConfigError(f"certificate request of kind {req['kind']!r} needs {key!r}")
-    return req[key]
+def _check_inputs(cfg: dict, world: MetaConfig) -> None:
+    """The config rules the schema cannot see: divergence kinds need a world
+    with archetypes, and a world directory must hold a manifest."""
+    if world.archetypes is None:
+        requests = [("certificates", cfg["certificates"]),
+                    ("verify.kinds", cfg.get("verify", {}).get("kinds", []))]
+        for where, entries in requests:
+            for i, req in enumerate(entries):
+                if req["kind"] in _FDIV_KINDS:
+                    raise ConfigError(f"config error at $.{where}[{i}]: kind {req['kind']!r} "
+                                      "needs a world with archetypes")
+    if "world_dir" in cfg["data"]:
+        manifest = Path(cfg["data"]["world_dir"]) / "manifest.json"
+        if not manifest.is_file():
+            raise ConfigError(f"config error at $.data.world_dir: no manifest at {manifest}")
 
 
 def cmd_simulate(args) -> int:
@@ -288,12 +361,13 @@ def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     world = _world_from_config(cfg, args.seed)
     h = _model_from_config(cfg, world)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_inputs(cfg, world)
     clients, loss_fn = _build_clients(cfg, world)
     if loss_fn.kind != ZERO_ONE:
         # target curves use exact risks, which exist for the zero-one loss
         raise ConfigError("certify pipelines are wired for the zero-one loss")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     qv = np.array([c.query(h, 0.0).value for c in clients])
     ns = np.array([c.n_samples for c in clients])
@@ -308,20 +382,17 @@ def cmd_certify(args) -> int:
         if kind == "mean":
             result = mean_bound(qv, ns, delta)
         elif kind == "fdiv-mean":
-            result = fdiv_mean_bound(qv, ns, delta, float(_require(req, "epsilon")),
-                                     _require(req, "f_name"))
+            result = fdiv_mean_bound(qv, ns, delta, float(req["epsilon"]), req["f_name"])
         elif kind == "wass-mean":
             result = wass_mean_bound(
-                clients, h, float(_require(req, "epsilon")), delta,
-                level_tol=float(req.get("level_tol", DEFAULT_LEVEL_TOL)),
+                clients, h, float(req["epsilon"]), delta,
                 grid_size=int(req.get("grid_size", DEFAULT_GRID_SIZE)),
             )
         elif kind == "cdf":
             result = cdf_bound(qv, ns, delta, _lambda_grid(req))
         else:
             result = fdiv_cdf_bound(
-                qv, ns, delta, float(_require(req, "epsilon")),
-                _require(req, "f_name"), _lambda_grid(req),
+                qv, ns, delta, float(req["epsilon"]), req["f_name"], _lambda_grid(req),
                 gap_constant=float(req.get("gap_constant", 1.0)),
             )
 
@@ -369,6 +440,7 @@ def cmd_verify(args) -> int:
         raise ConfigError("config has no 'verify' section")
     world = _world_from_config(cfg, args.seed)
     h = _model_from_config(cfg, world)
+    _check_inputs(cfg, world)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vc = cfg["verify"]
@@ -427,8 +499,7 @@ def cmd_emit_plots(args) -> int:
     summary_path = out / "summary.json"
     if not summary_path.exists():
         raise ConfigError(f"missing inputs: {summary_path}")
-    with open(summary_path) as fh:
-        summary = json.load(fh)
+    summary = _load_json(summary_path, _SUMMARY_SCHEMA, str(summary_path))
 
     missing = []
     for entry in summary["requests"]:

@@ -307,7 +307,7 @@ def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
     the exact statistics of the declared shifted target.
 
     ``params`` carries: h (Hypothesis, required), K, n_k, delta, and per kind
-    epsilon / f_name / lambda_grid / level_tol / grid_size / target_clients.
+    epsilon / f_name / lambda_grid / grid_size / target_clients.
     A violation is recorded when the target statistic exceeds the certificate
     by more than a 1e-9 float guard; the report passes when the violation
     rate stays within delta plus three binomial standard errors.
@@ -358,11 +358,8 @@ def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
                        max_queries=int(params.get("grid_size", 16)) + 1)
                 for ds in datasets
             ]
-            bound = wass_mean_bound(
-                clients, h, epsilon, delta,
-                level_tol=float(params.get("level_tol", 1e-3)),
-                grid_size=int(params.get("grid_size", 16)),
-            )
+            bound = wass_mean_bound(clients, h, epsilon, delta,
+                                    grid_size=int(params.get("grid_size", 16)))
             target = float(np.mean(sample_true_risks(target_cfg, T_target, h, rng_t)))
             return int(target > bound.value + VIOLATION_GUARD), per_lambda
 

@@ -11,14 +11,14 @@ maximizes the mean of per-client robust query values over per-client radii:
 where the floor covers the share of the budget any single client can absorb
 and the cap inflation pays for estimating the average cost from K clients.
 
-Each client is queried once per point of a fixed radius grid; the resulting
-profile is replaced by its concave upper envelope (robust query values are
-concave and nondecreasing in the radius, so the envelope is both an upper
-bound and exact at the grid).  The allocation over piecewise-linear concave
-envelopes is solved exactly by greedy water-filling on segment slopes
-(``concave``, as in the exact query routes), once per certificate, and the
-certificate level is located by bisection on [0, 1] against that maximum,
-returning the upper end of the final bracket so the answer errs upward.
+Each client is queried once per point of a fixed radius grid, and the
+resulting profile is replaced by its concave upper envelope.  The envelope is
+exact at the grid points; between them it follows straight chords, which lie
+below the concave query curve they join (making it an upper bound is open,
+ROADMAP item 3).  The allocation over piecewise-linear concave envelopes is
+solved exactly by greedy water-filling on segment slopes (``concave``, as in
+the exact query routes), once per certificate, and its maximum is the
+program value.
 When any profile query was not exact (the ascent route only lower-bounds its
 inner supremum), the certificate's status is ``iterative`` instead of
 ``optimal``.
@@ -37,18 +37,14 @@ from .query import Client
 __all__ = [
     "QvProfile",
     "RadiusAllocation",
-    "BisectionTrace",
     "mean_radius_cap",
     "build_profiles",
-    "feasibility_check",
-    "bisection_certificate",
     "wass_mean_bound",
 ]
 
 DEFAULT_C1 = float(1.0 / np.sqrt(2.0))
 DEFAULT_C2 = 1.0
 DEFAULT_GRID_SIZE = 16
-DEFAULT_LEVEL_TOL = 1e-3
 
 
 @dataclass
@@ -77,15 +73,6 @@ class QvProfile:
         """Piecewise-linear envelope value; clamps outside the grid range."""
         return np.interp(rho, self.hull_x, self.hull_y)
 
-    def segments(self) -> list[tuple[float, float, float]]:
-        """(slope, x_start, width) of each hull piece, left to right."""
-        out = []
-        for i in range(len(self.hull_x) - 1):
-            w = self.hull_x[i + 1] - self.hull_x[i]
-            s = (self.hull_y[i + 1] - self.hull_y[i]) / w
-            out.append((float(s), float(self.hull_x[i]), float(w)))
-        return out
-
 
 @dataclass
 class RadiusAllocation:
@@ -93,15 +80,6 @@ class RadiusAllocation:
     mean_rho: float
     values: np.ndarray        # envelope values at those radii
     objective: float          # mean of values
-
-
-@dataclass
-class BisectionTrace:
-    steps: list[dict] = field(default_factory=list)
-    final_width: float = 1.0
-
-    def record(self, a, b, t, feasible):
-        self.steps.append({"a": a, "b": b, "t": t, "feasible": bool(feasible)})
 
 
 def mean_radius_cap(epsilon: float, delta: float, K: int,
@@ -180,65 +158,12 @@ def _waterfill(profiles: list[QvProfile], floor: float, mean_cap: float) -> Radi
     )
 
 
-def feasibility_check(
-    t: float,
-    profiles: list[QvProfile],
-    epsilon: float,
-    delta: float,
-    c1: float = DEFAULT_C1,
-    *,
-    include_slack: bool = True,
-) -> tuple[bool, RadiusAllocation]:
-    """Is there a feasible radius allocation whose mean envelope value
-    reaches level t?  Returns the exact maximizer as witness."""
-    K = len(profiles)
-    floor = epsilon / K
-    cap = mean_radius_cap(epsilon, delta, K, c1, include_slack=include_slack)
-    best = _waterfill(profiles, floor, max(cap, floor))
-    return best.objective >= t, best
-
-
-def bisection_certificate(
-    profiles: list[QvProfile],
-    epsilon: float,
-    delta: float,
-    level_tol: float = DEFAULT_LEVEL_TOL,
-    c1: float = DEFAULT_C1,
-    *,
-    include_slack: bool = True,
-) -> tuple[float, BisectionTrace, RadiusAllocation]:
-    """Locate the largest reachable level in [0, 1] by bisection and return
-    the bracket's upper end, so the discretization error is always upward."""
-    if not (0 < level_tol < 1):
-        raise ValueError("level_tol must lie in (0, 1)")
-    a, b = 0.0, 1.0
-    trace = BisectionTrace()
-    # the maximizer does not depend on the level, so every check compares
-    # against the same allocation
-    feasible0, witness = feasibility_check(
-        a, profiles, epsilon, delta, c1, include_slack=include_slack
-    )
-    trace.record(a, b, a, feasible0)
-    max_iter = int(np.ceil(np.log2(1.0 / level_tol)))
-    for _ in range(max_iter):
-        t = 0.5 * (a + b)
-        ok = witness.objective >= t
-        trace.record(a, b, t, ok)
-        if ok:
-            a = t
-        else:
-            b = t
-    trace.final_width = b - a
-    return b, trace, witness
-
-
 def wass_mean_bound(
     clients: list[Client],
     h: Hypothesis,
     epsilon: float,
     delta: float,
     *,
-    level_tol: float = DEFAULT_LEVEL_TOL,
     grid_size: int = DEFAULT_GRID_SIZE,
     c1: float = DEFAULT_C1,
     c2: float = DEFAULT_C2,
@@ -256,10 +181,9 @@ def wass_mean_bound(
     profiles = build_profiles(
         clients, h, epsilon, delta, grid_size, c1, include_slack=include_slack
     )
-    level, trace, witness = bisection_certificate(
-        profiles, epsilon, delta, level_tol, c1, include_slack=include_slack
-    )
     K = len(clients)
+    cap = mean_radius_cap(epsilon, delta, K, c1, include_slack=include_slack)
+    witness = _waterfill(profiles, epsilon / K, cap)
     if include_slack:
         meta = float(np.sqrt(np.log((K + 2) / delta) / (2 * K)))
         ns = np.array([p.n_samples for p in profiles], dtype=float)
@@ -268,7 +192,7 @@ def wass_mean_bound(
         ))
     else:
         meta = per_client = 0.0
-    raw = level + meta + per_client
+    raw = witness.objective + meta + per_client
     return CertifiedBound(
         kind="wass-mean",
         value=float(min(raw, 1.0)),
@@ -278,17 +202,12 @@ def wass_mean_bound(
         slack={"meta": meta, "per_client": per_client},
         params={
             "K": K, "delta": delta, "epsilon": epsilon,
-            "c1": c1, "c2": c2, "level_tol": level_tol,
-            "grid_size": grid_size,
-            "mean_radius_cap": mean_radius_cap(
-                epsilon, delta, K, c1, include_slack=include_slack
-            ),
+            "c1": c1, "c2": c2, "grid_size": grid_size,
+            "mean_radius_cap": cap,
             "include_slack": include_slack,
         },
         extra={
-            "program_value": level,
-            "bisection_steps": len(trace.steps),
-            "final_width": trace.final_width,
+            "program_value": witness.objective,
             "witness_mean_rho": witness.mean_rho,
             "witness_rho": witness.rho.tolist(),
         },

@@ -47,7 +47,7 @@ from fedcert.losses import (
     loss_values,
 )
 from fedcert.query import phi_gamma  # noqa: F401  (re-exported surface check)
-from fedcert.wass import QvProfile, bisection_certificate, mean_radius_cap
+from fedcert.wass import QvProfile, _waterfill, mean_radius_cap
 
 from _corpus import iter_reweight_corpus
 
@@ -160,15 +160,14 @@ def test_acceptance_4_solvers_match_oracles():
                       qvs=rng.uniform(0.0, 0.8, 12))
             for c in range(2)
         ]
-        slope = max(
-            (abs(s) for p in profiles for s, _, _ in p.segments()), default=0.0
-        )
-        level, _, _ = bisection_certificate(profiles, eps, delta, 1e-3)
+        slope = max(float(np.max(np.abs(np.diff(p.hull_y) / np.diff(p.hull_x))))
+                    for p in profiles)
+        value = _waterfill(profiles, floor, cap).objective
         step = (top - floor) / 1500.0
         orc = wass_alloc_grid_oracle(profiles, floor, cap, step)
-        diff = abs(level - orc)
+        diff = abs(value - orc)
         worst_alloc = max(worst_alloc, diff)
-        tol_alloc_ok = tol_alloc_ok and diff <= 1e-3 + slope * step + 1e-9
+        tol_alloc_ok = tol_alloc_ok and diff <= slope * step + 1e-9
 
     cost = TransportCost()
     worst_lp = 0.0
@@ -191,8 +190,8 @@ def test_acceptance_4_solvers_match_oracles():
     ok = (worst_reweight <= 2e-3 and tol_alloc_ok and worst_lp <= 1e-4
           and elapsed < 120.0)
     _report(4, ok, f"reweight |solver-oracle| {worst_reweight:.2e} (50 frozen "
-                   f"instances, tol 2e-3); allocation |bisection-grid| "
-                   f"{worst_alloc:.2e} (tol Delta+grid); adversarial-vs-LP "
+                   f"instances, tol 2e-3); allocation |waterfill-grid| "
+                   f"{worst_alloc:.2e} (tol grid); adversarial-vs-LP "
                    f"{worst_lp:.2e} (tol 1e-4), {elapsed:.1f}s")
 
 
@@ -231,8 +230,7 @@ def test_acceptance_5_zero_budget_reductions():
         for i in range(4)
     ]
     clients = [Client(i, ds, LossFn(ZERO_ONE)) for i, ds in enumerate(datasets)]
-    wb = wass_mean_bound(clients, H2, 0.0, 0.1, include_slack=False,
-                         level_tol=1e-10)
+    wb = wass_mean_bound(clients, H2, 0.0, 0.1, include_slack=False)
     emp = float(np.mean([
         empirical_risk(H2, ds, LossFn(ZERO_ONE)).value for ds in datasets
     ]))
@@ -316,8 +314,7 @@ def test_acceptance_6_monotonicity_fuzz():
             clients = [Client(i, ds, LossFn(ZERO_ONE))
                        for i, ds in enumerate(datasets)]
             return wass_mean_bound(clients, H2, float(eps), 0.1,
-                                   include_slack=False, level_tol=1e-6,
-                                   grid_size=8)
+                                   include_slack=False, grid_size=8)
         b1, b2 = bound(e1), bound(e2)
         ok = ok and b2.value >= b1.value - 3e-6
         ok = ok and 0.0 <= b1.value <= 1.0 and 0.0 <= b2.value <= 1.0

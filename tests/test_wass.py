@@ -1,5 +1,5 @@
-"""Transport-shift certificate: envelopes, water-filling, level bisection,
-and the assembled mean bound.
+"""Transport-shift certificate: envelopes, water-filling and the assembled
+mean bound, whose program value is the water-fill's exact maximum.
 
 The allocation layer is checked against a brute 2-D grid oracle and the
 envelope against an O(G^2) chord maximum recomputed in the test.
@@ -21,9 +21,7 @@ from fedcert.losses import CROSS_ENTROPY, LOGISTIC
 from fedcert.oracle import wass_alloc_grid_oracle
 from fedcert.wass import (
     QvProfile,
-    bisection_certificate,
     build_profiles,
-    feasibility_check,
     mean_radius_cap,
     wass_mean_bound,
 )
@@ -85,15 +83,6 @@ def test_profile_validation():
         QvProfile(client_id=0, n_samples=5, rhos=[], qvs=[])
 
 
-def test_segments_tile_the_hull():
-    p = QvProfile(client_id=0, n_samples=5,
-                  rhos=[0.1, 0.2, 0.5, 0.9], qvs=[0.2, 0.6, 0.7, 0.72])
-    segs = p.segments()
-    assert abs(sum(w for _, _, w in segs) - (p.hull_x[-1] - p.hull_x[0])) < 1e-12
-    starts = [x0 for _, x0, _ in segs]
-    assert np.allclose(starts, p.hull_x[:-1])
-
-
 # -------------------------------------------------------------- allocation
 
 def _alloc_instance(rng):
@@ -107,9 +96,8 @@ def _alloc_instance(rng):
         x = np.linspace(floor, top, 12)
         y = rng.uniform(0.0, 0.8, 12)
         profiles.append(QvProfile(client_id=cid, n_samples=40, rhos=x, qvs=y))
-    slope = max(
-        (abs(s) for p in profiles for s, _, _ in p.segments()), default=0.0
-    )
+    slope = max(float(np.max(np.abs(np.diff(p.hull_y) / np.diff(p.hull_x))))
+                for p in profiles)
     return eps, delta, floor, cap, top, profiles, slope
 
 
@@ -117,8 +105,7 @@ def test_waterfill_matches_grid_oracle():
     rng = np.random.default_rng(np.random.SeedSequence(802))
     for _ in range(10):
         eps, delta, floor, cap, top, profiles, slope = _alloc_instance(rng)
-        ok, alloc = feasibility_check(0.0, profiles, eps, delta)
-        assert ok
+        alloc = wass._waterfill(profiles, floor, cap)
         step = (top - floor) / 1500.0
         orc = wass_alloc_grid_oracle(profiles, floor, cap, step)
         # grid points are feasible, so the exact maximizer dominates them
@@ -131,44 +118,26 @@ def test_waterfill_matches_grid_oracle():
         assert np.allclose(alloc.values, want)
 
 
-def test_bisection_brackets_the_optimum():
-    rng = np.random.default_rng(np.random.SeedSequence(803))
-    tol = 1e-3
-    for _ in range(5):
-        eps, delta, floor, cap, top, profiles, slope = _alloc_instance(rng)
-        level, trace, witness = bisection_certificate(profiles, eps, delta, tol)
-        # the returned level errs upward by at most the bracket width
-        assert level >= witness.objective - 1e-12
-        assert level <= witness.objective + tol + 1e-12
-        step = (top - floor) / 1500.0
-        orc = wass_alloc_grid_oracle(profiles, floor, cap, step)
-        assert orc <= level + 1e-9
-        assert level - orc <= tol + slope * step + 1e-9
-        # trace bookkeeping
-        a_seen, b_seen = 0.0, 1.0
-        for rec in trace.steps:
-            assert rec["a"] >= a_seen - 1e-15
-            assert rec["b"] <= b_seen + 1e-15
-            assert rec["a"] < rec["b"]
-            assert rec["a"] <= rec["t"] <= rec["b"]
-            a_seen, b_seen = rec["a"], rec["b"]
-        assert trace.final_width <= tol + 1e-15
-        assert len(trace.steps) <= int(np.ceil(np.log2(1.0 / tol))) + 1
-
-
-def test_bisection_waterfills_once(monkeypatch):
+def test_wass_mean_bound_waterfills_once(monkeypatch):
     rng = np.random.default_rng(np.random.SeedSequence(813))
-    eps, delta, _, _, _, profiles, _ = _alloc_instance(rng)
-    calls = []
+    clients = make_clients(rng, 4, 30)
+    eps, delta = 0.08, 0.1
+    allocs = []
     real = wass._waterfill
 
     def counting(*args):
-        calls.append(args)
-        return real(*args)
+        allocs.append(real(*args))
+        return allocs[-1]
 
     monkeypatch.setattr(wass, "_waterfill", counting)
-    _, trace, _ = bisection_certificate(profiles, eps, delta, 1e-3)
-    assert len(calls) == 1 and len(trace.steps) == 11
+    b = wass_mean_bound(clients, H, eps, delta)
+    assert len(allocs) == 1
+    # the program value is the exact maximum itself, not a level near it
+    assert b.extra["program_value"] == allocs[0].objective
+    assert b.extra["witness_rho"] == allocs[0].rho.tolist()
+    cap = mean_radius_cap(eps, delta, 4)
+    assert b.params["mean_radius_cap"] == cap
+    assert allocs[0].rho.min() >= eps / 4 and allocs[0].mean_rho <= cap + 1e-12
 
 
 def test_constant_profiles_stay_at_the_floor():
@@ -177,11 +146,9 @@ def test_constant_profiles_stay_at_the_floor():
         QvProfile(client_id=i, n_samples=20, rhos=x, qvs=np.full(8, 0.37))
         for i in range(3)
     ]
-    ok, alloc = feasibility_check(0.3, profiles, 0.15, 0.1)
-    assert ok and abs(alloc.objective - 0.37) < 1e-12
+    alloc = wass._waterfill(profiles, 0.05, mean_radius_cap(0.15, 0.1, 3))
+    assert abs(alloc.objective - 0.37) < 1e-12
     assert np.allclose(alloc.rho, 0.05)
-    ok2, _ = feasibility_check(0.40, profiles, 0.15, 0.1)
-    assert not ok2
 
 
 # ------------------------------------------------------------------ bounds
@@ -236,8 +203,7 @@ def test_zero_epsilon_reduces_to_empirical_mean():
     emp = np.mean([
         empirical_risk(H, c._dataset, LossFn(ZERO_ONE)).value for c in clients
     ])
-    b = wass_mean_bound(clients, H, 0.0, 0.1,
-                        include_slack=False, level_tol=1e-9)
+    b = wass_mean_bound(clients, H, 0.0, 0.1, include_slack=False)
     assert abs(b.value - emp) <= 2e-9
     assert b.slack["meta"] == 0.0 and b.slack["per_client"] == 0.0
 
@@ -254,8 +220,7 @@ def test_mean_bound_dominates_empirical_and_grows_with_epsilon():
     ])
     prev = -np.inf
     for eps in (0.01, 0.05, 0.1):
-        b = wass_mean_bound(fresh(), H, eps, 0.1,
-                            include_slack=False, level_tol=1e-6)
+        b = wass_mean_bound(fresh(), H, eps, 0.1, include_slack=False)
         assert b.value >= emp - 1e-9
         assert b.value >= prev - 2e-6
         prev = b.value
@@ -267,7 +232,7 @@ def test_mean_bound_slack_formula_and_extras():
     rng = np.random.default_rng(np.random.SeedSequence(811))
     clients = make_clients(rng, 5, 50)
     eps, delta, K = 0.04, 0.1, 5
-    b = wass_mean_bound(clients, H, eps, delta, level_tol=1e-3)
+    b = wass_mean_bound(clients, H, eps, delta)
     meta = np.sqrt(np.log((K + 2) / delta) / (2 * K))
     ns = np.full(K, 50.0)
     per_client = float(np.mean(
@@ -277,7 +242,7 @@ def test_mean_bound_slack_formula_and_extras():
     assert abs(b.slack["per_client"] - per_client) < 1e-12
     assert abs(b.raw_value - (b.extra["program_value"] + meta + per_client)) < 1e-12
     assert b.value == min(b.raw_value, 1.0)
-    assert b.extra["final_width"] <= 1e-3 + 1e-15
+    assert set(b.extra) == {"program_value", "witness_mean_rho", "witness_rho"}
     assert b.extra["witness_mean_rho"] <= b.params["mean_radius_cap"] + 1e-12
 
 
@@ -303,5 +268,3 @@ def test_mean_bound_validation():
         wass_mean_bound(clients, H, -0.01, 0.1)
     with pytest.raises(ValueError):
         wass_mean_bound(clients, H, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        wass_mean_bound(clients, H, 0.1, 0.1, level_tol=1.5)
