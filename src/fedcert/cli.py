@@ -98,6 +98,9 @@ _REQUEST_PROPERTIES = {
     "lambda_grid": _LAMBDA_GRID_SCHEMA,
 }
 
+_SCHEDULE_SCHEMA = {"type": "array", "minItems": 1,
+                    "items": {"type": "integer", "minimum": 1}}
+
 # the transport certificate's per-client slack carries log(1/epsilon)
 _WASS_NEEDS_EPSILON = _when_kind(["wass-mean"], {
     "required": ["epsilon"], "properties": {"epsilon": {"exclusiveMinimum": 0}}})
@@ -185,13 +188,15 @@ CONFIG_SCHEMA = {
                     "required": ["bound_kind", "K_schedule", "n_schedule"],
                     "properties": {
                         "bound_kind": {"enum": ["mean", "fdiv-mean"]},
-                        "K_schedule": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                        "n_schedule": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                        "K_schedule": _SCHEDULE_SCHEMA,
+                        "n_schedule": _SCHEDULE_SCHEMA,
                         "trials": {"type": "integer", "minimum": 1},
-                        "delta": {"type": "number"},
-                        "epsilon": {"type": "number"},
-                        "f_name": {"enum": ["kl", "chi-square"]},
+                        "delta": _REQUEST_PROPERTIES["delta"],
+                        "epsilon": _REQUEST_PROPERTIES["epsilon"],
+                        "f_name": _REQUEST_PROPERTIES["f_name"],
                     },
+                    "if": {"properties": {"bound_kind": {"const": "fdiv-mean"}}},
+                    "then": {"required": ["f_name"]},
                 },
             },
         },
@@ -313,11 +318,12 @@ def _build_clients(cfg: dict, world: MetaConfig):
                cost=cost, max_queries=data.get("max_queries"), grid=grid)
         for ds in datasets
     ]
-    return clients, loss_fn
+    return clients, loss_fn, cost
 
 
-def _target_world(world: MetaConfig, req: dict, h: Hypothesis) -> MetaConfig:
-    """The shifted meta-distribution a certificate of this kind declares."""
+def _target_world(world: MetaConfig, req: dict, h: Hypothesis, cost_kind: str) -> MetaConfig:
+    """The shifted meta-distribution a certificate of this kind declares;
+    transport moves it within ``epsilon`` under the queries' cost."""
     kind = req["kind"]
     eps = float(req.get("epsilon", 0.0))
     if kind in ("mean", "cdf") or eps == 0.0:
@@ -325,25 +331,39 @@ def _target_world(world: MetaConfig, req: dict, h: Hypothesis) -> MetaConfig:
     if kind in ("fdiv-mean", "fdiv-cdf"):
         tilt = tilt_for_divergence(world, req["f_name"], eps)
         return shift_meta_fdiv(world, tilt)[0]
-    shifted, _ = shift_meta_wass(world, eps, adversarial_directions(world, h))
+    shifted, _ = shift_meta_wass(world, eps, adversarial_directions(world, h), cost_kind)
     return shifted
 
 
 def _check_inputs(cfg: dict, world: MetaConfig) -> None:
-    """The config rules the schema cannot see: divergence kinds need a world
-    with archetypes, and a world directory must hold a manifest."""
+    """The config rules the schema cannot see: divergence kinds (a tightness
+    probe's included) need a world with archetypes, a world directory must
+    hold a manifest, and the tightness schedules must be aligned and
+    nondecreasing."""
+    verify = cfg.get("verify", {})
     if world.archetypes is None:
-        requests = [("certificates", cfg["certificates"]),
-                    ("verify.kinds", cfg.get("verify", {}).get("kinds", []))]
-        for where, entries in requests:
-            for i, req in enumerate(entries):
-                if req["kind"] in _FDIV_KINDS:
-                    raise ConfigError(f"config error at $.{where}[{i}]: kind {req['kind']!r} "
-                                      "needs a world with archetypes")
+        kinds = [(f"certificates[{i}]", req["kind"]) for i, req in enumerate(cfg["certificates"])]
+        kinds += [(f"verify.kinds[{i}]", req["kind"])
+                  for i, req in enumerate(verify.get("kinds", []))]
+        if "tightness" in verify:
+            kinds.append(("verify.tightness", verify["tightness"]["bound_kind"]))
+        for where, kind in kinds:
+            if kind in _FDIV_KINDS:
+                raise ConfigError(f"config error at $.{where}: kind {kind!r} "
+                                  "needs a world with archetypes")
     if "world_dir" in cfg["data"]:
         manifest = Path(cfg["data"]["world_dir"]) / "manifest.json"
         if not manifest.is_file():
             raise ConfigError(f"config error at $.data.world_dir: no manifest at {manifest}")
+    if "tightness" in verify:
+        tc = verify["tightness"]
+        if len(tc["K_schedule"]) != len(tc["n_schedule"]):
+            raise ConfigError("config error at $.verify.tightness: K_schedule and "
+                              "n_schedule differ in length")
+        for key in ("K_schedule", "n_schedule"):
+            if tc[key] != sorted(tc[key]):
+                raise ConfigError(f"config error at $.verify.tightness.{key}: "
+                                  "schedule must be nondecreasing")
 
 
 def cmd_simulate(args) -> int:
@@ -362,22 +382,20 @@ def cmd_certify(args) -> int:
     world = _world_from_config(cfg, args.seed)
     h = _model_from_config(cfg, world)
     _check_inputs(cfg, world)
-    clients, loss_fn = _build_clients(cfg, world)
+    clients, loss_fn, cost = _build_clients(cfg, world)
     if loss_fn.kind != ZERO_ONE:
         # target curves use exact risks, which exist for the zero-one loss
         raise ConfigError("certify pipelines are wired for the zero-one loss")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     qv = np.array([c.query(h, 0.0).value for c in clients])
     ns = np.array([c.n_samples for c in clients])
 
-    entries = []
+    # every certificate and target is computed before --out is created, so a
+    # run that fails (an exhausted query budget) leaves nothing behind
+    results = []
     for i, req in enumerate(cfg["certificates"]):
         kind = req["kind"]
         delta = float(req["delta"])
-        stem = f"{i:02d}_{kind}"
-        files = {"certificate": f"{stem}.json"}
 
         if kind == "mean":
             result = mean_bound(qv, ns, delta)
@@ -396,29 +414,31 @@ def cmd_certify(args) -> int:
                 gap_constant=float(req.get("gap_constant", 1.0)),
             )
 
-        if kind in _CURVE_KINDS:
-            result.write_json(out / f"{stem}.json")
-            result.write_csv(out / f"{stem}.csv")
-            files["curve"] = f"{stem}.csv"
-        else:
-            result.write_json(out / f"{stem}.json")
-
         # empirical target curve: exact risks of fresh clients drawn from the
         # world this certificate declares (shifted when epsilon > 0)
-        target = _target_world(world, req, h)
+        target = _target_world(world, req, h, cost.kind)
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence([world.seed, 777, i])))
         risks = sample_true_risks(target, int(req.get("target_clients", 2000)), h, rng)
-        tpath = out / f"{stem}_target.csv"
-        with open(tpath, "w", newline="") as fh:
+        if kind in _CURVE_KINDS:
+            rows = [[_fmt(lam), _fmt(np.mean(risks >= lam))] for lam in _lambda_grid(req)]
+        else:
+            rows = [["", _fmt(np.mean(risks))]]
+        results.append((f"{i:02d}_{kind}", kind, result, rows))
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for stem, kind, result, rows in results:
+        files = {"certificate": f"{stem}.json", "target": f"{stem}_target.csv"}
+        result.write_json(out / files["certificate"])
+        if kind in _CURVE_KINDS:
+            files["curve"] = f"{stem}.csv"
+            result.write_csv(out / files["curve"])
+        with open(out / files["target"], "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["lambda", "empirical"])
-            if kind in _CURVE_KINDS:
-                for lam in _lambda_grid(req):
-                    wr.writerow([_fmt(lam), _fmt(np.mean(risks >= lam))])
-            else:
-                wr.writerow(["", _fmt(np.mean(risks))])
-        files["target"] = f"{stem}_target.csv"
+            wr.writerows(rows)
         entries.append({"kind": kind, "files": files})
 
     summary = {

@@ -14,11 +14,16 @@ ratio, and ``band`` / ``eps_budget`` absorb the finite-K estimation error of
 the ratio's mean and divergence.  The program is solved by Lagrangian dual
 decomposition: for multipliers (tau, eta) covering the mean band and the
 divergence budget, each coordinate has a closed-form argmax, and the two
-multipliers are pinned by nested bisection on their KKT residuals.
+multipliers are pinned by nested bisection on their KKT residuals (Duchi &
+Namkoong 2021 give the same dual).  On the 0/1 coefficients of the CDF
+certificate the program has a two-block optimum, found for every block size
+by one array bisection.
 
 Divergence constants, for a generator f with f(1) = 0:
 
-    cap  =  max { t >= 1 : f(t) <= epsilon / delta }      (numeric inverse)
+    cap  =  max { t >= 1 : f(t) <= epsilon / delta }
+         =  1 + sqrt(epsilon / delta)      (chi-square)
+         =  exp(W(epsilon / delta))        (KL; W the principal Lambert W)
     c1   =  (cap - 1/cap) / sqrt(2)
     c2   =  (max - min of f over [1/cap, cap]) / sqrt(2)
 
@@ -30,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from .certificates import CdfCurve, CertifiedBound
 from .concave import GreedyFill
-from .nonrobust import _validate, _validate_grid
+from .nonrobust import _survival_counts, _validate
 
 __all__ = [
     "DivergenceSpec",
@@ -86,21 +92,6 @@ class DivergenceSpec:
         return _GENERATORS[self.name](t)
 
 
-def _bisect_increasing(fn, target: float, lo: float, hi: float, iters: int = 200) -> float:
-    """Largest x in [lo, hi] with fn(x) <= target, for nondecreasing fn."""
-    if fn(lo) > target:
-        return lo
-    if fn(hi) <= target:
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def make_divergence(name: str, epsilon: float, delta: float) -> DivergenceSpec:
     """Resolve the truncation level and concentration constants for a named
     generator at shift budget ``epsilon`` and failure probability ``delta``."""
@@ -111,12 +102,9 @@ def make_divergence(name: str, epsilon: float, delta: float) -> DivergenceSpec:
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     f = _GENERATORS[name]
-    target = epsilon / delta
-
-    hi = 2.0
-    while float(f(hi)) <= target and hi < 1e15:
-        hi *= 2.0
-    cap = _bisect_increasing(lambda t: float(f(t)), target, 1.0, hi)
+    # f inverted on t >= 1: t log t = r at t = exp(W(r)), (t - 1)^2 = r at 1 + sqrt(r)
+    r = epsilon / delta
+    cap = float(np.exp(lambertw(r).real)) if name == KL else 1.0 + float(np.sqrt(r))
 
     if cap <= 1.0:
         return DivergenceSpec(name, epsilon, delta, 1.0, 0.0, 0.0, 1.0)
@@ -174,21 +162,15 @@ def _solve_tau(q: np.ndarray, eta: float, spec: DivergenceSpec, band: float) -> 
         return float(np.mean(_alpha_star(q, tau, eta, spec)))
 
     m0 = mean_alpha(0.0)
-    if 1.0 - band <= m0 <= 1.0 + band:
-        return 0.0
     if m0 > 1.0 + band:
+        # at tau = 1 >= q every argmax is at most 1
         target, lo, hi = 1.0 + band, 0.0, 1.0
-        for _ in range(200):
-            if mean_alpha(hi) <= target:
-                break
-            hi *= 2.0
+    elif m0 < 1.0 - band:
+        # KL only (the chi-square argmax is at least 1 at tau = 0); at
+        # tau = -eta every KL argmax is at least 1
+        target, lo, hi = 1.0 - band, -eta, 0.0
     else:
-        target, lo, hi = 1.0 - band, -1.0, 0.0
-        for _ in range(200):
-            if mean_alpha(lo) >= target:
-                break
-            lo *= 2.0
-        lo, hi = lo, 0.0
+        return 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mean_alpha(mid) > target:
@@ -208,8 +190,8 @@ def _lp_vertex(q: np.ndarray, spec: DivergenceSpec, band: float) -> np.ndarray:
     return GreedyFill(np.full(len(q), spec.cap), spec.cap * q).taken(len(q) * (1.0 + band))
 
 
-def solve_reweight(q, spec: DivergenceSpec, eps_budget: float, band: float,
-                   tol: float = 1e-8) -> ReweightSolution:
+def solve_reweight(q, spec: DivergenceSpec, eps_budget: float,
+                   band: float) -> ReweightSolution:
     """Maximize the reweighted query mean over truncated likelihood ratios.
 
     Dual decomposition with nested bisection: the outer loop pins the
@@ -250,36 +232,22 @@ def solve_reweight(q, spec: DivergenceSpec, eps_budget: float, band: float,
     if r_lo <= 0.0:
         candidates.append((float(np.mean(alpha_lo * q)), alpha_lo, tau_lo, eta_lo))
     else:
-        eta_hi = 1.0
-        found = False
-        for _ in range(100):
-            r_hi, tau_hi, alpha_hi = residual(eta_hi)
-            if r_hi <= 0.0:
-                found = True
+        # as eta grows the argmax settles on one in-band value, where f <= 0
+        # (KL) or which rounds to exactly 1 (chi-square), so the doubling ends
+        hi = 1.0
+        while residual(hi)[0] > 0.0:
+            hi *= 2.0
+        lo = eta_lo
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if residual(mid)[0] > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-14 * hi:
                 break
-            eta_hi *= 2.0
-        if found:
-            lo, hi = eta_lo, eta_hi
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                r_mid, _, _ = residual(mid)
-                if r_mid > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-14 * hi:
-                    break
-            _, tau_star, alpha_star = residual(hi)
-            candidates.append((float(np.mean(alpha_star * q)), alpha_star, tau_star, hi))
-        else:
-            # divergence budget unreachable even with equalized weights;
-            # fall back to the best uniform point (always feasible at t=1)
-            t = _bisect_increasing(
-                lambda t: float(spec.f(np.array([t]))[0]),
-                eps_budget, 1.0, min(spec.cap, 1.0 + band),
-            )
-            alpha = np.full(K, t)
-            candidates.append((float(np.mean(alpha * q)), alpha, 0.0, np.inf))
+        _, tau_star, alpha_star = residual(hi)
+        candidates.append((float(np.mean(alpha_star * q)), alpha_star, tau_star, hi))
 
     obj, alpha, tau, eta = max(candidates, key=lambda c: c[0])
 
@@ -324,44 +292,47 @@ def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str,
     )
 
 
-def _binary_block_value(m: int, K: int, spec: DivergenceSpec,
-                        eps_budget: float, band: float) -> float:
-    """Optimal reweighted mean for a 0/1 coefficient vector with m ones.
+def _block_values(K: int, spec: DivergenceSpec, eps_budget: float,
+                  band: float) -> np.ndarray:
+    """Optimal reweighted means for 0/1 coefficient vectors with m = 0..K
+    ones, indexed by m.
 
     Averaging within the two blocks preserves the objective and the mean and
     can only shrink mean(f) (convexity), so a two-value optimum exists; the
     feasible block values form an interval containing 1, and the objective
     grows with the ones-block value a, so bisection on the interval's upper
-    endpoint is exact.
+    endpoint is exact.  One bisection runs over all m at once, each entry
+    stopping where a scalar bisection of its own would.
     """
-    if m == 0:
-        return 0.0
-    f1 = lambda t: float(spec.f(np.array([t]))[0])
+    m = np.arange(1, K + 1, dtype=float)
+    rest = K - m    # size of the zeros block
+    budget = eps_budget + 1e-15
 
-    def feasible(a: float) -> bool:
-        fa = f1(a)
-        if m == K:
-            return abs(a - 1.0) <= band + 1e-15 and fa <= eps_budget + 1e-15
-        c_lo = (K * (1.0 - band) - m * a) / (K - m)
-        c_hi = (K * (1.0 + band) - m * a) / (K - m)
-        lo, hi = max(0.0, c_lo), min(spec.cap, c_hi)
-        if lo > hi + 1e-15:
-            return False
-        c = float(np.clip(spec.f_argmin, lo, hi))
-        return (m * fa + (K - m) * f1(c)) / K <= eps_budget + 1e-15
+    def feasible(a: np.ndarray) -> np.ndarray:
+        fa = spec.f(a)
+        # the zeros block takes the value nearest f's global argmin that its
+        # mean allows; weights live in [0, cap], not [1/cap, cap]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = np.maximum(0.0, (K * (1.0 - band) - m * a) / rest)
+            hi = np.minimum(spec.cap, (K * (1.0 + band) - m * a) / rest)
+            c = np.clip(_ARGMINS[spec.name], lo, hi)
+            ok = (lo <= hi + 1e-15) & ((m * fa + rest * spec.f(c)) / K <= budget)
+        # m = K has no zeros block: the band and the budget bind a itself
+        ok[-1] = abs(a[-1] - 1.0) <= band + 1e-15 and fa[-1] <= budget
+        return ok
 
-    lo, hi = 1.0, spec.cap
-    if feasible(hi):
-        return m * hi / K
+    hi = np.full(K, spec.cap)
+    active = ~feasible(hi)
+    lo = np.where(active, 1.0, hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
+        if not active.any():
             break
-    return m * lo / K
+        mid = 0.5 * (lo + hi)
+        ok = feasible(mid)
+        lo = np.where(active & ok, mid, lo)
+        hi = np.where(active & ~ok, mid, hi)
+        active &= hi - lo > 1e-14 * np.maximum(1.0, hi)
+    return np.concatenate(([0.0], m * lo / K))
 
 
 def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
@@ -379,7 +350,6 @@ def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
     """
     qv, n = _validate(qv, n, delta)
     K = len(qv)
-    lambda_grid = _validate_grid(lambda_grid)
     spec = make_divergence(name, epsilon, delta)
     band, eps_budget = divergence_budgets(spec, K, "cdf")
 
@@ -393,11 +363,8 @@ def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
         shifts = np.zeros(K)
         pad = 0.0
 
-    breakpoints = qv + shifts
-    lams = np.unique(np.concatenate([lambda_grid, breakpoints]))
-    value_by_m = {m: _binary_block_value(m, K, spec, eps_budget, band)
-                  for m in range(K + 1)}
-    raw = np.array([value_by_m[int(np.sum(breakpoints >= lam))] for lam in lams])
+    lams, counts = _survival_counts(qv + shifts, lambda_grid)
+    raw = _block_values(K, spec, eps_budget, band)[counts]
     return CdfCurve(
         lambdas=lams,
         bounds=np.minimum(raw + pad, 1.0),

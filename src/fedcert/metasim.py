@@ -334,8 +334,7 @@ def shift_meta_fdiv(cfg: MetaConfig, tilt: float) -> tuple[MetaConfig, dict]:
     return shifted, archetype_divergences(cfg, shifted)
 
 
-def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float,
-                        tol: float = 1e-12) -> float:
+def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float) -> float:
     """Find the tilt whose achieved divergence equals ``epsilon`` (bisection;
     the divergence grows monotonically with nonnegative tilt)."""
     if name not in ("kl", "chi-square"):
@@ -360,7 +359,7 @@ def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float,
     else:
         raise ValueError("divergence budget unreachable by tilting")
     lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-12 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if achieved(mid) >= epsilon:
             hi = mid

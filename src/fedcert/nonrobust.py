@@ -40,11 +40,15 @@ def _validate(qv, n, delta):
     return qv, n
 
 
-def _validate_grid(lambda_grid) -> np.ndarray:
+def _survival_counts(breakpoints: np.ndarray, lambda_grid) -> tuple[np.ndarray, np.ndarray]:
+    """The thresholds, the grid plus the breakpoints (sorted, unique), and at
+    each the number of breakpoints at or above it."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
         raise ValueError("lambda_grid must be a nonempty vector")
-    return lambda_grid
+    lams = np.unique(np.concatenate([lambda_grid, breakpoints]))
+    counts = len(breakpoints) - np.searchsorted(np.sort(breakpoints), lams, side="left")
+    return lams, counts
 
 
 def mean_bound(qv, n, delta: float, *, include_slack: bool = True) -> CertifiedBound:
@@ -76,7 +80,6 @@ def cdf_bound(qv, n, delta: float, lambda_grid, *, include_slack: bool = True) -
     """
     qv, n = _validate(qv, n, delta)
     K = len(qv)
-    lambda_grid = _validate_grid(lambda_grid)
 
     if include_slack:
         shifts = np.sqrt(np.log((K + 1) / delta) / (2 * n))
@@ -84,9 +87,8 @@ def cdf_bound(qv, n, delta: float, lambda_grid, *, include_slack: bool = True) -
     else:
         shifts = np.zeros(K)
         meta = 0.0
-    breakpoints = qv + shifts
-    lams = np.unique(np.concatenate([lambda_grid, breakpoints]))
-    raw = np.array([np.mean(breakpoints >= lam) for lam in lams]) + meta
+    lams, counts = _survival_counts(qv + shifts, lambda_grid)
+    raw = counts / K + meta
     return CdfCurve(
         lambdas=lams,
         bounds=np.minimum(raw, 1.0),

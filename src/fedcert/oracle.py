@@ -82,7 +82,9 @@ def grid_reweight_oracle(q, spec, eps_budget: float, band: float,
         raise ValueError("step must be positive")
     f = _ORACLE_F[spec.name]
     cap = float(spec.cap)
-    grid = np.unique(np.concatenate([np.arange(0.0, cap + step / 2, step), [1.0, cap]]))
+    # the last arange point may pass cap by up to step / 2; it stops at cap
+    grid = np.unique(np.concatenate([np.minimum(np.arange(0.0, cap + step / 2, step), cap),
+                                     [1.0, cap]]))
     fg = f(grid)
     guard = 1e-12
 

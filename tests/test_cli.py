@@ -138,6 +138,21 @@ def test_bad_certificate_entry_reports_its_path(tmp_path, capsys, key, value):
     assert_rejected_before_writing(tmp_path, capsys, "certify", cfg, "$.certificates[3]")
 
 
+@pytest.mark.parametrize("change, where", [
+    ({"bound_kind": "fdiv-mean", "epsilon": 0.05}, "$.verify.tightness"),
+    ({"delta": 1.5}, "$.verify.tightness.delta"),
+    ({"epsilon": -0.1}, "$.verify.tightness.epsilon"),
+    ({"K_schedule": [10, 5]}, "$.verify.tightness.K_schedule"),
+    ({"K_schedule": [5, 10, 20]}, "$.verify.tightness"),
+    ({"K_schedule": []}, "$.verify.tightness.K_schedule"),
+], ids=["fdiv-without-f_name", "delta-above-one", "negative-epsilon", "unsorted-schedule",
+        "unaligned-schedules", "empty-schedule"])
+def test_bad_tightness_reports_its_path(tmp_path, capsys, change, where):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["verify"]["tightness"].update(change)
+    assert_rejected_before_writing(tmp_path, capsys, "verify", cfg, where)
+
+
 def _without_archetypes(cfg):
     del cfg["world"]["archetypes"], cfg["world"]["archetype_weights"]
     cfg["certificates"] = [c for c in cfg["certificates"] if not c["kind"].startswith("fdiv")]
@@ -156,6 +171,13 @@ def _fdiv_verify_kind_without_archetypes(cfg, tmp_path):
     return "$.verify.kinds[1]"
 
 
+def _fdiv_tightness_without_archetypes(cfg, tmp_path):
+    _without_archetypes(cfg)
+    cfg["verify"]["tightness"].update({"bound_kind": "fdiv-mean", "epsilon": 0.05,
+                                       "f_name": "kl"})
+    return "$.verify.tightness"
+
+
 def _world_dir_without_manifest(cfg, tmp_path):
     (tmp_path / "no-world").mkdir()
     cfg["data"]["world_dir"] = str(tmp_path / "no-world")
@@ -166,6 +188,7 @@ def _world_dir_without_manifest(cfg, tmp_path):
 @pytest.mark.parametrize("make_bad", [
     _fdiv_certificate_without_archetypes,
     _fdiv_verify_kind_without_archetypes,
+    _fdiv_tightness_without_archetypes,
     _world_dir_without_manifest,
 ])
 def test_bad_inputs_exit_one_before_writing(tmp_path, capsys, command, make_bad):
@@ -250,6 +273,23 @@ def test_certify_budget_exhaustion_exits_three(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "quer" in capsys.readouterr().err.lower()
+    assert not (tmp_path / "o").exists()
+
+
+def test_certify_transport_target_follows_the_query_cost(tmp_path):
+    # under the plain l2 cost epsilon moves the class means by epsilon, under
+    # the half-squared cost by sqrt(2 epsilon), so the targets differ
+    targets = {}
+    for cost in ("half-squared-l2", "l2"):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["data"] = {"K": 5, "n_k": 20}
+        cfg["query"] = {"cost": cost}
+        cfg["certificates"] = [{"kind": "wass-mean", "delta": 0.1, "epsilon": 0.02,
+                                "grid_size": 4, "target_clients": 300}]
+        out = tmp_path / cost
+        assert main(["certify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        targets[cost] = (out / "00_wass-mean_target.csv").read_text()
+    assert targets["half-squared-l2"] != targets["l2"]
 
 
 # -------------------------------------------------------------------- verify

@@ -15,12 +15,12 @@ from fedcert.fdiv import (
     fdiv_mean_bound,
     make_divergence,
     solve_reweight,
-    _binary_block_value,
+    _block_values,
 )
 from fedcert.nonrobust import cdf_bound, mean_bound
 from fedcert.oracle import grid_reweight_oracle
 
-from _corpus import reweight_instance
+from _corpus import iter_reweight_corpus, reweight_instance
 
 # omega = W(1): cap for KL at epsilon/delta = 1 is exp(omega) = 1/omega
 _OMEGA = 0.5671432904097838
@@ -43,6 +43,18 @@ def test_kl_cap_is_inverse_of_t_log_t():
     assert abs(spec.cap - 1.0 / _OMEGA) < 1e-9
     # the cap saturates the budget
     assert abs(spec.cap * np.log(spec.cap) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["kl", "chi-square"])
+def test_cap_saturates_the_budget(name):
+    # f(cap) = epsilon/delta, up to f's slope times one spacing of the float
+    # cap: near 1 that spacing alone is 1e-10 of a budget of 1e-6
+    for ratio in np.logspace(-6, 20, 27):
+        spec = make_divergence(name, 0.5 * ratio, 0.5)
+        cap = spec.cap
+        slope = np.log(cap) + 1.0 if name == "kl" else 2.0 * (cap - 1.0)
+        f_cap = float(spec.f(np.array([cap]))[0])
+        assert abs(f_cap - ratio) <= 1e-12 * ratio + slope * np.spacing(cap), (name, ratio)
 
 
 def test_chi2_cap_closed_form():
@@ -146,7 +158,7 @@ def test_reweight_three_client_indicator():
     assert abs(sol.objective - 2.0 / 3.0) < 1e-7
     assert np.allclose(sol.alpha, [2.0, 0.5, 0.5], atol=1e-5)
     # the same instance through the indicator-block shortcut
-    assert abs(_binary_block_value(1, 3, spec, 0.5, 0.0) - 2.0 / 3.0) < 1e-8
+    assert abs(_block_values(3, spec, 0.5, 0.0)[1] - 2.0 / 3.0) < 1e-8
     # and through the exhaustive grid
     orc = grid_reweight_oracle(q, spec, 0.5, 0.0, step=2e-3)
     assert abs(sol.objective - orc) <= 2e-3
@@ -168,6 +180,22 @@ def test_reweight_solutions_feasible():
         assert float(np.mean(spec.f(a))) <= eps_budget + 1e-6
         assert abs(sol.objective - float(np.mean(a * q))) < 1e-12
         assert sol.status in ("optimal", "tolerance")
+
+
+@pytest.mark.parametrize("name", ["kl", "chi-square"])
+@pytest.mark.parametrize("eps_budget", [0.0, 1e-18])
+def test_reweight_zero_divergence_budget_is_feasible(name, eps_budget):
+    # the mean band alone leaves room; the divergence budget pins the weights
+    rng = np.random.default_rng(np.random.SeedSequence(5151))
+    for K in (1, 2, 7, 40):
+        spec = make_divergence(name, 0.1, 0.1)
+        q = rng.uniform(0.0, 1.0, K)
+        for band in (0.0, 2e-15, 0.05, 0.3):
+            sol = solve_reweight(q, spec, eps_budget, band)
+            assert sol.status == "optimal", (K, band)
+            assert abs(float(np.mean(sol.alpha)) - 1.0) <= band + 1e-6
+            assert float(np.mean(spec.f(sol.alpha))) <= eps_budget + 1e-6
+            assert sol.objective >= float(np.mean(q)) - 1e-6
 
 
 def test_reweight_kkt_residuals():
@@ -315,11 +343,27 @@ def test_cdf_bound_dominates_empirical_survival():
 
 def test_binary_block_values():
     spec = make_divergence("chi-square", 0.15, 0.1)
-    assert _binary_block_value(0, 3, spec, 0.5, 0.0) == 0.0
-    assert abs(_binary_block_value(1, 3, spec, 0.5, 0.0) - 2.0 / 3.0) < 1e-8
+    values = _block_values(3, spec, 0.5, 0.0)
+    assert values[0] == 0.0
+    assert abs(values[1] - 2.0 / 3.0) < 1e-8
     # m=2: alpha = (3/2, 3/2, 0), mean f = (2/4 + 1)/3 = 1/2 exactly
-    assert abs(_binary_block_value(2, 3, spec, 0.5, 0.0) - 1.0) < 1e-8
+    assert abs(values[2] - 1.0) < 1e-8
     # all-ones block: the band is the only constraint that bites
     spec2 = make_divergence("chi-square", 0.2, 0.1)
-    assert abs(_binary_block_value(3, 3, spec2, 0.5, 0.25) - 1.25) < 1e-8
-    assert abs(_binary_block_value(3, 3, spec2, 0.5, 0.0) - 1.0) < 1e-8
+    assert abs(_block_values(3, spec2, 0.5, 0.25)[3] - 1.25) < 1e-8
+    assert abs(_block_values(3, spec2, 0.5, 0.0)[3] - 1.0) < 1e-8
+
+
+def test_block_values_match_grid_oracle():
+    # every 0/1 coefficient vector of the K = 3 corpus; the grid optimum sits
+    # within step * mean(q) below the exact one
+    step = 1e-2
+    for K, i, _, name, spec, _, band, eps_budget in iter_reweight_corpus():
+        if K != 3:
+            continue
+        values = _block_values(3, spec, eps_budget, band)
+        for bits in range(8):
+            q = np.array([(bits >> k) & 1 for k in range(3)], dtype=float)
+            orc = grid_reweight_oracle(q, spec, eps_budget, band, step=step)
+            m = int(q.sum())
+            assert orc - 1e-12 <= values[m] <= orc + step * m / 3 + 1e-12, (i, name, bits)

@@ -6,7 +6,7 @@ ORACLE = Path(__file__).resolve().parents[1] / "src" / "fedcert" / "oracle.py"
 
 # the solution code of the solvers the oracles cross-check
 SOLVER_NAMES = {"GreedyFill", "upper_hull", "_waterfill", "solve_reweight",
-                "_alpha_star", "_binary_block_value"}
+                "_alpha_star", "_block_values"}
 
 
 def test_oracles_share_no_solution_code_with_the_solvers():
