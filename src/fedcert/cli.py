@@ -38,6 +38,7 @@ from .metasim import (
     sample_clients,
     shift_meta_fdiv,
     shift_meta_wass,
+    tilt_divergence_limit,
     tilt_for_divergence,
 )
 from .nonrobust import cdf_bound, mean_bound
@@ -337,20 +338,29 @@ def _target_world(world: MetaConfig, req: dict, h: Hypothesis, cost_kind: str) -
 
 def _check_inputs(cfg: dict, world: MetaConfig) -> None:
     """The config rules the schema cannot see: divergence kinds (a tightness
-    probe's included) need a world with archetypes, a world directory must
-    hold a manifest, and the tightness schedules must be aligned and
-    nondecreasing."""
+    probe's included) need a world with archetypes and a budget below what
+    the archetype tilt can reach, a world directory must hold a manifest, and
+    the tightness schedules must be aligned and nondecreasing."""
     verify = cfg.get("verify", {})
-    if world.archetypes is None:
-        kinds = [(f"certificates[{i}]", req["kind"]) for i, req in enumerate(cfg["certificates"])]
-        kinds += [(f"verify.kinds[{i}]", req["kind"])
-                  for i, req in enumerate(verify.get("kinds", []))]
-        if "tightness" in verify:
-            kinds.append(("verify.tightness", verify["tightness"]["bound_kind"]))
-        for where, kind in kinds:
-            if kind in _FDIV_KINDS:
-                raise ConfigError(f"config error at $.{where}: kind {kind!r} "
-                                  "needs a world with archetypes")
+    requests = [(f"certificates[{i}]", req, req["kind"])
+                for i, req in enumerate(cfg["certificates"])]
+    requests += [(f"verify.kinds[{i}]", req, req["kind"])
+                 for i, req in enumerate(verify.get("kinds", []))]
+    if "tightness" in verify:
+        tc = verify["tightness"]
+        requests.append(("verify.tightness", tc, tc["bound_kind"]))
+    for where, req, kind in requests:
+        if kind not in _FDIV_KINDS:
+            continue
+        if world.archetypes is None:
+            raise ConfigError(f"config error at $.{where}: kind {kind!r} "
+                              "needs a world with archetypes")
+        eps = float(req.get("epsilon", 0.0))
+        limit = tilt_divergence_limit(world, req["f_name"])
+        if eps > 0 and eps >= limit:
+            raise ConfigError(f"config error at $.{where}.epsilon: {req['f_name']} budget "
+                              f"{eps:g} is out of the archetype tilt's reach; its "
+                              f"divergence stays below {limit:.6g}")
     if "world_dir" in cfg["data"]:
         manifest = Path(cfg["data"]["world_dir"]) / "manifest.json"
         if not manifest.is_file():

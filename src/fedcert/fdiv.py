@@ -86,7 +86,6 @@ class DivergenceSpec:
     cap: float        # likelihood-ratio truncation level
     c1: float         # band scale
     c2: float         # divergence-budget inflation scale
-    f_argmin: float   # where f attains its minimum on [1/cap, cap]
 
     def f(self, t):
         return _GENERATORS[self.name](t)
@@ -107,7 +106,7 @@ def make_divergence(name: str, epsilon: float, delta: float) -> DivergenceSpec:
     cap = float(np.exp(lambertw(r).real)) if name == KL else 1.0 + float(np.sqrt(r))
 
     if cap <= 1.0:
-        return DivergenceSpec(name, epsilon, delta, 1.0, 0.0, 0.0, 1.0)
+        return DivergenceSpec(name, epsilon, delta, 1.0, 0.0, 0.0)
 
     c1 = (cap - 1.0 / cap) / _SQRT2
     # f convex: its minimum over [1/cap, cap] is the clipped global argmin
@@ -115,7 +114,7 @@ def make_divergence(name: str, epsilon: float, delta: float) -> DivergenceSpec:
     fmin = float(f(argmin))
     fmax = max(float(f(1.0 / cap)), float(f(cap)))  # f convex: max at an endpoint
     c2 = (fmax - fmin) / _SQRT2
-    return DivergenceSpec(name, epsilon, delta, cap, c1, c2, argmin)
+    return DivergenceSpec(name, epsilon, delta, cap, c1, c2)
 
 
 def divergence_budgets(spec: DivergenceSpec, K: int, level: str) -> tuple[float, float]:

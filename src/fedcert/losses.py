@@ -8,7 +8,6 @@ know what kind of predictor is being certified.  All losses are clipped to
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -31,6 +30,7 @@ __all__ = [
     "loss_values",
     "loss_gradient",
     "gradient_values",
+    "loss_and_gradient_values",
     "curvature_bound",
 ]
 
@@ -198,8 +198,14 @@ class Hypothesis:
         )
 
     def cache_key(self) -> str:
-        h = hashlib.sha1()
-        h.update(json.dumps(self.to_json_dict(), sort_keys=True).encode())
+        """Digest of what the predictions depend on: kind, and the shape and
+        bytes of weights, bias and grid (the name is left out)."""
+        h = hashlib.sha1(self.kind.encode())
+        for a in (self.weights, self.bias, self.grid):
+            if a is not None:
+                a = np.ascontiguousarray(a, dtype=float)
+                h.update(repr(a.shape).encode())
+                h.update(a.tobytes())
         return h.hexdigest()
 
 
@@ -255,19 +261,25 @@ def loss(loss_fn: LossFn, h: Hypothesis, z: Sample) -> float:
     return float(loss_values(loss_fn, h, z.features[None, :], np.array([z.label]))[0])
 
 
-def gradient_values(loss_fn: LossFn, h: Hypothesis, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the clipped loss w.r.t. features, shape (n, d).
+def loss_and_gradient_values(
+    loss_fn: LossFn, h: Hypothesis, X: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample clipped losses, shape (n,), and their feature gradients,
+    shape (n, d), from one model pass.
 
-    The clip is honoured: where the unclipped loss sits outside (0, 1) the
-    gradient is zero (the loss surface is flat there).
+    The losses equal ``loss_values``.  The clip is honoured: where the
+    unclipped loss sits outside (0, 1) the gradient is zero (the loss surface
+    is flat there).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if len(y) != len(X):
+        raise DimensionMismatchError("feature/label counts differ")
 
     if h.kind == LOOKUP:
         # a constant table makes every loss locally constant in the features
         if np.ptp(h.weights) == 0.0:
-            return np.zeros_like(X)
+            return loss_values(loss_fn, h, X, y), np.zeros_like(X)
         raise UnsupportedGradientError("lookup-table predictions are not differentiable")
 
     if loss_fn.kind == ZERO_ONE:
@@ -275,21 +287,25 @@ def gradient_values(loss_fn: LossFn, h: Hypothesis, X: np.ndarray, y: np.ndarray
 
     if loss_fn.kind == CROSS_ENTROPY:
         if h.kind == LINEAR:
+            rows, labels = np.arange(len(X)), y.astype(int)
             s = h.scores(X)
             s = s - s.max(axis=1, keepdims=True)
-            p = np.exp(s)
-            p /= p.sum(axis=1, keepdims=True)
-            raw = -np.log(np.clip(p[np.arange(len(X)), y.astype(int)], _P_FLOOR, None))
-            resid = p.copy()
-            resid[np.arange(len(X)), y.astype(int)] -= 1.0
-            g = resid @ h.weights
+            e = np.exp(s)
+            total = e.sum(axis=1, keepdims=True)
+            lv = -(s - np.log(total))[rows, labels]
+            p = e / total
+            raw = -np.log(np.clip(p[rows, labels], _P_FLOOR, None))
+            p[rows, labels] -= 1.0
+            g = p @ h.weights
         else:
             p = _sigmoid(h.scores(X))
+            pc = np.clip(p, _P_FLOOR, 1.0 - _P_FLOOR)
+            lv = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
             raw = -(y * np.log(np.clip(p, _P_FLOOR, None))
                     + (1.0 - y) * np.log(np.clip(1.0 - p, _P_FLOOR, None)))
             g = (p - y)[:, None] * h.weights[None, :]
         active = ((raw > 0.0) & (raw < 1.0)).astype(float)
-        return g * active[:, None]
+        return np.clip(lv, 0.0, 1.0), g * active[:, None]
 
     # clipped squared
     if h.kind == LINEAR:
@@ -298,7 +314,12 @@ def gradient_values(loss_fn: LossFn, h: Hypothesis, X: np.ndarray, y: np.ndarray
     raw = (y - p) ** 2
     g = (2.0 * (p - y) * p * (1.0 - p))[:, None] * h.weights[None, :]
     active = (raw < 1.0).astype(float)
-    return g * active[:, None]
+    return np.clip(raw, 0.0, 1.0), g * active[:, None]
+
+
+def gradient_values(loss_fn: LossFn, h: Hypothesis, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample gradient of the clipped loss w.r.t. features, shape (n, d)."""
+    return loss_and_gradient_values(loss_fn, h, X, y)[1]
 
 
 def loss_gradient(loss_fn: LossFn, h: Hypothesis, z: Sample) -> np.ndarray:

@@ -36,6 +36,7 @@ __all__ = [
     "sample_clients",
     "generate_dataset",
     "shift_meta_fdiv",
+    "tilt_divergence_limit",
     "tilt_for_divergence",
     "shift_meta_wass",
     "export_world",
@@ -334,19 +335,41 @@ def shift_meta_fdiv(cfg: MetaConfig, tilt: float) -> tuple[MetaConfig, dict]:
     return shifted, archetype_divergences(cfg, shifted)
 
 
+def tilt_divergence_limit(cfg: MetaConfig, name: str) -> float:
+    """Supremum of the ``name`` divergence over nonnegative tilts, approached
+    but never reached.
+
+    As the tilt grows, all mass piles onto the top-score archetypes (of
+    positive weight), of total source weight w_top, so the divergence rises
+    to -log w_top for KL and 1/w_top - 1 for chi-square; 0 when every
+    archetype shares one score.
+    """
+    _require_archetypes(cfg, "tilt_divergence_limit")
+    w = cfg.archetype_weights
+    scores = np.array([a.score for a in cfg.archetypes], dtype=float)
+    pos = w > 0
+    w_top = float(np.sum(w[pos & (scores == scores[pos].max())]))
+    if name == "kl":
+        return -float(np.log(w_top))
+    if name == "chi-square":
+        return 1.0 / w_top - 1.0
+    raise ValueError("name must be 'kl' or 'chi-square'")
+
+
 def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float) -> float:
     """Find the tilt whose achieved divergence equals ``epsilon`` (bisection;
-    the divergence grows monotonically with nonnegative tilt)."""
+    the divergence grows monotonically with nonnegative tilt).  A budget at or
+    above ``tilt_divergence_limit`` is rejected."""
     if name not in ("kl", "chi-square"):
         raise ValueError("name must be 'kl' or 'chi-square'")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if epsilon == 0:
         return 0.0
-    _require_archetypes(cfg, "tilt_for_divergence")
-    scores = np.array([a.score for a in cfg.archetypes])
-    if np.ptp(scores) == 0:
-        raise ValueError("archetype scores are constant; no tilt reaches the budget")
+    limit = tilt_divergence_limit(cfg, name)
+    if epsilon >= limit:
+        raise ValueError(f"{name} budget {epsilon:g} unreachable by tilting: the "
+                         f"divergence of every tilt stays below {limit:.6g}")
 
     def achieved(t):
         return shift_meta_fdiv(cfg, t)[1][name]

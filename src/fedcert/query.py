@@ -19,7 +19,9 @@ loss/hypothesis pair:
     points plus its own point at cost 0;
   * differentiable losses: projected gradient ascent with a curvature-aware
     step and deterministic restarts seeded at the loss-clip plateau.  The
-    ascent only lower-bounds each inner supremum, so these answers are
+    restarts run stacked as one iterate, and each step makes one model pass
+    for both the losses and the gradients (``loss_and_gradient_values``).
+    The ascent only lower-bounds each inner supremum, so these answers are
     flagged ``iterative``, and a golden-section search over gamma (the
     objective is convex in gamma) solves the dual around them.
 
@@ -47,7 +49,7 @@ from .losses import (
     LossFn,
     Sample,
     curvature_bound,
-    gradient_values,
+    loss_and_gradient_values,
     loss_values,
 )
 from .metasim import LocalDataset
@@ -264,6 +266,13 @@ class _AscentInner:
     (gamma > beta).  Restarts are deterministic: the sample itself plus two
     points translated along the weight vector far enough that the clipped
     loss saturates at 1, which covers the plateau branch of the supremum.
+
+    The S restarts run together as one (S * n, d) iterate: each step makes
+    one model pass, which gives the losses at the current point (for the
+    running best) and the gradients for the next move.  A restart whose
+    largest move falls below 1e-12 freezes where it is, and only moving
+    restarts count towards ``iterations``; every restart therefore takes the
+    same steps it would take alone.
     """
 
     _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -274,14 +283,18 @@ class _AscentInner:
         if cost.kind != HALF_SQ:
             raise ValueError("gradient inner solver requires the half-squared-L2 cost")
         self._h, self._cost, self._loss = h, cost, loss_fn
-        self._X = np.atleast_2d(X)
-        self._y = np.asarray(y, dtype=float)
+        X = np.atleast_2d(X)
+        y = np.asarray(y, dtype=float)
         self._beta = curvature_bound(loss_fn, h)
-        self._starts = self._plateau_starts()
+        starts = self._plateau_starts(X)
+        self._n_starts = len(starts)
+        self._starts = np.concatenate(starts)
+        self._X = np.tile(X, (self._n_starts, 1))
+        self._y = np.tile(y, self._n_starts)
         self.iterations = 0
 
-    def _plateau_starts(self) -> list[np.ndarray]:
-        h, X, y = self._h, self._X, self._y
+    def _plateau_starts(self, X: np.ndarray) -> list[np.ndarray]:
+        h = self._h
         starts = [X.copy()]
         if h.kind not in (LOGISTIC,):
             return starts
@@ -304,27 +317,26 @@ class _AscentInner:
 
     def phi(self, gamma: float) -> np.ndarray:
         step = 1.0 / (gamma + self._beta + 1e-12)
-        best = np.full(len(self._X), -np.inf)
-        iters = 0
-        for start in self._starts:
-            Xp = start.copy()
-            val = self._objective(Xp, gamma)
-            best = np.maximum(best, val)
-            for _ in range(_ASCENT_STEPS):
-                g = gradient_values(self._loss, self._h, Xp, self._y)
-                g -= gamma * (Xp - self._X)
-                move = step * g
-                Xp = Xp + move
-                iters += 1
-                val = self._objective(Xp, gamma)
-                best = np.maximum(best, val)
-                if float(np.max(np.abs(move))) < 1e-12:
-                    break
-        self.iterations += iters
-        return best
+        S = self._n_starts
+        Xp = self._starts
+        moving = np.ones(S, dtype=bool)
+        lv, g = loss_and_gradient_values(self._loss, self._h, Xp, self._y)
+        best = self._objective(Xp, lv, gamma)
+        for _ in range(_ASCENT_STEPS):
+            g -= gamma * (Xp - self._X)
+            move = (step * g).reshape(S, -1)
+            move[~moving] = 0.0
+            Xp = Xp + move.reshape(Xp.shape)
+            self.iterations += int(np.count_nonzero(moving))
+            lv, g = loss_and_gradient_values(self._loss, self._h, Xp, self._y)
+            best = np.maximum(best, self._objective(Xp, lv, gamma))
+            # written as not-below so that a NaN move keeps moving, as it did alone
+            moving &= ~(np.max(np.abs(move), axis=1) < 1e-12)
+            if not moving.any():
+                break
+        return best.reshape(S, -1).max(axis=0)
 
-    def _objective(self, Xp, gamma):
-        lv = loss_values(self._loss, self._h, Xp, self._y)
+    def _objective(self, Xp, lv, gamma):
         c = self._cost.of_distance(np.linalg.norm(Xp - self._X, axis=1))
         return lv - gamma * c
 

@@ -15,7 +15,7 @@ Each client is queried once per point of a fixed radius grid, and the
 resulting profile is replaced by its concave upper envelope.  The envelope is
 exact at the grid points; between them it follows straight chords, which lie
 below the concave query curve they join (making it an upper bound is open,
-ROADMAP item 3).  The allocation over piecewise-linear concave envelopes is
+ROADMAP item 1).  The allocation over piecewise-linear concave envelopes is
 solved exactly by greedy water-filling on segment slopes (``concave``, as in
 the exact query routes), once per certificate, and its maximum is the
 program value.

@@ -3,6 +3,7 @@ subcommands, exit codes, and byte-for-byte rerun stability."""
 import copy
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,52 @@ def test_bad_inputs_exit_one_before_writing(tmp_path, capsys, command, make_bad)
     cfg = copy.deepcopy(BASE_CONFIG)
     where = make_bad(cfg, tmp_path)
     assert_rejected_before_writing(tmp_path, capsys, command, cfg, where)
+
+
+# the top-score archetype of BASE_CONFIG weighs 0.3: no tilt reaches a KL of
+# -log 0.3 or a chi-square of 1/0.3 - 1
+_TILT_LIMITS = {"kl": -math.log(0.3), "chi-square": 1.0 / 0.3 - 1.0}
+
+
+def _fdiv_certificate(cfg, epsilon, f_name):
+    cfg["certificates"] = [{"kind": "fdiv-mean", "delta": 0.1, "epsilon": epsilon,
+                            "f_name": f_name, "target_clients": 300}]
+    return "$.certificates[0].epsilon"
+
+
+def _fdiv_verify_kind(cfg, epsilon, f_name):
+    cfg["verify"]["kinds"].append({"kind": "fdiv-cdf", "delta": 0.1, "epsilon": epsilon,
+                                   "f_name": f_name})
+    return "$.verify.kinds[1].epsilon"
+
+
+def _fdiv_tightness(cfg, epsilon, f_name):
+    cfg["verify"]["tightness"].update({"bound_kind": "fdiv-mean", "epsilon": epsilon,
+                                       "f_name": f_name})
+    return "$.verify.tightness.epsilon"
+
+
+@pytest.mark.parametrize("command, place", [
+    ("certify", _fdiv_certificate),
+    ("verify", _fdiv_verify_kind),
+    ("verify", _fdiv_tightness),
+])
+@pytest.mark.parametrize("f_name", ["kl", "chi-square"])
+def test_unreachable_divergence_budget_exits_one(tmp_path, capsys, command, place, f_name):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    where = place(cfg, 5.0, f_name)
+    assert_rejected_before_writing(tmp_path, capsys, command, cfg, where)
+
+
+@pytest.mark.parametrize("command, place", [("certify", _fdiv_certificate),
+                                            ("verify", _fdiv_tightness)])
+@pytest.mark.parametrize("f_name", ["kl", "chi-square"])
+def test_divergence_budget_below_the_tilt_limit_runs(tmp_path, command, place, f_name):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    place(cfg, 0.9 * _TILT_LIMITS[f_name], f_name)
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert out.is_dir()
 
 
 def test_non_zero_one_loss_rejected_by_certify(tmp_path, capsys):

@@ -26,6 +26,14 @@ from _corpus import iter_reweight_corpus, reweight_instance
 _OMEGA = 0.5671432904097838
 
 
+def _c2_from_clipped_minimizer(spec, argmin):
+    """(max f at the ends - f at the clipped minimizer) / sqrt(2), with f's
+    global minimizer ``argmin`` clipped to [1/cap, cap]; returns (c2, t)."""
+    t = float(np.clip(argmin, 1.0 / spec.cap, spec.cap))
+    ends = spec.f(np.array([1.0 / spec.cap, spec.cap]))
+    return (float(ends.max()) - float(spec.f(np.array([t]))[0])) / np.sqrt(2.0), t
+
+
 # ---------------------------------------------------------------- constants
 
 def test_zero_budget_collapses_constants():
@@ -34,7 +42,8 @@ def test_zero_budget_collapses_constants():
         assert spec.cap == 1.0
         assert spec.c1 == 0.0
         assert spec.c2 == 0.0
-        assert spec.f_argmin == 1.0
+        argmin = 1.0 / np.e if name == "kl" else 1.0
+        assert _c2_from_clipped_minimizer(spec, argmin) == (0.0, 1.0)
 
 
 def test_kl_cap_is_inverse_of_t_log_t():
@@ -82,7 +91,9 @@ def test_kl_c2_small_cap():
     # cap < e, so t log t is minimized at the left endpoint 1/cap = omega,
     # where f(omega) = -omega^2; the max sits at the right endpoint, f(cap)=1
     spec = make_divergence("kl", 0.1, 0.1)
-    assert abs(spec.f_argmin - _OMEGA) < 1e-7
+    c2, t = _c2_from_clipped_minimizer(spec, 1.0 / np.e)
+    assert abs(t - _OMEGA) < 1e-7
+    assert abs(spec.c2 - c2) < 1e-12
     want = (1.0 + _OMEGA ** 2) / np.sqrt(2.0)
     assert abs(spec.c2 - want) < 1e-8
     assert abs(spec.c2 - 0.9345487463994223) < 1e-9
@@ -92,7 +103,9 @@ def test_kl_c2_large_cap():
     # epsilon/delta = 3 puts 1/e inside [1/cap, cap]: min is -1/e, max is 3
     spec = make_divergence("kl", 0.3, 0.1)
     assert spec.cap > np.e
-    assert abs(spec.f_argmin - 1.0 / np.e) < 1e-7
+    c2, t = _c2_from_clipped_minimizer(spec, 1.0 / np.e)
+    assert t == 1.0 / np.e
+    assert abs(spec.c2 - c2) < 1e-12
     want = (3.0 + 1.0 / np.e) / np.sqrt(2.0)
     assert abs(spec.c2 - want) < 1e-8
 

@@ -16,6 +16,7 @@ from fedcert import (
     shift_meta_wass,
     tilt_for_divergence,
 )
+from fedcert.metasim import tilt_divergence_limit
 
 BASE_MEANS = np.array([[-1.0, 0.0], [1.0, 0.0]])
 
@@ -149,6 +150,23 @@ def test_tilt_constant_scores_rejected():
     cfg = two_archetype_cfg(scores=(1.0, 1.0))
     with pytest.raises(ValueError):
         tilt_for_divergence(cfg, "kl", 0.1)
+
+
+@pytest.mark.parametrize("name", ["kl", "chi-square"])
+def test_tilt_limit_is_the_divergence_at_infinite_tilt(name):
+    # all mass on the top-score archetype, of source weight 0.3
+    cfg = two_archetype_cfg(w=(0.7, 0.3))
+    limit = tilt_divergence_limit(cfg, name)
+    assert limit == pytest.approx(-np.log(0.3) if name == "kl" else 1.0 / 0.3 - 1.0,
+                                  rel=1e-15)
+    achieved = [shift_meta_fdiv(cfg, t)[1][name] for t in (1.0, 5.0, 10.0, 40.0)]
+    assert achieved[0] < achieved[1] < achieved[2] < limit
+    assert achieved[3] == pytest.approx(limit, rel=1e-12)
+    t = tilt_for_divergence(cfg, name, 0.9 * limit)
+    assert abs(shift_meta_fdiv(cfg, t)[1][name] - 0.9 * limit) < 1e-9
+    for eps in (limit, 5.0):
+        with pytest.raises(ValueError, match="unreachable by tilting"):
+            tilt_for_divergence(cfg, name, eps)
 
 
 def test_wass_budget_zero_is_identity():

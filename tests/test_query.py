@@ -18,7 +18,14 @@ from fedcert import (
     phi_gamma,
     wass_ball_lp_oracle,
 )
-from fedcert.losses import Sample, loss_values
+from fedcert.losses import (
+    LINEAR,
+    Sample,
+    curvature_bound,
+    gradient_values,
+    loss_values,
+)
+from fedcert.query import _AscentInner
 
 COST = TransportCost()
 
@@ -388,6 +395,105 @@ def test_grid_route_refuses_lookup_data_off_its_table():
         adversarial_risk(h, ds, 0.1, COST, LossFn(SQUARED))
 
 
+# -- the ascent route --------------------------------------------------------
+
+def _looped_ascent(h, X, y, loss_fn, starts, gamma):
+    """The ascent one restart at a time, each step one ``gradient_values``
+    and one ``loss_values`` call: the reference the stacked restarts must
+    match bit for bit.  Returns (phi, steps taken by each restart)."""
+    step = 1.0 / (gamma + curvature_bound(loss_fn, h) + 1e-12)
+
+    def objective(Xp):
+        c = COST.of_distance(np.linalg.norm(Xp - X, axis=1))
+        return loss_values(loss_fn, h, Xp, y) - gamma * c
+
+    best = np.full(len(X), -np.inf)
+    steps = []
+    for start in starts:
+        Xp = start.copy()
+        best = np.maximum(best, objective(Xp))
+        for k in range(1, 101):
+            g = gradient_values(loss_fn, h, Xp, y)
+            g -= gamma * (Xp - X)
+            move = step * g
+            Xp = Xp + move
+            best = np.maximum(best, objective(Xp))
+            if float(np.max(np.abs(move))) < 1e-12:
+                break
+        steps.append(k)
+    return best, steps
+
+
+def _ascent_cases():
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(25, 2)) * 1.5
+    y2 = rng.integers(0, 2, size=25).astype(float)
+    y3 = rng.integers(0, 3, size=25).astype(float)
+    logistic = Hypothesis(kind=LOGISTIC, weights=np.array([1.3, -0.7]), bias=0.2)
+    softmax = Hypothesis(kind=LINEAR, weights=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
+    return [(logistic, X, y2, LossFn(CROSS_ENTROPY)),
+            (logistic, X, y2, LossFn(SQUARED)),
+            (softmax, X, y3, LossFn(CROSS_ENTROPY))]
+
+
+_GAMMAS = (0.0, 0.3, 2.0, 1e4)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["logistic-ce", "logistic-squared",
+                                                "softmax-ce"])
+def test_stacked_ascent_matches_restarts_run_one_by_one(case):
+    h, X, y, loss_fn = _ascent_cases()[case]
+    inner = _AscentInner(h, X, y, COST, loss_fn)
+    starts = inner._plateau_starts(X)
+    for gamma in _GAMMAS:
+        want, steps = _looped_ascent(h, X, y, loss_fn, starts, gamma)
+        before = inner.iterations
+        assert np.array_equal(inner.phi(gamma), want)
+        assert inner.iterations - before == sum(steps)
+    # at gamma = 1e4 the contraction is fast: every restart stops early, and
+    # not all at one step, so frozen restarts ride along with moving ones
+    assert max(steps) < 100 and (len(steps) == 1 or min(steps) < max(steps))
+    rho = 0.2
+    iters = 0
+
+    def dual(gamma):
+        nonlocal iters
+        phi, steps = _looped_ascent(h, X, y, loss_fn, starts, gamma)
+        iters += sum(steps)
+        return gamma * rho + float(np.mean(phi))
+
+    gamma_star, best = _AscentInner._golden_min(dual, 0.0, 1.0 / rho)
+    qv = _AscentInner(h, X, y, COST, loss_fn).query(rho)
+    assert (qv.value, qv.gamma_star, qv.inner_iterations) == (
+        float(np.clip(best, 0.0, 1.0)), gamma_star, iters)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["logistic-ce", "logistic-squared",
+                                                "softmax-ce"])
+def test_ascent_makes_one_model_pass_per_step(monkeypatch, case):
+    h, X, y, loss_fn = _ascent_cases()[case]
+    inner = _AscentInner(h, X, y, COST, loss_fn)
+    starts = inner._plateau_starts(X)
+    steps_of = {g: _looped_ascent(h, X, y, loss_fn, starts, g)[1] for g in _GAMMAS}
+    passes = []
+    scores = Hypothesis.scores
+
+    def counted(self, Xq):
+        passes.append(np.array(Xq).reshape(len(starts), len(X), -1))
+        return scores(self, Xq)
+
+    monkeypatch.setattr(Hypothesis, "scores", counted)
+    for gamma in _GAMMAS:
+        del passes[:]
+        inner.phi(gamma)
+        # one pass at the starts, then one per step of the longest restart,
+        # each over every restart at once (the reshape checks the rows)
+        assert len(passes) == 1 + max(steps_of[gamma])
+        # a restart that stopped stays where it stopped
+        for r, steps in enumerate(steps_of[gamma]):
+            assert all(np.array_equal(p[r], passes[steps][r]) for p in passes[steps:])
+
+
 # -- the client boundary -----------------------------------------------------
 
 def make_client(max_queries=None):
@@ -395,6 +501,15 @@ def make_client(max_queries=None):
     h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, -1.0]), bias=0.0)
     ds = dataset(rng.normal(size=(12, 2)), rng.integers(0, 2, size=12), cid=7)
     return Client(7, ds, LossFn(ZERO_ONE), max_queries=max_queries), h
+
+
+def test_client_rebuilds_its_solver_when_weights_change_in_place():
+    c, h = make_client()
+    before = c.query(h, 0.05)
+    h.weights[0] = -h.weights[0]
+    after = c.query(h, 0.05)
+    assert after != before
+    assert after == adversarial_risk(h, c._dataset, 0.05, COST, LossFn(ZERO_ONE))
 
 
 def test_query_dispatch_and_counting():
