@@ -11,13 +11,17 @@ to the K observed clients, the certificate is the value of the convex program
 
 where q_k are the client query values, ``cap`` truncates the likelihood
 ratio, and ``band`` / ``eps_budget`` absorb the finite-K estimation error of
-the ratio's mean and divergence.  The program is solved by Lagrangian dual
-decomposition: for multipliers (tau, eta) covering the mean band and the
-divergence budget, each coordinate has a closed-form argmax, and the two
-multipliers are pinned by nested bisection on their KKT residuals (Duchi &
-Namkoong 2021 give the same dual).  On the 0/1 coefficients of the CDF
-certificate the program has a two-block optimum, found for every block size
-by one array bisection.
+the ratio's mean and divergence.  The program is solved through its
+Lagrangian dual (Duchi & Namkoong 2021 give the same dual): for multipliers
+(tau, eta) covering the mean band and the divergence budget, each coordinate
+has a closed-form argmax.  With q sorted once, that argmax is a split of the
+sorted q into weights at cap, at 0 and in between, which gives tau exactly
+for each eta (for chi-square, the capped-simplex projection by sorting;
+Condat 2016); eta is one bracketed root of the budget residual.  The
+certificate takes the dual value g(tau, eta), an upper bound on the program
+at any multipliers.  On the 0/1 coefficients of the CDF certificate the
+program has a two-block optimum, found for every block size by one array
+bisection.
 
 Divergence constants, for a generator f with f(1) = 0:
 
@@ -136,9 +140,10 @@ def divergence_budgets(spec: DivergenceSpec, K: int, level: str) -> tuple[float,
 @dataclass
 class ReweightSolution:
     alpha: np.ndarray
-    objective: float
-    tau: float     # multiplier on the mean band
-    eta: float     # multiplier on the divergence budget
+    objective: float   # primal value mean(alpha * q) of the returned point
+    bound: float       # dual value g(tau, eta), an upper bound on the program
+    tau: float         # multiplier on the mean band
+    eta: float         # multiplier on the divergence budget
     status: str
 
 
@@ -152,53 +157,181 @@ def _alpha_star(q: np.ndarray, tau: float, eta: float, spec: DivergenceSpec) -> 
     return np.clip(a, 0.0, spec.cap)
 
 
-def _solve_tau(q: np.ndarray, eta: float, spec: DivergenceSpec, band: float) -> float:
-    """Multiplier for |mean(alpha) - 1| <= band: zero when the band is slack
-    at tau = 0, otherwise pins the binding side by bisection (the mean of the
-    coordinatewise argmax is continuous and nonincreasing in tau)."""
-
-    def mean_alpha(tau):
-        return float(np.mean(_alpha_star(q, tau, eta, spec)))
-
-    m0 = mean_alpha(0.0)
-    if m0 > 1.0 + band:
-        # at tau = 1 >= q every argmax is at most 1
-        target, lo, hi = 1.0 + band, 0.0, 1.0
-    elif m0 < 1.0 - band:
-        # KL only (the chi-square argmax is at least 1 at tau = 0); at
-        # tau = -eta every KL argmax is at least 1
-        target, lo, hi = 1.0 - band, -eta, 0.0
+def _dual_value(q: np.ndarray, tau: float, eta: float, spec: DivergenceSpec,
+                eps_budget: float, band: float) -> float:
+    """Weak-duality value g(tau, eta) = tau + |tau| band + eta eps_budget
+    + mean(max over a in [0, cap] of a (q - tau) - eta f(a)), an upper bound
+    on the program for every tau and every eta >= 0."""
+    if eta > 0.0:
+        a = _alpha_star(q, tau, eta, spec)
     else:
-        return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean_alpha(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    # return the endpoint whose mean sits closer to the target
-    return hi if abs(mean_alpha(hi) - target) <= abs(mean_alpha(lo) - target) else lo
+        a = np.where(q > tau, spec.cap, 0.0)
+    inner = a * (q - tau) - eta * spec.f(a)
+    return tau + abs(tau) * band + eta * eps_budget + float(np.mean(inner))
 
 
-def _lp_vertex(q: np.ndarray, spec: DivergenceSpec, band: float) -> np.ndarray:
+def _kl_split(s: np.ndarray, eta: float, cap: float, total: float):
+    """KL argmax with sum(alpha) = total on q sorted in decreasing order:
+    the top c weights at cap, the rest (total - c cap) times a softmax of
+    q / eta.  The split is the first c whose largest uncapped weight is at
+    most cap; returns (tau, alpha in the order of ``s``)."""
+    K = len(s)
+    rem = total - cap * np.arange(K)
+    # log of sum_{k >= c} exp((s_k - s_c) / eta), from one suffix
+    # log-sum-exp; it is off by an ulp of (s_0 - s_c) / eta, so the split it
+    # picks is confirmed below from the split's own softmax
+    x = (s - s[0]) / eta
+    spread = np.logaddexp.accumulate(x[::-1])[::-1] - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fits = (rem > 0.0) & (np.log(rem) - spread <= np.log(cap))
+    c = int(np.argmax(fits))
+
+    def softmax(c):
+        e = np.exp((s[c:] - s[c]) / eta)
+        return e, float(np.sum(e))
+
+    while c > 0 and rem[c - 1] > 0.0 and rem[c - 1] / softmax(c - 1)[1] <= cap:
+        c -= 1
+    e, z = softmax(c)
+    while c < K - 1 and rem[c] / z > cap:
+        c += 1
+        e, z = softmax(c)
+    tau = float(s[c] + eta * (np.log(z) - np.log(rem[c]) - 1.0))
+    return tau, np.concatenate((np.full(c, cap), rem[c] * e / z))
+
+
+def _chi2_split(s: np.ndarray, eta: float, cap: float, total: float):
+    """Chi-square argmax with sum(alpha) = total on q sorted in decreasing
+    order.  sum(alpha) is piecewise linear in tau with breakpoints where a
+    weight reaches cap (q_k - 2 eta (cap - 1)) or 0 (q_k + 2 eta); its values
+    at every breakpoint come from one searchsorted and prefix sums, and the
+    piece that crosses ``total`` fixes which weights sit at cap, at 0 and in
+    between.  Returns (tau, alpha in the order of ``s``)."""
+    K = len(s)
+    asc = s[::-1]
+    up, down = 2.0 * eta * (cap - 1.0), 2.0 * eta
+    prefix = np.concatenate(([0.0], np.cumsum(asc)))
+
+    def split(tau):
+        # asc[:lo] at 0, asc[lo:hi] in between, asc[hi:] at cap
+        return (np.searchsorted(asc, tau - down, side="right"),
+                np.searchsorted(asc, tau + up, side="left"))
+
+    breaks = np.sort(np.concatenate((asc - up, asc + down)))
+    lo, hi = split(breaks)
+    n = hi - lo
+    sums = (K - hi) * cap + n + (prefix[hi] - prefix[lo] - n * breaks) / (2.0 * eta)
+    # sums falls with tau, from K cap at the first breakpoint to 0 at the last
+    j = max(int(np.searchsorted(-sums, -total, side="left")), 1)
+    tau = 0.5 * (breaks[j - 1] + breaks[j])
+    lo, hi = split(tau)
+    n, rest = hi - lo, total - (K - hi) * cap
+    mid = asc[lo:hi]
+    if n:
+        # weights in between are rest / n plus their offsets from the mean q,
+        # taken from one of them so that no offset rounds at the scale of q
+        d = mid - mid[-1]
+        dbar = float(np.mean(d))
+        mid = np.clip(rest / n + (d - dbar) / (2.0 * eta), 0.0, cap)
+        tau = float(asc[hi - 1] + dbar - 2.0 * eta * (rest / n - 1.0))
+    alpha = np.concatenate((np.zeros(lo), mid, np.full(K - hi, cap)))
+    return float(tau), alpha[::-1]
+
+
+def _exact_tau(s: np.ndarray, eta: float, spec: DivergenceSpec, band: float):
+    """Multiplier for |mean(alpha) - 1| <= band at divergence multiplier eta,
+    with the argmax it gives, on q sorted in decreasing order: zero when the
+    band is slack at tau = 0, otherwise the split whose weights' mean sits on
+    the binding band edge."""
+    alpha = _alpha_star(s, 0.0, eta, spec)
+    m0 = float(np.mean(alpha))
+    if m0 > 1.0 + band:
+        target = 1.0 + band
+    elif m0 < 1.0 - band:
+        target = 1.0 - band
+    else:
+        return 0.0, alpha
+    split = _kl_split if spec.name == KL else _chi2_split
+    return split(s, eta, spec.cap, len(s) * target)
+
+
+def _lp_vertex(q: np.ndarray, spec: DivergenceSpec, band: float):
     """Exact solution of the relaxation without the divergence constraint:
     saturate the largest coefficients at cap until the mean budget K(1+band)
-    runs out, with one fractional coordinate at the boundary."""
-    return GreedyFill(np.full(len(q), spec.cap), spec.cap * q).taken(len(q) * (1.0 + band))
+    runs out, with one fractional coordinate at the boundary.  Returns the
+    weights and the band's LP multiplier, the marginal q where the budget
+    runs out (0 once every coordinate sits at cap)."""
+    fill = GreedyFill(np.full(len(q), spec.cap), spec.cap * q)
+    budget = len(q) * (1.0 + band)
+    return fill.taken(budget), fill(budget)[1]
+
+
+def _eta_root(s: np.ndarray, spec: DivergenceSpec, eps_budget: float,
+              band: float):
+    """Divergence multiplier eta where the budget residual
+    mean(f(alpha)) - eps_budget of the exact-tau argmax crosses 0, on q sorted
+    in decreasing order; returns (tau, eta, alpha) at the bracket's feasible
+    end (residual <= 0)."""
+
+    def residual(eta):
+        tau, alpha = _exact_tau(s, eta, spec, band)
+        return float(np.mean(spec.f(alpha))) - eps_budget, tau, alpha
+
+    eta = 1e-10
+    r, tau, alpha = residual(eta)
+    if r <= 0.0:
+        return tau, eta, alpha
+    # as eta grows the argmax settles on one in-band value, where f <= 0 (KL)
+    # or which rounds to exactly 1 (chi-square), so the doubling ends
+    eta_lo, r_lo = eta, r
+    eta = 1.0
+    r, tau, alpha = residual(eta)
+    while r > 0.0:
+        eta_lo, r_lo = eta, r
+        eta *= 2.0
+        r, tau, alpha = residual(eta)
+    # Illinois steps on log eta between eta_lo (r > 0) and eta (r <= 0), until
+    # the dual gap eta * (-r) at the feasible end is negligible or the
+    # bracket closes
+    u_lo, u_hi = np.log(eta_lo), np.log(eta)
+    w_lo, w_hi, kept = r_lo, r, 0    # kept: end the last step kept, -1 low, 1 high
+    for _ in range(100):
+        if -r * eta <= 1e-15 or eta - eta_lo <= 1e-14 * eta:
+            break
+        u = u_hi - w_hi * (u_hi - u_lo) / (w_hi - w_lo)
+        if not u_lo < u < u_hi:
+            u = 0.5 * (u_lo + u_hi)
+        r_u, tau_u, alpha_u = residual(float(np.exp(u)))
+        if r_u <= 0.0:
+            u_hi, w_hi, eta = u, r_u, float(np.exp(u))
+            r, tau, alpha = r_u, tau_u, alpha_u
+            w_lo = 0.5 * w_lo if kept < 0 else w_lo
+            kept = -1
+        else:
+            u_lo, w_lo, eta_lo = u, r_u, float(np.exp(u))
+            w_hi = 0.5 * w_hi if kept > 0 else w_hi
+            kept = 1
+    return tau, eta, alpha
 
 
 def solve_reweight(q, spec: DivergenceSpec, eps_budget: float,
                    band: float) -> ReweightSolution:
     """Maximize the reweighted query mean over truncated likelihood ratios.
 
-    Dual decomposition with nested bisection: the outer loop pins the
-    divergence multiplier eta >= 0 by the budget residual, the inner loop pins
-    the band multiplier tau at each eta.  The exact cap-saturating vertex is
-    also tried, which covers the eta -> 0 (slack divergence) regime without
-    numerical drama.  Feasibility of the returned point is verified post hoc
-    to 1e-6; anything looser is reported as status "tolerance".
+    Lagrangian dual in the band multiplier tau and the divergence multiplier
+    eta >= 0.  q is sorted once; for each eta the argmax is a split of the
+    sorted q (weights at cap, at 0 and in between), which gives tau exactly.
+    eta is then one bracketed root of the budget residual, found by
+    safeguarded secant steps on log eta and returned at the bracket's
+    feasible end.  When the exact cap-saturating vertex already meets the
+    divergence budget it is the optimum, with eta = 0 and tau its LP
+    multiplier.
+
+    ``bound`` is the dual value g(tau, eta) at the returned multipliers, an
+    upper bound on the program however precisely they were found, up to its
+    own rounding of about (|tau| + eta) * 2^-52; ``objective`` is the primal
+    value of ``alpha``.  Feasibility of ``alpha`` is verified post hoc to
+    1e-6; anything looser is reported as status "tolerance".
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or len(q) == 0:
@@ -211,49 +344,29 @@ def solve_reweight(q, spec: DivergenceSpec, eps_budget: float,
 
     if eps_budget <= 1e-15 and band <= 1e-15:
         # strictly convex f with mean pinned at 1 forces the all-ones point
-        alpha = np.ones(K)
-        return ReweightSolution(alpha, float(np.mean(q)), 0.0, 0.0, "optimal")
+        value = float(np.mean(q))
+        return ReweightSolution(np.ones(K), value, value, 0.0, 0.0, "optimal")
 
-    candidates: list[tuple[float, np.ndarray, float, float]] = []
-
-    lp = _lp_vertex(q, spec, band)
+    lp, lp_tau = _lp_vertex(q, spec, band)
+    # the LP vertex's multipliers (tau_lp, 0) are a dual point too, the better
+    # one when the optimal eta is below the first probe (ties in q)
+    lp_bound = _dual_value(q, lp_tau, 0.0, spec, eps_budget, band)
     if float(np.mean(spec.f(lp))) <= eps_budget + 1e-12:
-        thresh = float(np.min(lp[lp > 0])) if np.any(lp > 0) else 0.0
-        candidates.append((float(np.mean(lp * q)), lp, thresh, 0.0))
-
-    def residual(eta):
-        tau = _solve_tau(q, eta, spec, band)
-        alpha = _alpha_star(q, tau, eta, spec)
-        return float(np.mean(spec.f(alpha))) - eps_budget, tau, alpha
-
-    eta_lo = 1e-10
-    r_lo, tau_lo, alpha_lo = residual(eta_lo)
-    if r_lo <= 0.0:
-        candidates.append((float(np.mean(alpha_lo * q)), alpha_lo, tau_lo, eta_lo))
+        alpha, tau, eta, bound = lp, lp_tau, 0.0, lp_bound
     else:
-        # as eta grows the argmax settles on one in-band value, where f <= 0
-        # (KL) or which rounds to exactly 1 (chi-square), so the doubling ends
-        hi = 1.0
-        while residual(hi)[0] > 0.0:
-            hi *= 2.0
-        lo = eta_lo
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if residual(mid)[0] > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * hi:
-                break
-        _, tau_star, alpha_star = residual(hi)
-        candidates.append((float(np.mean(alpha_star * q)), alpha_star, tau_star, hi))
-
-    obj, alpha, tau, eta = max(candidates, key=lambda c: c[0])
+        order = np.argsort(-q, kind="stable")
+        tau, eta, alpha_sorted = _eta_root(q[order], spec, eps_budget, band)
+        alpha = np.empty(K)
+        alpha[order] = alpha_sorted
+        bound = _dual_value(q, tau, eta, spec, eps_budget, band)
+        if lp_bound < bound:
+            tau, eta, bound = lp_tau, 0.0, lp_bound
 
     mean_viol = max(0.0, abs(float(np.mean(alpha)) - 1.0) - band)
     f_viol = max(0.0, float(np.mean(spec.f(alpha))) - eps_budget)
     status = "optimal" if (mean_viol <= 1e-6 and f_viol <= 1e-6) else "tolerance"
-    return ReweightSolution(alpha, obj, tau, eta, status)
+    return ReweightSolution(alpha, float(np.mean(alpha * q)), bound,
+                            float(tau), float(eta), status)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +387,7 @@ def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str,
         per_client = float(np.mean(np.sqrt(np.log((K + 3) / delta) / (2 * n))))
     else:
         meta = per_client = 0.0
-    raw = sol.objective + meta + per_client
+    raw = sol.bound + meta + per_client
     return CertifiedBound(
         kind="fdiv-mean",
         value=float(min(raw, 1.0)),
@@ -287,7 +400,8 @@ def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str,
             "include_slack": include_slack,
         },
         status=sol.status,
-        extra={"program_value": sol.objective},
+        extra={"program_value": sol.bound, "primal_value": sol.objective,
+               "dual_gap": sol.bound - sol.objective},
     )
 
 

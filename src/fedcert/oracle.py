@@ -66,8 +66,8 @@ _ORACLE_F = {
 
 def grid_reweight_oracle(q, spec, eps_budget: float, band: float,
                          step: float) -> float:
-    """Exhaustive maximization of mean(alpha * q) over the feasible grid
-    {0, step, 2 step, ..., cap} ∪ {1, cap} per coordinate, K <= 3.
+    """Exhaustive maximization of mean(alpha * q), q >= 0, over the feasible
+    grid {0, step, 2 step, ..., cap} ∪ {1, cap} per coordinate, K <= 3.
 
     Only the divergence name and cap are taken from ``spec``; the generator
     is evaluated from local copies.  Feasibility is strict (tiny float guard
@@ -78,6 +78,8 @@ def grid_reweight_oracle(q, spec, eps_budget: float, band: float,
     K = len(q)
     if K > 3:
         raise ValueError("grid oracle is exhaustive; K <= 3 only")
+    if np.any(q < 0):
+        raise ValueError("query values must be nonnegative")
     if step <= 0:
         raise ValueError("step must be positive")
     f = _ORACLE_F[spec.name]
@@ -99,17 +101,26 @@ def grid_reweight_oracle(q, spec, eps_budget: float, band: float,
         obj = 0.5 * (q[0] * grid[:, None] + q[1] * grid[None, :])
         return float(np.max(np.where(ok, obj, -np.inf)))
 
-    # K == 3: slice over the first coordinate, precompute the pair grids once
-    S2 = grid[:, None] + grid[None, :]
-    F2 = fg[:, None] + fg[None, :]
-    Q2 = q[1] * grid[:, None] + q[2] * grid[None, :]
+    # K == 3: for fixed a1 and a2 the feasible a3 form one run of the grid (f
+    # is convex), and since q >= 0 the run's top end wins.  Locate that end
+    # per a2 by searchsorted, then test it and its two neighbours on each
+    # side with the exhaustive predicate itself
+    rise_from = int(np.argmin(fg))     # fg rises from here on
+    rise = fg[rise_from:]
+    near = np.arange(-2, 3)
     best = -np.inf
     for a1, f1 in zip(grid, fg):
-        mean_a = (a1 + S2) / 3.0
-        mean_f = (f1 + F2) / 3.0
+        top_band = np.searchsorted(grid, 3.0 * (1.0 + band + guard) - a1 - grid,
+                                   side="right") - 1
+        top_div = rise_from - 1 + np.searchsorted(
+            rise, 3.0 * (eps_budget + guard) - f1 - fg, side="right")
+        j = np.clip(np.minimum(top_band, top_div)[:, None] + near, 0, len(grid) - 1)
+        a3, f3 = grid[j], fg[j]
+        mean_a = (a1 + (grid[:, None] + a3)) / 3.0
+        mean_f = (f1 + (fg[:, None] + f3)) / 3.0
         ok = (np.abs(mean_a - 1.0) <= band + guard) & (mean_f <= eps_budget + guard)
         if np.any(ok):
-            cand = np.max(Q2[ok]) + q[0] * a1
+            cand = np.max((q[1] * grid[:, None] + q[2] * a3)[ok]) + q[0] * a1
             best = max(best, cand / 3.0)
     return float(best)
 

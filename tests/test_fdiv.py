@@ -16,6 +16,7 @@ from fedcert.fdiv import (
     make_divergence,
     solve_reweight,
     _block_values,
+    _kl_split,
 )
 from fedcert.nonrobust import cdf_bound, mean_bound
 from fedcert.oracle import grid_reweight_oracle
@@ -244,6 +245,115 @@ def test_reweight_kkt_residuals():
     assert checked >= 8
 
 
+def test_reweight_kl_zero_one_query_at_tiny_eta():
+    # the argmax is built from its split, not re-evaluated from tau at
+    # eta = 1e-10, so the binding band edge is met to rounding
+    spec = make_divergence("kl", 1e-6, 0.1)     # epsilon / delta = 1e-5
+    for ones in (1, 3, 5, 9):
+        q = np.r_[np.ones(ones), np.zeros(10 - ones)]
+        sol = solve_reweight(q, spec, 1e-16, 0.05)
+        assert sol.status == "optimal", ones
+        assert abs(float(np.mean(sol.alpha)) - 0.95) <= 1e-12, ones
+        assert sol.objective <= sol.bound + 1e-15
+
+
+def test_reweight_kl_tiny_budgets_are_never_tolerance():
+    rng = np.random.default_rng(np.random.SeedSequence(5353))
+    statuses = []
+    for trial in range(1000):
+        K = int(rng.integers(1, 60))
+        spec = make_divergence("kl", float(10 ** rng.uniform(-6, -0.5)), 0.1)
+        if trial % 2:
+            q = rng.uniform(0.0, 1.0, K)
+        else:
+            q = (rng.uniform(size=K) < 0.5).astype(float)
+        tiny = float(10 ** rng.uniform(-16, -9))
+        band, eps_budget = [(tiny, float(rng.uniform(0.0, 0.3))),
+                            (float(rng.uniform(0.0, 0.3)), tiny),
+                            (tiny, float(10 ** rng.uniform(-16, -9)))][trial % 3]
+        sol = solve_reweight(q, spec, eps_budget, band)
+        statuses.append(sol.status)
+        assert abs(float(np.mean(sol.alpha)) - 1.0) <= band + 1e-12, trial
+    assert statuses.count("tolerance") == 0
+
+
+def test_reweight_chi2_near_tied_queries_at_tiny_eta():
+    # five queries within 1e-11 share the in-between weights at eta = 1e-10;
+    # their offsets are taken from one of them, not from a mean of q that
+    # rounds at the scale of q, so the band edge is met to rounding
+    spec = make_divergence("chi-square", 0.1, 0.1)
+    rng = np.random.default_rng(np.random.SeedSequence(5555))
+    for trial in range(50):
+        q = np.r_[rng.uniform(0.3, 0.95) + 1e-11 * rng.uniform(size=5), 0.2, 0.1]
+        sol = solve_reweight(q, spec, 0.8, 1e-13)
+        assert sol.status == "optimal", trial
+        assert abs(float(np.mean(sol.alpha)) - (1.0 + 1e-13)) <= 1e-12, trial
+        # the optimal eta is below the 1e-10 probe, whose own dual value sits
+        # 1e-10 * (0.8 - mean f) ~ 4e-11 above; the LP vertex's (tau, 0) is
+        # within the queries' 1e-11 spread times their weights
+        assert sol.eta == 0.0 and 0.0 <= sol.bound - sol.objective <= 1e-11, trial
+
+
+def test_kl_split_where_the_suffix_log_sum_exp_rounds():
+    # at eta = 1e-10 the three tied q = 0.5 sit 5e9 below the top in units of
+    # eta, where the suffix log-sum-exp is off by ~5e-7; their shared weight
+    # 1.5 (1 - 1e-7) fits under cap 1.5, so only the top weight is capped
+    s = np.array([1.0, 0.5, 0.5, 0.5])
+    tau, alpha = _kl_split(s, 1e-10, 1.5, 1.5 + 4.5 * (1.0 - 1e-7))
+    assert alpha[0] == 1.5
+    assert np.allclose(alpha[1:], 1.5 * (1.0 - 1e-7), rtol=0.0, atol=1e-15)
+
+
+def test_reweight_lp_vertex_reports_its_lp_multiplier():
+    # cap 2, band 0.2: the budget 3 * 1.2 = 3.6 fills q = 0.9 to cap and
+    # q = 0.5 to 1.6, so the LP dual of the band is the marginal q = 0.5;
+    # mean f = (1 + 0.36 + 1) / 3 sits below the budget 1, so the vertex is
+    # optimal and its dual value is its objective
+    spec = make_divergence("chi-square", 0.1, 0.1)
+    q = np.array([0.9, 0.5, 0.2])
+    sol = solve_reweight(q, spec, 1.0, 0.2)
+    assert np.allclose(sol.alpha, [2.0, 1.6, 0.0], atol=1e-15)
+    assert sol.tau == 0.5 and sol.eta == 0.0
+    assert abs(sol.objective - 2.6 / 3.0) < 1e-15
+    assert abs(sol.bound - sol.objective) < 1e-15
+    # every coordinate at cap: the band is slack and its multiplier is 0
+    sol = solve_reweight(q, spec, 1.0, 1.5)
+    assert np.array_equal(sol.alpha, np.full(3, 2.0))
+    assert sol.tau == 0.0 and sol.eta == 0.0
+    assert abs(sol.bound - sol.objective) < 1e-15
+
+
+def test_reweight_dual_value_brackets_the_primal():
+    # weak duality: the dual value bounds the program from above, and at the
+    # multipliers the solver returns it exceeds the primal value by < 1e-12;
+    # a nonzero band multiplier puts mean(alpha) on the binding band edge
+    rng = np.random.default_rng(np.random.SeedSequence(5454))
+    binding = 0
+    for trial in range(300):
+        K = int(rng.integers(2, 301))
+        name = "kl" if trial % 2 else "chi-square"
+        spec = make_divergence(name, float(rng.uniform(0.01, 0.5)), 0.1)
+        q = rng.uniform(0.0, 1.0, K)
+        band = float(rng.uniform(0.0, 0.4))
+        eps_budget = float(rng.uniform(0.0, 0.6))
+        sol = solve_reweight(q, spec, eps_budget, band)
+        assert sol.status == "optimal"
+        assert sol.objective - sol.bound <= 4 * np.finfo(float).eps, (trial, K, name)
+        assert sol.bound - sol.objective <= 1e-12, (trial, K, name)
+        if sol.tau != 0.0:
+            binding += 1
+            edge = 1.0 + band if sol.tau > 0 else 1.0 - band
+            assert abs(float(np.mean(sol.alpha)) - edge) <= 1e-12, (trial, K, name)
+    assert binding >= 100
+
+
+def test_reweight_bound_never_below_the_grid_oracle():
+    for K, i, step, name, spec, q, band, eps_budget in iter_reweight_corpus():
+        sol = solve_reweight(q, spec, eps_budget, band)
+        orc = grid_reweight_oracle(q, spec, eps_budget, band, step=step)
+        assert sol.bound >= orc - 1e-12, (K, i, name)
+
+
 def test_reweight_tracks_grid_oracle_subset():
     # fast slice of the frozen corpus; the acceptance suite runs all fifty
     cases = [(2, i, 1e-3) for i in range(4)] + [(3, i, 2e-3) for i in range(2)]
@@ -290,6 +400,13 @@ def test_mean_bound_slack_formula():
     assert abs(b.slack["per_client"] - per_client) < 1e-12
     assert abs(b.raw_value - (b.extra["program_value"] + meta + per_client)) < 1e-12
     assert b.value == min(b.raw_value, 1.0)
+    # the program value is the solver's dual value; the primal value and the
+    # gap between them ride along
+    band, eps_budget = divergence_budgets(spec, K, "mean")
+    sol = solve_reweight(qv, spec, eps_budget, band)
+    assert b.extra == {"program_value": sol.bound, "primal_value": sol.objective,
+                       "dual_gap": sol.bound - sol.objective}
+    assert 0.0 <= b.extra["dual_gap"] <= 1e-12
 
 
 def test_mean_bound_dominates_plain_bound():

@@ -82,6 +82,46 @@ def test_grid_oracle_validation():
         grid_reweight_oracle(np.ones(4), spec, 0.1, 0.1, step=1e-2)
     with pytest.raises(ValueError):
         grid_reweight_oracle(np.ones(2), spec, 0.1, 0.1, step=0.0)
+    with pytest.raises(ValueError):
+        grid_reweight_oracle(np.array([0.5, -0.1, 0.2]), spec, 0.1, 0.1, step=1e-2)
+
+
+def _three_client_slice_loop(q, name, cap, eps_budget, band, step):
+    """The K = 3 grid search slice by slice over the first coordinate, every
+    (a2, a3) pair tested: the reference the oracle's run search must match."""
+    f = {"kl": lambda t: np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0),
+         "chi-square": lambda t: (t - 1.0) ** 2}[name]
+    grid = np.unique(np.concatenate([np.minimum(np.arange(0.0, cap + step / 2, step), cap),
+                                     [1.0, cap]]))
+    fg = f(grid)
+    S2 = grid[:, None] + grid[None, :]
+    F2 = fg[:, None] + fg[None, :]
+    Q2 = q[1] * grid[:, None] + q[2] * grid[None, :]
+    best = -np.inf
+    for a1, f1 in zip(grid, fg):
+        ok = ((np.abs((a1 + S2) / 3.0 - 1.0) <= band + 1e-12)
+              & ((f1 + F2) / 3.0 <= eps_budget + 1e-12))
+        if np.any(ok):
+            best = max(best, (np.max(Q2[ok]) + q[0] * a1) / 3.0)
+    return float(best)
+
+
+def test_grid_oracle_three_clients_matches_the_slice_loop():
+    # bit for bit, with ties and zeros in q and zero band or budget
+    rng = np.random.default_rng(np.random.SeedSequence(8181))
+    for t in range(24):
+        name = "kl" if t % 2 else "chi-square"
+        spec = make_divergence(name, float(rng.uniform(0.01, 0.14)), 0.1)
+        q = rng.uniform(0.0, 1.0, 3)
+        if t % 3 == 0:
+            q[int(rng.integers(3))] = 0.0
+        if t % 4 == 1:
+            q[1] = q[2]
+        band = 0.0 if t % 5 == 0 else float(rng.uniform(0.0, 0.35))
+        eps_budget = 0.0 if t % 7 == 0 else float(rng.uniform(0.0, 0.5))
+        got = grid_reweight_oracle(q, spec, eps_budget, band, step=1e-2)
+        want = _three_client_slice_loop(q, name, spec.cap, eps_budget, band, 1e-2)
+        assert got == want, (t, name)
 
 
 # ---------------------------------------------------------------- LP oracle
