@@ -119,6 +119,11 @@ CONFIG_SCHEMA = {
                 "shift_mode": {"enum": ["none", "feature", "label", "both"]},
                 "cov_scale": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer", "minimum": 0},
+                "archetypes": {"type": "array", "items": {
+                    "type": "object",
+                    "properties": {"class_props": {
+                        "type": "array", "items": {"type": "number", "minimum": 0}}},
+                }},
             },
         },
         "model": {

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 KL = "kl"
 CHI2 = "chi-square"
@@ -161,13 +162,32 @@ def _dual_value(q: np.ndarray, tau: float, eta: float, spec: DivergenceSpec,
                 eps_budget: float, band: float) -> float:
     """Weak-duality value g(tau, eta) = tau + |tau| band + eta eps_budget
     + mean(max over a in [0, cap] of a (q - tau) - eta f(a)), an upper bound
-    on the program for every tau and every eta >= 0."""
+    on the program for every tau and every eta >= 0, plus a rounding
+    allowance that keeps the computed value above it.
+
+    The allowance is (K + 12) u S, with u = 2^-53 the unit roundoff and S
+    the sum of the magnitudes the value is built from:
+    |tau| (1 + band) + eta eps_budget + mean(a (|q| + |tau|) + eta |f(a)|).
+    Each term reaches the sum through at most six roundings (q - tau, two
+    products, f's own two, the difference), each of relative size at most u;
+    a sum of K terms in any order adds at most (K - 1) u of the sum of
+    their magnitudes, the division one u, and the four outer additions four.
+    That is (K + 10) u S to first order; the last 2 u S cover the
+    higher-order terms.  The argmax a is exact up to rounding, which lowers
+    its inner maximum only to second order.  With multipliers near 1 the
+    allowance is about K 1e-16; it grows with them, as the rounding does,
+    when a budget is tiny.
+    """
     if eta > 0.0:
         a = _alpha_star(q, tau, eta, spec)
     else:
         a = np.where(q > tau, spec.cap, 0.0)
-    inner = a * (q - tau) - eta * spec.f(a)
-    return tau + abs(tau) * band + eta * eps_budget + float(np.mean(inner))
+    fa = eta * spec.f(a)
+    inner = a * (q - tau) - fa
+    value = tau + abs(tau) * band + eta * eps_budget + float(np.mean(inner))
+    size = (abs(tau) * (1.0 + band) + eta * eps_budget
+            + float(np.mean(a * (np.abs(q) + abs(tau)) + np.abs(fa))))
+    return value + (len(q) + 12) * _UNIT_ROUNDOFF * size
 
 
 def _kl_split(s: np.ndarray, eta: float, cap: float, total: float):

@@ -28,6 +28,7 @@ __all__ = [
     "UnsupportedGradientError",
     "loss",
     "loss_values",
+    "score_loss_values",
     "loss_gradient",
     "gradient_values",
     "loss_and_gradient_values",
@@ -239,22 +240,33 @@ def loss_values(loss_fn: LossFn, h: Hypothesis, X: np.ndarray, y: np.ndarray) ->
     if loss_fn.kind == ZERO_ONE:
         return (h.predict(X) != y.astype(int)).astype(float)
 
+    if h.kind != LINEAR:
+        return _output_losses(loss_fn, h.predicted_value(X), y)
     if loss_fn.kind == CROSS_ENTROPY:
-        if h.kind == LINEAR:
-            s = h.scores(X)
-            s = s - s.max(axis=1, keepdims=True)
-            logp = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-            raw = -logp[np.arange(len(X)), y.astype(int)]
-        else:
-            p = np.clip(h.predicted_value(X), _P_FLOOR, 1.0 - _P_FLOOR)
-            raw = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-        return np.clip(raw, 0.0, 1.0)
+        s = h.scores(X)
+        s = s - s.max(axis=1, keepdims=True)
+        logp = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+        return np.clip(-logp[np.arange(len(X)), y.astype(int)], 0.0, 1.0)
+    raise ValueError("clipped-squared needs a score-valued hypothesis "
+                     "(logistic or lookup-table)")
 
-    # clipped squared error against the scalar model output
-    if h.kind == LINEAR:
-        raise ValueError("clipped-squared needs a score-valued hypothesis "
-                         "(logistic or lookup-table)")
-    return np.clip((y - h.predicted_value(X)) ** 2, 0.0, 1.0)
+
+def _output_losses(loss_fn: LossFn, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Clipped smooth losses of a scalar model output ``p`` in [0, 1]:
+    cross-entropy as a probability of label 1, or squared error."""
+    if loss_fn.kind == CROSS_ENTROPY:
+        p = np.clip(p, _P_FLOOR, 1.0 - _P_FLOOR)
+        raw = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    else:
+        raw = (y - p) ** 2
+    return np.clip(raw, 0.0, 1.0)
+
+
+def score_loss_values(loss_fn: LossFn, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Clipped smooth losses of a logistic rule at scores ``s``, without a
+    model pass; equal to ``loss_values`` at any points with these scores."""
+    return _output_losses(loss_fn, _sigmoid(np.asarray(s, dtype=float)),
+                          np.asarray(y, dtype=float))
 
 
 def loss(loss_fn: LossFn, h: Hypothesis, z: Sample) -> float:

@@ -67,6 +67,8 @@ class Archetype:
         self.class_props = np.asarray(self.class_props, dtype=float)
         if len(self.class_props) != C or abs(self.class_props.sum() - 1.0) > 1e-9:
             raise ValueError("class proportions must sum to 1")
+        if np.any(self.class_props < 0):
+            raise ValueError("class proportions must be nonnegative")
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,6 +183,10 @@ class ClientSpec:
     archetype: int = -1
     seed_entropy: int = 0     # root seed this spec was derived from
 
+    def __post_init__(self):
+        if np.any(np.asarray(self.class_props) < 0):
+            raise ValueError("class proportions must be nonnegative")
+
     def to_json_dict(self) -> dict:
         return {
             "client_id": self.client_id,
@@ -229,6 +235,16 @@ class LocalDataset:
             yield Sample(features=x, label=float(y))
 
 
+def _categorical(rng: np.random.Generator, p: np.ndarray, size=None):
+    """Draws of ``rng.choice(len(p), size, p=p)`` and the same stream state
+    after them (one uniform per draw through the normalized cumulative sum),
+    without ``choice``'s checks of ``p``; the callers' probabilities are
+    validated where they are made."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def _client_rng(seed: int, client_id: int, stream: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence([int(seed), int(client_id), stream]))
@@ -249,7 +265,7 @@ def sample_clients(cfg: MetaConfig, K: int, seed: int | None = None) -> list[Cli
     for k in range(K):
         rng = _client_rng(root, k, _SPEC_STREAM)
         if cfg.archetypes is not None:
-            arche_idx = int(rng.choice(len(cfg.archetypes), p=cfg.archetype_weights))
+            arche_idx = int(_categorical(rng, cfg.archetype_weights))
             means = cfg.archetypes[arche_idx].class_means
             base_props = cfg.archetypes[arche_idx].class_props
         else:
@@ -286,7 +302,7 @@ def generate_dataset(spec: ClientSpec, n_k: int, cfg: MetaConfig) -> LocalDatase
     if n_k <= 0:
         raise ValueError("n_k must be positive")
     rng = _client_rng(spec.seed_entropy, spec.client_id, _DATA_STREAM)
-    labels = rng.choice(cfg.n_classes, size=n_k, p=spec.class_props)
+    labels = _categorical(rng, spec.class_props, n_k)
     X = spec.class_means[labels] + cfg.cov_scale * rng.standard_normal((n_k, cfg.dim))
     X = X @ (np.eye(cfg.dim) + spec.affine).T + spec.shift
     return LocalDataset(client_id=spec.client_id, features=X, labels=labels)

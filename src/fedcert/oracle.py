@@ -226,10 +226,15 @@ def sample_true_risks(cfg: MetaConfig, n_clients: int, h: Hypothesis,
     if cfg.archetypes is not None:
         arche = rng.choice(len(cfg.archetypes), size=T, p=cfg.archetype_weights)
         means = np.stack([a.class_means for a in cfg.archetypes])[arche]
-        base_props = np.stack([a.class_props for a in cfg.archetypes])[arche]
+        # archetypes that share their proportions share one Dirichlet group
+        group_props, group_of = np.unique(np.stack([a.class_props for a in cfg.archetypes]),
+                                          axis=0, return_inverse=True)
+        group = group_of.ravel()[arche]
+        base_props = group_props[group]
     else:
         means = np.broadcast_to(cfg.class_means, (T, 2, d)).copy()
-        base_props = np.full((T, 2), 0.5)
+        group_props, group = np.full((1, 2), 0.5), np.zeros(T, dtype=int)
+        base_props = group_props[group]
 
     if cfg.shift_mode in ("feature", "both"):
         A = rng.normal(0.0, cfg.sigma_affine, size=(T, d, d))
@@ -240,11 +245,12 @@ def sample_true_risks(cfg: MetaConfig, n_clients: int, h: Hypothesis,
 
     if cfg.shift_mode in ("label", "both"):
         props = np.empty((T, 2))
-        # dirichlet concentration depends on the (archetype) base proportions
-        uniq = np.unique(base_props, axis=0)
-        for bp in uniq:
-            mask = np.all(base_props == bp, axis=1)
-            props[mask] = rng.dirichlet(cfg.alpha_dir * 2 * bp, size=int(mask.sum()))
+        # dirichlet concentration depends on the (archetype) base proportions;
+        # the groups draw in the sorted order of their proportions
+        for g, bp in enumerate(group_props):
+            mask = group == g
+            if mask.any():
+                props[mask] = rng.dirichlet(cfg.alpha_dir * 2 * bp, size=int(mask.sum()))
     else:
         props = base_props
 

@@ -17,17 +17,50 @@ loss/hypothesis pair:
   * a declared perturbation grid (always for lookup tables): each sample's
     worst case is the upper hull of its (cost, loss) candidates, the grid
     points plus its own point at cost 0;
-  * differentiable losses: projected gradient ascent with a curvature-aware
-    step and deterministic restarts seeded at the loss-clip plateau.  The
-    restarts run stacked as one iterate, and each step makes one model pass
+  * clipped cross-entropy or squared loss with a logistic rule: candidates
+    on each sample's score line, whose knapsack bounds the worst case from
+    above within ``SCORE_LINE_TAU`` (status ``bound``; argued below);
+  * the smooth losses of a linear-classifier rule: projected gradient ascent
+    from the sample with a curvature-aware step, each step one model pass
     for both the losses and the gradients (``loss_and_gradient_values``).
     The ascent only lower-bounds each inner supremum, so these answers are
     flagged ``iterative``, and a golden-section search over gamma (the
     objective is convex in gamma) solves the dual around them.
 
-The first two routes are exact primal knapsacks: the budget n * rho buys the
+The first three routes are primal knapsacks: the budget n * rho buys the
 samples' concave pieces best gain per unit cost first (``concave``), and
-gamma_star is the marginal slope at the budget.
+gamma_star is the marginal slope at the budget.  The flip and grid routes
+are exact.
+
+Why the score-line route is sound.  A logistic rule's clipped losses see a
+sample only through its score u = w.x + b.  The cheapest point with score u
+is x_i + (u - s_i) w / |w|^2, at distance |u - s_i| / |w| from x_i, and a move
+orthogonal to w costs transport and changes no loss; so the worst case lies
+on the line of those points, and each sample's cost c_i(u) grows with
+|u - s_i| under either transport cost.  On the line:
+
+  * each loss l_y(u) is quasiconvex in u: cross-entropy with y in {0, 1} is
+    monotone, and (y - sigmoid(u))^2 falls, then rises (clipping at 1 keeps
+    both quasiconvex);
+  * so between two neighbouring nodes the loss peaks at an end, and the
+    cost is lowest at the end nearer s_i;
+  * nodes sit at s_i and, on each side where the loss rises, where l_y
+    reaches l_y(s_i) + k tau, up to the side's ceiling: 1 at the clip, or the
+    squared loss's asymptote y^2 or (1 - y)^2.  The clip point is a node too;
+  * the upper set (the staircase) has one candidate per interval, with the
+    cost of its nearer end and the larger of its two end losses, plus a tail
+    candidate at the last level node's cost carrying the ceiling.  Every
+    point on the line is dominated by one candidate, so the fractional
+    knapsack over them (the transport LP, since mass may split) is at least
+    the supremum.  ``query`` returns it;
+  * the lower set is the nodes themselves, which are feasible points;
+    ``phi`` takes its maximum, so it never exceeds the true penalized
+    supremum;
+  * each upper candidate exceeds the lower node at the same cost by at most
+    tau, so the answer exceeds the supremum by at most tau.
+
+With zero weights the rule is constant, and the answer is the empirical
+risk.
 
 Label changes carry infinite transport cost throughout: adversaries move
 features, never labels.
@@ -40,10 +73,10 @@ import numpy as np
 
 from .concave import GreedyFill, upper_hull
 from .losses import (
+    CROSS_ENTROPY,
     LINEAR,
     LOGISTIC,
     LOOKUP,
-    SQUARED,
     ZERO_ONE,
     Hypothesis,
     LossFn,
@@ -51,6 +84,7 @@ from .losses import (
     curvature_bound,
     loss_and_gradient_values,
     loss_values,
+    score_loss_values,
 )
 from .metasim import LocalDataset
 
@@ -68,6 +102,8 @@ HALF_SQ = "half-squared-l2"
 PLAIN_L2 = "l2"
 
 _ASCENT_STEPS = 100
+# the score-line route's answers exceed the worst case by at most this
+SCORE_LINE_TAU = 1e-3
 
 
 class BudgetExceededError(RuntimeError):
@@ -138,12 +174,16 @@ def empirical_risk(h: Hypothesis, dataset: LocalDataset, loss_fn: LossFn) -> Que
 # ---------------------------------------------------------------------------
 
 class _FillInner:
-    """Exact primal answer: ``_n`` samples of total loss ``_base`` spend n * rho on ``_fill``."""
+    """Primal answer: ``_n`` samples of total loss ``_base`` spend n * rho on
+    ``_fill``; exact unless ``_status`` says otherwise."""
+
+    _status = "exact"
 
     def query(self, rho: float) -> QueryValue:
         gain, slope = self._fill(self._n * rho)
         return QueryValue(value=float(np.clip((self._base + gain) / self._n, 0.0, 1.0)),
-                          rho=float(rho), gamma_star=slope, inner_iterations=1)
+                          rho=float(rho), gamma_star=slope, inner_iterations=1,
+                          status=self._status)
 
 
 class _GridInner(_FillInner):
@@ -153,32 +193,21 @@ class _GridInner(_FillInner):
     contains the empirical distribution even when the data lie off the grid.
     A lookup table has losses only at its grid points: a robust query of
     lookup data off the table is refused, and ``phi`` searches the grid alone.
+    Only the fill is kept: ``phi`` recomputes the candidates.
     """
 
     def __init__(self, h, X, y, grid, cost, loss_fn):
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        X = np.atleast_2d(X)
-        labels = np.asarray(y)
-        # loss of every grid point under every distinct label present
-        L = np.empty((len(X), len(grid)))
-        for lab in np.unique(labels):
-            row = loss_values(loss_fn, h, grid, np.full(len(grid), lab))
-            L[labels == lab] = row
-        C = cost.pairwise(X, grid)
-        try:
-            own = loss_values(loss_fn, h, X, labels)
-        except ValueError:
-            if h.kind != LOOKUP:
-                raise
-            self._L, self._C, self._fill = L, C, None
-            return
-        self._L = np.column_stack([own, L])
-        self._C = np.column_stack([np.zeros(len(X)), C])
-        self._n = len(X)
-        self._base, self._fill = _hull_fill(self._C, self._L)
+        self._args = (h, np.atleast_2d(X), np.asarray(y),
+                      np.atleast_2d(np.asarray(grid, dtype=float)), cost, loss_fn)
+        C, L, on_table = _grid_candidates(*self._args)
+        self._fill = None
+        if on_table:
+            self._n = len(L)
+            self._base, self._fill = _hull_fill([(C, L)])
 
     def phi(self, gamma: float) -> np.ndarray:
-        return np.max(self._L - gamma * self._C, axis=1)
+        C, L, _ = _grid_candidates(*self._args)
+        return np.max(L - gamma * C, axis=1)
 
     def query(self, rho: float) -> QueryValue:
         if self._fill is None:
@@ -186,17 +215,39 @@ class _GridInner(_FillInner):
         return super().query(rho)
 
 
-def _hull_fill(C: np.ndarray, L: np.ndarray) -> tuple[float, GreedyFill]:
+def _grid_candidates(h, X, labels, grid, cost, loss_fn):
+    """(C, L, on_table): costs and losses of each sample's candidates, its
+    own point at cost 0 and then the grid points; the own point is left out
+    (on_table false) for lookup data off the table."""
+    # loss of every grid point under every distinct label present
+    L = np.empty((len(X), len(grid)))
+    for lab in np.unique(labels):
+        L[labels == lab] = loss_values(loss_fn, h, grid, np.full(len(grid), lab))
+    C = cost.pairwise(X, grid)
+    try:
+        own = loss_values(loss_fn, h, X, labels)
+    except ValueError:
+        if h.kind != LOOKUP:
+            raise
+        return C, L, False
+    return np.column_stack([np.zeros(len(X)), C]), np.column_stack([own, L]), True
+
+
+def _hull_fill(blocks) -> tuple[float, GreedyFill]:
     """Total loss at cost 0, and the fill over the rising segments of each
-    row's upper hull of its (C, L) points."""
-    order = np.lexsort((-L, C))
-    Cs, Ls = (np.take_along_axis(a, order, axis=1) for a in (C, L))
-    # only a point that beats every cheaper one can be on the rising hull
-    best_before = np.maximum.accumulate(Ls, axis=1)[:, :-1]
-    keep = np.column_stack([np.ones(len(Ls), dtype=bool), Ls[:, 1:] > best_before])
-    cost, gain = np.concatenate(
-        [np.diff(upper_hull(c[k], l[k])) for c, l, k in zip(Cs, Ls, keep)], axis=1)
-    return float(np.sum(Ls[:, 0])), GreedyFill(cost, gain)
+    row's upper hull of its (C, L) points; ``blocks`` yields (C, L) matrices,
+    one row per sample, with as many points in every row of a block."""
+    base, pieces = [], []
+    for C, L in blocks:
+        order = np.lexsort((-L, C))
+        Cs, Ls = (np.take_along_axis(a, order, axis=1) for a in (C, L))
+        # only a point that beats every cheaper one can be on the rising hull
+        best_before = np.maximum.accumulate(Ls, axis=1)[:, :-1]
+        keep = np.column_stack([np.ones(len(Ls), dtype=bool), Ls[:, 1:] > best_before])
+        base.append(Ls[:, 0])
+        pieces += [np.diff(upper_hull(c[k], l[k])) for c, l, k in zip(Cs, Ls, keep)]
+    pieces = np.concatenate(pieces, axis=1)   # frees the per-row pieces
+    return float(np.sum(np.concatenate(base))), GreedyFill(*pieces)
 
 
 class _FlipInner(_FillInner):
@@ -258,21 +309,103 @@ def _distance_to_flip(h: Hypothesis, X: np.ndarray) -> np.ndarray:
     return dists
 
 
+class _ScoreLineInner(_FillInner):
+    """Clipped cross-entropy or squared loss with a logistic rule: the
+    knapsack over the staircase candidates on each sample's score line, an
+    upper bound within ``SCORE_LINE_TAU`` of the worst case (module
+    docstring).  ``phi`` is the maximum over the nodes, which are feasible.
+
+    The build makes one model pass, for the scores; the nodes' losses come
+    from their scores alone (``score_loss_values``).  The lines are built
+    one sample at a time, and only the fill is kept: ``phi`` rebuilds them.
+    """
+
+    _status = "bound"
+
+    def __init__(self, h, X, y, cost, loss_fn):
+        y = np.asarray(y, dtype=float)
+        if loss_fn.kind == CROSS_ENTROPY and not np.all((y == 0.0) | (y == 1.0)):
+            raise ValueError("clipped cross-entropy with a logistic rule needs labels 0 and 1")
+        s = h.scores(X)
+        self._loss, self._cost = loss_fn, cost
+        self._w = float(np.linalg.norm(h.weights))
+        self._samples = list(zip(s.tolist(), y.tolist(),
+                                 score_loss_values(loss_fn, s, y).tolist()))
+        self._n = len(s)
+        self._base, self._fill = _hull_fill(
+            (C[None], L[None]) for C, L in map(self._staircase, self._samples))
+
+    def _staircase(self, sample) -> tuple[np.ndarray, np.ndarray]:
+        """The sample's upper candidates as (costs, losses): its own point,
+        then on each rising side one per interval between neighbouring
+        nodes, at the nearer end's cost with the larger end loss, and the
+        tail from the last node, carrying the side's ceiling."""
+        s, y, l0 = sample
+        C, L = [[0.0]], [[l0]]
+        for c, l, top, _, _ in _line_sides(self._loss, self._cost, self._w, s, y, l0):
+            C.append(np.concatenate([[0.0], c]))
+            L.append(np.concatenate([np.maximum(np.concatenate([[l0], l[:-1]]), l), [top]]))
+        return np.concatenate(C), np.concatenate(L)
+
+    def phi(self, gamma: float) -> np.ndarray:
+        out = np.empty(self._n)
+        for i, (s, y, l0) in enumerate(self._samples):
+            out[i] = l0
+            for c, l, _, clip_c, clip_l in _line_sides(self._loss, self._cost, self._w,
+                                                       s, y, l0):
+                c, l = np.concatenate([c, clip_c]), np.concatenate([l, clip_l])
+                out[i] = max(out[i], float(np.max(l - gamma * c, initial=-np.inf)))
+        return out
+
+
+def _line_sides(loss_fn, cost, w, s, y, l0):
+    """Yields, for each side of one sample's score line on which the loss
+    rises above l0: its level nodes' costs and losses, outwards; its
+    ceiling; and its clip node's cost and loss (empty where the side stays
+    below the clip).  A constant rule (w = 0) has none."""
+    if w == 0.0:
+        return
+    if loss_fn.kind == CROSS_ENTROPY:
+        # label 1 rises to the clip as the score falls, label 0 as it grows
+        asymptotes = (np.inf, 0.0) if y == 1.0 else (0.0, np.inf)
+    else:
+        asymptotes = (y * y, (1.0 - y) ** 2)
+    for side, asym in zip((-1.0, 1.0), asymptotes):
+        top = min(asym, 1.0)
+        if top <= l0:
+            continue
+        level = l0 + SCORE_LINE_TAU * np.arange(1, np.ceil((top - l0) / SCORE_LINE_TAU))
+        u = _rising_score(loss_fn, level, y, side)
+        u = u[(level < top) & np.isfinite(u)]
+        clip = np.array([_rising_score(loss_fn, 1.0, y, side)] if asym > 1.0 else [])
+        # the cost of each node grows with its score distance from s
+        yield (cost.of_distance(np.abs(u - s) / w), score_loss_values(loss_fn, u, y), top,
+               cost.of_distance(np.abs(clip - s) / w), score_loss_values(loss_fn, clip, y))
+
+
+def _rising_score(loss_fn, level, y, side):
+    """The score at which label y's loss reaches ``level`` while rising
+    towards ``side``: -+log(expm1(level)) for cross-entropy (its rising
+    side), logit(y -+ sqrt(level)) for the squared loss; not finite where
+    that point does not exist."""
+    if loss_fn.kind == CROSS_ENTROPY:
+        return side * np.log(np.expm1(level))
+    p = y + side * np.sqrt(level)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(p / (1.0 - p))
+
+
 class _AscentInner:
-    """Gradient ascent on loss(x') - gamma * c(x', x) for smooth losses.
+    """Gradient ascent on loss(x') - gamma * c(x', x) for the smooth losses
+    of a linear-classifier rule.
 
     Step size 1/(gamma + beta) with beta the loss curvature bound keeps the
     iteration a contraction whenever the surrogate is strongly concave
-    (gamma > beta).  Restarts are deterministic: the sample itself plus two
-    points translated along the weight vector far enough that the clipped
-    loss saturates at 1, which covers the plateau branch of the supremum.
-
-    The S restarts run together as one (S * n, d) iterate: each step makes
-    one model pass, which gives the losses at the current point (for the
-    running best) and the gradients for the next move.  A restart whose
-    largest move falls below 1e-12 freezes where it is, and only moving
-    restarts count towards ``iterations``; every restart therefore takes the
-    same steps it would take alone.
+    (gamma > beta).  The ascent starts at the samples themselves and moves
+    them as one (n, d) iterate: each step makes one model pass, which gives
+    the losses at the current point (for the running best) and the gradients
+    for the next move.  It stops when its largest move falls below 1e-12.
+    ``iterations`` counts the steps over every ``phi`` call.
     """
 
     _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -283,70 +416,39 @@ class _AscentInner:
         if cost.kind != HALF_SQ:
             raise ValueError("gradient inner solver requires the half-squared-L2 cost")
         self._h, self._cost, self._loss = h, cost, loss_fn
-        X = np.atleast_2d(X)
-        y = np.asarray(y, dtype=float)
+        self._X = np.atleast_2d(X)
+        self._y = np.asarray(y, dtype=float)
         self._beta = curvature_bound(loss_fn, h)
-        starts = self._plateau_starts(X)
-        self._n_starts = len(starts)
-        self._starts = np.concatenate(starts)
-        self._X = np.tile(X, (self._n_starts, 1))
-        self._y = np.tile(y, self._n_starts)
         self.iterations = 0
-
-    def _plateau_starts(self, X: np.ndarray) -> list[np.ndarray]:
-        h = self._h
-        starts = [X.copy()]
-        if h.kind not in (LOGISTIC,):
-            return starts
-        w = h.weights
-        w2 = float(w @ w)
-        if w2 == 0.0:
-            return starts
-        s0 = h.scores(X)
-        if self._loss.kind == SQUARED:
-            # probability targets where (y - p)^2 == 1 exist only at p = y -+ 1;
-            # push the score far out on both sides instead
-            targets = [s0 * 0 + 12.0, s0 * 0 - 12.0]
-        else:
-            # binary CE hits its clip at s = -+ log(e - 1) + margin
-            edge = float(np.log(np.e - 1.0)) + 0.5
-            targets = [s0 * 0 + edge, s0 * 0 - edge]
-        for t in targets:
-            starts.append(X + ((t - s0) / w2)[:, None] * w[None, :])
-        return starts
 
     def phi(self, gamma: float) -> np.ndarray:
         step = 1.0 / (gamma + self._beta + 1e-12)
-        S = self._n_starts
-        Xp = self._starts
-        moving = np.ones(S, dtype=bool)
+        Xp = self._X
         lv, g = loss_and_gradient_values(self._loss, self._h, Xp, self._y)
         best = self._objective(Xp, lv, gamma)
         for _ in range(_ASCENT_STEPS):
-            g -= gamma * (Xp - self._X)
-            move = (step * g).reshape(S, -1)
-            move[~moving] = 0.0
-            Xp = Xp + move.reshape(Xp.shape)
-            self.iterations += int(np.count_nonzero(moving))
+            move = step * (g - gamma * (Xp - self._X))
+            Xp = Xp + move
+            self.iterations += 1
             lv, g = loss_and_gradient_values(self._loss, self._h, Xp, self._y)
             best = np.maximum(best, self._objective(Xp, lv, gamma))
-            # written as not-below so that a NaN move keeps moving, as it did alone
-            moving &= ~(np.max(np.abs(move), axis=1) < 1e-12)
-            if not moving.any():
+            if float(np.max(np.abs(move))) < 1e-12:
                 break
-        return best.reshape(S, -1).max(axis=0)
+        return best
 
     def _objective(self, Xp, lv, gamma):
         c = self._cost.of_distance(np.linalg.norm(Xp - self._X, axis=1))
         return lv - gamma * c
 
     def query(self, rho: float) -> QueryValue:
-        """Worst-case mean loss over the ball of radius rho > 0, by the dual."""
+        """Worst-case mean loss over the ball of radius rho > 0, by the dual;
+        ``inner_iterations`` counts this query's steps."""
+        before = self.iterations
         gamma_star, best = self._golden_min(
             lambda g: g * rho + float(np.mean(self.phi(g))), 0.0, 1.0 / rho)
         return QueryValue(value=float(np.clip(best, 0.0, 1.0)), rho=float(rho),
                           gamma_star=float(gamma_star),
-                          inner_iterations=int(self.iterations), status="iterative")
+                          inner_iterations=self.iterations - before, status="iterative")
 
     @classmethod
     def _golden_min(cls, fn, a: float, b: float) -> tuple[float, float]:
@@ -384,6 +486,8 @@ def _make_inner(h, X, y, cost, loss_fn, grid):
             return _FlipInner(h, X, y, cost)
         raise ValueError("zero-one adversarial queries need a binary linear rule "
                          "or a declared perturbation grid")
+    if h.kind == LOGISTIC:
+        return _ScoreLineInner(h, X, y, cost, loss_fn)
     return _AscentInner(h, X, y, cost, loss_fn)
 
 

@@ -19,9 +19,11 @@ ROADMAP item 1).  The allocation over piecewise-linear concave envelopes is
 solved exactly by greedy water-filling on segment slopes (``concave``, as in
 the exact query routes), once per certificate, and its maximum is the
 program value.
-When any profile query was not exact (the ascent route only lower-bounds its
-inner supremum), the certificate's status is ``iterative`` instead of
-``optimal``.
+A profile is sound when every query on it is ``exact`` or a ``bound`` (the
+logistic score-line route, which lies above its inner supremum).  The
+certificate's status is ``optimal`` when every profile is sound, and
+``iterative`` otherwise: the ascent route for linear-classifier rules only
+lower-bounds its inner supremum.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ class QvProfile:
     n_samples: int
     rhos: np.ndarray
     qvs: np.ndarray
-    exact: bool = True        # every query solved its inner supremum exactly
+    sound: bool = True        # every query is exact or an upper bound
     hull_x: np.ndarray = field(init=False)
     hull_y: np.ndarray = field(init=False)
 
@@ -128,7 +130,7 @@ def build_profiles(
         profiles.append(
             QvProfile(client_id=c.client_id, n_samples=c.n_samples,
                       rhos=grid.copy(), qvs=np.array([q.value for q in answers]),
-                      exact=all(q.status == "exact" for q in answers))
+                      sound=all(q.status in ("exact", "bound") for q in answers))
         )
     return profiles
 
@@ -197,8 +199,8 @@ def wass_mean_bound(
         kind="wass-mean",
         value=float(min(raw, 1.0)),
         raw_value=raw,
-        # an inexact query only lower-bounds its inner supremum
-        status="optimal" if all(p.exact for p in profiles) else "iterative",
+        # an iterative query only lower-bounds its inner supremum
+        status="optimal" if all(p.sound for p in profiles) else "iterative",
         slack={"meta": meta, "per_client": per_client},
         params={
             "K": K, "delta": delta, "epsilon": epsilon,

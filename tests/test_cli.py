@@ -104,6 +104,14 @@ def test_schema_violation_reports_path(tmp_path, capsys):
     assert "$.data.K" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify", "verify"])
+def test_negative_class_proportion_reports_path(tmp_path, capsys, command):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["world"]["archetypes"][1]["class_props"] = [1.2, -0.2]
+    assert_rejected_before_writing(tmp_path, capsys, command, cfg,
+                                   "$.world.archetypes[1].class_props[1]")
+
+
 def test_unknown_certificate_kind_rejected(tmp_path, capsys):
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["certificates"][0]["kind"] = "variance"

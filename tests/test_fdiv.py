@@ -308,19 +308,24 @@ def test_reweight_lp_vertex_reports_its_lp_multiplier():
     # cap 2, band 0.2: the budget 3 * 1.2 = 3.6 fills q = 0.9 to cap and
     # q = 0.5 to 1.6, so the LP dual of the band is the marginal q = 0.5;
     # mean f = (1 + 0.36 + 1) / 3 sits below the budget 1, so the vertex is
-    # optimal and its dual value is its objective
+    # optimal and its dual value is its objective, plus the rounding
+    # allowance (K + 12) u S of a dual point with eta = 0
+    def allowance(sol, band):
+        size = abs(sol.tau) * (1.0 + band) + np.mean(sol.alpha * (q + abs(sol.tau)))
+        return (len(q) + 12) * np.finfo(float).eps / 2.0 * size
+
     spec = make_divergence("chi-square", 0.1, 0.1)
     q = np.array([0.9, 0.5, 0.2])
     sol = solve_reweight(q, spec, 1.0, 0.2)
     assert np.allclose(sol.alpha, [2.0, 1.6, 0.0], atol=1e-15)
     assert sol.tau == 0.5 and sol.eta == 0.0
     assert abs(sol.objective - 2.6 / 3.0) < 1e-15
-    assert abs(sol.bound - sol.objective) < 1e-15
+    assert abs(sol.bound - allowance(sol, 0.2) - sol.objective) < 1e-15
     # every coordinate at cap: the band is slack and its multiplier is 0
     sol = solve_reweight(q, spec, 1.0, 1.5)
     assert np.array_equal(sol.alpha, np.full(3, 2.0))
     assert sol.tau == 0.0 and sol.eta == 0.0
-    assert abs(sol.bound - sol.objective) < 1e-15
+    assert abs(sol.bound - allowance(sol, 1.5) - sol.objective) < 1e-15
 
 
 def test_reweight_dual_value_brackets_the_primal():
@@ -345,6 +350,25 @@ def test_reweight_dual_value_brackets_the_primal():
             edge = 1.0 + band if sol.tau > 0 else 1.0 - band
             assert abs(float(np.mean(sol.alpha)) - edge) <= 1e-12, (trial, K, name)
     assert binding >= 100
+
+
+def test_reweight_bound_is_above_the_primal_to_the_last_digit():
+    # budgets down to 1e-15 push the multipliers towards 1e7, where the dual
+    # value's terms round at 1e-9; its rounding allowance keeps it above the
+    # primal value with no tolerance
+    rng = np.random.default_rng(np.random.SeedSequence(5455))
+    for trial in range(1000):
+        K = int(rng.integers(1, 61))
+        name = "kl" if trial % 2 else "chi-square"
+        spec = make_divergence(name, float(rng.uniform(0.01, 0.5)), 0.1)
+        q = rng.uniform(0.0, 1.0, K)
+        if trial % 5 == 0:
+            q = np.round(q, 1)   # ties
+        small = [float(10 ** rng.uniform(-15, -1)) for _ in range(2)]
+        band, eps_budget = [small, (small[0], float(rng.uniform(0.0, 0.6))),
+                            (float(rng.uniform(0.0, 0.4)), small[1])][trial % 3]
+        sol = solve_reweight(q, spec, eps_budget, band)
+        assert sol.bound >= sol.objective, (trial, K, name, band, eps_budget)
 
 
 def test_reweight_bound_never_below_the_grid_oracle():

@@ -5,6 +5,7 @@ import pytest
 
 from fedcert import (
     Archetype,
+    ClientSpec,
     MetaConfig,
     archetype_divergences,
     export_world,
@@ -16,7 +17,7 @@ from fedcert import (
     shift_meta_wass,
     tilt_for_divergence,
 )
-from fedcert.metasim import tilt_divergence_limit
+from fedcert.metasim import _categorical, _client_rng, tilt_divergence_limit
 
 BASE_MEANS = np.array([[-1.0, 0.0], [1.0, 0.0]])
 
@@ -34,6 +35,31 @@ def two_archetype_cfg(w=(0.5, 0.5), scores=(0.0, 1.0), seed=123):
     ]
     return MetaConfig(dim=2, n_classes=2, class_means=BASE_MEANS, seed=seed,
                       archetypes=arche, archetype_weights=np.array(w))
+
+
+def test_categorical_draws_match_generator_choice():
+    # the same draws and the same stream state after them, for the spec
+    # stream's single draws and the data stream's label vectors
+    rng = np.random.default_rng(np.random.SeedSequence(2024))
+    for k in range(500):
+        p = rng.dirichlet(np.full(int(rng.integers(2, 6)), 0.5))
+        if k % 7 == 0:   # a class that is never drawn
+            p[rng.integers(len(p))] = 0.0
+            p /= p.sum()
+        for n in (None, 1, 7, 50):
+            ours, ref = _client_rng(k, n or 0, 0), _client_rng(k, n or 0, 0)
+            got, want = _categorical(ours, p, n), ref.choice(len(p), size=n, p=p)
+            assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+            assert ours.random() == ref.random()
+
+
+def test_negative_proportions_are_rejected():
+    with pytest.raises(ValueError):
+        Archetype(class_means=BASE_MEANS, class_props=np.array([1.2, -0.2]))
+    spec = sample_clients(plain_cfg(), 1)[0].to_json_dict()
+    spec["class_props"] = [1.2, -0.2]
+    with pytest.raises(ValueError):
+        ClientSpec.from_json_dict(spec)
 
 
 def test_mode_none_clients_are_identical():

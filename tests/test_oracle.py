@@ -21,6 +21,7 @@ from fedcert import (
 )
 from fedcert.fdiv import make_divergence, solve_reweight
 from fedcert.losses import LINEAR, LOGISTIC
+from fedcert.oracle import _binary_margin, _risks_from_parts
 from fedcert.wass import QvProfile
 
 BASE_MEANS = np.array([[-1.0, 0.0], [1.0, 0.0]])
@@ -230,6 +231,54 @@ def test_sample_true_risks_archetype_world():
     assert risks.shape == (400,)
     assert np.all((risks >= 0) & (risks <= 1))
     assert np.std(risks) > 0
+
+
+def _true_risks_grouped_over_all_rows(cfg, T, h, rng):
+    """The truth draw as it grouped clients by ``np.unique`` over all T rows
+    of base proportions: the reference for the per-archetype grouping."""
+    u, b0 = _binary_margin(h)
+    d = cfg.dim
+    if cfg.archetypes is not None:
+        arche = rng.choice(len(cfg.archetypes), size=T, p=cfg.archetype_weights)
+        means = np.stack([a.class_means for a in cfg.archetypes])[arche]
+        base_props = np.stack([a.class_props for a in cfg.archetypes])[arche]
+    else:
+        means = np.broadcast_to(cfg.class_means, (T, 2, d)).copy()
+        base_props = np.full((T, 2), 0.5)
+    if cfg.shift_mode in ("feature", "both"):
+        A = rng.normal(0.0, cfg.sigma_affine, size=(T, d, d))
+        b = rng.normal(0.0, cfg.sigma_shift, size=(T, d))
+    else:
+        A = np.zeros((T, d, d))
+        b = np.zeros((T, d))
+    if cfg.shift_mode in ("label", "both"):
+        props = np.empty((T, 2))
+        for bp in np.unique(base_props, axis=0):
+            mask = np.all(base_props == bp, axis=1)
+            props[mask] = rng.dirichlet(cfg.alpha_dir * 2 * bp, size=int(mask.sum()))
+    else:
+        props = base_props
+    ut = u[None, :] + np.einsum("tij,i->tj", A, u)
+    return _risks_from_parts(ut, means, b @ u + b0, props, cfg.cov_scale)
+
+
+def test_sample_true_risks_groups_by_archetype_as_by_rows():
+    # three archetypes, two of them sharing proportions, listed out of their
+    # sorted order; the rare one is missed by the small draws
+    shared = [Archetype(class_means=BASE_MEANS * f, class_props=np.array(p))
+              for f, p in ((1.0, [0.7, 0.3]), (0.5, [0.4, 0.6]), (0.8, [0.7, 0.3]))]
+    worlds = [archetype_cfg()]
+    worlds += [MetaConfig(dim=2, n_classes=2, class_means=BASE_MEANS, shift_mode=mode,
+                          archetypes=shared, archetype_weights=np.array([0.6, 0.05, 0.35]))
+               for mode in ("both", "label", "feature")]
+    worlds += [plain_cfg(shift_mode="label"), plain_cfg(shift_mode="both")]
+    for cfg in worlds:
+        for T in (1, 3, 2000):
+            rng, ref = np.random.default_rng(T), np.random.default_rng(T)
+            got = sample_true_risks(cfg, T, H, rng)
+            want = _true_risks_grouped_over_all_rows(cfg, T, H, ref)
+            assert np.array_equal(got, want), (cfg.shift_mode, T)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_true_risks_binary_only():

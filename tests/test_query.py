@@ -25,7 +25,7 @@ from fedcert.losses import (
     gradient_values,
     loss_values,
 )
-from fedcert.query import _AscentInner
+from fedcert.query import SCORE_LINE_TAU, _AscentInner
 
 COST = TransportCost()
 
@@ -397,69 +397,68 @@ def test_grid_route_refuses_lookup_data_off_its_table():
 
 # -- the ascent route --------------------------------------------------------
 
-def _looped_ascent(h, X, y, loss_fn, starts, gamma):
-    """The ascent one restart at a time, each step one ``gradient_values``
-    and one ``loss_values`` call: the reference the stacked restarts must
-    match bit for bit.  Returns (phi, steps taken by each restart)."""
+def _looped_ascent(h, X, y, loss_fn, gamma):
+    """The ascent with one ``gradient_values`` and one ``loss_values`` call
+    per step: the reference the fused model pass must match bit for bit.
+    Returns (phi, steps taken)."""
     step = 1.0 / (gamma + curvature_bound(loss_fn, h) + 1e-12)
 
     def objective(Xp):
         c = COST.of_distance(np.linalg.norm(Xp - X, axis=1))
         return loss_values(loss_fn, h, Xp, y) - gamma * c
 
-    best = np.full(len(X), -np.inf)
-    steps = []
-    for start in starts:
-        Xp = start.copy()
+    Xp = X.copy()
+    best = objective(Xp)
+    for k in range(1, 101):
+        g = gradient_values(loss_fn, h, Xp, y)
+        g -= gamma * (Xp - X)
+        move = step * g
+        Xp = Xp + move
         best = np.maximum(best, objective(Xp))
-        for k in range(1, 101):
-            g = gradient_values(loss_fn, h, Xp, y)
-            g -= gamma * (Xp - X)
-            move = step * g
-            Xp = Xp + move
-            best = np.maximum(best, objective(Xp))
-            if float(np.max(np.abs(move))) < 1e-12:
-                break
-        steps.append(k)
-    return best, steps
+        if float(np.max(np.abs(move))) < 1e-12:
+            break
+    return best, k
 
 
 def _ascent_cases():
+    # the ascent serves linear-classifier rules only
     rng = np.random.default_rng(17)
     X = rng.normal(size=(25, 2)) * 1.5
     y2 = rng.integers(0, 2, size=25).astype(float)
     y3 = rng.integers(0, 3, size=25).astype(float)
-    logistic = Hypothesis(kind=LOGISTIC, weights=np.array([1.3, -0.7]), bias=0.2)
+    y4 = rng.integers(0, 4, size=25).astype(float)
+    binary = Hypothesis(kind=LINEAR, weights=np.array([[0.4, -0.2], [-0.9, 0.5]]),
+                        bias=np.array([0.1, -0.1]))
     softmax = Hypothesis(kind=LINEAR, weights=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
-    return [(logistic, X, y2, LossFn(CROSS_ENTROPY)),
-            (logistic, X, y2, LossFn(SQUARED)),
+    wide = Hypothesis(kind=LINEAR, weights=rng.normal(size=(4, 2)) * 2.0,
+                      bias=rng.normal(size=4))
+    return [(binary, X, y2, LossFn(CROSS_ENTROPY)),
+            (wide, X, y4, LossFn(CROSS_ENTROPY)),
             (softmax, X, y3, LossFn(CROSS_ENTROPY))]
 
 
 _GAMMAS = (0.0, 0.3, 2.0, 1e4)
+_CASE_IDS = ["binary-linear-ce", "wide-softmax-ce", "softmax-ce"]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["logistic-ce", "logistic-squared",
-                                                "softmax-ce"])
+@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
 def test_stacked_ascent_matches_restarts_run_one_by_one(case):
     h, X, y, loss_fn = _ascent_cases()[case]
     inner = _AscentInner(h, X, y, COST, loss_fn)
-    starts = inner._plateau_starts(X)
     for gamma in _GAMMAS:
-        want, steps = _looped_ascent(h, X, y, loss_fn, starts, gamma)
+        want, steps = _looped_ascent(h, X, y, loss_fn, gamma)
         before = inner.iterations
         assert np.array_equal(inner.phi(gamma), want)
-        assert inner.iterations - before == sum(steps)
-    # at gamma = 1e4 the contraction is fast: every restart stops early, and
-    # not all at one step, so frozen restarts ride along with moving ones
-    assert max(steps) < 100 and (len(steps) == 1 or min(steps) < max(steps))
+        assert inner.iterations - before == steps
+    # at gamma = 1e4 the contraction is fast: the ascent stops early
+    assert steps < 100
     rho = 0.2
     iters = 0
 
     def dual(gamma):
         nonlocal iters
-        phi, steps = _looped_ascent(h, X, y, loss_fn, starts, gamma)
-        iters += sum(steps)
+        phi, steps = _looped_ascent(h, X, y, loss_fn, gamma)
+        iters += steps
         return gamma * rho + float(np.mean(phi))
 
     gamma_star, best = _AscentInner._golden_min(dual, 0.0, 1.0 / rho)
@@ -468,30 +467,200 @@ def test_stacked_ascent_matches_restarts_run_one_by_one(case):
         float(np.clip(best, 0.0, 1.0)), gamma_star, iters)
 
 
-@pytest.mark.parametrize("case", range(3), ids=["logistic-ce", "logistic-squared",
-                                                "softmax-ce"])
+@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
 def test_ascent_makes_one_model_pass_per_step(monkeypatch, case):
     h, X, y, loss_fn = _ascent_cases()[case]
     inner = _AscentInner(h, X, y, COST, loss_fn)
-    starts = inner._plateau_starts(X)
-    steps_of = {g: _looped_ascent(h, X, y, loss_fn, starts, g)[1] for g in _GAMMAS}
+    steps_of = {g: _looped_ascent(h, X, y, loss_fn, g)[1] for g in _GAMMAS}
     passes = []
     scores = Hypothesis.scores
 
     def counted(self, Xq):
-        passes.append(np.array(Xq).reshape(len(starts), len(X), -1))
+        passes.append(np.array(Xq))
         return scores(self, Xq)
 
     monkeypatch.setattr(Hypothesis, "scores", counted)
     for gamma in _GAMMAS:
         del passes[:]
         inner.phi(gamma)
-        # one pass at the starts, then one per step of the longest restart,
-        # each over every restart at once (the reshape checks the rows)
-        assert len(passes) == 1 + max(steps_of[gamma])
-        # a restart that stopped stays where it stopped
-        for r, steps in enumerate(steps_of[gamma]):
-            assert all(np.array_equal(p[r], passes[steps][r]) for p in passes[steps:])
+        # one pass at the samples, then one per step, each over every sample
+        assert len(passes) == 1 + steps_of[gamma]
+        assert all(p.shape == X.shape for p in passes)
+        assert np.array_equal(passes[0], X)
+
+
+def test_ascent_reports_each_querys_own_steps():
+    h, X, y, loss_fn = _ascent_cases()[0]
+    c = Client(0, dataset(X, y), loss_fn)
+    first, second = c.query(h, 0.05), c.query(h, 0.3)
+    # the client reuses its cached solver; a fresh one takes the same steps
+    for qv, rho in ((first, 0.05), (second, 0.3)):
+        fresh = _AscentInner(h, X, y, COST, loss_fn).query(rho)
+        assert qv.inner_iterations == fresh.inner_iterations > 0
+        assert qv.status == "iterative"
+    assert [e["inner_iterations"] for e in c.audit_log] == [
+        first.inner_iterations, second.inner_iterations]
+
+
+# -- the logistic score-line route -------------------------------------------
+# The brute-force side of these checks is worked out here, on each sample's
+# score line, without the knapsack the route solves.
+
+def _score_line_instance(rng, kind, cost_kind):
+    d = int(rng.integers(1, 4))
+    n = int(rng.integers(1, 31))
+    h = Hypothesis(kind=LOGISTIC, weights=rng.normal(size=d) * rng.uniform(0.3, 3.0),
+                   bias=float(rng.normal()))
+    X = rng.normal(size=(n, d))
+    y = (rng.integers(0, 2, size=n).astype(float) if kind == CROSS_ENTROPY
+         else rng.uniform(-0.5, 1.5, size=n))
+    return h, X, y, LossFn(kind), TransportCost(cost_kind)
+
+
+def _line_points(h, X, y, loss_fn, cost, span=40.0, num=100_001):
+    """Losses and costs of ``num`` points on each sample's score line, with
+    scores within ``span`` of its own; the middle point is the sample."""
+    w = h.weights
+    s = h.scores(X)
+    t = np.linspace(-span, span, num)
+    L = np.empty((len(X), num))
+    C = np.empty((len(X), num))
+    for i in range(len(X)):
+        pts = X[i] + np.outer(t / (w @ w), w)
+        L[i] = loss_values(loss_fn, h, pts, np.full(num, y[i]))
+        C[i] = cost.of_distance(np.linalg.norm(pts - X[i], axis=1))
+    assert np.allclose(h.scores(X[:1] + np.outer(t[:3] / (w @ w), w)), s[0] + t[:3])
+    return L, C
+
+
+def _random_feasible(rng, h, X, y, loss_fn, cost, rho, tries=300):
+    """The best mean loss of random moves whose mean cost is within rho;
+    half of them run along the weights, where the losses change fastest."""
+    n, d = X.shape
+    best = float(np.mean(loss_values(loss_fn, h, X, y)))
+    for trial in range(tries):
+        moves = rng.normal(size=(n, d))
+        if trial % 2:
+            moves = np.outer(rng.choice([-1.0, 1.0], size=n), h.weights)
+        moves *= rng.exponential(1.0, size=(n, 1)) ** 2
+        spent = float(np.mean(cost.of_distance(np.linalg.norm(moves, axis=1))))
+        if spent == 0.0:
+            continue
+        # half-squared cost scales with the square of the move
+        scale = rho / spent if cost.kind == "l2" else np.sqrt(rho / spent)
+        Xp = X + moves * scale * rng.uniform(0.5, 1.0)
+        assert np.mean(cost.of_distance(np.linalg.norm(Xp - X, axis=1))) <= rho * (1 + 1e-12)
+        best = max(best, float(np.mean(loss_values(loss_fn, h, Xp, y))))
+    return best
+
+
+def _front(c, l):
+    """The points with more loss than every cheaper one: only they can
+    attain a penalized maximum."""
+    o = np.argsort(c, kind="stable")
+    c, l = c[o], l[o]
+    rising = np.r_[True, l[1:] > np.maximum.accumulate(l)[:-1]]
+    return c[rising], l[rising]
+
+
+@pytest.mark.parametrize("kind", [CROSS_ENTROPY, SQUARED])
+@pytest.mark.parametrize("cost_kind", ["half-squared-l2", "l2"])
+def test_score_line_bound_is_sound_and_within_tau(kind, cost_kind):
+    rng = np.random.default_rng(np.random.SeedSequence([1301, len(kind), len(cost_kind)]))
+    gammas = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 48)])
+    for _ in range(5):
+        h, X, y, loss_fn, cost = _score_line_instance(rng, kind, cost_kind)
+        L, C = _line_points(h, X, y, loss_fn, cost)
+        front = [_front(c, l) for c, l in zip(C, L)]
+
+        def mean_phi(g):
+            return float(np.mean([np.max(l - g * c) for c, l in front]))
+
+        on_grid = [mean_phi(g) for g in gammas]
+        ds = dataset(X, y)
+        emp = empirical_risk(h, ds, loss_fn).value
+        for rho in (1e-3, 0.05, 0.4, 3.0):
+            qv = adversarial_risk(h, ds, rho, cost, loss_fn)
+            assert qv.status == "bound" and qv.inner_iterations == 1
+            assert 0.0 <= qv.gamma_star <= 1.0 / rho
+            dual = min(qv.gamma_star * rho + mean_phi(qv.gamma_star),
+                       min(g * rho + p for g, p in zip(gammas, on_grid)))
+            feasible = _random_feasible(rng, h, X, y, loss_fn, cost, rho)
+            assert emp <= qv.value
+            assert feasible <= qv.value + 1e-12, (rho, feasible, qv.value)
+            assert qv.value <= dual + SCORE_LINE_TAU + 1e-4, (rho, qv.value, dual)
+
+
+def test_score_line_phi_is_within_tau_below_the_line_maximum():
+    rng = np.random.default_rng(np.random.SeedSequence(1302))
+    for kind in (CROSS_ENTROPY, SQUARED):
+        h, X, y, loss_fn, cost = _score_line_instance(rng, kind, "half-squared-l2")
+        L, C = _line_points(h, X, y, loss_fn, cost)
+        for gamma in (0.0, 0.1, 1.0, 10.0):
+            got = np.array([phi_gamma(h, gamma, Sample(features=X[i], label=y[i]),
+                                      cost, loss_fn) for i in range(len(X))])
+            dense = np.max(L - gamma * C, axis=1)
+            # the nodes are points of the line, at most tau below its maximum;
+            # neighbouring dense points differ by 8e-4 in score, so the
+            # maximum lies less than 1e-3 above theirs
+            assert np.all(got >= dense - SCORE_LINE_TAU - 1e-12)
+            assert np.all(got <= dense + 1e-3)
+
+
+def test_score_line_constant_rule_gives_empirical_value():
+    h = Hypothesis(kind=LOGISTIC, weights=np.zeros(2), bias=0.4)
+    ds = dataset([[0.1, 2.0], [-1.0, 0.5], [3.0, -2.0]], [1.0, 0.0, 1.0])
+    for kind in (CROSS_ENTROPY, SQUARED):
+        emp = empirical_risk(h, ds, LossFn(kind)).value
+        for rho in (1e-3, 0.1, 10.0):
+            qv = adversarial_risk(h, ds, rho, COST, LossFn(kind))
+            assert qv.value == emp and qv.gamma_star == 0.0
+
+
+def test_score_line_plateau_and_asymptote_hand_values():
+    # y = 1.5: the squared loss reaches its clip at sigmoid(u) = 1/2, u = 0,
+    # a half-squared cost of 2 away from x = 2; the budget 2 buys it whole
+    h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
+    qv = adversarial_risk(h, dataset([[2.0]], [1.5]), 2.0, COST, LossFn(SQUARED))
+    assert qv.value == 1.0
+    # the clip point is a node, so phi finds the plateau's edge exactly
+    z = Sample(features=np.array([2.0]), label=1.5)
+    for gamma in (0.05, 0.2):
+        assert phi_gamma(h, gamma, z, COST, LossFn(SQUARED)) == 1.0 - gamma * 2.0
+    # y = 0.5 and x = 0: the loss rises on both sides towards 1/4, never
+    # reached; the bound sits within tau above any reachable value
+    ds = dataset([[0.0]], [0.5])
+    for rho in (0.5, 50.0):
+        qv = adversarial_risk(h, ds, rho, COST, LossFn(SQUARED))
+        reach = (0.5 - 1.0 / (1.0 + np.exp(-np.sqrt(2.0 * rho)))) ** 2
+        assert reach <= qv.value <= min(reach, 0.25) + SCORE_LINE_TAU
+
+
+def test_score_line_build_makes_one_model_pass_and_queries_none(monkeypatch):
+    rng = np.random.default_rng(np.random.SeedSequence(1303))
+    h, X, y, loss_fn, cost = _score_line_instance(rng, CROSS_ENTROPY, "l2")
+    c = Client(0, dataset(X, y), loss_fn, cost=cost)
+    passes = []
+    scores = Hypothesis.scores
+
+    def counted(self, Xq):
+        passes.append(len(Xq))
+        return scores(self, Xq)
+
+    monkeypatch.setattr(Hypothesis, "scores", counted)
+    c.query(h, 0.1)
+    assert 1 <= len(passes) <= 2
+    del passes[:]
+    for rho in (0.01, 0.5, 2.0):
+        c.query(h, rho)
+    assert passes == []
+
+
+def test_score_line_cross_entropy_needs_binary_labels():
+    h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
+    with pytest.raises(ValueError):
+        adversarial_risk(h, dataset([[0.0], [1.0]], [0.0, 0.5]), 0.1, COST,
+                         LossFn(CROSS_ENTROPY))
 
 
 # -- the client boundary -----------------------------------------------------

@@ -17,7 +17,7 @@ from fedcert import (
     empirical_risk,
 )
 from fedcert import wass
-from fedcert.losses import CROSS_ENTROPY, LOGISTIC
+from fedcert.losses import CROSS_ENTROPY, LINEAR, LOGISTIC
 from fedcert.oracle import wass_alloc_grid_oracle
 from fedcert.wass import (
     QvProfile,
@@ -255,10 +255,21 @@ def test_status_reports_inexact_queries():
     ]
     flip = [Client(i, ds, LossFn(ZERO_ONE)) for i, ds in enumerate(datasets)]
     assert wass_mean_bound(flip, H, 0.05, 0.1, grid_size=2).status == "optimal"
-    # the ascent route only lower-bounds the inner supremum
+    # the logistic score-line route bounds its inner supremum from above,
+    # which keeps the certificate sound
+    line = [Client(0, datasets[0], LossFn(ZERO_ONE)),
+            Client(1, datasets[1], LossFn(CROSS_ENTROPY))]
+    cert = wass_mean_bound(line, H, 0.05, 0.1, grid_size=2)
+    assert {e["status"] for e in line[1].audit_log} == {"bound"}
+    assert cert.status == "optimal"
+    # the ascent route, left to linear-classifier rules, only lower-bounds it
+    linear = Hypothesis(kind=LINEAR, weights=np.array([[0.0, 0.0], [1.0, -0.5]]),
+                        bias=np.array([0.0, 0.1]))
     mixed = [Client(0, datasets[0], LossFn(ZERO_ONE)),
              Client(1, datasets[1], LossFn(CROSS_ENTROPY))]
-    assert wass_mean_bound(mixed, H, 0.05, 0.1, grid_size=2).status == "iterative"
+    assert wass_mean_bound(mixed, linear, 0.05, 0.1, grid_size=2).status == "iterative"
+    assert {e["status"] for e in mixed[0].audit_log} == {"exact"}
+    assert {e["status"] for e in mixed[1].audit_log} == {"iterative"}
 
 
 def test_mean_bound_validation():
