@@ -226,6 +226,11 @@ _SUMMARY_SCHEMA = {
                         "required": ["certificate", "target"],
                         "additionalProperties": {"type": "string"},
                     },
+                    # written for inspection; emit-plots reads none of them
+                    "status": {"type": "string"},
+                    "raw_value": {"type": "number"},
+                    "vacuous": {"type": "boolean"},
+                    "vacuous_thresholds": {"type": "integer", "minimum": 0},
                 },
                 "allOf": [_when_kind(_CURVE_KINDS,
                                      {"properties": {"files": {"required": ["curve"]}}})],
@@ -454,7 +459,12 @@ def cmd_certify(args) -> int:
             wr = csv.writer(fh)
             wr.writerow(["lambda", "empirical"])
             wr.writerows(rows)
-        entries.append({"kind": kind, "files": files})
+        if kind in _CURVE_KINDS:
+            flags = {"vacuous_thresholds": int(np.count_nonzero(result.bounds >= 1.0))}
+        else:
+            flags = {"status": result.status, "raw_value": result.raw_value,
+                     "vacuous": bool(result.raw_value >= 1.0)}
+        entries.append({"kind": kind, "files": files, **flags})
 
     summary = {
         "config_digest": config_digest(cfg),

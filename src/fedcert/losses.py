@@ -148,11 +148,15 @@ class Hypothesis:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Hard labels; argmax for linear, threshold at 1/2 for the rest."""
+        if self.kind == LOOKUP:
+            return (self.predicted_value(X) >= 0.5).astype(int)
+        return self.labels_from_scores(self.scores(X))
+
+    def labels_from_scores(self, scores: np.ndarray) -> np.ndarray:
+        """``predict`` of a linear or logistic rule from its ``scores``."""
         if self.kind == LINEAR:
-            return np.argmax(self.scores(X), axis=1)
-        if self.kind == LOGISTIC:
-            return (self.scores(X) >= 0.0).astype(int)
-        return (self.predicted_value(X) >= 0.5).astype(int)
+            return np.argmax(scores, axis=1)
+        return (scores >= 0.0).astype(int)
 
     def predicted_value(self, X: np.ndarray) -> np.ndarray:
         """Real-valued output: probability of class 1, or the table entry."""

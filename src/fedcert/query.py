@@ -1,15 +1,19 @@
 """Client-side loss queries.
 
 The server learns about a client only through ``Client.query(h, rho)``, which
-returns a single scalar summary (plus solver metadata).  At rho = 0 that is
-the plain empirical risk; at rho > 0 it is the worst-case risk over all data
-distributions within transport cost rho of the client's empirical sample,
+returns a single scalar summary (plus solver metadata), and
+``Client.query_profile(h, rhos)``, which answers a radius vector in one call
+as that many queries: one scalar answer, one audit entry and one unit of the
+query budget per radius.  At rho = 0 the answer is the plain empirical risk;
+at rho > 0 it is the worst-case risk over all data distributions within
+transport cost rho of the client's empirical sample,
 
     sup_{Q in ball(rho)}  E_Q[loss]
         =  min_{gamma >= 0}  gamma * rho + mean_i sup_{z'} [loss(z') - gamma c(z', z_i)]
 
 with the minimizing gamma known to lie in [0, 1/rho] for losses in [0, 1].
-Each inner solver answers ``query(rho)``; the route is chosen from the
+A negative or NaN radius is refused.  Each inner solver is built once per
+hypothesis and answers ``query_profile(rhos)``; the route is chosen from the
 loss/hypothesis pair:
 
   * zero-one loss with a binary linear rule on continuous features: a
@@ -29,8 +33,9 @@ loss/hypothesis pair:
 
 The first three routes are primal knapsacks: the budget n * rho buys the
 samples' concave pieces best gain per unit cost first (``concave``), and
-gamma_star is the marginal slope at the budget.  The flip and grid routes
-are exact.
+gamma_star is the marginal slope at the budget.  They answer a whole radius
+vector with one fill call; the ascent answers its radii one at a time.  The
+flip and grid routes are exact.
 
 Why the score-line route is sound.  A logistic rule's clipped losses see a
 sample only through its score u = w.x + b.  The cheapest point with score u
@@ -164,7 +169,7 @@ class QueryValue:
 def empirical_risk(h: Hypothesis, dataset: LocalDataset, loss_fn: LossFn) -> QueryValue:
     vals = loss_values(loss_fn, h, dataset.features, dataset.labels)
     return QueryValue(
-        value=float(np.mean(vals)), rho=0.0, gamma_star=0.0,
+        value=float(vals.mean()), rho=0.0, gamma_star=0.0,
         inner_iterations=0, status="exact",
     )
 
@@ -179,11 +184,14 @@ class _FillInner:
 
     _status = "exact"
 
-    def query(self, rho: float) -> QueryValue:
-        gain, slope = self._fill(self._n * rho)
-        return QueryValue(value=float(np.clip((self._base + gain) / self._n, 0.0, 1.0)),
-                          rho=float(rho), gamma_star=slope, inner_iterations=1,
-                          status=self._status)
+    def query_profile(self, rhos) -> list[QueryValue]:
+        """One answer per radius, all from one fill call."""
+        rhos = np.asarray(rhos, dtype=float)
+        gain, slope = self._fill(self._n * rhos)
+        values = np.clip((self._base + gain) / self._n, 0.0, 1.0)
+        return [QueryValue(value=v, rho=r, gamma_star=g, inner_iterations=1,
+                           status=self._status)
+                for v, r, g in zip(values.tolist(), rhos.tolist(), slope.tolist())]
 
 
 class _GridInner(_FillInner):
@@ -209,10 +217,10 @@ class _GridInner(_FillInner):
         C, L, _ = _grid_candidates(*self._args)
         return np.max(L - gamma * C, axis=1)
 
-    def query(self, rho: float) -> QueryValue:
+    def query_profile(self, rhos) -> list[QueryValue]:
         if self._fill is None:
             raise ValueError("lookup-table data must lie on the table's grid")
-        return super().query(rho)
+        return super().query_profile(rhos)
 
 
 def _grid_candidates(h, X, labels, grid, cost, loss_fn):
@@ -263,12 +271,12 @@ class _FlipInner(_FillInner):
     """
 
     def __init__(self, h, X, y, cost):
-        X = np.atleast_2d(X)
+        scores = h.scores(X)   # the build's one model pass
         y = np.asarray(y).astype(int)
-        self._wrong = (h.predict(X) != y)
-        self._flip_cost = cost.of_distance(_distance_to_flip(h, X))
+        self._wrong = (h.labels_from_scores(scores) != y)
+        self._flip_cost = cost.of_distance(_distance_to_flip(h, scores))
         finite = self._flip_cost[~self._wrong & np.isfinite(self._flip_cost)]
-        self._n, self._base = len(X), int(np.count_nonzero(self._wrong))
+        self._n, self._base = len(scores), int(np.count_nonzero(self._wrong))
         self._fill = GreedyFill(finite, np.ones(len(finite)))
 
     def phi(self, gamma: float) -> np.ndarray:
@@ -280,17 +288,16 @@ class _FlipInner(_FillInner):
         return out
 
 
-def _distance_to_flip(h: Hypothesis, X: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest boundary where the prediction
-    changes; inf when the rule is constant."""
+def _distance_to_flip(h: Hypothesis, scores: np.ndarray) -> np.ndarray:
+    """Distance from each point, given by its scores, to the nearest boundary
+    where the prediction changes; inf when the rule is constant."""
     if h.kind == LOGISTIC:
         w2 = float(np.linalg.norm(h.weights))
         if w2 == 0.0:
-            return np.full(len(X), np.inf)
-        return np.abs(h.scores(X)) / w2
-    scores = h.scores(X)
+            return np.full(len(scores), np.inf)
+        return np.abs(scores) / w2
     pred = np.argmax(scores, axis=1)
-    dists = np.full(len(X), np.inf)
+    dists = np.full(len(scores), np.inf)
     for c in range(h.n_classes):
         mask = pred == c
         if not np.any(mask):
@@ -450,6 +457,9 @@ class _AscentInner:
                           gamma_star=float(gamma_star),
                           inner_iterations=self.iterations - before, status="iterative")
 
+    def query_profile(self, rhos) -> list[QueryValue]:
+        return [self.query(rho) for rho in rhos]
+
     @classmethod
     def _golden_min(cls, fn, a: float, b: float) -> tuple[float, float]:
         """Minimize a convex scalar function over [a, b]; returns (argmin, min).
@@ -515,12 +525,12 @@ def adversarial_risk(
     grid: np.ndarray | None = None,
 ) -> QueryValue:
     """Worst-case mean loss over the transport ball of radius rho."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     if rho == 0.0:
         return empirical_risk(h, dataset, loss_fn)
     inner = _make_inner(h, dataset.features, dataset.labels, cost, loss_fn, grid)
-    return inner.query(rho)
+    return inner.query_profile([rho])[0]
 
 
 class Client:
@@ -559,18 +569,37 @@ class Client:
         return len(self._dataset)
 
     def query(self, h: Hypothesis, rho: float = 0.0) -> QueryValue:
-        """Answer one loss query; raises BudgetExceededError past the cap."""
-        if self.max_queries is not None and self._used >= self.max_queries:
-            raise BudgetExceededError(self.client_id, self.max_queries)
-        self._used += 1
-        if rho == 0.0:
-            qv = empirical_risk(h, self._dataset, self._loss_fn)
-        else:
-            qv = self._robust_query(h, rho)
-        self.audit_log.append({"client": self.client_id, **qv.to_json_dict()})
-        return qv
+        """Answer one loss query; raises BudgetExceededError past the cap and
+        ValueError for a negative or NaN rho."""
+        return self.query_profile(h, (rho,))[0]
 
-    def _robust_query(self, h: Hypothesis, rho: float) -> QueryValue:
+    def query_profile(self, h: Hypothesis, rhos) -> list[QueryValue]:
+        """Answer one loss query per radius, in order, each charged to the
+        budget and logged as ``query`` would.  A negative or NaN radius
+        raises ValueError before anything is charged.  When the budget runs
+        out partway, the radii that fit are answered and logged before
+        BudgetExceededError is raised."""
+        rhos = [float(r) for r in rhos]
+        for r in rhos:
+            if not r >= 0.0:
+                raise ValueError("rho must be nonnegative")
+        fit = len(rhos)
+        if self.max_queries is not None:
+            fit = max(0, min(fit, self.max_queries - self._used))
+        self._used += fit
+        answers = self._answers(h, rhos[:fit])
+        for qv in answers:
+            self.audit_log.append({"client": self.client_id, **qv.to_json_dict()})
+        if fit < len(rhos):
+            raise BudgetExceededError(self.client_id, self.max_queries)
+        return answers
+
+    def _answers(self, h: Hypothesis, rhos: list[float]) -> list[QueryValue]:
+        robust = [r for r in rhos if r != 0.0]
+        empirical = (empirical_risk(h, self._dataset, self._loss_fn)
+                     if len(robust) < len(rhos) else None)
+        if not robust:
+            return [empirical] * len(rhos)
         # the inner solver's precomputations depend only on h, reuse across radii
         key = h.cache_key()
         if self._inner_cache is None or self._inner_cache[0] != key:
@@ -579,4 +608,5 @@ class Client:
                 self._cost, self._loss_fn, self._grid,
             )
             self._inner_cache = (key, inner)
-        return self._inner_cache[1].query(rho)
+        answered = iter(self._inner_cache[1].query_profile(robust))
+        return [next(answered) if r != 0.0 else empirical for r in rhos]

@@ -11,7 +11,8 @@ maximizes the mean of per-client robust query values over per-client radii:
 where the floor covers the share of the budget any single client can absorb
 and the cap inflation pays for estimating the average cost from K clients.
 
-Each client is queried once per point of a fixed radius grid, and the
+Each client answers a fixed radius grid in one profile call
+(``Client.query_profile``), which charges one query per grid point, and the
 resulting profile is replaced by its concave upper envelope.  The envelope is
 exact at the grid points; between them it follows straight chords, which lie
 below the concave query curve they join (making it an upper bound is open,
@@ -106,7 +107,8 @@ def build_profiles(
 
     The top of the grid is the whole population budget concentrated on one
     client; the grid is log-spaced since the curves flatten quickly.  Each
-    grid point consumes one query from the client's budget.
+    client answers the grid in one ``query_profile`` call; each grid point
+    consumes one query from the client's budget.
     """
     if not clients:
         raise ValueError("at least one client required")
@@ -126,7 +128,7 @@ def build_profiles(
 
     profiles = []
     for c in clients:
-        answers = [c.query(h, float(r)) for r in grid]
+        answers = c.query_profile(h, grid)
         profiles.append(
             QvProfile(client_id=c.client_id, n_samples=c.n_samples,
                       rhos=grid.copy(), qvs=np.array([q.value for q in answers]),
@@ -139,25 +141,52 @@ def _waterfill(profiles: list[QvProfile], floor: float, mean_cap: float) -> Radi
     """Exact maximizer of the mean envelope value under the radius floor and
     mean cap: pour the spare budget onto hull segments in slope order."""
     K = len(profiles)
-    segs = []   # (client, left end, width, rise) of each rising hull segment
-    for i, p in enumerate(profiles):
-        lo = np.maximum(p.hull_x[:-1], floor)
-        segs += [(i, *s) for s in zip(lo, p.hull_x[1:] - lo, p.hull_y[1:] - p.envelope(lo))
-                 if s[1] > 0.0 and s[2] > 0.0]
-    segs = np.array(segs).reshape(-1, 4)
-    taken = GreedyFill(segs[:, 2], segs[:, 3]).taken(K * (mean_cap - floor))
+    # the hulls as rows, padded on the right (x = inf)
+    counts = np.array([len(p.hull_x) for p in profiles])
+    real = np.arange(counts.max()) < counts[:, None]
+    hx, hy = np.full(real.shape, np.inf), np.zeros(real.shape)
+    hx[real] = np.concatenate([p.hull_x for p in profiles])
+    hy[real] = np.concatenate([p.hull_y for p in profiles])
+    # every hull segment, client by client and left to right
+    seg = real[:, 1:]
+    client = np.nonzero(seg)[0]
+    x0, x1, y0, y1 = hx[:, :-1][seg], hx[:, 1:][seg], hy[:, :-1][seg], hy[:, 1:][seg]
+    lo = np.maximum(x0, floor)
+    width = x1 - lo
+    # the envelope at lo as np.interp finds it where the segment is kept
+    # (x0 <= lo < x1)
+    rise = y1 - np.where(lo == x0, y0, (y1 - y0) / (x1 - x0) * (lo - x0) + y0)
+    rising = (width > 0.0) & (rise > 0.0)
+    client, lo, width, rise = client[rising], lo[rising], width[rising], rise[rising]
+    taken = GreedyFill(width, rise).taken(K * (mean_cap - floor))
     # a client's segments fill left to right, so its radius ends in the
     # rightmost segment it touched
     rho = np.full(K, floor)
     used = taken > 0.0
-    np.maximum.at(rho, segs[used, 0].astype(int), segs[used, 1] + taken[used])
-    values = np.array([p.envelope(r) for p, r in zip(profiles, rho)])
+    np.maximum.at(rho, client[used], lo[used] + taken[used])
+    values = _interp_rows(rho, hx, hy, counts)
     return RadiusAllocation(
         rho=rho,
         mean_rho=float(np.mean(rho)),
         values=values,
         objective=float(np.mean(values)),
     )
+
+
+def _interp_rows(x: np.ndarray, hx: np.ndarray, hy: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """np.interp(x[k], hx[k], hy[k]) over the first counts[k] points of each
+    row, in one pass and with its arithmetic: flat beyond either end, exact
+    at a vertex, and slope * (x - left) + left value inside a segment."""
+    rows = np.arange(len(x))
+    j = np.count_nonzero(hx <= x[:, None], axis=1) - 1   # segment's left vertex
+    inside = (j >= 0) & (j < counts - 1)
+    left = np.maximum(j, 0)
+    right = np.where(inside, j + 1, left)
+    xl, xr, yl, yr = hx[rows, left], hx[rows, right], hy[rows, left], hy[rows, right]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        within = (yr - yl) / (xr - xl) * (x - xl) + yl
+    return np.where(inside & (x != xl), within, yl)
 
 
 def wass_mean_bound(

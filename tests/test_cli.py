@@ -314,6 +314,24 @@ def test_certify_outputs_and_golden_values(tmp_path):
         ["mean", "cdf", "fdiv-mean", "wass-mean"]
 
 
+def test_certify_summary_flags_vacuous_certificates(tmp_path):
+    cfgp = write_config(tmp_path)
+    out = tmp_path / "certs"
+    assert main(["certify", "--config", cfgp, "--out", str(out)]) == 0
+    entries = json.loads((out / "summary.json").read_text())["requests"]
+    mean, cdf, fdiv, wass_mean = entries
+    # the README config's transport certificate is vacuous: raw value 1.40
+    assert wass_mean["vacuous"] is True
+    assert wass_mean["raw_value"] == json.loads((out / "03_wass-mean.json").read_text())["raw_value"]
+    assert wass_mean["status"] == "optimal"
+    assert mean["vacuous"] is False and fdiv["vacuous"] is False
+    bounds = [float(row.split(",")[1]) for row in (out / "01_cdf.csv").read_text().splitlines()[1:]]
+    assert cdf["vacuous_thresholds"] == sum(b >= 1.0 for b in bounds) >= 1
+    assert set(cdf) == {"kind", "files", "vacuous_thresholds"}
+    # emit-plots reads the summary with its new fields
+    assert main(["emit-plots", "--out", str(out)]) == 0
+
+
 def test_certify_reruns_are_byte_identical(tmp_path):
     cfgp = write_config(tmp_path)
     assert main(["certify", "--config", cfgp, "--out", str(tmp_path / "c1")]) == 0

@@ -58,3 +58,32 @@ def test_split_on_a_middle_hull_segment():
     assert qv.value == 0.25 + 0.15625
     assert qv.gamma_star == 0.15625
     assert qv.status == "exact"
+
+
+def _scalar_fill(cost, gain, budget):
+    """The fill at one budget in Python floats, piece by piece: the
+    reference the one-search array call must match bit for bit."""
+    with np.errstate(divide="ignore"):
+        order = np.argsort(-(np.asarray(gain) / np.asarray(cost)), kind="stable")
+    cost, gain = np.asarray(cost)[order].tolist(), np.asarray(gain)[order].tolist()
+    paid = bought = 0.0
+    for c, g in zip(cost, gain):
+        if paid + c > budget:
+            return bought + g * (budget - paid) / c, g / c
+        paid, bought = paid + c, bought + g
+    return bought, 0.0
+
+
+def test_array_of_budgets_matches_the_scalar_fill_bit_for_bit():
+    rng = np.random.default_rng(np.random.SeedSequence(1501))
+    for trial in range(200):
+        m = int(rng.integers(0, 30))
+        cost = rng.exponential(1.0, m) * (rng.uniform(size=m) > 0.1)   # some free pieces
+        gain = rng.choice([1.0, 0.5, 0.25], m) if trial % 2 else rng.uniform(0.0, 1.0, m)
+        budgets = np.concatenate([[0.0], rng.uniform(0.0, 1.2 * cost.sum() + 1.0, 12),
+                                  np.cumsum(np.sort(cost))])   # exactly at piece ends too
+        fill = GreedyFill(cost, gain)
+        value, slope = fill(budgets)
+        want = [_scalar_fill(cost, gain, b) for b in budgets.tolist()]
+        assert list(zip(value.tolist(), slope.tolist())) == want
+        assert [fill(b) for b in budgets.tolist()] == want

@@ -721,9 +721,108 @@ def test_public_surface_exposes_no_samples():
     c, h = make_client()
     public = {a for a in dir(c) if not a.startswith("_")}
     assert public == {"client_id", "max_queries", "audit_log", "queries_used",
-                      "n_samples", "query"}
-    for name in public - {"query"}:
+                      "n_samples", "query", "query_profile"}
+    for name in public - {"query", "query_profile"}:
         val = getattr(c, name)
         assert not isinstance(val, (LocalDataset, np.ndarray))
-    out = c.query(h, 0.02)
-    assert set(vars(out)) <= {"value", "rho", "gamma_star", "inner_iterations", "status"}
+    for out in [c.query(h, 0.02), *c.query_profile(h, [0.0, 0.02, 0.5])]:
+        assert set(vars(out)) <= {"value", "rho", "gamma_star", "inner_iterations", "status"}
+        assert all(type(v) in (float, int, str) for v in vars(out).values())
+
+
+@pytest.mark.parametrize("rho", [-0.5, -1e-300, np.nan])
+def test_bad_radius_is_refused_before_the_budget_is_charged(rho):
+    c, h = make_client(max_queries=4)
+    for ask in (lambda: c.query(h, rho), lambda: c.query_profile(h, [0.0, 0.1, rho])):
+        with pytest.raises(ValueError):
+            ask()
+    assert c.queries_used == 0 and c.audit_log == []
+    with pytest.raises(ValueError):
+        adversarial_risk(h, c._dataset, rho)
+
+
+def _route_clients(max_queries=None):
+    """(client factory, hypothesis) for the flip, grid, score-line and
+    ascent routes."""
+    rng = np.random.default_rng(np.random.SeedSequence(1401))
+    X = rng.normal(size=(20, 2)) * 1.5
+    y = rng.integers(0, 2, size=20)
+    grid = np.stack(np.meshgrid(*[np.linspace(-3, 3, 7)] * 2), -1).reshape(-1, 2)
+    logistic = Hypothesis(kind=LOGISTIC, weights=np.array([0.8, -1.3]), bias=0.2)
+    linear = Hypothesis(kind=LINEAR, weights=np.array([[0.4, -0.2], [-0.9, 0.5]]),
+                        bias=np.array([0.1, -0.1]))
+    ds = dataset(X, y)
+    on_grid = dataset(grid[np.argmin(COST.pairwise(X, grid), axis=1)], y)
+    return {
+        "flip": (lambda: Client(0, ds, LossFn(ZERO_ONE), max_queries=max_queries), logistic),
+        "grid": (lambda: Client(0, on_grid, LossFn(ZERO_ONE), max_queries=max_queries,
+                                grid=grid), logistic),
+        "score-line": (lambda: Client(0, ds, LossFn(CROSS_ENTROPY), max_queries=max_queries,
+                                      cost=TransportCost("l2")), logistic),
+        "ascent": (lambda: Client(0, ds, LossFn(CROSS_ENTROPY), max_queries=max_queries),
+                   linear),
+    }
+
+
+_PROFILE_RHOS = [0.0, 1e-3, 0.05, 0.05, 0.0, 0.3, 2.0]
+
+
+@pytest.mark.parametrize("route", ["flip", "grid", "score-line", "ascent"])
+def test_query_profile_matches_a_per_radius_loop(route):
+    make, h = _route_clients()[route]
+    rhos = _PROFILE_RHOS if route != "ascent" else [0.0, 0.05, 0.0, 0.3]
+    looped, batched = make(), make()
+    want = [looped.query(h, r) for r in rhos]
+    got = batched.query_profile(h, np.array(rhos))
+    assert got == want   # value, rho, gamma_star, inner_iterations and status
+    assert batched.audit_log == looped.audit_log
+    assert batched.queries_used == looped.queries_used == len(rhos)
+    assert {q.status for q in got[1:] if q.rho > 0} == {
+        "flip": {"exact"}, "grid": {"exact"}, "score-line": {"bound"},
+        "ascent": {"iterative"}}[route]
+
+
+@pytest.mark.parametrize("route", ["flip", "ascent"])
+def test_query_profile_answers_what_fits_when_the_budget_runs_out(route):
+    make, h = _route_clients(max_queries=4)[route]
+    rhos = [0.05, 0.0, 0.3, 2.0, 0.5]
+    looped, batched = make(), make()
+    looped.query(h, 0.0)
+    batched.query(h, 0.0)
+    with pytest.raises(BudgetExceededError):
+        for r in rhos:
+            looped.query(h, r)
+    with pytest.raises(BudgetExceededError):
+        batched.query_profile(h, rhos)
+    assert batched.queries_used == looped.queries_used == 4
+    assert batched.audit_log == looped.audit_log
+    assert [e["rho"] for e in batched.audit_log] == [0.0, 0.05, 0.0, 0.3]
+    # an exhausted budget answers nothing, and an empty profile costs nothing
+    assert batched.query_profile(h, []) == []
+    with pytest.raises(BudgetExceededError):
+        batched.query_profile(h, [0.0])
+    assert batched.queries_used == 4 and len(batched.audit_log) == 4
+
+
+@pytest.mark.parametrize("h", [
+    Hypothesis(kind=LOGISTIC, weights=np.array([1.0, -1.0]), bias=0.2),
+    Hypothesis(kind=LINEAR, weights=np.array([[0.4, -0.2], [-0.9, 0.5]]),
+               bias=np.array([0.1, -0.1])),
+], ids=["logistic", "binary-linear"])
+def test_flip_build_makes_one_model_pass(monkeypatch, h):
+    c, _ = make_client()
+    passes = []
+    scores = Hypothesis.scores
+
+    def counted(self, Xq):
+        passes.append(len(Xq))
+        return scores(self, Xq)
+
+    monkeypatch.setattr(Hypothesis, "scores", counted)
+    first = c.query(h, 0.1)
+    assert passes == [c.n_samples]
+    del passes[:]
+    c.query_profile(h, [0.01, 0.5, 2.0])
+    assert passes == []
+    monkeypatch.undo()
+    assert first == adversarial_risk(h, c._dataset, 0.1)

@@ -17,6 +17,7 @@ from fedcert import (
     empirical_risk,
 )
 from fedcert import wass
+from fedcert.concave import GreedyFill
 from fedcert.losses import CROSS_ENTROPY, LINEAR, LOGISTIC
 from fedcert.oracle import wass_alloc_grid_oracle
 from fedcert.wass import (
@@ -118,6 +119,43 @@ def test_waterfill_matches_grid_oracle():
         assert np.allclose(alloc.values, want)
 
 
+def _looped_waterfill(profiles, floor, mean_cap):
+    """The water-fill with its segment table built one profile at a time
+    and each envelope evaluated on its own: the reference the array build
+    must match bit for bit."""
+    K = len(profiles)
+    segs = []
+    for i, p in enumerate(profiles):
+        lo = np.maximum(p.hull_x[:-1], floor)
+        segs += [(i, *s) for s in zip(lo, p.hull_x[1:] - lo, p.hull_y[1:] - p.envelope(lo))
+                 if s[1] > 0.0 and s[2] > 0.0]
+    segs = np.array(segs).reshape(-1, 4)
+    taken = GreedyFill(segs[:, 2], segs[:, 3]).taken(K * (mean_cap - floor))
+    rho = np.full(K, floor)
+    used = taken > 0.0
+    np.maximum.at(rho, segs[used, 0].astype(int), segs[used, 1] + taken[used])
+    return rho, np.array([p.envelope(r) for p, r in zip(profiles, rho)])
+
+
+def test_waterfill_matches_the_per_profile_loop_bit_for_bit():
+    rng = np.random.default_rng(np.random.SeedSequence(814))
+    for trial in range(200):
+        K = int(rng.integers(1, 8))
+        profiles = []
+        for cid in range(K):
+            x = np.unique(rng.uniform(0.0, 2.0, int(rng.integers(1, 10))))
+            y = np.cumsum(rng.uniform(0.0, 0.2, len(x))) * (trial % 9 != 0)
+            profiles.append(QvProfile(client_id=cid, n_samples=10, rhos=x, qvs=y))
+        # floors below, inside and past the grids
+        floor = float(rng.uniform(-0.2, 2.2))
+        cap = floor + float(rng.exponential(0.5))
+        alloc = wass._waterfill(profiles, floor, cap)
+        rho, values = _looped_waterfill(profiles, floor, cap)
+        assert alloc.rho.tolist() == rho.tolist()
+        assert alloc.values.tolist() == values.tolist()
+        assert alloc.objective == float(np.mean(values))
+
+
 def test_wass_mean_bound_waterfills_once(monkeypatch):
     rng = np.random.default_rng(np.random.SeedSequence(813))
     clients = make_clients(rng, 4, 30)
@@ -173,6 +211,23 @@ def test_build_profiles_grid_and_query_accounting():
         assert len(p.rhos) <= 16
         assert c.queries_used == len(p.rhos)
         assert p.n_samples == 25
+
+
+def test_build_profiles_asks_each_client_once(monkeypatch):
+    from fedcert import query
+    rng = np.random.default_rng(np.random.SeedSequence(808))
+    clients = make_clients(rng, 3, 25)
+    keys, builds = [], []
+    cache_key, make_inner = Hypothesis.cache_key, query._make_inner
+    monkeypatch.setattr(Hypothesis, "cache_key",
+                        lambda self: keys.append(1) or cache_key(self))
+    monkeypatch.setattr(query, "_make_inner",
+                        lambda *args: builds.append(1) or make_inner(*args))
+    profiles = build_profiles(clients, H, 0.09, 0.1, grid_size=16)
+    assert len(keys) == len(builds) == 3
+    for c, p in zip(clients, profiles):
+        assert c.queries_used == len(c.audit_log) == len(p.rhos) == 16
+        assert [e["rho"] for e in c.audit_log] == p.rhos.tolist()
 
 
 def test_build_profiles_budget_exhaustion():
