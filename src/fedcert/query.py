@@ -2,9 +2,10 @@
 
 The server learns about a client only through ``Client.query(h, rho)``, which
 returns a single scalar summary (plus solver metadata), and
-``Client.query_profile(h, rhos)``, which answers a radius vector in one call
-as that many queries: one scalar answer, one audit entry and one unit of the
-query budget per radius.  At rho = 0 the answer is the plain empirical risk;
+``Client.query_profile(h, rhos)``, which computes a radius vector's answers
+in one call and passes each through ``query``: one scalar answer, one audit
+entry and one unit of the query budget per radius.  A query is charged once
+answered.  At rho = 0 the answer is the plain empirical risk;
 at rho > 0 it is the worst-case risk over all data distributions within
 transport cost rho of the client's empirical sample,
 
@@ -13,8 +14,8 @@ transport cost rho of the client's empirical sample,
 
 with the minimizing gamma known to lie in [0, 1/rho] for losses in [0, 1].
 A negative or NaN radius is refused.  Each inner solver is built once per
-hypothesis and answers ``query_profile(rhos)``; the route is chosen from the
-loss/hypothesis pair:
+hypothesis and answers ``query(rho)`` and ``query_profile(rhos)``; the route
+is chosen from the loss/hypothesis pair:
 
   * zero-one loss with a binary linear rule on continuous features: a
     correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
@@ -169,7 +170,7 @@ class QueryValue:
 def empirical_risk(h: Hypothesis, dataset: LocalDataset, loss_fn: LossFn) -> QueryValue:
     vals = loss_values(loss_fn, h, dataset.features, dataset.labels)
     return QueryValue(
-        value=float(vals.mean()), rho=0.0, gamma_star=0.0,
+        value=float(np.mean(vals)), rho=0.0, gamma_star=0.0,
         inner_iterations=0, status="exact",
     )
 
@@ -184,8 +185,15 @@ class _FillInner:
 
     _status = "exact"
 
+    def query(self, rho: float) -> QueryValue:
+        gain, slope = self._fill(self._n * rho)
+        return QueryValue(value=float(np.clip((self._base + gain) / self._n, 0.0, 1.0)),
+                          rho=float(rho), gamma_star=slope, inner_iterations=1,
+                          status=self._status)
+
     def query_profile(self, rhos) -> list[QueryValue]:
-        """One answer per radius, all from one fill call."""
+        """``query`` at each radius, with the same arithmetic, from one fill
+        call."""
         rhos = np.asarray(rhos, dtype=float)
         gain, slope = self._fill(self._n * rhos)
         values = np.clip((self._base + gain) / self._n, 0.0, 1.0)
@@ -208,19 +216,20 @@ class _GridInner(_FillInner):
         self._args = (h, np.atleast_2d(X), np.asarray(y),
                       np.atleast_2d(np.asarray(grid, dtype=float)), cost, loss_fn)
         C, L, on_table = _grid_candidates(*self._args)
-        self._fill = None
+        self._n = len(L)
         if on_table:
-            self._n = len(L)
             self._base, self._fill = _hull_fill([(C, L)])
+        else:
+            self._fill = _off_table
 
     def phi(self, gamma: float) -> np.ndarray:
         C, L, _ = _grid_candidates(*self._args)
         return np.max(L - gamma * C, axis=1)
 
-    def query_profile(self, rhos) -> list[QueryValue]:
-        if self._fill is None:
-            raise ValueError("lookup-table data must lie on the table's grid")
-        return super().query_profile(rhos)
+
+def _off_table(budget):
+    """The fill of lookup data off its table, which has no robust answer."""
+    raise ValueError("lookup-table data must lie on the table's grid")
 
 
 def _grid_candidates(h, X, labels, grid, cost, loss_fn):
@@ -530,7 +539,7 @@ def adversarial_risk(
     if rho == 0.0:
         return empirical_risk(h, dataset, loss_fn)
     inner = _make_inner(h, dataset.features, dataset.labels, cost, loss_fn, grid)
-    return inner.query_profile([rho])[0]
+    return inner.query(rho)
 
 
 class Client:
@@ -568,17 +577,36 @@ class Client:
     def n_samples(self) -> int:
         return len(self._dataset)
 
-    def query(self, h: Hypothesis, rho: float = 0.0) -> QueryValue:
-        """Answer one loss query; raises BudgetExceededError past the cap and
-        ValueError for a negative or NaN rho."""
-        return self.query_profile(h, (rho,))[0]
+    def query(self, h: Hypothesis, rho: float = 0.0, *,
+              _answer: QueryValue | None = None) -> QueryValue:
+        """Answer one loss query; raises ValueError for a negative or NaN rho
+        and BudgetExceededError past the cap.  The query is charged and
+        logged once answered, so a query the inner solver refuses uses no
+        budget.  ``query_profile`` passes in the answers it computed, so
+        every answer that leaves the client is charged and logged here."""
+        if not rho >= 0.0:
+            raise ValueError("rho must be nonnegative")
+        if self.max_queries is not None and self._used >= self.max_queries:
+            raise BudgetExceededError(self.client_id, self.max_queries)
+        if _answer is not None:
+            qv = _answer
+        elif rho == 0.0:
+            qv = empirical_risk(h, self._dataset, self._loss_fn)
+        else:
+            qv = self._inner(h).query(rho)
+        self._used += 1
+        self.audit_log.append({"client": self.client_id, **qv.to_json_dict()})
+        return qv
 
     def query_profile(self, h: Hypothesis, rhos) -> list[QueryValue]:
-        """Answer one loss query per radius, in order, each charged to the
-        budget and logged as ``query`` would.  A negative or NaN radius
-        raises ValueError before anything is charged.  When the budget runs
-        out partway, the radii that fit are answered and logged before
-        BudgetExceededError is raised."""
+        """Answer one loss query per radius, in order: the answers come from
+        one hypothesis key, one inner solver and one fill call, and each
+        then goes through ``query``, which charges and logs it.  So the
+        budget and the audit log end as a loop of ``query`` calls leaves
+        them: when the budget runs out partway, the radii that fit are
+        answered and logged before BudgetExceededError is raised.  A
+        negative or NaN radius, or a vector the inner solver refuses, is
+        refused whole, before anything is charged."""
         rhos = [float(r) for r in rhos]
         for r in rhos:
             if not r >= 0.0:
@@ -586,13 +614,9 @@ class Client:
         fit = len(rhos)
         if self.max_queries is not None:
             fit = max(0, min(fit, self.max_queries - self._used))
-        self._used += fit
-        answers = self._answers(h, rhos[:fit])
-        for qv in answers:
-            self.audit_log.append({"client": self.client_id, **qv.to_json_dict()})
-        if fit < len(rhos):
-            raise BudgetExceededError(self.client_id, self.max_queries)
-        return answers
+        # past the budget there is no answer, and query raises before answering
+        answers = self._answers(h, rhos[:fit]) + [None] * (len(rhos) - fit)
+        return [self.query(h, r, _answer=qv) for r, qv in zip(rhos, answers)]
 
     def _answers(self, h: Hypothesis, rhos: list[float]) -> list[QueryValue]:
         robust = [r for r in rhos if r != 0.0]
@@ -600,6 +624,10 @@ class Client:
                      if len(robust) < len(rhos) else None)
         if not robust:
             return [empirical] * len(rhos)
+        answered = iter(self._inner(h).query_profile(robust))
+        return [next(answered) if r != 0.0 else empirical for r in rhos]
+
+    def _inner(self, h: Hypothesis) -> _FillInner | _AscentInner:
         # the inner solver's precomputations depend only on h, reuse across radii
         key = h.cache_key()
         if self._inner_cache is None or self._inner_cache[0] != key:
@@ -608,5 +636,4 @@ class Client:
                 self._cost, self._loss_fn, self._grid,
             )
             self._inner_cache = (key, inner)
-        answered = iter(self._inner_cache[1].query_profile(robust))
-        return [next(answered) if r != 0.0 else empirical for r in rhos]
+        return self._inner_cache[1]

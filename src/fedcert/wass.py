@@ -141,16 +141,12 @@ def _waterfill(profiles: list[QvProfile], floor: float, mean_cap: float) -> Radi
     """Exact maximizer of the mean envelope value under the radius floor and
     mean cap: pour the spare budget onto hull segments in slope order."""
     K = len(profiles)
-    # the hulls as rows, padded on the right (x = inf)
-    counts = np.array([len(p.hull_x) for p in profiles])
-    real = np.arange(counts.max()) < counts[:, None]
-    hx, hy = np.full(real.shape, np.inf), np.zeros(real.shape)
-    hx[real] = np.concatenate([p.hull_x for p in profiles])
-    hy[real] = np.concatenate([p.hull_y for p in profiles])
     # every hull segment, client by client and left to right
-    seg = real[:, 1:]
-    client = np.nonzero(seg)[0]
-    x0, x1, y0, y1 = hx[:, :-1][seg], hx[:, 1:][seg], hy[:, :-1][seg], hy[:, 1:][seg]
+    client = np.repeat(np.arange(K), [len(p.hull_x) - 1 for p in profiles])
+    x0 = np.concatenate([p.hull_x[:-1] for p in profiles])
+    x1 = np.concatenate([p.hull_x[1:] for p in profiles])
+    y0 = np.concatenate([p.hull_y[:-1] for p in profiles])
+    y1 = np.concatenate([p.hull_y[1:] for p in profiles])
     lo = np.maximum(x0, floor)
     width = x1 - lo
     # the envelope at lo as np.interp finds it where the segment is kept
@@ -164,29 +160,13 @@ def _waterfill(profiles: list[QvProfile], floor: float, mean_cap: float) -> Radi
     rho = np.full(K, floor)
     used = taken > 0.0
     np.maximum.at(rho, client[used], lo[used] + taken[used])
-    values = _interp_rows(rho, hx, hy, counts)
+    values = np.array([p.envelope(r) for p, r in zip(profiles, rho)])
     return RadiusAllocation(
         rho=rho,
         mean_rho=float(np.mean(rho)),
         values=values,
         objective=float(np.mean(values)),
     )
-
-
-def _interp_rows(x: np.ndarray, hx: np.ndarray, hy: np.ndarray,
-                 counts: np.ndarray) -> np.ndarray:
-    """np.interp(x[k], hx[k], hy[k]) over the first counts[k] points of each
-    row, in one pass and with its arithmetic: flat beyond either end, exact
-    at a vertex, and slope * (x - left) + left value inside a segment."""
-    rows = np.arange(len(x))
-    j = np.count_nonzero(hx <= x[:, None], axis=1) - 1   # segment's left vertex
-    inside = (j >= 0) & (j < counts - 1)
-    left = np.maximum(j, 0)
-    right = np.where(inside, j + 1, left)
-    xl, xr, yl, yr = hx[rows, left], hx[rows, right], hy[rows, left], hy[rows, right]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        within = (yr - yl) / (xr - xl) * (x - xl) + yl
-    return np.where(inside & (x != xl), within, yl)
 
 
 def wass_mean_bound(

@@ -804,6 +804,21 @@ def test_query_profile_answers_what_fits_when_the_budget_runs_out(route):
     assert batched.queries_used == 4 and len(batched.audit_log) == 4
 
 
+def test_a_refused_query_uses_no_budget():
+    """The score-line route refuses cross-entropy labels outside {0, 1}: the
+    query raises before it is charged, and a profile is refused whole, its
+    leading rho = 0 too, where a loop would answer that one first."""
+    h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
+    c = Client(0, dataset([[0.0], [1.0]], [0.0, 0.5]), LossFn(CROSS_ENTROPY),
+               max_queries=3)
+    for ask in (lambda: c.query(h, 0.1), lambda: c.query_profile(h, [0.0, 0.1])):
+        with pytest.raises(ValueError):
+            ask()
+    assert c.queries_used == 0 and c.audit_log == []
+    assert c.query(h, 0.0) == empirical_risk(h, c._dataset, LossFn(CROSS_ENTROPY))
+    assert c.queries_used == 1 and len(c.audit_log) == 1
+
+
 @pytest.mark.parametrize("h", [
     Hypothesis(kind=LOGISTIC, weights=np.array([1.0, -1.0]), bias=0.2),
     Hypothesis(kind=LINEAR, weights=np.array([[0.4, -0.2], [-0.9, 0.5]]),

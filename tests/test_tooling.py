@@ -5,7 +5,7 @@ from pathlib import Path
 ORACLE = Path(__file__).resolve().parents[1] / "src" / "fedcert" / "oracle.py"
 
 # the solution code of the solvers the oracles cross-check
-SOLVER_NAMES = {"GreedyFill", "upper_hull", "_waterfill", "_interp_rows", "solve_reweight",
+SOLVER_NAMES = {"GreedyFill", "upper_hull", "_waterfill", "solve_reweight",
                 "_alpha_star", "_block_values", "_exact_tau", "_kl_split",
                 "_chi2_split", "_eta_root", "_dual_value", "_lp_vertex",
                 "_ScoreLineInner", "_staircase", "_line_sides", "_rising_score", "_hull_fill"}

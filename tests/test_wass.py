@@ -120,9 +120,9 @@ def test_waterfill_matches_grid_oracle():
 
 
 def _looped_waterfill(profiles, floor, mean_cap):
-    """The water-fill with its segment table built one profile at a time
-    and each envelope evaluated on its own: the reference the array build
-    must match bit for bit."""
+    """The water-fill with its segment table built as Python tuples, one
+    profile at a time: the reference the array build must match bit for
+    bit."""
     K = len(profiles)
     segs = []
     for i, p in enumerate(profiles):
