@@ -8,6 +8,10 @@ Four subcommands drive the whole pipeline from one JSON config:
   verify       Monte-Carlo coverage and tightness checks
   emit-plots   join certificates with target curves into tidy CSVs
 
+What a certificate kind means, its bound function and the shifted target
+world it declares, lives in ``oracle`` (``issue_certificate``,
+``target_world``); this module reads configs, checks them and writes files.
+
 Every run is a pure function of (config, seed): JSON keys are sorted, CSV
 floats use repr-exact formatting, and nothing records timestamps, so reruns
 are byte-identical.
@@ -28,37 +32,33 @@ import jsonschema
 import numpy as np
 
 from .certificates import CdfCurve
-from .fdiv import fdiv_cdf_bound, fdiv_mean_bound
-from .losses import Hypothesis, LossFn, ZERO_ONE, LOSS_KINDS
+from .losses import LINEAR, LOOKUP, LOSS_KINDS, ZERO_ONE, Hypothesis, LossFn
 from .metasim import (
     MetaConfig,
     export_world,
     generate_dataset,
     load_world,
     sample_clients,
-    shift_meta_fdiv,
-    shift_meta_wass,
     tilt_divergence_limit,
-    tilt_for_divergence,
 )
-from .nonrobust import cdf_bound, mean_bound
 from .oracle import (
-    adversarial_directions,
+    BOUND_KINDS,
+    CURVE_KINDS,
+    FDIV_KINDS,
+    TIGHTNESS_KINDS,
     coverage_experiment,
+    issue_certificate,
+    lambda_grid,
     sample_true_risks,
+    target_world,
     tightness_probe,
 )
 from .query import BudgetExceededError, Client, TransportCost, HALF_SQ, PLAIN_L2
-from .wass import DEFAULT_GRID_SIZE, wass_mean_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_BUDGET = 3
-
-_BOUND_KINDS = ("mean", "cdf", "fdiv-mean", "fdiv-cdf", "wass-mean")
-_CURVE_KINDS = ("cdf", "fdiv-cdf")
-_FDIV_KINDS = ("fdiv-mean", "fdiv-cdf")
 
 PLOTS_HEADER = ["lambda", "empirical", "bound", "kind"]
 
@@ -92,7 +92,7 @@ def _when_kind(kinds, then: dict) -> dict:
 
 
 _REQUEST_PROPERTIES = {
-    "kind": {"enum": list(_BOUND_KINDS)},
+    "kind": {"enum": list(BOUND_KINDS)},
     "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
     "epsilon": {"type": "number", "minimum": 0},
     "f_name": {"enum": ["kl", "chi-square"]},
@@ -167,7 +167,7 @@ CONFIG_SCHEMA = {
                 },
                 "additionalProperties": False,
                 "allOf": [
-                    _when_kind(_FDIV_KINDS, {"required": ["epsilon", "f_name"]}),
+                    _when_kind(FDIV_KINDS, {"required": ["epsilon", "f_name"]}),
                     _WASS_NEEDS_EPSILON,
                 ],
             },
@@ -185,7 +185,7 @@ CONFIG_SCHEMA = {
                         "required": ["kind"],
                         "properties": _REQUEST_PROPERTIES,
                         "additionalProperties": False,
-                        "allOf": [_when_kind(_FDIV_KINDS, {"required": ["f_name"]}),
+                        "allOf": [_when_kind(FDIV_KINDS, {"required": ["f_name"]}),
                                   _WASS_NEEDS_EPSILON],
                     },
                 },
@@ -193,7 +193,7 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "required": ["bound_kind", "K_schedule", "n_schedule"],
                     "properties": {
-                        "bound_kind": {"enum": ["mean", "fdiv-mean"]},
+                        "bound_kind": {"enum": list(TIGHTNESS_KINDS)},
                         "K_schedule": _SCHEDULE_SCHEMA,
                         "n_schedule": _SCHEDULE_SCHEMA,
                         "trials": {"type": "integer", "minimum": 1},
@@ -220,7 +220,7 @@ _SUMMARY_SCHEMA = {
                 "type": "object",
                 "required": ["kind", "files"],
                 "properties": {
-                    "kind": {"enum": list(_BOUND_KINDS)},
+                    "kind": {"enum": list(BOUND_KINDS)},
                     "files": {
                         "type": "object",
                         "required": ["certificate", "target"],
@@ -232,7 +232,7 @@ _SUMMARY_SCHEMA = {
                     "vacuous": {"type": "boolean"},
                     "vacuous_thresholds": {"type": "integer", "minimum": 0},
                 },
-                "allOf": [_when_kind(_CURVE_KINDS,
+                "allOf": [_when_kind(CURVE_KINDS,
                                      {"properties": {"files": {"required": ["curve"]}}})],
             },
         },
@@ -284,8 +284,6 @@ def _model_from_config(cfg: dict, world: MetaConfig) -> Hypothesis:
     md = cfg["model"]
     if "from_world" in md:
         opts = md["from_world"] or {}
-        if world.n_classes != 2:
-            raise ConfigError("from_world models need a binary world")
         if world.archetypes is not None:
             w = np.asarray(world.archetype_weights, dtype=float)
             means = np.stack([a.class_means for a in world.archetypes])
@@ -304,14 +302,7 @@ def _model_from_config(cfg: dict, world: MetaConfig) -> Hypothesis:
         raise ConfigError(f"model config rejected: {exc}") from exc
 
 
-def _lambda_grid(req: dict) -> np.ndarray:
-    spec = req.get("lambda_grid", {"start": 0.0, "stop": 1.0, "num": 50})
-    if isinstance(spec, dict):
-        return np.linspace(spec["start"], spec["stop"], spec["num"])
-    return np.asarray(spec, dtype=float)
-
-
-def _build_clients(cfg: dict, world: MetaConfig):
+def _build_clients(cfg: dict, world: MetaConfig) -> tuple[list[Client], TransportCost]:
     data = cfg["data"]
     query_cfg = cfg.get("query", {})
     loss_fn = LossFn(query_cfg.get("loss", ZERO_ONE))
@@ -329,29 +320,43 @@ def _build_clients(cfg: dict, world: MetaConfig):
                cost=cost, max_queries=data.get("max_queries"), grid=grid)
         for ds in datasets
     ]
-    return clients, loss_fn, cost
+    return clients, cost
 
 
-def _target_world(world: MetaConfig, req: dict, h: Hypothesis, cost_kind: str) -> MetaConfig:
-    """The shifted meta-distribution a certificate of this kind declares;
-    transport moves it within ``epsilon`` under the queries' cost."""
-    kind = req["kind"]
-    eps = float(req.get("epsilon", 0.0))
-    if kind in ("mean", "cdf") or eps == 0.0:
-        return world
-    if kind in ("fdiv-mean", "fdiv-cdf"):
-        tilt = tilt_for_divergence(world, req["f_name"], eps)
-        return shift_meta_fdiv(world, tilt)[0]
-    shifted, _ = shift_meta_wass(world, eps, adversarial_directions(world, h), cost_kind)
-    return shifted
-
-
-def _check_inputs(cfg: dict, world: MetaConfig) -> None:
-    """The config rules the schema cannot see: divergence kinds (a tightness
-    probe's included) need a world with archetypes and a budget below what
-    the archetype tilt can reach, a world directory must hold a manifest, and
-    the tightness schedules must be aligned and nondecreasing."""
+def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
+    """The config rules the schema cannot see.  The targets are exact
+    zero-one risks, so the world must be binary, the model a binary linear
+    or logistic rule of the world's width, and the query loss zero-one; the
+    coverage trials query under the half-squared cost with no grid, so a
+    wass-mean verify kind refuses any other ``query`` setting.  Divergence
+    kinds (a tightness probe's included) need a world with archetypes and a
+    budget below what the archetype tilt can reach, a world directory must
+    hold a manifest, and the tightness schedules must be aligned and
+    nondecreasing."""
+    if world.n_classes != 2:
+        raise ConfigError("config error at $.world.n_classes: certify and verify "
+                          "need a binary world")
+    if h.kind == LOOKUP:
+        raise ConfigError(f"config error at $.model.kind: {h.kind!r} has no exact "
+                          "target risks; use a binary linear or logistic rule")
+    if h.kind == LINEAR and h.n_classes != 2:
+        raise ConfigError(f"config error at $.model.weights: {h.n_classes} rows; "
+                          "a linear-classifier needs one row per class of a binary world")
+    if h.n_features != world.dim:
+        raise ConfigError(f"config error at $.model.weights: {h.n_features} features "
+                          f"for a world of dim {world.dim}")
     verify = cfg.get("verify", {})
+    query = cfg.get("query", {})
+    if query.get("loss", ZERO_ONE) != ZERO_ONE:
+        raise ConfigError("config error at $.query.loss: certificates and their "
+                          "targets are wired for the zero-one loss")
+    wass = [i for i, e in enumerate(verify.get("kinds", [])) if e["kind"] == "wass-mean"]
+    for key, ignored in (("cost", query.get("cost", HALF_SQ) != HALF_SQ),
+                         ("grid", "grid" in query)):
+        if wass and ignored:
+            raise ConfigError(f"config error at $.query.{key}: the coverage trials of "
+                              f"$.verify.kinds[{wass[0]}] query under the half-squared "
+                              "cost with no grid")
     requests = [(f"certificates[{i}]", req, req["kind"])
                 for i, req in enumerate(cfg["certificates"])]
     requests += [(f"verify.kinds[{i}]", req, req["kind"])
@@ -360,7 +365,7 @@ def _check_inputs(cfg: dict, world: MetaConfig) -> None:
         tc = verify["tightness"]
         requests.append(("verify.tightness", tc, tc["bound_kind"]))
     for where, req, kind in requests:
-        if kind not in _FDIV_KINDS:
+        if kind not in FDIV_KINDS:
             continue
         if world.archetypes is None:
             raise ConfigError(f"config error at $.{where}: kind {kind!r} "
@@ -401,11 +406,8 @@ def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     world = _world_from_config(cfg, args.seed)
     h = _model_from_config(cfg, world)
-    _check_inputs(cfg, world)
-    clients, loss_fn, cost = _build_clients(cfg, world)
-    if loss_fn.kind != ZERO_ONE:
-        # target curves use exact risks, which exist for the zero-one loss
-        raise ConfigError("certify pipelines are wired for the zero-one loss")
+    _check_inputs(cfg, world, h)
+    clients, cost = _build_clients(cfg, world)
 
     qv = np.array([c.query(h, 0.0).value for c in clients])
     ns = np.array([c.n_samples for c in clients])
@@ -415,33 +417,17 @@ def cmd_certify(args) -> int:
     results = []
     for i, req in enumerate(cfg["certificates"]):
         kind = req["kind"]
-        delta = float(req["delta"])
-
-        if kind == "mean":
-            result = mean_bound(qv, ns, delta)
-        elif kind == "fdiv-mean":
-            result = fdiv_mean_bound(qv, ns, delta, float(req["epsilon"]), req["f_name"])
-        elif kind == "wass-mean":
-            result = wass_mean_bound(
-                clients, h, float(req["epsilon"]), delta,
-                grid_size=int(req.get("grid_size", DEFAULT_GRID_SIZE)),
-            )
-        elif kind == "cdf":
-            result = cdf_bound(qv, ns, delta, _lambda_grid(req))
-        else:
-            result = fdiv_cdf_bound(
-                qv, ns, delta, float(req["epsilon"]), req["f_name"], _lambda_grid(req),
-                gap_constant=float(req.get("gap_constant", 1.0)),
-            )
+        result = issue_certificate(kind, req, qv, ns, clients, h)
 
         # empirical target curve: exact risks of fresh clients drawn from the
         # world this certificate declares (shifted when epsilon > 0)
-        target = _target_world(world, req, h, cost.kind)
+        target = target_world(world, kind, float(req.get("epsilon", 0.0)), h,
+                              req.get("f_name"), cost.kind)
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence([world.seed, 777, i])))
         risks = sample_true_risks(target, int(req.get("target_clients", 2000)), h, rng)
-        if kind in _CURVE_KINDS:
-            rows = [[_fmt(lam), _fmt(np.mean(risks >= lam))] for lam in _lambda_grid(req)]
+        if kind in CURVE_KINDS:
+            rows = [[_fmt(lam), _fmt(np.mean(risks >= lam))] for lam in lambda_grid(req)]
         else:
             rows = [["", _fmt(np.mean(risks))]]
         results.append((f"{i:02d}_{kind}", kind, result, rows))
@@ -452,14 +438,14 @@ def cmd_certify(args) -> int:
     for stem, kind, result, rows in results:
         files = {"certificate": f"{stem}.json", "target": f"{stem}_target.csv"}
         result.write_json(out / files["certificate"])
-        if kind in _CURVE_KINDS:
+        if kind in CURVE_KINDS:
             files["curve"] = f"{stem}.csv"
             result.write_csv(out / files["curve"])
         with open(out / files["target"], "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["lambda", "empirical"])
             wr.writerows(rows)
-        if kind in _CURVE_KINDS:
+        if kind in CURVE_KINDS:
             flags = {"vacuous_thresholds": int(np.count_nonzero(result.bounds >= 1.0))}
         else:
             flags = {"status": result.status, "raw_value": result.raw_value,
@@ -485,28 +471,20 @@ def cmd_verify(args) -> int:
         raise ConfigError("config has no 'verify' section")
     world = _world_from_config(cfg, args.seed)
     h = _model_from_config(cfg, world)
-    _check_inputs(cfg, world)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_inputs(cfg, world, h)
     vc = cfg["verify"]
     trials = int(args.trials if args.trials is not None else vc.get("trials", 50))
+    if trials < 1:
+        raise ConfigError(f"config error at $.verify.trials: --trials {trials} is below 1")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     all_passed = True
     for i, entry in enumerate(vc.get("kinds", [])):
         kind = entry["kind"]
         bound_kind = "cdf-curve" if kind == "cdf" else kind
-        params = {
-            "h": h,
-            "K": cfg["data"]["K"],
-            "n_k": cfg["data"]["n_k"],
-            "delta": entry.get("delta", 0.1),
-            "epsilon": entry.get("epsilon", 0.0),
-            "target_clients": vc.get("target_clients", 2000),
-        }
-        if "f_name" in entry:
-            params["f_name"] = entry["f_name"]
-        if "lambda_grid" in entry:
-            params["lambda_grid"] = _lambda_grid(entry)
+        params = {**entry, "h": h, "K": cfg["data"]["K"], "n_k": cfg["data"]["n_k"],
+                  "target_clients": vc.get("target_clients", 2000)}
         report = coverage_experiment(world, bound_kind, params, trials,
                                      seed=world.seed, jobs=args.jobs)
         report.write_json(out / f"coverage_{i:02d}_{kind}.json")
@@ -520,12 +498,7 @@ def cmd_verify(args) -> int:
         rows = tightness_probe(
             world, tc["bound_kind"], tc["K_schedule"], tc["n_schedule"],
             int(tc.get("trials", 20)), world.seed,
-            {
-                "h": h,
-                "delta": tc.get("delta", 0.1),
-                "epsilon": tc.get("epsilon", 0.0),
-                **({"f_name": tc["f_name"]} if "f_name" in tc else {}),
-            },
+            {"h": h, **{k: tc[k] for k in ("delta", "epsilon", "f_name") if k in tc}},
         )
         keys = list(rows[0].keys())
         with open(out / "tightness.csv", "w", newline="") as fh:
@@ -561,7 +534,7 @@ def cmd_emit_plots(args) -> int:
         files = entry["files"]
         with open(out / files["target"]) as fh:
             target = list(csv.DictReader(fh))
-        if kind in _CURVE_KINDS:
+        if kind in CURVE_KINDS:
             with open(out / files["curve"]) as fh:
                 curve = list(csv.DictReader(fh))
             try:

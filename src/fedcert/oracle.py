@@ -1,4 +1,5 @@
-"""Brute-force verification of certificates.
+"""Brute-force verification of certificates, and what each certificate kind
+declares.
 
 Everything here is deliberately independent of the solvers it checks:
 
@@ -13,21 +14,26 @@ Everything here is deliberately independent of the solvers it checks:
   * ``tightness_probe``          certificate-minus-achievable gap along a
                                  schedule of world sizes.
 
+Each certificate kind is wired once, here, for the command line and the two
+experiments alike: ``BOUND_KINDS`` names the kinds, ``issue_certificate``
+maps a kind to its bound function, and ``target_world`` builds the shifted
+meta-distribution the kind declares.
+
 Target statistics use exact per-client risks (Gaussian class-conditional
 worlds with a binary linear rule admit a closed form), so coverage tests
-carry no data-level noise on the target side.
+carry no data-level noise on the target side.  Those risks are zero-one
+risks, so the experiments query their clients with the zero-one loss.
 """
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
-from .certificates import CdfCurve
 from .fdiv import fdiv_cdf_bound, fdiv_mean_bound
 from .losses import LINEAR, LOGISTIC, ZERO_ONE, Hypothesis, LossFn
 from .metasim import (
@@ -39,8 +45,8 @@ from .metasim import (
     tilt_for_divergence,
 )
 from .nonrobust import cdf_bound, mean_bound
-from .query import Client, TransportCost, empirical_risk
-from .wass import QvProfile, wass_mean_bound
+from .query import HALF_SQ, Client, empirical_risk
+from .wass import DEFAULT_GRID_SIZE, QvProfile, wass_mean_bound
 
 __all__ = [
     "grid_reweight_oracle",
@@ -49,12 +55,28 @@ __all__ = [
     "exact_zero_one_risk",
     "sample_true_risks",
     "adversarial_directions",
+    "BOUND_KINDS",
+    "CURVE_KINDS",
+    "FDIV_KINDS",
+    "TIGHTNESS_KINDS",
+    "lambda_grid",
+    "issue_certificate",
+    "target_world",
     "CoverageReport",
     "coverage_experiment",
     "tightness_probe",
 ]
 
 VIOLATION_GUARD = 1e-9
+
+BOUND_KINDS = ("mean", "cdf", "fdiv-mean", "fdiv-cdf", "wass-mean")
+CURVE_KINDS = ("cdf", "fdiv-cdf")
+FDIV_KINDS = ("fdiv-mean", "fdiv-cdf")
+TIGHTNESS_KINDS = ("mean", "fdiv-mean")
+# coverage reports name the survival-curve kind "cdf-curve"
+_COVERAGE_KINDS = tuple("cdf-curve" if k == "cdf" else k for k in BOUND_KINDS)
+
+_ZERO_ONE = LossFn(ZERO_ONE)
 
 # local copies of the divergence generators: the oracle must not lean on the
 # solver module it exists to check
@@ -275,6 +297,72 @@ def adversarial_directions(cfg: MetaConfig, h: Hypothesis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# what each certificate kind declares
+# ---------------------------------------------------------------------------
+
+def lambda_grid(req: dict) -> np.ndarray:
+    """The thresholds of a survival-curve request: its ``lambda_grid``, an
+    array or a {start, stop, num} spec, by default 50 points over [0, 1]."""
+    spec = req.get("lambda_grid", {"start": 0.0, "stop": 1.0, "num": 50})
+    if isinstance(spec, dict):
+        return np.linspace(spec["start"], spec["stop"], spec["num"])
+    return np.asarray(spec, dtype=float)
+
+
+def issue_certificate(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
+                      clients: list[Client] | None = None, h: Hypothesis | None = None):
+    """The certificate of ``kind`` from the clients' empirical answers ``qv``
+    on ``ns`` samples each.  ``req`` carries delta and, per kind, epsilon,
+    f_name, lambda_grid, gap_constant and grid_size; ``wass-mean`` queries the
+    ``clients`` about ``h`` itself."""
+    delta = float(req["delta"])
+    if kind == "mean":
+        return mean_bound(qv, ns, delta)
+    if kind == "cdf":
+        return cdf_bound(qv, ns, delta, lambda_grid(req))
+    if kind == "wass-mean":
+        return wass_mean_bound(clients, h, float(req["epsilon"]), delta,
+                               grid_size=int(req.get("grid_size", DEFAULT_GRID_SIZE)))
+    if kind == "fdiv-mean":
+        return fdiv_mean_bound(qv, ns, delta, float(req["epsilon"]), req["f_name"])
+    if kind == "fdiv-cdf":
+        return fdiv_cdf_bound(qv, ns, delta, float(req["epsilon"]), req["f_name"],
+                              lambda_grid(req),
+                              gap_constant=float(req.get("gap_constant", 1.0)))
+    raise ValueError(f"kind must be one of {BOUND_KINDS}")
+
+
+def target_world(cfg: MetaConfig, kind: str, epsilon: float, h: Hypothesis,
+                 f_name: str | None = None, cost_kind: str = HALF_SQ) -> MetaConfig:
+    """The shifted meta-distribution a certificate of ``kind`` declares: the
+    source itself for the plain kinds or a zero budget, the archetype tilt
+    whose ``f_name`` divergence is ``epsilon``, or the class means moved
+    against ``h`` at transport cost ``epsilon`` under ``cost_kind``.  Raises
+    RuntimeError when the shift misses its budget."""
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"kind must be one of {BOUND_KINDS}")
+    if kind in ("mean", "cdf") or epsilon == 0.0:
+        return cfg
+    if kind in FDIV_KINDS:
+        target, achieved = shift_meta_fdiv(cfg, tilt_for_divergence(cfg, f_name, epsilon))
+        if abs(achieved[f_name] - epsilon) > 1e-6:
+            raise RuntimeError("tilt search failed to hit the divergence budget")
+        return target
+    target, cost = shift_meta_wass(cfg, epsilon, adversarial_directions(cfg, h), cost_kind)
+    if abs(cost - epsilon) > 1e-9:
+        raise RuntimeError("mean shift failed to hit the transport budget")
+    return target
+
+
+def _draw_source(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int, root: int):
+    """K fresh clients of n_k samples from the source world, seeded by
+    ``root``: their datasets, empirical zero-one risks and sample counts."""
+    datasets = [generate_dataset(s, n_k, cfg) for s in sample_clients(cfg, K, seed=root)]
+    qv = np.array([empirical_risk(h, ds, _ZERO_ONE).value for ds in datasets])
+    return datasets, qv, np.full(K, n_k)
+
+
+# ---------------------------------------------------------------------------
 # Monte-Carlo coverage
 # ---------------------------------------------------------------------------
 
@@ -292,28 +380,13 @@ class CoverageReport:
     notes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "bound_kind": self.bound_kind,
-            "trials": self.trials,
-            "violations": self.violations,
-            "violation_rate": self.violation_rate,
-            "delta": self.delta,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "config_digest": self.config_digest,
-            "notes": self.notes,
-        }
-        if self.per_lambda is not None:
-            out["per_lambda"] = self.per_lambda
-        return out
+        # per_lambda is left out for the mean-style kinds
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     def write_json(self, path: str | Path):
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
             fh.write("\n")
-
-
-_COVERAGE_KINDS = ("mean", "cdf-curve", "fdiv-mean", "fdiv-cdf", "wass-mean")
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -325,8 +398,10 @@ def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
     """Repeatedly certify fresh source worlds and test the certificate against
     the exact statistics of the declared shifted target.
 
-    ``params`` carries: h (Hypothesis, required), K, n_k, delta, and per kind
-    epsilon / f_name / lambda_grid / grid_size / target_clients.
+    ``bound_kind`` is a certificate kind, with ``cdf-curve`` for ``cdf``.
+    ``params`` carries: h (Hypothesis, required), K, n_k, delta,
+    target_clients, and per kind epsilon / f_name / lambda_grid / grid_size.
+    The clients answer zero-one queries under the half-squared cost.
     A violation is recorded when the target statistic exceeds the certificate
     by more than a 1e-9 float guard; the report passes when the violation
     rate stays within delta plus three binomial standard errors.
@@ -335,76 +410,33 @@ def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
         raise ValueError(f"bound_kind must be one of {_COVERAGE_KINDS}")
     if trials <= 0:
         raise ValueError("trials must be positive")
+    kind = "cdf" if bound_kind == "cdf-curve" else bound_kind
     h: Hypothesis = params["h"]
     K = int(params.get("K", 50))
     n_k = int(params.get("n_k", 100))
     delta = float(params.get("delta", 0.1))
     epsilon = float(params.get("epsilon", 0.0))
-    loss_fn = params.get("loss", LossFn(ZERO_ONE))
     T_target = int(params.get("target_clients", 2000))
-    lambda_grid = np.asarray(params.get("lambda_grid", np.linspace(0, 1, 50)))
-
-    if bound_kind in ("fdiv-mean", "fdiv-cdf"):
-        if cfg.archetypes is None:
-            raise ValueError("divergence shifts need an archetype config")
-        f_name = params["f_name"]
-        tilt = tilt_for_divergence(cfg, f_name, epsilon)
-        target_cfg, achieved = shift_meta_fdiv(cfg, tilt)
-        if abs(achieved[f_name] - epsilon) > 1e-6:
-            raise RuntimeError("tilt search failed to hit the divergence budget")
-    elif bound_kind == "wass-mean":
-        dirs = params.get("directions")
-        if dirs is None:
-            dirs = adversarial_directions(cfg, h)
-        target_cfg, achieved_cost = shift_meta_wass(cfg, epsilon, dirs)
-        if abs(achieved_cost - epsilon) > 1e-9:
-            raise RuntimeError("mean shift failed to hit the transport budget")
-    else:
-        target_cfg = cfg
-
-    m_lams = len(lambda_grid)
+    lams = lambda_grid(params)
+    req = {**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams}
+    grid_size = int(params.get("grid_size", DEFAULT_GRID_SIZE))
+    target_cfg = target_world(cfg, kind, epsilon, h, params.get("f_name"))
 
     def run_trial(t: int) -> tuple[int, np.ndarray]:
-        root = _trial_seed(seed, t)
-        specs = sample_clients(cfg, K, seed=root)
-        datasets = [generate_dataset(s, n_k, cfg) for s in specs]
+        datasets, qv, ns = _draw_source(cfg, h, K, n_k, _trial_seed(seed, t))
+        clients = [Client(ds.client_id, ds, _ZERO_ONE, max_queries=grid_size + 1)
+                   for ds in datasets] if kind == "wass-mean" else None
+        cert = issue_certificate(kind, req, qv, ns, clients, h)
         rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
-        per_lambda = np.zeros(m_lams, dtype=int)
-
-        if bound_kind == "wass-mean":
-            clients = [
-                Client(ds.client_id, ds, loss_fn,
-                       max_queries=int(params.get("grid_size", 16)) + 1)
-                for ds in datasets
-            ]
-            bound = wass_mean_bound(clients, h, epsilon, delta,
-                                    grid_size=int(params.get("grid_size", 16)))
-            target = float(np.mean(sample_true_risks(target_cfg, T_target, h, rng_t)))
-            return int(target > bound.value + VIOLATION_GUARD), per_lambda
-
-        qv = np.array([empirical_risk(h, ds, loss_fn).value for ds in datasets])
-        ns = np.full(K, n_k)
         risks = sample_true_risks(target_cfg, T_target, h, rng_t)
-
-        if bound_kind == "mean":
-            bound = mean_bound(qv, ns, delta)
-            return int(float(np.mean(risks)) > bound.value + VIOLATION_GUARD), per_lambda
-        if bound_kind == "fdiv-mean":
-            bound = fdiv_mean_bound(qv, ns, delta, epsilon, f_name)
-            return int(float(np.mean(risks)) > bound.value + VIOLATION_GUARD), per_lambda
-
-        if bound_kind == "cdf-curve":
-            curve = cdf_bound(qv, ns, delta, lambda_grid)
-        else:
-            curve = fdiv_cdf_bound(qv, ns, delta, epsilon, f_name, lambda_grid)
-        idx = np.searchsorted(curve.lambdas, lambda_grid)
-        curve_vals = curve.bounds[idx]
-        surv = np.mean(risks[None, :] >= lambda_grid[:, None], axis=1)
+        if kind not in CURVE_KINDS:
+            violated = float(np.mean(risks)) > cert.value + VIOLATION_GUARD
+            return int(violated), np.zeros(len(lams), dtype=int)
+        curve_vals = cert.bounds[np.searchsorted(cert.lambdas, lams)]
+        surv = np.mean(risks[None, :] >= lams[:, None], axis=1)
         viol = surv > curve_vals + VIOLATION_GUARD
-        per_lambda += viol.astype(int)
-        return int(np.any(viol)), per_lambda
+        return int(np.any(viol)), viol.astype(int)
 
-    results = []
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_trial, range(trials)))
@@ -419,9 +451,9 @@ def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
     # threshold saturates at 1
     passed = rate <= threshold and violations < trials
     per_lambda = None
-    if bound_kind in ("cdf-curve", "fdiv-cdf"):
+    if kind in CURVE_KINDS:
         per_lambda = {
-            "lambdas": np.asarray(lambda_grid).tolist(),
+            "lambdas": lams.tolist(),
             "violation_rates": (per_lambda_counts / trials).tolist(),
         }
     return CoverageReport(
@@ -449,24 +481,18 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
     Rows carry the median slack components so the vanishing pieces can be
     read off separately.
     """
-    if bound_kind not in ("mean", "fdiv-mean"):
+    if bound_kind not in TIGHTNESS_KINDS:
         raise ValueError("tightness probe supports the mean-style bounds")
     if len(K_schedule) == 0 or len(K_schedule) != len(n_schedule):
         raise ValueError("schedules must be nonempty and aligned")
     if list(K_schedule) != sorted(K_schedule) or list(n_schedule) != sorted(n_schedule):
         raise ValueError("schedules must be nondecreasing")
     h: Hypothesis = params["h"]
-    delta = float(params.get("delta", 0.1))
-    epsilon = float(params.get("epsilon", 0.0))
-    loss_fn = params.get("loss", LossFn(ZERO_ONE))
+    req = {"delta": float(params.get("delta", 0.1)),
+           "epsilon": float(params.get("epsilon", 0.0)), "f_name": params.get("f_name")}
     T_truth = int(params.get("truth_clients", 200_000))
 
-    if bound_kind == "fdiv-mean":
-        f_name = params["f_name"]
-        tilt = tilt_for_divergence(cfg, f_name, epsilon) if epsilon > 0 else 0.0
-        target_cfg, _ = shift_meta_fdiv(cfg, tilt)
-    else:
-        target_cfg = cfg
+    target_cfg = target_world(cfg, bound_kind, req["epsilon"], h, req["f_name"])
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 98765])))
     truth = float(np.mean(sample_true_risks(target_cfg, T_truth, h, rng)))
 
@@ -475,17 +501,8 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
         gaps = []
         slacks: dict[str, list[float]] = {}
         for t in range(trials):
-            root = _trial_seed(seed, 1_000_000 * K + t)
-            specs = sample_clients(cfg, K, seed=root)
-            qv = np.array([
-                empirical_risk(h, generate_dataset(s, n_k, cfg), loss_fn).value
-                for s in specs
-            ])
-            ns = np.full(K, n_k)
-            if bound_kind == "mean":
-                b = mean_bound(qv, ns, delta)
-            else:
-                b = fdiv_mean_bound(qv, ns, delta, epsilon, params["f_name"])
+            _, qv, ns = _draw_source(cfg, h, K, n_k, _trial_seed(seed, 1_000_000 * K + t))
+            b = issue_certificate(bound_kind, req, qv, ns)
             gaps.append(b.value - truth)
             for key, val in b.slack.items():
                 slacks.setdefault(key, []).append(float(val))

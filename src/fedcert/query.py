@@ -14,8 +14,8 @@ transport cost rho of the client's empirical sample,
 
 with the minimizing gamma known to lie in [0, 1/rho] for losses in [0, 1].
 A negative or NaN radius is refused.  Each inner solver is built once per
-hypothesis and answers ``query(rho)`` and ``query_profile(rhos)``; the route
-is chosen from the loss/hypothesis pair:
+hypothesis and answers ``query_profile(rhos)``, one robust radius as a
+one-element vector; the route is chosen from the loss/hypothesis pair:
 
   * zero-one loss with a binary linear rule on continuous features: a
     correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
@@ -185,15 +185,8 @@ class _FillInner:
 
     _status = "exact"
 
-    def query(self, rho: float) -> QueryValue:
-        gain, slope = self._fill(self._n * rho)
-        return QueryValue(value=float(np.clip((self._base + gain) / self._n, 0.0, 1.0)),
-                          rho=float(rho), gamma_star=slope, inner_iterations=1,
-                          status=self._status)
-
     def query_profile(self, rhos) -> list[QueryValue]:
-        """``query`` at each radius, with the same arithmetic, from one fill
-        call."""
+        """The answer at each radius, from one fill call."""
         rhos = np.asarray(rhos, dtype=float)
         gain, slope = self._fill(self._n * rhos)
         values = np.clip((self._base + gain) / self._n, 0.0, 1.0)
@@ -272,8 +265,8 @@ class _FlipInner(_FillInner):
 
     A perturbation either leaves the prediction alone (payoff = current loss)
     or pays the cost of reaching the decision surface for payoff 1; the
-    cheapest flip crosses a pairwise class boundary orthogonally, so the
-    supremum is available in closed form.
+    cheapest flip crosses the class boundary orthogonally, so the supremum
+    is available in closed form.
 
     The pieces are the finite flips of the correctly classified samples,
     each of gain 1.
@@ -298,31 +291,14 @@ class _FlipInner(_FillInner):
 
 
 def _distance_to_flip(h: Hypothesis, scores: np.ndarray) -> np.ndarray:
-    """Distance from each point, given by its scores, to the nearest boundary
-    where the prediction changes; inf when the rule is constant."""
-    if h.kind == LOGISTIC:
-        w2 = float(np.linalg.norm(h.weights))
-        if w2 == 0.0:
-            return np.full(len(scores), np.inf)
-        return np.abs(scores) / w2
-    pred = np.argmax(scores, axis=1)
-    dists = np.full(len(scores), np.inf)
-    for c in range(h.n_classes):
-        mask = pred == c
-        if not np.any(mask):
-            continue
-        for cp in range(h.n_classes):
-            if cp == c:
-                continue
-            u = h.weights[c] - h.weights[cp]
-            nu = np.linalg.norm(u)
-            if nu == 0.0:
-                # identical rows: prediction ties resolve by index, treat as free flip
-                dists[mask] = np.minimum(dists[mask], 0.0)
-                continue
-            gap = (scores[mask, c] - scores[mask, cp]) / nu
-            dists[mask] = np.minimum(dists[mask], np.maximum(gap, 0.0))
-    return dists
+    """Distance from each point, given by its scores, to the boundary where
+    the binary prediction changes, |s1 - s0| / |w1 - w0| (a logistic score
+    is s1 - s0 itself); inf when the rule is constant (w1 = w0)."""
+    margin = scores if h.kind == LOGISTIC else scores[:, 1] - scores[:, 0]
+    norm = float(np.linalg.norm(h.margin_direction()))
+    if norm == 0.0:
+        return np.full(len(scores), np.inf)
+    return np.abs(margin) / norm
 
 
 class _ScoreLineInner(_FillInner):
@@ -456,18 +432,20 @@ class _AscentInner:
         c = self._cost.of_distance(np.linalg.norm(Xp - self._X, axis=1))
         return lv - gamma * c
 
-    def query(self, rho: float) -> QueryValue:
-        """Worst-case mean loss over the ball of radius rho > 0, by the dual;
-        ``inner_iterations`` counts this query's steps."""
-        before = self.iterations
-        gamma_star, best = self._golden_min(
-            lambda g: g * rho + float(np.mean(self.phi(g))), 0.0, 1.0 / rho)
-        return QueryValue(value=float(np.clip(best, 0.0, 1.0)), rho=float(rho),
-                          gamma_star=float(gamma_star),
-                          inner_iterations=self.iterations - before, status="iterative")
-
     def query_profile(self, rhos) -> list[QueryValue]:
-        return [self.query(rho) for rho in rhos]
+        """Worst-case mean loss over the ball of each radius rho > 0, by the
+        dual, one radius at a time; ``inner_iterations`` counts each
+        answer's own steps."""
+        answers = []
+        for rho in rhos:
+            before = self.iterations
+            gamma_star, best = self._golden_min(
+                lambda g: g * rho + float(np.mean(self.phi(g))), 0.0, 1.0 / rho)
+            answers.append(QueryValue(
+                value=float(np.clip(best, 0.0, 1.0)), rho=float(rho),
+                gamma_star=float(gamma_star), inner_iterations=self.iterations - before,
+                status="iterative"))
+        return answers
 
     @classmethod
     def _golden_min(cls, fn, a: float, b: float) -> tuple[float, float]:
@@ -539,7 +517,7 @@ def adversarial_risk(
     if rho == 0.0:
         return empirical_risk(h, dataset, loss_fn)
     inner = _make_inner(h, dataset.features, dataset.labels, cost, loss_fn, grid)
-    return inner.query(rho)
+    return inner.query_profile([rho])[0]
 
 
 class Client:
@@ -593,7 +571,7 @@ class Client:
         elif rho == 0.0:
             qv = empirical_risk(h, self._dataset, self._loss_fn)
         else:
-            qv = self._inner(h).query(rho)
+            qv = self._inner(h).query_profile([rho])[0]
         self._used += 1
         self.audit_log.append({"client": self.client_id, **qv.to_json_dict()})
         return qv

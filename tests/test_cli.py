@@ -193,17 +193,89 @@ def _world_dir_without_manifest(cfg, tmp_path):
     return "$.data.world_dir"
 
 
+def _model_wider_than_world(cfg, tmp_path):
+    cfg["model"] = {"kind": "logistic", "weights": [1.0, 0.0, 0.5], "bias": 0.0}
+    return "$.model.weights"
+
+
+def _three_class_linear_model(cfg, tmp_path):
+    cfg["model"] = {"kind": "linear-classifier", "weights": [[1.0, 0.0], [0.0, 1.0],
+                                                            [-1.0, 0.0]]}
+    return "$.model.weights"
+
+
+def _lookup_table_model(cfg, tmp_path):
+    cfg["model"] = {"kind": "lookup-table", "weights": [0.0, 1.0],
+                    "grid": [[0.0, 0.0], [1.0, 1.0]]}
+    return "$.model.kind"
+
+
+def _three_class_world(cfg, tmp_path):
+    _without_archetypes(cfg)
+    cfg["world"].update({"n_classes": 3,
+                         "class_means": [[-1.2, 0.0], [1.2, 0.0], [0.0, 1.2]]})
+    return "$.world.n_classes"
+
+
+def _smooth_query_loss(cfg, tmp_path):
+    cfg["query"] = {"loss": "clipped-squared"}
+    return "$.query.loss"
+
+
+# the coverage trials of a wass-mean verify kind query under the half-squared
+# cost with no grid
+_WASS_VERIFY_KIND = {"kind": "wass-mean", "delta": 0.1, "epsilon": 0.05}
+
+
+def _l2_cost_beside_wass_verify_kind(cfg, tmp_path):
+    cfg["query"] = {"cost": "l2"}
+    cfg["verify"]["kinds"].append(_WASS_VERIFY_KIND)
+    return "$.query.cost"
+
+
+def _grid_beside_wass_verify_kind(cfg, tmp_path):
+    cfg["query"] = {"grid": [0.0, 1.0]}
+    cfg["verify"]["kinds"].append(_WASS_VERIFY_KIND)
+    return "$.query.grid"
+
+
 @pytest.mark.parametrize("command", ["certify", "verify"])
 @pytest.mark.parametrize("make_bad", [
     _fdiv_certificate_without_archetypes,
     _fdiv_verify_kind_without_archetypes,
     _fdiv_tightness_without_archetypes,
     _world_dir_without_manifest,
+    _model_wider_than_world,
+    _three_class_linear_model,
+    _lookup_table_model,
+    _three_class_world,
+    _smooth_query_loss,
+    _l2_cost_beside_wass_verify_kind,
+    _grid_beside_wass_verify_kind,
 ])
 def test_bad_inputs_exit_one_before_writing(tmp_path, capsys, command, make_bad):
     cfg = copy.deepcopy(BASE_CONFIG)
     where = make_bad(cfg, tmp_path)
     assert_rejected_before_writing(tmp_path, capsys, command, cfg, where)
+
+
+def test_verify_without_a_wass_kind_accepts_transport_query_settings(tmp_path):
+    # only the wass-mean coverage trials make robust queries
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["query"] = {"cost": "l2", "grid": [0.0, 1.0]}
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--trials", "2",
+                 "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_without_trials_exits_one_before_writing(tmp_path, capsys, trials):
+    out = tmp_path / "o"
+    rc = main(["verify", "--config", write_config(tmp_path), "--trials", trials,
+               "--out", str(out)])
+    assert rc == 1
+    assert "$.verify.trials" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # the top-score archetype of BASE_CONFIG weighs 0.3: no tilt reaches a KL of

@@ -293,13 +293,16 @@ def test_flip_knapsack_hand_instance_splits_one_sample():
 
 
 def test_flip_constant_rule_gives_empirical_value():
-    h = Hypothesis(kind=LOGISTIC, weights=np.array([0.0, 0.0]), bias=0.3)
     ds = dataset([[0.1, 2.0], [-1.0, 0.5], [3.0, -2.0]], [1, 0, 1])
-    emp = empirical_risk(h, ds, LossFn(ZERO_ONE)).value
-    assert emp == pytest.approx(1 / 3)
-    for rho in (1e-3, 0.1, 10.0):
-        qv = adversarial_risk(h, ds, rho)
-        assert qv.value == emp and qv.gamma_star == 0.0
+    # zero logistic weights, and a binary linear rule whose rows are equal
+    for h in (Hypothesis(kind=LOGISTIC, weights=np.array([0.0, 0.0]), bias=0.3),
+              Hypothesis(kind=LINEAR, weights=np.array([[0.5, -1.0], [0.5, -1.0]]),
+                         bias=np.array([0.0, 0.3]))):
+        emp = empirical_risk(h, ds, LossFn(ZERO_ONE)).value
+        assert emp == pytest.approx(1 / 3)
+        for rho in (1e-9, 1e-3, 0.1, 10.0):
+            qv = adversarial_risk(h, ds, rho)
+            assert qv.value == emp and qv.gamma_star == 0.0
 
 
 def test_flip_boundary_samples_flip_for_free():
@@ -462,7 +465,7 @@ def test_stacked_ascent_matches_restarts_run_one_by_one(case):
         return gamma * rho + float(np.mean(phi))
 
     gamma_star, best = _AscentInner._golden_min(dual, 0.0, 1.0 / rho)
-    qv = _AscentInner(h, X, y, COST, loss_fn).query(rho)
+    qv = _AscentInner(h, X, y, COST, loss_fn).query_profile([rho])[0]
     assert (qv.value, qv.gamma_star, qv.inner_iterations) == (
         float(np.clip(best, 0.0, 1.0)), gamma_star, iters)
 
@@ -495,7 +498,7 @@ def test_ascent_reports_each_querys_own_steps():
     first, second = c.query(h, 0.05), c.query(h, 0.3)
     # the client reuses its cached solver; a fresh one takes the same steps
     for qv, rho in ((first, 0.05), (second, 0.3)):
-        fresh = _AscentInner(h, X, y, COST, loss_fn).query(rho)
+        fresh = _AscentInner(h, X, y, COST, loss_fn).query_profile([rho])[0]
         assert qv.inner_iterations == fresh.inner_iterations > 0
         assert qv.status == "iterative"
     assert [e["inner_iterations"] for e in c.audit_log] == [

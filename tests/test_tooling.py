@@ -2,7 +2,8 @@
 import ast
 from pathlib import Path
 
-ORACLE = Path(__file__).resolve().parents[1] / "src" / "fedcert" / "oracle.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "fedcert"
+ORACLE = SRC / "oracle.py"
 
 # the solution code of the solvers the oracles cross-check
 SOLVER_NAMES = {"GreedyFill", "upper_hull", "_waterfill", "solve_reweight",
@@ -10,9 +11,15 @@ SOLVER_NAMES = {"GreedyFill", "upper_hull", "_waterfill", "solve_reweight",
                 "_chi2_split", "_eta_root", "_dual_value", "_lp_vertex",
                 "_ScoreLineInner", "_staircase", "_line_sides", "_rising_score", "_hull_fill"}
 
+# the bound functions and target shifts a certificate kind is wired to; the
+# command line reaches them only through oracle.issue_certificate and
+# oracle.target_world
+KIND_WIRING = {"mean_bound", "cdf_bound", "fdiv_mean_bound", "fdiv_cdf_bound",
+               "wass_mean_bound", "tilt_for_divergence"}
 
-def test_oracles_share_no_solution_code_with_the_solvers():
-    tree = ast.parse(ORACLE.read_text())
+
+def _names(path):
+    tree = ast.parse(path.read_text())
     imported, named = [], set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -24,5 +31,16 @@ def test_oracles_share_no_solution_code_with_the_solvers():
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
+    return imported, named
+
+
+def test_oracles_share_no_solution_code_with_the_solvers():
+    imported, named = _names(ORACLE)
     assert not [m for m in imported if m.split(".")[-1] == "concave"]
     assert not named & SOLVER_NAMES
+
+
+def test_the_cli_wires_no_certificate_kind_itself():
+    _, named = _names(SRC / "cli.py")
+    assert not named & KIND_WIRING
+    assert not [n for n in named if n.startswith("shift_meta_")]
