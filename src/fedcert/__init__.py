@@ -42,6 +42,7 @@ from .metasim import (
     archetype_divergences,
     export_world,
     generate_dataset,
+    generate_datasets,
     load_client_pool,
     load_world,
     sample_clients,

@@ -36,7 +36,7 @@ from .losses import LINEAR, LOOKUP, LOSS_KINDS, ZERO_ONE, Hypothesis, LossFn
 from .metasim import (
     MetaConfig,
     export_world,
-    generate_dataset,
+    generate_datasets,
     load_world,
     sample_clients,
     tilt_divergence_limit,
@@ -201,6 +201,7 @@ CONFIG_SCHEMA = {
                         "epsilon": _REQUEST_PROPERTIES["epsilon"],
                         "f_name": _REQUEST_PROPERTIES["f_name"],
                     },
+                    "additionalProperties": False,
                     "if": {"properties": {"bound_kind": {"const": "fdiv-mean"}}},
                     "then": {"required": ["f_name"]},
                 },
@@ -313,8 +314,7 @@ def _build_clients(cfg: dict, world: MetaConfig) -> tuple[list[Client], Transpor
         if loaded_cfg.digest() != world.digest():
             raise ConfigError("world_dir manifest does not match the config world")
     else:
-        specs = sample_clients(world, data["K"])
-        datasets = [generate_dataset(s, data["n_k"], world) for s in specs]
+        datasets = generate_datasets(sample_clients(world, data["K"]), data["n_k"], world)
     clients = [
         Client(ds.client_id, ds, loss_fn,
                cost=cost, max_queries=data.get("max_queries"), grid=grid)
@@ -396,7 +396,7 @@ def cmd_simulate(args) -> int:
     world = _world_from_config(cfg, args.seed)
     out = Path(args.out)
     specs = sample_clients(world, cfg["data"]["K"])
-    datasets = [generate_dataset(s, cfg["data"]["n_k"], world) for s in specs]
+    datasets = generate_datasets(specs, cfg["data"]["n_k"], world)
     manifest = export_world(out / "world", world, specs, datasets)
     print(f"wrote {manifest}")
     return EXIT_OK
@@ -476,23 +476,23 @@ def cmd_verify(args) -> int:
     trials = int(args.trials if args.trials is not None else vc.get("trials", 50))
     if trials < 1:
         raise ConfigError(f"config error at $.verify.trials: --trials {trials} is below 1")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     all_passed = True
+    reports = []
     for i, entry in enumerate(vc.get("kinds", [])):
         kind = entry["kind"]
         bound_kind = "cdf-curve" if kind == "cdf" else kind
         params = {**entry, "h": h, "K": cfg["data"]["K"], "n_k": cfg["data"]["n_k"],
+                  "max_queries": cfg["data"].get("max_queries"),
                   "target_clients": vc.get("target_clients", 2000)}
         report = coverage_experiment(world, bound_kind, params, trials,
                                      seed=world.seed, jobs=args.jobs)
-        report.write_json(out / f"coverage_{i:02d}_{kind}.json")
+        reports.append((f"coverage_{i:02d}_{kind}.json", report))
         status = "ok" if report.passed else "FAIL"
         print(f"coverage {kind}: rate={report.violation_rate:.4f} "
               f"threshold={report.threshold:.4f} [{status}]")
         all_passed = all_passed and report.passed
 
+    rows = None
     if "tightness" in vc:
         tc = vc["tightness"]
         rows = tightness_probe(
@@ -500,14 +500,22 @@ def cmd_verify(args) -> int:
             int(tc.get("trials", 20)), world.seed,
             {"h": h, **{k: tc[k] for k in ("delta", "epsilon", "f_name") if k in tc}},
         )
+        gaps = [r["median_gap"] for r in rows]
+        print("tightness gaps: " + ", ".join(f"{g:.4f}" for g in gaps))
+
+    # --out is created once every trial has run, so a run that fails (an
+    # exhausted query budget) leaves nothing behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, report in reports:
+        report.write_json(out / name)
+    if rows is not None:
         keys = list(rows[0].keys())
         with open(out / "tightness.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(keys)
             for row in rows:
                 wr.writerow([row["K"], row["n_k"]] + [_fmt(row[k]) for k in keys[2:]])
-        gaps = [r["median_gap"] for r in rows]
-        print("tightness gaps: " + ", ".join(f"{g:.4f}" for g in gaps))
 
     return EXIT_OK if all_passed else EXIT_VERIFY
 

@@ -14,7 +14,14 @@ certificates against.
 
 Determinism: all draws run through the counter-based Philox generator with
 per-client derived seed streams, so a (config, K, n_k) triple reproduces the
-same world byte-for-byte on any platform.
+same world byte-for-byte on any platform.  Client k of root seed s draws its
+parameters from Philox(SeedSequence([s, k, 0])) and its data from
+Philox(SeedSequence([s, k, 1])).  The keys of those streams are derived for
+all clients in one array pass that replays SeedSequence's hash-mix
+(``_philox_keys``), and one Philox per call is reset onto each key in turn,
+so no SeedSequence or Generator is built per client.  The tests pin the keys
+to SeedSequence and the drawn worlds to a per-client reference, value for
+value.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ __all__ = [
     "LocalDataset",
     "sample_clients",
     "generate_dataset",
+    "generate_datasets",
     "shift_meta_fdiv",
     "tilt_divergence_limit",
     "tilt_for_divergence",
@@ -184,7 +192,7 @@ class ClientSpec:
     seed_entropy: int = 0     # root seed this spec was derived from
 
     def __post_init__(self):
-        if np.any(np.asarray(self.class_props) < 0):
+        if (np.asarray(self.class_props) < 0).any():
             raise ValueError("class proportions must be nonnegative")
 
     def to_json_dict(self) -> dict:
@@ -235,77 +243,209 @@ class LocalDataset:
             yield Sample(features=x, label=float(y))
 
 
-def _categorical(rng: np.random.Generator, p: np.ndarray, size=None):
-    """Draws of ``rng.choice(len(p), size, p=p)`` and the same stream state
-    after them (one uniform per draw through the normalized cumulative sum),
-    without ``choice``'s checks of ``p``; the callers' probabilities are
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The normalized cumulative sums of the rows of ``p`` that
+    ``Generator.choice`` draws its categories through."""
+    cdf = np.cumsum(p, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def _categorical(cdf: np.ndarray, u) -> np.ndarray:
+    """The categories ``rng.choice(len(p), size, p=p)`` draws from the
+    uniforms ``u = rng.random(size)`` it takes, one per draw: the count of
+    ``cdf = _choice_cdf(p)`` entries at or below each uniform, which is
+    ``cdf.searchsorted(u, side="right")``.  ``cdf`` broadcasts against
+    ``u[..., None]``, so one call serves a block of clients.  Unlike
+    ``choice`` it does not check ``p``; the callers' probabilities are
     validated where they are made."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    return np.sum(np.asarray(u)[..., None] >= cdf, axis=-1)
 
 
-def _client_rng(seed: int, client_id: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([int(seed), int(client_id), stream]))
-    )
+# numpy's SeedSequence hash-mix (numpy/random/bit_generator.pyx), kept on
+# uint32 words: its pool size and constants
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an entropy integer: little-endian uint32
+    words, one word for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _philox_keys(root: int, client_ids, stream: int) -> np.ndarray:
+    """The Philox key of ``Philox(SeedSequence([root, k, stream]))`` for every
+    client id ``k``, shape (len(client_ids), 2) uint64, in one array pass.
+
+    This replays SeedSequence on the entropy words [root..., k, stream...]:
+    hash each word into a pool of four (hashing zeros when the entropy is
+    shorter), mix every pool word into every other, mix in the entropy past
+    the pool (a root of three or more words), then hash the pool into the four
+    uint32 words of ``generate_state(2, np.uint64)``.  The hash constants
+    evolve the same way for every id, so the ids ride along as one array.
+    Ids must fit one uint32 word."""
+    ids = np.asarray(client_ids, dtype=np.int64)
+    if np.any(ids < 0) or np.any(ids > _MASK32):
+        raise ValueError("client ids must lie in [0, 2**32)")
+    ids = ids.astype(np.uint32)
+    entropy = ([np.full_like(ids, w) for w in _uint32_words(int(root))] + [ids]
+               + [np.full_like(ids, w) for w in _uint32_words(int(stream))])
+    def hasher(hash_const, mult):
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = (hash_const * mult) & _MASK32
+            value = value * np.uint32(hash_const)
+            return value ^ (value >> np.uint32(16))
+        return hashmix
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(ids))
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for extra in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(extra))
+    state = [w.astype(np.uint64) for w in map(hasher(_INIT_B, _MULT_B), pool)]
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+def _client_streams(keys: np.ndarray):
+    """Yield a generator in the state of ``Generator(Philox(key=key))`` for
+    each key in turn: one Philox, reset onto each key (counter 0, empty
+    buffer).  Each yielded generator is the same object, valid until the next
+    is requested, so draw a client's numbers before moving on.  It is local
+    to the call: trials on other threads draw through their own."""
+    bit_gen = np.random.Philox(0)
+    rng = np.random.Generator(bit_gen)
+    # the setter copies the values in, so one dict serves every key
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        fresh["state"]["key"] = key
+        bit_gen.state = fresh
+        yield rng
 
 
 def sample_clients(cfg: MetaConfig, K: int, seed: int | None = None) -> list[ClientSpec]:
     """Draw K independent clients from the meta-distribution.
 
-    Per-client seed streams are derived from (seed, client_id), so the k-th
-    client is identical no matter how many others are drawn alongside it.
+    Client k draws from its own stream, Philox(SeedSequence([seed, k, 0])),
+    so the k-th client is identical no matter how many others are drawn
+    alongside it.  In that stream it takes, in order: one uniform for the
+    archetype, the normals of its affine map and translation, then its
+    Dirichlet label proportions.  The raw draws are taken client by client
+    and scaled for all clients at once.
     """
     if K <= 0:
         raise ValueError("K must be positive")
     root = cfg.seed if seed is None else int(seed)
     d, C = cfg.dim, cfg.n_classes
-    specs = []
-    for k in range(K):
-        rng = _client_rng(root, k, _SPEC_STREAM)
+    feature = cfg.shift_mode in ("feature", "both")
+    label = cfg.shift_mode in ("label", "both")
+    if cfg.archetypes is not None:
+        arche_cdf = _choice_cdf(cfg.archetype_weights)
+        all_means = np.stack([a.class_means for a in cfg.archetypes])
+        all_props = np.stack([a.class_props for a in cfg.archetypes])
+    else:
+        all_means = cfg.class_means[None]
+        all_props = np.full((1, C), 1.0 / C)
+    alphas = cfg.alpha_dir * C * all_props
+
+    arche = np.full(K, -1)
+    z = np.zeros((K, d * d + d))
+    props = np.empty((K, C))
+    for k, rng in enumerate(_client_streams(_philox_keys(root, range(K), _SPEC_STREAM))):
         if cfg.archetypes is not None:
-            arche_idx = int(_categorical(rng, cfg.archetype_weights))
-            means = cfg.archetypes[arche_idx].class_means
-            base_props = cfg.archetypes[arche_idx].class_props
-        else:
-            arche_idx = -1
-            means = cfg.class_means
-            base_props = np.full(C, 1.0 / C)
-        if cfg.shift_mode in ("feature", "both"):
-            affine = rng.normal(0.0, cfg.sigma_affine, size=(d, d))
-            shift = rng.normal(0.0, cfg.sigma_shift, size=d)
-        else:
-            affine = np.zeros((d, d))
-            shift = np.zeros(d)
-        if cfg.shift_mode in ("label", "both"):
-            props = rng.dirichlet(cfg.alpha_dir * C * base_props)
-        else:
-            props = base_props.copy()
-        specs.append(
-            ClientSpec(
-                client_id=k,
-                affine=affine,
-                shift=shift,
-                class_props=props,
-                class_means=means.copy(),
-                archetype=arche_idx,
-                seed_entropy=root,
-            )
-        )
-    return specs
+            arche[k] = arche_cdf.searchsorted(rng.random(), side="right")
+        if feature:
+            rng.standard_normal(out=z[k])
+        if label:
+            props[k] = rng.dirichlet(alphas[max(arche[k], 0)])
+
+    # Generator.normal(0, sigma) is 0 + sigma * (a standard normal)
+    affine = (0.0 + cfg.sigma_affine * z[:, :d * d]).reshape(K, d, d)
+    shift = 0.0 + cfg.sigma_shift * z[:, d * d:]
+    means = all_means[np.maximum(arche, 0)]
+    if not label:
+        props = all_props[np.maximum(arche, 0)]
+    return [
+        ClientSpec(client_id=k, affine=affine[k], shift=shift[k], class_props=props[k],
+                   class_means=means[k], archetype=int(arche[k]), seed_entropy=root)
+        for k in range(K)
+    ]
+
+
+# bytes of features a block of clients draws at once; bounds the temporaries
+# of the block's arithmetic
+_BLOCK_BYTES = 1 << 16
+
+
+def generate_datasets(specs: list[ClientSpec], n_k: int, cfg: MetaConfig) -> list[LocalDataset]:
+    """Draw each client's local sample: y ~ props, x ~ N(mean_y, scale^2 I),
+    then the client's affine feature map (I + A)x + b.
+
+    Client k draws from its own stream, Philox(SeedSequence([seed_entropy,
+    k, 1])): n_k uniforms for its labels, then n_k x dim standard normals.
+    The raw draws are taken client by client; the labels and the feature
+    arithmetic run for a block of clients at once, about ``_BLOCK_BYTES`` of
+    features.
+    """
+    if n_k <= 0:
+        raise ValueError("n_k must be positive")
+    d = cfg.dim
+    keys = np.empty((len(specs), 2), dtype=np.uint64)
+    roots = np.array([s.seed_entropy for s in specs], dtype=object)
+    ids = np.array([s.client_id for s in specs], dtype=np.int64)
+    for root in dict.fromkeys(roots):
+        keys[roots == root] = _philox_keys(root, ids[roots == root], _DATA_STREAM)
+    streams = _client_streams(keys)
+    step = max(1, _BLOCK_BYTES // (8 * n_k * d))
+    datasets = []
+    for start in range(0, len(specs), step):
+        block = specs[start:start + step]
+        B = len(block)
+        u = np.empty((B, n_k))
+        z = np.empty((B, n_k, d))
+        for b, rng in zip(range(B), streams):
+            rng.random(out=u[b])
+            rng.standard_normal(out=z[b])
+        props = np.stack([s.class_props for s in block])
+        labels = _categorical(_choice_cdf(props)[:, None, :], u)
+        means = np.stack([s.class_means for s in block])
+        # in place, to keep the block's temporaries few; a + b is b + a exactly
+        X = np.multiply(z, cfg.cov_scale, out=z)
+        X += means[np.arange(B)[:, None], labels]
+        maps = np.eye(d) + np.stack([s.affine for s in block])
+        X = X @ maps.transpose(0, 2, 1)
+        X += np.stack([s.shift for s in block])[:, None, :]
+        datasets += [LocalDataset(client_id=s.client_id, features=X[b], labels=labels[b])
+                     for b, s in enumerate(block)]
+    return datasets
 
 
 def generate_dataset(spec: ClientSpec, n_k: int, cfg: MetaConfig) -> LocalDataset:
-    """Draw the client's local sample: y ~ props, x ~ N(mean_y, scale^2 I),
-    then the client's affine feature map (I + A)x + b."""
-    if n_k <= 0:
-        raise ValueError("n_k must be positive")
-    rng = _client_rng(spec.seed_entropy, spec.client_id, _DATA_STREAM)
-    labels = _categorical(rng, spec.class_props, n_k)
-    X = spec.class_means[labels] + cfg.cov_scale * rng.standard_normal((n_k, cfg.dim))
-    X = X @ (np.eye(cfg.dim) + spec.affine).T + spec.shift
-    return LocalDataset(client_id=spec.client_id, features=X, labels=labels)
+    """One client's local sample; ``generate_datasets`` for a single spec."""
+    return generate_datasets([spec], n_k, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +461,11 @@ def archetype_divergences(cfg: MetaConfig, shifted: MetaConfig) -> dict:
     """Exact f-divergences between two archetype mixtures that differ only in
     their weights: D_f(target || source) = sum_m w_m f(w'_m / w_m)."""
     _require_archetypes(cfg, "divergence computation")
-    w = cfg.archetype_weights
-    wp = shifted.archetype_weights
+    return _divergences(cfg.archetype_weights, shifted.archetype_weights)
+
+
+def _divergences(w: np.ndarray, wp: np.ndarray) -> dict:
+    """KL and chi-square divergence of the weights ``wp`` from ``w``."""
     if np.any((w == 0) & (wp > 0)):
         raise ValueError("target puts weight on an archetype the source excludes")
     pos = wp > 0
@@ -339,16 +482,24 @@ def shift_meta_fdiv(cfg: MetaConfig, tilt: float) -> tuple[MetaConfig, dict]:
     """
     _require_archetypes(cfg, "shift_meta_fdiv")
     w = cfg.archetype_weights
-    s = np.array([a.score for a in cfg.archetypes], dtype=float)
-    logits = np.log(np.clip(w, 1e-300, None)) + tilt * s
-    logits -= logits.max()
-    wp = np.exp(logits)
-    wp /= wp.sum()
-    if tilt == 0.0:
-        wp = w.copy()  # exact identity, no float wiggle
+    wp = _tilted_weights(w, _archetype_scores(cfg), tilt)
     shifted = MetaConfig.from_json_dict(cfg.to_json_dict())
     shifted.archetype_weights = wp
-    return shifted, archetype_divergences(cfg, shifted)
+    return shifted, _divergences(w, wp)
+
+
+def _archetype_scores(cfg: MetaConfig) -> np.ndarray:
+    return np.array([a.score for a in cfg.archetypes], dtype=float)
+
+
+def _tilted_weights(w: np.ndarray, scores: np.ndarray, tilt: float) -> np.ndarray:
+    """The weights w_m e^{tilt s_m}, normalized; ``w`` itself at tilt 0."""
+    if tilt == 0.0:
+        return w.copy()  # exact identity, no float wiggle
+    logits = np.log(np.clip(w, 1e-300, None)) + tilt * scores
+    logits -= logits.max()
+    wp = np.exp(logits)
+    return wp / wp.sum()
 
 
 def tilt_divergence_limit(cfg: MetaConfig, name: str) -> float:
@@ -362,7 +513,7 @@ def tilt_divergence_limit(cfg: MetaConfig, name: str) -> float:
     """
     _require_archetypes(cfg, "tilt_divergence_limit")
     w = cfg.archetype_weights
-    scores = np.array([a.score for a in cfg.archetypes], dtype=float)
+    scores = _archetype_scores(cfg)
     pos = w > 0
     w_top = float(np.sum(w[pos & (scores == scores[pos].max())]))
     if name == "kl":
@@ -373,9 +524,10 @@ def tilt_divergence_limit(cfg: MetaConfig, name: str) -> float:
 
 
 def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float) -> float:
-    """Find the tilt whose achieved divergence equals ``epsilon`` (bisection;
-    the divergence grows monotonically with nonnegative tilt).  A budget at or
-    above ``tilt_divergence_limit`` is rejected."""
+    """Find the tilt whose achieved divergence equals ``epsilon`` (bisection
+    on the tilted weights alone; the divergence grows monotonically with
+    nonnegative tilt).  A budget at or above ``tilt_divergence_limit`` is
+    rejected."""
     if name not in ("kl", "chi-square"):
         raise ValueError("name must be 'kl' or 'chi-square'")
     if epsilon < 0:
@@ -387,8 +539,10 @@ def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float) -> float:
         raise ValueError(f"{name} budget {epsilon:g} unreachable by tilting: the "
                          f"divergence of every tilt stays below {limit:.6g}")
 
+    w, scores = cfg.archetype_weights, _archetype_scores(cfg)
+
     def achieved(t):
-        return shift_meta_fdiv(cfg, t)[1][name]
+        return _divergences(w, _tilted_weights(w, scores, t))[name]
 
     hi = 1.0
     for _ in range(200):

@@ -38,7 +38,7 @@ from .fdiv import fdiv_cdf_bound, fdiv_mean_bound
 from .losses import LINEAR, LOGISTIC, ZERO_ONE, Hypothesis, LossFn
 from .metasim import (
     MetaConfig,
-    generate_dataset,
+    generate_datasets,
     sample_clients,
     shift_meta_fdiv,
     shift_meta_wass,
@@ -357,7 +357,7 @@ def target_world(cfg: MetaConfig, kind: str, epsilon: float, h: Hypothesis,
 def _draw_source(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int, root: int):
     """K fresh clients of n_k samples from the source world, seeded by
     ``root``: their datasets, empirical zero-one risks and sample counts."""
-    datasets = [generate_dataset(s, n_k, cfg) for s in sample_clients(cfg, K, seed=root)]
+    datasets = generate_datasets(sample_clients(cfg, K, seed=root), n_k, cfg)
     qv = np.array([empirical_risk(h, ds, _ZERO_ONE).value for ds in datasets])
     return datasets, qv, np.full(K, n_k)
 
@@ -400,8 +400,11 @@ def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
 
     ``bound_kind`` is a certificate kind, with ``cdf-curve`` for ``cdf``.
     ``params`` carries: h (Hypothesis, required), K, n_k, delta,
-    target_clients, and per kind epsilon / f_name / lambda_grid / grid_size.
-    The clients answer zero-one queries under the half-squared cost.
+    target_clients, and per kind epsilon / f_name / lambda_grid / grid_size /
+    max_queries.  The clients answer zero-one queries under the half-squared
+    cost.  A ``wass-mean`` trial charges each client its zero-radius query and
+    its radius grid against ``max_queries`` (None: no cap), as certify does,
+    and raises BudgetExceededError past it.
     A violation is recorded when the target statistic exceeds the certificate
     by more than a 1e-9 float guard; the report passes when the violation
     rate stays within delta plus three binomial standard errors.
@@ -419,13 +422,17 @@ def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
     T_target = int(params.get("target_clients", 2000))
     lams = lambda_grid(params)
     req = {**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams}
-    grid_size = int(params.get("grid_size", DEFAULT_GRID_SIZE))
+    max_queries = params.get("max_queries")
     target_cfg = target_world(cfg, kind, epsilon, h, params.get("f_name"))
 
     def run_trial(t: int) -> tuple[int, np.ndarray]:
         datasets, qv, ns = _draw_source(cfg, h, K, n_k, _trial_seed(seed, t))
-        clients = [Client(ds.client_id, ds, _ZERO_ONE, max_queries=grid_size + 1)
-                   for ds in datasets] if kind == "wass-mean" else None
+        clients = None
+        if kind == "wass-mean":
+            clients = [Client(ds.client_id, ds, _ZERO_ONE, max_queries=max_queries)
+                       for ds in datasets]
+            for c in clients:
+                c.query(h, 0.0)   # qv's query, charged as certify charges it
         cert = issue_certificate(kind, req, qv, ns, clients, h)
         rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
         risks = sample_true_risks(target_cfg, T_target, h, rng_t)

@@ -154,8 +154,9 @@ def test_bad_certificate_entry_reports_its_path(tmp_path, capsys, key, value):
     ({"K_schedule": [10, 5]}, "$.verify.tightness.K_schedule"),
     ({"K_schedule": [5, 10, 20]}, "$.verify.tightness"),
     ({"K_schedule": []}, "$.verify.tightness.K_schedule"),
+    ({"trails": 1}, "$.verify.tightness"),
 ], ids=["fdiv-without-f_name", "delta-above-one", "negative-epsilon", "unsorted-schedule",
-        "unaligned-schedules", "empty-schedule"])
+        "unaligned-schedules", "empty-schedule", "misspelt-key"])
 def test_bad_tightness_reports_its_path(tmp_path, capsys, change, where):
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["verify"]["tightness"].update(change)
@@ -450,6 +451,35 @@ def test_verify_runs_and_writes_reports(tmp_path):
     tightness = (out / "tightness.csv").read_text().splitlines()
     assert tightness[0].startswith("K,n_k,median_gap")
     assert len(tightness) == 3
+
+
+@pytest.mark.parametrize("max_queries, rc", [(1, 3), (16, 3), (17, 0)])
+def test_verify_wass_trials_spend_certifys_query_budget(tmp_path, capsys, max_queries, rc):
+    # a client pays one zero-radius query and the 16 radii of the default
+    # grid, in certify and in each wass-mean coverage trial alike
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["data"]["max_queries"] = max_queries
+    cfg["certificates"] = [{"kind": "wass-mean", "delta": 0.1, "epsilon": 0.05,
+                            "target_clients": 300}]
+    cfg["verify"] = {"trials": 2, "target_clients": 300,
+                     "kinds": [{"kind": "wass-mean", "delta": 0.1, "epsilon": 0.05}]}
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", cfgp, "--out", str(tmp_path / "c")]) == rc
+    assert main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == rc
+    if rc == 3:
+        assert "exhausted its budget" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists() and not (tmp_path / "v").exists()
+
+
+def test_verify_jobs_write_the_same_tree(tmp_path):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["verify"]["kinds"] = [{"kind": "mean", "delta": 0.1},
+                              {"kind": "fdiv-cdf", "delta": 0.1, "epsilon": 0.05, "f_name": "kl"}]
+    cfgp = write_config(tmp_path, cfg)
+    for jobs in ("1", "2"):
+        assert main(["verify", "--config", cfgp, "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "2")
 
 
 def test_verify_without_section_exits_one(tmp_path, capsys):

@@ -10,6 +10,7 @@ from fedcert import (
     archetype_divergences,
     export_world,
     generate_dataset,
+    generate_datasets,
     load_client_pool,
     load_world,
     sample_clients,
@@ -17,7 +18,13 @@ from fedcert import (
     shift_meta_wass,
     tilt_for_divergence,
 )
-from fedcert.metasim import _categorical, _client_rng, tilt_divergence_limit
+from fedcert.metasim import (
+    _BLOCK_BYTES,
+    _categorical,
+    _choice_cdf,
+    _philox_keys,
+    tilt_divergence_limit,
+)
 
 BASE_MEANS = np.array([[-1.0, 0.0], [1.0, 0.0]])
 
@@ -37,9 +44,17 @@ def two_archetype_cfg(w=(0.5, 0.5), scores=(0.0, 1.0), seed=123):
                       archetypes=arche, archetype_weights=np.array(w))
 
 
+def _client_rng(seed: int, client_id: int, stream: int) -> np.random.Generator:
+    """The reference stream of one client: a Generator built per client."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence([int(seed), int(client_id), stream]))
+    )
+
+
 def test_categorical_draws_match_generator_choice():
-    # the same draws and the same stream state after them, for the spec
-    # stream's single draws and the data stream's label vectors
+    # the same draws from the same uniforms, and the same stream state after
+    # them, for the spec stream's single draws and the data stream's label
+    # vectors
     rng = np.random.default_rng(np.random.SeedSequence(2024))
     for k in range(500):
         p = rng.dirichlet(np.full(int(rng.integers(2, 6)), 0.5))
@@ -48,7 +63,7 @@ def test_categorical_draws_match_generator_choice():
             p /= p.sum()
         for n in (None, 1, 7, 50):
             ours, ref = _client_rng(k, n or 0, 0), _client_rng(k, n or 0, 0)
-            got, want = _categorical(ours, p, n), ref.choice(len(p), size=n, p=p)
+            got, want = _categorical(_choice_cdf(p), ours.random(n)), ref.choice(len(p), size=n, p=p)
             assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
             assert ours.random() == ref.random()
 
@@ -121,6 +136,110 @@ def test_generate_dataset_deterministic():
     d2 = generate_dataset(spec, 50, cfg)
     assert np.array_equal(d1.features, d2.features)
     assert np.array_equal(d1.labels, d2.labels)
+
+
+# -- the batched draw against a per-client reference --------------------------
+
+# roots of one, two and three or more uint32 words
+ROOTS = (0, 31, 2**63 + 5, 2**70 + 3)
+
+
+def test_philox_keys_match_seed_sequence():
+    ids = [0, 1, 2**32 - 1]
+    for root in ROOTS + (2**32 - 1, 2**32, 2**128 - 1):
+        for stream in (0, 1):
+            want = np.array([np.random.SeedSequence([root, k, stream]).generate_state(2, np.uint64)
+                             for k in ids])
+            got = _philox_keys(root, ids, stream)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
+            # and the key Philox itself takes from that SeedSequence
+            built = np.random.Philox(np.random.SeedSequence([root, ids[2], stream]))
+            assert np.array_equal(got[2], built.state["state"]["key"])
+    for root, ids in ((-1, [0]), (0, [-1]), (0, [2**32])):
+        with pytest.raises(ValueError):
+            _philox_keys(root, ids, 0)
+
+
+def three_class_cfg(shift_mode, archetypes, seed):
+    means = np.array([[-1.0, 0.0, 0.5], [1.0, 0.5, 0.0], [0.0, -1.0, 1.0]])
+    kw = {}
+    if archetypes:
+        kw = dict(archetypes=[
+            Archetype(class_means=means, score=0.0),
+            Archetype(class_means=0.5 * means, class_props=[0.2, 0.0, 0.8], score=1.0),
+            Archetype(class_means=-means, class_props=[0.5, 0.3, 0.2], score=2.0),
+        ], archetype_weights=[0.5, 0.3, 0.2])
+    return MetaConfig(dim=3, n_classes=3, class_means=means, shift_mode=shift_mode,
+                      seed=seed, **kw)
+
+
+def reference_world(cfg, K, n_k):
+    """The world drawn one client at a time, each through Generators built
+    for it, in the draw order of the simulator's streams."""
+    d, C = cfg.dim, cfg.n_classes
+    specs, data = [], []
+    for k in range(K):
+        rng = _client_rng(cfg.seed, k, 0)
+        if cfg.archetypes is not None:
+            arche = int(rng.choice(len(cfg.archetypes), p=cfg.archetype_weights))
+            means, props = cfg.archetypes[arche].class_means, cfg.archetypes[arche].class_props
+        else:
+            arche, means, props = -1, cfg.class_means, np.full(C, 1.0 / C)
+        affine, shift = np.zeros((d, d)), np.zeros(d)
+        if cfg.shift_mode in ("feature", "both"):
+            affine = rng.normal(0.0, cfg.sigma_affine, size=(d, d))
+            shift = rng.normal(0.0, cfg.sigma_shift, size=d)
+        if cfg.shift_mode in ("label", "both"):
+            props = rng.dirichlet(cfg.alpha_dir * C * props)
+        specs.append(ClientSpec(client_id=k, affine=affine, shift=shift, class_props=props,
+                                class_means=means, archetype=arche, seed_entropy=cfg.seed))
+        rng = _client_rng(cfg.seed, k, 1)
+        labels = rng.choice(C, size=n_k, p=props)
+        X = means[labels] + cfg.cov_scale * rng.standard_normal((n_k, d))
+        data.append((X @ (np.eye(d) + affine).T + shift, labels))
+    return specs, data
+
+
+def assert_same_world(specs, datasets, ref_specs, ref_data):
+    assert len(specs) == len(ref_specs) == len(datasets) == len(ref_data)
+    for spec, ref in zip(specs, ref_specs):
+        assert (spec.client_id, spec.archetype, spec.seed_entropy) == \
+            (ref.client_id, ref.archetype, ref.seed_entropy)
+        for key in ("affine", "shift", "class_props", "class_means"):
+            assert np.array_equal(getattr(spec, key), getattr(ref, key)), key
+    for ds, (X, labels) in zip(datasets, ref_data):
+        assert np.array_equal(ds.features, X)
+        assert np.array_equal(ds.labels, labels) and ds.labels.dtype == labels.dtype
+
+
+N_K = 64
+# clients in one block of the data draw at N_K samples of dim 3
+BLOCK = _BLOCK_BYTES // (8 * N_K * 3)
+
+
+@pytest.mark.parametrize("K", [1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("root", ROOTS)
+@pytest.mark.parametrize("archetypes", [False, True])
+@pytest.mark.parametrize("shift_mode", ["none", "feature", "label", "both"])
+def test_batched_draw_matches_per_client_reference(shift_mode, archetypes, root, K):
+    cfg = three_class_cfg(shift_mode, archetypes, root)
+    specs = sample_clients(cfg, K)
+    ref_specs, ref_data = reference_world(cfg, K, N_K)
+    assert_same_world(specs, generate_datasets(specs, N_K, cfg), ref_specs, ref_data)
+    # the single-spec path is the batched one called with one spec
+    assert_same_world(specs[-1:], [generate_dataset(specs[-1], N_K, cfg)],
+                      ref_specs[-1:], ref_data[-1:])
+
+
+def test_batched_datasets_follow_each_specs_own_root():
+    # specs drawn under different roots, interleaved in one call
+    cfgs = [three_class_cfg("both", True, root) for root in ROOTS]
+    drawn = [sample_clients(cfg, 3) for cfg in cfgs]
+    refs = [reference_world(cfg, 3, 6) for cfg in cfgs]
+    order = [(w, k) for k in range(3) for w in range(len(cfgs))]
+    specs = [drawn[w][k] for w, k in order]
+    assert_same_world(specs, generate_datasets(specs, 6, cfgs[0]),
+                      [refs[w][0][k] for w, k in order], [refs[w][1][k] for w, k in order])
 
 
 # -- meta-level shifts -------------------------------------------------------
