@@ -55,6 +55,7 @@ from .oracle import (
     CoverageReport,
     adversarial_directions,
     coverage_experiment,
+    coverage_experiments,
     exact_zero_one_risk,
     grid_reweight_oracle,
     sample_true_risks,
@@ -69,7 +70,9 @@ from .query import (
     TransportCost,
     adversarial_risk,
     empirical_risk,
+    empirical_risks,
     phi_gamma,
+    query_empirical,
 )
 from .wass import (
     QvProfile,

@@ -46,14 +46,21 @@ from .oracle import (
     CURVE_KINDS,
     FDIV_KINDS,
     TIGHTNESS_KINDS,
-    coverage_experiment,
+    coverage_experiments,
     issue_certificate,
     lambda_grid,
     sample_true_risks,
     target_world,
     tightness_probe,
 )
-from .query import BudgetExceededError, Client, TransportCost, HALF_SQ, PLAIN_L2
+from .query import (
+    HALF_SQ,
+    PLAIN_L2,
+    BudgetExceededError,
+    Client,
+    TransportCost,
+    query_empirical,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -98,6 +105,8 @@ _REQUEST_PROPERTIES = {
     "f_name": {"enum": ["kl", "chi-square"]},
     "lambda_grid": _LAMBDA_GRID_SCHEMA,
 }
+
+_POINT_SCHEMA = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 
 _SCHEDULE_SCHEMA = {"type": "array", "minItems": 1,
                     "items": {"type": "integer", "minimum": 1}}
@@ -149,7 +158,11 @@ CONFIG_SCHEMA = {
             "properties": {
                 "loss": {"enum": list(LOSS_KINDS)},
                 "cost": {"enum": [HALF_SQ, PLAIN_L2]},
-                "grid": {"type": "array", "items": {"type": "number"}},
+                # one point, or a list of points
+                "grid": {"oneOf": [
+                    _POINT_SCHEMA,
+                    {"type": "array", "items": _POINT_SCHEMA, "minItems": 1},
+                ]},
             },
             "additionalProperties": False,
         },
@@ -326,7 +339,8 @@ def _build_clients(cfg: dict, world: MetaConfig) -> tuple[list[Client], Transpor
 def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
     """The config rules the schema cannot see.  The targets are exact
     zero-one risks, so the world must be binary, the model a binary linear
-    or logistic rule of the world's width, and the query loss zero-one; the
+    or logistic rule of the world's width, each ``query.grid`` point of that
+    width, and the query loss zero-one; the
     coverage trials query under the half-squared cost with no grid, so a
     wass-mean verify kind refuses any other ``query`` setting.  Divergence
     kinds (a tightness probe's included) need a world with archetypes and a
@@ -347,6 +361,13 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
                           f"for a world of dim {world.dim}")
     verify = cfg.get("verify", {})
     query = cfg.get("query", {})
+    if "grid" in query:
+        nested = isinstance(query["grid"][0], list)
+        for i, point in enumerate(query["grid"] if nested else [query["grid"]]):
+            if len(point) != world.dim:
+                where = f"grid[{i}]" if nested else "grid"
+                raise ConfigError(f"config error at $.query.{where}: a point of "
+                                  f"{len(point)} coordinates for a world of dim {world.dim}")
     if query.get("loss", ZERO_ONE) != ZERO_ONE:
         raise ConfigError("config error at $.query.loss: certificates and their "
                           "targets are wired for the zero-one loss")
@@ -409,7 +430,7 @@ def cmd_certify(args) -> int:
     _check_inputs(cfg, world, h)
     clients, cost = _build_clients(cfg, world)
 
-    qv = np.array([c.query(h, 0.0).value for c in clients])
+    qv = np.array([a.value for a in query_empirical(clients, h)])
     ns = np.array([c.n_samples for c in clients])
 
     # every certificate and target is computed before --out is created, so a
@@ -476,16 +497,19 @@ def cmd_verify(args) -> int:
     trials = int(args.trials if args.trials is not None else vc.get("trials", 50))
     if trials < 1:
         raise ConfigError(f"config error at $.verify.trials: --trials {trials} is below 1")
+    entries = vc.get("kinds", [])
+    shared = {"h": h, "K": cfg["data"]["K"], "n_k": cfg["data"]["n_k"],
+              "max_queries": cfg["data"].get("max_queries"),
+              "target_clients": vc.get("target_clients", 2000)}
+    # the kinds share each trial's source world and target draws
+    coverage = coverage_experiments(
+        world, [("cdf-curve" if e["kind"] == "cdf" else e["kind"], {**e, **shared})
+                for e in entries],
+        trials, seed=world.seed, jobs=args.jobs)
     all_passed = True
     reports = []
-    for i, entry in enumerate(vc.get("kinds", [])):
+    for i, (entry, report) in enumerate(zip(entries, coverage)):
         kind = entry["kind"]
-        bound_kind = "cdf-curve" if kind == "cdf" else kind
-        params = {**entry, "h": h, "K": cfg["data"]["K"], "n_k": cfg["data"]["n_k"],
-                  "max_queries": cfg["data"].get("max_queries"),
-                  "target_clients": vc.get("target_clients", 2000)}
-        report = coverage_experiment(world, bound_kind, params, trials,
-                                     seed=world.seed, jobs=args.jobs)
         reports.append((f"coverage_{i:02d}_{kind}.json", report))
         status = "ok" if report.passed else "FAIL"
         print(f"coverage {kind}: rate={report.violation_rate:.4f} "

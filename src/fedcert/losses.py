@@ -148,23 +148,26 @@ class Hypothesis:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Hard labels; argmax for linear, threshold at 1/2 for the rest."""
-        if self.kind == LOOKUP:
-            return (self.predicted_value(X) >= 0.5).astype(int)
         return self.labels_from_scores(self.scores(X))
 
     def labels_from_scores(self, scores: np.ndarray) -> np.ndarray:
-        """``predict`` of a linear or logistic rule from its ``scores``."""
+        """``predict`` from the rule's ``scores``."""
         if self.kind == LINEAR:
             return np.argmax(scores, axis=1)
+        if self.kind == LOOKUP:
+            return (self.value_from_scores(scores) >= 0.5).astype(int)
         return (scores >= 0.0).astype(int)
 
     def predicted_value(self, X: np.ndarray) -> np.ndarray:
         """Real-valued output: probability of class 1, or the table entry."""
+        return self.value_from_scores(self.scores(X))
+
+    def value_from_scores(self, scores: np.ndarray) -> np.ndarray:
+        """``predicted_value`` from the rule's ``scores``."""
         if self.kind == LOGISTIC:
-            return _sigmoid(self.scores(X))
+            return _sigmoid(scores)
         if self.kind == LOOKUP:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            return self.weights[self._table_rows(X)]
+            return self.weights[scores.astype(int)]
         raise ValueError("linear-classifier has no scalar predicted value")
 
     def _table_rows(self, X: np.ndarray) -> np.ndarray:
@@ -237,20 +240,26 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
 def loss_values(loss_fn: LossFn, h: Hypothesis, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorized per-sample losses, always inside [0, 1]."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if len(y) != len(X):
+    if len(np.atleast_1d(y)) != len(X):
         raise DimensionMismatchError("feature/label counts differ")
+    return score_loss_values(loss_fn, h, h.scores(X), y)
 
+
+def score_loss_values(loss_fn: LossFn, h: Hypothesis, scores: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+    """Per-sample losses of ``h`` at points with these ``scores`` (rows of
+    ``h.scores``), without a model pass; ``loss_values`` is this after
+    ``h.scores``."""
+    s = np.asarray(scores, dtype=float)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     if loss_fn.kind == ZERO_ONE:
-        return (h.predict(X) != y.astype(int)).astype(float)
-
+        return (h.labels_from_scores(s) != y.astype(int)).astype(float)
     if h.kind != LINEAR:
-        return _output_losses(loss_fn, h.predicted_value(X), y)
+        return _output_losses(loss_fn, h.value_from_scores(s), y)
     if loss_fn.kind == CROSS_ENTROPY:
-        s = h.scores(X)
         s = s - s.max(axis=1, keepdims=True)
         logp = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-        return np.clip(-logp[np.arange(len(X)), y.astype(int)], 0.0, 1.0)
+        return np.clip(-logp[np.arange(len(s)), y.astype(int)], 0.0, 1.0)
     raise ValueError("clipped-squared needs a score-valued hypothesis "
                      "(logistic or lookup-table)")
 
@@ -264,13 +273,6 @@ def _output_losses(loss_fn: LossFn, p: np.ndarray, y: np.ndarray) -> np.ndarray:
     else:
         raw = (y - p) ** 2
     return np.clip(raw, 0.0, 1.0)
-
-
-def score_loss_values(loss_fn: LossFn, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Clipped smooth losses of a logistic rule at scores ``s``, without a
-    model pass; equal to ``loss_values`` at any points with these scores."""
-    return _output_losses(loss_fn, _sigmoid(np.asarray(s, dtype=float)),
-                          np.asarray(y, dtype=float))
 
 
 def loss(loss_fn: LossFn, h: Hypothesis, z: Sample) -> float:

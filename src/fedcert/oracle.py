@@ -9,8 +9,9 @@ Everything here is deliberately independent of the solvers it checks:
                                  linear program over couplings on small
                                  discrete instances;
   * ``wass_alloc_grid_oracle``   radius allocation by brute 2-D grid search;
-  * ``coverage_experiment``      Monte-Carlo: draw a fresh world, certify,
+  * ``coverage_experiments``     Monte-Carlo: draw a fresh world, certify,
                                  draw the shifted target, count violations;
+                                 the kinds share each trial's draws;
   * ``tightness_probe``          certificate-minus-achievable gap along a
                                  schedule of world sizes.
 
@@ -18,6 +19,14 @@ Each certificate kind is wired once, here, for the command line and the two
 experiments alike: ``BOUND_KINDS`` names the kinds, ``issue_certificate``
 maps a kind to its bound function, and ``target_world`` builds the shifted
 meta-distribution the kind declares.
+
+The coverage trials use common random numbers: trial t seeds its source
+world by (seed, t) and its target risks by (seed, t, 1), whatever the kind.
+So every kind certifies the same clients, and kinds that declare the same
+target world test against the same risks.  ``coverage_experiments`` runs
+each trial once, draws its source and each distinct target once, and
+certifies every requested kind on them; each report equals the one its kind
+gets when run on its own.
 
 Target statistics use exact per-client risks (Gaussian class-conditional
 worlds with a binary linear rule admit a closed form), so coverage tests
@@ -45,7 +54,7 @@ from .metasim import (
     tilt_for_divergence,
 )
 from .nonrobust import cdf_bound, mean_bound
-from .query import HALF_SQ, Client, empirical_risk
+from .query import HALF_SQ, Client, empirical_risks, query_empirical
 from .wass import DEFAULT_GRID_SIZE, QvProfile, wass_mean_bound
 
 __all__ = [
@@ -64,6 +73,7 @@ __all__ = [
     "target_world",
     "CoverageReport",
     "coverage_experiment",
+    "coverage_experiments",
     "tightness_probe",
 ]
 
@@ -358,7 +368,7 @@ def _draw_source(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int, root: int):
     """K fresh clients of n_k samples from the source world, seeded by
     ``root``: their datasets, empirical zero-one risks and sample counts."""
     datasets = generate_datasets(sample_clients(cfg, K, seed=root), n_k, cfg)
-    qv = np.array([empirical_risk(h, ds, _ZERO_ONE).value for ds in datasets])
+    qv = np.array([a.value for a in empirical_risks(h, datasets, _ZERO_ONE)])
     return datasets, qv, np.full(K, n_k)
 
 
@@ -395,8 +405,103 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
                         trials: int, seed: int = 0, jobs: int = 1) -> CoverageReport:
-    """Repeatedly certify fresh source worlds and test the certificate against
-    the exact statistics of the declared shifted target.
+    """``coverage_experiments`` for one kind."""
+    return coverage_experiments(cfg, [(bound_kind, params)], trials, seed, jobs)[0]
+
+
+@dataclass
+class _CoveragePlan:
+    """What one requested kind's trials need, fixed before the first trial."""
+
+    bound_kind: str
+    kind: str
+    h: Hypothesis
+    K: int
+    n_k: int
+    delta: float
+    epsilon: float
+    target_clients: int
+    lams: np.ndarray
+    req: dict
+    target_cfg: MetaConfig
+
+    @classmethod
+    def of(cls, cfg: MetaConfig, bound_kind: str, params: dict) -> "_CoveragePlan":
+        if bound_kind not in _COVERAGE_KINDS:
+            raise ValueError(f"bound_kind must be one of {_COVERAGE_KINDS}")
+        kind = "cdf" if bound_kind == "cdf-curve" else bound_kind
+        h: Hypothesis = params["h"]
+        delta = float(params.get("delta", 0.1))
+        epsilon = float(params.get("epsilon", 0.0))
+        lams = lambda_grid(params)
+        return cls(
+            bound_kind=bound_kind, kind=kind, h=h,
+            K=int(params.get("K", 50)), n_k=int(params.get("n_k", 100)),
+            delta=delta, epsilon=epsilon,
+            target_clients=int(params.get("target_clients", 2000)), lams=lams,
+            req={**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams},
+            target_cfg=target_world(cfg, kind, epsilon, h, params.get("f_name")),
+        )
+
+    def source_key(self) -> tuple:
+        return self.h.cache_key(), self.K, self.n_k
+
+    def target_key(self) -> tuple:
+        return self.target_cfg.digest(), self.target_clients, self.h.cache_key()
+
+    def outcome(self, source, risks: np.ndarray) -> tuple[int, np.ndarray]:
+        """Certify one trial's source and test it against the target's exact
+        risks: (violated, per-threshold violations)."""
+        datasets, qv, ns = source
+        clients = None
+        if self.kind == "wass-mean":
+            clients = [Client(ds.client_id, ds, _ZERO_ONE,
+                              max_queries=self.req.get("max_queries"))
+                       for ds in datasets]
+            query_empirical(clients, self.h)   # qv's queries, charged as certify charges them
+        cert = issue_certificate(self.kind, self.req, qv, ns, clients, self.h)
+        lams = self.lams
+        if self.kind not in CURVE_KINDS:
+            violated = float(np.mean(risks)) > cert.value + VIOLATION_GUARD
+            return int(violated), np.zeros(len(lams), dtype=int)
+        curve_vals = cert.bounds[np.searchsorted(cert.lambdas, lams)]
+        surv = np.mean(risks[None, :] >= lams[:, None], axis=1)
+        viol = surv > curve_vals + VIOLATION_GUARD
+        return int(np.any(viol)), viol.astype(int)
+
+    def report(self, cfg: MetaConfig, outcomes: list, trials: int) -> CoverageReport:
+        violations = int(sum(r[0] for r in outcomes))
+        per_lambda_counts = np.sum([r[1] for r in outcomes], axis=0)
+        rate = violations / trials
+        threshold = self.delta + 3.0 * float(np.sqrt(self.delta * (1 - self.delta) / trials))
+        # a run where every trial violates is a failure even when the
+        # small-trials threshold saturates at 1
+        passed = rate <= threshold and violations < trials
+        per_lambda = None
+        if self.kind in CURVE_KINDS:
+            per_lambda = {
+                "lambdas": self.lams.tolist(),
+                "violation_rates": (per_lambda_counts / trials).tolist(),
+            }
+        return CoverageReport(
+            bound_kind=self.bound_kind,
+            trials=trials,
+            violations=violations,
+            violation_rate=rate,
+            delta=self.delta,
+            threshold=threshold,
+            passed=passed,
+            config_digest=cfg.digest(),
+            per_lambda=per_lambda,
+            notes={"K": self.K, "n_k": self.n_k, "epsilon": self.epsilon},
+        )
+
+
+def coverage_experiments(cfg: MetaConfig, requests: list[tuple[str, dict]],
+                         trials: int, seed: int = 0, jobs: int = 1) -> list[CoverageReport]:
+    """Repeatedly certify fresh source worlds and test each certificate
+    against the exact statistics of its declared shifted target; one report
+    per ``(bound_kind, params)`` request, in order.
 
     ``bound_kind`` is a certificate kind, with ``cdf-curve`` for ``cdf``.
     ``params`` carries: h (Hypothesis, required), K, n_k, delta,
@@ -406,75 +511,44 @@ def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
     its radius grid against ``max_queries`` (None: no cap), as certify does,
     and raises BudgetExceededError past it.
     A violation is recorded when the target statistic exceeds the certificate
-    by more than a 1e-9 float guard; the report passes when the violation
-    rate stays within delta plus three binomial standard errors.
+    by more than a 1e-9 float guard; a report passes when its violation rate
+    stays within delta plus three binomial standard errors.
+
+    Trial t seeds its source world by (seed, t) alone and its target risks by
+    SeedSequence([seed, t, 1]), whatever the kind.  So the kinds share each
+    trial's draws (common random numbers): the trial draws its source once
+    per (h, K, n_k) and its target risks once per declared target world and
+    client count, and every report equals that of the kind run on its own.
+    The trials run in the outer loop, ``jobs`` of them at a time, each
+    holding only its own draws.
     """
-    if bound_kind not in _COVERAGE_KINDS:
-        raise ValueError(f"bound_kind must be one of {_COVERAGE_KINDS}")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    kind = "cdf" if bound_kind == "cdf-curve" else bound_kind
-    h: Hypothesis = params["h"]
-    K = int(params.get("K", 50))
-    n_k = int(params.get("n_k", 100))
-    delta = float(params.get("delta", 0.1))
-    epsilon = float(params.get("epsilon", 0.0))
-    T_target = int(params.get("target_clients", 2000))
-    lams = lambda_grid(params)
-    req = {**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams}
-    max_queries = params.get("max_queries")
-    target_cfg = target_world(cfg, kind, epsilon, h, params.get("f_name"))
+    plans = [_CoveragePlan.of(cfg, bound_kind, params) for bound_kind, params in requests]
 
-    def run_trial(t: int) -> tuple[int, np.ndarray]:
-        datasets, qv, ns = _draw_source(cfg, h, K, n_k, _trial_seed(seed, t))
-        clients = None
-        if kind == "wass-mean":
-            clients = [Client(ds.client_id, ds, _ZERO_ONE, max_queries=max_queries)
-                       for ds in datasets]
-            for c in clients:
-                c.query(h, 0.0)   # qv's query, charged as certify charges it
-        cert = issue_certificate(kind, req, qv, ns, clients, h)
-        rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
-        risks = sample_true_risks(target_cfg, T_target, h, rng_t)
-        if kind not in CURVE_KINDS:
-            violated = float(np.mean(risks)) > cert.value + VIOLATION_GUARD
-            return int(violated), np.zeros(len(lams), dtype=int)
-        curve_vals = cert.bounds[np.searchsorted(cert.lambdas, lams)]
-        surv = np.mean(risks[None, :] >= lams[:, None], axis=1)
-        viol = surv > curve_vals + VIOLATION_GUARD
-        return int(np.any(viol)), viol.astype(int)
+    def run_trial(t: int) -> list[tuple[int, np.ndarray]]:
+        sources: dict[tuple, tuple] = {}
+        targets: dict[tuple, np.ndarray] = {}
+        outcomes = []
+        for plan in plans:
+            src, tgt = plan.source_key(), plan.target_key()
+            if src not in sources:
+                sources[src] = _draw_source(cfg, plan.h, plan.K, plan.n_k, _trial_seed(seed, t))
+            if tgt not in targets:
+                rng_t = np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence([seed, t, 1])))
+                targets[tgt] = sample_true_risks(plan.target_cfg, plan.target_clients,
+                                                 plan.h, rng_t)
+            outcomes.append(plan.outcome(sources[src], targets[tgt]))
+        return outcomes
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_trial, range(trials)))
     else:
         results = [run_trial(t) for t in range(trials)]
-
-    violations = int(sum(r[0] for r in results))
-    per_lambda_counts = np.sum([r[1] for r in results], axis=0)
-    rate = violations / trials
-    threshold = delta + 3.0 * float(np.sqrt(delta * (1 - delta) / trials))
-    # a run where every trial violates is a failure even when the small-trials
-    # threshold saturates at 1
-    passed = rate <= threshold and violations < trials
-    per_lambda = None
-    if kind in CURVE_KINDS:
-        per_lambda = {
-            "lambdas": lams.tolist(),
-            "violation_rates": (per_lambda_counts / trials).tolist(),
-        }
-    return CoverageReport(
-        bound_kind=bound_kind,
-        trials=trials,
-        violations=violations,
-        violation_rate=rate,
-        delta=delta,
-        threshold=threshold,
-        passed=passed,
-        config_digest=cfg.digest(),
-        per_lambda=per_lambda,
-        notes={"K": K, "n_k": n_k, "epsilon": epsilon},
-    )
+    return [plan.report(cfg, [r[i] for r in results], trials)
+            for i, plan in enumerate(plans)]
 
 
 def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],

@@ -4,10 +4,12 @@ The server learns about a client only through ``Client.query(h, rho)``, which
 returns a single scalar summary (plus solver metadata), and
 ``Client.query_profile(h, rhos)``, which computes a radius vector's answers
 in one call and passes each through ``query``: one scalar answer, one audit
-entry and one unit of the query budget per radius.  A query is charged once
-answered.  At rho = 0 the answer is the plain empirical risk;
-at rho > 0 it is the worst-case risk over all data distributions within
-transport cost rho of the client's empirical sample,
+entry and one unit of the query budget per radius.  ``query_empirical``
+answers many clients' zero-radius queries from one batched loss pass
+(``empirical_risks``) and passes each through ``query`` in the same way.  A
+query is charged once answered.  At rho = 0 the answer is the plain
+empirical risk; at rho > 0 it is the worst-case risk over all data
+distributions within transport cost rho of the client's empirical sample,
 
     sup_{Q in ball(rho)}  E_Q[loss]
         =  min_{gamma >= 0}  gamma * rho + mean_i sup_{z'} [loss(z') - gamma c(z', z_i)]
@@ -92,14 +94,16 @@ from .losses import (
     loss_values,
     score_loss_values,
 )
-from .metasim import LocalDataset
+from .metasim import _BLOCK_BYTES, LocalDataset
 
 __all__ = [
     "TransportCost",
     "QueryValue",
     "BudgetExceededError",
     "Client",
+    "query_empirical",
     "empirical_risk",
+    "empirical_risks",
     "adversarial_risk",
     "phi_gamma",
 ]
@@ -168,11 +172,34 @@ class QueryValue:
 
 
 def empirical_risk(h: Hypothesis, dataset: LocalDataset, loss_fn: LossFn) -> QueryValue:
-    vals = loss_values(loss_fn, h, dataset.features, dataset.labels)
-    return QueryValue(
-        value=float(np.mean(vals)), rho=0.0, gamma_star=0.0,
-        inner_iterations=0, status="exact",
-    )
+    return empirical_risks(h, [dataset], loss_fn)[0]
+
+
+def empirical_risks(h: Hypothesis, datasets, loss_fn: LossFn) -> list[QueryValue]:
+    """The empirical risk of each dataset, in order.
+
+    Each dataset has its own model pass (``h.scores``), so its scores round
+    as they would alone.  The datasets of one sample count then run in
+    blocks of about ``_BLOCK_BYTES`` of features: one loss pass over the
+    block's stacked scores, and one row-wise mean, which equals each row's
+    own ``np.mean`` to the last bit.
+    """
+    datasets = list(datasets)
+    of_size: dict[int, list[int]] = {}
+    for i, ds in enumerate(datasets):
+        of_size.setdefault(len(ds), []).append(i)
+    values = [0.0] * len(datasets)
+    for n, same in of_size.items():
+        step = max(1, _BLOCK_BYTES // (8 * max(n, 1) * h.n_features))
+        for start in range(0, len(same), step):
+            rows = same[start:start + step]
+            scores = np.concatenate([h.scores(datasets[i].features) for i in rows])
+            labels = np.concatenate([datasets[i].labels for i in rows])
+            losses = score_loss_values(loss_fn, h, scores, labels)
+            for i, v in zip(rows, np.mean(losses.reshape(len(rows), n), axis=1).tolist()):
+                values[i] = v
+    return [QueryValue(value=v, rho=0.0, gamma_star=0.0, inner_iterations=0, status="exact")
+            for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +346,10 @@ class _ScoreLineInner(_FillInner):
         if loss_fn.kind == CROSS_ENTROPY and not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("clipped cross-entropy with a logistic rule needs labels 0 and 1")
         s = h.scores(X)
-        self._loss, self._cost = loss_fn, cost
+        self._h, self._loss, self._cost = h, loss_fn, cost
         self._w = float(np.linalg.norm(h.weights))
         self._samples = list(zip(s.tolist(), y.tolist(),
-                                 score_loss_values(loss_fn, s, y).tolist()))
+                                 score_loss_values(loss_fn, h, s, y).tolist()))
         self._n = len(s)
         self._base, self._fill = _hull_fill(
             (C[None], L[None]) for C, L in map(self._staircase, self._samples))
@@ -334,7 +361,7 @@ class _ScoreLineInner(_FillInner):
         tail from the last node, carrying the side's ceiling."""
         s, y, l0 = sample
         C, L = [[0.0]], [[l0]]
-        for c, l, top, _, _ in _line_sides(self._loss, self._cost, self._w, s, y, l0):
+        for c, l, top, _, _ in self._line_sides(s, y, l0):
             C.append(np.concatenate([[0.0], c]))
             L.append(np.concatenate([np.maximum(np.concatenate([[l0], l[:-1]]), l), [top]]))
         return np.concatenate(C), np.concatenate(L)
@@ -343,36 +370,36 @@ class _ScoreLineInner(_FillInner):
         out = np.empty(self._n)
         for i, (s, y, l0) in enumerate(self._samples):
             out[i] = l0
-            for c, l, _, clip_c, clip_l in _line_sides(self._loss, self._cost, self._w,
-                                                       s, y, l0):
+            for c, l, _, clip_c, clip_l in self._line_sides(s, y, l0):
                 c, l = np.concatenate([c, clip_c]), np.concatenate([l, clip_l])
                 out[i] = max(out[i], float(np.max(l - gamma * c, initial=-np.inf)))
         return out
 
-
-def _line_sides(loss_fn, cost, w, s, y, l0):
-    """Yields, for each side of one sample's score line on which the loss
-    rises above l0: its level nodes' costs and losses, outwards; its
-    ceiling; and its clip node's cost and loss (empty where the side stays
-    below the clip).  A constant rule (w = 0) has none."""
-    if w == 0.0:
-        return
-    if loss_fn.kind == CROSS_ENTROPY:
-        # label 1 rises to the clip as the score falls, label 0 as it grows
-        asymptotes = (np.inf, 0.0) if y == 1.0 else (0.0, np.inf)
-    else:
-        asymptotes = (y * y, (1.0 - y) ** 2)
-    for side, asym in zip((-1.0, 1.0), asymptotes):
-        top = min(asym, 1.0)
-        if top <= l0:
-            continue
-        level = l0 + SCORE_LINE_TAU * np.arange(1, np.ceil((top - l0) / SCORE_LINE_TAU))
-        u = _rising_score(loss_fn, level, y, side)
-        u = u[(level < top) & np.isfinite(u)]
-        clip = np.array([_rising_score(loss_fn, 1.0, y, side)] if asym > 1.0 else [])
-        # the cost of each node grows with its score distance from s
-        yield (cost.of_distance(np.abs(u - s) / w), score_loss_values(loss_fn, u, y), top,
-               cost.of_distance(np.abs(clip - s) / w), score_loss_values(loss_fn, clip, y))
+    def _line_sides(self, s, y, l0):
+        """Yields, for each side of one sample's score line on which the loss
+        rises above l0: its level nodes' costs and losses, outwards; its
+        ceiling; and its clip node's cost and loss (empty where the side stays
+        below the clip).  A constant rule (w = 0) has none."""
+        h, loss_fn, cost, w = self._h, self._loss, self._cost, self._w
+        if w == 0.0:
+            return
+        if loss_fn.kind == CROSS_ENTROPY:
+            # label 1 rises to the clip as the score falls, label 0 as it grows
+            asymptotes = (np.inf, 0.0) if y == 1.0 else (0.0, np.inf)
+        else:
+            asymptotes = (y * y, (1.0 - y) ** 2)
+        for side, asym in zip((-1.0, 1.0), asymptotes):
+            top = min(asym, 1.0)
+            if top <= l0:
+                continue
+            level = l0 + SCORE_LINE_TAU * np.arange(1, np.ceil((top - l0) / SCORE_LINE_TAU))
+            u = _rising_score(loss_fn, level, y, side)
+            u = u[(level < top) & np.isfinite(u)]
+            clip = np.array([_rising_score(loss_fn, 1.0, y, side)] if asym > 1.0 else [])
+            # the cost of each node grows with its score distance from s
+            yield (cost.of_distance(np.abs(u - s) / w), score_loss_values(loss_fn, h, u, y), top,
+                   cost.of_distance(np.abs(clip - s) / w),
+                   score_loss_values(loss_fn, h, clip, y))
 
 
 def _rising_score(loss_fn, level, y, side):
@@ -615,3 +642,26 @@ class Client:
             )
             self._inner_cache = (key, inner)
         return self._inner_cache[1]
+
+
+def query_empirical(clients: list[Client], h: Hypothesis) -> list[QueryValue]:
+    """Each client's zero-radius query, in order: the answers come from one
+    ``empirical_risks`` call per loss, and each then goes through
+    ``Client.query``, which charges and logs it.  So budgets and audit logs
+    end as a loop of ``c.query(h, 0.0)`` leaves them: the clients before the
+    first one whose budget is spent are answered and logged, and that one
+    raises BudgetExceededError.  Datasets the loss refuses are refused
+    whole, before anything is charged."""
+    fit = next((i for i, c in enumerate(clients)
+                if c.max_queries is not None and c.queries_used >= c.max_queries),
+               len(clients))
+    answers: list[QueryValue | None] = [None] * len(clients)
+    by_loss: dict[LossFn, list[int]] = {}
+    for i, c in enumerate(clients[:fit]):
+        by_loss.setdefault(c._loss_fn, []).append(i)
+    for loss_fn, idx in by_loss.items():
+        risks = empirical_risks(h, [clients[i]._dataset for i in idx], loss_fn)
+        for i, qv in zip(idx, risks):
+            answers[i] = qv
+    # past the budget there is no answer, and query raises before answering
+    return [c.query(h, 0.0, _answer=qv) for c, qv in zip(clients, answers)]

@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import fedcert.oracle
 from fedcert import cli
 from fedcert.cli import PLOTS_HEADER, main
 
@@ -269,6 +270,33 @@ def test_verify_without_a_wass_kind_accepts_transport_query_settings(tmp_path):
                  "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["certify", "verify"])
+@pytest.mark.parametrize("grid, where", [
+    ([0.0, 0.0, 0.0], "$.query.grid:"),
+    ([[0.0, 0.0], [1.0, 0.0, 2.0]], "$.query.grid[1]:"),
+])
+def test_grid_point_of_the_wrong_width_exits_one_before_writing(tmp_path, capsys,
+                                                                command, grid, where):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["query"] = {"grid": grid}
+    assert_rejected_before_writing(tmp_path, capsys, command, cfg, where)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]],
+                         ids=["one-point", "two-points"])
+def test_grid_of_one_or_several_points_runs(tmp_path, grid):
+    # certify's wass-mean certificate queries through the grid; verify has no
+    # wass-mean kind, so its trials ignore it
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["query"] = {"grid": grid}
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", cfgp, "--out", str(tmp_path / "c")]) == 0
+    cert = json.loads((tmp_path / "c" / "03_wass-mean.json").read_text())
+    assert 0.0 <= cert["value"] <= 1.0
+    assert main(["verify", "--config", cfgp, "--trials", "2",
+                 "--out", str(tmp_path / "v")]) == 0
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_without_trials_exits_one_before_writing(tmp_path, capsys, trials):
     out = tmp_path / "o"
@@ -480,6 +508,27 @@ def test_verify_jobs_write_the_same_tree(tmp_path):
         assert main(["verify", "--config", cfgp, "--out", str(tmp_path / jobs),
                      "--jobs", jobs]) == 0
     assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "2")
+
+
+def test_verify_draws_each_trials_source_once_for_every_kind(tmp_path, monkeypatch):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["verify"]["kinds"] = [
+        {"kind": "mean", "delta": 0.1},
+        {"kind": "cdf", "delta": 0.1},
+        {"kind": "fdiv-mean", "delta": 0.1, "epsilon": 0.05, "f_name": "chi-square"},
+        {"kind": "fdiv-cdf", "delta": 0.1, "epsilon": 0.05, "f_name": "kl"},
+    ]
+    calls = []
+    original = fedcert.oracle.sample_clients
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(fedcert.oracle, "sample_clients", counted)
+    assert main(["verify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "v")]) == 0
+    tc = cfg["verify"]["tightness"]
+    assert len(calls) == cfg["verify"]["trials"] + len(tc["K_schedule"]) * tc["trials"]
 
 
 def test_verify_without_section_exits_one(tmp_path, capsys):

@@ -3,6 +3,8 @@ enough to reason about by hand, closed-form risks against Monte Carlo, and
 the coverage / tightness harnesses on toy worlds."""
 import numpy as np
 import pytest
+
+import fedcert.oracle
 from scipy.special import ndtr
 
 from fedcert import (
@@ -12,6 +14,7 @@ from fedcert import (
     MetaConfig,
     adversarial_directions,
     coverage_experiment,
+    coverage_experiments,
     exact_zero_one_risk,
     grid_reweight_oracle,
     sample_true_risks,
@@ -363,6 +366,57 @@ def test_coverage_fdiv_and_wass_smoke():
                "grid_size": 8, "target_clients": 300}
     wrep = coverage_experiment(cfg, "wass-mean", wparams, trials=2, seed=8)
     assert wrep.bound_kind == "wass-mean"
+
+
+_ALL_KINDS = [
+    ("mean", {}),
+    ("cdf-curve", {"lambda_grid": np.linspace(0.0, 1.0, 11)}),
+    ("fdiv-mean", {"epsilon": 0.05, "f_name": "kl"}),
+    ("fdiv-cdf", {"epsilon": 0.05, "f_name": "chi-square",
+                  "lambda_grid": np.linspace(0.0, 1.0, 6)}),
+    # one zero-radius query and the 6 radii fill the budget exactly
+    ("wass-mean", {"epsilon": 0.02, "grid_size": 6, "max_queries": 7}),
+]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(fedcert.oracle, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(fedcert.oracle, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_coverage_experiments_equal_each_kind_run_alone(monkeypatch, jobs):
+    cfg = archetype_cfg()
+    common = {"h": H, "K": 8, "n_k": 25, "delta": 0.1, "target_clients": 300}
+    requests = [(kind, {**common, **extra}) for kind, extra in _ALL_KINDS]
+    alone = [coverage_experiment(cfg, kind, params, trials=3, seed=5).to_json_dict()
+             for kind, params in requests]
+    sources = _counting(monkeypatch, "sample_clients")
+    targets = _counting(monkeypatch, "sample_true_risks")
+    got = coverage_experiments(cfg, requests, trials=3, seed=5, jobs=jobs)
+    assert [r.to_json_dict() for r in got] == alone
+    # one source per trial; mean and cdf-curve declare the source as target
+    assert len(sources) == 3
+    assert len(targets) == 3 * 4
+
+
+def test_coverage_experiments_draw_a_source_per_client_count(monkeypatch):
+    cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
+    common = {"h": H, "n_k": 20, "delta": 0.1, "target_clients": 200}
+    requests = [("mean", {**common, "K": 6}), ("cdf-curve", {**common, "K": 6}),
+                ("mean", {**common, "K": 9})]
+    sources = _counting(monkeypatch, "sample_clients")
+    got = coverage_experiments(cfg, requests, trials=2, seed=3)
+    assert len(sources) == 2 * 2
+    assert [r.notes["K"] for r in got] == [6, 6, 9]
+    assert got[2].to_json_dict() == coverage_experiment(cfg, *requests[2], trials=2,
+                                                        seed=3).to_json_dict()
 
 
 # ---------------------------------------------------------------- tightness

@@ -13,9 +13,12 @@ from fedcert import (
     LocalDataset,
     LossFn,
     TransportCost,
+    QueryValue,
     adversarial_risk,
     empirical_risk,
+    empirical_risks,
     phi_gamma,
+    query_empirical,
     wass_ball_lp_oracle,
 )
 from fedcert.losses import (
@@ -25,6 +28,7 @@ from fedcert.losses import (
     gradient_values,
     loss_values,
 )
+from fedcert.metasim import _BLOCK_BYTES
 from fedcert.query import SCORE_LINE_TAU, _AscentInner
 
 COST = TransportCost()
@@ -65,6 +69,100 @@ def test_empirical_matches_naive_resummation():
 
 
 # -- phi_gamma ---------------------------------------------------------------
+
+# -- many datasets' empirical risks at once ---------------------------------
+
+_BATCH_RULES = {
+    "logistic": Hypothesis(kind=LOGISTIC, weights=np.array([0.8, -1.3]), bias=0.2),
+    "binary-linear": Hypothesis(kind=LINEAR, weights=np.array([[0.4, -0.2], [-0.9, 0.5]]),
+                                bias=np.array([0.1, -0.1])),
+    "lookup": Hypothesis(kind=LOOKUP, weights=np.linspace(0.0, 1.0, 9),
+                         grid=np.stack(np.meshgrid(*[np.linspace(-1, 1, 3)] * 2),
+                                       -1).reshape(-1, 2)),
+}
+# datasets of 2-D features per block when each holds n samples
+_PER_BLOCK = {n: _BLOCK_BYTES // (8 * n * 2) for n in (30, 100)}
+
+
+def _batch_datasets(rule, sizes, seed):
+    """Datasets of the given sample counts; a lookup table's lie on its grid."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k, n in enumerate(sizes):
+        X = (_BATCH_RULES["lookup"].grid[rng.integers(0, 9, size=n)] if rule == "lookup"
+             else rng.normal(size=(n, 2)) * 1.5)
+        out.append(dataset(X, rng.integers(0, 2, size=n), cid=k))
+    return out
+
+
+def _one_at_a_time(h, ds, loss_fn):
+    """The empirical risk from its own model pass and its own mean."""
+    return QueryValue(value=float(np.mean(loss_values(loss_fn, h, ds.features, ds.labels))),
+                      rho=0.0, gamma_star=0.0, inner_iterations=0)
+
+
+@pytest.mark.parametrize("sizes", [
+    [30],                                     # K = 1
+    [40] * 3 + [7, 40, 1, 7],                 # ragged n_k
+    [_BLOCK_BYTES // 16 + 5, 30],             # one dataset larger than a block
+    [100] * (2 * _PER_BLOCK[100] + 3),        # K spanning three blocks
+    [30, 100] * (_PER_BLOCK[100] + 1),        # ragged, the larger count over a block
+], ids=["K1", "ragged", "over-a-block", "three-blocks", "ragged-blocks"])
+@pytest.mark.parametrize("kind", [ZERO_ONE, CROSS_ENTROPY, SQUARED])
+@pytest.mark.parametrize("rule", list(_BATCH_RULES))
+def test_empirical_risks_equal_each_datasets_own_risk(rule, kind, sizes):
+    h, loss_fn = _BATCH_RULES[rule], LossFn(kind)
+    datasets = _batch_datasets(rule, sizes, seed=len(sizes))
+    if rule == "binary-linear" and kind == SQUARED:
+        for ask in (lambda: empirical_risks(h, datasets, loss_fn),
+                    lambda: empirical_risk(h, datasets[0], loss_fn)):
+            with pytest.raises(ValueError):
+                ask()
+        return
+    got = empirical_risks(h, datasets, loss_fn)
+    assert got == [empirical_risk(h, ds, loss_fn) for ds in datasets]
+    assert got == [_one_at_a_time(h, ds, loss_fn) for ds in datasets]
+
+
+def test_empirical_risks_of_no_datasets_is_empty():
+    assert empirical_risks(_BATCH_RULES["logistic"], [], LossFn(ZERO_ONE)) == []
+
+
+def _budget_clients():
+    """Clients of two losses; the third has spent its budget already."""
+    h = _BATCH_RULES["logistic"]
+    datasets = _batch_datasets("logistic", [20, 35, 20, 50, 20], seed=5)
+    losses = [ZERO_ONE, CROSS_ENTROPY, ZERO_ONE, SQUARED, ZERO_ONE]
+    caps = [None, 3, 1, None, 2]
+    clients = [Client(k, ds, LossFn(kind), max_queries=cap)
+               for k, (ds, kind, cap) in enumerate(zip(datasets, losses, caps))]
+    clients[2].query(h, 0.05)
+    return clients, h
+
+
+def test_query_empirical_matches_a_loop_of_client_queries():
+    looped, h = _budget_clients()
+    batched, _ = _budget_clients()
+    want = []
+    with pytest.raises(BudgetExceededError) as loop_error:
+        for c in looped:
+            want.append(c.query(h, 0.0))
+    with pytest.raises(BudgetExceededError) as batch_error:
+        query_empirical(batched, h)
+    assert batch_error.value.client_id == loop_error.value.client_id == 2
+    for a, b in zip(batched, looped):
+        assert a.audit_log == b.audit_log
+        assert a.queries_used == b.queries_used
+    assert [c.queries_used for c in batched] == [1, 1, 1, 0, 0]
+    # past the spent client, every answer is the loop's
+    rest = batched[:2] + batched[3:]
+    got = query_empirical(rest, h)
+    assert got[:2] == [c.query(h, 0.0) for c in looped[:2]]
+    assert got[2:] == [c.query(h, 0.0) for c in looped[3:]]
+    for a, b in zip(rest, looped[:2] + looped[3:]):
+        assert a.audit_log == b.audit_log
+        assert a.queries_used == b.queries_used
+
 
 def ramp_lookup(num=1001):
     # table value equals the grid coordinate: squared loss becomes an exact
