@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concave import GreedyFill, upper_hull
+from .concave import _HULL_BLOCK, GreedyFill, hull_pieces
 from .losses import (
     CROSS_ENTROPY,
     LINEAR,
@@ -138,8 +138,15 @@ class TransportCost:
         return 0.5 * dist * dist if self.kind == HALF_SQ else dist
 
     def pairwise(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(X[:, None, :] - G[None, :, :], axis=2)
-        return self.of_distance(d)
+        """Cost from each row of X to each row of G.  The squared coordinate
+        differences are summed one coordinate at a time, in order, as
+        ``np.linalg.norm`` sums up to seven of them, and no (n, G, d)
+        temporary is made."""
+        sq = np.zeros((len(X), len(G)))
+        for k in range(X.shape[1]):
+            diff = np.subtract.outer(X[:, k], G[:, k])
+            sq += diff * diff
+        return self.of_distance(np.sqrt(sq))
 
     def between(self, z1: Sample, z2: Sample) -> float:
         if z1.label != z2.label:
@@ -235,16 +242,17 @@ class _GridInner(_FillInner):
     def __init__(self, h, X, y, grid, cost, loss_fn):
         self._args = (h, np.atleast_2d(X), np.asarray(y),
                       np.atleast_2d(np.asarray(grid, dtype=float)), cost, loss_fn)
-        C, L, on_table = _grid_candidates(*self._args)
-        self._n = len(L)
-        if on_table:
-            self._base, self._fill = _hull_fill([(C, L)])
-        else:
+        C, losses, which, own = _grid_candidates(*self._args)
+        self._n = len(C)
+        if own is None:
             self._fill = _off_table
+        else:
+            self._base, self._fill = _hull_fill([_grid_staircases(C, losses, which, own)])
 
     def phi(self, gamma: float) -> np.ndarray:
-        C, L, _ = _grid_candidates(*self._args)
-        return np.max(L - gamma * C, axis=1)
+        C, losses, which, own = _grid_candidates(*self._args)
+        best = np.max(losses[which] - gamma * C, axis=1)
+        return best if own is None else np.maximum(own, best)
 
 
 def _off_table(budget):
@@ -253,38 +261,71 @@ def _off_table(budget):
 
 
 def _grid_candidates(h, X, labels, grid, cost, loss_fn):
-    """(C, L, on_table): costs and losses of each sample's candidates, its
-    own point at cost 0 and then the grid points; the own point is left out
-    (on_table false) for lookup data off the table."""
-    # loss of every grid point under every distinct label present
-    L = np.empty((len(X), len(grid)))
-    for lab in np.unique(labels):
-        L[labels == lab] = loss_values(loss_fn, h, grid, np.full(len(grid), lab))
+    """(C, losses, which, own): each sample's cost to every grid point; the
+    grid's losses under each distinct label, and which of them is each
+    sample's; and each sample's loss at its own point, or None for lookup
+    data off the table."""
+    values, which = np.unique(labels, return_inverse=True)
+    losses = np.array([loss_values(loss_fn, h, grid, np.full(len(grid), lab))
+                       for lab in values])
     C = cost.pairwise(X, grid)
     try:
         own = loss_values(loss_fn, h, X, labels)
     except ValueError:
         if h.kind != LOOKUP:
             raise
-        return C, L, False
-    return np.column_stack([np.zeros(len(X)), C]), np.column_stack([own, L]), True
+        own = None
+    return C, losses, which, own
+
+
+def _grid_staircases(C, losses, which, own):
+    """Each sample's rising staircase over its candidates, as (C, L, counts)
+    rows in sample order (``_hull_fill``): the grid points, and its own
+    point at cost 0.
+
+    A point is on it when it has more loss than every point that sorts
+    before it by cost, then by loss, most first.  So the staircase starts at
+    the most loss among the points at cost 0, and then takes each distinct
+    grid loss above that, at its cheapest grid point, when that point is
+    cheaper than every point with more loss.  The samples of one label
+    share a grid-loss vector, so one sort of it serves them all.
+    """
+    rows, xs, ys = [], [], []
+    for label, loss in enumerate(losses):
+        mine = np.flatnonzero(which == label)
+        Cm = C[mine]
+        base = np.maximum(own[mine], np.max(np.where(Cm == 0.0, loss, -np.inf), axis=1))
+        order = np.argsort(-loss, kind="stable")
+        first = np.flatnonzero(np.r_[True, np.diff(loss[order]) != 0.0])
+        level = loss[order][first]                   # the distinct losses, most first
+        cheapest = np.minimum.reduceat(Cm[:, order], first, axis=1)
+        step = level > base[:, None]
+        step[:, 1:] &= cheapest[:, 1:] < np.minimum.accumulate(cheapest, axis=1)[:, :-1]
+        # each row from cost 0 outwards
+        on = np.column_stack([np.ones(len(mine), dtype=bool), step[:, ::-1]])
+        xs.append(np.column_stack([np.zeros(len(mine)), cheapest[:, ::-1]])[on])
+        ys.append(np.column_stack([base, np.broadcast_to(level[::-1], step.shape)])[on])
+        rows.append(np.repeat(mine, np.count_nonzero(on, axis=1)))
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    return (np.concatenate(xs)[order], np.concatenate(ys)[order],
+            np.bincount(rows, minlength=len(C)))
 
 
 def _hull_fill(blocks) -> tuple[float, GreedyFill]:
-    """Total loss at cost 0, and the fill over the rising segments of each
-    row's upper hull of its (C, L) points; ``blocks`` yields (C, L) matrices,
-    one row per sample, with as many points in every row of a block."""
-    base, pieces = [], []
-    for C, L in blocks:
-        order = np.lexsort((-L, C))
-        Cs, Ls = (np.take_along_axis(a, order, axis=1) for a in (C, L))
-        # only a point that beats every cheaper one can be on the rising hull
-        best_before = np.maximum.accumulate(Ls, axis=1)[:, :-1]
-        keep = np.column_stack([np.ones(len(Ls), dtype=bool), Ls[:, 1:] > best_before])
-        base.append(Ls[:, 0])
-        pieces += [np.diff(upper_hull(c[k], l[k])) for c, l, k in zip(Cs, Ls, keep)]
-    pieces = np.concatenate(pieces, axis=1)   # frees the per-row pieces
-    return float(np.sum(np.concatenate(base))), GreedyFill(*pieces)
+    """Total loss at cost 0, and the fill over the segments of each row's
+    upper hull.  ``blocks`` yields (C, L, counts): rows of ``counts`` points
+    each, laid end to end, each a rising staircase from its cost-0 point,
+    its costs and losses strictly rising.  Each block's rows are hulled
+    together (``concave.hull_pieces``)."""
+    base, width, rise = [], [], []
+    for C, L, counts in blocks:
+        base.append(L[np.cumsum(counts) - counts])
+        w, r = hull_pieces(C, L, counts)
+        width.append(w)
+        rise.append(r)
+    return float(np.sum(np.concatenate(base))), GreedyFill(np.concatenate(width),
+                                                           np.concatenate(rise))
 
 
 class _FlipInner(_FillInner):
@@ -335,8 +376,10 @@ class _ScoreLineInner(_FillInner):
     docstring).  ``phi`` is the maximum over the nodes, which are feasible.
 
     The build makes one model pass, for the scores; the nodes' losses come
-    from their scores alone (``score_loss_values``).  The lines are built
-    one sample at a time, and only the fill is kept: ``phi`` rebuilds them.
+    from their scores alone (``score_loss_values``).  Each sample's line is
+    laid out on its own; the staircases are then sorted and hulled in blocks
+    of about ``_HULL_BLOCK`` candidates, many samples per array pass.  Only
+    the fill is kept: ``phi`` rebuilds the lines.
     """
 
     _status = "bound"
@@ -351,8 +394,23 @@ class _ScoreLineInner(_FillInner):
         self._samples = list(zip(s.tolist(), y.tolist(),
                                  score_loss_values(loss_fn, h, s, y).tolist()))
         self._n = len(s)
-        self._base, self._fill = _hull_fill(
-            (C[None], L[None]) for C, L in map(self._staircase, self._samples))
+        self._base, self._fill = _hull_fill(self._staircases())
+
+    def _staircases(self):
+        """The samples' staircases (``_hull_fill``), a block of samples at a
+        time: each sample's upper candidates sorted by cost, most loss first
+        at equal cost, keeping those with more loss than every one before."""
+        C, L, size = [], [], 0
+        for sample in self._samples:
+            c, l = self._staircase(sample)
+            C.append(c)
+            L.append(l)
+            size += len(c)
+            if size >= _HULL_BLOCK:
+                yield _rising(C, L)
+                C, L, size = [], [], 0
+        if C:
+            yield _rising(C, L)
 
     def _staircase(self, sample) -> tuple[np.ndarray, np.ndarray]:
         """The sample's upper candidates as (costs, losses): its own point,
@@ -412,6 +470,21 @@ def _rising_score(loss_fn, level, y, side):
     p = y + side * np.sqrt(level)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(p / (1.0 - p))
+
+
+def _rising(C, L) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rising staircases of candidate rows C[r], L[r], as (C, L, counts):
+    each row sorted by cost, most loss first at equal cost (then as given),
+    keeping each candidate with more loss than every one before it."""
+    counts = np.array([len(c) for c in C])
+    row = np.repeat(np.arange(len(C)), counts)
+    C, L = np.concatenate(C), np.concatenate(L)
+    order = np.lexsort((-L, C, row))
+    C, L, row = C[order], L[order], row[order]
+    # compare losses through their ranks, kept apart row by row
+    rank = np.unique(L, return_inverse=True)[1] + row * len(L)
+    rising = np.r_[True, rank[1:] > np.maximum.accumulate(rank)[:-1]]
+    return C[rising], L[rising], np.bincount(row[rising], minlength=len(counts))
 
 
 class _AscentInner:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import CertifiedBound
-from .concave import GreedyFill, upper_hull
+from .concave import GreedyFill, upper_hulls
 from .losses import Hypothesis
 from .query import Client
 
@@ -53,13 +53,20 @@ DEFAULT_GRID_SIZE = 16
 @dataclass
 class QvProfile:
     """One client's robust-query curve sampled on a radius grid, stored as
-    the vertices of its concave upper envelope."""
+    the vertices of its concave upper envelope.
+
+    ``hull`` marks which grid points are those vertices.  ``build_profiles``
+    passes it in, having hulled every client's profile in one
+    ``concave.upper_hulls`` call; a profile built without it hulls its own
+    curve with the same kernel, as one row.
+    """
 
     client_id: int
     n_samples: int
     rhos: np.ndarray
     qvs: np.ndarray
     sound: bool = True        # every query is exact or an upper bound
+    hull: np.ndarray | None = field(default=None, repr=False)
     hull_x: np.ndarray = field(init=False)
     hull_y: np.ndarray = field(init=False)
 
@@ -70,7 +77,9 @@ class QvProfile:
             raise ValueError("profile needs matching nonempty grids")
         if np.any(np.diff(self.rhos) <= 0):
             raise ValueError("radius grid must be strictly increasing")
-        self.hull_x, self.hull_y = upper_hull(self.rhos, self.qvs)
+        if self.hull is None:
+            self.hull = upper_hulls(self.rhos, self.qvs, [len(self.rhos)])
+        self.hull_x, self.hull_y = self.rhos[self.hull], self.qvs[self.hull]
 
     def envelope(self, rho) -> np.ndarray:
         """Piecewise-linear envelope value; clamps outside the grid range."""
@@ -108,7 +117,8 @@ def build_profiles(
     The top of the grid is the whole population budget concentrated on one
     client; the grid is log-spaced since the curves flatten quickly.  Each
     client answers the grid in one ``query_profile`` call; each grid point
-    consumes one query from the client's budget.
+    consumes one query from the client's budget.  Every client's envelope
+    is then taken in one ``concave.upper_hulls`` call.
     """
     if not clients:
         raise ValueError("at least one client required")
@@ -126,15 +136,12 @@ def build_profiles(
         grid = np.geomspace(floor, top, grid_size)
     grid = np.unique(grid)
 
-    profiles = []
-    for c in clients:
-        answers = c.query_profile(h, grid)
-        profiles.append(
-            QvProfile(client_id=c.client_id, n_samples=c.n_samples,
-                      rhos=grid.copy(), qvs=np.array([q.value for q in answers]),
-                      sound=all(q.status in ("exact", "bound") for q in answers))
-        )
-    return profiles
+    answers = [c.query_profile(h, grid) for c in clients]
+    qvs = np.array([[q.value for q in a] for a in answers])
+    hulls = upper_hulls(np.tile(grid, K), qvs.ravel(), np.full(K, len(grid)))
+    return [QvProfile(client_id=c.client_id, n_samples=c.n_samples, rhos=grid.copy(),
+                      qvs=v, sound=all(q.status in ("exact", "bound") for q in a), hull=k)
+            for c, a, v, k in zip(clients, answers, qvs, hulls.reshape(K, len(grid)))]
 
 
 def _waterfill(profiles: list[QvProfile], floor: float, mean_cap: float) -> RadiusAllocation:

@@ -1,13 +1,33 @@
-"""The greedy fill over concave pieces, on hand instances.
+"""The greedy fill over concave pieces and the segmented upper hull, on
+hand instances and against a monotone chain kept here as the reference.
 
 Expected values are worked out by hand, never through the fill itself.
 """
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcert import (
     LOOKUP, SQUARED, Hypothesis, LocalDataset, LossFn, TransportCost, adversarial_risk,
 )
-from fedcert.concave import GreedyFill, upper_hull
+from fedcert import concave
+from fedcert.concave import GreedyFill, hull_pieces, upper_hulls
+
+
+def chain_hull(x, y):
+    """Upper hull (monotone chain) of points with increasing x, as rows x, y:
+    one point at a time, dropping the middle of the last three while it
+    lies on or below the chord of the other two."""
+    hull = []
+    for xi, yi in zip(np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (xi - x1) <= (yi - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((xi, yi))
+    return np.array(hull).T
 
 
 def test_free_piece_is_bought_with_no_budget():
@@ -50,8 +70,7 @@ def test_split_on_a_middle_hull_segment():
     # (2, 5/16) and (2, 13/64).  Budget 2 buys the first and half the second.
     x = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
     t = np.array([0.0, 0.5, 0.625, 0.75, 0.875])
-    hx, hy = upper_hull(x, t ** 2)
-    assert hx.tolist() == [0.0, 1.0, 3.0, 5.0]
+    assert x[upper_hulls(x, t ** 2, [5])].tolist() == [0.0, 1.0, 3.0, 5.0]
     h = Hypothesis(kind=LOOKUP, weights=t, grid=x.reshape(-1, 1))
     ds = LocalDataset(client_id=0, features=np.array([[0.0]]), labels=np.array([0.0]))
     qv = adversarial_risk(h, ds, 2.0, TransportCost("l2"), LossFn(SQUARED))
@@ -87,3 +106,51 @@ def test_array_of_budgets_matches_the_scalar_fill_bit_for_bit():
         want = [_scalar_fill(cost, gain, b) for b in budgets.tolist()]
         assert list(zip(value.tolist(), slope.tolist())) == want
         assert [fill(b) for b in budgets.tolist()] == want
+
+
+# -- the segmented upper hull ------------------------------------------------
+
+@st.composite
+def ragged_rows(draw):
+    """Ragged rows of 1, of 1 or 2, or of up to 60 small-integer points, x
+    strictly increasing: their cross products are exact, so collinear runs
+    and ties are decided alike by any correct arithmetic."""
+    max_len = draw(st.sampled_from([1, 2, 60]))
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=1, max_size=6))
+    xs, ys = [], []
+    for m in lengths:
+        steps = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+        xs.append(np.cumsum(steps).astype(float) - draw(st.integers(0, 5)))
+        ys.append(np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)),
+                           dtype=float))
+    return xs, ys
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ragged_rows())
+def test_segmented_hull_matches_the_monotone_chain(rows):
+    xs, ys = rows
+    counts = [len(x) for x in xs]
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    vertex = upper_hulls(x, y, counts)
+    width, rise = hull_pieces(x, y, counts)
+    want = [chain_hull(a, b) for a, b in zip(xs, ys)]
+    ends = np.cumsum(counts)
+    for (hx, hy), lo, hi in zip(want, ends - counts, ends):
+        assert x[lo:hi][vertex[lo:hi]].tolist() == hx.tolist()
+        assert y[lo:hi][vertex[lo:hi]].tolist() == hy.tolist()
+    assert width.tolist() == np.concatenate([np.diff(hx) for hx, _ in want]).tolist()
+    assert rise.tolist() == np.concatenate([np.diff(hy) for _, hy in want]).tolist()
+
+
+def test_segmented_hull_blocks_keep_rows_whole(monkeypatch):
+    rng = np.random.default_rng(np.random.SeedSequence(1601))
+    counts = rng.integers(1, 40, 50)
+    x = np.concatenate([np.cumsum(rng.integers(1, 4, m)) for m in counts]).astype(float)
+    y = rng.integers(-6, 7, len(x)).astype(float)
+    whole = upper_hulls(x, y, counts)
+    monkeypatch.setattr(concave, "_HULL_BLOCK", 16)   # most rows alone, some longer
+    assert upper_hulls(x, y, counts).tolist() == whole.tolist()
+    ends = np.cumsum(counts)
+    for lo, hi in zip(ends - counts, ends):
+        assert x[lo:hi][whole[lo:hi]].tolist() == chain_hull(x[lo:hi], y[lo:hi])[0].tolist()

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,12 @@ from fedcert.losses import (
     gradient_values,
     loss_values,
 )
+from fedcert import concave
+from fedcert.concave import GreedyFill
 from fedcert.metasim import _BLOCK_BYTES
-from fedcert.query import SCORE_LINE_TAU, _AscentInner
+from fedcert.query import SCORE_LINE_TAU, _AscentInner, _make_inner
+
+from test_concave import chain_hull
 
 COST = TransportCost()
 
@@ -37,6 +43,26 @@ COST = TransportCost()
 def dataset(X, y, cid=0):
     return LocalDataset(client_id=cid, features=np.atleast_2d(np.asarray(X, float)),
                         labels=np.asarray(y))
+
+
+def costs(cost, X, G):
+    """The cost from each row of X to each row of G, from the norm of their
+    differences: the reference ``TransportCost.pairwise`` must match."""
+    X, G = np.atleast_2d(X), np.atleast_2d(G)
+    return cost.of_distance(np.linalg.norm(X[:, None, :] - G[None, :, :], axis=2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["half-squared-l2", "l2"])
+def test_pairwise_costs_equal_the_norm_of_the_differences(d, kind):
+    rng = np.random.default_rng(np.random.SeedSequence([1701, d, len(kind)]))
+    G = rng.normal(size=(40, d)) * 2.0
+    X = np.concatenate([rng.normal(size=(25, d)) * 3.0, G[:5]])   # some on the grid
+    cost = TransportCost(kind)
+    got = cost.pairwise(X, G)
+    assert got.shape == (30, 40)
+    assert np.all(got == costs(cost, X, G))
+    assert np.all(got[25:, :5][np.eye(5, dtype=bool)] == 0.0)
 
 
 def test_empirical_all_correct_is_zero():
@@ -255,7 +281,7 @@ def five_point_instance(seed):
 
 def lp_value(h, ds, rho, grid):
     losses = loss_values(LossFn(SQUARED), h, grid, np.zeros(len(grid)))
-    cost = COST.pairwise(ds.features, grid)
+    cost = costs(COST, ds.features, grid)
     masses = np.full(len(ds), 1.0 / len(ds))
     return wass_ball_lp_oracle(masses, losses, rho, cost)
 
@@ -287,7 +313,7 @@ def test_adversarial_risk_mixed_labels_vs_joint_lp():
     cost = np.full((3, 10), 1e9)
     for i in range(3):
         block = slice(0, 5) if y[i] == 0.0 else slice(5, 10)
-        cost[i, block] = COST.pairwise(X[i:i + 1], grid)[0]
+        cost[i, block] = costs(COST, X[i:i + 1], grid)[0]
     for rho in (0.02, 0.1):
         lp = wass_ball_lp_oracle(np.full(3, 1 / 3), losses, rho, cost)
         qv = adversarial_risk(h, ds, rho, COST, LossFn(SQUARED), grid=grid)
@@ -764,6 +790,108 @@ def test_score_line_cross_entropy_needs_binary_labels():
                          LossFn(CROSS_ENTROPY))
 
 
+# -- the hulled fills against the per-row reference ----------------------------
+# Before the segmented hull, each sample's candidates were sorted by one
+# lexsort and hulled by one monotone chain, row by row.  That fill is kept
+# here as the reference, and every answer must equal it bit for bit.
+
+def per_row_hull_fill(blocks):
+    """Total loss at cost 0, and the fill over the rising segments of each
+    row's upper hull of its (C, L) points, one row at a time; ``blocks``
+    yields (C, L) matrices, one row per sample."""
+    base, pieces = [], []
+    for C, L in blocks:
+        order = np.lexsort((-L, C))
+        Cs, Ls = (np.take_along_axis(a, order, axis=1) for a in (C, L))
+        best_before = np.maximum.accumulate(Ls, axis=1)[:, :-1]
+        keep = np.column_stack([np.ones(len(Ls), dtype=bool), Ls[:, 1:] > best_before])
+        base.append(Ls[:, 0])
+        pieces += [np.diff(chain_hull(c[k], l[k])) for c, l, k in zip(Cs, Ls, keep)]
+    return float(np.sum(np.concatenate(base))), GreedyFill(*np.concatenate(pieces, axis=1))
+
+
+def grid_reference(h, X, y, grid, cost, loss_fn):
+    """The reference fill of the grid route: each sample's own point at
+    cost 0, then every grid point."""
+    L = np.array([loss_values(loss_fn, h, grid, np.full(len(grid), lab)) for lab in y])
+    own = loss_values(loss_fn, h, X, y)
+    return per_row_hull_fill([(np.column_stack([np.zeros(len(X)), costs(cost, X, grid)]),
+                               np.column_stack([own, L]))])
+
+
+_REFERENCE_RHOS = np.concatenate([[0.0], np.geomspace(1e-5, 20.0, 40)])
+
+
+def assert_answers_match(inner, base, fill):
+    reference = copy.copy(inner)
+    reference._base, reference._fill = base, fill
+    assert inner._base == base
+    got, want = inner.query_profile(_REFERENCE_RHOS), reference.query_profile(_REFERENCE_RHOS)
+    assert got == want   # value, rho, gamma_star, inner_iterations and status
+
+
+def _grid_case(name):
+    rng = np.random.default_rng(np.random.SeedSequence([1702, len(name)]))
+    axis = np.linspace(-3.0, 3.0, 9)
+    grid = np.array([[a, b] for a in axis for b in axis])
+    logistic = Hypothesis(kind=LOGISTIC, weights=np.array([1.1, -0.6]), bias=0.2)
+    if name == "on-grid":
+        # samples snapped onto the grid: each has a grid point at cost 0
+        X = grid[rng.integers(0, len(grid), 60)]
+        return logistic, X, rng.integers(0, 2, 60), grid, COST, LossFn(ZERO_ONE)
+    if name == "off-grid":
+        X = rng.normal(size=(60, 2)) * 1.5
+        return logistic, X, rng.integers(0, 2, 60), grid, TransportCost("l2"), LossFn(ZERO_ONE)
+    if name == "lookup":
+        # a table of quarter steps, so many grid points share a loss; its
+        # first three points are listed twice, so a sample there has two
+        # grid points at cost 0 (a lookup reads the first copy for both)
+        grid = np.concatenate([grid, grid[:3]])
+        h = Hypothesis(kind=LOOKUP, weights=rng.integers(0, 5, len(grid)) / 4.0, grid=grid)
+        X = np.concatenate([grid[rng.integers(0, len(grid), 40)], grid[:3]])
+        return h, X, rng.choice([0.0, 0.5, 1.0], len(X)), None, COST, LossFn(SQUARED)
+    if name == "cost-0 neighbour":
+        # a grid point 1e-200 from samples on the boundary: its half-squared
+        # cost underflows to 0, and it is on the other side, so it has more
+        # loss at cost 0 than the samples' own points
+        h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, 0.0]), bias=0.0)
+        grid = np.concatenate([grid, [[-1e-200, 0.5]]])
+        X = np.concatenate([[[0.0, 0.5]] * 3, rng.normal(size=(20, 2))])
+        return h, X, np.r_[1, 1, 0, rng.integers(0, 2, 20)], grid, COST, LossFn(ZERO_ONE)
+    X = np.concatenate([rng.normal(size=(40, 2)), grid[rng.integers(0, len(grid), 20)]])
+    return logistic, X, rng.uniform(-0.5, 1.5, 60), grid, COST, LossFn(SQUARED)
+
+
+@pytest.mark.parametrize("name", ["on-grid", "off-grid", "lookup", "squared",
+                                  "cost-0 neighbour"])
+def test_grid_fill_matches_the_per_row_reference(name):
+    h, X, y, grid, cost, loss_fn = _grid_case(name)
+    inner = _make_inner(h, X, y, cost, loss_fn, grid)
+    search = h.grid if grid is None else grid
+    if name == "cost-0 neighbour":
+        assert cost.pairwise(X[:1], search)[0, -1] == 0.0
+        assert inner._base > empirical_risk(h, dataset(X, y), loss_fn).value * len(X)
+    assert_answers_match(inner, *grid_reference(h, X, y, search, cost, loss_fn))
+
+
+@pytest.mark.parametrize("kind", [CROSS_ENTROPY, SQUARED])
+@pytest.mark.parametrize("cost_kind", ["half-squared-l2", "l2"])
+def test_score_line_fill_matches_the_per_row_reference(kind, cost_kind):
+    rng = np.random.default_rng(np.random.SeedSequence([1703, len(kind), len(cost_kind)]))
+    h = Hypothesis(kind=LOGISTIC, weights=np.array([0.9, -1.4]), bias=0.3)
+    X = rng.normal(size=(80, 2)) * 2.0
+    # squared-loss labels near 1/2 rise on both sides of the score line
+    y = (rng.integers(0, 2, 80).astype(float) if kind == CROSS_ENTROPY
+         else np.concatenate([rng.uniform(0.3, 0.7, 40), rng.uniform(-0.5, 1.5, 40)]))
+    inner = _make_inner(h, X, y, TransportCost(cost_kind), LossFn(kind), None)
+    rows = [inner._staircase(sample) for sample in inner._samples]
+    if kind == SQUARED:
+        # some staircases hold candidates of both sides
+        assert sum(np.count_nonzero(c == 0.0) > 2 for c, _ in rows) >= 20
+    assert sum(map(len, (c for c, _ in rows))) > 2 * concave._HULL_BLOCK   # several blocks
+    assert_answers_match(inner, *per_row_hull_fill((c[None], l[None]) for c, l in rows))
+
+
 # -- the client boundary -----------------------------------------------------
 
 def make_client(max_queries=None):
@@ -853,7 +981,7 @@ def _route_clients(max_queries=None):
     linear = Hypothesis(kind=LINEAR, weights=np.array([[0.4, -0.2], [-0.9, 0.5]]),
                         bias=np.array([0.1, -0.1]))
     ds = dataset(X, y)
-    on_grid = dataset(grid[np.argmin(COST.pairwise(X, grid), axis=1)], y)
+    on_grid = dataset(grid[np.argmin(costs(COST, X, grid), axis=1)], y)
     return {
         "flip": (lambda: Client(0, ds, LossFn(ZERO_ONE), max_queries=max_queries), logistic),
         "grid": (lambda: Client(0, on_grid, LossFn(ZERO_ONE), max_queries=max_queries,
