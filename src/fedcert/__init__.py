@@ -58,6 +58,7 @@ from .oracle import (
     coverage_experiments,
     exact_zero_one_risk,
     grid_reweight_oracle,
+    mean_true_risk,
     sample_true_risks,
     tightness_probe,
     wass_alloc_grid_oracle,

@@ -245,6 +245,10 @@ _SUMMARY_SCHEMA = {
                     "raw_value": {"type": "number"},
                     "vacuous": {"type": "boolean"},
                     "vacuous_thresholds": {"type": "integer", "minimum": 0},
+                    # each certificate's slack terms; absent from older trees
+                    "slack": {"type": "object", "additionalProperties": {"type": "number"}},
+                    "meta_slack": {"type": "number"},
+                    "pad": {"type": "number"},
                 },
                 "allOf": [_when_kind(CURVE_KINDS,
                                      {"properties": {"files": {"required": ["curve"]}}})],
@@ -252,6 +256,10 @@ _SUMMARY_SCHEMA = {
         },
     },
 }
+
+
+# the parameter in which each survival-curve kind records its additive slack
+_CURVE_SLACK = {"cdf": "meta_slack", "fdiv-cdf": "pad"}
 
 
 def _fmt(x) -> str:
@@ -344,9 +352,10 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
     coverage trials query under the half-squared cost with no grid, so a
     wass-mean verify kind refuses any other ``query`` setting.  Divergence
     kinds (a tightness probe's included) need a world with archetypes and a
-    budget below what the archetype tilt can reach, a world directory must
-    hold a manifest, and the tightness schedules must be aligned and
-    nondecreasing."""
+    budget below what the archetype tilt can reach, a wass-mean target needs
+    a rule with a nonzero margin to move the class means against, a world
+    directory must hold a manifest, and the tightness schedules must be
+    aligned and nondecreasing."""
     if world.n_classes != 2:
         raise ConfigError("config error at $.world.n_classes: certify and verify "
                           "need a binary world")
@@ -385,6 +394,10 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
     if "tightness" in verify:
         tc = verify["tightness"]
         requests.append(("verify.tightness", tc, tc["bound_kind"]))
+    wass_targets = [where for where, _, kind in requests if kind == "wass-mean"]
+    if wass_targets and not np.any(h.margin_direction()):
+        raise ConfigError(f"config error at $.model.weights: a rule with zero margin has no "
+                          f"adversarial direction to build the target of $.{wass_targets[0]}")
     for where, req, kind in requests:
         if kind not in FDIV_KINDS:
             continue
@@ -467,10 +480,12 @@ def cmd_certify(args) -> int:
             wr.writerow(["lambda", "empirical"])
             wr.writerows(rows)
         if kind in CURVE_KINDS:
-            flags = {"vacuous_thresholds": int(np.count_nonzero(result.bounds >= 1.0))}
+            slack_key = _CURVE_SLACK[kind]
+            flags = {"vacuous_thresholds": int(np.count_nonzero(result.bounds >= 1.0)),
+                     slack_key: result.params[slack_key]}
         else:
             flags = {"status": result.status, "raw_value": result.raw_value,
-                     "vacuous": bool(result.raw_value >= 1.0)}
+                     "vacuous": bool(result.raw_value >= 1.0), "slack": result.slack}
         entries.append({"kind": kind, "files": files, **flags})
 
     summary = {
@@ -519,11 +534,15 @@ def cmd_verify(args) -> int:
     rows = None
     if "tightness" in vc:
         tc = vc["tightness"]
-        rows = tightness_probe(
-            world, tc["bound_kind"], tc["K_schedule"], tc["n_schedule"],
-            int(tc.get("trials", 20)), world.seed,
-            {"h": h, **{k: tc[k] for k in ("delta", "epsilon", "f_name") if k in tc}},
-        )
+        try:
+            rows = tightness_probe(
+                world, tc["bound_kind"], tc["K_schedule"], tc["n_schedule"],
+                int(tc.get("trials", 20)), world.seed,
+                {"h": h, **{k: tc[k] for k in ("delta", "epsilon", "f_name") if k in tc}},
+            )
+        except RuntimeError as exc:
+            # the target world's shift or its mean risk's quadrature failed
+            raise ConfigError(f"config error at $.verify.tightness: {exc}") from exc
         gaps = [r["median_gap"] for r in rows]
         print("tightness gaps: " + ", ".join(f"{g:.4f}" for g in gaps))
 

@@ -13,7 +13,8 @@ Everything here is deliberately independent of the solvers it checks:
                                  draw the shifted target, count violations;
                                  the kinds share each trial's draws;
   * ``tightness_probe``          certificate-minus-achievable gap along a
-                                 schedule of world sizes.
+                                 schedule of world sizes, against the exact
+                                 target mean of ``mean_true_risk``.
 
 Each certificate kind is wired once, here, for the command line and the two
 experiments alike: ``BOUND_KINDS`` names the kinds, ``issue_certificate``
@@ -30,8 +31,12 @@ gets when run on its own.
 
 Target statistics use exact per-client risks (Gaussian class-conditional
 worlds with a binary linear rule admit a closed form), so coverage tests
-carry no data-level noise on the target side.  Those risks are zero-one
-risks, so the experiments query their clients with the zero-one loss.
+carry no data-level noise on the target side.  The coverage trials draw
+finite target populations of such risks (``sample_true_risks``); the
+tightness probe needs only their population mean, a low-dimensional
+Gaussian integral that ``mean_true_risk`` evaluates by quadrature, with no
+sampling at all.  Those risks are zero-one risks, so the experiments query
+their clients with the zero-one loss.
 """
 from __future__ import annotations
 
@@ -41,7 +46,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
+from numpy.polynomial.legendre import leggauss
+from scipy.special import expit, ndtr
 
 from .fdiv import fdiv_cdf_bound, fdiv_mean_bound
 from .losses import LINEAR, LOGISTIC, ZERO_ONE, Hypothesis, LossFn
@@ -63,6 +69,7 @@ __all__ = [
     "wass_alloc_grid_oracle",
     "exact_zero_one_risk",
     "sample_true_risks",
+    "mean_true_risk",
     "adversarial_directions",
     "BOUND_KINDS",
     "CURVE_KINDS",
@@ -289,6 +296,160 @@ def sample_true_risks(cfg: MetaConfig, n_clients: int, h: Hypothesis,
     ut = u[None, :] + np.einsum("tij,i->tj", A, u)
     score_off = b @ u + b0
     return _risks_from_parts(ut, means, score_off, props, cfg.cov_scale)
+
+
+# the window of the quadrature below leaves out the Gaussian mass beyond
+# sqrt(d) + _WINDOW_TAIL standard deviations, at most e^-32 (about 1e-14)
+_WINDOW_TAIL = 8.0
+# two node levels that agree this closely end the doubling
+TRUTH_TOL = 1e-10
+_FIRST_NODES = 8
+_MAX_NODES = 256
+
+
+def mean_true_risk(cfg: MetaConfig, h: Hypothesis) -> tuple[float, float]:
+    """The exact mean zero-one risk of a binary world's client population:
+    the expectation of what ``sample_true_risks`` draws, as a deterministic
+    quadrature.  Returns (mean, error), the error being the difference of the
+    last two node levels.
+
+    Derivation.  A client of archetype m (weight w_m) has label proportions
+    p, affine map A and translation b, drawn independently.  Its risk is
+    p_0 Phi(mu_0 / s) + p_1 Phi(-mu_1 / s), with mu_c = ut . m_c + u . b + b0,
+    s = cov_scale |ut| and ut = u + A^T u for the rule's margin (u, b0).
+
+      * The proportions are independent of the rest, so they enter by their
+        mean: under label shift the Dirichlet mean bp / sum(bp) = bp of the
+        archetype's base proportions bp, and bp itself without it.
+      * Under feature shift, u . b ~ N(0, tau^2) with tau = sigma_shift |u|,
+        and E_Z[Phi((a + tau Z) / s)] = Phi(a / sqrt(s^2 + tau^2)) averages
+        the translation out exactly.
+      * The entries of A are independent N(0, sigma_affine^2), so
+        ut ~ N(u, sigma^2 I) with sigma = sigma_affine |u|.  What is left is
+        E[Phi(+-(ut . m_c + b0) / sqrt(cov_scale^2 |ut|^2 + tau^2))].
+
+    Without feature shift (sigma = 0) nothing is left to integrate; a zero
+    margin keeps ``sample_true_risks``' convention s -> 1e-300, so the risk
+    is p_0, p_1 or 1/2 as b0 is positive, negative or zero.
+
+    Otherwise the integral runs in hyperspherical coordinates about ut = 0,
+    with polar axis e1 = u / |u|: ut = R (cos theta e1 + sin theta (cos chi
+    e2 + sin chi w)), e2 along the part of m_c across e1 and w across both.
+    The integrand depends on R, theta and chi alone, through
+    ut . m_c = R (a cos theta + b sin theta cos chi) with a = m_c . e1 and
+    b = |m_c - a e1|; the remaining d - 3 angles integrate to a constant.
+    The Gaussian weight is R^(d-1) sin^(d-2) theta sin^(d-3) chi
+    exp(-(R^2 - 2 R |u| cos theta + |u|^2) / (2 sigma^2)), normalised by its
+    own quadrature sum.  In one or two dimensions a sphere S^0 stands in for
+    an angle: theta (d = 1) or chi (d = 2) takes the two values 0 and pi.
+
+    Centring the coordinates at ut = 0 keeps the integrand smooth in the
+    angles even where the score jumps at ut = 0 (tau = 0, b0 = 0).  The
+    window is the ball of radius L = sigma (sqrt(d) + 8) about u: R within
+    |u| +- L, and theta below asin(L / |u|) when the ball leaves out 0.
+    Then R takes Gauss-Legendre nodes; when the ball holds ut = 0, R takes
+    tanh-sinh nodes, which cope with the integrand's non-analytic point at
+    R = 0.  The angles take Gauss-Legendre nodes.  The node count per axis
+    doubles from 8 until two levels agree within ``TRUTH_TOL`` (the closed
+    form agrees with itself at once); RuntimeError when 256 nodes are not
+    enough.
+    """
+    if cfg.n_classes != 2:
+        raise ValueError("exact risks implemented for binary worlds")
+    last, n = None, _FIRST_NODES
+    while n <= _MAX_NODES:
+        value = _mean_risk_at(cfg, h, n)
+        if last is not None and abs(value - last) <= TRUTH_TOL:
+            return value, abs(value - last)
+        last, n = value, 2 * n
+    raise RuntimeError(f"mean_true_risk: no two quadrature levels up to {_MAX_NODES} "
+                       f"nodes agree within {TRUTH_TOL:g}")
+
+
+def _mean_risk_at(cfg: MetaConfig, h: Hypothesis, n: int) -> float:
+    """``mean_true_risk``'s value at n nodes per axis; the closed form, the
+    same at every n, when no feature shift is left to integrate."""
+    u, b0 = _binary_margin(h)
+    if cfg.archetypes is not None:
+        weights = cfg.archetype_weights
+        means = np.stack([a.class_means for a in cfg.archetypes])
+        props = np.stack([a.class_props for a in cfg.archetypes])
+    else:
+        weights, means, props = np.ones(1), cfg.class_means[None], np.full((1, 2), 0.5)
+    norm_u = float(np.linalg.norm(u))
+    feature = cfg.shift_mode in ("feature", "both")
+    sigma = cfg.sigma_affine * norm_u if feature else 0.0
+    tau = cfg.sigma_shift * norm_u if feature else 0.0
+    sign = np.array([1.0, -1.0])    # class 0 errs at scores >= 0, class 1 below
+
+    if sigma == 0.0:
+        s = float(np.hypot(cfg.cov_scale * norm_u, tau))
+        errors = ndtr(sign * (means @ u + b0) / (s if s > 0 else 1e-300))
+    else:
+        along = means @ (u / norm_u)
+        across = np.linalg.norm(means - along[..., None] * (u / norm_u), axis=2)
+        rule = _sphere_rule(cfg.dim, norm_u, sigma, n)
+        errors = np.array([[_mean_error(rule, sign[c] * along[m, c], sign[c] * across[m, c],
+                                        sign[c] * b0, cfg.cov_scale, tau)
+                            for c in range(2)] for m in range(len(weights))])
+    return float(weights @ np.sum(props * errors, axis=1))
+
+
+def _gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = leggauss(n)
+    return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
+
+
+def _tanh_sinh(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """2n - 1 tanh-sinh nodes on [lo, hi], step 3.2 / n; past |x| = 3.2 the
+    nodes would lie within 2e-17 (hi - lo) of the ends.  ``expit`` keeps the
+    nodes next to lo apart from lo itself."""
+    step = 3.2 / n
+    x = step * np.arange(1 - n, n)
+    q = expit(np.pi * np.sinh(x))      # (1 + tanh(pi/2 sinh x)) / 2
+    return lo + (hi - lo) * q, step * (hi - lo) * np.pi * np.cosh(x) * q * (1.0 - q)
+
+
+def _sphere_rule(d: int, norm_u: float, sigma: float, n: int) -> dict:
+    """Nodes and normalised Gaussian weights of ``mean_true_risk``'s
+    quadrature at n nodes per axis: radii R, polar angles theta and their
+    (R, theta) weights, azimuths chi and their weights, each weight set
+    summing to 1."""
+    L = sigma * (np.sqrt(d) + _WINDOW_TAIL)
+    holds_zero = norm_u <= L
+    radial = _tanh_sinh if holds_zero else _gauss_legendre
+    R, w_r = radial(n, max(0.0, norm_u - L), norm_u + L)
+    s0 = np.array([0.0, np.pi]), np.ones(2)
+    if d == 1:
+        theta, w_t = s0
+    else:
+        theta, w_t = _gauss_legendre(n, 0.0, np.pi if holds_zero else np.arcsin(L / norm_u))
+    chi, w_c = s0 if d <= 2 else _gauss_legendre(n, 0.0, np.pi)
+    log_gauss = -((R[:, None] - norm_u) ** 2
+                  + 2.0 * R[:, None] * norm_u * (1.0 - np.cos(theta))) / (2.0 * sigma ** 2)
+    w = (w_r * R ** (d - 1))[:, None] * (w_t * np.sin(theta) ** max(d - 2, 0)) * np.exp(log_gauss)
+    w_c = w_c * np.sin(chi) ** max(d - 3, 0)
+    return {"R": R, "theta": theta, "weight": w / w.sum(), "chi": chi, "chi_weight": w_c / w_c.sum()}
+
+
+# nodes in one block of ``_mean_error``'s arithmetic; bounds its temporaries
+_QUAD_BLOCK = 1 << 18
+
+
+def _mean_error(rule: dict, along: float, across: float, offset: float,
+                cov_scale: float, tau: float) -> float:
+    """E[Phi((ut . m + offset) / sqrt(cov_scale^2 |ut|^2 + tau^2))] under
+    ``rule``, for a mean m of components ``along`` and ``across`` the margin;
+    a block of radii at a time."""
+    R, theta, chi = rule["R"], rule["theta"], rule["chi"]
+    direction = along * np.cos(theta)[:, None] + across * np.sin(theta)[:, None] * np.cos(chi)
+    scale = np.hypot(cov_scale * R, tau)     # every node has R > 0
+    step = max(1, _QUAD_BLOCK // direction.size)
+    total = 0.0
+    for i in range(0, len(R), step):
+        score = (R[i:i + step, None, None] * direction + offset) / scale[i:i + step, None, None]
+        total += float(np.sum(rule["weight"][i:i + step] * (ndtr(score) @ rule["chi_weight"])))
+    return total
 
 
 def adversarial_directions(cfg: MetaConfig, h: Hypothesis) -> np.ndarray:
@@ -557,10 +718,11 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
     """Median certificate-minus-achievable gap along a (K, n_k) schedule.
 
     The achievable statistic is the exact target mean under the declared
-    shift (no shift for the plain mean bound), estimated once from a large
-    client sample so the same ground truth serves every schedule point.
-    Rows carry the median slack components so the vanishing pieces can be
-    read off separately.
+    shift (no shift for the plain mean bound), computed once by
+    ``mean_true_risk``'s quadrature, so the same ground truth serves every
+    schedule point.  Rows carry it as ``truth``, the difference of its last
+    two quadrature levels as ``truth_error``, and the median slack
+    components, so the vanishing pieces can be read off separately.
     """
     if bound_kind not in TIGHTNESS_KINDS:
         raise ValueError("tightness probe supports the mean-style bounds")
@@ -571,11 +733,8 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
     h: Hypothesis = params["h"]
     req = {"delta": float(params.get("delta", 0.1)),
            "epsilon": float(params.get("epsilon", 0.0)), "f_name": params.get("f_name")}
-    T_truth = int(params.get("truth_clients", 200_000))
-
     target_cfg = target_world(cfg, bound_kind, req["epsilon"], h, req["f_name"])
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 98765])))
-    truth = float(np.mean(sample_true_risks(target_cfg, T_truth, h, rng)))
+    truth, truth_error = mean_true_risk(target_cfg, h)
 
     rows = []
     for K, n_k in zip(K_schedule, n_schedule):
@@ -596,6 +755,7 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
             if trials > 1 else 0.0,
             "mean_gap": float(np.mean(gaps)),
             "truth": truth,
+            "truth_error": truth_error,
         }
         for key, vals in slacks.items():
             row[f"slack_{key}"] = float(np.median(vals))

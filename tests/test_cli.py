@@ -1,11 +1,11 @@
 """End-to-end runs of the command line driver: config validation, the four
 subcommands, exit codes, and byte-for-byte rerun stability."""
 import copy
+import csv
 import hashlib
+import io
 import json
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
@@ -241,6 +241,22 @@ def _grid_beside_wass_verify_kind(cfg, tmp_path):
     return "$.query.grid"
 
 
+# a wass-mean target moves the class means against the rule's margin, which
+# a constant rule does not have; certify's config asks for that target, and
+# verify's asks for it in a coverage kind as well
+def _zero_margin_logistic_beside_wass(cfg, tmp_path):
+    cfg["model"] = {"kind": "logistic", "weights": [0, 0], "bias": 0}
+    cfg["verify"]["kinds"].append(_WASS_VERIFY_KIND)
+    return "$.model.weights"
+
+
+def _equal_row_linear_beside_wass(cfg, tmp_path):
+    cfg["model"] = {"kind": "linear-classifier", "weights": [[0.5, -1.0], [0.5, -1.0]],
+                    "bias": [0.0, 0.2]}
+    cfg["verify"]["kinds"].append(_WASS_VERIFY_KIND)
+    return "$.model.weights"
+
+
 @pytest.mark.parametrize("command", ["certify", "verify"])
 @pytest.mark.parametrize("make_bad", [
     _fdiv_certificate_without_archetypes,
@@ -254,11 +270,23 @@ def _grid_beside_wass_verify_kind(cfg, tmp_path):
     _smooth_query_loss,
     _l2_cost_beside_wass_verify_kind,
     _grid_beside_wass_verify_kind,
+    _zero_margin_logistic_beside_wass,
+    _equal_row_linear_beside_wass,
 ])
 def test_bad_inputs_exit_one_before_writing(tmp_path, capsys, command, make_bad):
     cfg = copy.deepcopy(BASE_CONFIG)
     where = make_bad(cfg, tmp_path)
     assert_rejected_before_writing(tmp_path, capsys, command, cfg, where)
+
+
+def test_a_zero_margin_rule_runs_without_a_wass_target(tmp_path):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["model"] = {"kind": "logistic", "weights": [0, 0], "bias": 0.1}
+    cfg["certificates"] = cfg["certificates"][:3]
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", cfgp, "--out", str(tmp_path / "c")]) == 0
+    assert main(["verify", "--config", cfgp, "--trials", "2",
+                 "--out", str(tmp_path / "v")]) == 0
 
 
 def test_verify_without_a_wass_kind_accepts_transport_query_settings(tmp_path):
@@ -428,8 +456,28 @@ def test_certify_summary_flags_vacuous_certificates(tmp_path):
     assert mean["vacuous"] is False and fdiv["vacuous"] is False
     bounds = [float(row.split(",")[1]) for row in (out / "01_cdf.csv").read_text().splitlines()[1:]]
     assert cdf["vacuous_thresholds"] == sum(b >= 1.0 for b in bounds) >= 1
-    assert set(cdf) == {"kind", "files", "vacuous_thresholds"}
+    assert set(cdf) == {"kind", "files", "vacuous_thresholds", "meta_slack"}
     # emit-plots reads the summary with its new fields
+    assert main(["emit-plots", "--out", str(out)]) == 0
+
+
+def test_certify_summary_carries_each_certificates_slack(tmp_path):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["certificates"].append({"kind": "fdiv-cdf", "delta": 0.1, "epsilon": 0.05,
+                                "f_name": "kl", "target_clients": 300,
+                                "lambda_grid": [0.2, 0.5]})
+    out = tmp_path / "certs"
+    assert main(["certify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    entries = json.loads((out / "summary.json").read_text())["requests"]
+    for entry in entries:
+        cert = json.loads((out / entry["files"]["certificate"]).read_text())
+        if entry["kind"] == "cdf":
+            assert entry["meta_slack"] == cert["params"]["meta_slack"] > 0
+        elif entry["kind"] == "fdiv-cdf":
+            assert entry["pad"] == cert["params"]["pad"] > 0
+        else:
+            assert entry["slack"] == cert["slack"]
+            assert set(entry["slack"]) == {"meta", "per_client"}
     assert main(["emit-plots", "--out", str(out)]) == 0
 
 
@@ -477,8 +525,23 @@ def test_verify_runs_and_writes_reports(tmp_path):
     assert rep["trials"] == 4
     assert rep["passed"] is True
     tightness = (out / "tightness.csv").read_text().splitlines()
-    assert tightness[0].startswith("K,n_k,median_gap")
+    assert tightness[0].startswith("K,n_k,median_gap,se_median,mean_gap,truth,truth_error")
     assert len(tightness) == 3
+    # the quadrature's ground truth on the README config
+    for row in csv.DictReader(io.StringIO((out / "tightness.csv").read_text())):
+        assert 0.0 <= float(row["truth_error"]) <= 1e-9
+
+
+def test_verify_tightness_truth_that_does_not_converge_exits_one(tmp_path, capsys,
+                                                                 monkeypatch):
+    # one quadrature level has nothing to agree with
+    monkeypatch.setattr(fedcert.oracle, "_MAX_NODES", fedcert.oracle._FIRST_NODES)
+    out = tmp_path / "ver"
+    rc = main(["verify", "--config", write_config(tmp_path), "--out", str(out),
+               "--trials", "1"])
+    assert rc == 1
+    assert "$.verify.tightness" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("max_queries, rc", [(1, 3), (16, 3), (17, 0)])
@@ -641,12 +704,3 @@ def test_flags_exist_only_where_read(tmp_path, command, flag):
     with pytest.raises(SystemExit) as ei:
         main(argv)
     assert ei.value.code == 2
-
-
-def test_cli_import_leaves_scipy_optimize_out():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import fedcert.cli; "
-             "print('scipy.optimize' in sys.modules)")
-    res = subprocess.run([sys.executable, "-c", probe, src],
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"

@@ -1,6 +1,8 @@
 """The verification layer itself: grid and LP oracles on instances small
 enough to reason about by hand, closed-form risks against Monte Carlo, and
 the coverage / tightness harnesses on toy worlds."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,123 @@ def test_sample_true_risks_binary_only():
         sample_true_risks(cfg, 10, H, np.random.default_rng(0))
 
 
+# ------------------------------------------------------ mean true risk
+
+MEANS_3D = np.array([[-1.0, 0.2, 0.3], [1.0, -0.1, 0.5]])
+H1 = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.3)
+H2_TILTED = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, 0.3]), bias=0.0)
+H3 = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, 0.3, -0.2]), bias=0.2)
+
+
+def _archetype_world_3d(**kw):
+    arche = [Archetype(class_means=MEANS_3D, class_props=np.array([0.5, 0.5]), score=0.0),
+             Archetype(class_means=MEANS_3D * 0.5, class_props=np.array([0.3, 0.7]),
+                       score=1.0)]
+    return MetaConfig(dim=3, n_classes=2, class_means=MEANS_3D, archetypes=arche,
+                      archetype_weights=np.array([0.6, 0.4]), **kw)
+
+
+def _kl_tilted_target():
+    cfg = archetype_cfg()
+    return fedcert.oracle.target_world(cfg, "fdiv-mean", 0.05, H, "kl")
+
+
+# every shift mode; d = 1, 2 and 3; with and without archetypes; sigma_affine
+# 0.05 and 0.5 (where ut can reach 0); sigma_shift 0 and 0.1; the KL tilt
+TRUTH_WORLDS = {
+    "none-2d-archetypes": (lambda: replace(archetype_cfg(), shift_mode="none"), H),
+    "label-2d-archetypes": (lambda: replace(archetype_cfg(), shift_mode="label"), H),
+    "label-1d": (lambda: MetaConfig(dim=1, n_classes=2, class_means=[[-1.0], [1.0]],
+                                    shift_mode="label"), H1),
+    "feature-1d-jump": (lambda: MetaConfig(dim=1, n_classes=2, class_means=[[-1.0], [1.0]],
+                                           shift_mode="feature", sigma_affine=0.5,
+                                           sigma_shift=0.0), H1),
+    "feature-2d-jump-at-zero": (lambda: plain_cfg(shift_mode="feature", sigma_affine=0.5,
+                                                  sigma_shift=0.0), H2_TILTED),
+    "both-2d-archetypes": (archetype_cfg, H2_TILTED),
+    "both-2d-kl-tilted": (_kl_tilted_target, H),
+    "both-3d-wide": (lambda: MetaConfig(dim=3, n_classes=2, class_means=MEANS_3D,
+                                        shift_mode="both", sigma_affine=0.5,
+                                        sigma_shift=0.1), H3),
+    "both-3d-archetypes-no-translation": (lambda: _archetype_world_3d(
+        shift_mode="both", sigma_affine=0.05, sigma_shift=0.0), H3),
+    "feature-3d-archetypes-wide": (lambda: _archetype_world_3d(
+        shift_mode="feature", sigma_affine=0.5, sigma_shift=0.0), H3),
+}
+
+
+@pytest.mark.parametrize("name", TRUTH_WORLDS)
+def test_mean_true_risk_matches_a_million_client_draw(name):
+    make, h = TRUTH_WORLDS[name]
+    cfg = make()
+    value, error = fedcert.oracle.mean_true_risk(cfg, h)
+    assert 0.0 <= error <= fedcert.oracle.TRUTH_TOL
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([14, 1])))
+    # four draws of 250,000, to keep the arrays small
+    risks = np.concatenate([sample_true_risks(cfg, 250_000, h, rng) for _ in range(4)])
+    se = np.std(risks) / np.sqrt(len(risks))
+    assert se > 0
+    assert abs(np.mean(risks) - value) <= 4.0 * se, (np.mean(risks), value, se)
+
+
+# each rule the quadrature picks: Gauss-Legendre radii (2-D, 3-D) and
+# tanh-sinh radii (1-D, 2-D with the jump at ut = 0, 3-D)
+@pytest.mark.parametrize("name", ["both-2d-kl-tilted", "both-3d-archetypes-no-translation",
+                                  "feature-1d-jump", "feature-2d-jump-at-zero", "both-3d-wide"])
+def test_mean_true_risk_is_stable_when_the_nodes_double(name):
+    make, h = TRUTH_WORLDS[name]
+    cfg = make()
+    value, _ = fedcert.oracle.mean_true_risk(cfg, h)
+    at = fedcert.oracle._mean_risk_at
+    n = 2 * fedcert.oracle._FIRST_NODES
+    while abs(at(cfg, h, n) - at(cfg, h, n // 2)) > fedcert.oracle.TRUTH_TOL:
+        n *= 2
+    assert at(cfg, h, n) == value
+    assert abs(at(cfg, h, 2 * n) - value) <= 1e-9
+
+
+@pytest.mark.parametrize("mode", ["none", "label"])
+def test_mean_true_risk_without_feature_shift_is_the_closed_form(mode):
+    for cfg in (replace(archetype_cfg(), shift_mode=mode), plain_cfg(shift_mode=mode)):
+        arche = cfg.archetypes or [Archetype(class_means=cfg.class_means)]
+        want = sum(w * exact_zero_one_risk(np.zeros((2, 2)), np.zeros(2), a.class_props,
+                                           a.class_means, cfg.cov_scale, H2_TILTED)
+                   for w, a in zip(cfg.archetype_weights if cfg.archetypes else [1.0], arche))
+        value, error = fedcert.oracle.mean_true_risk(cfg, H2_TILTED)
+        assert error == 0.0
+        assert abs(value - want) <= 1e-12
+
+
+@pytest.mark.parametrize("bias, pick", [(0.3, 0), (-0.3, 1), (0.0, None)])
+def test_mean_true_risk_of_a_zero_margin_rule(bias, pick):
+    # a constant rule errs on all of class 0 (b0 > 0), all of class 1 (b0 < 0)
+    # or, by sample_true_risks' s -> 1e-300 convention, half of each (b0 = 0)
+    h = Hypothesis(kind=LOGISTIC, weights=np.zeros(2), bias=bias)
+    for mode in ("none", "both"):
+        cfg = replace(archetype_cfg(), shift_mode=mode)
+        props = np.stack([a.class_props for a in cfg.archetypes])
+        per_archetype = props[:, pick] if pick is not None else np.full(2, 0.5)
+        value, _ = fedcert.oracle.mean_true_risk(cfg, h)
+        assert abs(value - cfg.archetype_weights @ per_archetype) <= 1e-15
+        drawn = sample_true_risks(cfg, 200, h, np.random.default_rng(3))
+        if mode == "none":
+            # each client's risk is its archetype's
+            assert np.all(np.min(np.abs(drawn[:, None] - per_archetype), axis=1) <= 1e-15)
+
+
+def test_mean_true_risk_refuses_to_stop_short(monkeypatch):
+    make, h = TRUTH_WORLDS["feature-2d-jump-at-zero"]
+    monkeypatch.setattr(fedcert.oracle, "_MAX_NODES", 16)
+    with pytest.raises(RuntimeError, match="quadrature"):
+        fedcert.oracle.mean_true_risk(make(), h)
+
+
+def test_mean_true_risk_binary_only():
+    means3 = np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        fedcert.oracle.mean_true_risk(MetaConfig(dim=2, n_classes=3, class_means=means3), H)
+
+
 def test_adversarial_directions_shapes_and_signs():
     cfg = archetype_cfg()
     h = Hypothesis(kind=LOGISTIC, weights=np.array([3.0, 4.0]), bias=0.0)
@@ -437,15 +556,17 @@ def test_tightness_rows_smoke():
     cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
     rows = tightness_probe(
         cfg, "mean", [5, 10], [10, 20], trials=3, seed=2,
-        params={"h": H, "delta": 0.1, "truth_clients": 2000},
+        params={"h": H, "delta": 0.1},
     )
     assert len(rows) == 2
     for row in rows:
         assert {"K", "n_k", "median_gap", "se_median", "mean_gap",
-                "truth", "slack_meta", "slack_per_client"} <= set(row)
+                "truth", "truth_error", "slack_meta", "slack_per_client"} <= set(row)
         assert 0.0 <= row["truth"] <= 1.0
+        assert row["truth"] == fedcert.oracle.mean_true_risk(cfg, H)[0]
+        assert 0.0 <= row["truth_error"] <= fedcert.oracle.TRUTH_TOL
     single = tightness_probe(
         cfg, "mean", [5], [10], trials=1, seed=2,
-        params={"h": H, "delta": 0.1, "truth_clients": 1000},
+        params={"h": H, "delta": 0.1},
     )
     assert single[0]["se_median"] == 0.0

@@ -1,5 +1,7 @@
 """Checks on the source itself rather than on its numbers."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fedcert"
@@ -46,3 +48,25 @@ def test_the_cli_wires_no_certificate_kind_itself():
     _, named = _names(SRC / "cli.py")
     assert not named & KIND_WIRING
     assert not [n for n in named if n.startswith("shift_meta_")]
+
+
+# scipy subpackages slow to import that no command needs at start-up:
+# scipy.optimize alone took 0.60 s of a 0.90 s `import fedcert.cli`
+_SLOW_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+
+
+def test_cli_import_and_the_truth_quadrature_leave_slow_scipy_out():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fedcert.cli\n"
+        f"slow = {_SLOW_SCIPY!r}\n"
+        "print(sorted(m for m in slow if m in sys.modules))\n"
+        # the tightness probe's quadrature takes its nodes from numpy
+        "import numpy as np; from fedcert import Hypothesis, MetaConfig, mean_true_risk\n"
+        "cfg = MetaConfig(dim=2, n_classes=2, class_means=[[-1, 0], [1, 0]], "
+        "shift_mode='both')\n"
+        "mean_true_risk(cfg, Hypothesis(kind='logistic', weights=np.ones(2), bias=0.0))\n"
+        "print(sorted(m for m in slow if m in sys.modules))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split("\n")[:2] == ["[]", "[]"]
