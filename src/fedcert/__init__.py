@@ -37,9 +37,12 @@ from .losses import (
 from .metasim import (
     Archetype,
     ClientSpec,
+    DrawnWorld,
     LocalDataset,
     MetaConfig,
+    WorldFieldError,
     archetype_divergences,
+    draw_world,
     export_world,
     generate_dataset,
     generate_datasets,
@@ -71,6 +74,7 @@ from .query import (
     TransportCost,
     adversarial_risk,
     empirical_risk,
+    empirical_risk_values,
     empirical_risks,
     phi_gamma,
     query_empirical,

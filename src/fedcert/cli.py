@@ -35,10 +35,10 @@ from .certificates import CdfCurve
 from .losses import LINEAR, LOOKUP, LOSS_KINDS, ZERO_ONE, Hypothesis, LossFn
 from .metasim import (
     MetaConfig,
+    WorldFieldError,
+    draw_world,
     export_world,
-    generate_datasets,
     load_world,
-    sample_clients,
     tilt_divergence_limit,
 )
 from .oracle import (
@@ -127,12 +127,17 @@ CONFIG_SCHEMA = {
                 "n_classes": {"type": "integer", "minimum": 2},
                 "shift_mode": {"enum": ["none", "feature", "label", "both"]},
                 "cov_scale": {"type": "number", "exclusiveMinimum": 0},
+                "sigma_affine": {"type": "number", "minimum": 0},
+                "sigma_shift": {"type": "number", "minimum": 0},
+                "alpha_dir": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer", "minimum": 0},
                 "archetypes": {"type": "array", "items": {
                     "type": "object",
                     "properties": {"class_props": {
                         "type": "array", "items": {"type": "number", "minimum": 0}}},
                 }},
+                "archetype_weights": {"type": "array",
+                                      "items": {"type": "number", "minimum": 0}},
             },
         },
         "model": {
@@ -298,6 +303,8 @@ def _world_from_config(cfg: dict, seed: int | None) -> MetaConfig:
         wd["seed"] = int(seed)
     try:
         return MetaConfig.from_json_dict(wd)
+    except WorldFieldError as exc:
+        raise ConfigError(f"config error at $.world.{exc.field}: {exc}") from exc
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"world config rejected: {exc}") from exc
 
@@ -335,7 +342,7 @@ def _build_clients(cfg: dict, world: MetaConfig) -> tuple[list[Client], Transpor
         if loaded_cfg.digest() != world.digest():
             raise ConfigError("world_dir manifest does not match the config world")
     else:
-        datasets = generate_datasets(sample_clients(world, data["K"]), data["n_k"], world)
+        datasets = draw_world(world, data["K"], data["n_k"]).datasets()
     clients = [
         Client(ds.client_id, ds, loss_fn,
                cost=cost, max_queries=data.get("max_queries"), grid=grid)
@@ -429,9 +436,8 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     world = _world_from_config(cfg, args.seed)
     out = Path(args.out)
-    specs = sample_clients(world, cfg["data"]["K"])
-    datasets = generate_datasets(specs, cfg["data"]["n_k"], world)
-    manifest = export_world(out / "world", world, specs, datasets)
+    drawn = draw_world(world, cfg["data"]["K"], cfg["data"]["n_k"])
+    manifest = export_world(out / "world", world, drawn.specs(), drawn.datasets())
     print(f"wrote {manifest}")
     return EXIT_OK
 

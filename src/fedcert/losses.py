@@ -146,6 +146,20 @@ class Hypothesis:
             return X @ self.weights + self.bias
         return self._table_rows(X).astype(float)
 
+    def stacked_scores(self, X: np.ndarray) -> np.ndarray:
+        """``scores`` of B stacked datasets X (B, n, d), laid end to end as
+        (B * n, ...): one product per dataset, so each dataset's scores
+        round as they would alone (a stacked product may not)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 3 or X.shape[2] != self.n_features:
+            raise DimensionMismatchError(
+                f"expected stacked datasets of {self.n_features} features, got shape {X.shape}"
+            )
+        if self.kind == LOOKUP:
+            return self._table_rows(X.reshape(-1, X.shape[2])).astype(float)
+        w = self.weights.T if self.kind == LINEAR else self.weights
+        return np.concatenate([x @ w for x in X]) + self.bias
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Hard labels; argmax for linear, threshold at 1/2 for the rest."""
         return self.labels_from_scores(self.scores(X))

@@ -16,18 +16,30 @@ Determinism: all draws run through the counter-based Philox generator with
 per-client derived seed streams, so a (config, K, n_k) triple reproduces the
 same world byte-for-byte on any platform.  Client k of root seed s draws its
 parameters from Philox(SeedSequence([s, k, 0])) and its data from
-Philox(SeedSequence([s, k, 1])).  The keys of those streams are derived for
+Philox(SeedSequence([s, k, 1])).  The keys of both streams are derived for
 all clients in one array pass that replays SeedSequence's hash-mix
 (``_philox_keys``), and one Philox per call is reset onto each key in turn,
-so no SeedSequence or Generator is built per client.  The tests pin the keys
-to SeedSequence and the drawn worlds to a per-client reference, value for
-value.
+so no SeedSequence or Generator is built per client.
+
+The draw is columnar: ``draw_world`` writes every client's parameters and
+samples straight into arrays (a ``DrawnWorld``), and builds no per-client
+object.  Each loop over clients keeps only the Philox reset and the raw
+draws; the archetype is a ``bisect`` on the weights' cumulative sums, and
+the Dirichlet proportions are built from scalar ``standard_gamma`` draws
+exactly as ``Generator.dirichlet``'s gamma branch builds them (a row whose
+largest alpha is below 0.1 still calls ``dirichlet``, which breaks sticks
+there).  The labels and the feature arithmetic then run a block of clients
+at a time.  ``sample_clients``, ``generate_datasets`` and
+``generate_dataset`` are object views of the same draw.  The tests pin the
+keys to SeedSequence, the Dirichlet rows to ``Generator.dirichlet`` and the
+drawn worlds to a per-client reference, value for value.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,8 +50,11 @@ from .losses import Sample
 __all__ = [
     "Archetype",
     "MetaConfig",
+    "WorldFieldError",
     "ClientSpec",
     "LocalDataset",
+    "DrawnWorld",
+    "draw_world",
     "sample_clients",
     "generate_dataset",
     "generate_datasets",
@@ -94,6 +109,14 @@ class Archetype:
         )
 
 
+class WorldFieldError(ValueError):
+    """A ``MetaConfig`` field out of its range; ``field`` names it."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+
+
 @dataclass
 class MetaConfig:
     """Full description of a meta-distribution over clients."""
@@ -116,8 +139,15 @@ class MetaConfig:
         self.class_means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
         if self.class_means.shape != (self.n_classes, self.dim):
             raise ValueError("class_means must be (n_classes, dim)")
-        if self.cov_scale <= 0:
-            raise ValueError("cov_scale must be positive")
+        # numpy draws no Dirichlet at alpha 0 and no normal at a negative
+        # scale; an infinite one fills the world with NaN
+        if not 0 < self.cov_scale < np.inf:
+            raise WorldFieldError("cov_scale", "must be positive and finite")
+        if not 0 < self.alpha_dir < np.inf:
+            raise WorldFieldError("alpha_dir", "must be positive and finite")
+        for name in ("sigma_affine", "sigma_shift"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise WorldFieldError(name, "must be nonnegative and finite")
         if self.archetypes is not None:
             if self.archetype_weights is None:
                 self.archetype_weights = np.full(
@@ -125,10 +155,12 @@ class MetaConfig:
                 )
             self.archetype_weights = np.asarray(self.archetype_weights, dtype=float)
             if len(self.archetype_weights) != len(self.archetypes):
-                raise ValueError("one weight per archetype required")
+                raise WorldFieldError("archetype_weights", "needs one weight per archetype")
             if np.any(self.archetype_weights < 0):
-                raise ValueError("archetype weights must be nonnegative")
+                raise WorldFieldError("archetype_weights", "must be nonnegative")
             total = self.archetype_weights.sum()
+            if not 0 < total < np.inf:
+                raise WorldFieldError("archetype_weights", "must have a positive, finite sum")
             if abs(total - 1.0) > 1e-12:
                 self.archetype_weights = self.archetype_weights / total
             for a in self.archetypes:
@@ -282,23 +314,29 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _philox_keys(root: int, client_ids, stream: int) -> np.ndarray:
+def _philox_keys(root: int, client_ids, stream) -> np.ndarray:
     """The Philox key of ``Philox(SeedSequence([root, k, stream]))`` for every
     client id ``k``, shape (len(client_ids), 2) uint64, in one array pass.
+    ``stream`` is one tag for every id, or an array of tags aligned with the
+    ids, so one pass can derive several streams' keys.
 
-    This replays SeedSequence on the entropy words [root..., k, stream...]:
+    This replays SeedSequence on the entropy words [root..., k, stream]:
     hash each word into a pool of four (hashing zeros when the entropy is
     shorter), mix every pool word into every other, mix in the entropy past
     the pool (a root of three or more words), then hash the pool into the four
     uint32 words of ``generate_state(2, np.uint64)``.  The hash constants
     evolve the same way for every id, so the ids ride along as one array.
-    Ids must fit one uint32 word."""
-    ids = np.asarray(client_ids, dtype=np.int64)
+    Ids and stream tags must each fit one uint32 word."""
+    ids, streams = np.broadcast_arrays(np.asarray(client_ids, dtype=np.int64),
+                                       np.asarray(stream, dtype=np.int64))
     if np.any(ids < 0) or np.any(ids > _MASK32):
         raise ValueError("client ids must lie in [0, 2**32)")
+    if np.any(streams < 0) or np.any(streams > _MASK32):
+        raise ValueError("stream tags must lie in [0, 2**32)")
     ids = ids.astype(np.uint32)
-    entropy = ([np.full_like(ids, w) for w in _uint32_words(int(root))] + [ids]
-               + [np.full_like(ids, w) for w in _uint32_words(int(stream))])
+    entropy = ([np.full_like(ids, w) for w in _uint32_words(int(root))]
+               + [ids, streams.astype(np.uint32)])
+
     def hasher(hash_const, mult):
         def hashmix(value):
             nonlocal hash_const
@@ -346,58 +384,157 @@ def _client_streams(keys: np.ndarray):
         yield rng
 
 
-def sample_clients(cfg: MetaConfig, K: int, seed: int | None = None) -> list[ClientSpec]:
-    """Draw K independent clients from the meta-distribution.
+def _dirichlet(rng: np.random.Generator, alphas: list[float]) -> list[float]:
+    """``rng.dirichlet(alphas)``, value for value, for alphas whose largest is
+    at least 0.1: numpy's gamma branch, one ``standard_gamma`` per alpha,
+    summed in order and scaled by the reciprocal of the sum.  Scalar calls
+    cost about a third of the ``dirichlet`` call, which checks and allocates.
+    Below 0.1 numpy breaks sticks with beta draws instead, so those rows
+    still call ``rng.dirichlet``."""
+    gammas = [rng.standard_gamma(a) for a in alphas]
+    acc = 0.0
+    for g in gammas:   # not sum(), which compensates on Python 3.12+
+        acc += g
+    inv = 1.0 / acc
+    return [g * inv for g in gammas]
 
-    Client k draws from its own stream, Philox(SeedSequence([seed, k, 0])),
+
+@dataclass
+class DrawnWorld:
+    """K clients drawn from a world, as columns: row k of every array is
+    client k, drawn under the root seed ``seed_entropy``."""
+
+    seed_entropy: int
+    affine: np.ndarray        # (K, d, d) additive parts of the feature maps
+    shift: np.ndarray         # (K, d)
+    class_props: np.ndarray   # (K, C)
+    class_means: np.ndarray   # (K, C, d)
+    archetype: np.ndarray     # (K,), -1 for a world without archetypes
+    features: np.ndarray      # (K, n_k, d)
+    labels: np.ndarray        # (K, n_k)
+
+    def specs(self) -> list[ClientSpec]:
+        return [ClientSpec(client_id=k, affine=a, shift=s, class_props=p, class_means=m,
+                           archetype=arche, seed_entropy=self.seed_entropy)
+                for k, (a, s, p, m, arche) in enumerate(zip(
+                    self.affine, self.shift, self.class_props, self.class_means,
+                    self.archetype.tolist()))]
+
+    def datasets(self) -> list[LocalDataset]:
+        return [LocalDataset(client_id=k, features=x, labels=y)
+                for k, (x, y) in enumerate(zip(self.features, self.labels))]
+
+
+def draw_world(cfg: MetaConfig, K: int, n_k: int, seed: int | None = None) -> DrawnWorld:
+    """Draw K independent clients from the meta-distribution, and n_k samples
+    for each (none at n_k = 0), straight into columns.
+
+    Client k draws its parameters from Philox(SeedSequence([seed, k, 0])),
     so the k-th client is identical no matter how many others are drawn
     alongside it.  In that stream it takes, in order: one uniform for the
     archetype, the normals of its affine map and translation, then its
-    Dirichlet label proportions.  The raw draws are taken client by client
-    and scaled for all clients at once.
+    Dirichlet label proportions.  Its sample comes from
+    Philox(SeedSequence([seed, k, 1])), as ``generate_datasets`` draws it.
+    The keys of both streams come from one ``_philox_keys`` pass; the loops
+    over clients take only the raw draws, and the arithmetic runs on the
+    columns.
     """
     if K <= 0:
         raise ValueError("K must be positive")
+    if n_k < 0:
+        raise ValueError("n_k must be nonnegative")
     root = cfg.seed if seed is None else int(seed)
-    d, C = cfg.dim, cfg.n_classes
+    streams = [_SPEC_STREAM] + ([_DATA_STREAM] if n_k else [])
+    keys = _philox_keys(root, np.tile(np.arange(K), len(streams)), np.repeat(streams, K))
+    affine, shift, props, means, arche = _draw_params(cfg, keys[:K])
+    if n_k:
+        X, labels = _draw_samples(keys[K:], props, means, affine, shift, n_k, cfg)
+    else:
+        X, labels = np.empty((K, 0, cfg.dim)), np.empty((K, 0), dtype=np.intp)
+    return DrawnWorld(seed_entropy=root, affine=affine, shift=shift, class_props=props,
+                      class_means=means, archetype=arche, features=X, labels=labels)
+
+
+def _draw_params(cfg: MetaConfig, keys: np.ndarray):
+    """Each client's affine map, translation, label proportions, class means
+    and archetype, from its parameter stream's key."""
+    K, d, C = len(keys), cfg.dim, cfg.n_classes
     feature = cfg.shift_mode in ("feature", "both")
     label = cfg.shift_mode in ("label", "both")
     if cfg.archetypes is not None:
-        arche_cdf = _choice_cdf(cfg.archetype_weights)
+        # bisect_right on the list is cdf.searchsorted(u, side="right")
+        arche_cdf = _choice_cdf(cfg.archetype_weights).tolist()
         all_means = np.stack([a.class_means for a in cfg.archetypes])
         all_props = np.stack([a.class_props for a in cfg.archetypes])
     else:
+        arche_cdf = None
         all_means = cfg.class_means[None]
         all_props = np.full((1, C), 1.0 / C)
     alphas = cfg.alpha_dir * C * all_props
+    alpha_rows = alphas.tolist()
+    sticks = [max(row) < 0.1 for row in alpha_rows]
 
-    arche = np.full(K, -1)
+    picks, rows = [], []
     z = np.zeros((K, d * d + d))
-    props = np.empty((K, C))
-    for k, rng in enumerate(_client_streams(_philox_keys(root, range(K), _SPEC_STREAM))):
-        if cfg.archetypes is not None:
-            arche[k] = arche_cdf.searchsorted(rng.random(), side="right")
+    for k, rng in enumerate(_client_streams(keys)):
+        m = 0
+        if arche_cdf is not None:
+            m = bisect_right(arche_cdf, rng.random())
+            picks.append(m)
         if feature:
             rng.standard_normal(out=z[k])
         if label:
-            props[k] = rng.dirichlet(alphas[max(arche[k], 0)])
+            rows.append(rng.dirichlet(alphas[m]) if sticks[m]
+                        else _dirichlet(rng, alpha_rows[m]))
 
+    arche = np.array(picks) if arche_cdf is not None else np.full(K, -1)
     # Generator.normal(0, sigma) is 0 + sigma * (a standard normal)
     affine = (0.0 + cfg.sigma_affine * z[:, :d * d]).reshape(K, d, d)
     shift = 0.0 + cfg.sigma_shift * z[:, d * d:]
     means = all_means[np.maximum(arche, 0)]
-    if not label:
-        props = all_props[np.maximum(arche, 0)]
-    return [
-        ClientSpec(client_id=k, affine=affine[k], shift=shift[k], class_props=props[k],
-                   class_means=means[k], archetype=int(arche[k]), seed_entropy=root)
-        for k in range(K)
-    ]
+    props = np.array(rows, dtype=float) if label else all_props[np.maximum(arche, 0)]
+    return affine, shift, props, means, arche
 
 
 # bytes of features a block of clients draws at once; bounds the temporaries
 # of the block's arithmetic
 _BLOCK_BYTES = 1 << 16
+
+
+def _draw_samples(keys, props, means, affine, shift, n_k: int, cfg: MetaConfig):
+    """Each client's n_k samples from its data stream's key: stacked features
+    (K, n_k, d) and labels (K, n_k).  Client by client, the stream's n_k
+    uniforms go into a block buffer and its normals straight into the
+    features; the labels and the feature arithmetic then run on the block,
+    about ``_BLOCK_BYTES`` of features, in place."""
+    K, d = len(keys), cfg.dim
+    X = np.empty((K, n_k, d))
+    labels = np.empty((K, n_k), dtype=np.intp)
+    step = max(1, _BLOCK_BYTES // (8 * n_k * d))
+    u = np.empty((min(step, K), n_k))
+    streams = _client_streams(keys)
+    eye = np.eye(d)
+    for start in range(0, K, step):
+        block = slice(start, min(start + step, K))
+        Xb = X[block]
+        B = len(Xb)
+        for b, rng in zip(range(B), streams):
+            rng.random(out=u[b])
+            rng.standard_normal(out=Xb[b])
+        lb = labels[block]
+        lb[...] = _categorical(_choice_cdf(props[block])[:, None, :], u[:B])
+        # in place, to keep the block's temporaries few; a + b is b + a exactly
+        Xb *= cfg.cov_scale
+        Xb += means[block][np.arange(B)[:, None], lb]
+        Xb[...] = Xb @ (eye + affine[block]).transpose(0, 2, 1)
+        Xb += shift[block][:, None, :]
+    return X, labels
+
+
+def sample_clients(cfg: MetaConfig, K: int, seed: int | None = None) -> list[ClientSpec]:
+    """Draw K independent clients from the meta-distribution: the parameters
+    of ``draw_world``, as objects."""
+    return draw_world(cfg, K, 0, seed).specs()
 
 
 def generate_datasets(specs: list[ClientSpec], n_k: int, cfg: MetaConfig) -> list[LocalDataset]:
@@ -406,41 +543,20 @@ def generate_datasets(specs: list[ClientSpec], n_k: int, cfg: MetaConfig) -> lis
 
     Client k draws from its own stream, Philox(SeedSequence([seed_entropy,
     k, 1])): n_k uniforms for its labels, then n_k x dim standard normals.
-    The raw draws are taken client by client; the labels and the feature
-    arithmetic run for a block of clients at once, about ``_BLOCK_BYTES`` of
-    features.
+    This is ``draw_world``'s sample draw, for specs of any roots and ids.
     """
     if n_k <= 0:
         raise ValueError("n_k must be positive")
-    d = cfg.dim
     keys = np.empty((len(specs), 2), dtype=np.uint64)
     roots = np.array([s.seed_entropy for s in specs], dtype=object)
     ids = np.array([s.client_id for s in specs], dtype=np.int64)
     for root in dict.fromkeys(roots):
         keys[roots == root] = _philox_keys(root, ids[roots == root], _DATA_STREAM)
-    streams = _client_streams(keys)
-    step = max(1, _BLOCK_BYTES // (8 * n_k * d))
-    datasets = []
-    for start in range(0, len(specs), step):
-        block = specs[start:start + step]
-        B = len(block)
-        u = np.empty((B, n_k))
-        z = np.empty((B, n_k, d))
-        for b, rng in zip(range(B), streams):
-            rng.random(out=u[b])
-            rng.standard_normal(out=z[b])
-        props = np.stack([s.class_props for s in block])
-        labels = _categorical(_choice_cdf(props)[:, None, :], u)
-        means = np.stack([s.class_means for s in block])
-        # in place, to keep the block's temporaries few; a + b is b + a exactly
-        X = np.multiply(z, cfg.cov_scale, out=z)
-        X += means[np.arange(B)[:, None], labels]
-        maps = np.eye(d) + np.stack([s.affine for s in block])
-        X = X @ maps.transpose(0, 2, 1)
-        X += np.stack([s.shift for s in block])[:, None, :]
-        datasets += [LocalDataset(client_id=s.client_id, features=X[b], labels=labels[b])
-                     for b, s in enumerate(block)]
-    return datasets
+    columns = [np.stack([getattr(s, key) for s in specs])
+               for key in ("class_props", "class_means", "affine", "shift")]
+    X, labels = _draw_samples(keys, *columns, n_k, cfg)
+    return [LocalDataset(client_id=s.client_id, features=x, labels=y)
+            for s, x, y in zip(specs, X, labels)]
 
 
 def generate_dataset(spec: ClientSpec, n_k: int, cfg: MetaConfig) -> LocalDataset:

@@ -53,14 +53,13 @@ from .fdiv import fdiv_cdf_bound, fdiv_mean_bound
 from .losses import LINEAR, LOGISTIC, ZERO_ONE, Hypothesis, LossFn
 from .metasim import (
     MetaConfig,
-    generate_datasets,
-    sample_clients,
+    draw_world,
     shift_meta_fdiv,
     shift_meta_wass,
     tilt_for_divergence,
 )
 from .nonrobust import cdf_bound, mean_bound
-from .query import HALF_SQ, Client, empirical_risks, query_empirical
+from .query import HALF_SQ, Client, empirical_risk_values, query_empirical
 from .wass import DEFAULT_GRID_SIZE, QvProfile, wass_mean_bound
 
 __all__ = [
@@ -527,10 +526,11 @@ def target_world(cfg: MetaConfig, kind: str, epsilon: float, h: Hypothesis,
 
 def _draw_source(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int, root: int):
     """K fresh clients of n_k samples from the source world, seeded by
-    ``root``: their datasets, empirical zero-one risks and sample counts."""
-    datasets = generate_datasets(sample_clients(cfg, K, seed=root), n_k, cfg)
-    qv = np.array([a.value for a in empirical_risks(h, datasets, _ZERO_ONE)])
-    return datasets, qv, np.full(K, n_k)
+    ``root``: the drawn world, its empirical zero-one risks and sample
+    counts."""
+    world = draw_world(cfg, K, n_k, seed=root)
+    qv = empirical_risk_values(h, world.features, world.labels, _ZERO_ONE)
+    return world, qv, np.full(K, n_k)
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +613,12 @@ class _CoveragePlan:
     def outcome(self, source, risks: np.ndarray) -> tuple[int, np.ndarray]:
         """Certify one trial's source and test it against the target's exact
         risks: (violated, per-threshold violations)."""
-        datasets, qv, ns = source
+        world, qv, ns = source
         clients = None
         if self.kind == "wass-mean":
             clients = [Client(ds.client_id, ds, _ZERO_ONE,
                               max_queries=self.req.get("max_queries"))
-                       for ds in datasets]
+                       for ds in world.datasets()]
             query_empirical(clients, self.h)   # qv's queries, charged as certify charges them
         cert = issue_certificate(self.kind, self.req, qv, ns, clients, self.h)
         lams = self.lams

@@ -104,6 +104,7 @@ __all__ = [
     "query_empirical",
     "empirical_risk",
     "empirical_risks",
+    "empirical_risk_values",
     "adversarial_risk",
     "phi_gamma",
 ]
@@ -183,30 +184,51 @@ def empirical_risk(h: Hypothesis, dataset: LocalDataset, loss_fn: LossFn) -> Que
 
 
 def empirical_risks(h: Hypothesis, datasets, loss_fn: LossFn) -> list[QueryValue]:
-    """The empirical risk of each dataset, in order.
-
-    Each dataset has its own model pass (``h.scores``), so its scores round
-    as they would alone.  The datasets of one sample count then run in
-    blocks of about ``_BLOCK_BYTES`` of features: one loss pass over the
-    block's stacked scores, and one row-wise mean, which equals each row's
-    own ``np.mean`` to the last bit.
-    """
+    """The empirical risk of each dataset, in order: ``empirical_risk_values``
+    on the datasets of each sample count, stacked a block of about
+    ``_BLOCK_BYTES`` of features at a time."""
     datasets = list(datasets)
     of_size: dict[int, list[int]] = {}
     for i, ds in enumerate(datasets):
         of_size.setdefault(len(ds), []).append(i)
     values = [0.0] * len(datasets)
     for n, same in of_size.items():
-        step = max(1, _BLOCK_BYTES // (8 * max(n, 1) * h.n_features))
+        step = _block_rows(n, h)
         for start in range(0, len(same), step):
             rows = same[start:start + step]
-            scores = np.concatenate([h.scores(datasets[i].features) for i in rows])
-            labels = np.concatenate([datasets[i].labels for i in rows])
-            losses = score_loss_values(loss_fn, h, scores, labels)
-            for i, v in zip(rows, np.mean(losses.reshape(len(rows), n), axis=1).tolist()):
+            risks = empirical_risk_values(h, np.stack([datasets[i].features for i in rows]),
+                                          np.stack([datasets[i].labels for i in rows]), loss_fn)
+            for i, v in zip(rows, risks.tolist()):
                 values[i] = v
     return [QueryValue(value=v, rho=0.0, gamma_star=0.0, inner_iterations=0, status="exact")
             for v in values]
+
+
+def _block_rows(n: int, h: Hypothesis) -> int:
+    """Datasets of n samples in a block of about ``_BLOCK_BYTES`` of features."""
+    return max(1, _BLOCK_BYTES // (8 * max(n, 1) * h.n_features))
+
+
+def empirical_risk_values(h: Hypothesis, features: np.ndarray, labels: np.ndarray,
+                          loss_fn: LossFn) -> np.ndarray:
+    """The empirical risk of each of K datasets of n samples, stacked as
+    ``features`` (K, n, d) and ``labels`` (K, n): a float array (K,).
+
+    The datasets run in blocks of about ``_BLOCK_BYTES`` of features: one
+    model product per dataset (``h.stacked_scores``), so each dataset's
+    scores round as they would alone, then one loss pass over the block's
+    scores and one row-wise mean, which equals each row's own ``np.mean`` to
+    the last bit.
+    """
+    K, n = labels.shape
+    risks = np.empty(K)
+    step = _block_rows(n, h)
+    for start in range(0, K, step):
+        block = slice(start, min(start + step, K))
+        scores = h.stacked_scores(features[block])
+        losses = score_loss_values(loss_fn, h, scores, labels[block].reshape(-1))
+        risks[block] = np.mean(losses.reshape(-1, n), axis=1)
+    return risks
 
 
 # ---------------------------------------------------------------------------

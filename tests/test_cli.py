@@ -113,6 +113,22 @@ def test_negative_class_proportion_reports_path(tmp_path, capsys, command):
                                    "$.world.archetypes[1].class_props[1]")
 
 
+@pytest.mark.parametrize("command", ["certify", "verify"])
+@pytest.mark.parametrize("key, value", [
+    ("alpha_dir", 0.0), ("alpha_dir", -1.0), ("sigma_affine", -0.1),
+    ("sigma_shift", -0.1), ("sigma_shift", float("inf")),
+    ("archetype_weights", [0.0, 0.0]),
+])
+def test_out_of_range_world_exits_one_at_its_path(tmp_path, capsys, command, key, value):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["world"][key] = value
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and f"$.world.{key}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_certificate_kind_rejected(tmp_path, capsys):
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["certificates"][0]["kind"] = "variance"
@@ -582,12 +598,12 @@ def test_verify_draws_each_trials_source_once_for_every_kind(tmp_path, monkeypat
         {"kind": "fdiv-cdf", "delta": 0.1, "epsilon": 0.05, "f_name": "kl"},
     ]
     calls = []
-    original = fedcert.oracle.sample_clients
+    original = fedcert.oracle.draw_world
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
-    monkeypatch.setattr(fedcert.oracle, "sample_clients", counted)
+    monkeypatch.setattr(fedcert.oracle, "draw_world", counted)
     assert main(["verify", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "v")]) == 0
     tc = cfg["verify"]["tightness"]

@@ -7,7 +7,9 @@ from fedcert import (
     Archetype,
     ClientSpec,
     MetaConfig,
+    WorldFieldError,
     archetype_divergences,
+    draw_world,
     export_world,
     generate_dataset,
     generate_datasets,
@@ -22,6 +24,7 @@ from fedcert.metasim import (
     _BLOCK_BYTES,
     _categorical,
     _choice_cdf,
+    _dirichlet,
     _philox_keys,
     tilt_divergence_limit,
 )
@@ -240,6 +243,100 @@ def test_batched_datasets_follow_each_specs_own_root():
     specs = [drawn[w][k] for w, k in order]
     assert_same_world(specs, generate_datasets(specs, 6, cfgs[0]),
                       [refs[w][0][k] for w, k in order], [refs[w][1][k] for w, k in order])
+
+
+def test_philox_keys_take_a_stream_per_id():
+    ids = [0, 7, 2**32 - 1]
+    for root in ROOTS:
+        got = _philox_keys(root, ids + ids, [0] * 3 + [1] * 3)
+        want = np.concatenate([_philox_keys(root, ids, 0), _philox_keys(root, ids, 1)])
+        assert np.array_equal(got, want)
+    for stream in (-1, 2**32):
+        with pytest.raises(ValueError):
+            _philox_keys(0, [0], stream)
+
+
+def test_gamma_dirichlet_equals_generator_dirichlet():
+    # numpy's gamma branch, value for value and stream state after it, for
+    # alphas whose largest is 0.1 or more, zero alphas included
+    rng = np.random.default_rng(7)
+    cases = [[0.1, 0.05], [0.1001, 0.0], [0.0, 0.1, 0.02], [0.8, 0.8], [3.0, 0.2, 0.0]]
+    cases += [list(rng.uniform(0.0, 2.0, size=int(rng.integers(2, 6))) + [0.1])
+              for _ in range(60)]
+    for k, alphas in enumerate(cases):
+        ours, ref = _client_rng(k, 0, 0), _client_rng(k, 0, 0)
+        assert np.array_equal(np.array(_dirichlet(ours, alphas)), ref.dirichlet(alphas))
+        assert ours.random() == ref.random()
+
+
+def dirichlet_branch_cfg(alpha_dir):
+    """A label-shifted world whose archetype rows have largest alphas
+    alpha_dir and 2 * alpha_dir, the second with a zero alpha."""
+    return MetaConfig(
+        dim=2, n_classes=2, class_means=BASE_MEANS, shift_mode="both", seed=77,
+        alpha_dir=alpha_dir, archetype_weights=[0.5, 0.5], archetypes=[
+            Archetype(class_means=BASE_MEANS, class_props=[0.5, 0.5]),
+            Archetype(class_means=-BASE_MEANS, class_props=[0.0, 1.0]),
+        ])
+
+
+# largest row alphas: all below 0.1 (numpy's stick-breaking branch), then
+# 0.0999 / 0.1 / 0.1001 on the uniform row and on the zero-alpha row
+@pytest.mark.parametrize("alpha_dir", [0.02, 0.0999, 0.1, 0.1001, 0.04995, 0.05, 0.05005])
+def test_draw_matches_reference_on_both_dirichlet_branches(alpha_dir):
+    cfg = dirichlet_branch_cfg(alpha_dir)
+    K = 40
+    ref_specs, ref_data = reference_world(cfg, K, 5)
+    assert {s.archetype for s in ref_specs} == {0, 1}
+    assert_same_world(sample_clients(cfg, K), draw_world(cfg, K, 5).datasets(),
+                      ref_specs, ref_data)
+
+
+def assert_columns_equal_objects(world, specs, datasets):
+    assert world.seed_entropy == specs[0].seed_entropy
+    assert np.array_equal(world.archetype, [s.archetype for s in specs])
+    for key in ("affine", "shift", "class_props", "class_means"):
+        assert np.array_equal(getattr(world, key), np.stack([getattr(s, key) for s in specs]))
+    assert np.array_equal(world.features, np.stack([ds.features for ds in datasets]))
+    assert np.array_equal(world.labels, np.stack([ds.labels for ds in datasets]))
+    assert world.labels.dtype == datasets[0].labels.dtype
+    assert [ds.client_id for ds in world.datasets()] == list(range(len(specs)))
+    assert [s.to_json_dict() for s in world.specs()] == [s.to_json_dict() for s in specs]
+
+
+@pytest.mark.parametrize("K", [1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("shift_mode", ["none", "both"])
+def test_draw_world_columns_equal_the_objects(shift_mode, K):
+    cfg = three_class_cfg(shift_mode, True, 31)
+    specs = sample_clients(cfg, K, seed=5)
+    world = draw_world(cfg, K, N_K, seed=5)
+    assert world.features.shape == (K, N_K, 3) and world.labels.shape == (K, N_K)
+    assert_columns_equal_objects(world, specs, generate_datasets(specs, N_K, cfg))
+
+
+def test_draw_world_rejects_bad_sizes():
+    cfg = plain_cfg()
+    for K, n_k in ((0, 5), (3, -1)):
+        with pytest.raises(ValueError):
+            draw_world(cfg, K, n_k)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha_dir", 0.0), ("alpha_dir", -1.0), ("alpha_dir", float("nan")),
+    ("sigma_affine", -0.1), ("sigma_shift", -1e-9), ("sigma_affine", float("inf")),
+    ("cov_scale", float("nan")), ("cov_scale", float("inf")),
+])
+def test_out_of_range_world_parameters_are_refused(field, value):
+    with pytest.raises(WorldFieldError) as err:
+        plain_cfg(shift_mode="both", **{field: value})
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, float("inf")], [float("nan"), 1.0]])
+def test_archetype_weights_without_a_positive_finite_sum_are_refused(weights):
+    with pytest.raises(WorldFieldError) as err:
+        two_archetype_cfg(w=weights)
+    assert err.value.field == "archetype_weights"
 
 
 # -- meta-level shifts -------------------------------------------------------

@@ -13,6 +13,7 @@ from fedcert import (
     ZERO_ONE,
     Archetype,
     Hypothesis,
+    LossFn,
     MetaConfig,
     adversarial_directions,
     coverage_experiment,
@@ -25,8 +26,10 @@ from fedcert import (
     wass_ball_lp_oracle,
 )
 from fedcert.fdiv import make_divergence, solve_reweight
-from fedcert.losses import LINEAR, LOGISTIC
-from fedcert.oracle import _binary_margin, _risks_from_parts
+from fedcert.losses import LINEAR, LOGISTIC, loss_values
+from fedcert.metasim import _BLOCK_BYTES
+from fedcert.oracle import _binary_margin, _draw_source, _risks_from_parts
+from fedcert.query import empirical_risk
 from fedcert.wass import QvProfile
 
 BASE_MEANS = np.array([[-1.0, 0.0], [1.0, 0.0]])
@@ -516,7 +519,7 @@ def test_coverage_experiments_equal_each_kind_run_alone(monkeypatch, jobs):
     requests = [(kind, {**common, **extra}) for kind, extra in _ALL_KINDS]
     alone = [coverage_experiment(cfg, kind, params, trials=3, seed=5).to_json_dict()
              for kind, params in requests]
-    sources = _counting(monkeypatch, "sample_clients")
+    sources = _counting(monkeypatch, "draw_world")
     targets = _counting(monkeypatch, "sample_true_risks")
     got = coverage_experiments(cfg, requests, trials=3, seed=5, jobs=jobs)
     assert [r.to_json_dict() for r in got] == alone
@@ -530,12 +533,25 @@ def test_coverage_experiments_draw_a_source_per_client_count(monkeypatch):
     common = {"h": H, "n_k": 20, "delta": 0.1, "target_clients": 200}
     requests = [("mean", {**common, "K": 6}), ("cdf-curve", {**common, "K": 6}),
                 ("mean", {**common, "K": 9})]
-    sources = _counting(monkeypatch, "sample_clients")
+    sources = _counting(monkeypatch, "draw_world")
     got = coverage_experiments(cfg, requests, trials=2, seed=3)
     assert len(sources) == 2 * 2
     assert [r.notes["K"] for r in got] == [6, 6, 9]
     assert got[2].to_json_dict() == coverage_experiment(cfg, *requests[2], trials=2,
                                                         seed=3).to_json_dict()
+
+
+@pytest.mark.parametrize("K", [1, 2 * (_BLOCK_BYTES // (8 * 30 * 2)) + 1])
+def test_draw_source_risks_equal_each_datasets_own_risk(K):
+    cfg = archetype_cfg()
+    world, qv, ns = _draw_source(cfg, H, K, 30, root=4)
+    datasets = world.datasets()
+    zero_one = LossFn(ZERO_ONE)
+    assert qv.tolist() == [empirical_risk(H, ds, zero_one).value for ds in datasets]
+    # and each dataset's own model pass and mean
+    assert qv.tolist() == [float(np.mean(loss_values(zero_one, H, ds.features, ds.labels)))
+                           for ds in datasets]
+    assert ns.tolist() == [30] * K
 
 
 # ---------------------------------------------------------------- tightness

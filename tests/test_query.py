@@ -18,6 +18,7 @@ from fedcert import (
     QueryValue,
     adversarial_risk,
     empirical_risk,
+    empirical_risk_values,
     empirical_risks,
     phi_gamma,
     query_empirical,
@@ -25,6 +26,7 @@ from fedcert import (
 )
 from fedcert.losses import (
     LINEAR,
+    DimensionMismatchError,
     Sample,
     curvature_bound,
     gradient_values,
@@ -148,6 +150,22 @@ def test_empirical_risks_equal_each_datasets_own_risk(rule, kind, sizes):
     got = empirical_risks(h, datasets, loss_fn)
     assert got == [empirical_risk(h, ds, loss_fn) for ds in datasets]
     assert got == [_one_at_a_time(h, ds, loss_fn) for ds in datasets]
+
+
+@pytest.mark.parametrize("K", [1, 2 * _PER_BLOCK[30] + 1])
+@pytest.mark.parametrize("kind", [ZERO_ONE, CROSS_ENTROPY])
+@pytest.mark.parametrize("rule", list(_BATCH_RULES))
+def test_empirical_risk_values_of_stacked_datasets(rule, kind, K):
+    h, loss_fn = _BATCH_RULES[rule], LossFn(kind)
+    datasets = _batch_datasets(rule, [30] * K, seed=K)
+    X = np.stack([ds.features for ds in datasets])
+    got = empirical_risk_values(h, X, np.stack([ds.labels for ds in datasets]), loss_fn)
+    assert got.dtype == float and got.shape == (K,)
+    assert got.tolist() == [_one_at_a_time(h, ds, loss_fn).value for ds in datasets]
+    assert np.array_equal(h.stacked_scores(X),
+                          np.concatenate([h.scores(ds.features) for ds in datasets]))
+    with pytest.raises(DimensionMismatchError):
+        h.stacked_scores(X[..., :1])
 
 
 def test_empirical_risks_of_no_datasets_is_empty():

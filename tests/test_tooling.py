@@ -50,6 +50,12 @@ def test_the_cli_wires_no_certificate_kind_itself():
     assert not [n for n in named if n.startswith("shift_meta_")]
 
 
+def test_cli_and_oracle_draw_worlds_only_through_draw_world():
+    for module in ("cli.py", "oracle.py"):
+        _, named = _names(SRC / module)
+        assert not named & {"sample_clients", "generate_datasets"}, module
+
+
 # scipy subpackages slow to import that no command needs at start-up:
 # scipy.optimize alone took 0.60 s of a 0.90 s `import fedcert.cli`
 _SLOW_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
