@@ -36,10 +36,10 @@ the divergence budget (concentration of the empirical divergence).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .certificates import CdfCurve, CertifiedBound
 from .concave import GreedyFill
@@ -96,6 +96,24 @@ class DivergenceSpec:
         return _GENERATORS[self.name](t)
 
 
+def _lambert_w(r: float) -> float:
+    """The principal Lambert W at r >= 0, the root w >= 0 of w e^w = r, by
+    Halley steps on w - r e^-w (the form that cannot overflow); within an
+    ulp of the true root from r = 0 (and subnormal r) up to inf."""
+    if r == 0.0 or not math.isfinite(r):
+        return r
+    # W(r) = log1p(r) + O(r^2) near 0, log r - log log r + o(1) far out
+    w = math.log1p(r) if r < math.e else math.log(r) - math.log(math.log(r))
+    for _ in range(20):
+        g = w - r * math.exp(-w)
+        step = g / (w + 1.0 - (w + 2.0) * g / (2.0 * w + 2.0))
+        w -= step
+        # Halley converges cubically: a step this small leaves rounding alone
+        if abs(step) <= 4.4e-16 * w:
+            break
+    return w
+
+
 def make_divergence(name: str, epsilon: float, delta: float) -> DivergenceSpec:
     """Resolve the truncation level and concentration constants for a named
     generator at shift budget ``epsilon`` and failure probability ``delta``."""
@@ -108,7 +126,7 @@ def make_divergence(name: str, epsilon: float, delta: float) -> DivergenceSpec:
     f = _GENERATORS[name]
     # f inverted on t >= 1: t log t = r at t = exp(W(r)), (t - 1)^2 = r at 1 + sqrt(r)
     r = epsilon / delta
-    cap = float(np.exp(lambertw(r).real)) if name == KL else 1.0 + float(np.sqrt(r))
+    cap = float(np.exp(_lambert_w(r))) if name == KL else 1.0 + float(np.sqrt(r))
 
     if cap <= 1.0:
         return DivergenceSpec(name, epsilon, delta, 1.0, 0.0, 0.0)
@@ -435,7 +453,9 @@ def _block_values(K: int, spec: DivergenceSpec, eps_budget: float,
     feasible block values form an interval containing 1, and the objective
     grows with the ones-block value a, so bisection on the interval's upper
     endpoint is exact.  One bisection runs over all m at once, each entry
-    stopping where a scalar bisection of its own would.
+    stopping where a scalar bisection of its own would.  Each value comes
+    from the bracket's upper end, cap or a point found infeasible, which
+    never lies below the supremum, however early the bisection stops.
     """
     m = np.arange(1, K + 1, dtype=float)
     rest = K - m    # size of the zeros block
@@ -465,7 +485,7 @@ def _block_values(K: int, spec: DivergenceSpec, eps_budget: float,
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
         active &= hi - lo > 1e-14 * np.maximum(1.0, hi)
-    return np.concatenate(([0.0], m * lo / K))
+    return np.concatenate(([0.0], m * hi / K))
 
 
 def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,

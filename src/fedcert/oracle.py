@@ -47,7 +47,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import expit, ndtr
 
 from .fdiv import fdiv_cdf_bound, fdiv_mean_bound
 from .losses import LINEAR, LOGISTIC, ZERO_ONE, Hypothesis, LossFn
@@ -179,7 +178,7 @@ def wass_ball_lp_oracle(masses, loss_values, rho: float, cost_matrix) -> float:
         raise ValueError("LP oracle is for small instances (<= 20 points)")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("masses must sum to 1")
-    # imported here: scipy.optimize is slow to import and only this oracle needs it
+    # imported here: scipy is slow to import and only this oracle needs it
     from scipy.optimize import linprog
 
     c = -np.tile(ell, n)                       # maximize sum_ij T_ij * loss_j
@@ -215,6 +214,88 @@ def wass_alloc_grid_oracle(profiles: list[QvProfile], floor: float,
 # exact risks for Gaussian worlds with binary linear rules
 # ---------------------------------------------------------------------------
 
+# Cephes' rational forms: erf(x) = x T(x^2) / U(x^2) on |x| < 1, and
+# erfc(z) = e^-z^2 P(z) / Q(z) on [1, 8), e^-z^2 R(z) / S(z) from 8 on; U, Q
+# and S are monic, their leading 1 left out
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_SQRT1_2 = 7.07106781186547524401e-1
+# erfc is taken as 0 where e^-z^2 would fall below 1 / DBL_MAX
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """Cephes' ``polevl`` (``p1evl`` when monic) at x, in place on one
+    array: the same products and sums in the same order."""
+    acc = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def ndtr(a) -> np.ndarray:
+    """The standard normal CDF, elementwise: Cephes' ``ndtr``, the forms and
+    branches ``scipy.special.ndtr`` evaluates, within 4 ulp of it (and the
+    same zeros and ones).  Each branch runs only on its own entries."""
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(-1) * _SQRT1_2
+    z = np.abs(x)
+    out = x.copy()    # nan stays nan; every other entry is in one branch
+
+    head = z < 1.0
+    if head.any():
+        xh = x[head]
+        zh = np.abs(xh)
+        inner = zh < _SQRT1_2
+        # Phi = (1 + erf(x)) / 2 inside 1/sqrt2, else erfc(|x|) / 2 = (1 - erf(|x|)) / 2
+        w = np.where(inner, xh, zh)
+        t = w * w
+        e = _horner(t, _ERF_T)
+        e *= w
+        e /= _horner(t, _ERF_U, monic=True)
+        y = np.where(inner, 0.5 + 0.5 * e, 0.5 * (1.0 - e))
+        out[head] = np.where(~inner & (xh > 0), 1.0 - y, y)
+
+    tail = z >= 1.0
+    if tail.any():
+        xt = x[tail]
+        zt = np.abs(xt)
+        erfc = np.empty_like(zt)
+        near = zt < 8.0
+        zn = zt[near]
+        if zn.size:
+            p = _horner(zn, _ERFC_P)
+            p *= np.exp(-zn * zn)
+            p /= _horner(zn, _ERFC_Q, monic=True)
+            erfc[near] = p
+        far = ~near
+        if far.any():
+            # z past sqrt(_MAXLOG) reads 0 anyway; the clip keeps inf out of R/S
+            zf = np.minimum(zt[far], 27.0)
+            sq = zf * zf
+            p = _horner(zf, _ERFC_R)
+            p *= np.exp(-sq)
+            p /= _horner(zf, _ERFC_S, monic=True)
+            p[sq > _MAXLOG] = 0.0
+            erfc[far] = p
+        erfc *= 0.5
+        out[tail] = np.where(xt > 0, 1.0 - erfc, erfc)
+    return out.reshape(a.shape)
+
+
 def _binary_margin(h: Hypothesis) -> tuple[np.ndarray, float]:
     if h.kind == LOGISTIC:
         return h.weights, float(h.bias)
@@ -238,6 +319,10 @@ def exact_zero_one_risk(affine, shift, class_props, class_means,
     )[0]
 
 
+# class 0 errs at scores >= 0, class 1 below
+_ERR_SIGN = np.array([1.0, -1.0])
+
+
 def _risks_from_parts(ut, means, score_off, props, cov_scale):
     """Vectorized zero-one risks; ut (T,d), means (T,C,d), score_off scalar or
     (T,), props (T,C)."""
@@ -245,10 +330,8 @@ def _risks_from_parts(ut, means, score_off, props, cov_scale):
     mu = mu + np.atleast_1d(score_off)[:, None]
     s = cov_scale * np.linalg.norm(ut, axis=1)
     s = np.where(s <= 0, 1e-300, s)
-    # class 0 errs when the score lands >= 0; class 1 errs below 0
-    err0 = ndtr(mu[:, 0] / s)
-    err1 = ndtr(-mu[:, 1] / s)
-    return props[:, 0] * err0 + props[:, 1] * err1
+    err = ndtr(mu * _ERR_SIGN / s[:, None])
+    return props[:, 0] * err[:, 0] + props[:, 1] * err[:, 1]
 
 
 def sample_true_risks(cfg: MetaConfig, n_clients: int, h: Hypothesis,
@@ -379,18 +462,17 @@ def _mean_risk_at(cfg: MetaConfig, h: Hypothesis, n: int) -> float:
     feature = cfg.shift_mode in ("feature", "both")
     sigma = cfg.sigma_affine * norm_u if feature else 0.0
     tau = cfg.sigma_shift * norm_u if feature else 0.0
-    sign = np.array([1.0, -1.0])    # class 0 errs at scores >= 0, class 1 below
 
     if sigma == 0.0:
         s = float(np.hypot(cfg.cov_scale * norm_u, tau))
-        errors = ndtr(sign * (means @ u + b0) / (s if s > 0 else 1e-300))
+        errors = ndtr(_ERR_SIGN * (means @ u + b0) / (s if s > 0 else 1e-300))
     else:
         along = means @ (u / norm_u)
         across = np.linalg.norm(means - along[..., None] * (u / norm_u), axis=2)
         rule = _sphere_rule(cfg.dim, norm_u, sigma, n)
-        errors = np.array([[_mean_error(rule, sign[c] * along[m, c], sign[c] * across[m, c],
-                                        sign[c] * b0, cfg.cov_scale, tau)
-                            for c in range(2)] for m in range(len(weights))])
+        errors = np.array([[_mean_error(rule, sign * along[m, c], sign * across[m, c],
+                                        sign * b0, cfg.cov_scale, tau)
+                            for c, sign in enumerate(_ERR_SIGN)] for m in range(len(weights))])
     return float(weights @ np.sum(props * errors, axis=1))
 
 
@@ -400,13 +482,18 @@ def _gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _tanh_sinh(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """2n - 1 tanh-sinh nodes on [lo, hi], step 3.2 / n; past |x| = 3.2 the
-    nodes would lie within 2e-17 (hi - lo) of the ends.  ``expit`` keeps the
-    nodes next to lo apart from lo itself."""
+    """Up to 2n - 1 tanh-sinh nodes strictly inside (lo, hi), step 3.2 / n;
+    past |x| = 3.2 the nodes would lie within 2e-17 (hi - lo) of the ends.
+    The logistic form 1 / (1 + e^-t) keeps the nodes next to lo = 0 apart
+    from 0.  A node that rounds onto an end is left out: from n = 128 on,
+    q rounds to 1 at the last nodes, which then sit on hi with weight 0."""
     step = 3.2 / n
     x = step * np.arange(1 - n, n)
-    q = expit(np.pi * np.sinh(x))      # (1 + tanh(pi/2 sinh x)) / 2
-    return lo + (hi - lo) * q, step * (hi - lo) * np.pi * np.cosh(x) * q * (1.0 - q)
+    q = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(x)))      # (1 + tanh(pi/2 sinh x)) / 2
+    nodes = lo + (hi - lo) * q
+    inside = (nodes > lo) & (nodes < hi)
+    x, q = x[inside], q[inside]
+    return nodes[inside], step * (hi - lo) * np.pi * np.cosh(x) * q * (1.0 - q)
 
 
 def _sphere_rule(d: int, norm_u: float, sigma: float, n: int) -> dict:

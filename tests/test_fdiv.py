@@ -5,9 +5,13 @@ The solver is checked three independent ways: hand-solved instances with
 closed-form optima, Lagrangian stationarity residuals recomputed from
 scratch in the test, and the exhaustive grid oracle on a frozen corpus.
 """
+import math
+
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
+from fedcert import Hypothesis, MetaConfig
 from fedcert.fdiv import (
     DivergenceSpec,
     divergence_budgets,
@@ -17,9 +21,10 @@ from fedcert.fdiv import (
     solve_reweight,
     _block_values,
     _kl_split,
+    _lambert_w,
 )
 from fedcert.nonrobust import cdf_bound, mean_bound
-from fedcert.oracle import grid_reweight_oracle
+from fedcert.oracle import grid_reweight_oracle, mean_true_risk, sample_true_risks, target_world
 
 from _corpus import iter_reweight_corpus, reweight_instance
 
@@ -65,6 +70,20 @@ def test_cap_saturates_the_budget(name):
         slope = np.log(cap) + 1.0 if name == "kl" else 2.0 * (cap - 1.0)
         f_cap = float(spec.f(np.array([cap]))[0])
         assert abs(f_cap - ratio) <= 1e-12 * ratio + slope * np.spacing(cap), (name, ratio)
+
+
+def test_lambert_w_solves_its_equation_and_agrees_with_scipy():
+    r = np.logspace(-14.0, 18.0, 20001)
+    w = np.array([_lambert_w(float(v)) for v in r])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(w * np.exp(w) - r) <= 4 * eps * (1.0 + w) * r)
+    ulps = np.abs(w.view(np.int64) - lambertw(r).real.view(np.int64))
+    assert ulps.max() <= 2
+    # W(r) = r - r^2 + ... rounds to r itself below about 1e-16
+    for tiny in (0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300):
+        assert _lambert_w(tiny) == tiny == lambertw(tiny).real
+    assert _lambert_w(math.inf) == math.inf
+    assert make_divergence("kl", 0.0, 0.1).cap == 1.0
 
 
 def test_chi2_cap_closed_form():
@@ -521,3 +540,90 @@ def test_block_values_match_grid_oracle():
             orc = grid_reweight_oracle(q, spec, eps_budget, band, step=step)
             m = int(q.sum())
             assert orc - 1e-12 <= values[m] <= orc + step * m / 3 + 1e-12, (i, name, bits)
+
+
+# scalar generators and their minimisers, written out for the check below
+_SCALAR_F = {"kl": lambda t: t * math.log(t) if t > 0 else 0.0,
+             "chi-square": lambda t: (t - 1.0) ** 2}
+_SCALAR_ARGMIN = {"kl": math.exp(-1.0), "chi-square": 1.0}
+
+
+def _two_block_feasible(a, m, K, spec, eps_budget, band):
+    """Whether ones-block value a for m of K coefficients leaves a feasible
+    zeros-block value, with no float allowance: the zeros block takes the
+    value in its mean band nearest the generator's minimiser."""
+    f = _SCALAR_F[spec.name]
+    if m == K:
+        return abs(a - 1.0) <= band and f(a) <= eps_budget
+    rest = K - m
+    c_lo = max(0.0, (K * (1.0 - band) - m * a) / rest)
+    c_hi = min(spec.cap, (K * (1.0 + band) - m * a) / rest)
+    if c_lo > c_hi:
+        return False
+    c = min(max(_SCALAR_ARGMIN[spec.name], c_lo), c_hi)
+    return (m * f(a) + rest * f(c)) / K <= eps_budget
+
+
+def _scalar_bisection(m, K, spec, eps_budget, band):
+    """(lo, hi): the largest feasible ones-block value lies in [lo, hi), and
+    hi is the next float above lo (or both are cap)."""
+    if _two_block_feasible(spec.cap, m, K, spec, eps_budget, band):
+        return spec.cap, spec.cap
+    lo, hi = 1.0, spec.cap
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        if _two_block_feasible(mid, m, K, spec, eps_budget, band):
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("name, epsilon", [("kl", 0.05), ("kl", 0.5), ("chi-square", 0.05),
+                                           ("chi-square", 0.4)])
+@pytest.mark.parametrize("K", [3, 17, 120])
+def test_block_values_never_fall_below_the_programs_supremum(name, epsilon, K):
+    spec = make_divergence(name, epsilon, 0.1)
+    band, eps_budget = divergence_budgets(spec, K, "cdf")
+    values = _block_values(K, spec, eps_budget, band)
+    assert values[0] == 0.0
+    for m in range(1, K + 1):
+        lo, hi = _scalar_bisection(m, K, spec, eps_budget, band)
+        # every float from 1 up to lo is feasible, so a value that came from
+        # an infeasible point (or cap) sits at m * hi / K or above ...
+        assert values[m] >= m * hi / K, (m, values[m], m * lo / K)
+        # ... and within the bisection's stopping width of it
+        assert values[m] <= m * hi / K * (1.0 + 3e-14), (m, values[m], m * hi / K)
+
+
+# the README world and its from_world rule: the archetype-weighted class
+# means' difference, with the bias at their midpoint
+_README_WORLD = {
+    "dim": 2, "n_classes": 2, "class_means": [[-1.2, 0.0], [1.2, 0.0]],
+    "cov_scale": 0.8, "shift_mode": "both", "seed": 31,
+    "archetypes": [
+        {"class_means": [[-1.2, 0.0], [1.2, 0.0]], "class_props": [0.5, 0.5], "score": 0.0},
+        {"class_means": [[-0.6, 0.1], [0.6, -0.1]], "class_props": [0.4, 0.6], "score": 1.0},
+    ],
+    "archetype_weights": [0.7, 0.3],
+}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the KL ratio cap leaves the target mass above it unpaid, "
+    "so at large K the certificate falls below the declared tilt's truth"))
+def test_kl_mean_certificate_covers_the_declared_tilt_at_a_million_clients():
+    cfg = MetaConfig.from_json_dict(_README_WORLD)
+    means = np.einsum("m,mcd->cd", cfg.archetype_weights,
+                      np.stack([a.class_means for a in cfg.archetypes]))
+    w = means[1] - means[0]
+    h = Hypothesis(kind="logistic", weights=w, bias=-float(w @ (means[0] + means[1])) / 2.0)
+    K, epsilon, delta = 10**6, 0.01, 0.1
+    # exact client risks, and n_k = 1e15 so the per-client slack is 1e-7
+    risks = sample_true_risks(cfg, K, h, np.random.default_rng(np.random.SeedSequence(31)))
+    cert = fdiv_mean_bound(risks, np.full(K, 1e15), delta, epsilon, "kl")
+    truth, error = mean_true_risk(target_world(cfg, "fdiv-mean", epsilon, h, "kl"), h)
+    assert error < 1e-12
+    # the certificate reads 0.12524, the tilt's truth 0.12686
+    assert cert.value >= truth

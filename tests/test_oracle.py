@@ -189,6 +189,48 @@ def test_exact_risk_symmetric_gaussians():
     assert abs(risk - ndtr(-1.0)) < 1e-12
 
 
+def test_ndtr_matches_scipy_ndtr():
+    # scipy.special.ndtr is the reference: the port evaluates the same
+    # Cephes forms with numpy's exp, which differs from the C library's in
+    # the last bit now and then
+    rng = np.random.default_rng(np.random.SeedSequence(905))
+    edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996843e2)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    x = np.concatenate([
+        np.linspace(-40.0, 40.0, 1_000_001),
+        rng.uniform(-40.0, 40.0, 100_000),
+        np.linspace(-38.0, -37.0, 10_001),   # the underflow tail: subnormal, then 0
+        edges, -edges,
+        [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan],
+    ])
+    got, want = fedcert.oracle.ndtr(x), ndtr(x)
+    assert got.shape == x.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.array_equal(got == 1.0, want == 1.0)
+    assert (want == 0.0).any() and (want == 1.0).any()
+    normal = np.abs(want) >= np.finfo(float).tiny
+    assert np.all(np.abs(got - want)[normal] <= 1e-15 * want[normal])
+    # below the smallest normal number an ulp is 5e-324, not a ratio
+    subnormal = (want > 0.0) & ~normal
+    assert subnormal.any()
+    assert np.all(np.abs(got - want)[subnormal] <= 4 * 5e-324)
+    # any shape, one call
+    assert np.array_equal(fedcert.oracle.ndtr(x[:10].reshape(5, 2)), got[:10].reshape(5, 2))
+    assert fedcert.oracle.ndtr(-1.0) == got[np.flatnonzero(x == -1.0)[0]]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 9.5), (0.0, 1e-3), (2.0, 2.5)])
+def test_tanh_sinh_nodes_lie_strictly_inside_their_interval(n, lo, hi):
+    R, w = fedcert.oracle._tanh_sinh(n, lo, hi)
+    assert len(R) == len(w)
+    assert np.all((R > lo) & (R < hi))
+    assert np.all(np.diff(R) >= 0) and np.all(w > 0)
+    # the rule integrates 1 over the interval (to 4e-8 at n = 8)
+    assert abs(w.sum() - (hi - lo)) <= 1e-7 * (hi - lo)
+
+
 def test_exact_risk_matches_monte_carlo():
     rng = np.random.default_rng(np.random.SeedSequence(902))
     A = rng.normal(0, 0.1, (2, 2))

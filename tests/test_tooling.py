@@ -1,5 +1,6 @@
 """Checks on the source itself rather than on its numbers."""
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,23 +57,32 @@ def test_cli_and_oracle_draw_worlds_only_through_draw_world():
         assert not named & {"sample_clients", "generate_datasets"}, module
 
 
-# scipy subpackages slow to import that no command needs at start-up:
-# scipy.optimize alone took 0.60 s of a 0.90 s `import fedcert.cli`
-_SLOW_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+README = SRC.parents[1] / "README.md"
 
 
-def test_cli_import_and_the_truth_quadrature_leave_slow_scipy_out():
+def test_cli_import_and_the_truth_quadrature_leave_slow_scipy_out(tmp_path):
+    # no command loads any scipy module: scipy.special alone took 0.24-0.30 s
+    # (275 modules) of a 0.55-0.66 s `import fedcert.cli`.  Only
+    # wass_ball_lp_oracle imports scipy, inside the call.
+    config = tmp_path / "config.json"
+    config.write_text(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import fedcert.cli\n"
-        f"slow = {_SLOW_SCIPY!r}\n"
-        "print(sorted(m for m in slow if m in sys.modules))\n"
-        # the tightness probe's quadrature takes its nodes from numpy
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "def report(): print('SCIPY', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "import fedcert; report()\n"
+        "import fedcert.cli; report()\n"
+        "for command in ('certify', 'verify'):\n"
+        "    rc = fedcert.cli.main([command, '--config', sys.argv[2], '--out', sys.argv[3] + command])\n"
+        "    assert rc == 0, (command, rc)\n"
+        "report()\n"
+        # the tightness probe's quadrature on a world whose window holds ut = 0
         "import numpy as np; from fedcert import Hypothesis, MetaConfig, mean_true_risk\n"
         "cfg = MetaConfig(dim=2, n_classes=2, class_means=[[-1, 0], [1, 0]], "
-        "shift_mode='both')\n"
+        "shift_mode='both', sigma_affine=0.5)\n"
         "mean_true_risk(cfg, Hypothesis(kind='logistic', weights=np.ones(2), bias=0.0))\n"
-        "print(sorted(m for m in slow if m in sys.modules))\n"
+        "report()\n"
     )
-    res = subprocess.run([sys.executable, "-c", probe, str(SRC.parent)],
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.split("\n")[:2] == ["[]", "[]"]
+    res = subprocess.run([sys.executable, "-c", probe, str(SRC.parent), str(config),
+                          str(tmp_path / "out-")], capture_output=True, text=True, check=True)
+    reports = [line for line in res.stdout.splitlines() if line.startswith("SCIPY")]
+    assert reports == ["SCIPY []"] * 4
