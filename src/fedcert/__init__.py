@@ -28,10 +28,7 @@ from .losses import (
     Hypothesis,
     LossFn,
     Sample,
-    UnsupportedGradientError,
-    curvature_bound,
     loss,
-    loss_gradient,
     loss_values,
 )
 from .metasim import (

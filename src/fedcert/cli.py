@@ -25,6 +25,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +62,7 @@ from .query import (
     TransportCost,
     query_empirical,
 )
+from .wass import _per_client_log_terms
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -277,6 +279,9 @@ def _load_json(path: Path, schema: dict, what: str):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    where = _nonfinite_path(doc, "$")
+    if where is not None:
+        raise ConfigError(f"{what} error at {where}: numbers must be finite")
     # the schemas are constants, checked against the metaschema by the tests,
     # so only the document is validated here
     error = jsonschema.exceptions.best_match(
@@ -284,6 +289,25 @@ def _load_json(path: Path, schema: dict, what: str):
     if error is not None:
         raise ConfigError(f"{what} error at {error.json_path}: {error.message}")
     return doc
+
+
+def _nonfinite_path(doc, path: str) -> str | None:
+    """The JSON path of the first number in ``doc`` that is not finite, or
+    None: Python's json reads NaN, Infinity and -Infinity, and an overflowing
+    literal such as 1e400 as inf."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else path
+    if isinstance(doc, dict):
+        items = ((f"{path}.{k}", v) for k, v in doc.items())
+    elif isinstance(doc, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(doc))
+    else:
+        return None
+    for where, value in items:
+        found = _nonfinite_path(value, where)
+        if found is not None:
+            return found
+    return None
 
 
 def load_config(path: str | Path) -> dict:
@@ -360,7 +384,9 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
     wass-mean verify kind refuses any other ``query`` setting.  Divergence
     kinds (a tightness probe's included) need a world with archetypes and a
     budget below what the archetype tilt can reach, a wass-mean target needs
-    a rule with a nonzero margin to move the class means against, a world
+    a rule with a nonzero margin to move the class means against and an
+    epsilon whose per-client slack is defined for K clients of n_k samples
+    (``wass._per_client_log_terms``), a world
     directory must hold a manifest, and the tightness schedules must be
     aligned and nondecreasing."""
     if world.n_classes != 2:
@@ -406,6 +432,13 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
         raise ConfigError(f"config error at $.model.weights: a rule with zero margin has no "
                           f"adversarial direction to build the target of $.{wass_targets[0]}")
     for where, req, kind in requests:
+        if kind == "wass-mean":
+            # a verify kind's delta defaults to the coverage trials' 0.1
+            try:
+                _per_client_log_terms(cfg["data"]["K"], [cfg["data"]["n_k"]],
+                                      float(req["epsilon"]), float(req.get("delta", 0.1)))
+            except ValueError as exc:
+                raise ConfigError(f"config error at $.{where}.epsilon: {exc}") from exc
         if kind not in FDIV_KINDS:
             continue
         if world.archetypes is None:

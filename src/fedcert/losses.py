@@ -1,8 +1,8 @@
 """Hypotheses and [0,1]-bounded losses.
 
 Everything downstream (clients, certificates, verification oracles) talks to a
-model only through ``loss`` / ``loss_gradient``, so no other module needs to
-know what kind of predictor is being certified.  All losses are clipped to
+model only through ``loss`` / ``loss_values`` and ``score_loss_values``, so no
+other module needs to know what kind of predictor is being certified.  All losses are clipped to
 [0, 1]; the certificate formulas rely on that range and nothing else.
 """
 from __future__ import annotations
@@ -25,14 +25,9 @@ __all__ = [
     "Hypothesis",
     "LossFn",
     "DimensionMismatchError",
-    "UnsupportedGradientError",
     "loss",
     "loss_values",
     "score_loss_values",
-    "loss_gradient",
-    "gradient_values",
-    "loss_and_gradient_values",
-    "curvature_bound",
 ]
 
 LINEAR = "linear-classifier"
@@ -51,10 +46,6 @@ _P_FLOOR = 1e-12
 
 class DimensionMismatchError(ValueError):
     """Feature vector does not match the hypothesis' declared input width."""
-
-
-class UnsupportedGradientError(ValueError):
-    """Requested a feature gradient where none exists (e.g. zero-one loss)."""
 
 
 @dataclass(frozen=True)
@@ -291,88 +282,3 @@ def _output_losses(loss_fn: LossFn, p: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def loss(loss_fn: LossFn, h: Hypothesis, z: Sample) -> float:
     return float(loss_values(loss_fn, h, z.features[None, :], np.array([z.label]))[0])
-
-
-def loss_and_gradient_values(
-    loss_fn: LossFn, h: Hypothesis, X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample clipped losses, shape (n,), and their feature gradients,
-    shape (n, d), from one model pass.
-
-    The losses equal ``loss_values``.  The clip is honoured: where the
-    unclipped loss sits outside (0, 1) the gradient is zero (the loss surface
-    is flat there).
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if len(y) != len(X):
-        raise DimensionMismatchError("feature/label counts differ")
-
-    if h.kind == LOOKUP:
-        # a constant table makes every loss locally constant in the features
-        if np.ptp(h.weights) == 0.0:
-            return loss_values(loss_fn, h, X, y), np.zeros_like(X)
-        raise UnsupportedGradientError("lookup-table predictions are not differentiable")
-
-    if loss_fn.kind == ZERO_ONE:
-        raise UnsupportedGradientError("zero-one loss has no feature gradient")
-
-    if loss_fn.kind == CROSS_ENTROPY:
-        if h.kind == LINEAR:
-            rows, labels = np.arange(len(X)), y.astype(int)
-            s = h.scores(X)
-            s = s - s.max(axis=1, keepdims=True)
-            e = np.exp(s)
-            total = e.sum(axis=1, keepdims=True)
-            lv = -(s - np.log(total))[rows, labels]
-            p = e / total
-            raw = -np.log(np.clip(p[rows, labels], _P_FLOOR, None))
-            p[rows, labels] -= 1.0
-            g = p @ h.weights
-        else:
-            p = _sigmoid(h.scores(X))
-            pc = np.clip(p, _P_FLOOR, 1.0 - _P_FLOOR)
-            lv = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
-            raw = -(y * np.log(np.clip(p, _P_FLOOR, None))
-                    + (1.0 - y) * np.log(np.clip(1.0 - p, _P_FLOOR, None)))
-            g = (p - y)[:, None] * h.weights[None, :]
-        active = ((raw > 0.0) & (raw < 1.0)).astype(float)
-        return np.clip(lv, 0.0, 1.0), g * active[:, None]
-
-    # clipped squared
-    if h.kind == LINEAR:
-        raise UnsupportedGradientError("clipped-squared undefined for linear-classifier")
-    p = _sigmoid(h.scores(X))
-    raw = (y - p) ** 2
-    g = (2.0 * (p - y) * p * (1.0 - p))[:, None] * h.weights[None, :]
-    active = (raw < 1.0).astype(float)
-    return np.clip(raw, 0.0, 1.0), g * active[:, None]
-
-
-def gradient_values(loss_fn: LossFn, h: Hypothesis, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the clipped loss w.r.t. features, shape (n, d)."""
-    return loss_and_gradient_values(loss_fn, h, X, y)[1]
-
-
-def loss_gradient(loss_fn: LossFn, h: Hypothesis, z: Sample) -> np.ndarray:
-    if len(z.features) != h.n_features:
-        raise DimensionMismatchError(
-            f"expected {h.n_features} features, got {len(z.features)}"
-        )
-    return gradient_values(loss_fn, h, z.features[None, :], np.array([z.label]))[0]
-
-
-def curvature_bound(loss_fn: LossFn, h: Hypothesis) -> float:
-    """Upper bound on the spectral norm of the loss Hessian in feature space.
-
-    Used by the adversarial inner solver to pick a stable ascent step and to
-    decide when the penalized surrogate is concave.
-    """
-    if loss_fn.kind == ZERO_ONE or h.kind == LOOKUP:
-        return 0.0
-    if h.kind == LOGISTIC:
-        w2 = float(h.weights @ h.weights)
-        # d2/ds2 of binary CE is p(1-p) <= 1/4; of (y - p)^2 it stays below 1/2
-        return 0.25 * w2 if loss_fn.kind == CROSS_ENTROPY else 0.5 * w2
-    # softmax CE: Hessian is W^T diag-adjusted W, crude but safe bound
-    return float(np.linalg.norm(h.weights, ord=2) ** 2)

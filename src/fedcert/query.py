@@ -26,19 +26,16 @@ one-element vector; the route is chosen from the loss/hypothesis pair:
     points plus its own point at cost 0;
   * clipped cross-entropy or squared loss with a logistic rule: candidates
     on each sample's score line, whose knapsack bounds the worst case from
-    above within ``SCORE_LINE_TAU`` (status ``bound``; argued below);
-  * the smooth losses of a linear-classifier rule: projected gradient ascent
-    from the sample with a curvature-aware step, each step one model pass
-    for both the losses and the gradients (``loss_and_gradient_values``).
-    The ascent only lower-bounds each inner supremum, so these answers are
-    flagged ``iterative``, and a golden-section search over gamma (the
-    objective is convex in gamma) solves the dual around them.
+    above within ``SCORE_LINE_TAU`` (status ``bound``; argued below).  A
+    two-class linear-classifier's clipped cross-entropy is the logistic
+    rule's on its margin (weights w1 - w0, bias b1 - b0), and takes this
+    route as that rule; any other smooth loss of a linear-classifier is
+    refused.
 
-The first three routes are primal knapsacks: the budget n * rho buys the
-samples' concave pieces best gain per unit cost first (``concave``), and
-gamma_star is the marginal slope at the budget.  They answer a whole radius
-vector with one fill call; the ascent answers its radii one at a time.  The
-flip and grid routes are exact.
+Each route is a primal knapsack: the budget n * rho buys the samples'
+concave pieces best gain per unit cost first (``concave``), and gamma_star
+is the marginal slope at the budget.  A whole radius vector is answered
+with one fill call.  The flip and grid routes are exact.
 
 Why the score-line route is sound.  A logistic rule's clipped losses see a
 sample only through its score u = w.x + b.  The cheapest point with score u
@@ -89,8 +86,6 @@ from .losses import (
     Hypothesis,
     LossFn,
     Sample,
-    curvature_bound,
-    loss_and_gradient_values,
     loss_values,
     score_loss_values,
 )
@@ -112,7 +107,6 @@ __all__ = [
 HALF_SQ = "half-squared-l2"
 PLAIN_L2 = "l2"
 
-_ASCENT_STEPS = 100
 # the score-line route's answers exceed the worst case by at most this
 SCORE_LINE_TAU = 1e-3
 
@@ -509,94 +503,6 @@ def _rising(C, L) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return C[rising], L[rising], np.bincount(row[rising], minlength=len(counts))
 
 
-class _AscentInner:
-    """Gradient ascent on loss(x') - gamma * c(x', x) for the smooth losses
-    of a linear-classifier rule.
-
-    Step size 1/(gamma + beta) with beta the loss curvature bound keeps the
-    iteration a contraction whenever the surrogate is strongly concave
-    (gamma > beta).  The ascent starts at the samples themselves and moves
-    them as one (n, d) iterate: each step makes one model pass, which gives
-    the losses at the current point (for the running best) and the gradients
-    for the next move.  It stops when its largest move falls below 1e-12.
-    ``iterations`` counts the steps over every ``phi`` call.
-    """
-
-    _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-    _GAMMA_TOL = 1e-12
-    _GAMMA_MAX_ITER = 200
-
-    def __init__(self, h, X, y, cost, loss_fn):
-        if cost.kind != HALF_SQ:
-            raise ValueError("gradient inner solver requires the half-squared-L2 cost")
-        self._h, self._cost, self._loss = h, cost, loss_fn
-        self._X = np.atleast_2d(X)
-        self._y = np.asarray(y, dtype=float)
-        self._beta = curvature_bound(loss_fn, h)
-        self.iterations = 0
-
-    def phi(self, gamma: float) -> np.ndarray:
-        step = 1.0 / (gamma + self._beta + 1e-12)
-        Xp = self._X
-        lv, g = loss_and_gradient_values(self._loss, self._h, Xp, self._y)
-        best = self._objective(Xp, lv, gamma)
-        for _ in range(_ASCENT_STEPS):
-            move = step * (g - gamma * (Xp - self._X))
-            Xp = Xp + move
-            self.iterations += 1
-            lv, g = loss_and_gradient_values(self._loss, self._h, Xp, self._y)
-            best = np.maximum(best, self._objective(Xp, lv, gamma))
-            if float(np.max(np.abs(move))) < 1e-12:
-                break
-        return best
-
-    def _objective(self, Xp, lv, gamma):
-        c = self._cost.of_distance(np.linalg.norm(Xp - self._X, axis=1))
-        return lv - gamma * c
-
-    def query_profile(self, rhos) -> list[QueryValue]:
-        """Worst-case mean loss over the ball of each radius rho > 0, by the
-        dual, one radius at a time; ``inner_iterations`` counts each
-        answer's own steps."""
-        answers = []
-        for rho in rhos:
-            before = self.iterations
-            gamma_star, best = self._golden_min(
-                lambda g: g * rho + float(np.mean(self.phi(g))), 0.0, 1.0 / rho)
-            answers.append(QueryValue(
-                value=float(np.clip(best, 0.0, 1.0)), rho=float(rho),
-                gamma_star=float(gamma_star), inner_iterations=self.iterations - before,
-                status="iterative"))
-        return answers
-
-    @classmethod
-    def _golden_min(cls, fn, a: float, b: float) -> tuple[float, float]:
-        """Minimize a convex scalar function over [a, b]; returns (argmin, min).
-
-        Endpoints are always evaluated, so boundary minimizers are found exactly.
-        """
-        evals = {a: fn(a), b: fn(b)}
-        x1 = b - cls._GOLDEN * (b - a)
-        x2 = a + cls._GOLDEN * (b - a)
-        f1, f2 = fn(x1), fn(x2)
-        evals[x1], evals[x2] = f1, f2
-        it = 0
-        while (b - a) > cls._GAMMA_TOL and it < cls._GAMMA_MAX_ITER:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - cls._GOLDEN * (b - a)
-                f1 = fn(x1)
-                evals[x1] = f1
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + cls._GOLDEN * (b - a)
-                f2 = fn(x2)
-                evals[x2] = f2
-            it += 1
-        x_star = min(evals, key=lambda g: (evals[g], g))
-        return x_star, evals[x_star]
-
-
 def _make_inner(h, X, y, cost, loss_fn, grid):
     if h.kind == LOOKUP or grid is not None:
         return _GridInner(h, X, y, h.grid if grid is None else grid, cost, loss_fn)
@@ -605,9 +511,13 @@ def _make_inner(h, X, y, cost, loss_fn, grid):
             return _FlipInner(h, X, y, cost)
         raise ValueError("zero-one adversarial queries need a binary linear rule "
                          "or a declared perturbation grid")
-    if h.kind == LOGISTIC:
-        return _ScoreLineInner(h, X, y, cost, loss_fn)
-    return _AscentInner(h, X, y, cost, loss_fn)
+    if h.kind == LINEAR:
+        if h.n_classes != 2 or loss_fn.kind != CROSS_ENTROPY:
+            raise ValueError("smooth-loss adversarial queries need a logistic rule, or "
+                             "clipped cross-entropy with a two-class linear-classifier")
+        h = Hypothesis(kind=LOGISTIC, weights=h.margin_direction(),
+                       bias=float(h.bias[1] - h.bias[0]))
+    return _ScoreLineInner(h, X, y, cost, loss_fn)
 
 
 def phi_gamma(
@@ -667,7 +577,7 @@ class Client:
         self._cost = cost
         self._grid = grid
         self._used = 0
-        self._inner_cache: tuple[str, _FillInner | _AscentInner] | None = None
+        self._inner_cache: tuple[str, _FillInner] | None = None
 
     @property
     def queries_used(self) -> int:
@@ -727,7 +637,7 @@ class Client:
         answered = iter(self._inner(h).query_profile(robust))
         return [next(answered) if r != 0.0 else empirical for r in rhos]
 
-    def _inner(self, h: Hypothesis) -> _FillInner | _AscentInner:
+    def _inner(self, h: Hypothesis) -> _FillInner:
         # the inner solver's precomputations depend only on h, reuse across radii
         key = h.cache_key()
         if self._inner_cache is None or self._inner_cache[0] != key:

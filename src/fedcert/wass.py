@@ -16,15 +16,15 @@ Each client answers a fixed radius grid in one profile call
 resulting profile is replaced by its concave upper envelope.  The envelope is
 exact at the grid points; between them it follows straight chords, which lie
 below the concave query curve they join (making it an upper bound is open,
-ROADMAP item 1).  The allocation over piecewise-linear concave envelopes is
+ROADMAP item 2).  The allocation over piecewise-linear concave envelopes is
 solved exactly by greedy water-filling on segment slopes (``concave``, as in
 the exact query routes), once per certificate, and its maximum is the
-program value.
-A profile is sound when every query on it is ``exact`` or a ``bound`` (the
-logistic score-line route, which lies above its inner supremum).  The
-certificate's status is ``optimal`` when every profile is sound, and
-``iterative`` otherwise: the ascent route for linear-classifier rules only
-lower-bounds its inner supremum.
+program value.  Every query route is ``exact`` or a ``bound`` that lies
+above its inner supremum, so the certificate's status is ``optimal``.
+
+The per-client slack carries log((K+2) n_k / (epsilon delta)); a budget for
+which that log is not positive for some client has no slack term, and is
+refused.
 """
 from __future__ import annotations
 
@@ -65,7 +65,6 @@ class QvProfile:
     n_samples: int
     rhos: np.ndarray
     qvs: np.ndarray
-    sound: bool = True        # every query is exact or an upper bound
     hull: np.ndarray | None = field(default=None, repr=False)
     hull_x: np.ndarray = field(init=False)
     hull_y: np.ndarray = field(init=False)
@@ -100,6 +99,18 @@ def mean_radius_cap(epsilon: float, delta: float, K: int,
     if include_slack:
         cap += c1 * float(np.sqrt(np.log((K + 2) / delta) / K))
     return cap
+
+
+def _per_client_log_terms(K: int, ns, epsilon: float, delta: float) -> np.ndarray:
+    """log((K+2) n_k / (epsilon delta)) for each client's sample count n_k:
+    the per-client slack is the square root of this term over n_k.  Raises
+    ValueError where the term is not positive (epsilon delta >= (K+2) n_k),
+    since no slack term is derived for such a budget."""
+    arg = (K + 2) * np.asarray(ns, dtype=float) / (epsilon * delta)
+    if np.any(arg <= 1.0):
+        raise ValueError(f"epsilon {epsilon:g} is too large for the per-client slack: "
+                         f"epsilon * delta must stay below (K+2) n_k = {(K + 2) * np.min(ns):g}")
+    return np.log(arg)
 
 
 def build_profiles(
@@ -140,8 +151,8 @@ def build_profiles(
     qvs = np.array([[q.value for q in a] for a in answers])
     hulls = upper_hulls(np.tile(grid, K), qvs.ravel(), np.full(K, len(grid)))
     return [QvProfile(client_id=c.client_id, n_samples=c.n_samples, rhos=grid.copy(),
-                      qvs=v, sound=all(q.status in ("exact", "bound") for q in a), hull=k)
-            for c, a, v, k in zip(clients, answers, qvs, hulls.reshape(K, len(grid)))]
+                      qvs=v, hull=k)
+            for c, v, k in zip(clients, qvs, hulls.reshape(K, len(grid)))]
 
 
 def _waterfill(profiles: list[QvProfile], floor: float, mean_cap: float) -> RadiusAllocation:
@@ -196,18 +207,18 @@ def wass_mean_bound(
     if include_slack and epsilon <= 0:
         raise ValueError("epsilon must be positive when slack terms are on "
                          "(the per-client term carries log(1/epsilon))")
+    K = len(clients)
+    ns = np.array([c.n_samples for c in clients], dtype=float)
+    if include_slack:
+        per_client_log = _per_client_log_terms(K, ns, epsilon, delta)
     profiles = build_profiles(
         clients, h, epsilon, delta, grid_size, c1, include_slack=include_slack
     )
-    K = len(clients)
     cap = mean_radius_cap(epsilon, delta, K, c1, include_slack=include_slack)
     witness = _waterfill(profiles, epsilon / K, cap)
     if include_slack:
         meta = float(np.sqrt(np.log((K + 2) / delta) / (2 * K)))
-        ns = np.array([p.n_samples for p in profiles], dtype=float)
-        per_client = float(np.mean(
-            c2 * np.sqrt(np.log((K + 2) * ns / (epsilon * delta)) / ns)
-        ))
+        per_client = float(np.mean(c2 * np.sqrt(per_client_log / ns)))
     else:
         meta = per_client = 0.0
     raw = witness.objective + meta + per_client
@@ -215,8 +226,7 @@ def wass_mean_bound(
         kind="wass-mean",
         value=float(min(raw, 1.0)),
         raw_value=raw,
-        # an iterative query only lower-bounds its inner supremum
-        status="optimal" if all(p.sound for p in profiles) else "iterative",
+        status="optimal",
         slack={"meta": meta, "per_client": per_client},
         params={
             "K": K, "delta": delta, "epsilon": epsilon,

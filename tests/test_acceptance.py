@@ -40,10 +40,10 @@ from fedcert.cli import main as cli_main
 from fedcert.fdiv import make_divergence
 from fedcert.losses import (
     CROSS_ENTROPY,
+    LINEAR,
     LOGISTIC,
     LOOKUP,
     SQUARED,
-    gradient_values,
     loss_values,
 )
 from fedcert.query import phi_gamma  # noqa: F401  (re-exported surface check)
@@ -351,36 +351,40 @@ def test_acceptance_7_gap_shrinks_with_world_size():
 
 # --------------------------------------------------------------------- 8
 
-def test_acceptance_8_gradients_match_finite_differences():
+def test_acceptance_8_smooth_loss_answers_lie_above_random_feasible_moves():
+    # the smooth-loss answers bound the worst case from above, for logistic
+    # rules and for two-class linear-classifiers (their margin rules)
     rng = np.random.default_rng(np.random.SeedSequence(80808))
-    worst = 0.0
-    checked = 0
-    fd = 1e-6
-    while checked < 100:
-        d = int(rng.integers(1, 4))
-        h = Hypothesis(kind=LOGISTIC, weights=rng.normal(size=d),
-                       bias=float(rng.normal()))
-        kind = SQUARED if checked % 2 else CROSS_ENTROPY
+    rules = [(LOGISTIC, CROSS_ENTROPY), (LOGISTIC, SQUARED), (LINEAR, CROSS_ENTROPY)]
+    rhos = (0.01, 0.1, 1.0)
+    worst = -np.inf
+    for case in range(60):
+        rule, kind = rules[case % 3]
+        d, n = int(rng.integers(1, 4)), int(rng.integers(5, 21))
+        if rule == LOGISTIC:
+            h = Hypothesis(kind=LOGISTIC, weights=rng.normal(size=d), bias=float(rng.normal()))
+        else:
+            h = Hypothesis(kind=LINEAR, weights=rng.normal(size=(2, d)), bias=rng.normal(size=2))
+        X = rng.normal(size=(n, d)) * 1.5
+        y = (rng.integers(0, 2, size=n) if kind == CROSS_ENTROPY
+             else rng.uniform(-0.5, 1.5, size=n))
         loss_fn = LossFn(kind)
-        x = rng.normal(size=(1, d))
-        y = rng.integers(0, 2, 1)
-        raw = float(x[0] @ h.weights + h.bias)
-        if kind == SQUARED and not (-0.99 < np.tanh(raw / 2) < 0.99):
-            continue   # stay away from the clip boundary of the fd stencil
-        g = gradient_values(loss_fn, h, x, y)[0]
-        num = np.empty(d)
-        for j in range(d):
-            xp, xm = x.copy(), x.copy()
-            xp[0, j] += fd
-            xm[0, j] -= fd
-            num[j] = (loss_values(loss_fn, h, xp, y)[0]
-                      - loss_values(loss_fn, h, xm, y)[0]) / (2 * fd)
-        denom = max(np.linalg.norm(num), 1e-8)
-        worst = max(worst, float(np.linalg.norm(g - num) / denom))
-        checked += 1
-    ok = worst <= 1e-5
-    _report(8, ok, f"100 random points, worst relative gradient error "
-                   f"{worst:.2e} (tol 1e-5)")
+        answers = Client(0, LocalDataset(0, X, y), loss_fn).query_profile(h, rhos)
+        u = h.margin_direction()
+        for rho, qv in zip(rhos, answers):
+            for trial in range(100):
+                # half the moves run along the margin direction
+                moves = (np.outer(rng.choice([-1.0, 1.0], size=n), u) if trial % 2
+                         else rng.normal(size=(n, d)))
+                moves *= rng.exponential(1.0, size=(n, 1)) ** 2
+                spent = float(np.mean(0.5 * np.sum(moves * moves, axis=1)))
+                if spent == 0.0:
+                    continue
+                Xp = X + moves * np.sqrt(rho / spent) * rng.uniform(0.5, 1.0)
+                worst = max(worst, float(np.mean(loss_values(loss_fn, h, Xp, y))) - qv.value)
+    ok = worst <= 1e-12
+    _report(8, ok, f"60 rules x 3 radii x 100 random feasible moves, largest excess "
+                   f"of a move over the answer {worst:.2e} (tol 1e-12)")
 
 
 # --------------------------------------------------------------------- 9

@@ -397,6 +397,45 @@ def test_divergence_budget_below_the_tilt_limit_runs(tmp_path, command, place, f
     assert out.is_dir()
 
 
+# the wass-mean per-client slack carries log((K+2) n_k / (epsilon delta)),
+# which at K = 40 and n_k = 100 is not positive once epsilon * 0.1 >= 4200
+@pytest.mark.parametrize("command, place, where", [
+    ("certify", lambda cfg: cfg["certificates"][3], "$.certificates[3].epsilon"),
+    ("verify", lambda cfg: cfg["verify"]["kinds"][1], "$.verify.kinds[1].epsilon"),
+])
+@pytest.mark.parametrize("epsilon", [42000.0, 1e5])
+def test_a_transport_budget_past_the_per_client_slack_exits_one(tmp_path, capsys, command,
+                                                                place, where, epsilon):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["verify"]["kinds"].append(dict(_WASS_VERIFY_KIND))
+    place(cfg)["epsilon"] = epsilon
+    assert_rejected_before_writing(tmp_path, capsys, command, cfg, where)
+
+
+# Python's json reads NaN, Infinity and -Infinity, and 1e400 as inf
+@pytest.mark.parametrize("command, path", [
+    ("certify", ("certificates", 2, "epsilon")),
+    ("certify", ("certificates", 3, "epsilon")),
+    ("verify", ("verify", "kinds", 0, "delta")),
+    ("verify", ("verify", "tightness", "epsilon")),
+])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_a_non_finite_number_exits_one_at_its_path(tmp_path, capsys, command, path, literal):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg).replace('"@"', literal))
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(config), "--out", str(out)])
+    where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    err = capsys.readouterr().err
+    assert rc == 1 and f"config error at {where}:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_zero_one_loss_rejected_by_certify(tmp_path, capsys):
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["query"] = {"loss": "squared"}

@@ -28,14 +28,12 @@ from fedcert.losses import (
     LINEAR,
     DimensionMismatchError,
     Sample,
-    curvature_bound,
-    gradient_values,
     loss_values,
 )
 from fedcert import concave
 from fedcert.concave import GreedyFill
 from fedcert.metasim import _BLOCK_BYTES
-from fedcert.query import SCORE_LINE_TAU, _AscentInner, _make_inner
+from fedcert.query import SCORE_LINE_TAU, _make_inner
 
 from test_concave import chain_hull
 
@@ -273,9 +271,9 @@ def test_phi_gamma_nonincreasing_in_gamma():
         assert np.all(np.diff(vals) <= 1e-12)
 
 
-def test_phi_gamma_plateau_via_gradient_path():
+def test_phi_gamma_plateau_on_the_score_line():
     # logistic squared loss with an out-of-range target saturates left of the
-    # decision point; the ascent must find the clipped plateau boundary
+    # decision point; the score line's nodes must reach the clipped plateau
     h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
     z = Sample(features=np.array([2.0]), label=1.5)
     for gamma in (0.05, 0.1, 0.2):
@@ -540,133 +538,39 @@ def test_grid_route_refuses_lookup_data_off_its_table():
         adversarial_risk(h, ds, 0.1, COST, LossFn(SQUARED))
 
 
-# -- the ascent route --------------------------------------------------------
-
-def _looped_ascent(h, X, y, loss_fn, gamma):
-    """The ascent with one ``gradient_values`` and one ``loss_values`` call
-    per step: the reference the fused model pass must match bit for bit.
-    Returns (phi, steps taken)."""
-    step = 1.0 / (gamma + curvature_bound(loss_fn, h) + 1e-12)
-
-    def objective(Xp):
-        c = COST.of_distance(np.linalg.norm(Xp - X, axis=1))
-        return loss_values(loss_fn, h, Xp, y) - gamma * c
-
-    Xp = X.copy()
-    best = objective(Xp)
-    for k in range(1, 101):
-        g = gradient_values(loss_fn, h, Xp, y)
-        g -= gamma * (Xp - X)
-        move = step * g
-        Xp = Xp + move
-        best = np.maximum(best, objective(Xp))
-        if float(np.max(np.abs(move))) < 1e-12:
-            break
-    return best, k
-
-
-def _ascent_cases():
-    # the ascent serves linear-classifier rules only
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(25, 2)) * 1.5
-    y2 = rng.integers(0, 2, size=25).astype(float)
-    y3 = rng.integers(0, 3, size=25).astype(float)
-    y4 = rng.integers(0, 4, size=25).astype(float)
-    binary = Hypothesis(kind=LINEAR, weights=np.array([[0.4, -0.2], [-0.9, 0.5]]),
-                        bias=np.array([0.1, -0.1]))
-    softmax = Hypothesis(kind=LINEAR, weights=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
-    wide = Hypothesis(kind=LINEAR, weights=rng.normal(size=(4, 2)) * 2.0,
-                      bias=rng.normal(size=4))
-    return [(binary, X, y2, LossFn(CROSS_ENTROPY)),
-            (wide, X, y4, LossFn(CROSS_ENTROPY)),
-            (softmax, X, y3, LossFn(CROSS_ENTROPY))]
-
-
-_GAMMAS = (0.0, 0.3, 2.0, 1e4)
-_CASE_IDS = ["binary-linear-ce", "wide-softmax-ce", "softmax-ce"]
-
-
-@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
-def test_stacked_ascent_matches_restarts_run_one_by_one(case):
-    h, X, y, loss_fn = _ascent_cases()[case]
-    inner = _AscentInner(h, X, y, COST, loss_fn)
-    for gamma in _GAMMAS:
-        want, steps = _looped_ascent(h, X, y, loss_fn, gamma)
-        before = inner.iterations
-        assert np.array_equal(inner.phi(gamma), want)
-        assert inner.iterations - before == steps
-    # at gamma = 1e4 the contraction is fast: the ascent stops early
-    assert steps < 100
-    rho = 0.2
-    iters = 0
-
-    def dual(gamma):
-        nonlocal iters
-        phi, steps = _looped_ascent(h, X, y, loss_fn, gamma)
-        iters += steps
-        return gamma * rho + float(np.mean(phi))
-
-    gamma_star, best = _AscentInner._golden_min(dual, 0.0, 1.0 / rho)
-    qv = _AscentInner(h, X, y, COST, loss_fn).query_profile([rho])[0]
-    assert (qv.value, qv.gamma_star, qv.inner_iterations) == (
-        float(np.clip(best, 0.0, 1.0)), gamma_star, iters)
-
-
-@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
-def test_ascent_makes_one_model_pass_per_step(monkeypatch, case):
-    h, X, y, loss_fn = _ascent_cases()[case]
-    inner = _AscentInner(h, X, y, COST, loss_fn)
-    steps_of = {g: _looped_ascent(h, X, y, loss_fn, g)[1] for g in _GAMMAS}
-    passes = []
-    scores = Hypothesis.scores
-
-    def counted(self, Xq):
-        passes.append(np.array(Xq))
-        return scores(self, Xq)
-
-    monkeypatch.setattr(Hypothesis, "scores", counted)
-    for gamma in _GAMMAS:
-        del passes[:]
-        inner.phi(gamma)
-        # one pass at the samples, then one per step, each over every sample
-        assert len(passes) == 1 + steps_of[gamma]
-        assert all(p.shape == X.shape for p in passes)
-        assert np.array_equal(passes[0], X)
-
-
-def test_ascent_reports_each_querys_own_steps():
-    h, X, y, loss_fn = _ascent_cases()[0]
-    c = Client(0, dataset(X, y), loss_fn)
-    first, second = c.query(h, 0.05), c.query(h, 0.3)
-    # the client reuses its cached solver; a fresh one takes the same steps
-    for qv, rho in ((first, 0.05), (second, 0.3)):
-        fresh = _AscentInner(h, X, y, COST, loss_fn).query_profile([rho])[0]
-        assert qv.inner_iterations == fresh.inner_iterations > 0
-        assert qv.status == "iterative"
-    assert [e["inner_iterations"] for e in c.audit_log] == [
-        first.inner_iterations, second.inner_iterations]
-
-
-# -- the logistic score-line route -------------------------------------------
+# -- the score-line route -----------------------------------------------------
 # The brute-force side of these checks is worked out here, on each sample's
-# score line, without the knapsack the route solves.
+# score line, without the knapsack the route solves.  A two-class
+# linear-classifier takes the route as its margin logistic rule; its brute
+# force moves along w1 - w0 and uses the linear rule's own losses.
 
-def _score_line_instance(rng, kind, cost_kind):
+def _score_line_instance(rng, kind, cost_kind, rule=LOGISTIC):
     d = int(rng.integers(1, 4))
     n = int(rng.integers(1, 31))
-    h = Hypothesis(kind=LOGISTIC, weights=rng.normal(size=d) * rng.uniform(0.3, 3.0),
-                   bias=float(rng.normal()))
+    if rule == LOGISTIC:
+        h = Hypothesis(kind=LOGISTIC, weights=rng.normal(size=d) * rng.uniform(0.3, 3.0),
+                       bias=float(rng.normal()))
+    else:
+        h = Hypothesis(kind=LINEAR, weights=rng.normal(size=(2, d)) * rng.uniform(0.3, 3.0),
+                       bias=rng.normal(size=2))
     X = rng.normal(size=(n, d))
     y = (rng.integers(0, 2, size=n).astype(float) if kind == CROSS_ENTROPY
          else rng.uniform(-0.5, 1.5, size=n))
     return h, X, y, LossFn(kind), TransportCost(cost_kind)
 
 
+def _margin(h, X):
+    """The binary rule's margin score at each row of X: the logistic score,
+    or s1 - s0."""
+    s = h.scores(X)
+    return s if h.kind == LOGISTIC else s[:, 1] - s[:, 0]
+
+
 def _line_points(h, X, y, loss_fn, cost, span=40.0, num=100_001):
     """Losses and costs of ``num`` points on each sample's score line, with
-    scores within ``span`` of its own; the middle point is the sample."""
-    w = h.weights
-    s = h.scores(X)
+    margin scores within ``span`` of its own; the middle point is the sample."""
+    w = h.margin_direction()
+    s = _margin(h, X)
     t = np.linspace(-span, span, num)
     L = np.empty((len(X), num))
     C = np.empty((len(X), num))
@@ -674,19 +578,20 @@ def _line_points(h, X, y, loss_fn, cost, span=40.0, num=100_001):
         pts = X[i] + np.outer(t / (w @ w), w)
         L[i] = loss_values(loss_fn, h, pts, np.full(num, y[i]))
         C[i] = cost.of_distance(np.linalg.norm(pts - X[i], axis=1))
-    assert np.allclose(h.scores(X[:1] + np.outer(t[:3] / (w @ w), w)), s[0] + t[:3])
+    assert np.allclose(_margin(h, X[:1] + np.outer(t[:3] / (w @ w), w)), s[0] + t[:3])
     return L, C
 
 
 def _random_feasible(rng, h, X, y, loss_fn, cost, rho, tries=300):
     """The best mean loss of random moves whose mean cost is within rho;
-    half of them run along the weights, where the losses change fastest."""
+    half of them run along the margin direction, where the losses change
+    fastest."""
     n, d = X.shape
     best = float(np.mean(loss_values(loss_fn, h, X, y)))
     for trial in range(tries):
         moves = rng.normal(size=(n, d))
         if trial % 2:
-            moves = np.outer(rng.choice([-1.0, 1.0], size=n), h.weights)
+            moves = np.outer(rng.choice([-1.0, 1.0], size=n), h.margin_direction())
         moves *= rng.exponential(1.0, size=(n, 1)) ** 2
         spent = float(np.mean(cost.of_distance(np.linalg.norm(moves, axis=1))))
         if spent == 0.0:
@@ -708,13 +613,15 @@ def _front(c, l):
     return c[rising], l[rising]
 
 
-@pytest.mark.parametrize("kind", [CROSS_ENTROPY, SQUARED])
+@pytest.mark.parametrize("rule, kind", [(LOGISTIC, CROSS_ENTROPY), (LOGISTIC, SQUARED),
+                                        (LINEAR, CROSS_ENTROPY)])
 @pytest.mark.parametrize("cost_kind", ["half-squared-l2", "l2"])
-def test_score_line_bound_is_sound_and_within_tau(kind, cost_kind):
-    rng = np.random.default_rng(np.random.SeedSequence([1301, len(kind), len(cost_kind)]))
+def test_score_line_bound_is_sound_and_within_tau(rule, kind, cost_kind):
+    seed = [1301, len(kind), len(cost_kind)] + ([2] if rule == LINEAR else [])
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     gammas = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 48)])
     for _ in range(5):
-        h, X, y, loss_fn, cost = _score_line_instance(rng, kind, cost_kind)
+        h, X, y, loss_fn, cost = _score_line_instance(rng, kind, cost_kind, rule)
         L, C = _line_points(h, X, y, loss_fn, cost)
         front = [_front(c, l) for c, l in zip(C, L)]
 
@@ -728,6 +635,11 @@ def test_score_line_bound_is_sound_and_within_tau(kind, cost_kind):
             qv = adversarial_risk(h, ds, rho, cost, loss_fn)
             assert qv.status == "bound" and qv.inner_iterations == 1
             assert 0.0 <= qv.gamma_star <= 1.0 / rho
+            if rule == LINEAR:
+                # every field equals the margin logistic rule's answer
+                margin = Hypothesis(kind=LOGISTIC, weights=h.margin_direction(),
+                                    bias=float(h.bias[1] - h.bias[0]))
+                assert qv == adversarial_risk(margin, ds, rho, cost, loss_fn)
             dual = min(qv.gamma_star * rho + mean_phi(qv.gamma_star),
                        min(g * rho + p for g, p in zip(gammas, on_grid)))
             feasible = _random_feasible(rng, h, X, y, loss_fn, cost, rho)
@@ -989,8 +901,8 @@ def test_bad_radius_is_refused_before_the_budget_is_charged(rho):
 
 
 def _route_clients(max_queries=None):
-    """(client factory, hypothesis) for the flip, grid, score-line and
-    ascent routes."""
+    """(client factory, hypothesis) for the flip, grid and score-line routes,
+    and a two-class linear-classifier's cross-entropy on the score line."""
     rng = np.random.default_rng(np.random.SeedSequence(1401))
     X = rng.normal(size=(20, 2)) * 1.5
     y = rng.integers(0, 2, size=20)
@@ -1006,30 +918,29 @@ def _route_clients(max_queries=None):
                                 grid=grid), logistic),
         "score-line": (lambda: Client(0, ds, LossFn(CROSS_ENTROPY), max_queries=max_queries,
                                       cost=TransportCost("l2")), logistic),
-        "ascent": (lambda: Client(0, ds, LossFn(CROSS_ENTROPY), max_queries=max_queries),
-                   linear),
+        "binary-linear": (lambda: Client(0, ds, LossFn(CROSS_ENTROPY),
+                                         max_queries=max_queries), linear),
     }
 
 
 _PROFILE_RHOS = [0.0, 1e-3, 0.05, 0.05, 0.0, 0.3, 2.0]
 
 
-@pytest.mark.parametrize("route", ["flip", "grid", "score-line", "ascent"])
+@pytest.mark.parametrize("route", ["flip", "grid", "score-line", "binary-linear"])
 def test_query_profile_matches_a_per_radius_loop(route):
     make, h = _route_clients()[route]
-    rhos = _PROFILE_RHOS if route != "ascent" else [0.0, 0.05, 0.0, 0.3]
     looped, batched = make(), make()
-    want = [looped.query(h, r) for r in rhos]
-    got = batched.query_profile(h, np.array(rhos))
+    want = [looped.query(h, r) for r in _PROFILE_RHOS]
+    got = batched.query_profile(h, np.array(_PROFILE_RHOS))
     assert got == want   # value, rho, gamma_star, inner_iterations and status
     assert batched.audit_log == looped.audit_log
-    assert batched.queries_used == looped.queries_used == len(rhos)
+    assert batched.queries_used == looped.queries_used == len(_PROFILE_RHOS)
     assert {q.status for q in got[1:] if q.rho > 0} == {
         "flip": {"exact"}, "grid": {"exact"}, "score-line": {"bound"},
-        "ascent": {"iterative"}}[route]
+        "binary-linear": {"bound"}}[route]
 
 
-@pytest.mark.parametrize("route", ["flip", "ascent"])
+@pytest.mark.parametrize("route", ["flip", "binary-linear"])
 def test_query_profile_answers_what_fits_when_the_budget_runs_out(route):
     make, h = _route_clients(max_queries=4)[route]
     rhos = [0.05, 0.0, 0.3, 2.0, 0.5]
@@ -1051,19 +962,27 @@ def test_query_profile_answers_what_fits_when_the_budget_runs_out(route):
     assert batched.queries_used == 4 and len(batched.audit_log) == 4
 
 
-def test_a_refused_query_uses_no_budget():
-    """The score-line route refuses cross-entropy labels outside {0, 1}: the
-    query raises before it is charged, and a profile is refused whole, its
-    leading rho = 0 too, where a loop would answer that one first."""
-    h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
-    c = Client(0, dataset([[0.0], [1.0]], [0.0, 0.5]), LossFn(CROSS_ENTROPY),
-               max_queries=3)
+@pytest.mark.parametrize("h, labels, kind", [
+    (Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0), [0.0, 0.5], CROSS_ENTROPY),
+    (Hypothesis(kind=LINEAR, weights=np.array([[1.0], [0.0], [-1.0]]), bias=np.zeros(3)),
+     [0.0, 2.0], CROSS_ENTROPY),
+    (Hypothesis(kind=LINEAR, weights=np.array([[1.0], [-1.0]]), bias=np.zeros(2)),
+     [0.0, 1.0], SQUARED),
+], ids=["score-line-labels", "three-class", "linear-squared"])
+def test_a_refused_query_uses_no_budget(h, labels, kind):
+    """The score-line route refuses cross-entropy labels outside {0, 1}, and
+    a linear-classifier's smooth loss unless it is a two-class rule's
+    cross-entropy: the query raises before it is charged, and a profile is
+    refused whole, its leading rho = 0 too, where a loop would answer that
+    one first."""
+    c = Client(0, dataset([[0.0], [1.0]], labels), LossFn(kind), max_queries=3)
     for ask in (lambda: c.query(h, 0.1), lambda: c.query_profile(h, [0.0, 0.1])):
         with pytest.raises(ValueError):
             ask()
     assert c.queries_used == 0 and c.audit_log == []
-    assert c.query(h, 0.0) == empirical_risk(h, c._dataset, LossFn(CROSS_ENTROPY))
-    assert c.queries_used == 1 and len(c.audit_log) == 1
+    if kind == CROSS_ENTROPY:
+        assert c.query(h, 0.0) == empirical_risk(h, c._dataset, LossFn(kind))
+        assert c.queries_used == 1 and len(c.audit_log) == 1
 
 
 @pytest.mark.parametrize("h", [

@@ -252,6 +252,20 @@ def test_zero_epsilon_needs_slack_off():
         wass_mean_bound(clients, H, 0.0, 0.1)
 
 
+def test_a_budget_past_the_per_client_slack_is_refused_before_any_query():
+    # log((K+2) n_k / (epsilon delta)) is not positive for the client of 10
+    # samples once epsilon delta >= 4 * 10; its slack would be NaN
+    rng = np.random.default_rng(np.random.SeedSequence(815))
+    clients = make_clients(rng, 2, 10)
+    clients[1] = make_clients(rng, 1, 1000)[0]
+    for eps in (400.0, 1e5):
+        with pytest.raises(ValueError, match="per-client slack"):
+            wass_mean_bound(clients, H, eps, 0.1)
+        assert all(c.queries_used == 0 for c in clients)
+    b = wass_mean_bound(clients, H, 399.0, 0.1, grid_size=2)
+    assert np.isfinite(b.raw_value) and b.slack["per_client"] > 0.0
+
+
 def test_zero_epsilon_reduces_to_empirical_mean():
     rng = np.random.default_rng(np.random.SeedSequence(808))
     clients = make_clients(rng, 4, 40)
@@ -317,14 +331,14 @@ def test_status_reports_inexact_queries():
     cert = wass_mean_bound(line, H, 0.05, 0.1, grid_size=2)
     assert {e["status"] for e in line[1].audit_log} == {"bound"}
     assert cert.status == "optimal"
-    # the ascent route, left to linear-classifier rules, only lower-bounds it
+    # a two-class linear-classifier's cross-entropy takes the same route
     linear = Hypothesis(kind=LINEAR, weights=np.array([[0.0, 0.0], [1.0, -0.5]]),
                         bias=np.array([0.0, 0.1]))
     mixed = [Client(0, datasets[0], LossFn(ZERO_ONE)),
              Client(1, datasets[1], LossFn(CROSS_ENTROPY))]
-    assert wass_mean_bound(mixed, linear, 0.05, 0.1, grid_size=2).status == "iterative"
+    assert wass_mean_bound(mixed, linear, 0.05, 0.1, grid_size=2).status == "optimal"
     assert {e["status"] for e in mixed[0].audit_log} == {"exact"}
-    assert {e["status"] for e in mixed[1].audit_log} == {"iterative"}
+    assert {e["status"] for e in mixed[1].audit_log} == {"bound"}
 
 
 def test_mean_bound_validation():
