@@ -11,6 +11,10 @@ Four subcommands drive the whole pipeline from one JSON config:
 What a certificate kind means, its bound function and the shifted target
 world it declares, lives in ``oracle`` (``issue_certificate``,
 ``target_world``); this module reads configs, checks them and writes files.
+A config and a certify run's ``summary.json`` are checked against
+``CONFIG_SCHEMA`` and ``_SUMMARY_SCHEMA`` by ``schema_error``, a short walk
+over just the JSON Schema keywords those schemas use (listed above it), so
+no command imports jsonschema.
 
 Every run is a pure function of (config, seed): JSON keys are sorted, CSV
 floats use repr-exact formatting, and nothing records timestamps, so reruns
@@ -26,10 +30,10 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .certificates import CdfCurve
@@ -148,6 +152,8 @@ CONFIG_SCHEMA = {
                 {"required": ["kind", "weights"]},
                 {"required": ["from_world"]},
             ],
+            "properties": {"from_world": {
+                "type": "object", "properties": {"scale": {"type": "number"}}}},
         },
         "data": {
             "type": "object",
@@ -279,34 +285,104 @@ def _load_json(path: Path, schema: dict, what: str):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
-    where = _nonfinite_path(doc, "$")
-    if where is not None:
-        raise ConfigError(f"{what} error at {where}: numbers must be finite")
-    # the schemas are constants, checked against the metaschema by the tests,
-    # so only the document is validated here
-    error = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    error = schema_error(doc, schema)
     if error is not None:
-        raise ConfigError(f"{what} error at {error.json_path}: {error.message}")
+        raise ConfigError(f"{what} error at {error[0]}: {error[1]}")
     return doc
 
 
-def _nonfinite_path(doc, path: str) -> str | None:
-    """The JSON path of the first number in ``doc`` that is not finite, or
-    None: Python's json reads NaN, Infinity and -Infinity, and an overflowing
-    literal such as 1e400 as inf."""
-    if isinstance(doc, float):
-        return None if math.isfinite(doc) else path
+# The config and summary schemas are JSON Schema (draft 2020-12) data, which
+# the tests check against the metaschema and against jsonschema itself.  The
+# commands check documents with the walk below instead, which knows exactly
+# the keywords those schemas use: type, required, properties,
+# additionalProperties, enum, const, minimum, exclusiveMinimum,
+# exclusiveMaximum, minItems, items, oneOf, allOf, if and then.  It departs
+# from JSON Schema in one place: an "integer" is an int, never a float such
+# as 40.0, since the program slices, counts and seeds with these fields.
+
+class _NonFinite(Exception):
+    """A float that is not finite, met anywhere in the walk: Python's json
+    reads NaN, Infinity and -Infinity, and an overflowing literal such as
+    1e400 as inf."""
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}
+
+
+def _is_type(x, name: str) -> bool:
+    # bool is a subclass of int, but true and false are not numbers
+    return isinstance(x, _TYPES[name]) and (name == "boolean" or not isinstance(x, bool))
+
+
+_BOUNDS = (("minimum", operator.lt, "less than the minimum of"),
+           ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+           ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum of"))
+
+
+def schema_error(doc, schema: dict) -> tuple[str, str] | None:
+    """The first place where ``doc`` breaks ``schema`` or holds a number
+    that is not finite, as ``(json_path, message)`` with paths such as
+    ``$.a[0].b``, or None."""
+    try:
+        return _first_error(doc, schema, "$")
+    except _NonFinite as exc:
+        return str(exc), "numbers must be finite"
+
+
+def _first_error(doc, schema: dict, path: str) -> tuple[str, str] | None:
+    if isinstance(doc, float) and not math.isfinite(doc):
+        raise _NonFinite(path)
+    kind = schema.get("type")
+    if kind is not None and not _is_type(doc, kind):
+        return path, f"{doc!r} is not of type {kind!r}"
+    if "enum" in schema and doc not in schema["enum"]:
+        return path, f"{doc!r} is not one of {schema['enum']!r}"
+    if "const" in schema and doc != schema["const"]:
+        return path, f"{schema['const']!r} was expected"
+    if _is_type(doc, "number"):
+        for key, breaks, words in _BOUNDS:
+            if key in schema and breaks(doc, schema[key]):
+                return path, f"{doc!r} is {words} {schema[key]!r}"
+    children = ()
     if isinstance(doc, dict):
-        items = ((f"{path}.{k}", v) for k, v in doc.items())
+        for key in schema.get("required", ()):
+            if key not in doc:
+                return path, f"{key!r} is a required property"
+        known = schema.get("properties", {})
+        extra = schema.get("additionalProperties", {})
+        unexpected = [key for key in doc if key not in known]
+        if extra is False and unexpected:
+            return path, f"additional properties are not allowed ({unexpected[0]!r} " \
+                         "was unexpected)"
+        children = [(f"{path}.{key}", value, known.get(key, extra))
+                    for key, value in doc.items()]
     elif isinstance(doc, list):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(doc))
-    else:
-        return None
-    for where, value in items:
-        found = _nonfinite_path(value, where)
-        if found is not None:
-            return found
+        if len(doc) < schema.get("minItems", 0):
+            return path, f"{doc!r} has fewer than {schema['minItems']} items"
+        children = [(f"{path}[{i}]", value, schema.get("items", {}))
+                    for i, value in enumerate(doc)]
+    applied = list(schema.get("allOf", ()))
+    if "if" in schema and _first_error(doc, schema["if"], path) is None:
+        applied.append(schema.get("then", {}))
+    for sub in applied:
+        error = _first_error(doc, sub, path)
+        if error is not None:
+            return error
+    if "oneOf" in schema:
+        errors = [_first_error(doc, sub, path) for sub in schema["oneOf"]]
+        if errors.count(None) > 1:
+            return path, "matches more than one of its alternatives"
+        if errors.count(None) == 0:
+            # the one alternative of the document's type says what is wrong
+            typed = [error for error, sub in zip(errors, schema["oneOf"])
+                     if "type" in sub and _is_type(doc, sub["type"])]
+            return typed[0] if len(typed) == 1 else \
+                (path, "matches none of its alternatives")
+    for where, value, sub in children:
+        error = _first_error(value, sub, where)
+        if error is not None:
+            return error
     return None
 
 
@@ -329,30 +405,34 @@ def _world_from_config(cfg: dict, seed: int | None) -> MetaConfig:
         return MetaConfig.from_json_dict(wd)
     except WorldFieldError as exc:
         raise ConfigError(f"config error at $.world.{exc.field}: {exc}") from exc
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"world config rejected: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"config error at $.world: {exc}") from exc
 
 
 def _model_from_config(cfg: dict, world: MetaConfig) -> Hypothesis:
     md = cfg["model"]
     if "from_world" in md:
-        opts = md["from_world"] or {}
+        opts = md["from_world"]
         if world.archetypes is not None:
             w = np.asarray(world.archetype_weights, dtype=float)
             means = np.stack([a.class_means for a in world.archetypes])
             m = np.einsum("m,mcd->cd", w, means)
         else:
             m = world.class_means
-        scale = float(opts.get("scale", 1.0))
-        wvec = scale * (m[1] - m[0])
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            wvec = float(opts.get("scale", 1.0)) * (m[1] - m[0])
+            bias = -float(wvec @ (m[0] + m[1])) / 2.0
         if not np.any(wvec):
-            raise ConfigError("from_world model is degenerate: equal class means")
-        bias = -float(wvec @ (m[0] + m[1])) / 2.0
+            raise ConfigError("config error at $.model.from_world: equal class means "
+                              "give a degenerate rule")
+        if not (np.all(np.isfinite(wvec)) and math.isfinite(bias)):
+            raise ConfigError("config error at $.model.from_world: the rule drawn from the "
+                              "world's class means overflows")
         return Hypothesis(kind="logistic", weights=wvec, bias=bias, name="world-lda")
     try:
         return Hypothesis.from_json_dict(md)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"model config rejected: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"config error at $.model: {exc}") from exc
 
 
 def _build_clients(cfg: dict, world: MetaConfig) -> tuple[list[Client], TransportCost]:
@@ -362,9 +442,19 @@ def _build_clients(cfg: dict, world: MetaConfig) -> tuple[list[Client], Transpor
     cost = TransportCost(query_cfg.get("cost", HALF_SQ))
     grid = np.asarray(query_cfg["grid"], dtype=float) if "grid" in query_cfg else None
     if "world_dir" in data:
-        loaded_cfg, _, datasets = load_world(data["world_dir"])
+        try:
+            loaded_cfg, _, datasets = load_world(data["world_dir"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"config error at $.data.world_dir: {exc}") from exc
         if loaded_cfg.digest() != world.digest():
-            raise ConfigError("world_dir manifest does not match the config world")
+            raise ConfigError("config error at $.data.world_dir: its manifest does not match "
+                              "the config world")
+        # the slack checks and certificates read the declared K and n_k
+        sizes = sorted({len(ds) for ds in datasets})
+        if len(datasets) != data["K"] or sizes != [data["n_k"]]:
+            raise ConfigError(f"config error at $.data.world_dir: {len(datasets)} clients of "
+                              f"{sizes} samples, but $.data declares K = {data['K']} "
+                              f"and n_k = {data['n_k']}")
     else:
         datasets = draw_world(world, data["K"], data["n_k"]).datasets()
     clients = [
@@ -428,9 +518,12 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
         tc = verify["tightness"]
         requests.append(("verify.tightness", tc, tc["bound_kind"]))
     wass_targets = [where for where, _, kind in requests if kind == "wass-mean"]
-    if wass_targets and not np.any(h.margin_direction()):
-        raise ConfigError(f"config error at $.model.weights: a rule with zero margin has no "
-                          f"adversarial direction to build the target of $.{wass_targets[0]}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(h.margin_direction()) if wass_targets else 1.0
+    if not 0 < norm < np.inf:
+        raise ConfigError(f"config error at $.model.weights: a rule whose margin has norm "
+                          f"{norm:g} has no adversarial direction to build the target of "
+                          f"$.{wass_targets[0]}")
     for where, req, kind in requests:
         if kind == "wass-mean":
             # a verify kind's delta defaults to the coverage trials' 0.1

@@ -609,13 +609,18 @@ def _archetype_scores(cfg: MetaConfig) -> np.ndarray:
 
 
 def _tilted_weights(w: np.ndarray, scores: np.ndarray, tilt: float) -> np.ndarray:
-    """The weights w_m e^{tilt s_m}, normalized; ``w`` itself at tilt 0."""
+    """The weights w_m e^{tilt s_m}, normalized; ``w`` itself at tilt 0.  An
+    archetype of weight 0 keeps weight 0."""
     if tilt == 0.0:
         return w.copy()  # exact identity, no float wiggle
-    logits = np.log(np.clip(w, 1e-300, None)) + tilt * scores
+    logits = np.where(w > 0, np.log(np.clip(w, 1e-300, None)) + tilt * scores, -np.inf)
     logits -= logits.max()
     wp = np.exp(logits)
     return wp / wp.sum()
+
+
+# the largest tilt tilt_for_divergence tries while it brackets a budget
+_MAX_TILT = 2.0 ** 199
 
 
 def tilt_divergence_limit(cfg: MetaConfig, name: str) -> float:
@@ -625,7 +630,9 @@ def tilt_divergence_limit(cfg: MetaConfig, name: str) -> float:
     As the tilt grows, all mass piles onto the top-score archetypes (of
     positive weight), of total source weight w_top, so the divergence rises
     to -log w_top for KL and 1/w_top - 1 for chi-square; 0 when every
-    archetype shares one score.
+    archetype shares one score.  Where no tilt that ``tilt_for_divergence``
+    tries separates the top scores (they differ by a few ulps), it is the
+    divergence at the largest such tilt.
     """
     _require_archetypes(cfg, "tilt_divergence_limit")
     w = cfg.archetype_weights
@@ -633,10 +640,12 @@ def tilt_divergence_limit(cfg: MetaConfig, name: str) -> float:
     pos = w > 0
     w_top = float(np.sum(w[pos & (scores == scores[pos].max())]))
     if name == "kl":
-        return -float(np.log(w_top))
-    if name == "chi-square":
-        return 1.0 / w_top - 1.0
-    raise ValueError("name must be 'kl' or 'chi-square'")
+        limit = -float(np.log(w_top))
+    elif name == "chi-square":
+        limit = 1.0 / w_top - 1.0
+    else:
+        raise ValueError("name must be 'kl' or 'chi-square'")
+    return min(limit, _divergences(w, _tilted_weights(w, scores, _MAX_TILT))[name])
 
 
 def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float) -> float:
@@ -661,7 +670,7 @@ def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float) -> float:
         return _divergences(w, _tilted_weights(w, scores, t))[name]
 
     hi = 1.0
-    for _ in range(200):
+    while hi <= _MAX_TILT:
         if achieved(hi) >= epsilon:
             break
         hi *= 2.0

@@ -436,6 +436,107 @@ def test_a_non_finite_number_exits_one_at_its_path(tmp_path, capsys, command, pa
     assert not out.exists()
 
 
+# JSON Schema's "integer" takes 40.0; the command line's check does not, since
+# the program slices, counts and seeds with these fields
+@pytest.mark.parametrize("command, keys, value, where", [
+    ("certify", ("data", "K"), 40.0, "$.data.K"),
+    ("certify", ("data", "n_k"), 100.0, "$.data.n_k"),
+    ("certify", ("certificates", 1, "lambda_grid", "num"), 11.0,
+     "$.certificates[1].lambda_grid.num"),
+    ("verify", ("verify", "tightness", "K_schedule"), [5.0, 10.0],
+     "$.verify.tightness.K_schedule[0]"),
+    ("verify", ("verify", "trials"), 4.0, "$.verify.trials"),
+    ("certify", ("certificates", 3, "grid_size"), 8.0, "$.certificates[3].grid_size"),
+    ("certify", ("certificates", 0, "target_clients"), 300.0,
+     "$.certificates[0].target_clients"),
+])
+def test_an_integer_written_as_a_float_exits_one_at_its_path(tmp_path, capsys, command,
+                                                             keys, value, where):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    assert_rejected_before_writing(tmp_path, capsys, command, cfg, f"config error at {where}:")
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_a_from_world_scale_that_is_not_a_number_exits_one(tmp_path, capsys, command):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["model"] = {"from_world": {"scale": "x"}}
+    assert_rejected_before_writing(tmp_path, capsys, command, cfg,
+                                   "config error at $.model.from_world.scale:")
+
+
+def test_a_world_dir_smaller_than_declared_exits_one(tmp_path, capsys):
+    small = copy.deepcopy(BASE_CONFIG)
+    small["data"] = {"K": 2, "n_k": 1}
+    assert main(["simulate", "--config", write_config(tmp_path, small, "small.json"),
+                 "--out", str(tmp_path / "sim")]) == 0
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["data"]["world_dir"] = str(tmp_path / "sim" / "world")
+    # the per-client slack check reads the declared K and n_k, which pass it
+    cfg["certificates"][3]["epsilon"] = 1000.0
+    assert_rejected_before_writing(tmp_path, capsys, "certify", cfg,
+                                   "config error at $.data.world_dir:")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda world: (world / "manifest.json").write_text("{oops"),
+    lambda world: (world / "client_0000.csv").unlink(),
+    lambda world: (world / "client_0000.csv").write_text("f0,f1,label\nx,y\n"),
+], ids=["manifest-not-json", "client-file-missing", "client-file-garbled"])
+def test_a_damaged_world_dir_exits_one(tmp_path, capsys, damage):
+    small = copy.deepcopy(BASE_CONFIG)
+    small["data"] = {"K": 2, "n_k": 3}
+    cfgp = write_config(tmp_path, small)
+    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "sim")]) == 0
+    damage(tmp_path / "sim" / "world")
+    small["data"]["world_dir"] = str(tmp_path / "sim" / "world")
+    assert_rejected_before_writing(tmp_path, capsys, "certify", small,
+                                   "config error at $.data.world_dir:")
+
+
+def test_a_world_dir_of_the_declared_size_certifies(tmp_path):
+    cfgp = write_config(tmp_path)
+    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "sim")]) == 0
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["data"]["world_dir"] = str(tmp_path / "sim" / "world")
+    assert main(["certify", "--config", write_config(tmp_path, cfg, "from-dir.json"),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+# values of the wrong type where the schema says nothing, and rules whose
+# margin overflows or underflows
+@pytest.mark.parametrize("command", ["certify", "verify"])
+@pytest.mark.parametrize("change, where", [
+    (lambda cfg: cfg["world"].update(class_means={"a": 1}), "$.world"),
+    (lambda cfg: cfg["world"]["archetypes"][0].update(score=[1]), "$.world"),
+    (lambda cfg: cfg.update(model={"kind": "logistic", "weights": {"a": 1}}), "$.model"),
+    (lambda cfg: cfg.update(model={"kind": "logistic", "weights": [1, 0], "bias": [1, 2]}),
+     "$.model"),
+    (lambda cfg: cfg["world"]["archetypes"][0].update(class_means=[[1e300, 0], [0, 0]]),
+     "$.model.from_world"),
+    (lambda cfg: cfg.update(model={"from_world": {"scale": 1e300}}), "$.model.weights"),
+    (lambda cfg: cfg.update(model={"from_world": {"scale": 1e-300}}), "$.model.weights"),
+], ids=["world-means-object", "archetype-score-list", "weights-object", "bias-list",
+        "from-world-overflow", "margin-norm-overflow", "margin-norm-underflow"])
+def test_a_model_or_world_the_library_refuses_exits_one_at_its_path(tmp_path, capsys,
+                                                                     command, change, where):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    change(cfg)
+    cfg["verify"]["kinds"].append(dict(_WASS_VERIFY_KIND))
+    assert_rejected_before_writing(tmp_path, capsys, command, cfg, f"config error at {where}:")
+
+
+def test_archetype_scores_no_tilt_separates_exit_one_at_the_budget(tmp_path, capsys):
+    # the scores differ by 1e-300, so no tilt reaches the fdiv-mean budget
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["world"]["archetypes"][1]["score"] = 1e-300
+    assert_rejected_before_writing(tmp_path, capsys, "certify", cfg,
+                                   "config error at $.certificates[2].epsilon:")
+
+
 def test_non_zero_one_loss_rejected_by_certify(tmp_path, capsys):
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["query"] = {"loss": "squared"}

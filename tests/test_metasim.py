@@ -411,6 +411,31 @@ def test_tilt_limit_is_the_divergence_at_infinite_tilt(name):
             tilt_for_divergence(cfg, name, eps)
 
 
+@pytest.mark.parametrize("name", ["kl", "chi-square"])
+def test_a_tilt_leaves_an_archetype_of_weight_zero_empty(name):
+    # the top score sits on an archetype the source excludes; the target may
+    # not load it, so the tilt moves mass between the other two
+    cfg = two_archetype_cfg()
+    cfg.archetypes.append(Archetype(class_means=BASE_MEANS, class_props=np.array([0.5, 0.5]),
+                                    score=10.0))
+    cfg.archetype_weights = np.array([0.5, 0.5, 0.0])
+    limit = tilt_divergence_limit(cfg, name)
+    assert limit == pytest.approx(np.log(2.0) if name == "kl" else 1.0, rel=1e-12)
+    t = tilt_for_divergence(cfg, name, 0.5 * limit)
+    shifted, div = shift_meta_fdiv(cfg, t)
+    assert shifted.archetype_weights[2] == 0.0
+    assert abs(div[name] - 0.5 * limit) < 1e-9
+
+
+def test_top_scores_no_float_tilt_separates_leave_no_reachable_budget():
+    # at scores 0 and 1e-300 every tilt the search tries leaves the weights
+    # as they are, so no positive budget is reachable
+    cfg = two_archetype_cfg(w=(0.7, 0.3), scores=(0.0, 1e-300))
+    assert tilt_divergence_limit(cfg, "kl") < 1e-12
+    with pytest.raises(ValueError, match="unreachable by tilting"):
+        tilt_for_divergence(cfg, "kl", 0.05)
+
+
 def test_wass_budget_zero_is_identity():
     cfg = plain_cfg()
     shifted, cost = shift_meta_wass(cfg, 0.0)

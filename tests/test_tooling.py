@@ -86,3 +86,32 @@ def test_cli_import_and_the_truth_quadrature_leave_slow_scipy_out(tmp_path):
                           str(tmp_path / "out-")], capture_output=True, text=True, check=True)
     reports = [line for line in res.stdout.splitlines() if line.startswith("SCIPY")]
     assert reports == ["SCIPY []"] * 4
+
+
+def test_no_command_loads_a_third_party_module_but_numpy(tmp_path):
+    # jsonschema took about 75 ms of a 0.29 s `import fedcert.cli` and
+    # brought ten more third-party packages; the commands check configs and
+    # summaries with cli.schema_error.  Modules that the interpreter's site
+    # hooks (.pth files) load before the probe starts are not the commands',
+    # and numpy.random's compiled modules register the Cython runtime under
+    # `cython_runtime` and `_cython_<version>`.
+    config = tmp_path / "config.json"
+    config.write_text(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "start = {m.split('.')[0] for m in sys.modules}\n"
+        "def report(step):\n"
+        "    loaded = {m.split('.')[0] for m in sys.modules} - start - {'fedcert', 'numpy'}\n"
+        "    loaded = {m for m in loaded if not m.startswith(('cython_runtime', '_cython_'))}\n"
+        "    print('LOADED', step, sorted(loaded - set(sys.stdlib_module_names)))\n"
+        "import fedcert.cli; report('import')\n"
+        "for argv, out in ((['certify', '--config', sys.argv[2]], 'c'),\n"
+        "                  (['verify', '--config', sys.argv[2]], 'v'), (['emit-plots'], 'c')):\n"
+        "    assert fedcert.cli.main(argv + ['--out', sys.argv[3] + out]) == 0, argv\n"
+        "    report(argv[0])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", probe, str(SRC.parent), str(config),
+                          str(tmp_path / "out-")], capture_output=True, text=True, check=True)
+    reports = [line for line in res.stdout.splitlines() if line.startswith("LOADED")]
+    assert reports == [f"LOADED {step} []"
+                       for step in ("import", "certify", "verify", "emit-plots")]
