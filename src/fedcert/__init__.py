@@ -77,9 +77,7 @@ from .query import (
     query_empirical,
 )
 from .wass import (
-    QvProfile,
     RadiusAllocation,
-    build_profiles,
     mean_radius_cap,
     wass_mean_bound,
 )

@@ -8,7 +8,8 @@ Everything here is deliberately independent of the solvers it checks:
   * ``wass_ball_lp_oracle``      the transport-ball worst case as an explicit
                                  linear program over couplings on small
                                  discrete instances;
-  * ``wass_alloc_grid_oracle``   radius allocation by brute 2-D grid search;
+  * ``wass_alloc_grid_oracle``   radius allocation by brute 2-D grid search
+                                 over tangent-line envelopes;
   * ``coverage_experiments``     Monte-Carlo: draw a fresh world, certify,
                                  draw the shifted target, count violations;
                                  the kinds share each trial's draws;
@@ -59,7 +60,7 @@ from .metasim import (
 )
 from .nonrobust import cdf_bound, mean_bound
 from .query import HALF_SQ, Client, empirical_risk_values, query_empirical
-from .wass import DEFAULT_GRID_SIZE, QvProfile, wass_mean_bound
+from .wass import DEFAULT_GRID_SIZE, wass_mean_bound
 
 __all__ = [
     "grid_reweight_oracle",
@@ -194,16 +195,19 @@ def wass_ball_lp_oracle(masses, loss_values, rho: float, cost_matrix) -> float:
     return float(-res.fun)
 
 
-def wass_alloc_grid_oracle(profiles: list[QvProfile], floor: float,
+def wass_alloc_grid_oracle(grid, values, slopes, floor: float,
                            mean_cap: float, step: float) -> float:
     """Brute-force radius allocation for two clients: grid over (rho1, rho2)
-    with the mean constraint, objective evaluated on the stored envelopes."""
-    if len(profiles) != 2:
+    with the mean constraint.  Client k's value at a radius is the lowest of
+    its tangent lines values[k, j] + slopes[k, j] (rho - grid[j]), capped
+    at 1."""
+    values, slopes = np.asarray(values), np.asarray(slopes)
+    if len(values) != 2:
         raise ValueError("grid allocation oracle handles exactly two clients")
     top = 2.0 * mean_cap
     r = np.arange(floor, top + step / 2, step)
-    v1 = profiles[0].envelope(r)
-    v2 = profiles[1].envelope(r)
+    lines = values[:, None, :] + slopes[:, None, :] * (r[None, :, None] - np.asarray(grid))
+    v1, v2 = np.minimum(lines.min(axis=2), 1.0)
     mean_r = 0.5 * (r[:, None] + r[None, :])
     obj = 0.5 * (v1[:, None] + v2[None, :])
     ok = mean_r <= mean_cap + 1e-12

@@ -12,15 +12,19 @@ where the floor covers the share of the budget any single client can absorb
 and the cap inflation pays for estimating the average cost from K clients.
 
 Each client answers a fixed radius grid in one profile call
-(``Client.query_profile``), which charges one query per grid point, and the
-resulting profile is replaced by its concave upper envelope.  The envelope is
-exact at the grid points; between them it follows straight chords, which lie
-below the concave query curve they join (making it an upper bound is open,
-ROADMAP item 2).  The allocation over piecewise-linear concave envelopes is
-solved exactly by greedy water-filling on segment slopes (``concave``, as in
-the exact query routes), once per certificate, and its maximum is the
-program value.  Every query route is ``exact`` or a ``bound`` that lies
-above its inner supremum, so the certificate's status is ``optimal``.
+(``Client.query_profile``), which charges one query per grid point.  Every
+answer carries its value and its right derivative in the radius
+(``QueryValue.gamma_star``), and a concave curve lies below each of its
+tangent lines, so the minimum of the lines ``QV(r_j) + g_j (rho - r_j)``,
+capped at 1, bounds each client's curve from above at no extra query
+(Kelley's cutting-plane outer approximation).  The envelope is exact at the
+grid points; the straight chords between them, which lie below the curve,
+are reported only as ``chord_value``.  The allocation over these
+piecewise-linear concave envelopes is solved exactly by greedy water-filling
+on their slopes (``concave``, as in the exact query routes), once per
+certificate, and its maximum is the program value.  Every query route is
+``exact`` or a ``bound`` that lies above its inner supremum, with the slope
+of that bound, so the certificate's status is ``optimal``.
 
 The per-client slack carries log((K+2) n_k / (epsilon delta)); a budget for
 which that log is not positive for some client has no slack term, and is
@@ -28,61 +32,25 @@ refused.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import CertifiedBound
-from .concave import GreedyFill, upper_hulls
+from .concave import GreedyFill
 from .losses import Hypothesis
 from .query import Client
 
 __all__ = [
-    "QvProfile",
     "RadiusAllocation",
     "mean_radius_cap",
-    "build_profiles",
+    "radius_grid",
     "wass_mean_bound",
 ]
 
 DEFAULT_C1 = float(1.0 / np.sqrt(2.0))
 DEFAULT_C2 = 1.0
 DEFAULT_GRID_SIZE = 16
-
-
-@dataclass
-class QvProfile:
-    """One client's robust-query curve sampled on a radius grid, stored as
-    the vertices of its concave upper envelope.
-
-    ``hull`` marks which grid points are those vertices.  ``build_profiles``
-    passes it in, having hulled every client's profile in one
-    ``concave.upper_hulls`` call; a profile built without it hulls its own
-    curve with the same kernel, as one row.
-    """
-
-    client_id: int
-    n_samples: int
-    rhos: np.ndarray
-    qvs: np.ndarray
-    hull: np.ndarray | None = field(default=None, repr=False)
-    hull_x: np.ndarray = field(init=False)
-    hull_y: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.rhos = np.asarray(self.rhos, dtype=float)
-        self.qvs = np.asarray(self.qvs, dtype=float)
-        if len(self.rhos) != len(self.qvs) or len(self.rhos) == 0:
-            raise ValueError("profile needs matching nonempty grids")
-        if np.any(np.diff(self.rhos) <= 0):
-            raise ValueError("radius grid must be strictly increasing")
-        if self.hull is None:
-            self.hull = upper_hulls(self.rhos, self.qvs, [len(self.rhos)])
-        self.hull_x, self.hull_y = self.rhos[self.hull], self.qvs[self.hull]
-
-    def envelope(self, rho) -> np.ndarray:
-        """Piecewise-linear envelope value; clamps outside the grid range."""
-        return np.interp(rho, self.hull_x, self.hull_y)
 
 
 @dataclass
@@ -113,78 +81,70 @@ def _per_client_log_terms(K: int, ns, epsilon: float, delta: float) -> np.ndarra
     return np.log(arg)
 
 
-def build_profiles(
-    clients: list[Client],
-    h: Hypothesis,
-    epsilon: float,
-    delta: float,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    c1: float = DEFAULT_C1,
-    *,
-    include_slack: bool = True,
-) -> list[QvProfile]:
-    """Query every client on a shared radius grid covering [epsilon/K, K*cap].
-
-    The top of the grid is the whole population budget concentrated on one
-    client; the grid is log-spaced since the curves flatten quickly.  Each
-    client answers the grid in one ``query_profile`` call; each grid point
-    consumes one query from the client's budget.  Every client's envelope
-    is then taken in one ``concave.upper_hulls`` call.
-    """
-    if not clients:
-        raise ValueError("at least one client required")
+def radius_grid(floor: float, top: float, grid_size: int) -> np.ndarray:
+    """The shared radius grid: ``grid_size`` log-spaced radii from the floor
+    epsilon/K to the top, the whole population budget on one client (the
+    curves flatten quickly), or the floor alone where the two meet.  A zero
+    floor below a higher top is refused: its answer carries slope 0, and
+    that flat tangent would not bound the curve above it."""
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
-    K = len(clients)
-    floor = epsilon / K
-    top = K * mean_radius_cap(epsilon, delta, K, c1, include_slack=include_slack)
     if top <= floor + 1e-15:
-        grid = np.array([floor])
-    elif floor <= 0.0:
-        grid = np.concatenate([[0.0], np.geomspace(top / 10.0 ** (grid_size - 1),
-                                                   top, max(grid_size - 1, 1))])
-    else:
-        grid = np.geomspace(floor, top, grid_size)
-    grid = np.unique(grid)
-
-    answers = [c.query_profile(h, grid) for c in clients]
-    qvs = np.array([[q.value for q in a] for a in answers])
-    hulls = upper_hulls(np.tile(grid, K), qvs.ravel(), np.full(K, len(grid)))
-    return [QvProfile(client_id=c.client_id, n_samples=c.n_samples, rhos=grid.copy(),
-                      qvs=v, hull=k)
-            for c, v, k in zip(clients, qvs, hulls.reshape(K, len(grid)))]
+        return np.array([floor])
+    if floor <= 0.0:
+        raise ValueError("a radius grid above a zero floor has no sound tangent at 0")
+    return np.unique(np.geomspace(floor, top, grid_size))
 
 
-def _waterfill(profiles: list[QvProfile], floor: float, mean_cap: float) -> RadiusAllocation:
+def _tangent_vertices(grid, values, slopes) -> np.ndarray:
+    """Where each client's neighbouring tangent lines meet, (K, G-1): lines j
+    and j+1 of a concave curve meet in [grid[j], grid[j+1]], and each vertex
+    is clipped there to absorb rounding.  Lines of equal slope meet at
+    grid[j+1]."""
+    step = np.diff(grid)
+    drop = slopes[:, :-1] - slopes[:, 1:]
+    # (s_j - s_j+1) (x - r_j) = v_j+1 - v_j - s_j+1 (r_j+1 - r_j)
+    lift = np.diff(values, axis=1) - slopes[:, 1:] * step
+    x = np.divide(lift, drop, out=np.broadcast_to(step, drop.shape).copy(), where=drop > 0)
+    return np.clip(grid[:-1] + x, grid[:-1], grid[1:])
+
+
+def _waterfill(grid, values, slopes, floor: float, mean_cap: float) -> RadiusAllocation:
     """Exact maximizer of the mean envelope value under the radius floor and
-    mean cap: pour the spare budget onto hull segments in slope order."""
-    K = len(profiles)
-    # every hull segment, client by client and left to right
-    client = np.repeat(np.arange(K), [len(p.hull_x) - 1 for p in profiles])
-    x0 = np.concatenate([p.hull_x[:-1] for p in profiles])
-    x1 = np.concatenate([p.hull_x[1:] for p in profiles])
-    y0 = np.concatenate([p.hull_y[:-1] for p in profiles])
-    y1 = np.concatenate([p.hull_y[1:] for p in profiles])
-    lo = np.maximum(x0, floor)
-    width = x1 - lo
-    # the envelope at lo as np.interp finds it where the segment is kept
-    # (x0 <= lo < x1)
-    rise = y1 - np.where(lo == x0, y0, (y1 - y0) / (x1 - x0) * (lo - x0) + y0)
-    rising = (width > 0.0) & (rise > 0.0)
-    client, lo, width, rise = client[rising], lo[rising], width[rising], rise[rising]
-    taken = GreedyFill(width, rise).taken(K * (mean_cap - floor))
-    # a client's segments fill left to right, so its radius ends in the
-    # rightmost segment it touched
-    rho = np.full(K, floor)
-    used = taken > 0.0
-    np.maximum.at(rho, client[used], lo[used] + taken[used])
-    values = np.array([p.envelope(r) for p, r in zip(profiles, rho)])
+    mean cap.  Client k's envelope is min(1, min_j values[k, j] + slopes[k, j]
+    (rho - grid[j])): line j from vertex j-1 to vertex j, cut short where it
+    reaches 1.  The spare budget is poured onto those pieces in slope order."""
+    K = len(values)
+    x = _tangent_vertices(grid, values, slopes)
+    lo = np.maximum(np.c_[np.full(K, -np.inf), x], floor)
+    # where each line reaches 1; a flat line never does, and is no piece
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = lo + (1.0 - (values + slopes * (lo - grid))) / slopes
+        width = np.minimum(np.c_[x, np.full(K, np.inf)], reach) - lo
+        rising = (slopes > 0.0) & (width > 0.0)
+    width = width[rising]
+    taken = GreedyFill(width, slopes[rising] * width).taken(K * (mean_cap - floor))
+    # a client's pieces tile its radii from the floor, and fill left to right
+    rho = floor + np.bincount(np.nonzero(rising)[0], weights=taken, minlength=K)
+    at_rho = np.minimum(1.0, np.min(values + slopes * (rho[:, None] - grid), axis=1))
     return RadiusAllocation(
         rho=rho,
         mean_rho=float(np.mean(rho)),
-        values=values,
-        objective=float(np.mean(values)),
+        values=at_rho,
+        objective=float(np.mean(at_rho)),
     )
+
+
+def _chords(grid, values, rho) -> np.ndarray:
+    """Each client's chord between the grid answers on either side of its
+    radius, at that radius; a radius past the grid's ends takes the answer
+    at the nearer end."""
+    if len(grid) == 1:
+        return values[:, 0]
+    j = np.clip(np.searchsorted(grid, rho, side="right") - 1, 0, len(grid) - 2)
+    t = np.clip((rho - grid[j]) / (grid[j + 1] - grid[j]), 0.0, 1.0)
+    at = np.arange(len(rho))
+    return values[at, j] + t * (values[at, j + 1] - values[at, j])
 
 
 def wass_mean_bound(
@@ -200,6 +160,8 @@ def wass_mean_bound(
 ) -> CertifiedBound:
     """Certified upper bound on the target mean risk when the target moves
     clients by at most epsilon average transport cost."""
+    if not clients:
+        raise ValueError("at least one client required")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if not (0 < delta < 1):
@@ -211,11 +173,13 @@ def wass_mean_bound(
     ns = np.array([c.n_samples for c in clients], dtype=float)
     if include_slack:
         per_client_log = _per_client_log_terms(K, ns, epsilon, delta)
-    profiles = build_profiles(
-        clients, h, epsilon, delta, grid_size, c1, include_slack=include_slack
-    )
     cap = mean_radius_cap(epsilon, delta, K, c1, include_slack=include_slack)
-    witness = _waterfill(profiles, epsilon / K, cap)
+    grid = radius_grid(epsilon / K, K * cap, grid_size)
+    answers = [c.query_profile(h, grid) for c in clients]
+    values = np.array([[q.value for q in a] for a in answers])
+    slopes = np.array([[q.gamma_star for q in a] for a in answers])
+    witness = _waterfill(grid, values, slopes, epsilon / K, cap)
+    chord_value = float(np.mean(_chords(grid, values, witness.rho)))
     if include_slack:
         meta = float(np.sqrt(np.log((K + 2) / delta) / (2 * K)))
         per_client = float(np.mean(c2 * np.sqrt(per_client_log / ns)))
@@ -236,6 +200,8 @@ def wass_mean_bound(
         },
         extra={
             "program_value": witness.objective,
+            "chord_value": chord_value,
+            "grid_gap": witness.objective - chord_value,
             "witness_mean_rho": witness.mean_rho,
             "witness_rho": witness.rho.tolist(),
         },

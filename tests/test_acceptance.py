@@ -47,9 +47,9 @@ from fedcert.losses import (
     loss_values,
 )
 from fedcert.query import phi_gamma  # noqa: F401  (re-exported surface check)
-from fedcert.wass import QvProfile, _waterfill, mean_radius_cap
+from fedcert.wass import _waterfill, mean_radius_cap
 
-from _corpus import iter_reweight_corpus
+from _corpus import concave_curve, iter_reweight_corpus, tangents
 
 BASE_MEANS = np.array([[-1.0, 0.0], [1.0, 0.0]])
 H2 = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, 0.0]), bias=0.0)
@@ -154,17 +154,13 @@ def test_acceptance_4_solvers_match_oracles():
         floor = eps / 2.0
         cap = mean_radius_cap(eps, delta, 2)
         top = 2.0 * cap
-        profiles = [
-            QvProfile(client_id=c, n_samples=40,
-                      rhos=np.linspace(floor, top, 12),
-                      qvs=rng.uniform(0.0, 0.8, 12))
-            for c in range(2)
-        ]
-        slope = max(float(np.max(np.abs(np.diff(p.hull_y) / np.diff(p.hull_x))))
-                    for p in profiles)
-        value = _waterfill(profiles, floor, cap).objective
+        grid = np.linspace(floor, top, 12)
+        # each client's answers and right derivatives on a concave curve
+        values, slopes = tangents([concave_curve(rng, floor, top) for _ in range(2)], grid)
+        slope = float(np.max(slopes))
+        value = _waterfill(grid, values, slopes, floor, cap).objective
         step = (top - floor) / 1500.0
-        orc = wass_alloc_grid_oracle(profiles, floor, cap, step)
+        orc = wass_alloc_grid_oracle(grid, values, slopes, floor, cap, step)
         diff = abs(value - orc)
         worst_alloc = max(worst_alloc, diff)
         tol_alloc_ok = tol_alloc_ok and diff <= slope * step + 1e-9

@@ -588,7 +588,7 @@ def test_certify_outputs_and_golden_values(tmp_path):
     assert abs(mean_cert["value"] - 0.57216789836395676) < 1e-10
     assert abs(fdiv_cert["value"] - 0.72511589042989144) < 1e-10
     assert wass_cert["value"] == 1.0
-    assert abs(wass_cert["raw_value"] - 1.4002420293906435) < 1e-10
+    assert abs(wass_cert["raw_value"] - 1.444235157917145) < 1e-10
 
     curve = (out / "01_cdf.csv").read_text().splitlines()
     assert curve[0] == "lambda,bound,raw"
@@ -605,7 +605,7 @@ def test_certify_summary_flags_vacuous_certificates(tmp_path):
     assert main(["certify", "--config", cfgp, "--out", str(out)]) == 0
     entries = json.loads((out / "summary.json").read_text())["requests"]
     mean, cdf, fdiv, wass_mean = entries
-    # the README config's transport certificate is vacuous: raw value 1.40
+    # the README config's transport certificate is vacuous: raw value 1.44
     assert wass_mean["vacuous"] is True
     assert wass_mean["raw_value"] == json.loads((out / "03_wass-mean.json").read_text())["raw_value"]
     assert wass_mean["status"] == "optimal"

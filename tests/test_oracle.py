@@ -30,7 +30,8 @@ from fedcert.losses import LINEAR, LOGISTIC, loss_values
 from fedcert.metasim import _BLOCK_BYTES
 from fedcert.oracle import _binary_margin, _draw_source, _risks_from_parts
 from fedcert.query import empirical_risk
-from fedcert.wass import QvProfile
+
+from _corpus import concave_curve, tangents
 
 BASE_MEANS = np.array([[-1.0, 0.0], [1.0, 0.0]])
 H = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, 0.0]), bias=0.0)
@@ -173,9 +174,13 @@ def test_lp_oracle_validation():
 
 
 def test_alloc_oracle_needs_two_clients():
-    p = QvProfile(client_id=0, n_samples=5, rhos=[0.1, 0.2], qvs=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        wass_alloc_grid_oracle([p], 0.1, 0.2, 1e-3)
+    grid = np.array([0.1, 0.2])
+    rng = np.random.default_rng(np.random.SeedSequence(819))
+    values, slopes = tangents([concave_curve(rng, 0.1, 0.2) for _ in range(3)], grid)
+    assert np.isfinite(wass_alloc_grid_oracle(grid, values[:2], slopes[:2], 0.1, 0.2, 1e-3))
+    for k in (1, 3):
+        with pytest.raises(ValueError):
+            wass_alloc_grid_oracle(grid, values[:k], slopes[:k], 0.1, 0.2, 1e-3)
 
 
 # -------------------------------------------------------------- exact risks

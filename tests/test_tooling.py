@@ -14,7 +14,8 @@ SOLVER_NAMES = {"GreedyFill", "upper_hulls", "hull_pieces", "_block_hull",
                 "_alpha_star", "_block_values", "_exact_tau", "_kl_split",
                 "_chi2_split", "_eta_root", "_dual_value", "_lp_vertex",
                 "_ScoreLineInner", "_staircase", "_staircases", "_line_sides",
-                "_rising_score", "_rising", "_hull_fill", "_grid_staircases"}
+                "_rising_score", "_rising", "_hull_fill", "_grid_staircases",
+                "_tangent_vertices"}
 
 # the bound functions and target shifts a certificate kind is wired to; the
 # command line reaches them only through oracle.issue_certificate and
@@ -43,6 +44,17 @@ def test_oracles_share_no_solution_code_with_the_solvers():
     imported, named = _names(ORACLE)
     assert not [m for m in imported if m.split(".")[-1] == "concave"]
     assert not named & SOLVER_NAMES
+
+
+def test_the_oracle_takes_from_wass_only_its_bound_and_default_grid():
+    # the allocation oracle evaluates the tangent envelopes with its own code
+    tree = ast.parse(ORACLE.read_text())
+    taken = {a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "wass"
+             for a in node.names}
+    assert taken == {"wass_mean_bound", "DEFAULT_GRID_SIZE"}
+    _, named = _names(ORACLE)
+    assert "wass" not in named
 
 
 def test_the_cli_wires_no_certificate_kind_itself():

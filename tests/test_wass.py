@@ -1,46 +1,39 @@
-"""Transport-shift certificate: envelopes, water-filling and the assembled
-mean bound, whose program value is the water-fill's exact maximum.
+"""Transport-shift certificate: tangent envelopes, water-filling and the
+assembled mean bound, whose program value is the water-fill's exact maximum.
 
-The allocation layer is checked against a brute 2-D grid oracle and the
-envelope against an O(G^2) chord maximum recomputed in the test.
+The allocation layer is checked against a brute 2-D grid oracle and a
+per-client loop, and the envelope against the exact queries it bounds.
 """
 import numpy as np
 import pytest
 
 from fedcert import (
+    LOOKUP,
+    SQUARED,
     ZERO_ONE,
     BudgetExceededError,
     Client,
     Hypothesis,
     LocalDataset,
     LossFn,
+    TransportCost,
+    adversarial_risk,
     empirical_risk,
+    loss_values,
 )
 from fedcert import wass
 from fedcert.concave import GreedyFill
 from fedcert.losses import CROSS_ENTROPY, LINEAR, LOGISTIC
-from fedcert.oracle import wass_alloc_grid_oracle
+from fedcert.oracle import wass_alloc_grid_oracle, wass_ball_lp_oracle
 from fedcert.wass import (
-    QvProfile,
-    build_profiles,
     mean_radius_cap,
+    radius_grid,
     wass_mean_bound,
 )
 
+from _corpus import concave_curve, tangents
+
 H = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, -0.5]), bias=0.1)
-
-
-def brute_envelope(x, y, t):
-    """Concave upper envelope by exhausting chords between sample points."""
-    best = -np.inf
-    for i in range(len(x)):
-        if x[i] - 1e-15 <= t <= x[i] + 1e-15:
-            best = max(best, y[i])
-        for j in range(len(x)):
-            if x[i] < x[j] and x[i] - 1e-15 <= t <= x[j] + 1e-15:
-                lam = (t - x[i]) / (x[j] - x[i])
-                best = max(best, (1 - lam) * y[i] + lam * y[j])
-    return best
 
 
 def make_clients(rng, K, n, max_queries=None):
@@ -55,33 +48,80 @@ def make_clients(rng, K, n, max_queries=None):
     return out
 
 
+def envelope(grid, values, slopes, rho):
+    """Each client's envelope at radii ``rho`` (one row per client) as the
+    water-fill finds it: floor and cap both at the radius leave it no
+    budget to spend."""
+    return np.array([wass._waterfill(grid, values, slopes, r, r).values for r in rho]).T
+
+
 # ---------------------------------------------------------------- envelope
 
-def test_envelope_matches_chord_bruteforce():
+def test_envelope_bounds_each_concave_curve_and_meets_it_on_the_grid():
     rng = np.random.default_rng(np.random.SeedSequence(801))
-    for _ in range(20):
-        G = int(rng.integers(3, 12))
-        x = np.sort(rng.uniform(0.0, 1.0, G))
-        x += np.arange(G) * 1e-6   # keep strictly increasing
-        y = rng.uniform(0.0, 1.0, G)
-        p = QvProfile(client_id=0, n_samples=10, rhos=x, qvs=y)
-        probes = np.concatenate([x, (x[:-1] + x[1:]) / 2.0])
-        for t in probes:
-            assert abs(float(p.envelope(t)) - brute_envelope(x, y, t)) < 1e-10
-        # the envelope dominates the raw points
-        assert np.all(p.envelope(x) >= y - 1e-12)
-        # and its slopes are nonincreasing
-        slopes = np.diff(p.hull_y) / np.diff(p.hull_x)
-        assert np.all(np.diff(slopes) <= 1e-9)
+    for _ in range(40):
+        grid = np.unique(rng.uniform(0.1, 1.0, int(rng.integers(1, 10))))
+        curves = [concave_curve(rng, 0.05, 1.2) for _ in range(3)]
+        values, slopes = tangents(curves, grid)
+        dense = np.linspace(0.05, 2.0, 300)
+        env = envelope(grid, values, slopes, dense)
+        exact = np.array([c(dense)[0] for c in curves])
+        assert np.all(env >= exact - 1e-12)
+        assert np.all(env <= 1.0)
+        assert np.allclose(envelope(grid, values, slopes, grid), values, atol=1e-12)
+        # concave: the envelope's slopes do not rise
+        assert np.all(np.diff(env, 2, axis=1) <= 1e-9)
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        QvProfile(client_id=0, n_samples=5, rhos=[0.1, 0.2], qvs=[0.3])
-    with pytest.raises(ValueError):
-        QvProfile(client_id=0, n_samples=5, rhos=[0.2, 0.1], qvs=[0.3, 0.4])
-    with pytest.raises(ValueError):
-        QvProfile(client_id=0, n_samples=5, rhos=[], qvs=[])
+def _route_clients(rng):
+    """Clients of the flip, lookup-table grid and score-line routes."""
+    X = rng.normal(size=(30, 2))
+    y = rng.integers(0, 2, size=30)
+    axis = np.linspace(-2.0, 2.0, 5)
+    table_grid = np.array([[a, b] for a in axis for b in axis])
+    lookup = Hypothesis(kind=LOOKUP, weights=rng.uniform(0.0, 1.0, len(table_grid)),
+                        grid=table_grid)
+    on_table = LocalDataset(client_id=1, features=table_grid[rng.integers(0, 25, 30)],
+                            labels=np.zeros(30))
+    return [(H, Client(0, LocalDataset(0, X, y), LossFn(ZERO_ONE))),
+            (lookup, Client(1, on_table, LossFn(SQUARED))),
+            (H, Client(2, LocalDataset(2, X, y), LossFn(CROSS_ENTROPY)))]
+
+
+def test_envelope_lies_above_the_exact_query_on_every_route():
+    rng = np.random.default_rng(np.random.SeedSequence(816))
+    grid = radius_grid(0.01, 1.5, 8)
+    dense = np.linspace(0.0, 2.0, 401)
+    for h, client in _route_clients(rng):
+        answers = client.query_profile(h, grid)
+        values = np.array([[q.value for q in answers]])
+        slopes = np.array([[q.gamma_star for q in answers]])
+        env = envelope(grid, values, slopes, dense)[0]
+        ds = client._dataset
+        exact = [adversarial_risk(h, ds, r, loss_fn=client._loss_fn).value for r in dense]
+        assert np.all(env >= np.array(exact) - 1e-12), h.kind
+
+
+def test_envelope_lies_above_the_transport_lp_on_lookup_tables():
+    cost = TransportCost()
+    for seed in range(10):
+        rng = np.random.default_rng(np.random.SeedSequence([817, seed]))
+        table_grid = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+        h = Hypothesis(kind=LOOKUP, weights=rng.uniform(0, 1, size=5), grid=table_grid)
+        ds = LocalDataset(client_id=0, features=table_grid[rng.integers(0, 5, size=3)],
+                          labels=np.zeros(3))
+        client = Client(0, ds, LossFn(SQUARED))
+        grid = radius_grid(0.02, 1.0, int(rng.integers(2, 6)))
+        answers = client.query_profile(h, grid)
+        values = np.array([[q.value for q in answers]])
+        slopes = np.array([[q.gamma_star for q in answers]])
+        losses = loss_values(LossFn(SQUARED), h, table_grid, np.zeros(5))
+        dist = np.abs(ds.features - table_grid.T)
+        radii = np.linspace(0.0, 1.2, 25)
+        env = envelope(grid, values, slopes, radii)[0]
+        for r, e in zip(radii, env):
+            lp = wass_ball_lp_oracle(np.full(3, 1 / 3), losses, r, cost.of_distance(dist))
+            assert e >= lp - 1e-9
 
 
 # -------------------------------------------------------------- allocation
@@ -92,68 +132,73 @@ def _alloc_instance(rng):
     floor = eps / 2.0
     cap = mean_radius_cap(eps, delta, 2)
     top = 2.0 * cap
-    profiles = []
-    for cid in range(2):
-        x = np.linspace(floor, top, 12)
-        y = rng.uniform(0.0, 0.8, 12)
-        profiles.append(QvProfile(client_id=cid, n_samples=40, rhos=x, qvs=y))
-    slope = max(float(np.max(np.abs(np.diff(p.hull_y) / np.diff(p.hull_x))))
-                for p in profiles)
-    return eps, delta, floor, cap, top, profiles, slope
+    grid = np.linspace(floor, top, 12)
+    values, slopes = tangents([concave_curve(rng, floor, top) for _ in range(2)], grid)
+    return floor, cap, top, grid, values, slopes
 
 
 def test_waterfill_matches_grid_oracle():
     rng = np.random.default_rng(np.random.SeedSequence(802))
     for _ in range(10):
-        eps, delta, floor, cap, top, profiles, slope = _alloc_instance(rng)
-        alloc = wass._waterfill(profiles, floor, cap)
+        floor, cap, top, grid, values, slopes = _alloc_instance(rng)
+        alloc = wass._waterfill(grid, values, slopes, floor, cap)
         step = (top - floor) / 1500.0
-        orc = wass_alloc_grid_oracle(profiles, floor, cap, step)
+        orc = wass_alloc_grid_oracle(grid, values, slopes, floor, cap, step)
         # grid points are feasible, so the exact maximizer dominates them
         assert alloc.objective >= orc - 1e-9
         # and the grid resolves the optimum to one step of the worst slope
-        assert alloc.objective <= orc + slope * step + 1e-9
+        assert alloc.objective <= orc + np.max(slopes) * step + 1e-9
         assert alloc.mean_rho <= cap + 1e-12
         assert np.all(alloc.rho >= floor - 1e-12)
-        want = [p.envelope(r) for p, r in zip(profiles, alloc.rho)]
-        assert np.allclose(alloc.values, want)
+        lines = values + slopes * (alloc.rho[:, None] - grid)
+        assert alloc.values.tolist() == np.minimum(1.0, lines.min(axis=1)).tolist()
 
 
-def _looped_waterfill(profiles, floor, mean_cap):
-    """The water-fill with its segment table built as Python tuples, one
-    profile at a time: the reference the array build must match bit for
-    bit."""
-    K = len(profiles)
-    segs = []
-    for i, p in enumerate(profiles):
-        lo = np.maximum(p.hull_x[:-1], floor)
-        segs += [(i, *s) for s in zip(lo, p.hull_x[1:] - lo, p.hull_y[1:] - p.envelope(lo))
-                 if s[1] > 0.0 and s[2] > 0.0]
-    segs = np.array(segs).reshape(-1, 4)
-    taken = GreedyFill(segs[:, 2], segs[:, 3]).taken(K * (mean_cap - floor))
-    rho = np.full(K, floor)
-    used = taken > 0.0
-    np.maximum.at(rho, segs[used, 0].astype(int), segs[used, 1] + taken[used])
-    return rho, np.array([p.envelope(r) for p, r in zip(profiles, rho)])
+def _looped_waterfill(grid, values, slopes, floor, mean_cap):
+    """The water-fill with its pieces built as Python tuples, one client and
+    one tangent line at a time: the reference the array build must match
+    bit for bit."""
+    K = len(values)
+    pieces = []
+    for k, (v, s) in enumerate(zip(values.tolist(), slopes.tolist())):
+        edges = [-np.inf]
+        for j in range(len(grid) - 1):
+            step = grid[j + 1] - grid[j]
+            drop = s[j] - s[j + 1]
+            x = (v[j + 1] - v[j] - s[j + 1] * step) / drop if drop > 0 else step
+            edges.append(min(max(grid[j] + x, grid[j]), grid[j + 1]))
+        edges.append(np.inf)
+        for j in range(len(grid)):
+            lo = max(edges[j], floor)
+            if s[j] > 0.0:
+                width = min(edges[j + 1], lo + (1.0 - (v[j] + s[j] * (lo - grid[j]))) / s[j]) - lo
+                if width > 0.0:
+                    pieces.append((k, width, s[j] * width))
+    pieces = np.array(pieces).reshape(-1, 3)
+    taken = GreedyFill(pieces[:, 1], pieces[:, 2]).taken(K * (mean_cap - floor))
+    spent = [0.0] * K
+    for k, t in zip(pieces[:, 0].astype(int), taken):
+        spent[k] += t
+    rho = [floor + t for t in spent]
+    out = [min(1.0, min(vj + sj * (r - gj) for vj, sj, gj in zip(v, s, grid)))
+           for v, s, r in zip(values.tolist(), slopes.tolist(), rho)]
+    return np.array(rho), np.array(out)
 
 
-def test_waterfill_matches_the_per_profile_loop_bit_for_bit():
+def test_waterfill_matches_the_per_client_loop_bit_for_bit():
     rng = np.random.default_rng(np.random.SeedSequence(814))
-    for trial in range(200):
+    for _ in range(200):
         K = int(rng.integers(1, 8))
-        profiles = []
-        for cid in range(K):
-            x = np.unique(rng.uniform(0.0, 2.0, int(rng.integers(1, 10))))
-            y = np.cumsum(rng.uniform(0.0, 0.2, len(x))) * (trial % 9 != 0)
-            profiles.append(QvProfile(client_id=cid, n_samples=10, rhos=x, qvs=y))
+        grid = np.unique(rng.uniform(0.0, 2.0, int(rng.integers(1, 10))))
+        values, slopes = tangents([concave_curve(rng, 0.0, 2.0) for _ in range(K)], grid)
         # floors below, inside and past the grids
         floor = float(rng.uniform(-0.2, 2.2))
         cap = floor + float(rng.exponential(0.5))
-        alloc = wass._waterfill(profiles, floor, cap)
-        rho, values = _looped_waterfill(profiles, floor, cap)
+        alloc = wass._waterfill(grid, values, slopes, floor, cap)
+        rho, want = _looped_waterfill(grid.tolist(), values, slopes, floor, cap)
         assert alloc.rho.tolist() == rho.tolist()
-        assert alloc.values.tolist() == values.tolist()
-        assert alloc.objective == float(np.mean(values))
+        assert alloc.values.tolist() == want.tolist()
+        assert alloc.objective == float(np.mean(want))
 
 
 def test_wass_mean_bound_waterfills_once(monkeypatch):
@@ -179,14 +224,23 @@ def test_wass_mean_bound_waterfills_once(monkeypatch):
 
 
 def test_constant_profiles_stay_at_the_floor():
-    x = np.linspace(0.05, 1.0, 8)
-    profiles = [
-        QvProfile(client_id=i, n_samples=20, rhos=x, qvs=np.full(8, 0.37))
-        for i in range(3)
-    ]
-    alloc = wass._waterfill(profiles, 0.05, mean_radius_cap(0.15, 0.1, 3))
+    grid = np.linspace(0.05, 1.0, 8)
+    values, slopes = np.full((3, 8), 0.37), np.zeros((3, 8))
+    alloc = wass._waterfill(grid, values, slopes, 0.05, mean_radius_cap(0.15, 0.1, 3))
     assert abs(alloc.objective - 0.37) < 1e-12
     assert np.allclose(alloc.rho, 0.05)
+
+
+def test_one_tangent_spends_the_budget_past_the_floor():
+    # a one-point grid is one tangent line per client, which rises with the
+    # budget up to 1
+    grid = np.array([0.1])
+    alloc = wass._waterfill(grid, np.array([[0.2], [0.5]]), np.array([[1.0], [2.0]]),
+                            0.1, 0.3)
+    # the steeper client takes the spare 0.4 until it reaches 1 at 0.35,
+    # the other the remaining 0.15
+    assert np.allclose(alloc.rho, [0.25, 0.35])
+    assert np.allclose(alloc.values, [0.35, 1.0])
 
 
 # ------------------------------------------------------------------ bounds
@@ -199,21 +253,33 @@ def test_mean_radius_cap_formula():
                - eps * 8 / 7) < 1e-12
 
 
-def test_build_profiles_grid_and_query_accounting():
+def test_radius_grid_spans_the_floor_to_the_whole_budget_on_one_client():
     rng = np.random.default_rng(np.random.SeedSequence(804))
     clients = make_clients(rng, 3, 25, max_queries=16)
     eps, delta = 0.09, 0.1
-    profiles = build_profiles(clients, H, eps, delta, grid_size=16)
     cap = mean_radius_cap(eps, delta, 3)
-    for c, p in zip(clients, profiles):
-        assert abs(p.rhos[0] - eps / 3) < 1e-15
-        assert abs(p.rhos[-1] - 3 * cap) < 1e-12
-        assert len(p.rhos) <= 16
-        assert c.queries_used == len(p.rhos)
-        assert p.n_samples == 25
+    grid = radius_grid(eps / 3, 3 * cap, 16)
+    assert abs(grid[0] - eps / 3) < 1e-15
+    assert abs(grid[-1] - 3 * cap) < 1e-12
+    assert len(grid) == 16 and np.all(np.diff(grid) > 0)
+    wass_mean_bound(clients, H, eps, delta, grid_size=16)
+    for c in clients:
+        assert c.queries_used == len(c.audit_log) == 16
+        assert [e["rho"] for e in c.audit_log] == grid.tolist()
 
 
-def test_build_profiles_asks_each_client_once(monkeypatch):
+def test_radius_grid_validation():
+    assert radius_grid(0.0, 0.0, 8).tolist() == [0.0]
+    assert radius_grid(0.2, 0.2, 8).tolist() == [0.2]
+    assert radius_grid(0.1, 1.0, 1).tolist() == [0.1]
+    with pytest.raises(ValueError):
+        radius_grid(0.1, 1.0, 0)
+    # a zero answer's slope is 0, and its flat tangent bounds no curve above it
+    with pytest.raises(ValueError, match="zero floor"):
+        radius_grid(0.0, 1.0, 8)
+
+
+def test_wass_mean_bound_asks_each_client_once(monkeypatch):
     from fedcert import query
     rng = np.random.default_rng(np.random.SeedSequence(808))
     clients = make_clients(rng, 3, 25)
@@ -223,26 +289,47 @@ def test_build_profiles_asks_each_client_once(monkeypatch):
                         lambda self: keys.append(1) or cache_key(self))
     monkeypatch.setattr(query, "_make_inner",
                         lambda *args: builds.append(1) or make_inner(*args))
-    profiles = build_profiles(clients, H, 0.09, 0.1, grid_size=16)
+    wass_mean_bound(clients, H, 0.09, 0.1, grid_size=16)
     assert len(keys) == len(builds) == 3
-    for c, p in zip(clients, profiles):
-        assert c.queries_used == len(c.audit_log) == len(p.rhos) == 16
-        assert [e["rho"] for e in c.audit_log] == p.rhos.tolist()
+    for c in clients:
+        assert c.queries_used == len(c.audit_log) == 16
 
 
-def test_build_profiles_budget_exhaustion():
+def test_wass_mean_bound_budget_exhaustion():
     rng = np.random.default_rng(np.random.SeedSequence(805))
     clients = make_clients(rng, 2, 20, max_queries=5)
     with pytest.raises(BudgetExceededError):
-        build_profiles(clients, H, 0.1, 0.1, grid_size=16)
+        wass_mean_bound(clients, H, 0.1, 0.1, grid_size=16)
+    assert clients[0].queries_used == 5
 
 
-def test_build_profiles_validation():
+def test_wass_mean_bound_needs_clients_and_a_grid():
     with pytest.raises(ValueError):
-        build_profiles([], H, 0.1, 0.1)
+        wass_mean_bound([], H, 0.1, 0.1)
     rng = np.random.default_rng(np.random.SeedSequence(806))
+    clients = make_clients(rng, 1, 10)
     with pytest.raises(ValueError):
-        build_profiles(make_clients(rng, 1, 10), H, 0.1, 0.1, grid_size=0)
+        wass_mean_bound(clients, H, 0.1, 0.1, grid_size=0)
+    assert clients[0].queries_used == 0
+
+
+def test_coarse_grids_bound_an_exact_feasible_allocation():
+    # the witness of a fine grid is feasible for every grid, and the exact
+    # queries there give a value at or below the program each grid solves;
+    # chords joining the grid answers fall below it at every size here
+    # (0.650 at a one-point grid, 0.697 at two, 0.848 at 16, against 0.849)
+    rng = np.random.default_rng(np.random.SeedSequence(818))
+    clients = make_clients(rng, 10, 40)
+    eps, delta = 0.05, 0.1
+    fine = wass_mean_bound(clients, H, eps, delta, grid_size=256, include_slack=False)
+    rho = fine.extra["witness_rho"]
+    feasible = np.mean([adversarial_risk(H, c._dataset, r).value
+                        for c, r in zip(clients, rho)])
+    assert fine.extra["program_value"] >= feasible - 1e-12
+    for g in (1, 2, 3, 4, 8, 16):
+        b = wass_mean_bound(clients, H, eps, delta, grid_size=g, include_slack=False)
+        assert b.extra["program_value"] >= feasible - 1e-12, g
+        assert b.extra["grid_gap"] >= -1e-12, g
 
 
 def test_zero_epsilon_needs_slack_off():
@@ -311,7 +398,15 @@ def test_mean_bound_slack_formula_and_extras():
     assert abs(b.slack["per_client"] - per_client) < 1e-12
     assert abs(b.raw_value - (b.extra["program_value"] + meta + per_client)) < 1e-12
     assert b.value == min(b.raw_value, 1.0)
-    assert set(b.extra) == {"program_value", "witness_mean_rho", "witness_rho"}
+    assert set(b.extra) == {"program_value", "chord_value", "grid_gap",
+                            "witness_mean_rho", "witness_rho"}
+    assert b.extra["grid_gap"] == b.extra["program_value"] - b.extra["chord_value"]
+    # the chord value interpolates each client's grid answers at its radius
+    grid = np.array(sorted({e["rho"] for e in clients[0].audit_log}))
+    chords = [np.interp(r, grid, [e["value"] for e in c.audit_log])
+              for c, r in zip(clients, b.extra["witness_rho"])]
+    assert abs(b.extra["chord_value"] - np.mean(chords)) < 1e-12
+    assert 0.0 <= b.extra["grid_gap"]
     assert b.extra["witness_mean_rho"] <= b.params["mean_radius_cap"] + 1e-12
 
 
