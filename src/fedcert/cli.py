@@ -187,7 +187,6 @@ CONFIG_SCHEMA = {
                 "required": ["kind", "delta"],
                 "properties": {
                     **_REQUEST_PROPERTIES,
-                    "gap_constant": {"type": "number", "minimum": 0},
                     "grid_size": {"type": "integer", "minimum": 2},
                     "target_clients": {"type": "integer", "minimum": 1},
                 },

@@ -489,17 +489,16 @@ def _block_values(K: int, spec: DivergenceSpec, eps_budget: float,
 
 
 def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
-                   *, gap_constant: float = 1.0,
-                   include_slack: bool = True) -> CdfCurve:
+                   *, include_slack: bool = True) -> CdfCurve:
     """Certified survival-function bounds under an f-divergence shift, valid
     simultaneously at every threshold.
 
     At each threshold the reweighting program runs on the 0/1 indicator
     coefficients 1[qv_k >= lambda - shift_k]; uniformity over thresholds is
-    paid for with log(K/delta) budgets and an additive gap
-    gap_constant * sqrt(ln(K/delta)/K) plus the meta-level estimation term
-    sqrt(ln(2(K+2)/delta)/(2K)).  The pre-padding program values are kept in
-    ``raw``.
+    paid for with log(K/delta) budgets and an additive gap sqrt(ln(K/delta)/K)
+    plus the meta-level estimation term sqrt(ln(2(K+2)/delta)/(2K)); the gap's
+    constant 1 is recorded in the params as ``gap_constant``.  The
+    pre-padding program values are kept in ``raw``.
     """
     qv, n = _validate(qv, n, delta)
     K = len(qv)
@@ -509,7 +508,7 @@ def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
     if include_slack:
         shifts = np.sqrt(np.log((K + 2) / delta) / (2 * n))
         pad = float(
-            gap_constant * np.sqrt(np.log(K / delta) / K)
+            np.sqrt(np.log(K / delta) / K)
             + np.sqrt(np.log(2 * (K + 2) / delta) / (2 * K))
         )
     else:
@@ -526,7 +525,7 @@ def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
             "kind": "fdiv-cdf",
             "K": K, "delta": delta, "epsilon": epsilon, "divergence": name,
             "cap": spec.cap, "band": band, "eps_budget": eps_budget,
-            "gap_constant": gap_constant, "pad": pad,
+            "gap_constant": 1.0, "pad": pad,
             "include_slack": include_slack,
         },
     )

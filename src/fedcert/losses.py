@@ -151,24 +151,18 @@ class Hypothesis:
         w = self.weights.T if self.kind == LINEAR else self.weights
         return np.concatenate([x @ w for x in X]) + self.bias
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Hard labels; argmax for linear, threshold at 1/2 for the rest."""
-        return self.labels_from_scores(self.scores(X))
-
     def labels_from_scores(self, scores: np.ndarray) -> np.ndarray:
-        """``predict`` from the rule's ``scores``."""
+        """Hard labels from the rule's ``scores``: argmax for linear,
+        threshold at 1/2 for the rest."""
         if self.kind == LINEAR:
             return np.argmax(scores, axis=1)
         if self.kind == LOOKUP:
             return (self.value_from_scores(scores) >= 0.5).astype(int)
         return (scores >= 0.0).astype(int)
 
-    def predicted_value(self, X: np.ndarray) -> np.ndarray:
-        """Real-valued output: probability of class 1, or the table entry."""
-        return self.value_from_scores(self.scores(X))
-
     def value_from_scores(self, scores: np.ndarray) -> np.ndarray:
-        """``predicted_value`` from the rule's ``scores``."""
+        """Real-valued output from the rule's ``scores``: probability of
+        class 1, or the table entry."""
         if self.kind == LOGISTIC:
             return _sigmoid(scores)
         if self.kind == LOOKUP:

@@ -574,7 +574,7 @@ def issue_certificate(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
                       clients: list[Client] | None = None, h: Hypothesis | None = None):
     """The certificate of ``kind`` from the clients' empirical answers ``qv``
     on ``ns`` samples each.  ``req`` carries delta and, per kind, epsilon,
-    f_name, lambda_grid, gap_constant and grid_size; ``wass-mean`` queries the
+    f_name, lambda_grid and grid_size; ``wass-mean`` queries the
     ``clients`` about ``h`` itself."""
     delta = float(req["delta"])
     if kind == "mean":
@@ -588,8 +588,7 @@ def issue_certificate(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
         return fdiv_mean_bound(qv, ns, delta, float(req["epsilon"]), req["f_name"])
     if kind == "fdiv-cdf":
         return fdiv_cdf_bound(qv, ns, delta, float(req["epsilon"]), req["f_name"],
-                              lambda_grid(req),
-                              gap_constant=float(req.get("gap_constant", 1.0)))
+                              lambda_grid(req))
     raise ValueError(f"kind must be one of {BOUND_KINDS}")
 
 

@@ -46,23 +46,31 @@ on the line of those points, and each sample's cost c_i(u) grows with
 
   * each loss l_y(u) is quasiconvex in u: cross-entropy with y in {0, 1} is
     monotone, and (y - sigmoid(u))^2 falls, then rises (clipping at 1 keeps
-    both quasiconvex);
-  * so between two neighbouring nodes the loss peaks at an end, and the
-    cost is lowest at the end nearer s_i;
-  * nodes sit at s_i and, on each side where the loss rises, where l_y
-    reaches l_y(s_i) + k tau, up to the side's ceiling: 1 at the clip, or the
-    squared loss's asymptote y^2 or (1 - y)^2.  The clip point is a node too;
-  * the upper set (the staircase) has one candidate per interval, with the
-    cost of its nearer end and the larger of its two end losses, plus a tail
-    candidate at the last level node's cost carrying the ceiling.  Every
-    point on the line is dominated by one candidate, so the fractional
-    knapsack over them (the transport LP, since mass may split) is at least
-    the supremum.  ``query`` returns it;
+    both quasiconvex).  So on each side of its minimum the loss rises
+    outwards, towards the side's ceiling: 1 at the clip, or the squared
+    loss's asymptote y^2 or (1 - y)^2;
+  * nodes sit on each side where l_y reaches the levels k tau below the
+    ceiling, the same for every sample of label y; the clip point is a node
+    too.  Node j has loss L[j], and the points of a side with loss in
+    (L[j-1], L[j]] lie between nodes j-1 and j;
+  * the upper set (the staircase) is the sample's own point, then on each
+    side one candidate per node j, with loss max(L[j-1], L[j]) (L[0] for the
+    first node), and a tail carrying the ceiling past the last level node.
+    When L[j-1] exceeds the sample's own loss, the sample lies neither
+    between nodes j-1 and j nor beyond them, so node j-1 is the nearer end,
+    and the candidate takes its cost; otherwise, and for the first node,
+    cost 0 is a lower bound.  The tail is costed in the same way from the
+    last node.  Every point on the line is dominated by one candidate, so
+    the fractional knapsack over them (the transport LP, since mass may
+    split) is at least the supremum.  ``query`` returns it;
   * the lower set is the nodes themselves, which are feasible points;
     ``phi`` takes its maximum, so it never exceeds the true penalized
     supremum;
-  * each upper candidate exceeds the lower node at the same cost by at most
-    tau, so the answer exceeds the supremum by at most tau.
+  * each upper candidate is at most tau above a feasible point that costs
+    no more: node j-1, or the sample's own point, whose loss is at least
+    L[j-1], or at least the side's least loss, which the first node
+    exceeds by at most tau.  So the answer exceeds the supremum by at most
+    tau.
 
 With zero weights the rule is constant, and the answer is the empirical
 risk.
@@ -142,11 +150,6 @@ class TransportCost:
             diff = np.subtract.outer(X[:, k], G[:, k])
             sq += diff * diff
         return self.of_distance(np.sqrt(sq))
-
-    def between(self, z1: Sample, z2: Sample) -> float:
-        if z1.label != z2.label:
-            return float("inf")
-        return float(self.of_distance(np.linalg.norm(z1.features - z2.features)))
 
 
 @dataclass(frozen=True)
@@ -296,15 +299,16 @@ def _grid_candidates(h, X, labels, grid, cost, loss_fn):
 
 def _grid_staircases(C, losses, which, own):
     """Each sample's rising staircase over its candidates, as (C, L, counts)
-    rows in sample order (``_hull_fill``): the grid points, and its own
+    rows in sample order (``_hull_fill``): the candidates its label shares,
+    grid points or score-line candidates, at its own costs, and its own
     point at cost 0.
 
     A point is on it when it has more loss than every point that sorts
     before it by cost, then by loss, most first.  So the staircase starts at
     the most loss among the points at cost 0, and then takes each distinct
-    grid loss above that, at its cheapest grid point, when that point is
+    candidate loss above that, at its cheapest candidate, when that one is
     cheaper than every point with more loss.  The samples of one label
-    share a grid-loss vector, so one sort of it serves them all.
+    share a loss vector, so one sort of it serves them all.
     """
     rows, xs, ys = [], [], []
     for label, loss in enumerate(losses):
@@ -392,10 +396,13 @@ class _ScoreLineInner(_FillInner):
     docstring).  ``phi`` is the maximum over the nodes, which are feasible.
 
     The build makes one model pass, for the scores; the nodes' losses come
-    from their scores alone (``score_loss_values``).  Each sample's line is
-    laid out on its own; the staircases are then sorted and hulled in blocks
-    of about ``_HULL_BLOCK`` candidates, many samples per array pass.  Only
-    the fill is kept: ``phi`` rebuilds the lines.
+    from their scores alone (``score_loss_values``).  The samples of one
+    label share its nodes and candidate losses, built once per label, and
+    differ only in their costs: the grid route's input.  So
+    ``_grid_staircases`` builds the staircases, a block of about
+    ``_HULL_BLOCK`` candidates at a time in sample order, and each block is
+    hulled as it is built.  Only the fill is kept: ``phi`` recomputes the
+    nodes' costs.
     """
 
     _status = "bound"
@@ -404,76 +411,87 @@ class _ScoreLineInner(_FillInner):
         y = np.asarray(y, dtype=float)
         if loss_fn.kind == CROSS_ENTROPY and not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("clipped cross-entropy with a logistic rule needs labels 0 and 1")
-        s = h.scores(X)
-        self._h, self._loss, self._cost = h, loss_fn, cost
-        self._w = float(np.linalg.norm(h.weights))
-        self._samples = list(zip(s.tolist(), y.tolist(),
-                                 score_loss_values(loss_fn, h, s, y).tolist()))
-        self._n = len(s)
-        self._base, self._fill = _hull_fill(self._staircases())
+        self._s = h.scores(X)   # the build's one model pass
+        self._own = score_loss_values(loss_fn, h, self._s, y)
+        # a constant rule (w = 0) has only padding, whose costs never count
+        self._cost, self._w = cost, float(np.linalg.norm(h.weights)) or 1.0
+        labels, self._which = np.unique(y, return_inverse=True)
+        tables = zip(*(_line_tables(h, loss_fn, lab) for lab in labels))
+        self._loss, self._via_u, self._via_l, self._node_u, self._node_l = map(_padded, tables)
+        self._n = len(y)
+        self._base, self._fill = _hull_fill(self._staircases_by_block())
 
-    def _staircases(self):
-        """The samples' staircases (``_hull_fill``), a block of samples at a
-        time: each sample's upper candidates sorted by cost, most loss first
-        at equal cost, keeping those with more loss than every one before."""
-        C, L, size = [], [], 0
-        for sample in self._samples:
-            c, l = self._staircase(sample)
-            C.append(c)
-            L.append(l)
-            size += len(c)
-            if size >= _HULL_BLOCK:
-                yield _rising(C, L)
-                C, L, size = [], [], 0
-        if C:
-            yield _rising(C, L)
+    def _costs(self, u, s):
+        """The cost of moving samples of scores s to the points of scores u."""
+        return self._cost.of_distance(np.abs(u - s) / self._w)
 
-    def _staircase(self, sample) -> tuple[np.ndarray, np.ndarray]:
-        """The sample's upper candidates as (costs, losses): its own point,
-        then on each rising side one per interval between neighbouring
-        nodes, at the nearer end's cost with the larger end loss, and the
-        tail from the last node, carrying the side's ceiling."""
-        s, y, l0 = sample
-        C, L = [[0.0]], [[l0]]
-        for c, l, top, _, _ in self._line_sides(s, y, l0):
-            C.append(np.concatenate([[0.0], c]))
-            L.append(np.concatenate([np.maximum(np.concatenate([[l0], l[:-1]]), l), [top]]))
-        return np.concatenate(C), np.concatenate(L)
+    def _staircases_by_block(self):
+        """The samples' staircases (``_grid_staircases``), a block of samples
+        at a time: each candidate at the cost of the node it goes via, or at
+        cost 0 where that node has no more loss than the sample's own point."""
+        step = max(1, _HULL_BLOCK // self._loss.shape[1])
+        for start in range(0, self._n, step):
+            block = slice(start, start + step)
+            present, which = np.unique(self._which[block], return_inverse=True)
+            at, own = self._which[block], self._own[block]
+            C = np.where(self._via_l[at] > own[:, None],
+                         self._costs(self._via_u[at], self._s[block, None]), 0.0)
+            yield _grid_staircases(C, self._loss[present], which, own)
 
     def phi(self, gamma: float) -> np.ndarray:
-        out = np.empty(self._n)
-        for i, (s, y, l0) in enumerate(self._samples):
-            out[i] = l0
-            for c, l, _, clip_c, clip_l in self._line_sides(s, y, l0):
-                c, l = np.concatenate([c, clip_c]), np.concatenate([l, clip_l])
-                out[i] = max(out[i], float(np.max(l - gamma * c, initial=-np.inf)))
-        return out
+        C = self._costs(self._node_u[self._which], self._s[:, None])
+        best = np.max(self._node_l[self._which] - gamma * C, axis=1, initial=-np.inf)
+        return np.maximum(self._own, best)
 
-    def _line_sides(self, s, y, l0):
-        """Yields, for each side of one sample's score line on which the loss
-        rises above l0: its level nodes' costs and losses, outwards; its
-        ceiling; and its clip node's cost and loss (empty where the side stays
-        below the clip).  A constant rule (w = 0) has none."""
-        h, loss_fn, cost, w = self._h, self._loss, self._cost, self._w
-        if w == 0.0:
-            return
-        if loss_fn.kind == CROSS_ENTROPY:
-            # label 1 rises to the clip as the score falls, label 0 as it grows
-            asymptotes = (np.inf, 0.0) if y == 1.0 else (0.0, np.inf)
-        else:
-            asymptotes = (y * y, (1.0 - y) ** 2)
-        for side, asym in zip((-1.0, 1.0), asymptotes):
-            top = min(asym, 1.0)
-            if top <= l0:
-                continue
-            level = l0 + SCORE_LINE_TAU * np.arange(1, np.ceil((top - l0) / SCORE_LINE_TAU))
-            u = _rising_score(loss_fn, level, y, side)
-            u = u[(level < top) & np.isfinite(u)]
-            clip = np.array([_rising_score(loss_fn, 1.0, y, side)] if asym > 1.0 else [])
-            # the cost of each node grows with its score distance from s
-            yield (cost.of_distance(np.abs(u - s) / w), score_loss_values(loss_fn, h, u, y), top,
-                   cost.of_distance(np.abs(clip - s) / w),
-                   score_loss_values(loss_fn, h, clip, y))
+
+# the score line's node levels k tau, k = 1..J; the last is exactly 1, the clip
+_J = round(1 / SCORE_LINE_TAU)
+_LEVELS = np.arange(1, _J + 1) / _J
+
+
+def _line_tables(h, loss_fn, y):
+    """Label y's upper candidates and nodes, as five arrays: each
+    candidate's loss, and the score and loss of the node it goes via; then
+    the nodes' scores and losses.
+
+    On each side, outwards, the nodes sit where the loss reaches each level
+    k tau up to the side's ceiling: 1 at the clip, or the squared loss's
+    asymptote y^2 or (1 - y)^2 (a level with no such point has no node).
+    Node j gives the candidate of the interval from node j - 1, with the
+    larger of their two losses, via node j - 1; the first node's goes via a
+    point of loss 0, never more than a sample's own, and the tail carries
+    the ceiling via the last node below it.  The clip node is in the lower
+    set only.  A constant rule (w = 0) has no nodes.
+    """
+    if not np.any(h.weights):
+        asymptotes = ()
+    elif loss_fn.kind == CROSS_ENTROPY:
+        # label 1 rises to the clip as the score falls, label 0 as it grows
+        asymptotes = (np.inf, 0.0) if y == 1.0 else (0.0, np.inf)
+    else:
+        asymptotes = (y * y, (1.0 - y) ** 2)
+    parts = [(np.empty(0),) * 5]
+    for side, asym in zip((-1.0, 1.0), asymptotes):
+        top = min(asym, 1.0)
+        level = _LEVELS[_LEVELS <= top]
+        u = _rising_score(loss_fn, level, y, side)
+        level, u = level[np.isfinite(u)], u[np.isfinite(u)]
+        l = score_loss_values(loss_fn, h, u, y)
+        ub, lb = u[level < top], l[level < top]
+        parts.append((np.r_[lb[:1], np.maximum(lb[:-1], lb[1:]), top],
+                      np.r_[0.0, ub], np.r_[0.0, lb], u, l))
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _padded(rows) -> np.ndarray:
+    """1-D arrays as the rows of one matrix of at least one column, each
+    padded with zeros on the right: a padding candidate or node has loss 0
+    and score 0, and never has more loss than a sample's own point at cost
+    0."""
+    out = np.zeros((len(rows), max(1, *map(len, rows))))
+    for o, r in zip(out, rows):
+        o[:len(r)] = r
+    return out
 
 
 def _rising_score(loss_fn, level, y, side):
@@ -486,21 +504,6 @@ def _rising_score(loss_fn, level, y, side):
     p = y + side * np.sqrt(level)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(p / (1.0 - p))
-
-
-def _rising(C, L) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rising staircases of candidate rows C[r], L[r], as (C, L, counts):
-    each row sorted by cost, most loss first at equal cost (then as given),
-    keeping each candidate with more loss than every one before it."""
-    counts = np.array([len(c) for c in C])
-    row = np.repeat(np.arange(len(C)), counts)
-    C, L = np.concatenate(C), np.concatenate(L)
-    order = np.lexsort((-L, C, row))
-    C, L, row = C[order], L[order], row[order]
-    # compare losses through their ranks, kept apart row by row
-    rank = np.unique(L, return_inverse=True)[1] + row * len(L)
-    rising = np.r_[True, rank[1:] > np.maximum.accumulate(rank)[:-1]]
-    return C[rising], L[rising], np.bincount(row[rising], minlength=len(counts))
 
 
 def _make_inner(h, X, y, cost, loss_fn, grid):

@@ -9,7 +9,8 @@ maximizes the mean of per-client robust query values over per-client radii:
                mean(rho) <= epsilon (1 + 1/K) + c1 sqrt(ln((K+2)/delta) / K),
 
 where the floor covers the share of the budget any single client can absorb
-and the cap inflation pays for estimating the average cost from K clients.
+and the cap inflation pays for estimating the average cost from K clients,
+with c1 = ``DEFAULT_C1`` = 1/sqrt(2).
 
 Each client answers a fixed radius grid in one profile call
 (``Client.query_profile``), which charges one query per grid point.  Every
@@ -61,11 +62,11 @@ class RadiusAllocation:
     objective: float          # mean of values
 
 
-def mean_radius_cap(epsilon: float, delta: float, K: int,
-                    c1: float = DEFAULT_C1, *, include_slack: bool = True) -> float:
+def mean_radius_cap(epsilon: float, delta: float, K: int, *,
+                    include_slack: bool = True) -> float:
     cap = epsilon * (1.0 + 1.0 / K)
     if include_slack:
-        cap += c1 * float(np.sqrt(np.log((K + 2) / delta) / K))
+        cap += DEFAULT_C1 * float(np.sqrt(np.log((K + 2) / delta) / K))
     return cap
 
 
@@ -154,8 +155,6 @@ def wass_mean_bound(
     delta: float,
     *,
     grid_size: int = DEFAULT_GRID_SIZE,
-    c1: float = DEFAULT_C1,
-    c2: float = DEFAULT_C2,
     include_slack: bool = True,
 ) -> CertifiedBound:
     """Certified upper bound on the target mean risk when the target moves
@@ -173,7 +172,7 @@ def wass_mean_bound(
     ns = np.array([c.n_samples for c in clients], dtype=float)
     if include_slack:
         per_client_log = _per_client_log_terms(K, ns, epsilon, delta)
-    cap = mean_radius_cap(epsilon, delta, K, c1, include_slack=include_slack)
+    cap = mean_radius_cap(epsilon, delta, K, include_slack=include_slack)
     grid = radius_grid(epsilon / K, K * cap, grid_size)
     answers = [c.query_profile(h, grid) for c in clients]
     values = np.array([[q.value for q in a] for a in answers])
@@ -182,7 +181,7 @@ def wass_mean_bound(
     chord_value = float(np.mean(_chords(grid, values, witness.rho)))
     if include_slack:
         meta = float(np.sqrt(np.log((K + 2) / delta) / (2 * K)))
-        per_client = float(np.mean(c2 * np.sqrt(per_client_log / ns)))
+        per_client = float(np.mean(DEFAULT_C2 * np.sqrt(per_client_log / ns)))
     else:
         meta = per_client = 0.0
     raw = witness.objective + meta + per_client
@@ -194,7 +193,7 @@ def wass_mean_bound(
         slack={"meta": meta, "per_client": per_client},
         params={
             "K": K, "delta": delta, "epsilon": epsilon,
-            "c1": c1, "c2": c2, "grid_size": grid_size,
+            "c1": DEFAULT_C1, "c2": DEFAULT_C2, "grid_size": grid_size,
             "mean_radius_cap": cap,
             "include_slack": include_slack,
         },

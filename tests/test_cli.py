@@ -157,7 +157,10 @@ def test_bad_verify_kind_reports_its_path(tmp_path, capsys, entry):
     # the level bisection's tolerance, which the water-fill's exact maximum
     # retired; spelled in two parts so a search for the deleted names stays empty
     ("level" + "_tol", 1e-3),
-], ids=["wass-at-zero-epsilon", "retired-bisection-tolerance"])
+    # the fdiv-cdf gap's constant is 1: at 0 one of the curve's two pad
+    # terms would vanish, so a config may not set it
+    ("gap_constant", 0.0),
+], ids=["wass-at-zero-epsilon", "retired-bisection-tolerance", "retired-cdf-gap-constant"])
 def test_bad_certificate_entry_reports_its_path(tmp_path, capsys, key, value):
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["certificates"][3][key] = value

@@ -494,12 +494,12 @@ def test_cdf_bound_shape_and_extremes():
 def test_cdf_pad_formula():
     qv = np.linspace(0.1, 0.7, 25)
     n = np.full(25, 90)
-    K, delta, gap = 25, 0.1, 1.7
-    curve = fdiv_cdf_bound(qv, n, delta, 0.05, "kl", [0.3, 0.5],
-                           gap_constant=gap)
-    want = (gap * np.sqrt(np.log(K / delta) / K)
+    K, delta = 25, 0.1
+    curve = fdiv_cdf_bound(qv, n, delta, 0.05, "kl", [0.3, 0.5])
+    want = (np.sqrt(np.log(K / delta) / K)
             + np.sqrt(np.log(2 * (K + 2) / delta) / (2 * K)))
     assert abs(curve.params["pad"] - want) < 1e-12
+    assert curve.params["gap_constant"] == 1.0
     assert np.allclose(curve.bounds, np.minimum(curve.raw + want, 1.0))
 
 

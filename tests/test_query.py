@@ -29,11 +29,12 @@ from fedcert.losses import (
     DimensionMismatchError,
     Sample,
     loss_values,
+    score_loss_values,
 )
 from fedcert import concave
 from fedcert.concave import GreedyFill
 from fedcert.metasim import _BLOCK_BYTES
-from fedcert.query import SCORE_LINE_TAU, _make_inner
+from fedcert.query import SCORE_LINE_TAU, _make_inner, _rising_score
 
 from test_concave import chain_hull
 
@@ -804,22 +805,90 @@ def test_grid_fill_matches_the_per_row_reference(name):
     assert_answers_match(inner, *grid_reference(h, X, y, search, cost, loss_fn))
 
 
-@pytest.mark.parametrize("kind", [CROSS_ENTROPY, SQUARED])
-@pytest.mark.parametrize("cost_kind", ["half-squared-l2", "l2"])
-def test_score_line_fill_matches_the_per_row_reference(kind, cost_kind):
-    rng = np.random.default_rng(np.random.SeedSequence([1703, len(kind), len(cost_kind)]))
+def line_reference_rows(h, X, y, cost, loss_fn):
+    """Each sample's candidate row (C, L), from its own loop over the levels
+    k tau: its own point at cost 0, then on each side where the loss rises
+    above its own, one candidate per node j -- the larger of the losses of
+    nodes j - 1 and j, at node j - 1's cost when that node has more loss
+    than the sample, else at cost 0 -- and a tail carrying the side's
+    ceiling.  Also, per row, how many sides have a candidate of positive
+    cost."""
+    J = round(1 / SCORE_LINE_TAU)
+    levels = np.arange(1, J + 1) / J
+    w = float(np.linalg.norm(h.weights))
+    rows, costly = [], []
+    for s, lab in zip(h.scores(X), y):
+        own = score_loss_values(loss_fn, h, np.array([s]), np.array([lab]))[0]
+        C, L, sides = [0.0], [own], 0
+        for side in ((-1.0, 1.0) if w > 0.0 else ()):
+            if loss_fn.kind == CROSS_ENTROPY:
+                top = 1.0 if (lab == 1.0) == (side < 0.0) else 0.0
+            else:
+                top = min(1.0, (lab if side < 0.0 else 1.0 - lab) ** 2)
+            if top <= own:
+                continue
+            u = _rising_score(loss_fn, levels[levels < top], lab, side)
+            u = u[np.isfinite(u)]
+            node_l = score_loss_values(loss_fn, h, u, np.full(len(u), lab))
+            node_c = cost.of_distance(np.abs(u - s) / w)
+            first = len(C)
+            prev_c, prev_l = 0.0, -np.inf
+            for c, l in zip(node_c, node_l):
+                C.append(prev_c if prev_l > own else 0.0)
+                L.append(max(prev_l, l))
+                prev_c, prev_l = c, l
+            C.append(prev_c if prev_l > own else 0.0)
+            L.append(top)
+            sides += max(C[first:]) > 0.0
+        rows.append((np.array(C), np.array(L)))
+        costly.append(sides)
+    return rows, np.array(costly)
+
+
+def _line_cases(kind, rng):
+    """(name, h, X, y): random samples of a two-feature rule; a rule whose
+    scores are its one feature, with samples at nodes (own loss equal to a
+    node's), at and past the clip, and squared-loss labels 1.5 and -0.5,
+    whose low levels have no point on one side; and a constant rule."""
+    loss_fn = LossFn(kind)
     h = Hypothesis(kind=LOGISTIC, weights=np.array([0.9, -1.4]), bias=0.3)
     X = rng.normal(size=(80, 2)) * 2.0
     # squared-loss labels near 1/2 rise on both sides of the score line
     y = (rng.integers(0, 2, 80).astype(float) if kind == CROSS_ENTROPY
          else np.concatenate([rng.uniform(0.3, 0.7, 40), rng.uniform(-0.5, 1.5, 40)]))
-    inner = _make_inner(h, X, y, TransportCost(cost_kind), LossFn(kind), None)
-    rows = [inner._staircase(sample) for sample in inner._samples]
-    if kind == SQUARED:
-        # some staircases hold candidates of both sides
-        assert sum(np.count_nonzero(c == 0.0) > 2 for c, _ in rows) >= 20
-    assert sum(map(len, (c for c, _ in rows))) > 2 * concave._HULL_BLOCK   # several blocks
-    assert_answers_match(inner, *per_row_hull_fill((c[None], l[None]) for c, l in rows))
+    yield "random", h, X, y
+    J = round(1 / SCORE_LINE_TAU)
+    at = np.array([1, 7, 250, 251, 600, J]) / J
+    s, labels = [], []
+    for lab in ([0.0, 1.0] if kind == CROSS_ENTROPY else [1.5, -0.5, 0.5, 0.0, 1.0, 0.9]):
+        for side in (-1.0, 1.0):
+            u = _rising_score(loss_fn, at, lab, side)
+            u = np.concatenate([u[np.isfinite(u)], [8.0 * side, 0.0]])
+            s.append(u)
+            labels += [lab] * len(u)
+    identity = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
+    on_line = np.concatenate(s)[:, None]
+    assert np.array_equal(identity.scores(on_line), on_line[:, 0])   # the samples sit at nodes
+    yield "edges", identity, on_line, np.array(labels)
+    yield "constant", Hypothesis(kind=LOGISTIC, weights=np.zeros(2), bias=0.3), X[:20], y[:20]
+
+
+@pytest.mark.parametrize("kind", [CROSS_ENTROPY, SQUARED])
+@pytest.mark.parametrize("cost_kind", ["half-squared-l2", "l2"])
+def test_score_line_fill_matches_the_per_row_reference(kind, cost_kind):
+    rng = np.random.default_rng(np.random.SeedSequence([1703, len(kind), len(cost_kind)]))
+    cost, loss_fn = TransportCost(cost_kind), LossFn(kind)
+    for name, h, X, y in _line_cases(kind, rng):
+        inner = _make_inner(h, X, y, cost, loss_fn, None)
+        rows, costly = line_reference_rows(h, X, y, cost, loss_fn)
+        if name == "random":
+            assert sum(len(c) for c, _ in rows) > 2 * concave._HULL_BLOCK   # several blocks
+            if kind == SQUARED:
+                # some staircases hold candidates of both sides
+                assert np.count_nonzero(costly == 2) >= 20
+        if name == "edges":
+            assert max(l[0] for _, l in rows) == 1.0   # a sample at the clip
+        assert_answers_match(inner, *per_row_hull_fill((c[None], l[None]) for c, l in rows))
 
 
 # -- the client boundary -----------------------------------------------------

@@ -13,9 +13,9 @@ SOLVER_NAMES = {"GreedyFill", "upper_hulls", "hull_pieces", "_block_hull",
                 "_rise_over_chord", "_waterfill", "solve_reweight",
                 "_alpha_star", "_block_values", "_exact_tau", "_kl_split",
                 "_chi2_split", "_eta_root", "_dual_value", "_lp_vertex",
-                "_ScoreLineInner", "_staircase", "_staircases", "_line_sides",
-                "_rising_score", "_rising", "_hull_fill", "_grid_staircases",
-                "_tangent_vertices"}
+                "_ScoreLineInner", "_staircases_by_block", "_line_tables",
+                "_padded", "_LEVELS", "_rising_score", "_hull_fill",
+                "_grid_staircases", "_tangent_vertices"}
 
 # the bound functions and target shifts a certificate kind is wired to; the
 # command line reaches them only through oracle.issue_certificate and

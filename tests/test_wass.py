@@ -26,6 +26,7 @@ from fedcert.concave import GreedyFill
 from fedcert.losses import CROSS_ENTROPY, LINEAR, LOGISTIC
 from fedcert.oracle import wass_alloc_grid_oracle, wass_ball_lp_oracle
 from fedcert.wass import (
+    DEFAULT_C1,
     mean_radius_cap,
     radius_grid,
     wass_mean_bound,
@@ -246,10 +247,10 @@ def test_one_tangent_spends_the_budget_past_the_floor():
 # ------------------------------------------------------------------ bounds
 
 def test_mean_radius_cap_formula():
-    eps, delta, K, c1 = 0.1, 0.05, 7, 0.9
-    want = eps * (1 + 1 / 7) + c1 * np.sqrt(np.log((K + 2) / delta) / K)
-    assert abs(mean_radius_cap(eps, delta, K, c1) - want) < 1e-12
-    assert abs(mean_radius_cap(eps, delta, K, c1, include_slack=False)
+    eps, delta, K = 0.1, 0.05, 7
+    want = eps * (1 + 1 / 7) + DEFAULT_C1 * np.sqrt(np.log((K + 2) / delta) / K)
+    assert abs(mean_radius_cap(eps, delta, K) - want) < 1e-12
+    assert abs(mean_radius_cap(eps, delta, K, include_slack=False)
                - eps * 8 / 7) < 1e-12
 
 
