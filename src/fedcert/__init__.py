@@ -8,15 +8,7 @@ samples (``query``), turn the query values into population-level certificates
 oracles and Monte-Carlo coverage (``oracle``).
 """
 from .certificates import CdfCurve, CertifiedBound
-from .fdiv import (
-    DivergenceSpec,
-    ReweightSolution,
-    divergence_budgets,
-    fdiv_cdf_bound,
-    fdiv_mean_bound,
-    make_divergence,
-    solve_reweight,
-)
+from .fdiv import fdiv_cdf_bound, fdiv_mean_bound
 from .losses import (
     CROSS_ENTROPY,
     LINEAR,
@@ -57,7 +49,7 @@ from .oracle import (
     coverage_experiment,
     coverage_experiments,
     exact_zero_one_risk,
-    grid_reweight_oracle,
+    grid_ball_oracle,
     mean_true_risk,
     sample_true_risks,
     tightness_probe,

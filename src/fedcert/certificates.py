@@ -48,8 +48,9 @@ class CertifiedBound:
 class CdfCurve:
     """Upper bounds on the survival function lambda -> P(client risk >= lambda).
 
-    ``bounds`` is the certificate; ``raw`` (when present) is the intermediate
-    program value before padding, kept for diagnostics and plots.
+    ``bounds`` is the certificate; ``raw`` (when present) is the value it was
+    built from, kept for diagnostics and plots: the non-robust band before
+    its clip to 1, which ``fdiv-cdf`` passes through the divergence ball.
     """
 
     lambdas: np.ndarray

@@ -260,6 +260,7 @@ _SUMMARY_SCHEMA = {
                     # each certificate's slack terms; absent from older trees
                     "slack": {"type": "object", "additionalProperties": {"type": "number"}},
                     "meta_slack": {"type": "number"},
+                    # the additive slack older fdiv-cdf entries carry
                     "pad": {"type": "number"},
                 },
                 "allOf": [_when_kind(CURVE_KINDS,
@@ -268,10 +269,6 @@ _SUMMARY_SCHEMA = {
         },
     },
 }
-
-
-# the parameter in which each survival-curve kind records its additive slack
-_CURVE_SLACK = {"cdf": "meta_slack", "fdiv-cdf": "pad"}
 
 
 def _fmt(x) -> str:
@@ -611,9 +608,8 @@ def cmd_certify(args) -> int:
             wr.writerow(["lambda", "empirical"])
             wr.writerows(rows)
         if kind in CURVE_KINDS:
-            slack_key = _CURVE_SLACK[kind]
             flags = {"vacuous_thresholds": int(np.count_nonzero(result.bounds >= 1.0)),
-                     slack_key: result.params[slack_key]}
+                     "meta_slack": result.params["meta_slack"]}
         else:
             flags = {"status": result.status, "raw_value": result.raw_value,
                      "vacuous": bool(result.raw_value >= 1.0), "slack": result.slack}

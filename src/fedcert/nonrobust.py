@@ -51,15 +51,23 @@ def _survival_counts(breakpoints: np.ndarray, lambda_grid) -> tuple[np.ndarray, 
     return lams, counts
 
 
+def _slack_terms(n: np.ndarray, delta: float, include_slack: bool) -> tuple[np.ndarray, float]:
+    """The mean bound's K+1 events: each client's term s_k (its true risk is
+    at most qv_k + s_k) and the meta term t (one-sided DKW on the true
+    risks); zeros without slack."""
+    K = len(n)
+    if not include_slack:
+        return np.zeros(K), 0.0
+    return (np.sqrt(np.log((K + 1) / delta) / (2 * n)),
+            float(np.sqrt(np.log((K + 1) / delta) / (2 * K))))
+
+
 def mean_bound(qv, n, delta: float, *, include_slack: bool = True) -> CertifiedBound:
     """Certified upper bound on the population-average true risk."""
     qv, n = _validate(qv, n, delta)
     K = len(qv)
-    if include_slack:
-        meta = float(np.sqrt(np.log((K + 1) / delta) / (2 * K)))
-        per_client = float(np.mean(np.sqrt(np.log((K + 1) / delta) / (2 * n))))
-    else:
-        meta = per_client = 0.0
+    shifts, meta = _slack_terms(n, delta, include_slack)
+    per_client = float(np.mean(shifts))
     raw = float(np.mean(qv)) + meta + per_client
     return CertifiedBound(
         kind="mean",
@@ -81,12 +89,8 @@ def cdf_bound(qv, n, delta: float, lambda_grid, *, include_slack: bool = True) -
     qv, n = _validate(qv, n, delta)
     K = len(qv)
 
-    if include_slack:
-        shifts = np.sqrt(np.log((K + 1) / delta) / (2 * n))
-        meta = float(np.sqrt(np.log(2 * (K + 1) / delta) / (2 * K)))
-    else:
-        shifts = np.zeros(K)
-        meta = 0.0
+    shifts, _ = _slack_terms(n, delta, include_slack)
+    meta = float(np.sqrt(np.log(2 * (K + 1) / delta) / (2 * K))) if include_slack else 0.0
     lams, counts = _survival_counts(qv + shifts, lambda_grid)
     raw = counts / K + meta
     return CdfCurve(

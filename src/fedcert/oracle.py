@@ -3,8 +3,9 @@ declares.
 
 Everything here is deliberately independent of the solvers it checks:
 
-  * ``grid_reweight_oracle``     exhaustive search over the reweighting box
-                                 (K <= 3), no dual machinery;
+  * ``grid_ball_oracle``         exhaustive search over the likelihood ratios
+                                 of an f-divergence ball (K <= 3), no dual
+                                 machinery;
   * ``wass_ball_lp_oracle``      the transport-ball worst case as an explicit
                                  linear program over couplings on small
                                  discrete instances;
@@ -63,7 +64,7 @@ from .query import HALF_SQ, Client, empirical_risk_values, query_empirical
 from .wass import DEFAULT_GRID_SIZE, wass_mean_bound
 
 __all__ = [
-    "grid_reweight_oracle",
+    "grid_ball_oracle",
     "wass_ball_lp_oracle",
     "wass_alloc_grid_oracle",
     "exact_zero_one_risk",
@@ -102,15 +103,16 @@ _ORACLE_F = {
 }
 
 
-def grid_reweight_oracle(q, spec, eps_budget: float, band: float,
-                         step: float) -> float:
-    """Exhaustive maximization of mean(alpha * q), q >= 0, over the feasible
-    grid {0, step, 2 step, ..., cap} ∪ {1, cap} per coordinate, K <= 3.
+def grid_ball_oracle(q, name: str, epsilon: float, step: float) -> float:
+    """Exhaustive maximization of mean(alpha * q), q >= 0, over likelihood
+    ratios on the grid {0, step, 2 step, ..., K} ∪ {1} per coordinate, K <= 3,
+    with mean(alpha) = 1 and mean(f(alpha)) <= epsilon: the worst mean over
+    the f-divergence ball around the uniform law on q, whose ratios never
+    exceed K.
 
-    Only the divergence name and cap are taken from ``spec``; the generator
-    is evaluated from local copies.  Feasibility is strict (tiny float guard
-    only).  Rounding any feasible point coordinatewise toward 1 stays
-    feasible, so the grid optimum sits within step * mean(q) of the truth.
+    The generator is evaluated from local copies.  Feasibility is strict
+    (tiny float guard only), so the grid optimum is a lower bound on the
+    ball's supremum.
     """
     q = np.asarray(q, dtype=float)
     K = len(q)
@@ -120,43 +122,40 @@ def grid_reweight_oracle(q, spec, eps_budget: float, band: float,
         raise ValueError("query values must be nonnegative")
     if step <= 0:
         raise ValueError("step must be positive")
-    f = _ORACLE_F[spec.name]
-    cap = float(spec.cap)
-    # the last arange point may pass cap by up to step / 2; it stops at cap
-    grid = np.unique(np.concatenate([np.minimum(np.arange(0.0, cap + step / 2, step), cap),
-                                     [1.0, cap]]))
+    f = _ORACLE_F[name]
+    # the last arange point may pass K by up to step / 2; it stops at K
+    grid = np.unique(np.concatenate([np.minimum(np.arange(0.0, K + step / 2, step), K),
+                                     [1.0, K]]))
     fg = f(grid)
     guard = 1e-12
 
     if K == 1:
-        ok = (np.abs(grid - 1.0) <= band + guard) & (fg <= eps_budget + guard)
+        ok = (np.abs(grid - 1.0) <= guard) & (fg <= epsilon + guard)
         return float(np.max(grid[ok] * q[0])) if np.any(ok) else -np.inf
 
+    # the sum pins the last coordinate to one grid point, up to rounding:
+    # locate it by searchsorted, then test it and its two neighbours on each
+    # side with the exhaustive predicate itself
+    near = np.arange(-2, 3)
+
+    def last(partial):
+        j = np.searchsorted(grid, K * (1.0 + guard) - partial, side="right") - 1
+        j = np.clip(j[:, None] + near, 0, len(grid) - 1)
+        return grid[j], fg[j]
+
     if K == 2:
-        mean_a = 0.5 * (grid[:, None] + grid[None, :])
-        mean_f = 0.5 * (fg[:, None] + fg[None, :])
-        ok = (np.abs(mean_a - 1.0) <= band + guard) & (mean_f <= eps_budget + guard)
-        obj = 0.5 * (q[0] * grid[:, None] + q[1] * grid[None, :])
+        a2, f2 = last(grid)
+        ok = ((np.abs(0.5 * (grid[:, None] + a2) - 1.0) <= guard)
+              & (0.5 * (fg[:, None] + f2) <= epsilon + guard))
+        obj = 0.5 * (q[0] * grid[:, None] + q[1] * a2)
         return float(np.max(np.where(ok, obj, -np.inf)))
 
-    # K == 3: for fixed a1 and a2 the feasible a3 form one run of the grid (f
-    # is convex), and since q >= 0 the run's top end wins.  Locate that end
-    # per a2 by searchsorted, then test it and its two neighbours on each
-    # side with the exhaustive predicate itself
-    rise_from = int(np.argmin(fg))     # fg rises from here on
-    rise = fg[rise_from:]
-    near = np.arange(-2, 3)
     best = -np.inf
     for a1, f1 in zip(grid, fg):
-        top_band = np.searchsorted(grid, 3.0 * (1.0 + band + guard) - a1 - grid,
-                                   side="right") - 1
-        top_div = rise_from - 1 + np.searchsorted(
-            rise, 3.0 * (eps_budget + guard) - f1 - fg, side="right")
-        j = np.clip(np.minimum(top_band, top_div)[:, None] + near, 0, len(grid) - 1)
-        a3, f3 = grid[j], fg[j]
+        a3, f3 = last(a1 + grid)
         mean_a = (a1 + (grid[:, None] + a3)) / 3.0
         mean_f = (f1 + (fg[:, None] + f3)) / 3.0
-        ok = (np.abs(mean_a - 1.0) <= band + guard) & (mean_f <= eps_budget + guard)
+        ok = (np.abs(mean_a - 1.0) <= guard) & (mean_f <= epsilon + guard)
         if np.any(ok):
             cand = np.max((q[1] * grid[:, None] + q[2] * a3)[ok]) + q[0] * a1
             best = max(best, cand / 3.0)

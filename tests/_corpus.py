@@ -2,37 +2,31 @@
 acceptance suite.
 
 The seeds are pinned; regenerating with the same index always yields the
-same instance.  Truncation levels stay below ~2.25 (epsilon/delta <= 1.4)
-so the exhaustive grid oracle stays affordable at its pinned step sizes.
+same instance.  An f-divergence instance is a divergence name, a budget and
+the query values of a uniform law on K <= 3 clients, small enough for the
+exhaustive ball oracle at its pinned step sizes.
 The transport allocation's instances are random concave query curves, given
 to the solvers as the values and right derivatives a grid of answers holds.
 """
 import numpy as np
 
-from fedcert.fdiv import make_divergence
-
 # (K, number of instances, oracle grid step)
-REWEIGHT_BLOCKS = [(2, 40, 1e-3), (3, 10, 2e-3)]
+BALL_BLOCKS = [(2, 40, 1e-3), (3, 10, 2e-3)]
 
 
-def reweight_instance(K: int, i: int):
-    """Instance i of the K-client block: (name, spec, q, band, eps_budget)."""
+def ball_instance(K: int, i: int):
+    """Instance i of the K-client block: (name, epsilon, q)."""
     rng = np.random.default_rng(np.random.SeedSequence([11000, K, i]))
     name = "kl" if i % 2 == 0 else "chi-square"
-    delta = 0.1
-    epsilon = float(rng.uniform(0.02, 0.14))
-    spec = make_divergence(name, epsilon, delta)
+    epsilon = float(rng.uniform(0.02, 0.5))
     q = rng.uniform(0.0, 1.0, K)
-    band = float(rng.uniform(0.02, 0.35))    # >= 2 * step for both blocks
-    eps_budget = float(epsilon + rng.uniform(0.0, 0.4))
-    return name, spec, q, band, eps_budget
+    return name, epsilon, q
 
 
-def iter_reweight_corpus():
-    for K, n_inst, step in REWEIGHT_BLOCKS:
+def iter_ball_corpus():
+    for K, n_inst, step in BALL_BLOCKS:
         for i in range(n_inst):
-            name, spec, q, band, eps_budget = reweight_instance(K, i)
-            yield K, i, step, name, spec, q, band, eps_budget
+            yield (K, i, step, *ball_instance(K, i))
 
 
 def concave_curve(rng, start: float, stop: float):

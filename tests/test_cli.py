@@ -157,8 +157,7 @@ def test_bad_verify_kind_reports_its_path(tmp_path, capsys, entry):
     # the level bisection's tolerance, which the water-fill's exact maximum
     # retired; spelled in two parts so a search for the deleted names stays empty
     ("level" + "_tol", 1e-3),
-    # the fdiv-cdf gap's constant is 1: at 0 one of the curve's two pad
-    # terms would vanish, so a config may not set it
+    # the fdiv-cdf gap's constant, retired with the curve's additive pad
     ("gap_constant", 0.0),
 ], ids=["wass-at-zero-epsilon", "retired-bisection-tolerance", "retired-cdf-gap-constant"])
 def test_bad_certificate_entry_reports_its_path(tmp_path, capsys, key, value):
@@ -589,7 +588,7 @@ def test_certify_outputs_and_golden_values(tmp_path):
     wass_cert = json.loads((out / "03_wass-mean.json").read_text())
     # pinned values for this exact config and seed
     assert abs(mean_cert["value"] - 0.57216789836395676) < 1e-10
-    assert abs(fdiv_cert["value"] - 0.72511589042989144) < 1e-10
+    assert abs(fdiv_cert["value"] - 0.6496004432065107) < 1e-10
     assert wass_cert["value"] == 1.0
     assert abs(wass_cert["raw_value"] - 1.444235157917145) < 1e-10
 
@@ -630,10 +629,10 @@ def test_certify_summary_carries_each_certificates_slack(tmp_path):
     entries = json.loads((out / "summary.json").read_text())["requests"]
     for entry in entries:
         cert = json.loads((out / entry["files"]["certificate"]).read_text())
-        if entry["kind"] == "cdf":
+        if entry["kind"] in ("cdf", "fdiv-cdf"):
+            # both curve kinds record the band's meta slack
             assert entry["meta_slack"] == cert["params"]["meta_slack"] > 0
-        elif entry["kind"] == "fdiv-cdf":
-            assert entry["pad"] == cert["params"]["pad"] > 0
+            assert "pad" not in entry
         else:
             assert entry["slack"] == cert["slack"]
             assert set(entry["slack"]) == {"meta", "per_client"}

@@ -19,13 +19,13 @@ from fedcert import (
     coverage_experiment,
     coverage_experiments,
     exact_zero_one_risk,
-    grid_reweight_oracle,
+    fdiv_mean_bound,
+    grid_ball_oracle,
     sample_true_risks,
     tightness_probe,
     wass_alloc_grid_oracle,
     wass_ball_lp_oracle,
 )
-from fedcert.fdiv import make_divergence, solve_reweight
 from fedcert.losses import LINEAR, LOGISTIC, loss_values
 from fedcert.metasim import _BLOCK_BYTES
 from fedcert.oracle import _binary_margin, _draw_source, _risks_from_parts
@@ -58,79 +58,78 @@ def archetype_cfg(seed=9):
 # -------------------------------------------------------------- grid oracle
 
 def test_grid_oracle_no_freedom_is_plain_mean():
-    spec = make_divergence("kl", 0.1, 0.1)
-    for q in ([0.4], [0.1, 0.9], [0.2, 0.5, 0.8]):
-        q = np.array(q)
-        got = grid_reweight_oracle(q, spec, 0.0, 0.0, step=1e-2)
-        assert abs(got - float(np.mean(q))) < 1e-12
+    # at epsilon 0 a strictly convex generator pins every ratio at 1
+    for name in ("kl", "chi-square"):
+        for q in ([0.4], [0.1, 0.9], [0.2, 0.5, 0.8]):
+            q = np.array(q)
+            got = grid_ball_oracle(q, name, 0.0, step=1e-2)
+            assert abs(got - float(np.mean(q))) < 1e-12
 
 
 def test_grid_oracle_refines_upward():
     # grids nest when the step halves, so the value can only improve, and it
-    # never exceeds the true optimum approximated by the solver
-    spec = make_divergence("chi-square", 0.1, 0.1)
+    # never exceeds the ball's supremum that the dual certificate bounds
     q = np.array([0.9, 0.3])
-    sol = solve_reweight(q, spec, 0.3, 0.2)
-    coarse = grid_reweight_oracle(q, spec, 0.3, 0.2, step=4e-3)
-    fine = grid_reweight_oracle(q, spec, 0.3, 0.2, step=2e-3)
+    exact = fdiv_mean_bound(q, np.ones(2, int), 0.1, 0.3, "chi-square",
+                            include_slack=False).raw_value
+    coarse = grid_ball_oracle(q, "chi-square", 0.3, step=4e-3)
+    fine = grid_ball_oracle(q, "chi-square", 0.3, step=2e-3)
     assert coarse <= fine + 1e-12
-    assert fine <= sol.objective + 1e-6
-    assert sol.objective - coarse <= 2 * 4e-3
+    assert fine <= exact + 1e-12
+    assert exact - coarse <= 2 * 4e-3
 
 
 def test_grid_oracle_matches_two_client_closed_form():
-    spec = make_divergence("chi-square", 0.2, 0.1)
+    # the ratios (1 + a, 1 - a) have chi-square a^2 <= 1/2, so a = sqrt(1/2)
+    # and the worst mean is 0.5 + 0.3 a
     closed = 0.5 + 0.3 * np.sqrt(0.5)
-    got = grid_reweight_oracle(np.array([0.8, 0.2]), spec, 0.5, 0.0, step=1e-3)
+    got = grid_ball_oracle(np.array([0.8, 0.2]), "chi-square", 0.5, step=1e-3)
     assert got <= closed + 1e-9
     assert abs(got - closed) <= 2e-3
 
 
 def test_grid_oracle_validation():
-    spec = make_divergence("kl", 0.1, 0.1)
     with pytest.raises(ValueError):
-        grid_reweight_oracle(np.ones(4), spec, 0.1, 0.1, step=1e-2)
+        grid_ball_oracle(np.ones(4), "kl", 0.1, step=1e-2)
     with pytest.raises(ValueError):
-        grid_reweight_oracle(np.ones(2), spec, 0.1, 0.1, step=0.0)
+        grid_ball_oracle(np.ones(2), "kl", 0.1, step=0.0)
     with pytest.raises(ValueError):
-        grid_reweight_oracle(np.array([0.5, -0.1, 0.2]), spec, 0.1, 0.1, step=1e-2)
+        grid_ball_oracle(np.array([0.5, -0.1, 0.2]), "kl", 0.1, step=1e-2)
 
 
-def _three_client_slice_loop(q, name, cap, eps_budget, band, step):
+def _three_client_slice_loop(q, name, epsilon, step):
     """The K = 3 grid search slice by slice over the first coordinate, every
-    (a2, a3) pair tested: the reference the oracle's run search must match."""
+    (a2, a3) pair tested: the reference the oracle's pinned search must match."""
     f = {"kl": lambda t: np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0),
          "chi-square": lambda t: (t - 1.0) ** 2}[name]
-    grid = np.unique(np.concatenate([np.minimum(np.arange(0.0, cap + step / 2, step), cap),
-                                     [1.0, cap]]))
+    grid = np.unique(np.concatenate([np.minimum(np.arange(0.0, 3.0 + step / 2, step), 3.0),
+                                     [1.0, 3.0]]))
     fg = f(grid)
     S2 = grid[:, None] + grid[None, :]
     F2 = fg[:, None] + fg[None, :]
     Q2 = q[1] * grid[:, None] + q[2] * grid[None, :]
     best = -np.inf
     for a1, f1 in zip(grid, fg):
-        ok = ((np.abs((a1 + S2) / 3.0 - 1.0) <= band + 1e-12)
-              & ((f1 + F2) / 3.0 <= eps_budget + 1e-12))
+        ok = ((np.abs((a1 + S2) / 3.0 - 1.0) <= 1e-12)
+              & ((f1 + F2) / 3.0 <= epsilon + 1e-12))
         if np.any(ok):
             best = max(best, (np.max(Q2[ok]) + q[0] * a1) / 3.0)
     return float(best)
 
 
 def test_grid_oracle_three_clients_matches_the_slice_loop():
-    # bit for bit, with ties and zeros in q and zero band or budget
+    # bit for bit, with ties and zeros in q and a zero budget
     rng = np.random.default_rng(np.random.SeedSequence(8181))
     for t in range(24):
         name = "kl" if t % 2 else "chi-square"
-        spec = make_divergence(name, float(rng.uniform(0.01, 0.14)), 0.1)
         q = rng.uniform(0.0, 1.0, 3)
         if t % 3 == 0:
             q[int(rng.integers(3))] = 0.0
         if t % 4 == 1:
             q[1] = q[2]
-        band = 0.0 if t % 5 == 0 else float(rng.uniform(0.0, 0.35))
-        eps_budget = 0.0 if t % 7 == 0 else float(rng.uniform(0.0, 0.5))
-        got = grid_reweight_oracle(q, spec, eps_budget, band, step=1e-2)
-        want = _three_client_slice_loop(q, name, spec.cap, eps_budget, band, 1e-2)
+        epsilon = 0.0 if t % 7 == 0 else float(rng.uniform(0.0, 0.5))
+        got = grid_ball_oracle(q, name, epsilon, step=1e-2)
+        want = _three_client_slice_loop(q, name, epsilon, 1e-2)
         assert got == want, (t, name)
 
 
