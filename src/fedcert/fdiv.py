@@ -37,12 +37,18 @@ after seeing the data, and every value it takes gives a sound certificate:
 
 Each is a one-dimensional search (golden section on a logarithmic scale,
 ``_golden``); its accuracy affects only the tightness.  Both tend to
-mean(x) + t, the mean bound's value, as eta -> inf or c -> -inf; that limit
-is a candidate too, worth +inf once epsilon > 0.  The certificate is the
-smallest candidate value.  The infimum is nondecreasing in epsilon, and at
-epsilon 0 without slack it is mean(qv) (Jensen).  With slack it can fall
-below mean(x) + t: the DKW step charges t (phi(1) - phi(0)) on a convex phi,
-which can cost less than the t that the mean bound adds.
+mean(x) + t, the mean bound's value, as eta -> inf or c -> -inf.  Without
+the DKW term the dual never falls below mean(x) (Jensen), and at epsilon 0
+its infimum is that limit.  With it, it can: the DKW step charges
+t (phi(1) - phi(0)) on a convex phi, which at small K can cost less than
+the t that the mean bound adds (K = 30, n_k = 10, epsilon 0.05: 0.08 to 0.13
+less).  Any upper bound may be raised and stay one, so the certificate is
+the larger of the search's value and mean(x) + t, and exactly mean(x) + t
+at epsilon 0: on the same K+1 events the robust certificate never reads
+below the mean bound.  At the `certify-reweight` benchmark's full size
+(K = 2000, n_k = 50, epsilon 0.05) the search's value is above it by at
+least 0.024, and the floor does not bind.  The certificate stays
+nondecreasing in epsilon.
 
 Survival at a threshold.  R >= lambda is an event, and by the
 data-processing inequality the worst Q(R >= lambda) over the ball is the
@@ -109,7 +115,8 @@ def _golden(fun, rows: int) -> np.ndarray:
 
 def _mean_duals(name: str, x: np.ndarray, t: np.ndarray, epsilon: float) -> np.ndarray:
     """The dual certificate of each row of ``x`` with meta term ``t`` (one
-    per row): the smallest candidate value, the limit mean(x) + t included."""
+    per row): the search's value, floored at the limit mean(x) + t, which
+    it is at epsilon 0."""
     # the largest atom of mean_k delta_{x_k} + t (delta_1 - delta_0), about
     # which the exponentials are taken so that none overflows
     top = np.where(t > 0, np.maximum(x.max(axis=1), 1.0), x.max(axis=1))
@@ -139,8 +146,8 @@ def _mean_duals(name: str, x: np.ndarray, t: np.ndarray, epsilon: float) -> np.n
             with np.errstate(invalid="ignore", divide="ignore"):
                 low = ((1.0 + epsilon) * lin + epsilon * c * c) / (root * np.sqrt(lin + c * c) - c)
             return np.where(c < 0.0, low, value)
-    limit = np.mean(x, axis=1) + t if epsilon == 0 else np.inf
-    return np.minimum(_golden(fun, len(x)), limit)
+    limit = np.mean(x, axis=1) + t
+    return limit if epsilon == 0 else np.maximum(_golden(fun, len(x)), limit)
 
 
 def _kl_bernoulli(q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -160,12 +160,11 @@ def test_mean_bound_slack_spends_the_mean_bounds_events(name):
         assert abs(b.raw_value - (program + b.slack["meta"] + b.slack["per_client"])) < 1e-12
         assert b.value == min(b.raw_value, 1.0)
         assert set(b.params) == {"K", "delta", "epsilon", "divergence", "include_slack"}
-    # at epsilon 0 the per-client terms add exactly what they add to the mean
-    # bound, and the DKW term at most what it adds there
+    # at epsilon 0 the certificate is the mean bound, term by term
     b = fdiv_mean_bound(qv, n, delta, 0.0, name)
     assert abs(b.slack["per_client"] - plain.slack["per_client"]) < 1e-12
-    assert b.slack["meta"] <= plain.slack["meta"] + 1e-12
-    assert b.raw_value <= plain.raw_value + 1e-12
+    assert abs(b.slack["meta"] - plain.slack["meta"]) < 1e-12
+    assert abs(b.raw_value - plain.raw_value) < 1e-12
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -193,10 +192,9 @@ def test_chi2_mean_bound_is_cauchy_schwarz_while_every_client_is_active(epsilon)
     assert abs(b.raw_value - (qv.mean() + np.sqrt(epsilon * var))) < 1e-12
 
 
-def _plain_dual(name, x, t, epsilon):
+def _grid_dual(name, x, t, epsilon):
     """The smallest value of the dual formula, written out plainly, over a
-    dense grid of its parameter (eta for KL, c for chi-square) and, at
-    epsilon 0, its limit mean(x) + t."""
+    dense grid of its parameter (eta for KL, c for chi-square)."""
     if name == "kl":
         eta = np.geomspace(2e-3, 1e4, 8001)[:, None]
         inner = np.mean(np.exp((x - 1.0) / eta), axis=1) + (1.0 - np.exp(-1.0 / eta[:, 0])) * t
@@ -206,7 +204,14 @@ def _plain_dual(name, x, t, epsilon):
         hinge = np.mean(np.maximum(x - c, 0.0) ** 2, axis=1)
         ends = np.maximum(1.0 - c[:, 0], 0.0) ** 2 - np.maximum(-c[:, 0], 0.0) ** 2
         values = c[:, 0] + np.sqrt(1.0 + epsilon) * np.sqrt(hinge + ends * t)
-    return float(min(values.min(), np.mean(x) + t if epsilon == 0 else np.inf))
+    return float(values.min())
+
+
+def _plain_dual(name, x, t, epsilon):
+    """``_grid_dual`` floored at the limit mean(x) + t, and that limit at
+    epsilon 0."""
+    limit = float(np.mean(x) + t)
+    return limit if epsilon == 0 else max(_grid_dual(name, x, t, epsilon), limit)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -225,6 +230,45 @@ def test_mean_bound_is_the_dual_over_the_dkw_band(name):
         for got, want in ((b.raw_value, _plain_dual(name, x, t, epsilon)),
                           (b.extra["program_value"], _plain_dual(name, qv, 0.0, epsilon))):
             assert want - 1e-5 <= got <= want + 1e-12, (K, got, want)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("include_slack", [True, False])
+def test_mean_bound_dominates_plain_bound(name, include_slack):
+    # the robust certificate never reads below the mean bound on the same
+    # events: by Jensen without slack, by its floor with it; the second
+    # instance is small K with large slack, the third clips at 1
+    seeds = np.random.SeedSequence(635).spawn(3)
+    cases = [(np.random.default_rng(seeds[0]).uniform(0.0, 0.4, 25), 80),
+             (np.random.default_rng(seeds[1]).uniform(0.0, 0.3, 30), 10),
+             (np.random.default_rng(seeds[2]).uniform(0.3, 0.9, 5), 10)]
+    for qv, n_k in cases:
+        n = np.full(len(qv), n_k)
+        plain = mean_bound(qv, n, 0.1, include_slack=include_slack)
+        for eps in (0.0, 1e-6, 0.01, 0.05, 0.1, 0.5, 4.0):
+            rob = fdiv_mean_bound(qv, n, 0.1, eps, name, include_slack=include_slack)
+            assert rob.raw_value >= plain.raw_value - 1e-12, (len(qv), eps)
+            assert rob.value >= plain.value - 1e-12, (len(qv), eps)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_mean_bound_floor_binds_only_where_the_dkw_step_undercuts(name):
+    # K = 30, n_k = 10: the dual over the DKW band reads well below the mean
+    # bound, and the certificate is the mean bound; K = 2000, n_k = 50: the
+    # dual is above it and the floor leaves it alone
+    rng = np.random.default_rng(np.random.SeedSequence(638))
+    qv, n = rng.uniform(0.0, 0.3, 30), np.full(30, 10)
+    plain = mean_bound(qv, n, 0.1)
+    x = qv + np.sqrt(np.log(31 / 0.1) / 20)
+    assert _grid_dual(name, x, plain.slack["meta"], 0.05) < plain.raw_value - 0.05
+    b = fdiv_mean_bound(qv, n, 0.1, 0.05, name)
+    assert abs(b.raw_value - plain.raw_value) < 1e-12
+    assert abs(b.slack["meta"] + b.slack["per_client"] + b.extra["program_value"]
+               - plain.raw_value) < 1e-12
+
+    qv, n = rng.uniform(0.0, 0.25, 2000), np.full(2000, 50)
+    plain = mean_bound(qv, n, 0.1)
+    assert fdiv_mean_bound(qv, n, 0.1, 0.05, name).raw_value > plain.raw_value + 0.01
 
 
 def test_mean_bound_tracks_the_ball_oracle_subset():
