@@ -46,7 +46,6 @@ from .nonrobust import cdf_bound, mean_bound
 from .oracle import (
     CoverageReport,
     adversarial_directions,
-    coverage_experiment,
     coverage_experiments,
     exact_zero_one_risk,
     grid_ball_oracle,

@@ -647,7 +647,7 @@ def cmd_verify(args) -> int:
     coverage = coverage_experiments(
         world, [("cdf-curve" if e["kind"] == "cdf" else e["kind"], {**e, **shared})
                 for e in entries],
-        trials, seed=world.seed, jobs=args.jobs)
+        trials, seed=world.seed)
     all_passed = True
     reports = []
     for i, (entry, report) in enumerate(zip(entries, coverage)):
@@ -764,8 +764,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", required=True, help="experiment config JSON")
             sp.add_argument("--seed", type=int, default=None, help="override the world seed")
         if fn is cmd_verify:
-            sp.add_argument("--trials", type=int, default=None, help="override trial count")
-            sp.add_argument("--jobs", type=int, default=1, help="parallel trials")
+            sp.add_argument("--trials", type=int, default=None,
+                            help="override verify.trials (not the tightness probe's)")
+            # accepted so that existing command lines keep working
+            sp.add_argument("--jobs", type=int, default=1, help="no effect")
         sp.add_argument("--out", required=True, help="output directory")
         sp.set_defaults(fn=fn)
     return p

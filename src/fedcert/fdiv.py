@@ -68,9 +68,9 @@ import math
 import numpy as np
 
 from .certificates import CdfCurve, CertifiedBound
-from .nonrobust import _slack_terms, _validate, cdf_bound
+from .nonrobust import Rows, _curve_thresholds, _one_row, _slack_terms, _validate, cdf_rows
 
-__all__ = ["ball", "fdiv_mean_bound", "fdiv_cdf_bound"]
+__all__ = ["ball", "fdiv_mean_rows", "fdiv_cdf_rows", "fdiv_mean_bound", "fdiv_cdf_bound"]
 
 KL = "kl"
 CHI2 = "chi-square"
@@ -184,49 +184,73 @@ def ball(name: str, p, epsilon: float) -> np.ndarray:
     return out
 
 
+def fdiv_mean_rows(qv, n, delta: float, epsilon: float, name: str,
+                   *, include_slack: bool = True) -> Rows:
+    """``fdiv_mean_bound`` of each row of a (T, K) query matrix ``qv`` with
+    sample counts ``n`` of the same shape: every row's three duals (on qv,
+    on x = qv + s, and on x with the DKW term) in one search."""
+    qv, n = _validate(qv, n, delta)
+    _check_divergence(name, epsilon)
+    shifts, t = _slack_terms(n, delta, include_slack)
+    x = qv + shifts
+    T, K = qv.shape
+    duals = _mean_duals(name, np.stack([qv, x, x], axis=1).reshape(3 * T, K),
+                        np.tile([0.0, 0.0, t], T), epsilon)
+    program, plugged, raw = duals.reshape(T, 3).T
+    return Rows(np.minimum(raw, 1.0), raw,
+                {"meta": raw - plugged, "per_client": plugged - program},
+                {"program_value": program})
+
+
+def fdiv_cdf_rows(qv, n, delta: float, epsilon: float, name: str, lambdas,
+                  *, include_slack: bool = True) -> Rows:
+    """``ball`` applied to each row's band of ``nonrobust.cdf_rows`` at the
+    sorted thresholds ``lambdas``; ``raw`` keeps that band before its clip
+    to 1."""
+    band = cdf_rows(qv, n, delta, lambdas, include_slack=include_slack)
+    return band._replace(value=ball(name, band.value, epsilon))
+
+
 def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str,
                     *, include_slack: bool = True) -> CertifiedBound:
     """Certified upper bound on the target population's mean risk when the
-    target is any law within f-divergence epsilon of the source.
+    target is any law within f-divergence epsilon of the source: the one
+    row of ``fdiv_mean_rows``.
 
     ``program_value`` is the dual on the query values themselves; the
     per-client slack is what replacing them by x = qv + s adds, and the meta
     slack what the DKW term t adds.  Each is nonnegative, since the dual is
     monotone in both, and the three sum to the raw value.
     """
-    qv, n = _validate(qv, n, delta)
-    _check_divergence(name, epsilon)
-    K = len(qv)
-    shifts, t = _slack_terms(n, delta, include_slack)
-    x = qv + shifts
-    program, plugged, raw = _mean_duals(name, np.stack([qv, x, x]),
-                                        np.array([0.0, 0.0, t]), epsilon)
+    qv, n = _one_row(qv, n)
+    rows = fdiv_mean_rows(qv, n, delta, epsilon, name, include_slack=include_slack)
     return CertifiedBound(
         kind="fdiv-mean",
-        value=float(min(raw, 1.0)),
-        raw_value=float(raw),
-        slack={"meta": float(raw - plugged), "per_client": float(plugged - program)},
-        params={"K": K, "delta": delta, "epsilon": epsilon, "divergence": name,
+        value=float(rows.value[0]),
+        raw_value=float(rows.raw[0]),
+        slack={key: float(v[0]) for key, v in rows.slack.items()},
+        params={"K": qv.shape[1], "delta": delta, "epsilon": epsilon, "divergence": name,
                 "include_slack": include_slack},
-        extra={"program_value": float(program)},
+        extra={"program_value": float(rows.extra["program_value"][0])},
     )
 
 
 def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
                    *, include_slack: bool = True) -> CdfCurve:
     """Certified survival-function bounds under an f-divergence shift, valid
-    simultaneously at every threshold: ``ball`` applied to the band of
-    ``nonrobust.cdf_bound`` on the same thresholds.  ``raw`` keeps that
-    band before its clip to 1."""
-    band = cdf_bound(qv, n, delta, lambda_grid, include_slack=include_slack)
+    simultaneously at every threshold: the one row of ``fdiv_cdf_rows``, on
+    the thresholds of ``nonrobust.cdf_bound``.  ``raw`` keeps the band
+    before its clip to 1."""
+    qv, n, lams = _curve_thresholds(qv, n, delta, lambda_grid, include_slack)
+    rows = fdiv_cdf_rows(qv, n, delta, epsilon, name, lams, include_slack=include_slack)
     return CdfCurve(
-        lambdas=band.lambdas,
-        bounds=ball(name, band.bounds, epsilon),
-        raw=band.raw,
+        lambdas=lams,
+        bounds=rows.value[0],
+        raw=rows.raw[0],
         params={
             "kind": "fdiv-cdf",
-            "K": band.params["K"], "delta": delta, "epsilon": epsilon, "divergence": name,
-            "meta_slack": band.params["meta_slack"],
+            "K": qv.shape[1], "delta": delta, "epsilon": epsilon, "divergence": name,
+            "meta_slack": float(rows.slack["meta"][0]),
             "include_slack": include_slack,
         },
     )

@@ -14,21 +14,42 @@ query values are plain empirical risks of a [0,1] loss:
 The K-level terms pay for seeing only K clients from the population, the
 n_k-level terms for seeing only n_k samples per client; the union is split
 across K+1 events (one meta, one per client).
+
+Each bound is written once, as a row kernel over a (T, K) matrix of T
+independent problems (``mean_rows``, ``cdf_rows``), so that many problems of
+one size are certified in one call; ``mean_bound`` and ``cdf_bound`` are
+its one-row case.  A row's result does not depend on the other rows.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .certificates import CdfCurve, CertifiedBound
 
-__all__ = ["mean_bound", "cdf_bound"]
+__all__ = ["Rows", "mean_rows", "cdf_rows", "mean_bound", "cdf_bound"]
+
+
+class Rows(NamedTuple):
+    """One certificate per row of a (T, K) query matrix: ``value`` and
+    ``raw`` (before the clip to 1) are (T,) for a mean kind and (T, L) for a
+    band at L thresholds; ``slack`` and ``extra`` map each named term to its
+    (T,) values."""
+
+    value: np.ndarray
+    raw: np.ndarray
+    slack: dict
+    extra: dict
 
 
 def _validate(qv, n, delta):
+    """A (T, K) matrix of query values and sample counts, each row checked
+    as one client population."""
     qv = np.asarray(qv, dtype=float)
     n = np.asarray(n, dtype=int)
-    if qv.ndim != 1 or len(qv) == 0:
-        raise ValueError("qv must be a nonempty vector")
+    if qv.ndim != 2 or qv.size == 0:
+        raise ValueError("qv must be a nonempty (rows, clients) matrix")
     if n.shape != qv.shape:
         raise ValueError("one sample count per client required")
     if np.any(qv < 0) or np.any(qv > 1):
@@ -40,68 +61,110 @@ def _validate(qv, n, delta):
     return qv, n
 
 
-def _survival_counts(breakpoints: np.ndarray, lambda_grid) -> tuple[np.ndarray, np.ndarray]:
-    """The thresholds, the grid plus the breakpoints (sorted, unique), and at
-    each the number of breakpoints at or above it."""
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
-        raise ValueError("lambda_grid must be a nonempty vector")
-    lams = np.unique(np.concatenate([lambda_grid, breakpoints]))
-    counts = len(breakpoints) - np.searchsorted(np.sort(breakpoints), lams, side="left")
-    return lams, counts
+def _one_row(qv, n) -> tuple[np.ndarray, np.ndarray]:
+    """A one-row certificate's vector input as the kernels' (1, K) matrix."""
+    qv = np.asarray(qv, dtype=float)
+    if qv.ndim != 1:
+        raise ValueError("qv must be a vector")
+    return qv[None], np.asarray(n)[None]
 
 
 def _slack_terms(n: np.ndarray, delta: float, include_slack: bool) -> tuple[np.ndarray, float]:
     """The mean bound's K+1 events: each client's term s_k (its true risk is
     at most qv_k + s_k) and the meta term t (one-sided DKW on the true
-    risks); zeros without slack."""
-    K = len(n)
+    risks); zeros without slack.  ``n`` holds K clients along its last axis."""
+    K = n.shape[-1]
     if not include_slack:
-        return np.zeros(K), 0.0
+        return np.zeros(n.shape), 0.0
     return (np.sqrt(np.log((K + 1) / delta) / (2 * n)),
             float(np.sqrt(np.log((K + 1) / delta) / (2 * K))))
 
 
-def mean_bound(qv, n, delta: float, *, include_slack: bool = True) -> CertifiedBound:
-    """Certified upper bound on the population-average true risk."""
+def _survival_counts(breakpoints: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Per row of ``breakpoints``, the number at or above each of the sorted
+    thresholds ``lams``.  Each breakpoint is placed among the thresholds by
+    one searchsorted and each row's places are counted from the top, so no
+    (K, L) comparison is built.  The rows are sorted first: searchsorted
+    walks sorted keys several times faster."""
+    T, L = len(breakpoints), len(lams)
+    # the number of thresholds at or below each breakpoint
+    places = np.searchsorted(lams, np.sort(breakpoints, axis=1), side="right")
+    hist = np.bincount((np.arange(T)[:, None] * (L + 1) + places).ravel(),
+                       minlength=T * (L + 1)).reshape(T, L + 1)
+    return np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1]
+
+
+def _curve_thresholds(qv, n, delta, lambda_grid, include_slack: bool):
+    """A one-row curve's (1, K) input and its thresholds: the grid plus the
+    K breakpoints qv_k + s_k where the indicator sum changes (sorted,
+    unique), so the step curve on them is exact between neighbours."""
+    qv, n = _validate(*_one_row(qv, n), delta)
+    lambda_grid = np.asarray(lambda_grid, dtype=float)
+    if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
+        raise ValueError("lambda_grid must be a nonempty vector")
+    shifts, _ = _slack_terms(n, delta, include_slack)
+    return qv, n, np.unique(np.concatenate([lambda_grid, qv[0] + shifts[0]]))
+
+
+def mean_rows(qv, n, delta: float, *, include_slack: bool = True) -> Rows:
+    """``mean_bound`` of each row of a (T, K) query matrix ``qv`` with
+    sample counts ``n`` of the same shape."""
     qv, n = _validate(qv, n, delta)
-    K = len(qv)
     shifts, meta = _slack_terms(n, delta, include_slack)
-    per_client = float(np.mean(shifts))
-    raw = float(np.mean(qv)) + meta + per_client
+    per_client = np.mean(shifts, axis=1)
+    raw = np.mean(qv, axis=1) + meta + per_client
+    return Rows(np.minimum(raw, 1.0), raw,
+                {"meta": np.full(len(raw), meta), "per_client": per_client}, {})
+
+
+def cdf_rows(qv, n, delta: float, lambdas, *, include_slack: bool = True) -> Rows:
+    """The survival band of each row of a (T, K) query matrix at the sorted
+    thresholds ``lambdas``, shared by every row: ``value`` and ``raw`` are
+    (T, L), ``slack["meta"]`` the K-level term."""
+    qv, n = _validate(qv, n, delta)
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim != 1 or len(lambdas) == 0 or np.any(np.diff(lambdas) < 0):
+        raise ValueError("thresholds must be a nonempty sorted vector")
+    T, K = qv.shape
+    shifts, _ = _slack_terms(n, delta, include_slack)
+    meta = float(np.sqrt(np.log(2 * (K + 1) / delta) / (2 * K))) if include_slack else 0.0
+    raw = _survival_counts(qv + shifts, lambdas) / K + meta
+    return Rows(np.minimum(raw, 1.0), raw, {"meta": np.full(T, meta)}, {})
+
+
+def mean_bound(qv, n, delta: float, *, include_slack: bool = True) -> CertifiedBound:
+    """Certified upper bound on the population-average true risk: the one
+    row of ``mean_rows``."""
+    qv, n = _one_row(qv, n)
+    rows = mean_rows(qv, n, delta, include_slack=include_slack)
     return CertifiedBound(
         kind="mean",
-        value=float(min(raw, 1.0)),
-        raw_value=raw,
-        slack={"meta": meta, "per_client": per_client},
-        params={"K": K, "delta": delta, "include_slack": include_slack},
+        value=float(rows.value[0]),
+        raw_value=float(rows.raw[0]),
+        slack={key: float(v[0]) for key, v in rows.slack.items()},
+        params={"K": qv.shape[1], "delta": delta, "include_slack": include_slack},
     )
 
 
 def cdf_bound(qv, n, delta: float, lambda_grid, *, include_slack: bool = True) -> CdfCurve:
     """Certified upper bounds on the survival function of client risks,
-    valid simultaneously at every threshold.
+    valid simultaneously at every threshold: the one row of ``cdf_rows``.
 
     Evaluated on the user grid plus the K breakpoints qv_k + shift_k where
     the indicator sum actually changes, so the returned step curve is exact
     between consecutive thresholds.
     """
-    qv, n = _validate(qv, n, delta)
-    K = len(qv)
-
-    shifts, _ = _slack_terms(n, delta, include_slack)
-    meta = float(np.sqrt(np.log(2 * (K + 1) / delta) / (2 * K))) if include_slack else 0.0
-    lams, counts = _survival_counts(qv + shifts, lambda_grid)
-    raw = counts / K + meta
+    qv, n, lams = _curve_thresholds(qv, n, delta, lambda_grid, include_slack)
+    rows = cdf_rows(qv, n, delta, lams, include_slack=include_slack)
     return CdfCurve(
         lambdas=lams,
-        bounds=np.minimum(raw, 1.0),
-        raw=raw,
+        bounds=rows.value[0],
+        raw=rows.raw[0],
         params={
             "kind": "cdf",
-            "K": K,
+            "K": qv.shape[1],
             "delta": delta,
-            "meta_slack": meta,
+            "meta_slack": float(rows.slack["meta"][0]),
             "include_slack": include_slack,
         },
     )

@@ -20,16 +20,17 @@ Everything here is deliberately independent of the solvers it checks:
 
 Each certificate kind is wired once, here, for the command line and the two
 experiments alike: ``BOUND_KINDS`` names the kinds, ``issue_certificate``
-maps a kind to its bound function, and ``target_world`` builds the shifted
-meta-distribution the kind declares.
+maps a kind to its bound function, ``certify_rows`` to its row kernel, and
+``target_world`` builds the shifted meta-distribution the kind declares.
 
 The coverage trials use common random numbers: trial t seeds its source
 world by (seed, t) and its target risks by (seed, t, 1), whatever the kind.
 So every kind certifies the same clients, and kinds that declare the same
 target world test against the same risks.  ``coverage_experiments`` runs
-each trial once, draws its source and each distinct target once, and
-certifies every requested kind on them; each report equals the one its kind
-gets when run on its own.
+each trial once, draws its source and each distinct target once, and keeps
+of them only the query values and the statistic each kind checks; each kind
+then certifies its (trials, K) query matrix in one kernel call.  Each report
+equals the one its kind gets when run on its own.
 
 Target statistics use exact per-client risks (Gaussian class-conditional
 worlds with a binary linear rule admit a closed form), so coverage tests
@@ -43,14 +44,13 @@ their clients with the zero-one loss.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fdiv import fdiv_cdf_bound, fdiv_mean_bound
+from .fdiv import fdiv_cdf_bound, fdiv_cdf_rows, fdiv_mean_bound, fdiv_mean_rows
 from .losses import LINEAR, LOGISTIC, ZERO_ONE, Hypothesis, LossFn
 from .metasim import (
     MetaConfig,
@@ -59,7 +59,7 @@ from .metasim import (
     shift_meta_wass,
     tilt_for_divergence,
 )
-from .nonrobust import cdf_bound, mean_bound
+from .nonrobust import Rows, cdf_bound, cdf_rows, mean_bound, mean_rows
 from .query import HALF_SQ, Client, empirical_risk_values, query_empirical
 from .wass import DEFAULT_GRID_SIZE, wass_mean_bound
 
@@ -77,9 +77,9 @@ __all__ = [
     "TIGHTNESS_KINDS",
     "lambda_grid",
     "issue_certificate",
+    "certify_rows",
     "target_world",
     "CoverageReport",
-    "coverage_experiment",
     "coverage_experiments",
     "tightness_probe",
 ]
@@ -591,6 +591,24 @@ def issue_certificate(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
     raise ValueError(f"kind must be one of {BOUND_KINDS}")
 
 
+def certify_rows(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray) -> Rows:
+    """``issue_certificate`` for a (T, K) matrix of T problems, every kind
+    but ``wass-mean``, whose clients answer their own queries: one kernel
+    call returns each row's value and slack terms, or for a curve kind its
+    band at the request's thresholds, in their given order."""
+    delta = float(req["delta"])
+    if kind == "mean":
+        return mean_rows(qv, ns, delta)
+    if kind == "fdiv-mean":
+        return fdiv_mean_rows(qv, ns, delta, float(req["epsilon"]), req["f_name"])
+    if kind in CURVE_KINDS:
+        lams, back = np.unique(lambda_grid(req), return_inverse=True)
+        band = (cdf_rows(qv, ns, delta, lams) if kind == "cdf" else
+                fdiv_cdf_rows(qv, ns, delta, float(req["epsilon"]), req["f_name"], lams))
+        return band._replace(value=band.value[:, back], raw=band.raw[:, back])
+    raise ValueError("kind must be one of ('mean', 'cdf', 'fdiv-mean', 'fdiv-cdf')")
+
+
 def target_world(cfg: MetaConfig, kind: str, epsilon: float, h: Hypothesis,
                  f_name: str | None = None, cost_kind: str = HALF_SQ) -> MetaConfig:
     """The shifted meta-distribution a certificate of ``kind`` declares: the
@@ -653,12 +671,6 @@ def _trial_seed(seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([seed, trial]).generate_state(1, dtype=np.uint64)[0])
 
 
-def coverage_experiment(cfg: MetaConfig, bound_kind: str, params: dict,
-                        trials: int, seed: int = 0, jobs: int = 1) -> CoverageReport:
-    """``coverage_experiments`` for one kind."""
-    return coverage_experiments(cfg, [(bound_kind, params)], trials, seed, jobs)[0]
-
-
 @dataclass
 class _CoveragePlan:
     """What one requested kind's trials need, fixed before the first trial."""
@@ -699,29 +711,27 @@ class _CoveragePlan:
     def target_key(self) -> tuple:
         return self.target_cfg.digest(), self.target_clients, self.h.cache_key()
 
-    def outcome(self, source, risks: np.ndarray) -> tuple[int, np.ndarray]:
-        """Certify one trial's source and test it against the target's exact
-        risks: (violated, per-threshold violations)."""
-        world, qv, ns = source
-        clients = None
-        if self.kind == "wass-mean":
-            clients = [Client(ds.client_id, ds, _ZERO_ONE,
-                              max_queries=self.req.get("max_queries"))
-                       for ds in world.datasets()]
-            query_empirical(clients, self.h)   # qv's queries, charged as certify charges them
-        cert = issue_certificate(self.kind, self.req, qv, ns, clients, self.h)
-        lams = self.lams
+    def target_statistic(self, risks: np.ndarray):
+        """What the check reads of one trial's exact target risks: their
+        mean, or their survival at each threshold."""
         if self.kind not in CURVE_KINDS:
-            violated = float(np.mean(risks)) > cert.value + VIOLATION_GUARD
-            return int(violated), np.zeros(len(lams), dtype=int)
-        curve_vals = cert.bounds[np.searchsorted(cert.lambdas, lams)]
-        surv = np.mean(risks[None, :] >= lams[:, None], axis=1)
-        viol = surv > curve_vals + VIOLATION_GUARD
-        return int(np.any(viol)), viol.astype(int)
+            return float(np.mean(risks))
+        below = np.searchsorted(np.sort(risks), self.lams, side="left")
+        return (len(risks) - below) / len(risks)
 
-    def report(self, cfg: MetaConfig, outcomes: list, trials: int) -> CoverageReport:
-        violations = int(sum(r[0] for r in outcomes))
-        per_lambda_counts = np.sum([r[1] for r in outcomes], axis=0)
+    def wass_value(self, source) -> float:
+        """The ``wass-mean`` certificate of one trial's drawn source."""
+        world, qv, ns = source
+        clients = [Client(ds.client_id, ds, _ZERO_ONE, max_queries=self.req.get("max_queries"))
+                   for ds in world.datasets()]
+        query_empirical(clients, self.h)   # qv's queries, charged as certify charges them
+        return issue_certificate(self.kind, self.req, qv, ns, clients, self.h).value
+
+    def report(self, cfg: MetaConfig, violated: np.ndarray) -> CoverageReport:
+        """The report of ``violated``: per trial, or per trial and threshold
+        for a curve kind."""
+        trials = len(violated)
+        violations = int(np.count_nonzero(violated.reshape(trials, -1).any(axis=1)))
         rate = violations / trials
         threshold = self.delta + 3.0 * float(np.sqrt(self.delta * (1 - self.delta) / trials))
         # a run where every trial violates is a failure even when the
@@ -731,7 +741,7 @@ class _CoveragePlan:
         if self.kind in CURVE_KINDS:
             per_lambda = {
                 "lambdas": self.lams.tolist(),
-                "violation_rates": (per_lambda_counts / trials).tolist(),
+                "violation_rates": (np.sum(violated, axis=0) / trials).tolist(),
             }
         return CoverageReport(
             bound_kind=self.bound_kind,
@@ -748,7 +758,7 @@ class _CoveragePlan:
 
 
 def coverage_experiments(cfg: MetaConfig, requests: list[tuple[str, dict]],
-                         trials: int, seed: int = 0, jobs: int = 1) -> list[CoverageReport]:
+                         trials: int, seed: int = 0) -> list[CoverageReport]:
     """Repeatedly certify fresh source worlds and test each certificate
     against the exact statistics of its declared shifted target; one report
     per ``(bound_kind, params)`` request, in order.
@@ -769,36 +779,42 @@ def coverage_experiments(cfg: MetaConfig, requests: list[tuple[str, dict]],
     trial's draws (common random numbers): the trial draws its source once
     per (h, K, n_k) and its target risks once per declared target world and
     client count, and every report equals that of the kind run on its own.
-    The trials run in the outer loop, ``jobs`` of them at a time, each
-    holding only its own draws.
+    A trial keeps only its query values and, per kind, the target statistic
+    it checks; a ``wass-mean`` kind certifies the trial's drawn world at
+    once, and every other kind certifies its (trials, K) query matrix in one
+    ``certify_rows`` call after the last trial.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     plans = [_CoveragePlan.of(cfg, bound_kind, params) for bound_kind, params in requests]
-
-    def run_trial(t: int) -> list[tuple[int, np.ndarray]]:
-        sources: dict[tuple, tuple] = {}
-        targets: dict[tuple, np.ndarray] = {}
-        outcomes = []
-        for plan in plans:
-            src, tgt = plan.source_key(), plan.target_key()
-            if src not in sources:
-                sources[src] = _draw_source(cfg, plan.h, plan.K, plan.n_k, _trial_seed(seed, t))
-            if tgt not in targets:
-                rng_t = np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence([seed, t, 1])))
-                targets[tgt] = sample_true_risks(plan.target_cfg, plan.target_clients,
-                                                 plan.h, rng_t)
-            outcomes.append(plan.outcome(sources[src], targets[tgt]))
-        return outcomes
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(t) for t in range(trials)]
-    return [plan.report(cfg, [r[i] for r in results], trials)
-            for i, plan in enumerate(plans)]
+    src_keys = [plan.source_key() for plan in plans]
+    tgt_keys = [plan.target_key() for plan in plans]
+    # per key, a plan that reads it: the plans sharing a key share what is drawn
+    sources, targets = dict(zip(src_keys, plans)), dict(zip(tgt_keys, plans))
+    qvs = {key: np.empty((trials, plan.K)) for key, plan in sources.items()}
+    values = [np.empty(trials) if plan.kind == "wass-mean" else None for plan in plans]
+    stats = [np.empty((trials, len(plan.lams)) if plan.kind in CURVE_KINDS else trials)
+             for plan in plans]
+    for t in range(trials):
+        for key, plan in sources.items():
+            source = _draw_source(cfg, plan.h, plan.K, plan.n_k, _trial_seed(seed, t))
+            qvs[key][t] = source[1]
+            for i, value in enumerate(values):
+                if value is not None and src_keys[i] == key:
+                    value[t] = plans[i].wass_value(source)
+        for key, plan in targets.items():
+            rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
+            risks = sample_true_risks(plan.target_cfg, plan.target_clients, plan.h, rng_t)
+            for i, stat in enumerate(stats):
+                if tgt_keys[i] == key:
+                    stat[t] = plans[i].target_statistic(risks)
+    reports = []
+    for plan, key, value, stat in zip(plans, src_keys, values, stats):
+        if value is None:
+            value = certify_rows(plan.kind, plan.req, qvs[key],
+                                 np.full((trials, plan.K), plan.n_k)).value
+        reports.append(plan.report(cfg, stat > value + VIOLATION_GUARD))
+    return reports
 
 
 def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
@@ -811,7 +827,9 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
     ``mean_true_risk``'s quadrature, so the same ground truth serves every
     schedule point.  Rows carry it as ``truth``, the difference of its last
     two quadrature levels as ``truth_error``, and the median slack
-    components, so the vanishing pieces can be read off separately.
+    components, so the vanishing pieces can be read off separately.  Each
+    schedule point certifies its (trials, K) query matrix in one
+    ``certify_rows`` call.
     """
     if bound_kind not in TIGHTNESS_KINDS:
         raise ValueError("tightness probe supports the mean-style bounds")
@@ -827,15 +845,11 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
 
     rows = []
     for K, n_k in zip(K_schedule, n_schedule):
-        gaps = []
-        slacks: dict[str, list[float]] = {}
+        qv = np.empty((trials, K))
         for t in range(trials):
-            _, qv, ns = _draw_source(cfg, h, K, n_k, _trial_seed(seed, 1_000_000 * K + t))
-            b = issue_certificate(bound_kind, req, qv, ns)
-            gaps.append(b.value - truth)
-            for key, val in b.slack.items():
-                slacks.setdefault(key, []).append(float(val))
-        gaps = np.asarray(gaps)
+            qv[t] = _draw_source(cfg, h, K, n_k, _trial_seed(seed, 1_000_000 * K + t))[1]
+        certified = certify_rows(bound_kind, req, qv, np.full((trials, K), n_k))
+        gaps = certified.value - truth
         row = {
             "K": K,
             "n_k": n_k,
@@ -846,7 +860,7 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
             "truth": truth,
             "truth_error": truth_error,
         }
-        for key, vals in slacks.items():
+        for key, vals in certified.slack.items():
             row[f"slack_{key}"] = float(np.median(vals))
         rows.append(row)
     return rows

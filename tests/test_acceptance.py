@@ -24,7 +24,7 @@ from fedcert import (
     TransportCost,
     adversarial_risk,
     cdf_bound,
-    coverage_experiment,
+    coverage_experiments,
     empirical_risk,
     fdiv_cdf_bound,
     fdiv_mean_bound,
@@ -83,8 +83,8 @@ def test_acceptance_1_coverage_same_world():
     t0 = time.monotonic()
     cfg = plain_world(seed=101)
     params = {"h": H2, "K": 100, "n_k": 200, "delta": 0.1}
-    mean_rep = coverage_experiment(cfg, "mean", params, trials=200, seed=11)
-    cdf_rep = coverage_experiment(cfg, "cdf-curve", params, trials=200, seed=12)
+    mean_rep = coverage_experiments(cfg, [("mean", params)], trials=200, seed=11)[0]
+    cdf_rep = coverage_experiments(cfg, [("cdf-curve", params)], trials=200, seed=12)[0]
     elapsed = time.monotonic() - t0
     max_lambda_rate = max(cdf_rep.per_lambda["violation_rates"])
     ok = (mean_rep.violation_rate <= 0.1
@@ -107,8 +107,8 @@ def test_acceptance_2_coverage_divergence_tilts():
             for kind in ("fdiv-mean", "fdiv-cdf"):
                 params = {"h": H2, "K": 100, "n_k": 200, "delta": 0.1,
                           "epsilon": eps, "f_name": f_name}
-                rep = coverage_experiment(cfg, kind, params, trials=100,
-                                          seed=21)
+                rep = coverage_experiments(cfg, [(kind, params)], trials=100,
+                                           seed=21)[0]
                 worst = max(worst, rep.violation_rate)
                 runs.append(f"{kind}/{f_name}/eps={eps}:{rep.violation_rate:.2f}")
     elapsed = time.monotonic() - t0
@@ -125,7 +125,7 @@ def test_acceptance_3_coverage_transport_attack():
                      shift_mode="both", seed=301)
     h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
     params = {"h": h, "K": 50, "n_k": 100, "delta": 0.1, "epsilon": 0.02}
-    rep = coverage_experiment(cfg, "wass-mean", params, trials=50, seed=31)
+    rep = coverage_experiments(cfg, [("wass-mean", params)], trials=50, seed=31)[0]
     elapsed = time.monotonic() - t0
     ok = rep.violation_rate <= 0.1 and elapsed < 180.0
     _report(3, ok, f"violation rate {rep.violation_rate:.3f} under transport "

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from fedcert import Hypothesis, MetaConfig
-from fedcert.fdiv import ball, fdiv_cdf_bound, fdiv_mean_bound, _golden, _kl_bernoulli
-from fedcert.nonrobust import cdf_bound, mean_bound
+from fedcert.fdiv import (ball, fdiv_cdf_bound, fdiv_cdf_rows, fdiv_mean_bound, fdiv_mean_rows,
+                          _golden, _kl_bernoulli)
+from fedcert.nonrobust import cdf_bound, cdf_rows, mean_bound, mean_rows
 from fedcert.oracle import grid_ball_oracle, mean_true_risk, sample_true_risks, target_world
 
 from _corpus import ball_instance
@@ -392,3 +393,78 @@ def test_kl_cdf_certificate_covers_the_declared_tilt_at_a_million_clients(readme
     se = np.sqrt(survival * (1.0 - survival) / len(drawn))
     # the certificate reads 0.4067, the tilt's survival 0.3867 +- 0.0005
     assert curve.at(lam) >= survival - 3.0 * se
+
+
+# ------------------------------------------------------------- row kernels
+
+def _query_rows(T, K, seed):
+    """T rows of K query values, the ends 0 and 1 among them, and sample
+    counts that differ across rows."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, T, K]))
+    qv = rng.choice([0.0, 1.0, 0.25, *rng.uniform(0.0, 1.0, 5)], size=(T, K))
+    return qv, rng.integers(1, 400, size=(T, K))
+
+
+@pytest.mark.parametrize("T", [1, 7])
+@pytest.mark.parametrize("K", [1, 8])
+@pytest.mark.parametrize("include_slack", [True, False])
+def test_each_kernel_row_is_its_one_row_certificate(T, K, include_slack):
+    qv, n = _query_rows(T, K, 81)
+    grid = np.linspace(0.0, 1.0, 6)
+    plain = mean_rows(qv, n, 0.1, include_slack=include_slack)
+    robust = {(name, eps): fdiv_mean_rows(qv, n, 0.1, eps, name, include_slack=include_slack)
+              for name in NAMES for eps in (0.0, 0.05)}
+    for t in range(T):
+        b = mean_bound(qv[t], n[t], 0.1, include_slack=include_slack)
+        assert (plain.value[t], plain.raw[t]) == (b.value, b.raw_value)
+        assert {k: v[t] for k, v in plain.slack.items()} == b.slack
+        for (name, eps), rows in robust.items():
+            b = fdiv_mean_bound(qv[t], n[t], 0.1, eps, name, include_slack=include_slack)
+            assert (rows.value[t], rows.raw[t]) == (b.value, b.raw_value)
+            assert {k: v[t] for k, v in rows.slack.items()} == b.slack
+            assert {k: v[t] for k, v in rows.extra.items()} == b.extra
+        # the one-row curve's thresholds: the grid and row t's breakpoints
+        curve = cdf_bound(qv[t], n[t], 0.1, grid, include_slack=include_slack)
+        band = cdf_rows(qv, n, 0.1, curve.lambdas, include_slack=include_slack)
+        assert band.value[t].tolist() == curve.bounds.tolist()
+        assert band.raw[t].tolist() == curve.raw.tolist()
+        assert band.slack["meta"][t] == curve.params["meta_slack"]
+        for name in NAMES:
+            for eps in (0.0, 0.05):
+                curve = fdiv_cdf_bound(qv[t], n[t], 0.1, eps, name, grid,
+                                       include_slack=include_slack)
+                rows = fdiv_cdf_rows(qv, n, 0.1, eps, name, curve.lambdas,
+                                     include_slack=include_slack)
+                assert rows.value[t].tolist() == curve.bounds.tolist()
+                assert rows.raw[t].tolist() == curve.raw.tolist()
+
+
+@pytest.mark.parametrize("K", [1, 8, 300])
+def test_band_counts_equal_the_direct_comparison(K):
+    qv, n = _query_rows(5, K, 82)
+    x = qv + np.sqrt(np.log((K + 1) / 0.1) / (2 * n))
+    # every row's breakpoints, ties and thresholds off the breakpoints
+    lams = np.unique(np.r_[x.ravel(), np.linspace(-0.5, 2.5, 13)])
+    band = cdf_rows(qv, n, 0.1, lams)
+    counts = np.sum(x[:, :, None] >= lams, axis=1)
+    assert band.raw.tolist() == (counts / K + band.slack["meta"][:, None]).tolist()
+
+
+def test_row_kernels_check_every_row():
+    qv, n = _query_rows(4, 3, 83)
+    bad = qv.copy()
+    bad[2, 1] = 1.5
+    zero = n.copy()
+    zero[3, 0] = 0
+    calls = [lambda q, m: mean_rows(q, m, 0.1),
+             lambda q, m: cdf_rows(q, m, 0.1, [0.5]),
+             lambda q, m: fdiv_mean_rows(q, m, 0.1, 0.05, "kl"),
+             lambda q, m: fdiv_cdf_rows(q, m, 0.1, 0.05, "chi-square", [0.5])]
+    for call in calls:
+        call(qv, n)
+        for q, m in ((bad, n), (qv, zero), (qv[0], n[0]), (qv, n[:, :2]), (qv[:, :0], n[:, :0])):
+            with pytest.raises(ValueError):
+                call(q, m)
+    for lams in ([], [0.5, 0.2]):
+        with pytest.raises(ValueError):
+            cdf_rows(qv, n, 0.1, lams)

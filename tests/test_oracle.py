@@ -1,6 +1,7 @@
 """The verification layer itself: grid and LP oracles on instances small
 enough to reason about by hand, closed-form risks against Monte Carlo, and
 the coverage / tightness harnesses on toy worlds."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from fedcert import (
     LossFn,
     MetaConfig,
     adversarial_directions,
-    coverage_experiment,
     coverage_experiments,
     exact_zero_one_risk,
     fdiv_mean_bound,
@@ -28,7 +28,21 @@ from fedcert import (
 )
 from fedcert.losses import LINEAR, LOGISTIC, loss_values
 from fedcert.metasim import _BLOCK_BYTES
-from fedcert.oracle import _binary_margin, _draw_source, _risks_from_parts
+from fedcert.oracle import (
+    CURVE_KINDS,
+    VIOLATION_GUARD,
+    CoverageReport,
+    _binary_margin,
+    _CoveragePlan,
+    _draw_source,
+    _risks_from_parts,
+    _trial_seed,
+    certify_rows,
+    issue_certificate,
+    lambda_grid,
+    mean_true_risk,
+    target_world,
+)
 from fedcert.query import empirical_risk
 
 from _corpus import concave_curve, tangents
@@ -477,33 +491,31 @@ def test_adversarial_directions_shapes_and_signs():
 def test_coverage_validation():
     cfg = plain_cfg(shift_mode="both")
     with pytest.raises(ValueError):
-        coverage_experiment(cfg, "median", {"h": H}, trials=2)
+        coverage_experiments(cfg, [("median", {"h": H})], trials=2)
     with pytest.raises(ValueError):
-        coverage_experiment(cfg, "mean", {"h": H}, trials=0)
+        coverage_experiments(cfg, [("mean", {"h": H})], trials=0)
     with pytest.raises(ValueError):
-        coverage_experiment(cfg, "fdiv-mean",
-                            {"h": H, "epsilon": 0.05, "f_name": "kl"}, trials=2)
+        coverage_experiments(cfg, [("fdiv-mean", {"h": H, "epsilon": 0.05, "f_name": "kl"})],
+                             trials=2)
 
 
 def test_coverage_mean_smoke_and_determinism():
     cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
     params = {"h": H, "K": 10, "n_k": 25, "delta": 0.1, "target_clients": 300}
-    rep1 = coverage_experiment(cfg, "mean", params, trials=3, seed=4)
-    rep2 = coverage_experiment(cfg, "mean", params, trials=3, seed=4)
+    rep1 = coverage_experiments(cfg, [("mean", params)], trials=3, seed=4)[0]
+    rep2 = coverage_experiments(cfg, [("mean", params)], trials=3, seed=4)[0]
     assert rep1.to_json_dict() == rep2.to_json_dict()
     assert rep1.trials == 3
     want_thr = 0.1 + 3 * np.sqrt(0.1 * 0.9 / 3)
     assert abs(rep1.threshold - want_thr) < 1e-12
     assert rep1.config_digest == cfg.digest()
     assert rep1.notes["K"] == 10 and rep1.notes["n_k"] == 25
-    rep_jobs = coverage_experiment(cfg, "mean", params, trials=3, seed=4, jobs=2)
-    assert rep_jobs.to_json_dict() == rep1.to_json_dict()
 
 
 def test_coverage_single_trial_passes_only_without_violation():
     cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
     params = {"h": H, "K": 8, "n_k": 20, "delta": 0.1, "target_clients": 200}
-    rep = coverage_experiment(cfg, "mean", params, trials=1, seed=11)
+    rep = coverage_experiments(cfg, [("mean", params)], trials=1, seed=11)[0]
     # the binomial threshold saturates past 1 here, so the all-violate guard
     # is the only thing that can fail the report
     assert rep.threshold >= 1.0
@@ -515,7 +527,7 @@ def test_coverage_cdf_reports_per_lambda(tmp_path):
     grid = np.linspace(0, 1, 11)
     params = {"h": H, "K": 10, "n_k": 25, "delta": 0.1,
               "target_clients": 300, "lambda_grid": grid}
-    rep = coverage_experiment(cfg, "cdf-curve", params, trials=2, seed=3)
+    rep = coverage_experiments(cfg, [("cdf-curve", params)], trials=2, seed=3)[0]
     assert rep.per_lambda is not None
     assert len(rep.per_lambda["violation_rates"]) == 11
     out = tmp_path / "rep.json"
@@ -527,12 +539,12 @@ def test_coverage_fdiv_and_wass_smoke():
     cfg = archetype_cfg()
     params = {"h": H, "K": 12, "n_k": 30, "delta": 0.1, "epsilon": 0.05,
               "f_name": "kl", "target_clients": 300}
-    rep = coverage_experiment(cfg, "fdiv-mean", params, trials=2, seed=7)
+    rep = coverage_experiments(cfg, [("fdiv-mean", params)], trials=2, seed=7)[0]
     assert rep.bound_kind == "fdiv-mean"
     assert 0.0 <= rep.violation_rate <= 1.0
     wparams = {"h": H, "K": 6, "n_k": 30, "delta": 0.1, "epsilon": 0.02,
                "grid_size": 8, "target_clients": 300}
-    wrep = coverage_experiment(cfg, "wass-mean", wparams, trials=2, seed=8)
+    wrep = coverage_experiments(cfg, [("wass-mean", wparams)], trials=2, seed=8)[0]
     assert wrep.bound_kind == "wass-mean"
 
 
@@ -558,16 +570,15 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_coverage_experiments_equal_each_kind_run_alone(monkeypatch, jobs):
+def test_coverage_experiments_equal_each_kind_run_alone(monkeypatch):
     cfg = archetype_cfg()
     common = {"h": H, "K": 8, "n_k": 25, "delta": 0.1, "target_clients": 300}
     requests = [(kind, {**common, **extra}) for kind, extra in _ALL_KINDS]
-    alone = [coverage_experiment(cfg, kind, params, trials=3, seed=5).to_json_dict()
-             for kind, params in requests]
+    alone = [coverage_experiments(cfg, [request], trials=3, seed=5)[0].to_json_dict()
+             for request in requests]
     sources = _counting(monkeypatch, "draw_world")
     targets = _counting(monkeypatch, "sample_true_risks")
-    got = coverage_experiments(cfg, requests, trials=3, seed=5, jobs=jobs)
+    got = coverage_experiments(cfg, requests, trials=3, seed=5)
     assert [r.to_json_dict() for r in got] == alone
     # one source per trial; mean and cdf-curve declare the source as target
     assert len(sources) == 3
@@ -583,8 +594,8 @@ def test_coverage_experiments_draw_a_source_per_client_count(monkeypatch):
     got = coverage_experiments(cfg, requests, trials=2, seed=3)
     assert len(sources) == 2 * 2
     assert [r.notes["K"] for r in got] == [6, 6, 9]
-    assert got[2].to_json_dict() == coverage_experiment(cfg, *requests[2], trials=2,
-                                                        seed=3).to_json_dict()
+    assert got[2].to_json_dict() == coverage_experiments(cfg, requests[2:], trials=2,
+                                                         seed=3)[0].to_json_dict()
 
 
 @pytest.mark.parametrize("K", [1, 2 * (_BLOCK_BYTES // (8 * 30 * 2)) + 1])
@@ -598,6 +609,106 @@ def test_draw_source_risks_equal_each_datasets_own_risk(K):
     assert qv.tolist() == [float(np.mean(loss_values(zero_one, H, ds.features, ds.labels)))
                            for ds in datasets]
     assert ns.tolist() == [30] * K
+
+
+# -------------------------------------------------- batched against per trial
+
+def _per_trial_coverage(cfg, bound_kind, params, trials, seed):
+    """The coverage report of one kind from a loop over trials: each trial
+    draws its source and target risks, certifies with issue_certificate and
+    applies the outcome rule to that one certificate."""
+    kind = "cdf" if bound_kind == "cdf-curve" else bound_kind
+    h, K, n_k = params["h"], params["K"], params["n_k"]
+    delta, epsilon = float(params.get("delta", 0.1)), float(params.get("epsilon", 0.0))
+    lams = lambda_grid(params)
+    req = {**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams}
+    target = target_world(cfg, kind, epsilon, h, params.get("f_name"))
+    violations, per_lambda = 0, np.zeros(len(lams), dtype=int)
+    for t in range(trials):
+        _, qv, ns = _draw_source(cfg, h, K, n_k, _trial_seed(seed, t))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
+        risks = fedcert.oracle.sample_true_risks(target, params["target_clients"], h, rng)
+        cert = issue_certificate(kind, req, qv, ns)
+        if kind not in CURVE_KINDS:
+            violations += int(float(np.mean(risks)) > cert.value + VIOLATION_GUARD)
+            continue
+        curve_vals = cert.bounds[np.searchsorted(cert.lambdas, lams)]
+        viol = np.mean(risks[None, :] >= lams[:, None], axis=1) > curve_vals + VIOLATION_GUARD
+        violations += int(np.any(viol))
+        per_lambda += viol
+    rate = violations / trials
+    threshold = delta + 3.0 * float(np.sqrt(delta * (1 - delta) / trials))
+    return CoverageReport(
+        bound_kind=bound_kind, trials=trials, violations=violations, violation_rate=rate,
+        delta=delta, threshold=threshold, passed=rate <= threshold and violations < trials,
+        config_digest=cfg.digest(),
+        per_lambda={"lambdas": lams.tolist(), "violation_rates": (per_lambda / trials).tolist()}
+        if kind in CURVE_KINDS else None,
+        notes={"K": K, "n_k": n_k, "epsilon": epsilon},
+    ).to_json_dict()
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("K", [1, 8])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("inflate", [1.0, 4.0])
+def test_batched_coverage_equals_the_per_trial_loop(monkeypatch, trials, K, epsilon, inflate):
+    # inflate 4 scales every target risk (capped at 1) so that trials violate
+    original = fedcert.oracle.sample_true_risks
+    monkeypatch.setattr(fedcert.oracle, "sample_true_risks",
+                        lambda *args: np.minimum(1.0, inflate * original(*args)))
+    cfg, seed, delta, n_k = archetype_cfg(), 13, 0.1, 20
+    # a grid, out of order and with a repeat, that holds trial 0's first
+    # breakpoint qv_0 + s_0 exactly
+    qv0 = _draw_source(cfg, H, K, n_k, _trial_seed(seed, 0))[1][0]
+    edge = qv0 + np.sqrt(np.log((K + 1) / delta) / (2 * n_k))
+    grid = np.array([0.5, edge, 0.0, 0.5, 1.0, 0.25])
+    common = {"h": H, "K": K, "n_k": n_k, "delta": delta, "target_clients": 300,
+              "lambda_grid": grid}
+    requests = [("mean", common), ("cdf-curve", common)]
+    requests += [(kind, {**common, "epsilon": epsilon, "f_name": name})
+                 for kind in ("fdiv-mean", "fdiv-cdf") for name in ("kl", "chi-square")]
+    got = [r.to_json_dict() for r in coverage_experiments(cfg, requests, trials=trials, seed=seed)]
+    assert got == [_per_trial_coverage(cfg, kind, params, trials, seed)
+                   for kind, params in requests]
+    if inflate > 1.0 and (K, trials) == (8, 7):
+        # at K = 1 every certificate is clipped to 1 and none is violated
+        assert any(r["violations"] for r in got)
+        assert any(0 < max(r["per_lambda"]["violation_rates"]) < 1 for r in got if "per_lambda" in r)
+    with pytest.raises(ValueError):
+        certify_rows("wass-mean", common, np.zeros((1, K)), np.full((1, K), n_k))
+
+
+def test_target_statistic_is_the_mean_or_the_survival_at_each_threshold():
+    cfg = archetype_cfg()
+    grid = np.array([0.5, 0.1, 0.0, 0.5, 1.0])
+    # risks on every threshold, where the survival counts a tie
+    risks = np.r_[np.random.default_rng(3).uniform(0.0, 1.0, 50), grid, 0.1]
+    params = {"h": H, "lambda_grid": grid}
+    assert _CoveragePlan.of(cfg, "mean", params).target_statistic(risks) == float(np.mean(risks))
+    survival = _CoveragePlan.of(cfg, "cdf-curve", params).target_statistic(risks)
+    assert survival.tolist() == np.mean(risks[None, :] >= grid[:, None], axis=1).tolist()
+
+
+def test_coverage_memory_does_not_grow_with_trials():
+    # a trial keeps its query values and each kind's target statistic; held
+    # target risks would add about 1.4 MB from 10 to 40 trials here, held
+    # worlds about 3.6 MB
+    cfg = archetype_cfg()
+    common = {"h": H, "K": 50, "n_k": 100, "delta": 0.1, "target_clients": 2000}
+    requests = [("mean", common), ("cdf-curve", common),
+                ("fdiv-mean", {**common, "epsilon": 0.05, "f_name": "kl"}),
+                ("fdiv-cdf", {**common, "epsilon": 0.05, "f_name": "chi-square"})]
+    coverage_experiments(cfg, requests, trials=2, seed=1)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            coverage_experiments(cfg, requests, trials=trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(40) - peak(10) < 256 * 1024
 
 
 # ---------------------------------------------------------------- tightness
@@ -632,3 +743,37 @@ def test_tightness_rows_smoke():
         params={"h": H, "delta": 0.1},
     )
     assert single[0]["se_median"] == 0.0
+
+
+def _per_trial_tightness(cfg, bound_kind, K_schedule, n_schedule, trials, seed, params):
+    """tightness_probe's rows from a loop that certifies one trial at a time."""
+    h = params["h"]
+    req = {"delta": float(params.get("delta", 0.1)),
+           "epsilon": float(params.get("epsilon", 0.0)), "f_name": params.get("f_name")}
+    truth, truth_error = mean_true_risk(
+        target_world(cfg, bound_kind, req["epsilon"], h, req["f_name"]), h)
+    rows = []
+    for K, n_k in zip(K_schedule, n_schedule):
+        certs = [issue_certificate(bound_kind, req, *_draw_source(
+            cfg, h, K, n_k, _trial_seed(seed, 1_000_000 * K + t))[1:]) for t in range(trials)]
+        gaps = np.array([b.value - truth for b in certs])
+        row = {"K": K, "n_k": n_k, "median_gap": float(np.median(gaps)),
+               "se_median": float(1.2533 * np.std(gaps, ddof=1) / np.sqrt(trials))
+               if trials > 1 else 0.0,
+               "mean_gap": float(np.mean(gaps)), "truth": truth, "truth_error": truth_error}
+        for key in certs[0].slack:
+            row[f"slack_{key}"] = float(np.median([b.slack[key] for b in certs]))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("kind,extra", [("mean", {}),
+                                        ("fdiv-mean", {"epsilon": 0.05, "f_name": "kl"}),
+                                        ("fdiv-mean", {"epsilon": 0.05, "f_name": "chi-square"}),
+                                        ("fdiv-mean", {"epsilon": 0.0, "f_name": "kl"})])
+def test_batched_tightness_equals_the_per_trial_loop(trials, kind, extra):
+    cfg = archetype_cfg()
+    params = {"h": H, "delta": 0.1, **extra}
+    args = (cfg, kind, [1, 8], [10, 30], trials, 3, params)
+    assert tightness_probe(*args) == _per_trial_tightness(*args)

@@ -19,6 +19,7 @@ SOLVER_NAMES = {"GreedyFill", "upper_hulls", "hull_pieces", "_block_hull",
 # command line reaches them only through oracle.issue_certificate and
 # oracle.target_world
 KIND_WIRING = {"mean_bound", "cdf_bound", "fdiv_mean_bound", "fdiv_cdf_bound",
+               "mean_rows", "cdf_rows", "fdiv_mean_rows", "fdiv_cdf_rows",
                "wass_mean_bound", "tilt_for_divergence"}
 
 
