@@ -66,6 +66,7 @@ from .query import (
     empirical_risks,
     phi_gamma,
     query_empirical,
+    query_profiles,
 )
 from .wass import (
     RadiusAllocation,

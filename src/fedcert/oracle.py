@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -479,8 +480,16 @@ def _mean_risk_at(cfg: MetaConfig, h: Hypothesis, n: int) -> float:
     return float(weights @ np.sum(props * errors, axis=1))
 
 
-def _gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _legendre_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(n)``, an eigenproblem, solved once per n; read-only."""
     x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _legendre_table(n)
     return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
 
 

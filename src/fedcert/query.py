@@ -4,20 +4,24 @@ The server learns about a client only through ``Client.query(h, rho)``, which
 returns a single scalar summary (plus solver metadata), and
 ``Client.query_profile(h, rhos)``, which computes a radius vector's answers
 in one call and passes each through ``query``: one scalar answer, one audit
-entry and one unit of the query budget per radius.  ``query_empirical``
-answers many clients' zero-radius queries from one batched loss pass
-(``empirical_risks``) and passes each through ``query`` in the same way.  A
-query is charged once answered.  At rho = 0 the answer is the plain
-empirical risk; at rho > 0 it is the worst-case risk over all data
-distributions within transport cost rho of the client's empirical sample,
+entry and one unit of the query budget per radius.  ``query_profiles``
+answers many clients' radius vectors as one (K, G) table of values and
+slopes, and ``query_empirical`` many clients' zero-radius queries from one
+batched loss pass (``empirical_risks``); both pass each answer through
+``query`` in the same way.  A query is charged once answered.  At rho = 0
+the answer is the plain empirical risk; at rho > 0 it is the worst-case risk
+over all data distributions within transport cost rho of the client's
+empirical sample,
 
     sup_{Q in ball(rho)}  E_Q[loss]
         =  min_{gamma >= 0}  gamma * rho + mean_i sup_{z'} [loss(z') - gamma c(z', z_i)]
 
 with the minimizing gamma known to lie in [0, 1/rho] for losses in [0, 1].
 A negative or NaN radius is refused.  Each inner solver is built once per
-hypothesis and answers ``query_profile(rhos)``, one robust radius as a
-one-element vector; the route is chosen from the loss/hypothesis pair:
+hypothesis and answers a radius vector as a table (``table(rhos)``); the
+flip route's solver stacks many clients of one sample count and cost, so
+``query_profiles`` builds one per block of them.  The route is chosen from
+the loss/hypothesis pair:
 
   * zero-one loss with a binary linear rule on continuous features: a
     correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
@@ -33,9 +37,12 @@ one-element vector; the route is chosen from the loss/hypothesis pair:
     refused.
 
 Each route is a primal knapsack: the budget n * rho buys the samples'
-concave pieces best gain per unit cost first (``concave``), and gamma_star
-is the marginal slope at the budget.  A whole radius vector is answered
-with one fill call.  The flip and grid routes are exact.
+concave pieces best gain per unit cost first, and gamma_star is the
+marginal slope at the budget.  The grid and score-line routes fill their
+pieces with ``concave.GreedyFill``, a whole radius vector in one call; the
+flip route's pieces all gain 1, so each client's fill is a running sum of
+its sorted flip costs, and one search answers every client and radius of
+a stack.  The flip and grid routes are exact.
 
 Why the score-line route is sound.  A logistic rule's clipped losses see a
 sample only through its score u = w.x + b.  The cheapest point with score u
@@ -105,6 +112,7 @@ __all__ = [
     "BudgetExceededError",
     "Client",
     "query_empirical",
+    "query_profiles",
     "empirical_risk",
     "empirical_risks",
     "empirical_risk_values",
@@ -165,6 +173,17 @@ class QueryValue:
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
             raise ValueError("query values live in [0, 1]")
+
+    @classmethod
+    def _checked(cls, value: float, rho: float, gamma_star: float, inner_iterations: int,
+                 status: str) -> "QueryValue":
+        """An answer read off a table whose values were checked to lie in
+        [0, 1] as one array: made without repeating the check."""
+        qv = object.__new__(cls)
+        fields = vars(qv)   # set in declaration order, as __init__ sets them
+        fields["value"], fields["rho"], fields["gamma_star"] = value, rho, gamma_star
+        fields["inner_iterations"], fields["status"] = inner_iterations, status
+        return qv
 
     def to_json_dict(self) -> dict:
         return {
@@ -238,14 +257,19 @@ class _FillInner:
 
     _status = "exact"
 
+    def table(self, rhos) -> tuple[np.ndarray, np.ndarray]:
+        """(values, slopes) of each client at each radius, (B, G); one fill
+        call for the one client here."""
+        gain, slope = self._fill(self._n * np.asarray(rhos, dtype=float))
+        return np.clip((self._base + gain) / self._n, 0.0, 1.0)[None], slope[None]
+
     def query_profile(self, rhos) -> list[QueryValue]:
-        """The answer at each radius, from one fill call."""
-        rhos = np.asarray(rhos, dtype=float)
-        gain, slope = self._fill(self._n * rhos)
-        values = np.clip((self._base + gain) / self._n, 0.0, 1.0)
+        """The one client's answer at each radius."""
+        values, slopes = self.table(rhos)
         return [QueryValue(value=v, rho=r, gamma_star=g, inner_iterations=1,
                            status=self._status)
-                for v, r, g in zip(values.tolist(), rhos.tolist(), slope.tolist())]
+                for v, r, g in zip(values[0].tolist(), np.asarray(rhos, dtype=float).tolist(),
+                                   slopes[0].tolist())]
 
 
 class _GridInner(_FillInner):
@@ -349,33 +373,91 @@ def _hull_fill(blocks) -> tuple[float, GreedyFill]:
 
 
 class _FlipInner(_FillInner):
-    """Zero-one loss with a binary linear rule on continuous features.
+    """Zero-one loss with a binary linear rule on continuous features, for B
+    clients of n samples each, stacked as features (B, n, d) and labels
+    (B, n); one client is B = 1.
 
     A perturbation either leaves the prediction alone (payoff = current loss)
     or pays the cost of reaching the decision surface for payoff 1; the
     cheapest flip crosses the class boundary orthogonally, so the supremum
     is available in closed form.
 
-    The pieces are the finite flips of the correctly classified samples,
-    each of gain 1.
+    A client's pieces are the finite flips of its correctly classified
+    samples, each of gain 1, so a fill buys them cheapest first and needs no
+    ``GreedyFill``: each row's costs are put in ``GreedyFill``'s order
+    (``_by_key``) and summed, and a budget buys the pieces whose running
+    cost it covers, counted as ``np.searchsorted(..., side="right")`` counts
+    them, then part of the next piece, or the padding piece (cost 1, gain 0)
+    once every piece is bought.  So each row's answers are a one-client
+    fill's, bit for bit.  The whole table takes one model pass, one sort and
+    one search.
     """
 
     def __init__(self, h, X, y, cost):
-        scores = h.scores(X)   # the build's one model pass
-        y = np.asarray(y).astype(int)
-        self._wrong = (h.labels_from_scores(scores) != y)
-        self._flip_cost = cost.of_distance(_distance_to_flip(h, scores))
-        finite = self._flip_cost[~self._wrong & np.isfinite(self._flip_cost)]
-        self._n, self._base = len(scores), int(np.count_nonzero(self._wrong))
-        self._fill = GreedyFill(finite, np.ones(len(finite)))
+        B, n = np.shape(y)
+        scores = h.stacked_scores(X)   # the build's one model pass
+        y = np.asarray(y).astype(int).reshape(-1)
+        self._wrong = (h.labels_from_scores(scores) != y).reshape(B, n)
+        self._flip_cost = cost.of_distance(_distance_to_flip(h, scores)).reshape(B, n)
+        piece = ~self._wrong & np.isfinite(self._flip_cost)
+        self._n, self._base = n, np.count_nonzero(self._wrong, axis=1)
+        self._m = np.count_nonzero(piece, axis=1)[:, None]
+        self._rows = np.arange(B)[:, None]
+        # each row's pieces best first, then inf, which no budget covers
+        self._cost = _by_key(np.where(piece, self._flip_cost, np.inf))
+        # what pieces [0, k) pay, indexed by k
+        self._paid_before = np.column_stack([np.zeros(B), np.cumsum(self._cost, axis=1)])
+        self._total = self._paid_before[self._rows, self._m]
+        self._keyed_paid = _row_keyed(self._rows, self._paid_before[:, 1:]).reshape(-1)
+
+    def table(self, rhos) -> tuple[np.ndarray, np.ndarray]:
+        # past its total cost a row has bought every piece and has nothing left
+        spend = np.minimum(self._n * np.asarray(rhos, dtype=float), self._total)
+        # pieces [0, k) are paid in full: one search of every row's running
+        # costs (``_row_keyed``); piece k, if any, takes the rest
+        k = np.searchsorted(self._keyed_paid, _row_keyed(self._rows, spend).reshape(-1),
+                            side="right").reshape(spend.shape) - self._rows * self._n
+        rest = spend - self._paid_before[self._rows, k]
+        part = k < self._m
+        cost = np.where(part, self._cost[self._rows, np.minimum(k, self._n - 1)], 1.0)
+        gain = np.where(part, 1.0, 0.0)
+        value = k + gain * rest / cost
+        return np.clip((self._base[:, None] + value) / self._n, 0.0, 1.0), gain / cost
 
     def phi(self, gamma: float) -> np.ndarray:
         # an infinite flip cost means no boundary to reach, even at gamma = 0
-        out = np.zeros(len(self._flip_cost))
+        out = np.zeros(self._flip_cost.shape)
         flip = np.isfinite(self._flip_cost)
         out[flip] = np.maximum(0.0, 1.0 - gamma * self._flip_cost[flip])
         out[self._wrong] = 1.0
-        return out
+        return out.reshape(-1)
+
+
+def _row_keyed(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each entry of x as the complex number (its row) + i (entry).  numpy
+    orders complex numbers by real part, then imaginary part, in sorts and
+    in ``searchsorted``, so rows of sorted entries laid end to end are one
+    sorted array, and a keyed value searched in it is compared with its own
+    row's entries only, exactly as floats."""
+    out = np.empty(x.shape, dtype=complex)
+    out.real, out.imag = rows, x
+    return out
+
+
+def _by_key(cost: np.ndarray) -> np.ndarray:
+    """Each row of piece costs (inf past its pieces) in ``GreedyFill``'s
+    order for unit gains: a stable sort by -(1/cost).  That key never falls
+    as the cost grows, so a plain sort of the costs orders the keys too, and
+    it gives the stable sort's costs unless two different costs share a key;
+    only then is the stable sort run."""
+    out = np.sort(cost, axis=1)
+    with np.errstate(divide="ignore"):
+        key = -(1.0 / out)
+    if np.any((key[:, 1:] == key[:, :-1]) & (out[:, 1:] != out[:, :-1])):
+        with np.errstate(divide="ignore"):
+            order = np.argsort(-(1.0 / cost), axis=1, kind="stable")
+        out = np.take_along_axis(cost, order, axis=1)
+    return out
 
 
 def _distance_to_flip(h: Hypothesis, scores: np.ndarray) -> np.ndarray:
@@ -506,12 +588,18 @@ def _rising_score(loss_fn, level, y, side):
         return np.log(p / (1.0 - p))
 
 
+def _flips(h: Hypothesis, loss_fn: LossFn, grid) -> bool:
+    """Whether robust queries of this rule, loss and grid take the flip route."""
+    return (grid is None and loss_fn.kind == ZERO_ONE
+            and (h.kind == LOGISTIC or (h.kind == LINEAR and h.n_classes == 2)))
+
+
 def _make_inner(h, X, y, cost, loss_fn, grid):
     if h.kind == LOOKUP or grid is not None:
         return _GridInner(h, X, y, h.grid if grid is None else grid, cost, loss_fn)
+    if _flips(h, loss_fn, grid):
+        return _FlipInner(h, np.asarray(X, dtype=float)[None], np.asarray(y)[None], cost)
     if loss_fn.kind == ZERO_ONE:
-        if h.kind == LOGISTIC or (h.kind == LINEAR and h.n_classes == 2):
-            return _FlipInner(h, X, y, cost)
         raise ValueError("zero-one adversarial queries need a binary linear rule "
                          "or a declared perturbation grid")
     if h.kind == LINEAR:
@@ -612,33 +700,30 @@ class Client:
         return qv
 
     def query_profile(self, h: Hypothesis, rhos) -> list[QueryValue]:
-        """Answer one loss query per radius, in order: the answers come from
-        one hypothesis key, one inner solver and one fill call, and each
-        then goes through ``query``, which charges and logs it.  So the
-        budget and the audit log end as a loop of ``query`` calls leaves
-        them: when the budget runs out partway, the radii that fit are
-        answered and logged before BudgetExceededError is raised.  A
-        negative or NaN radius, or a vector the inner solver refuses, is
-        refused whole, before anything is charged."""
-        rhos = [float(r) for r in rhos]
-        for r in rhos:
-            if not r >= 0.0:
-                raise ValueError("rho must be nonnegative")
-        fit = len(rhos)
-        if self.max_queries is not None:
-            fit = max(0, min(fit, self.max_queries - self._used))
-        # past the budget there is no answer, and query raises before answering
-        answers = self._answers(h, rhos[:fit]) + [None] * (len(rhos) - fit)
-        return [self.query(h, r, _answer=qv) for r, qv in zip(rhos, answers)]
+        """Answer one loss query per radius, in order: ``query_profiles`` for
+        this one client.  So the budget and the audit log end as a loop of
+        ``query`` calls leaves them: when the budget runs out partway, the
+        radii that fit are answered and logged before BudgetExceededError is
+        raised.  A negative or NaN radius, or a vector the inner solver
+        refuses, is refused whole, before anything is charged."""
+        rhos = _radii(rhos)
+        values, slopes, fits, status = _profiles([self], h, rhos)
+        return self._charge(h, rhos, values[0], slopes[0], status[0], fits[0])
 
-    def _answers(self, h: Hypothesis, rhos: list[float]) -> list[QueryValue]:
-        robust = [r for r in rhos if r != 0.0]
-        empirical = (empirical_risk(h, self._dataset, self._loss_fn)
-                     if len(robust) < len(rhos) else None)
-        if not robust:
-            return [empirical] * len(rhos)
-        answered = iter(self._inner(h).query_profile(robust))
-        return [next(answered) if r != 0.0 else empirical for r in rhos]
+    def _charge(self, h: Hypothesis, rhos: list[float], values, slopes, status: str,
+                fit: int) -> list[QueryValue]:
+        """Pass the answers to the first ``fit`` radii through ``query``,
+        which charges and logs each, and ask the next radius, if any, with
+        no answer, so that ``query`` raises BudgetExceededError as a loop of
+        ``query`` calls would.  A zero radius's answer is the empirical
+        risk's."""
+        answers = [QueryValue._checked(v, r, g, 1, status) if r != 0.0
+                   else QueryValue._checked(v, 0.0, 0.0, 0, "exact")
+                   for r, v, g in zip(rhos[:fit], values.tolist(), slopes.tolist())]
+        out = [self.query(h, r, _answer=qv) for r, qv in zip(rhos, answers)]
+        if fit < len(rhos):
+            self.query(h, rhos[fit])   # past the budget: raises before answering
+        return out
 
     def _inner(self, h: Hypothesis) -> _FillInner:
         # the inner solver's precomputations depend only on h, reuse across radii
@@ -673,3 +758,84 @@ def query_empirical(clients: list[Client], h: Hypothesis) -> list[QueryValue]:
             answers[i] = qv
     # past the budget there is no answer, and query raises before answering
     return [c.query(h, 0.0, _answer=qv) for c, qv in zip(clients, answers)]
+
+
+def _radii(rhos) -> list[float]:
+    """A radius vector as floats; a negative or NaN radius is refused."""
+    rhos = [float(r) for r in rhos]
+    for r in rhos:
+        if not r >= 0.0:
+            raise ValueError("rho must be nonnegative")
+    return rhos
+
+
+def query_profiles(clients: list[Client], h: Hypothesis, rhos) -> tuple[np.ndarray, np.ndarray]:
+    """Each client's answers to the radius vector ``rhos``, in order, as
+    (values, slopes), each (K, G): ``QueryValue.value`` and ``gamma_star``.
+
+    Each client's answers then go through ``Client.query``, which charges
+    and logs them, client by client.  So budgets and audit logs end as a
+    loop of ``c.query_profile(h, rhos)`` leaves them: the first client whose
+    budget runs out partway answers the radii that fit and raises
+    BudgetExceededError.  A negative or NaN radius, or a dataset its route
+    refuses, is refused whole, before anything is charged."""
+    rhos = _radii(rhos)
+    values, slopes, fits, status = _profiles(clients, h, rhos)
+    for c, v, g, st, fit in zip(clients, values, slopes, status, fits):
+        c._charge(h, rhos, v, g, st, fit)
+    return values, slopes
+
+
+def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
+    """The answers ``query_profiles`` charges: (values, slopes, fits,
+    status) for the clients up to the first whose budget runs out within
+    ``rhos``, where ``fits`` counts the radii each has budget for and
+    ``status`` is each route's status.  Only those radii are answered.
+
+    Flip-route clients of one sample count, feature count and cost answer
+    through one stacked ``_FlipInner`` per block of about ``_BLOCK_BYTES``
+    of features, as ``empirical_risk_values`` blocks them; the other routes,
+    and a lone flip client, through the client's own cached inner.  A zero radius takes the
+    empirical risk (``empirical_risks``) and slope 0."""
+    G = len(rhos)
+    fits = []
+    for c in clients:
+        fits.append(G if c.max_queries is None else max(0, min(G, c.max_queries - c._used)))
+        if fits[-1] < G:
+            break
+    values, slopes = np.zeros((len(fits), G)), np.zeros((len(fits), G))
+    status = ["exact"] * len(fits)
+    robust = [j for j, r in enumerate(rhos) if r != 0.0]
+    zero = [j for j, r in enumerate(rhos) if r == 0.0]
+    by_loss: dict[LossFn, list[int]] = {}
+    stacks: dict[tuple, list[int]] = {}
+    for i, (c, fit) in enumerate(zip(clients, fits)):
+        if zero and zero[0] < fit:
+            by_loss.setdefault(c._loss_fn, []).append(i)
+        if robust and robust[0] < fit:
+            if _flips(h, c._loss_fn, c._grid):
+                stacks.setdefault((c._dataset.features.shape, c._cost), []).append(i)
+                continue
+            asked = [j for j in robust if j < fit]
+            inner = c._inner(h)
+            v, g = inner.table([rhos[j] for j in asked])
+            values[i, asked], slopes[i, asked], status[i] = v[0], g[0], inner._status
+    for (shape, cost), idx in stacks.items():
+        if len(idx) == 1:
+            v, g = clients[idx[0]]._inner(h).table([rhos[j] for j in robust])
+            values[idx[0], robust], slopes[idx[0], robust] = v[0], g[0]
+            continue
+        step = _block_rows(shape[0], h)
+        for start in range(0, len(idx), step):
+            rows = idx[start:start + step]
+            data = [clients[i]._dataset for i in rows]
+            inner = _FlipInner(h, np.stack([ds.features for ds in data]),
+                               np.stack([ds.labels for ds in data]), cost)
+            v, g = inner.table([rhos[j] for j in robust])
+            values[np.ix_(rows, robust)], slopes[np.ix_(rows, robust)] = v, g
+    for loss_fn, idx in by_loss.items():
+        risks = empirical_risks(h, [clients[i]._dataset for i in idx], loss_fn)
+        values[np.ix_(idx, zero)] = np.array([qv.value for qv in risks])[:, None]
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError("query values live in [0, 1]")
+    return values, slopes, fits, status

@@ -12,9 +12,10 @@ where the floor covers the share of the budget any single client can absorb
 and the cap inflation pays for estimating the average cost from K clients,
 with c1 = ``DEFAULT_C1`` = 1/sqrt(2).
 
-Each client answers a fixed radius grid in one profile call
-(``Client.query_profile``), which charges one query per grid point.  Every
-answer carries its value and its right derivative in the radius
+The clients answer a fixed radius grid as one (K, G) table of values and
+slopes (``query.query_profiles``: one stacked build per block of same-size
+flip-route clients), which charges each client one query per grid point.
+Every answer carries its value and its right derivative in the radius
 (``QueryValue.gamma_star``), and a concave curve lies below each of its
 tangent lines, so the minimum of the lines ``QV(r_j) + g_j (rho - r_j)``,
 capped at 1, bounds each client's curve from above at no extra query
@@ -40,7 +41,7 @@ import numpy as np
 from .certificates import CertifiedBound
 from .concave import GreedyFill
 from .losses import Hypothesis
-from .query import Client
+from .query import Client, query_profiles
 
 __all__ = [
     "RadiusAllocation",
@@ -174,9 +175,7 @@ def wass_mean_bound(
         per_client_log = _per_client_log_terms(K, ns, epsilon, delta)
     cap = mean_radius_cap(epsilon, delta, K, include_slack=include_slack)
     grid = radius_grid(epsilon / K, K * cap, grid_size)
-    answers = [c.query_profile(h, grid) for c in clients]
-    values = np.array([[q.value for q in a] for a in answers])
-    slopes = np.array([[q.gamma_star for q in a] for a in answers])
+    values, slopes = query_profiles(clients, h, grid)
     witness = _waterfill(grid, values, slopes, epsilon / K, cap)
     chord_value = float(np.mean(_chords(grid, values, witness.rho)))
     if include_slack:

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcert import (
     CROSS_ENTROPY,
@@ -22,6 +24,7 @@ from fedcert import (
     empirical_risks,
     phi_gamma,
     query_empirical,
+    query_profiles,
     wass_ball_lp_oracle,
 )
 from fedcert.losses import (
@@ -1062,13 +1065,12 @@ def test_a_refused_query_uses_no_budget(h, labels, kind):
 def test_flip_build_makes_one_model_pass(monkeypatch, h):
     c, _ = make_client()
     passes = []
-    scores = Hypothesis.scores
-
-    def counted(self, Xq):
-        passes.append(len(Xq))
-        return scores(self, Xq)
-
-    monkeypatch.setattr(Hypothesis, "scores", counted)
+    for name in ("scores", "stacked_scores"):
+        def counted(self, Xq, model=getattr(Hypothesis, name)):
+            out = model(self, Xq)
+            passes.append(len(out))   # the samples scored
+            return out
+        monkeypatch.setattr(Hypothesis, name, counted)
     first = c.query(h, 0.1)
     assert passes == [c.n_samples]
     del passes[:]
@@ -1076,3 +1078,245 @@ def test_flip_build_makes_one_model_pass(monkeypatch, h):
     assert passes == []
     monkeypatch.undo()
     assert first == adversarial_risk(h, c._dataset, 0.1)
+
+
+# -- one stacked flip kernel and query_profiles ------------------------------
+
+def flip_reference(h, X, y, cost, rhos):
+    """One client's flip-route table from its own ``GreedyFill`` over the
+    finite flip costs of its correct samples, each of gain 1."""
+    scores = h.scores(X)
+    wrong = h.labels_from_scores(scores) != np.asarray(y).astype(int)
+    margin = scores if h.kind == LOGISTIC else scores[:, 1] - scores[:, 0]
+    norm = float(np.linalg.norm(h.margin_direction()))
+    flip = cost.of_distance(np.abs(margin) / norm if norm else np.full(len(X), np.inf))
+    finite = flip[~wrong & np.isfinite(flip)]
+    gain, slope = GreedyFill(finite, np.ones(len(finite)))(len(X) * np.asarray(rhos, float))
+    return np.clip((np.count_nonzero(wrong) + gain) / len(X), 0.0, 1.0), slope
+
+
+def _shared_key_costs():
+    """Two different costs whose reciprocals round to one key."""
+    c = 3.0
+    while 1.0 / np.nextafter(c, np.inf) != 1.0 / c:
+        c = np.nextafter(c, np.inf)
+    return np.nextafter(c, np.inf), c
+
+
+_STACK_RHOS = np.concatenate([np.geomspace(1e-6, 30.0, 23), [0.0, 0.4, 0.4, np.inf]])
+
+
+def _flip_stacks():
+    """(name, h, X (B, n, d), y (B, n), cost): random worlds, a constant rule,
+    samples on the boundary (zero-cost pieces), tied costs, and different
+    costs that share ``GreedyFill``'s key, larger first."""
+    rng = np.random.default_rng(np.random.SeedSequence(1901))
+    logistic = Hypothesis(kind=LOGISTIC, weights=np.array([0.7, -1.1]), bias=0.1)
+    linear = Hypothesis(kind=LINEAR, weights=np.array([[0.4, -0.2], [-0.9, 0.5]]),
+                        bias=np.array([0.1, -0.1]))
+    X, y = rng.normal(size=(7, 15, 2)) * 2.0, rng.integers(0, 2, size=(7, 15))
+    yield "random", logistic, X, y, COST
+    yield "binary-linear", linear, X, y, TransportCost("l2")
+    yield "constant", Hypothesis(kind=LOGISTIC, weights=np.zeros(2), bias=0.3), X, y, COST
+    identity = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
+    on_line = np.array([[0.0, 0.0, -0.5, 0.0, 2.0], [0.5, 0.5, 0.5, -0.5, 0.0]])
+    yield "boundary", identity, on_line[..., None], np.array([[1, 1, 0, 0, 1]] * 2), COST
+    yield "tied", identity, np.tile([[1.0, -1.0, 1.0, 2.0, 1.0, -2.0]], (3, 1))[..., None], \
+        np.tile([1, 0, 1, 1, 0, 0], (3, 1)), TransportCost("l2")
+    big, small = _shared_key_costs()
+    shared = np.array([[big, small, 1.0, big], [small, big, small, 5.0]])
+    yield "shared key", identity, shared[..., None], np.ones((2, 4), dtype=int), \
+        TransportCost("l2")
+
+
+@pytest.mark.parametrize("case", list(_flip_stacks()), ids=lambda c: c[0])
+def test_stacked_flip_table_equals_each_clients_greedy_fill(case):
+    name, h, X, y, cost = case
+    inner = _make_inner(h, X[0], y[0], cost, LossFn(ZERO_ONE), None)
+    assert type(inner).__name__ == "_FlipInner"
+    values, slopes = type(inner)(h, X, y, cost).table(_STACK_RHOS)
+    assert values.shape == slopes.shape == (len(X), len(_STACK_RHOS))
+    for b in range(len(X)):
+        want_v, want_s = flip_reference(h, X[b], y[b], cost, _STACK_RHOS)
+        assert values[b].tobytes() == want_v.tobytes(), (name, b)
+        assert slopes[b].tobytes() == want_s.tobytes(), (name, b)
+    if name == "shared key":
+        big, small = _shared_key_costs()
+        assert big != small and 1.0 / big == 1.0 / small
+
+
+def _profile_outcome(clients, ask):
+    """What ``ask(clients)`` returned or raised, and each client's budget and
+    audit log, as bytes and reprs, so that equal outcomes agree bit for bit."""
+    try:
+        got, raised = ask(clients), None
+    except (BudgetExceededError, ValueError) as exc:
+        got, raised = None, exc
+    tables = None if got is None else tuple((np.shape(t), np.asarray(t, float).tobytes())
+                                            for t in got)
+    err = None if raised is None else (type(raised), getattr(raised, "client_id", None))
+    return tables, err, [(c.queries_used, repr(c.audit_log)) for c in clients]
+
+
+def _looped(h, rhos):
+    def ask(clients):
+        answers = [c.query_profile(h, rhos) for c in clients]
+        return ([[q.value for q in a] for a in answers],
+                [[q.gamma_star for q in a] for a in answers])
+    return ask
+
+
+def assert_profiles_match_a_loop(make, h, rhos, spend=()):
+    """``query_profiles`` on fresh clients from ``make`` against a loop of
+    ``query_profile`` on their twins, after the zero-radius queries each
+    (client index, count) in ``spend`` asks first."""
+    twins = make(), make()
+    for clients in twins:
+        for i, count in spend:
+            for _ in range(count):
+                clients[i].query(h, 0.0)
+    want = _profile_outcome(twins[0], _looped(h, rhos))
+    got = _profile_outcome(twins[1], lambda cs: query_profiles(cs, h, rhos))
+    assert got == want
+    return got
+
+
+def _table(tables, which=0):
+    shape, raw = tables[which]
+    return np.frombuffer(raw).reshape(shape)
+
+
+def _mixed_clients(max_queries=None):
+    """Flip clients of 12 and 20 samples, interleaved, then a grid client
+    and a score-line client, and a flip client with its own cost."""
+    rng = np.random.default_rng(np.random.SeedSequence(1902))
+    grid = np.stack(np.meshgrid(*[np.linspace(-3, 3, 7)] * 2), -1).reshape(-1, 2)
+    data = [dataset(rng.normal(size=(n, 2)) * 1.5, rng.integers(0, 2, size=n), cid=i)
+            for i, n in enumerate([12, 20, 12, 12, 20, 12])]
+    on_grid = dataset(grid[rng.integers(0, len(grid), 10)], rng.integers(0, 2, 10), cid=6)
+    zero_one = LossFn(ZERO_ONE)
+    return ([Client(ds.client_id, ds, zero_one, max_queries=max_queries) for ds in data]
+            + [Client(6, on_grid, zero_one, max_queries=max_queries, grid=grid),
+               Client(7, data[0], LossFn(CROSS_ENTROPY), max_queries=max_queries),
+               Client(8, data[1], zero_one, TransportCost("l2"), max_queries=max_queries)])
+
+
+_PROFILES_H = Hypothesis(kind=LOGISTIC, weights=np.array([0.8, -1.3]), bias=0.2)
+
+
+def test_query_profiles_matches_a_loop_over_mixed_routes():
+    rhos = [1e-3, 0.05, 0.0, 0.3, 0.05, 2.0]
+    twins = _mixed_clients(), _mixed_clients()
+    want = _profile_outcome(twins[0], _looped(_PROFILES_H, rhos))
+    assert _profile_outcome(twins[1], lambda cs: query_profiles(cs, _PROFILES_H, rhos)) == want
+    assert _table(want[0]).shape == (9, len(rhos)) and want[1] is None
+    statuses = [{e["status"] for e in c.audit_log if e["rho"] > 0} for c in twins[1]]
+    assert statuses == [{"exact"}] * 7 + [{"bound"}, {"exact"}]
+    assert all(c.queries_used == len(c.audit_log) == len(rhos) for c in twins[1])
+
+
+def test_query_profiles_stacks_each_size_once(monkeypatch):
+    from fedcert import query
+    builds = []
+    flip_init = query._FlipInner.__init__
+
+    def counted(self, h, X, y, cost):
+        builds.append(np.shape(y))
+        flip_init(self, h, X, y, cost)
+
+    monkeypatch.setattr(query._FlipInner, "__init__", counted)
+    query_profiles(_mixed_clients(), _PROFILES_H, [0.01, 0.2])
+    # four clients of 12 and two of 20 at the default cost; the client with
+    # its own cost stands alone and answers through its own inner
+    assert sorted(builds) == [(1, 20), (2, 20), (4, 12)]
+
+
+@pytest.mark.parametrize("rhos", [[0.0], [0.0, 0.0], [], [0.2, 0.0, 0.7]])
+def test_query_profiles_answers_zero_radii_with_the_empirical_risk(rhos):
+    assert_profiles_match_a_loop(_mixed_clients, _PROFILES_H, rhos)
+
+
+def test_query_profiles_of_a_constant_rule():
+    flat = Hypothesis(kind=LOGISTIC, weights=np.zeros(2), bias=-0.4)
+    tables, err, _ = assert_profiles_match_a_loop(
+        lambda: _mixed_clients()[:6], flat, [0.01, 0.0, 5.0])
+    assert err is None
+    values, slopes = _table(tables, 0), _table(tables, 1)
+    assert values.shape == (6, 3)
+    assert np.all(values[:, 0] == values[:, 2]) and np.all(slopes == 0.0)
+
+
+def test_query_profiles_of_boundary_and_tied_samples():
+    identity = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
+    big, small = _shared_key_costs()
+    rows = [[0.0, 0.0, 1.0, -1.0, 1.0], [0.0, 2.0, 2.0, 2.0, -0.5],
+            [big, small, big, 1.0, 0.0], [small, big, 0.5, 0.5, 0.5]]
+
+    def make():
+        return [Client(i, dataset(np.array(r)[:, None], [1, 1, 1, 0, 1], cid=i),
+                       LossFn(ZERO_ONE), TransportCost("l2")) for i, r in enumerate(rows)]
+
+    assert_profiles_match_a_loop(make, identity, [0.0, 1e-9, 0.1, 0.1, 0.35, 1.0, np.inf])
+
+
+def test_query_profiles_budget_runs_out_in_the_third_clients_vector():
+    rhos = [0.02, 0.0, 0.1, 0.5, 1.0]
+    tables, err, logs = assert_profiles_match_a_loop(
+        lambda: _mixed_clients(max_queries=7), _PROFILES_H, rhos, spend=[(2, 4)])
+    assert tables is None and err == (BudgetExceededError, 2)
+    assert [used for used, _ in logs] == [5, 5, 7, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, -1e-300])
+def test_query_profiles_refuses_a_bad_radius_before_charging(bad):
+    tables, err, logs = assert_profiles_match_a_loop(
+        lambda: _mixed_clients(max_queries=20), _PROFILES_H, [0.1, 0.0, bad])
+    assert err == (ValueError, None)
+    assert all(used == 0 and log == "[]" for used, log in logs)
+
+
+@st.composite
+def flip_worlds(draw):
+    """(clients factory, rule, radii, spend): a random binary rule (a zero
+    one among them) and clients of a few sample counts, some with their
+    features rounded so that samples tie or sit on the boundary."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from([LOGISTIC, LINEAR, "constant"]))
+    counts = draw(st.lists(st.sampled_from([1, 3, 8]), min_size=1, max_size=6))
+    rhos = draw(st.lists(st.sampled_from([0.0, 1e-4, 0.02, 0.3, 0.3, 4.0]), max_size=6))
+    cost_kind = draw(st.sampled_from(["half-squared-l2", "l2"]))
+    max_queries = draw(st.sampled_from([None, 2, 5, 9]))
+    rounded = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    if kind == LINEAR:
+        h = Hypothesis(kind=LINEAR, weights=rng.normal(size=(2, 2)), bias=rng.normal(size=2))
+    else:
+        w = np.zeros(2) if kind == "constant" else rng.normal(size=2)
+        h = Hypothesis(kind=LOGISTIC, weights=w, bias=float(rng.normal()))
+    data = []
+    for i, n in enumerate(counts):
+        X = rng.normal(size=(n, 2)) * 2.0
+        data.append(dataset(np.round(X) if rounded else X, rng.integers(0, 2, size=n), cid=i))
+
+    def make():
+        return [Client(ds.client_id, ds, LossFn(ZERO_ONE), TransportCost(cost_kind),
+                       max_queries=max_queries) for ds in data]
+    spend = [(i, int(k)) for i, k in enumerate(rng.integers(0, 3, size=len(data)))
+             if max_queries is not None]
+    return make, h, rhos, spend
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(flip_worlds())
+def test_query_profiles_matches_a_loop_on_random_flip_worlds(world):
+    make, h, rhos, spend = world
+    tables, err, _ = assert_profiles_match_a_loop(make, h, rhos, spend)
+    if tables is not None and rhos:
+        clients = make()
+        values, slopes = _table(tables, 0), _table(tables, 1)
+        robust = [j for j, r in enumerate(rhos) if r != 0.0]
+        for c, v, g in zip(clients, values, slopes):
+            want_v, want_s = flip_reference(h, c._dataset.features, c._dataset.labels,
+                                            c._cost, [rhos[j] for j in robust])
+            assert v[robust].tobytes() == want_v.tobytes()
+            assert g[robust].tobytes() == want_s.tobytes()

@@ -13,7 +13,8 @@ SOLVER_NAMES = {"GreedyFill", "upper_hulls", "hull_pieces", "_block_hull",
                 "_rise_over_chord", "_waterfill", "ball", "_kl_bernoulli",
                 "_mean_duals", "_golden", "_ScoreLineInner",
                 "_staircases_by_block", "_line_tables", "_padded", "_LEVELS",
-                "_rising_score", "_hull_fill", "_grid_staircases", "_tangent_vertices"}
+                "_rising_score", "_hull_fill", "_grid_staircases", "_tangent_vertices",
+                "_FlipInner", "_by_key", "_row_keyed", "_profiles"}
 
 # the bound functions and target shifts a certificate kind is wired to; the
 # command line reaches them only through oracle.issue_certificate and

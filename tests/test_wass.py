@@ -284,14 +284,17 @@ def test_wass_mean_bound_asks_each_client_once(monkeypatch):
     from fedcert import query
     rng = np.random.default_rng(np.random.SeedSequence(808))
     clients = make_clients(rng, 3, 25)
-    keys, builds = [], []
-    cache_key, make_inner = Hypothesis.cache_key, query._make_inner
-    monkeypatch.setattr(Hypothesis, "cache_key",
-                        lambda self: keys.append(1) or cache_key(self))
-    monkeypatch.setattr(query, "_make_inner",
-                        lambda *args: builds.append(1) or make_inner(*args))
+    builds = []
+    flip_init = query._FlipInner.__init__
+
+    def counted(self, h, X, y, cost):
+        builds.append(np.shape(y))
+        flip_init(self, h, X, y, cost)
+
+    monkeypatch.setattr(query._FlipInner, "__init__", counted)
     wass_mean_bound(clients, H, 0.09, 0.1, grid_size=16)
-    assert len(keys) == len(builds) == 3
+    # the three same-size flip clients answer through one stacked build
+    assert builds == [(3, 25)]
     for c in clients:
         assert c.queries_used == len(c.audit_log) == 16
 
