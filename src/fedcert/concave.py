@@ -89,14 +89,16 @@ def _block_hull(x, y, counts) -> np.ndarray:
             at, x, y, vertex, edge = at[~sags], x[~sags], y[~sags], vertex[~sags], edge[~sags]
 
 
-def hull_pieces(x, y, counts) -> tuple[np.ndarray, np.ndarray]:
+def hull_pieces(x, y, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The segments of each row's upper hull (``upper_hulls``) as pieces
-    (width, rise), row by row and left to right."""
+    (width, rise), row by row and left to right, and how many pieces each
+    row has."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     vertex = upper_hulls(x, y, counts)
     row = np.repeat(np.arange(len(counts)), counts)[vertex]
     joined = row[1:] == row[:-1]
-    return np.diff(x[vertex])[joined], np.diff(y[vertex])[joined]
+    return (np.diff(x[vertex])[joined], np.diff(y[vertex])[joined],
+            np.bincount(row, minlength=len(counts)) - 1)
 
 
 class GreedyFill:

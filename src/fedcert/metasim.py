@@ -37,6 +37,7 @@ drawn worlds to a per-client reference, value for value.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from bisect import bisect_right
@@ -652,7 +653,9 @@ def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float) -> float:
     """Find the tilt whose achieved divergence equals ``epsilon`` (bisection
     on the tilted weights alone; the divergence grows monotonically with
     nonnegative tilt).  A budget at or above ``tilt_divergence_limit`` is
-    rejected."""
+    rejected.  The search depends only on the archetype weights and scores,
+    ``name`` and ``epsilon``, and runs once for each distinct set of them
+    (``_tilt_search``)."""
     if name not in ("kl", "chi-square"):
         raise ValueError("name must be 'kl' or 'chi-square'")
     if epsilon < 0:
@@ -663,8 +666,16 @@ def tilt_for_divergence(cfg: MetaConfig, name: str, epsilon: float) -> float:
     if epsilon >= limit:
         raise ValueError(f"{name} budget {epsilon:g} unreachable by tilting: the "
                          f"divergence of every tilt stays below {limit:.6g}")
+    return _tilt_search(tuple(cfg.archetype_weights.tolist()),
+                        tuple(_archetype_scores(cfg).tolist()), name, float(epsilon))
 
-    w, scores = cfg.archetype_weights, _archetype_scores(cfg)
+
+@functools.lru_cache(maxsize=64)
+def _tilt_search(weights: tuple, scores: tuple, name: str, epsilon: float) -> float:
+    """The bisection of ``tilt_for_divergence`` on a reachable budget,
+    memoized: a verify run asks the same tilt for several kinds and for its
+    tightness probe."""
+    w, scores = np.array(weights), np.array(scores)
 
     def achieved(t):
         return _divergences(w, _tilted_weights(w, scores, t))[name]

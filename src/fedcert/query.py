@@ -19,9 +19,10 @@ empirical sample,
 with the minimizing gamma known to lie in [0, 1/rho] for losses in [0, 1].
 A negative or NaN radius is refused.  Each inner solver is built once per
 hypothesis and answers a radius vector as a table (``table(rhos)``); the
-flip route's solver stacks many clients of one sample count and cost, so
-``query_profiles`` builds one per block of them.  The route is chosen from
-the loss/hypothesis pair:
+flip and grid routes' solvers stack many clients of one sample count and
+cost (and, for the grid, one grid array and loss), so ``query_profiles``
+builds one per block of them.  The route is chosen from the
+loss/hypothesis pair:
 
   * zero-one loss with a binary linear rule on continuous features: a
     correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
@@ -38,11 +39,13 @@ the loss/hypothesis pair:
 
 Each route is a primal knapsack: the budget n * rho buys the samples'
 concave pieces best gain per unit cost first, and gamma_star is the
-marginal slope at the budget.  The grid and score-line routes fill their
-pieces with ``concave.GreedyFill``, a whole radius vector in one call; the
-flip route's pieces all gain 1, so each client's fill is a running sum of
-its sorted flip costs, and one search answers every client and radius of
-a stack.  The flip and grid routes are exact.
+marginal slope at the budget.  Every route fills its pieces through one
+kernel, ``_RowFill``: each client's pieces in ``concave.GreedyFill``'s
+order make one row, their running costs and gains are summed once, and one
+search answers every client and radius of a stack.  The flip route's
+pieces all gain 1, so one sort of each row's flip costs orders them; the
+grid and score-line routes order the segments of their samples' upper
+hulls by a stable sort on -gain/cost.  The flip and grid routes are exact.
 
 Why the score-line route is sound.  A logistic rule's clipped losses see a
 sample only through its score u = w.x + b.  The cheapest point with score u
@@ -91,7 +94,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concave import _HULL_BLOCK, GreedyFill, hull_pieces
+from .concave import _HULL_BLOCK, hull_pieces
 from .losses import (
     CROSS_ENTROPY,
     LINEAR,
@@ -148,16 +151,27 @@ class TransportCost:
         dist = np.asarray(dist, dtype=float)
         return 0.5 * dist * dist if self.kind == HALF_SQ else dist
 
-    def pairwise(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Cost from each row of X to each row of G.  The squared coordinate
-        differences are summed one coordinate at a time, in order, as
-        ``np.linalg.norm`` sums up to seven of them, and no (n, G, d)
-        temporary is made."""
-        sq = np.zeros((len(X), len(G)))
-        for k in range(X.shape[1]):
-            diff = np.subtract.outer(X[:, k], G[:, k])
-            sq += diff * diff
+    def of_sq_distance(self, sq: np.ndarray) -> np.ndarray:
+        """The cost at squared distance ``sq``, ``of_distance(sqrt(sq))``:
+        it never falls as ``sq`` grows, so the cost of the nearest of many
+        points is this map of their least squared distance."""
         return self.of_distance(np.sqrt(sq))
+
+    def pairwise(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Cost from each row of X to each row of G."""
+        return self.of_sq_distance(sq_distances(X, G))
+
+
+def sq_distances(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of X to each row of G.  The squared
+    coordinate differences are summed one coordinate at a time, in order, as
+    ``np.linalg.norm`` sums up to seven of them, and no (n, G, d) temporary
+    is made."""
+    sq, diff = np.zeros((len(X), len(G))), np.empty((len(X), len(G)))
+    for k in range(X.shape[1]):
+        np.subtract.outer(X[:, k], G[:, k], out=diff)
+        sq += np.multiply(diff, diff, out=diff)
+    return sq
 
 
 @dataclass(frozen=True)
@@ -252,19 +266,20 @@ def empirical_risk_values(h: Hypothesis, features: np.ndarray, labels: np.ndarra
 # ---------------------------------------------------------------------------
 
 class _FillInner:
-    """Primal answer: ``_n`` samples of total loss ``_base`` spend n * rho on
+    """Primal answers of B clients of ``_n`` samples each: client b's
+    samples, of total loss ``_base[b]``, spend n * rho on row b of
     ``_fill``; exact unless ``_status`` says otherwise."""
 
     _status = "exact"
 
     def table(self, rhos) -> tuple[np.ndarray, np.ndarray]:
-        """(values, slopes) of each client at each radius, (B, G); one fill
-        call for the one client here."""
+        """(values, slopes) of each client at each radius, (B, G): one
+        ``_RowFill`` call for every client and radius."""
         gain, slope = self._fill(self._n * np.asarray(rhos, dtype=float))
-        return np.clip((self._base + gain) / self._n, 0.0, 1.0)[None], slope[None]
+        return np.clip((self._base[:, None] + gain) / self._n, 0.0, 1.0), slope
 
     def query_profile(self, rhos) -> list[QueryValue]:
-        """The one client's answer at each radius."""
+        """The first client's answer at each radius."""
         values, slopes = self.table(rhos)
         return [QueryValue(value=v, rho=r, gamma_star=g, inner_iterations=1,
                            status=self._status)
@@ -272,28 +287,92 @@ class _FillInner:
                                    slopes[0].tolist())]
 
 
+class _RowFill:
+    """The greedy fill of each of B rows of pieces, ``cost`` and ``gain``
+    (B, M): row b's first ``m[b]`` pieces, in ``concave.GreedyFill``'s
+    order (best gain per unit cost first, ties in the given order), then
+    cost inf, which no budget covers.
+
+    A budget buys the pieces of its row whose running cost it covers,
+    counted as ``np.searchsorted(..., side="right")`` counts them, then part
+    of the next piece, or the padding piece (cost 1, gain 0) once every
+    piece is bought.  So each row's answers are a one-row ``GreedyFill``'s,
+    bit for bit, and one search of every row's running costs
+    (``_row_keyed``) answers a whole (B, G) table of budgets.
+    """
+
+    def __init__(self, cost: np.ndarray, gain: np.ndarray, m: np.ndarray):
+        B, M = cost.shape
+        self._cost, self._gain, self._m = cost, gain, np.asarray(m)[:, None]
+        self._rows = np.arange(B)[:, None]
+        # each row's running costs after a 0, keyed by row (``_row_keyed``):
+        # the imaginary parts are what pieces [0, k) pay, indexed by k
+        self._keyed_paid = np.zeros((B, M + 1), dtype=complex)
+        self._keyed_paid.real = self._rows
+        np.cumsum(cost, axis=1, out=self._keyed_paid.imag[:, 1:])
+        self._gained_before = np.zeros((B, M + 1))
+        np.cumsum(gain, axis=1, out=self._gained_before[:, 1:])
+        self._total = self._keyed_paid.imag[self._rows, self._m]
+
+    def __call__(self, budget) -> tuple[np.ndarray, np.ndarray]:
+        """(gain bought, marginal gain per unit cost there) for each row and
+        budget, (B, G): ``budget`` is (G,), shared by the rows, or (B, G),
+        and at least 0."""
+        # past its total cost a row has bought every piece and has nothing left
+        spend = np.minimum(budget, self._total)
+        # pieces [0, k) are paid in full, counted past the row's leading 0;
+        # piece k, if any, takes the rest
+        M = self._cost.shape[1]
+        k = np.searchsorted(self._keyed_paid.reshape(-1),
+                            _row_keyed(self._rows, spend).reshape(-1),
+                            side="right").reshape(spend.shape) - self._rows * (M + 1) - 1
+        rest = spend - self._keyed_paid.imag[self._rows, k]
+        part = k < self._m
+        at = np.minimum(k, M - 1)
+        cost = np.where(part, self._cost[self._rows, at], 1.0)
+        gain = np.where(part, self._gain[self._rows, at], 0.0)
+        return self._gained_before[self._rows, k] + gain * rest / cost, gain / cost
+
+
+# a stacked grid build spans about this many bytes of squared distances, taken
+# a label at a time: past about 200 KB a matrix costs more per row
+_GRID_BLOCK_BYTES = 1 << 19
+
+
 class _GridInner(_FillInner):
-    """Exhaustive search over a declared finite feature grid.
+    """Exhaustive search over a declared finite feature grid, for B clients
+    of n samples each, stacked as features (B, n, d) and labels (B, n); one
+    client is B = 1.
 
     Each sample's own point joins its candidates at cost 0, so the ball always
     contains the empirical distribution even when the data lie off the grid.
     A lookup table has losses only at its grid points: a robust query of
     lookup data off the table is refused, and ``phi`` searches the grid alone.
-    Only the fill is kept: ``phi`` recomputes the candidates.
+    The build takes the grid's losses once per label of the block, and each
+    sample's squared distance to every grid point, whose least per loss
+    level alone is mapped to a cost (``_grid_staircases``).  Only the fill
+    is kept: ``phi`` recomputes the candidates, at their costs.
     """
 
     def __init__(self, h, X, y, grid, cost, loss_fn):
-        self._args = (h, np.atleast_2d(X), np.asarray(y),
-                      np.atleast_2d(np.asarray(grid, dtype=float)), cost, loss_fn)
-        C, losses, which, own = _grid_candidates(*self._args)
-        self._n = len(C)
+        B, n = np.shape(y)
+        self._args = (h, np.reshape(X, (B * n, -1)), np.reshape(y, -1),
+                      np.atleast_2d(np.asarray(grid, dtype=float)), loss_fn)
+        losses, which, own = _grid_candidates(*self._args)
+        self._n, self._cost = n, cost
         if own is None:
             self._fill = _off_table
         else:
-            self._base, self._fill = _hull_fill([_grid_staircases(C, losses, which, own)])
+            X, grid = self._args[1], self._args[3]
+
+            def sq(label, mine, order):
+                return sq_distances(X[mine], grid[order])
+            self._base, self._fill = _hull_fill(
+                [_grid_staircases(sq, losses, which, own, cost.of_sq_distance)], B)
 
     def phi(self, gamma: float) -> np.ndarray:
-        C, losses, which, own = _grid_candidates(*self._args)
+        losses, which, own = _grid_candidates(*self._args)
+        C = self._cost.pairwise(self._args[1], self._args[3])
         best = np.max(losses[which] - gamma * C, axis=1)
         return best if own is None else np.maximum(own, best)
 
@@ -303,29 +382,32 @@ def _off_table(budget):
     raise ValueError("lookup-table data must lie on the table's grid")
 
 
-def _grid_candidates(h, X, labels, grid, cost, loss_fn):
-    """(C, losses, which, own): each sample's cost to every grid point; the
-    grid's losses under each distinct label, and which of them is each
-    sample's; and each sample's loss at its own point, or None for lookup
-    data off the table."""
+def _grid_candidates(h, X, labels, grid, loss_fn):
+    """(losses, which, own): the grid's losses under each distinct label,
+    and which of them is each sample's; and each sample's loss at its own
+    point, or None for lookup data off the table."""
     values, which = np.unique(labels, return_inverse=True)
     losses = np.array([loss_values(loss_fn, h, grid, np.full(len(grid), lab))
                        for lab in values])
-    C = cost.pairwise(X, grid)
     try:
         own = loss_values(loss_fn, h, X, labels)
     except ValueError:
         if h.kind != LOOKUP:
             raise
         own = None
-    return C, losses, which, own
+    return losses, which, own
 
 
-def _grid_staircases(C, losses, which, own):
+def _grid_staircases(key_of, losses, which, own, to_cost):
     """Each sample's rising staircase over its candidates, as (C, L, counts)
     rows in sample order (``_hull_fill``): the candidates its label shares,
-    grid points or score-line candidates, at its own costs, and its own
-    point at cost 0.
+    grid points or score-line candidates, and its own point at cost 0.
+    ``key_of(label, mine, order)`` gives the keys of the samples ``mine``
+    to the label's candidates taken in ``order``, (len(mine), len(order)).
+    A key ranks a sample's candidates by cost: ``to_cost`` maps keys to
+    costs and never falls as a key grows, so the cheapest candidate of a
+    loss level costs ``to_cost`` of its least key, and only those minima
+    are mapped.
 
     A point is on it when it has more loss than every point that sorts
     before it by cost, then by loss, most first.  So the staircase starts at
@@ -337,12 +419,11 @@ def _grid_staircases(C, losses, which, own):
     rows, xs, ys = [], [], []
     for label, loss in enumerate(losses):
         mine = np.flatnonzero(which == label)
-        Cm = C[mine]
-        base = np.maximum(own[mine], np.max(np.where(Cm == 0.0, loss, -np.inf), axis=1))
         order = np.argsort(-loss, kind="stable")
         first = np.flatnonzero(np.r_[True, np.diff(loss[order]) != 0.0])
         level = loss[order][first]                   # the distinct losses, most first
-        cheapest = np.minimum.reduceat(Cm[:, order], first, axis=1)
+        cheapest = to_cost(np.minimum.reduceat(key_of(label, mine, order), first, axis=1))
+        base = np.maximum(own[mine], np.max(np.where(cheapest == 0.0, level, -np.inf), axis=1))
         step = level > base[:, None]
         step[:, 1:] &= cheapest[:, 1:] < np.minimum.accumulate(cheapest, axis=1)[:, :-1]
         # each row from cost 0 outwards
@@ -353,23 +434,35 @@ def _grid_staircases(C, losses, which, own):
     rows = np.concatenate(rows)
     order = np.argsort(rows, kind="stable")
     return (np.concatenate(xs)[order], np.concatenate(ys)[order],
-            np.bincount(rows, minlength=len(C)))
+            np.bincount(rows, minlength=len(which)))
 
 
-def _hull_fill(blocks) -> tuple[float, GreedyFill]:
-    """Total loss at cost 0, and the fill over the segments of each row's
-    upper hull.  ``blocks`` yields (C, L, counts): rows of ``counts`` points
-    each, laid end to end, each a rising staircase from its cost-0 point,
-    its costs and losses strictly rising.  Each block's rows are hulled
-    together (``concave.hull_pieces``)."""
-    base, width, rise = [], [], []
+def _hull_fill(blocks, B: int) -> tuple[np.ndarray, _RowFill]:
+    """Each of B clients' total loss at cost 0, and the fill over the
+    segments of its samples' upper hulls.  ``blocks`` yields (C, L,
+    counts): rows of ``counts`` points each, one per sample, laid end to
+    end, each a rising staircase from its cost-0 point, its costs and
+    losses strictly rising; the blocks' rows are the B clients' samples in
+    order, the same number each.  Each block's rows are hulled together
+    (``concave.hull_pieces``), and each client's pieces are put in
+    ``GreedyFill``'s order by a stable sort on -gain/cost."""
+    base, width, rise, pieces = [], [], [], []
     for C, L, counts in blocks:
         base.append(L[np.cumsum(counts) - counts])
-        w, r = hull_pieces(C, L, counts)
+        w, r, per_row = hull_pieces(C, L, counts)
         width.append(w)
         rise.append(r)
-    return float(np.sum(np.concatenate(base))), GreedyFill(np.concatenate(width),
-                                                           np.concatenate(rise))
+        pieces.append(per_row)
+    base = np.concatenate(base).reshape(B, -1)
+    m = np.sum(np.concatenate(pieces).reshape(B, -1), axis=1)
+    width, rise = np.concatenate(width), np.concatenate(rise)
+    shape = (B, max(1, int(m.max())))
+    cost, gain = np.full(shape, np.inf), np.zeros(shape)
+    ends = np.cumsum(m)
+    for b, (lo, hi) in enumerate(zip(ends - m, ends)):   # the sort its own GreedyFill makes
+        order = np.argsort(-(rise[lo:hi] / width[lo:hi]), kind="stable")
+        cost[b, :hi - lo], gain[b, :hi - lo] = width[lo:hi][order], rise[lo:hi][order]
+    return np.sum(base, axis=1), _RowFill(cost, gain, m)
 
 
 class _FlipInner(_FillInner):
@@ -383,14 +476,9 @@ class _FlipInner(_FillInner):
     is available in closed form.
 
     A client's pieces are the finite flips of its correctly classified
-    samples, each of gain 1, so a fill buys them cheapest first and needs no
-    ``GreedyFill``: each row's costs are put in ``GreedyFill``'s order
-    (``_by_key``) and summed, and a budget buys the pieces whose running
-    cost it covers, counted as ``np.searchsorted(..., side="right")`` counts
-    them, then part of the next piece, or the padding piece (cost 1, gain 0)
-    once every piece is bought.  So each row's answers are a one-client
-    fill's, bit for bit.  The whole table takes one model pass, one sort and
-    one search.
+    samples, each of gain 1, so one sort of each row's costs puts them in
+    ``GreedyFill``'s order (``_by_key``) for the ``_RowFill``.  The whole
+    table takes one model pass, one sort and one search.
     """
 
     def __init__(self, h, X, y, cost):
@@ -401,28 +489,9 @@ class _FlipInner(_FillInner):
         self._flip_cost = cost.of_distance(_distance_to_flip(h, scores)).reshape(B, n)
         piece = ~self._wrong & np.isfinite(self._flip_cost)
         self._n, self._base = n, np.count_nonzero(self._wrong, axis=1)
-        self._m = np.count_nonzero(piece, axis=1)[:, None]
-        self._rows = np.arange(B)[:, None]
         # each row's pieces best first, then inf, which no budget covers
-        self._cost = _by_key(np.where(piece, self._flip_cost, np.inf))
-        # what pieces [0, k) pay, indexed by k
-        self._paid_before = np.column_stack([np.zeros(B), np.cumsum(self._cost, axis=1)])
-        self._total = self._paid_before[self._rows, self._m]
-        self._keyed_paid = _row_keyed(self._rows, self._paid_before[:, 1:]).reshape(-1)
-
-    def table(self, rhos) -> tuple[np.ndarray, np.ndarray]:
-        # past its total cost a row has bought every piece and has nothing left
-        spend = np.minimum(self._n * np.asarray(rhos, dtype=float), self._total)
-        # pieces [0, k) are paid in full: one search of every row's running
-        # costs (``_row_keyed``); piece k, if any, takes the rest
-        k = np.searchsorted(self._keyed_paid, _row_keyed(self._rows, spend).reshape(-1),
-                            side="right").reshape(spend.shape) - self._rows * self._n
-        rest = spend - self._paid_before[self._rows, k]
-        part = k < self._m
-        cost = np.where(part, self._cost[self._rows, np.minimum(k, self._n - 1)], 1.0)
-        gain = np.where(part, 1.0, 0.0)
-        value = k + gain * rest / cost
-        return np.clip((self._base[:, None] + value) / self._n, 0.0, 1.0), gain / cost
+        self._fill = _RowFill(_by_key(np.where(piece, self._flip_cost, np.inf)),
+                              np.ones((B, n)), np.count_nonzero(piece, axis=1))
 
     def phi(self, gamma: float) -> np.ndarray:
         # an infinite flip cost means no boundary to reach, even at gamma = 0
@@ -501,7 +570,7 @@ class _ScoreLineInner(_FillInner):
         tables = zip(*(_line_tables(h, loss_fn, lab) for lab in labels))
         self._loss, self._via_u, self._via_l, self._node_u, self._node_l = map(_padded, tables)
         self._n = len(y)
-        self._base, self._fill = _hull_fill(self._staircases_by_block())
+        self._base, self._fill = _hull_fill(self._staircases_by_block(), 1)
 
     def _costs(self, u, s):
         """The cost of moving samples of scores s to the points of scores u."""
@@ -510,15 +579,21 @@ class _ScoreLineInner(_FillInner):
     def _staircases_by_block(self):
         """The samples' staircases (``_grid_staircases``), a block of samples
         at a time: each candidate at the cost of the node it goes via, or at
-        cost 0 where that node has no more loss than the sample's own point."""
+        cost 0 where that node has no more loss than the sample's own point.
+        The keys are the distances |u - s| / |w|, zeroed there, and
+        ``of_distance`` maps them to costs."""
         step = max(1, _HULL_BLOCK // self._loss.shape[1])
         for start in range(0, self._n, step):
             block = slice(start, start + step)
             present, which = np.unique(self._which[block], return_inverse=True)
-            at, own = self._which[block], self._own[block]
-            C = np.where(self._via_l[at] > own[:, None],
-                         self._costs(self._via_u[at], self._s[block, None]), 0.0)
-            yield _grid_staircases(C, self._loss[present], which, own)
+            s, own = self._s[block, None], self._own[block]
+
+            def keys(label, mine, order):
+                row = present[label]
+                via_l, via_u = self._via_l[row, order], self._via_u[row, order]
+                return np.where(via_l > own[mine, None], np.abs(via_u - s[mine]) / self._w, 0.0)
+            yield _grid_staircases(keys, self._loss[present], which, own,
+                                   self._cost.of_distance)
 
     def phi(self, gamma: float) -> np.ndarray:
         C = self._costs(self._node_u[self._which], self._s[:, None])
@@ -596,7 +671,8 @@ def _flips(h: Hypothesis, loss_fn: LossFn, grid) -> bool:
 
 def _make_inner(h, X, y, cost, loss_fn, grid):
     if h.kind == LOOKUP or grid is not None:
-        return _GridInner(h, X, y, h.grid if grid is None else grid, cost, loss_fn)
+        return _GridInner(h, np.atleast_2d(X)[None], np.asarray(y)[None],
+                          h.grid if grid is None else grid, cost, loss_fn)
     if _flips(h, loss_fn, grid):
         return _FlipInner(h, np.asarray(X, dtype=float)[None], np.asarray(y)[None], cost)
     if loss_fn.kind == ZERO_ONE:
@@ -792,10 +868,14 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
     ``rhos``, where ``fits`` counts the radii each has budget for and
     ``status`` is each route's status.  Only those radii are answered.
 
-    Flip-route clients of one sample count, feature count and cost answer
-    through one stacked ``_FlipInner`` per block of about ``_BLOCK_BYTES``
-    of features, as ``empirical_risk_values`` blocks them; the other routes,
-    and a lone flip client, through the client's own cached inner.  A zero radius takes the
+    The flip and grid clients are stacked (``_stack_key``): flip clients of
+    one feature shape and cost, and grid clients of one grid array, feature
+    shape, cost and loss.  A stack answers through one stacked inner per
+    block, of about ``_BLOCK_BYTES`` of features for the flip route (as
+    ``empirical_risk_values`` blocks them) and about ``_GRID_BLOCK_BYTES``
+    of squared distances for the grid route; a lone client, and a
+    score-line client, through the client's own cached inner.  Every inner
+    answers through one ``_RowFill`` call.  A zero radius takes the
     empirical risk (``empirical_risks``) and slope 0."""
     G = len(rhos)
     fits = []
@@ -813,24 +893,27 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
         if zero and zero[0] < fit:
             by_loss.setdefault(c._loss_fn, []).append(i)
         if robust and robust[0] < fit:
-            if _flips(h, c._loss_fn, c._grid):
-                stacks.setdefault((c._dataset.features.shape, c._cost), []).append(i)
-                continue
-            asked = [j for j in robust if j < fit]
-            inner = c._inner(h)
-            v, g = inner.table([rhos[j] for j in asked])
-            values[i, asked], slopes[i, asked], status[i] = v[0], g[0], inner._status
-    for (shape, cost), idx in stacks.items():
+            # a score-line client stands alone
+            stacks.setdefault(_stack_key(h, c) or i, []).append(i)
+    for key, idx in stacks.items():
         if len(idx) == 1:
-            v, g = clients[idx[0]]._inner(h).table([rhos[j] for j in robust])
-            values[idx[0], robust], slopes[idx[0], robust] = v[0], g[0]
+            inner = clients[idx[0]]._inner(h)
+            asked = [j for j in robust if j < fits[idx[0]]]
+            v, g = inner.table([rhos[j] for j in asked])
+            values[idx[0], asked], slopes[idx[0], asked], status[idx[0]] = v[0], g[0], inner._status
             continue
-        step = _block_rows(shape[0], h)
+        route, (n, _), cost = key[:3]
+        if route == "grid":
+            grid = _grid_of(h, clients[idx[0]])
+            step = max(1, _GRID_BLOCK_BYTES // (8 * n * len(grid)))
+        else:
+            step = _block_rows(n, h)
         for start in range(0, len(idx), step):
             rows = idx[start:start + step]
             data = [clients[i]._dataset for i in rows]
-            inner = _FlipInner(h, np.stack([ds.features for ds in data]),
-                               np.stack([ds.labels for ds in data]), cost)
+            X, y = np.stack([ds.features for ds in data]), np.stack([ds.labels for ds in data])
+            inner = (_GridInner(h, X, y, grid, cost, key[4]) if route == "grid"
+                     else _FlipInner(h, X, y, cost))
             v, g = inner.table([rhos[j] for j in robust])
             values[np.ix_(rows, robust)], slopes[np.ix_(rows, robust)] = v, g
     for loss_fn, idx in by_loss.items():
@@ -839,3 +922,21 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValueError("query values live in [0, 1]")
     return values, slopes, fits, status
+
+
+def _stack_key(h: Hypothesis, c: Client) -> tuple | None:
+    """What a client's robust queries of ``h`` are stacked by: the route,
+    the feature shape and the cost, then for the grid route the grid
+    array's identity and the loss; None for the score-line route, which is
+    not stacked."""
+    shape = c._dataset.features.shape
+    if h.kind == LOOKUP or c._grid is not None:
+        return ("grid", shape, c._cost, id(_grid_of(h, c)), c._loss_fn)
+    if _flips(h, c._loss_fn, c._grid):
+        return ("flip", shape, c._cost)
+    return None
+
+
+def _grid_of(h: Hypothesis, c: Client) -> np.ndarray:
+    """The grid a grid-route client searches: its own, or the lookup table's."""
+    return h.grid if c._grid is None else c._grid

@@ -133,7 +133,7 @@ def test_segmented_hull_matches_the_monotone_chain(rows):
     counts = [len(x) for x in xs]
     x, y = np.concatenate(xs), np.concatenate(ys)
     vertex = upper_hulls(x, y, counts)
-    width, rise = hull_pieces(x, y, counts)
+    width, rise, per_row = hull_pieces(x, y, counts)
     want = [chain_hull(a, b) for a, b in zip(xs, ys)]
     ends = np.cumsum(counts)
     for (hx, hy), lo, hi in zip(want, ends - counts, ends):
@@ -141,6 +141,7 @@ def test_segmented_hull_matches_the_monotone_chain(rows):
         assert y[lo:hi][vertex[lo:hi]].tolist() == hy.tolist()
     assert width.tolist() == np.concatenate([np.diff(hx) for hx, _ in want]).tolist()
     assert rise.tolist() == np.concatenate([np.diff(hy) for _, hy in want]).tolist()
+    assert per_row.tolist() == [len(hx) - 1 for hx, _ in want]
 
 
 def test_segmented_hull_blocks_keep_rows_whole(monkeypatch):

@@ -388,6 +388,22 @@ def test_tilt_for_divergence_hits_budget():
         assert abs(div[name] - eps) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["kl", "chi-square"])
+def test_the_tilt_memo_returns_the_uncached_tilt_and_misses_on_new_weights(name):
+    from fedcert.metasim import _tilt_search
+    cfg = two_archetype_cfg(w=(0.7, 0.3))
+    key = (tuple(cfg.archetype_weights.tolist()), (0.0, 1.0), name, 0.05)
+    uncached = _tilt_search.__wrapped__(*key)
+    _tilt_search.cache_clear()
+    tilts = [tilt_for_divergence(cfg, name, 0.05) for _ in range(3)]
+    info = _tilt_search.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert {np.float64(t).tobytes() for t in tilts} == {np.float64(uncached).tobytes()}
+    # other weights are another search, whose tilt differs
+    other = tilt_for_divergence(two_archetype_cfg(w=(0.6, 0.4)), name, 0.05)
+    assert _tilt_search.cache_info().misses == 2 and other != uncached
+
+
 def test_tilt_constant_scores_rejected():
     cfg = two_archetype_cfg(scores=(1.0, 1.0))
     with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import copy
 
 import numpy as np
 import pytest
@@ -37,7 +36,15 @@ from fedcert.losses import (
 from fedcert import concave
 from fedcert.concave import GreedyFill
 from fedcert.metasim import _BLOCK_BYTES
-from fedcert.query import SCORE_LINE_TAU, _make_inner, _rising_score
+from fedcert import query
+from fedcert.query import (
+    SCORE_LINE_TAU,
+    _grid_candidates,
+    _grid_staircases,
+    _make_inner,
+    _rising_score,
+    sq_distances,
+)
 
 from test_concave import chain_hull
 
@@ -67,6 +74,23 @@ def test_pairwise_costs_equal_the_norm_of_the_differences(d, kind):
     assert got.shape == (30, 40)
     assert np.all(got == costs(cost, X, G))
     assert np.all(got[25:, :5][np.eye(5, dtype=bool)] == 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["half-squared-l2", "l2"])
+def test_squared_distances_and_their_map_equal_pairwise_costs(d, kind):
+    rng = np.random.default_rng(np.random.SeedSequence([1704, d, len(kind)]))
+    G = rng.normal(size=(40, d)) * 2.0
+    X = np.concatenate([rng.normal(size=(25, d)) * 3.0, G[:5]])   # some on the grid
+    cost = TransportCost(kind)
+    sq = sq_distances(X, G)
+    want = costs(cost, X, G)
+    assert cost.of_sq_distance(sq).tobytes() == cost.pairwise(X, G).tobytes() == want.tobytes()
+    # the map never falls, so each group's least squared distance maps to its
+    # least cost
+    starts = np.r_[0, np.sort(rng.choice(np.arange(1, 40), 6, replace=False))]
+    got = cost.of_sq_distance(np.minimum.reduceat(sq, starts, axis=1))
+    assert got.tobytes() == np.minimum.reduceat(want, starts, axis=1).tobytes()
 
 
 def test_empirical_all_correct_is_zero():
@@ -757,11 +781,14 @@ _REFERENCE_RHOS = np.concatenate([[0.0], np.geomspace(1e-5, 20.0, 40)])
 
 
 def assert_answers_match(inner, base, fill):
-    reference = copy.copy(inner)
-    reference._base, reference._fill = base, fill
-    assert inner._base == base
-    got, want = inner.query_profile(_REFERENCE_RHOS), reference.query_profile(_REFERENCE_RHOS)
-    assert got == want   # value, rho, gamma_star, inner_iterations and status
+    """A one-client inner's answers equal, bit for bit, the reference
+    ``GreedyFill`` ``fill``'s from the total loss ``base`` at cost 0."""
+    assert inner._base.tolist() == [base]
+    gain, slope = fill(inner._n * _REFERENCE_RHOS)
+    values = np.clip((base + gain) / inner._n, 0.0, 1.0)
+    want = [QueryValue(value=v, rho=r, gamma_star=g, inner_iterations=1, status=inner._status)
+            for v, r, g in zip(values.tolist(), _REFERENCE_RHOS.tolist(), slope.tolist())]
+    assert inner.query_profile(_REFERENCE_RHOS) == want   # every field
 
 
 def _grid_case(name):
@@ -804,8 +831,22 @@ def test_grid_fill_matches_the_per_row_reference(name):
     search = h.grid if grid is None else grid
     if name == "cost-0 neighbour":
         assert cost.pairwise(X[:1], search)[0, -1] == 0.0
-        assert inner._base > empirical_risk(h, dataset(X, y), loss_fn).value * len(X)
+        assert inner._base[0] > empirical_risk(h, dataset(X, y), loss_fn).value * len(X)
     assert_answers_match(inner, *grid_reference(h, X, y, search, cost, loss_fn))
+
+
+@pytest.mark.parametrize("name", ["on-grid", "off-grid", "lookup", "squared",
+                                  "cost-0 neighbour"])
+def test_grid_staircases_from_squared_distance_minima_equal_the_full_cost_ones(name):
+    h, X, y, grid, cost, loss_fn = _grid_case(name)
+    search = h.grid if grid is None else grid
+    losses, which, own = _grid_candidates(h, X, y, search, loss_fn)
+    C = costs(cost, X, search)
+    full = _grid_staircases(lambda label, mine, order: C[mine][:, order],
+                            losses, which, own, lambda c: c)
+    got = _grid_staircases(lambda label, mine, order: sq_distances(X[mine], search[order]),
+                           losses, which, own, cost.of_sq_distance)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in full]
 
 
 def line_reference_rows(h, X, y, cost, loss_fn):
@@ -892,6 +933,32 @@ def test_score_line_fill_matches_the_per_row_reference(kind, cost_kind):
         if name == "edges":
             assert max(l[0] for _, l in rows) == 1.0   # a sample at the clip
         assert_answers_match(inner, *per_row_hull_fill((c[None], l[None]) for c, l in rows))
+
+
+def full_cost_line_staircases(inner):
+    """The score-line staircases from every candidate's cost, the keys
+    mapped before their minima are taken, in the inner's blocks."""
+    step = max(1, concave._HULL_BLOCK // inner._loss.shape[1])
+    for start in range(0, inner._n, step):
+        block = slice(start, start + step)
+        present, which = np.unique(inner._which[block], return_inverse=True)
+        at, own = inner._which[block], inner._own[block]
+        C = np.where(inner._via_l[at] > own[:, None],
+                     inner._costs(inner._via_u[at], inner._s[block, None]), 0.0)
+        yield _grid_staircases(lambda label, mine, order, C=C: C[mine][:, order],
+                               inner._loss[present], which, own, lambda c: c)
+
+
+@pytest.mark.parametrize("kind", [CROSS_ENTROPY, SQUARED])
+@pytest.mark.parametrize("cost_kind", ["half-squared-l2", "l2"])
+def test_score_line_staircases_from_distance_minima_equal_the_full_cost_ones(kind, cost_kind):
+    rng = np.random.default_rng(np.random.SeedSequence([1705, len(kind), len(cost_kind)]))
+    for name, h, X, y in _line_cases(kind, rng):
+        inner = _make_inner(h, X, y, TransportCost(cost_kind), LossFn(kind), None)
+        got, want = list(inner._staircases_by_block()), list(full_cost_line_staircases(inner))
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            assert [a.tobytes() for a in g] == [a.tobytes() for a in w], name
 
 
 # -- the client boundary -----------------------------------------------------
@@ -1216,7 +1283,6 @@ def test_query_profiles_matches_a_loop_over_mixed_routes():
 
 
 def test_query_profiles_stacks_each_size_once(monkeypatch):
-    from fedcert import query
     builds = []
     flip_init = query._FlipInner.__init__
 
@@ -1320,3 +1386,173 @@ def test_query_profiles_matches_a_loop_on_random_flip_worlds(world):
                                             c._cost, [rhos[j] for j in robust])
             assert v[robust].tobytes() == want_v.tobytes()
             assert g[robust].tobytes() == want_s.tobytes()
+
+
+# -- stacked grid clients ----------------------------------------------------
+
+def grid_table_reference(h, X, y, grid, cost, loss_fn, rhos):
+    """One grid client's table from its own ``GreedyFill`` over the per-row
+    reference hulls (``grid_reference``)."""
+    base, fill = grid_reference(h, X, y, grid, cost, loss_fn)
+    gain, slope = fill(len(X) * np.asarray(rhos, float))
+    return np.clip((base + gain) / len(X), 0.0, 1.0), slope
+
+
+def _grid_stacks():
+    """(name, h, X (B, n, d), y (B, n), grid, cost, loss): on-grid and
+    off-grid samples, a lookup table, real labels under the squared loss,
+    and a rule that no sample can flip (every staircase a lone point)."""
+    rng = np.random.default_rng(np.random.SeedSequence(1904))
+    axis = np.linspace(-3.0, 3.0, 7)
+    grid = np.array([[a, b] for a in axis for b in axis])
+    logistic = Hypothesis(kind=LOGISTIC, weights=np.array([0.9, -0.5]), bias=0.1)
+    on = grid[rng.integers(0, len(grid), (5, 12))]
+    yield "on-grid", logistic, on, rng.integers(0, 2, (5, 12)), grid, COST, LossFn(ZERO_ONE)
+    yield "off-grid", logistic, rng.normal(size=(4, 9, 2)) * 1.5, rng.integers(0, 2, (4, 9)), \
+        grid, TransportCost("l2"), LossFn(ZERO_ONE)
+    table = Hypothesis(kind=LOOKUP, weights=rng.integers(0, 5, len(grid)) / 4.0, grid=grid)
+    yield "lookup", table, on, rng.choice([0.0, 0.5, 1.0], (5, 12)), grid, COST, \
+        LossFn(SQUARED)
+    yield "squared", logistic, on, rng.uniform(-0.5, 1.5, (5, 12)), grid, COST, LossFn(SQUARED)
+    flat = Hypothesis(kind=LOGISTIC, weights=np.zeros(2), bias=0.3)
+    yield "constant", flat, on, rng.integers(0, 2, (5, 12)), grid, COST, LossFn(ZERO_ONE)
+
+
+@pytest.mark.parametrize("case", list(_grid_stacks()), ids=lambda c: c[0])
+def test_stacked_grid_table_equals_each_clients_greedy_fill(case):
+    name, h, X, y, grid, cost, loss_fn = case
+    values, slopes = query._GridInner(h, X, y, grid, cost, loss_fn).table(_STACK_RHOS)
+    assert values.shape == slopes.shape == (len(X), len(_STACK_RHOS))
+    for b in range(len(X)):
+        want_v, want_s = grid_table_reference(h, X[b], y[b], grid, cost, loss_fn, _STACK_RHOS)
+        assert values[b].tobytes() == want_v.tobytes(), (name, b)
+        assert slopes[b].tobytes() == want_s.tobytes(), (name, b)
+
+
+@st.composite
+def grid_stacks(draw):
+    """(h, X, y, grid, cost, loss): B clients of n samples in d dimensions
+    on a random grid, some samples on grid points, under a logistic rule
+    with zero-one or squared loss, or a lookup table."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    B, n, d = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    points = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from([ZERO_ONE, SQUARED, LOOKUP]))
+    cost = TransportCost(draw(st.sampled_from(["half-squared-l2", "l2"])))
+    rng = np.random.default_rng(seed)
+    grid = np.round(rng.normal(size=(points, d)) * 2.0, draw(st.sampled_from([0, 3])))
+    X = rng.normal(size=(B, n, d)) * 1.5
+    on = rng.random((B, n)) < (1.0 if kind == LOOKUP else draw(st.sampled_from([0.0, 0.5])))
+    X[on] = grid[rng.integers(0, points, np.count_nonzero(on))]
+    if kind == LOOKUP:
+        h = Hypothesis(kind=LOOKUP, weights=rng.integers(0, 3, points) / 2.0, grid=grid)
+        return h, X, rng.choice([0.0, 0.5, 1.0], (B, n)), grid, cost, LossFn(SQUARED)
+    h = Hypothesis(kind=LOGISTIC, weights=rng.normal(size=d), bias=float(rng.normal()))
+    y = rng.integers(0, 2, (B, n)) if kind == ZERO_ONE else rng.uniform(-0.5, 1.5, (B, n))
+    return h, X, y, grid, cost, LossFn(kind)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid_stacks())
+def test_stacked_grid_table_equals_each_clients_greedy_fill_on_random_stacks(stack):
+    h, X, y, grid, cost, loss_fn = stack
+    values, slopes = query._GridInner(h, X, y, grid, cost, loss_fn).table(_STACK_RHOS)
+    for b in range(len(X)):
+        want_v, want_s = grid_table_reference(h, X[b], y[b], grid, cost, loss_fn, _STACK_RHOS)
+        assert values[b].tobytes() == want_v.tobytes()
+        assert slopes[b].tobytes() == want_s.tobytes()
+
+
+def _grid_clients(max_queries=None):
+    """Zero-one grid clients of two grid arrays and two sample counts,
+    interleaved, mostly on their grid and one off it; then one with the l2
+    cost and one with the squared loss, each alone in its stack."""
+    rng = np.random.default_rng(np.random.SeedSequence(1905))
+    grid_a = np.stack(np.meshgrid(*[np.linspace(-3, 3, 7)] * 2), -1).reshape(-1, 2)
+    grid_b = np.stack(np.meshgrid(*[np.linspace(-2, 2, 5)] * 2), -1).reshape(-1, 2)
+    kinds = [(grid_a, 12), (grid_a, 20), (grid_b, 12), (grid_a, 12), (grid_b, 12),
+             (grid_a, 20), (None, 12), (grid_a, 12), (grid_b, 12)]
+    clients = []
+    for i, (grid, n) in enumerate(kinds):
+        X = rng.normal(size=(n, 2)) * 1.5 if grid is None else grid[rng.integers(0, len(grid), n)]
+        clients.append(Client(i, dataset(X, rng.integers(0, 2, n), cid=i), LossFn(ZERO_ONE),
+                              max_queries=max_queries, grid=grid_a if grid is None else grid))
+    X = grid_a[rng.integers(0, len(grid_a), 12)]
+    clients.append(Client(9, dataset(X, rng.integers(0, 2, 12), cid=9), LossFn(ZERO_ONE),
+                          TransportCost("l2"), max_queries=max_queries, grid=grid_a))
+    clients.append(Client(10, dataset(X, rng.uniform(-0.5, 1.5, 12), cid=10), LossFn(SQUARED),
+                          max_queries=max_queries, grid=grid_a))
+    return clients
+
+
+_GRID_RHOS = [1e-3, 0.0, 0.05, 0.3, 0.0, 2.0]
+
+
+@pytest.mark.parametrize("rhos", [_GRID_RHOS, [0.0], [0.0, 0.0], [], [0.2, 0.2, np.inf]])
+@pytest.mark.parametrize("per_block", [None, 2])
+def test_query_profiles_matches_a_loop_over_grid_clients(monkeypatch, rhos, per_block):
+    if per_block is not None:
+        # blocks of two 12-sample clients on the 49-point grid
+        monkeypatch.setattr(query, "_GRID_BLOCK_BYTES", per_block * 8 * 12 * 49)
+    tables, err, logs = assert_profiles_match_a_loop(_grid_clients, _PROFILES_H, rhos)
+    assert err is None and all(used == len(rhos) for used, _ in logs)
+
+
+def test_query_profiles_stacks_grid_clients_by_grid_size_cost_and_loss(monkeypatch):
+    builds = []
+    grid_init = query._GridInner.__init__
+
+    def counted(self, h, X, y, grid, cost, loss_fn):
+        builds.append((len(grid), np.shape(y)))
+        grid_init(self, h, X, y, grid, cost, loss_fn)
+
+    monkeypatch.setattr(query._GridInner, "__init__", counted)
+    query_profiles(_grid_clients(), _PROFILES_H, [0.01, 0.2])
+    # grid A: four clients of 12 (three on it, one off it) and two of 20;
+    # grid B: three of 12; the l2-cost and squared-loss clients stand alone
+    # and answer through their own inner
+    assert sorted(builds) == [(25, (3, 12)), (49, (1, 12)), (49, (1, 12)), (49, (2, 20)),
+                              (49, (4, 12))]
+
+
+def test_query_profiles_grid_budget_runs_out_partway_through_a_vector():
+    rhos = [0.02, 0.0, 0.1, 0.5, 1.0]
+    tables, err, logs = assert_profiles_match_a_loop(
+        lambda: _grid_clients(max_queries=7), _PROFILES_H, rhos, spend=[(3, 4)])
+    assert tables is None and err == (BudgetExceededError, 3)
+    assert [used for used, _ in logs] == [5, 5, 5, 7] + [0] * 7
+
+
+_TABLE = np.stack(np.meshgrid(*[np.linspace(-3, 3, 7)] * 2), -1).reshape(-1, 2)
+_LOOKUP_H = Hypothesis(kind=LOOKUP, weights=np.arange(len(_TABLE)) % 5 / 4.0, grid=_TABLE)
+
+
+def _lookup_clients(off_at=None, max_queries=None):
+    """Squared-loss clients of a lookup table, of 10 and 15 samples on it;
+    with ``off_at``, a client off the table at that place."""
+    rng = np.random.default_rng(np.random.SeedSequence(1906))
+    sizes = [10, 15, 10, 10, 15]
+    clients = []
+    for i, n in enumerate(sizes):
+        X = rng.normal(size=(n, 2)) if i == off_at else _TABLE[rng.integers(0, len(_TABLE), n)]
+        clients.append(Client(i, dataset(X, rng.choice([0.0, 0.5, 1.0], n), cid=i),
+                              LossFn(SQUARED), max_queries=max_queries))
+    return clients
+
+
+@pytest.mark.parametrize("off_at", [None, 0])
+def test_query_profiles_matches_a_loop_over_lookup_clients(off_at):
+    tables, err, logs = assert_profiles_match_a_loop(
+        lambda: _lookup_clients(off_at), _LOOKUP_H, [0.0, 0.1, 0.4])
+    if off_at is None:
+        assert err is None
+    else:
+        assert err == (ValueError, None) and all(used == 0 for used, _ in logs)
+
+
+@pytest.mark.parametrize("off_at", [1, 3])
+def test_a_lookup_client_off_its_table_refuses_the_profiles_before_any_charge(off_at):
+    clients = _lookup_clients(off_at, max_queries=10)
+    with pytest.raises(ValueError, match="table's grid"):
+        query_profiles(clients, _LOOKUP_H, [0.0, 0.1, 0.4])
+    assert all(c.queries_used == 0 and c.audit_log == [] for c in clients)

@@ -14,7 +14,8 @@ SOLVER_NAMES = {"GreedyFill", "upper_hulls", "hull_pieces", "_block_hull",
                 "_mean_duals", "_golden", "_ScoreLineInner",
                 "_staircases_by_block", "_line_tables", "_padded", "_LEVELS",
                 "_rising_score", "_hull_fill", "_grid_staircases", "_tangent_vertices",
-                "_FlipInner", "_by_key", "_row_keyed", "_profiles"}
+                "_FlipInner", "_by_key", "_row_keyed", "_profiles", "_RowFill",
+                "_GridInner", "sq_distances", "of_sq_distance"}
 
 # the bound functions and target shifts a certificate kind is wired to; the
 # command line reaches them only through oracle.issue_certificate and
