@@ -29,7 +29,10 @@ the Dirichlet proportions are built from scalar ``standard_gamma`` draws
 exactly as ``Generator.dirichlet``'s gamma branch builds them (a row whose
 largest alpha is below 0.1 still calls ``dirichlet``, which breaks sticks
 there).  The labels and the feature arithmetic then run a block of clients
-at a time.  ``sample_clients``, ``generate_datasets`` and
+at a time (``_draw_samples``).  ``draw_sample_rows`` is the same draw for
+many roots, one key pass over all of them, handing out the sample blocks
+without keeping them; ``draw_world`` is its one-root case, written into
+columns.  ``sample_clients``, ``generate_datasets`` and
 ``generate_dataset`` are object views of the same draw.  The tests pin the
 keys to SeedSequence, the Dirichlet rows to ``Generator.dirichlet`` and the
 drawn worlds to a per-client reference, value for value.
@@ -40,6 +43,7 @@ import csv
 import functools
 import hashlib
 import json
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +60,7 @@ __all__ = [
     "LocalDataset",
     "DrawnWorld",
     "draw_world",
+    "draw_sample_rows",
     "sample_clients",
     "generate_dataset",
     "generate_datasets",
@@ -288,10 +293,16 @@ def _categorical(cdf: np.ndarray, u) -> np.ndarray:
     uniforms ``u = rng.random(size)`` it takes, one per draw: the count of
     ``cdf = _choice_cdf(p)`` entries at or below each uniform, which is
     ``cdf.searchsorted(u, side="right")``.  ``cdf`` broadcasts against
-    ``u[..., None]``, so one call serves a block of clients.  Unlike
-    ``choice`` it does not check ``p``; the callers' probabilities are
-    validated where they are made."""
-    return np.sum(np.asarray(u)[..., None] >= cdf, axis=-1)
+    ``u[..., None]``, so one call serves a block of clients; the count runs
+    one comparison per category.  The last entry is 1 exactly and every
+    uniform lies below it, so it is never counted.  Unlike ``choice`` it
+    does not check ``p``; the callers' probabilities are validated where
+    they are made."""
+    u = np.asarray(u)
+    picks = np.zeros(np.broadcast_shapes(u.shape, cdf.shape[:-1]), dtype=np.intp)
+    for c in range(cdf.shape[-1] - 1):
+        picks += u >= cdf[..., c]
+    return picks
 
 
 # numpy's SeedSequence hash-mix (numpy/random/bit_generator.pyx), kept on
@@ -315,18 +326,22 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _philox_keys(root: int, client_ids, stream) -> np.ndarray:
+def _philox_keys(roots, client_ids, stream) -> np.ndarray:
     """The Philox key of ``Philox(SeedSequence([root, k, stream]))`` for every
     client id ``k``, shape (len(client_ids), 2) uint64, in one array pass.
-    ``stream`` is one tag for every id, or an array of tags aligned with the
-    ids, so one pass can derive several streams' keys.
+    ``roots`` is one root for every id or a sequence of roots aligned with
+    the ids, as Python ints: a numpy array of roots on both sides of 2**63
+    would turn to float64.  ``stream`` is one tag for every id, or an array
+    of tags aligned with the ids, so one pass can derive several streams'
+    keys.
 
     This replays SeedSequence on the entropy words [root..., k, stream]:
     hash each word into a pool of four (hashing zeros when the entropy is
     shorter), mix every pool word into every other, mix in the entropy past
     the pool (a root of three or more words), then hash the pool into the four
     uint32 words of ``generate_state(2, np.uint64)``.  The hash constants
-    evolve the same way for every id, so the ids ride along as one array.
+    evolve the same way for every entropy of one length, so the rows whose
+    roots take the same number of uint32 words ride along as one array.
     Ids and stream tags must each fit one uint32 word."""
     ids, streams = np.broadcast_arrays(np.asarray(client_ids, dtype=np.int64),
                                        np.asarray(stream, dtype=np.int64))
@@ -334,10 +349,27 @@ def _philox_keys(root: int, client_ids, stream) -> np.ndarray:
         raise ValueError("client ids must lie in [0, 2**32)")
     if np.any(streams < 0) or np.any(streams > _MASK32):
         raise ValueError("stream tags must lie in [0, 2**32)")
-    ids = ids.astype(np.uint32)
-    entropy = ([np.full_like(ids, w) for w in _uint32_words(int(root))]
-               + [ids, streams.astype(np.uint32)])
+    tail = [ids.astype(np.uint32), streams.astype(np.uint32)]
+    if isinstance(roots, numbers.Integral):
+        words = _uint32_words(int(roots))
+        return _seed_sequence_keys([np.full_like(tail[0], w) for w in words] + tail)
+    roots = list(roots)
+    if len(roots) != len(ids):
+        raise ValueError("roots must be one root or one per client id")
+    words = {r: _uint32_words(int(r)) for r in dict.fromkeys(roots)}
+    by_width = {}
+    for i, r in enumerate(roots):
+        by_width.setdefault(len(words[r]), []).append(i)
+    keys = np.empty((len(ids), 2), dtype=np.uint64)
+    for rows in by_width.values():
+        columns = np.array([words[roots[i]] for i in rows], dtype=np.uint32)
+        keys[rows] = _seed_sequence_keys(list(columns.T) + [t[rows] for t in tail])
+    return keys
 
+
+def _seed_sequence_keys(entropy: list[np.ndarray]) -> np.ndarray:
+    """``generate_state(2, np.uint64)`` of a SeedSequence on each row of the
+    uint32 entropy columns ``entropy``: ``_philox_keys``' hash-mix."""
     def hasher(hash_const, mult):
         def hashmix(value):
             nonlocal hash_const
@@ -352,7 +384,7 @@ def _philox_keys(root: int, client_ids, stream) -> np.ndarray:
         return result ^ (result >> np.uint32(16))
 
     hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(ids))
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
             for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
@@ -436,24 +468,61 @@ def draw_world(cfg: MetaConfig, K: int, n_k: int, seed: int | None = None) -> Dr
     archetype, the normals of its affine map and translation, then its
     Dirichlet label proportions.  Its sample comes from
     Philox(SeedSequence([seed, k, 1])), as ``generate_datasets`` draws it.
-    The keys of both streams come from one ``_philox_keys`` pass; the loops
-    over clients take only the raw draws, and the arithmetic runs on the
-    columns.
+    This is the one-root case of ``draw_sample_rows``: the same key pass,
+    parameter loop and sample blocks, with the blocks written into the
+    world's arrays.
     """
     if K <= 0:
         raise ValueError("K must be positive")
     if n_k < 0:
         raise ValueError("n_k must be nonnegative")
     root = cfg.seed if seed is None else int(seed)
-    streams = [_SPEC_STREAM] + ([_DATA_STREAM] if n_k else [])
-    keys = _philox_keys(root, np.tile(np.arange(K), len(streams)), np.repeat(streams, K))
-    affine, shift, props, means, arche = _draw_params(cfg, keys[:K])
-    if n_k:
-        X, labels = _draw_samples(keys[K:], props, means, affine, shift, n_k, cfg)
-    else:
-        X, labels = np.empty((K, 0, cfg.dim)), np.empty((K, 0), dtype=np.intp)
+    (affine, shift, props, means, arche), data_keys = _client_rows(cfg, [root], K, n_k)
+    X, labels = _sample_into(data_keys, props, means, affine, shift, n_k, cfg)
     return DrawnWorld(seed_entropy=root, affine=affine, shift=shift, class_props=props,
                       class_means=means, archetype=arche, features=X, labels=labels)
+
+
+# clients whose parameters one pass of ``draw_sample_rows`` holds at once
+_PASS_CLIENTS = 512
+
+
+def draw_sample_rows(cfg: MetaConfig, roots: list[int], K: int, n_k: int):
+    """Yield ``(rows, features, labels)`` blocks of the samples of K clients
+    drawn under each root in ``roots`` (Python ints): the samples of
+    ``draw_world(cfg, K, n_k, root)`` for every root, value for value.  Row
+    r of the pass is client r % K of root ``roots[r // K]``; ``rows`` is the
+    slice of rows a block holds, ``features`` (B, n_k, d) and ``labels``
+    (B, n_k) its samples.
+
+    The parameters are drawn for about ``_PASS_CLIENTS`` rows at a time
+    (whole roots, at least one), with one key pass each, and the blocks of a
+    pass reuse one buffer: a block is valid until the next is requested, and
+    memory does not grow with the number of roots."""
+    if K <= 0 or n_k <= 0:
+        raise ValueError("K and n_k must be positive")
+    roots = [int(r) for r in roots]
+    per_pass = max(1, _PASS_CLIENTS // K)
+    for first in range(0, len(roots), per_pass):
+        (affine, shift, props, means, _), data_keys = _client_rows(
+            cfg, roots[first:first + per_pass], K, n_k)
+        offset = first * K
+        for rows, X, labels in _draw_samples(data_keys, props, means, affine, shift, n_k, cfg):
+            yield slice(offset + rows.start, offset + rows.stop), X, labels
+
+
+def _client_rows(cfg: MetaConfig, roots: list[int], K: int, n_k: int):
+    """The parameters (``_draw_params``) of K clients under each root,
+    stacked root by root, and the keys of their data streams (none at
+    n_k = 0), from one ``_philox_keys`` pass over both streams."""
+    streams = [_SPEC_STREAM] + ([_DATA_STREAM] if n_k else [])
+    rows = K * len(roots)
+    if len(roots) > 1:
+        roots = [r for r in roots for _ in range(K)] * len(streams)
+    keys = _philox_keys(roots[0] if len(roots) == 1 else roots,
+                        np.tile(np.arange(K), rows // K * len(streams)),
+                        np.repeat(streams, rows))
+    return _draw_params(cfg, keys[:rows]), keys[rows:]
 
 
 def _draw_params(cfg: MetaConfig, keys: np.ndarray):
@@ -502,33 +571,51 @@ def _draw_params(cfg: MetaConfig, keys: np.ndarray):
 _BLOCK_BYTES = 1 << 16
 
 
-def _draw_samples(keys, props, means, affine, shift, n_k: int, cfg: MetaConfig):
-    """Each client's n_k samples from its data stream's key: stacked features
-    (K, n_k, d) and labels (K, n_k).  Client by client, the stream's n_k
-    uniforms go into a block buffer and its normals straight into the
-    features; the labels and the feature arithmetic then run on the block,
-    about ``_BLOCK_BYTES`` of features, in place."""
+def _draw_samples(keys, props, means, affine, shift, n_k: int, cfg: MetaConfig, out=None):
+    """Yield ``(rows, features, labels)`` per block of clients: the n_k
+    samples of each client, from its data stream's key, as features (B, n_k,
+    d) and labels (B, n_k).  A block is about ``_BLOCK_BYTES`` of features,
+    written into the rows of ``out = (features, labels)`` when given, else
+    into one buffer reused for every block (valid until the next block).
+
+    Client by client, the stream's n_k uniforms go into a block buffer and
+    its normals straight into the features; the labels and the feature
+    arithmetic then run on the block, in place."""
     K, d = len(keys), cfg.dim
-    X = np.empty((K, n_k, d))
-    labels = np.empty((K, n_k), dtype=np.intp)
+    C = means.shape[1]
     step = max(1, _BLOCK_BYTES // (8 * n_k * d))
+    reuse = out is None
+    if reuse:
+        out = np.empty((min(step, K), n_k, d)), np.empty((min(step, K), n_k), dtype=np.intp)
     u = np.empty((min(step, K), n_k))
     streams = _client_streams(keys)
     eye = np.eye(d)
     for start in range(0, K, step):
         block = slice(start, min(start + step, K))
-        Xb = X[block]
-        B = len(Xb)
+        B = block.stop - start
+        Xb, lb = (o[:B] if reuse else o[block] for o in out)
         for b, rng in zip(range(B), streams):
             rng.random(out=u[b])
             rng.standard_normal(out=Xb[b])
-        lb = labels[block]
         lb[...] = _categorical(_choice_cdf(props[block])[:, None, :], u[:B])
-        # in place, to keep the block's temporaries few; a + b is b + a exactly
+        # in place, to keep the block's temporaries few; a + b is b + a
+        # exactly.  Client b's class means are rows b * C + label of the
+        # block's means, taken as one flat ``take``
         Xb *= cfg.cov_scale
-        Xb += means[block][np.arange(B)[:, None], lb]
+        Xb += np.take(means[block].reshape(B * C, d), lb + C * np.arange(B)[:, None], axis=0)
         Xb[...] = Xb @ (eye + affine[block]).transpose(0, 2, 1)
         Xb += shift[block][:, None, :]
+        yield block, Xb, lb
+
+
+def _sample_into(keys, props, means, affine, shift, n_k: int, cfg: MetaConfig):
+    """Every client's samples, stacked: features (K, n_k, d) and labels
+    (K, n_k), the blocks of ``_draw_samples`` written in place."""
+    K = len(keys)
+    X, labels = np.empty((K, n_k, cfg.dim)), np.empty((K, n_k), dtype=np.intp)
+    if n_k:
+        for _ in _draw_samples(keys, props, means, affine, shift, n_k, cfg, (X, labels)):
+            pass
     return X, labels
 
 
@@ -548,14 +635,11 @@ def generate_datasets(specs: list[ClientSpec], n_k: int, cfg: MetaConfig) -> lis
     """
     if n_k <= 0:
         raise ValueError("n_k must be positive")
-    keys = np.empty((len(specs), 2), dtype=np.uint64)
-    roots = np.array([s.seed_entropy for s in specs], dtype=object)
-    ids = np.array([s.client_id for s in specs], dtype=np.int64)
-    for root in dict.fromkeys(roots):
-        keys[roots == root] = _philox_keys(root, ids[roots == root], _DATA_STREAM)
+    keys = _philox_keys([s.seed_entropy for s in specs], [s.client_id for s in specs],
+                        _DATA_STREAM)
     columns = [np.stack([getattr(s, key) for s in specs])
                for key in ("class_props", "class_means", "affine", "shift")]
-    X, labels = _draw_samples(keys, *columns, n_k, cfg)
+    X, labels = _sample_into(keys, *columns, n_k, cfg)
     return [LocalDataset(client_id=s.client_id, features=x, labels=y)
             for s, x, y in zip(specs, X, labels)]
 

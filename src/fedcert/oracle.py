@@ -11,8 +11,8 @@ Everything here is deliberately independent of the solvers it checks:
                                  discrete instances;
   * ``wass_alloc_grid_oracle``   radius allocation by brute 2-D grid search
                                  over tangent-line envelopes;
-  * ``coverage_experiments``     Monte-Carlo: draw a fresh world, certify,
-                                 draw the shifted target, count violations;
+  * ``coverage_experiments``     Monte-Carlo: draw fresh worlds, certify,
+                                 draw the shifted targets, count violations;
                                  the kinds share each trial's draws;
   * ``tightness_probe``          certificate-minus-achievable gap along a
                                  schedule of world sizes, against the exact
@@ -26,9 +26,11 @@ maps a kind to its bound function, ``certify_rows`` to its row kernel, and
 The coverage trials use common random numbers: trial t seeds its source
 world by (seed, t) and its target risks by (seed, t, 1), whatever the kind.
 So every kind certifies the same clients, and kinds that declare the same
-target world test against the same risks.  ``coverage_experiments`` runs
-each trial once, draws its source and each distinct target once, and keeps
-of them only the query values and the statistic each kind checks; each kind
+target world test against the same risks.  ``coverage_experiments`` draws
+each source once for every trial, in one sampling pass that keeps only the
+query values (``_source_risks``), and each trial's targets once, in one draw
+for every target world of one layout (``_TargetDraws``); it keeps of them
+only the query values and the statistic each kind checks, and each kind
 then certifies its (trials, K) query matrix in one kernel call.  Each report
 equals the one its kind gets when run on its own.
 
@@ -55,6 +57,9 @@ from .fdiv import fdiv_cdf_bound, fdiv_cdf_rows, fdiv_mean_bound, fdiv_mean_rows
 from .losses import LINEAR, LOGISTIC, ZERO_ONE, Hypothesis, LossFn
 from .metasim import (
     MetaConfig,
+    _categorical,
+    _choice_cdf,
+    draw_sample_rows,
     draw_world,
     shift_meta_fdiv,
     shift_meta_wass,
@@ -341,47 +346,97 @@ def _risks_from_parts(ut, means, score_off, props, cov_scale):
 def sample_true_risks(cfg: MetaConfig, n_clients: int, h: Hypothesis,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw fresh clients from the meta-distribution and return their exact
-    zero-one risks (no data-level sampling).  Binary worlds only."""
-    if cfg.n_classes != 2:
-        raise ValueError("exact risks implemented for binary worlds")
-    u, b0 = _binary_margin(h)
-    d = cfg.dim
-    T = int(n_clients)
+    zero-one risks (no data-level sampling).  Binary worlds only.  The
+    one-world case of ``_TargetDraws``."""
+    return _TargetDraws([cfg], n_clients, h).risks(rng)[0]
 
-    if cfg.archetypes is not None:
-        arche = rng.choice(len(cfg.archetypes), size=T, p=cfg.archetype_weights)
-        means = np.stack([a.class_means for a in cfg.archetypes])[arche]
+
+def _draw_layout(cfg: MetaConfig) -> tuple:
+    """The fields that fix how many uniforms, affine maps and translations
+    ``sample_true_risks`` draws, and at what scale: worlds that agree on
+    them, whatever their archetype weights, means, proportions, Dirichlet
+    concentration and class spread, draw those alike from one stream."""
+    return cfg.dim, cfg.shift_mode, cfg.sigma_affine, cfg.sigma_shift, cfg.archetypes is None
+
+
+class _TargetDraws:
+    """Exact zero-one risks of ``n_clients`` fresh clients of each of several
+    binary worlds that share one ``_draw_layout``, from one stream.
+
+    A world draws, in order: one uniform per client for its archetype (a
+    world built from archetypes), the client's affine map and translation
+    (under feature shift), then the Dirichlet label proportions of each
+    archetype group (under label shift), the groups in the sorted order of
+    their base proportions.  Only the last draws and the archetype picks
+    depend on the weights.  So ``risks`` draws the uniforms and the maps
+    once for every world; each world picks its archetypes from its own CDF
+    over the shared uniforms and draws its proportions from the stream's
+    state after the maps, restored for each world.  Each world's risks
+    equal those of ``sample_true_risks`` on its own from the same stream.
+    The per-world arrays (archetype CDF, means, proportion groups) are made
+    once, here."""
+
+    def __init__(self, cfgs: list[MetaConfig], n_clients: int, h: Hypothesis):
+        if any(cfg.n_classes != 2 for cfg in cfgs):
+            raise ValueError("exact risks implemented for binary worlds")
+        if len({_draw_layout(cfg) for cfg in cfgs}) != 1:
+            raise ValueError("target worlds drawn together must share one draw layout")
+        self.margin = _binary_margin(h)
+        self.T = int(n_clients)
+        self.layout = cfgs[0]
+        self.worlds = [self._world(cfg) for cfg in cfgs]
+
+    def _world(self, cfg: MetaConfig) -> dict:
+        if cfg.archetypes is None:
+            return {"cfg": cfg, "group_props": np.full((1, 2), 0.5),
+                    "means": np.broadcast_to(cfg.class_means, (self.T, 2, cfg.dim)).copy()}
         # archetypes that share their proportions share one Dirichlet group
         group_props, group_of = np.unique(np.stack([a.class_props for a in cfg.archetypes]),
                                           axis=0, return_inverse=True)
-        group = group_of.ravel()[arche]
-        base_props = group_props[group]
-    else:
-        means = np.broadcast_to(cfg.class_means, (T, 2, d)).copy()
-        group_props, group = np.full((1, 2), 0.5), np.zeros(T, dtype=int)
-        base_props = group_props[group]
+        return {"cfg": cfg, "cdf": _choice_cdf(cfg.archetype_weights),
+                "means": np.stack([a.class_means for a in cfg.archetypes]),
+                "group_props": group_props, "group_of": group_of.ravel()}
 
-    if cfg.shift_mode in ("feature", "both"):
-        A = rng.normal(0.0, cfg.sigma_affine, size=(T, d, d))
-        b = rng.normal(0.0, cfg.sigma_shift, size=(T, d))
-    else:
-        A = np.zeros((T, d, d))
-        b = np.zeros((T, d))
-
-    if cfg.shift_mode in ("label", "both"):
-        props = np.empty((T, 2))
-        # dirichlet concentration depends on the (archetype) base proportions;
-        # the groups draw in the sorted order of their proportions
-        for g, bp in enumerate(group_props):
-            mask = group == g
-            if mask.any():
-                props[mask] = rng.dirichlet(cfg.alpha_dir * 2 * bp, size=int(mask.sum()))
-    else:
-        props = base_props
-
-    ut = u[None, :] + np.einsum("tij,i->tj", A, u)
-    score_off = b @ u + b0
-    return _risks_from_parts(ut, means, score_off, props, cfg.cov_scale)
+    def risks(self, rng: np.random.Generator) -> list[np.ndarray]:
+        """Each world's risks, (n_clients,) each, in the given order."""
+        cfg, T = self.layout, self.T
+        d = cfg.dim
+        u, b0 = self.margin
+        # rng.choice(p=w) takes rng.random(T) and counts the CDF entries at
+        # or below each uniform: _categorical
+        uniforms = rng.random(T) if cfg.archetypes is not None else None
+        if cfg.shift_mode in ("feature", "both"):
+            A = rng.normal(0.0, cfg.sigma_affine, size=(T, d, d))
+            b = rng.normal(0.0, cfg.sigma_shift, size=(T, d))
+        else:
+            A = np.zeros((T, d, d))
+            b = np.zeros((T, d))
+        ut = u[None, :] + np.einsum("tij,i->tj", A, u)
+        score_off = b @ u + b0
+        label = cfg.shift_mode in ("label", "both")
+        after_maps = rng.bit_generator.state if label and len(self.worlds) > 1 else None
+        out = []
+        for i, world in enumerate(self.worlds):
+            if uniforms is None:
+                means, group = world["means"], np.zeros(T, dtype=int)
+            else:
+                arche = _categorical(world["cdf"], uniforms)
+                means, group = world["means"][arche], world["group_of"][arche]
+            if label:
+                if i:
+                    rng.bit_generator.state = after_maps
+                props = np.empty((T, 2))
+                # dirichlet concentration depends on the (archetype) base
+                # proportions
+                for g, bp in enumerate(world["group_props"]):
+                    mask = group == g
+                    if mask.any():
+                        props[mask] = rng.dirichlet(world["cfg"].alpha_dir * 2 * bp,
+                                                    size=int(mask.sum()))
+            else:
+                props = world["group_props"][group]
+            out.append(_risks_from_parts(ut, means, score_off, props, world["cfg"].cov_scale))
+        return out
 
 
 # the window of the quadrature below leaves out the Gaussian mass beyond
@@ -649,6 +704,19 @@ def _draw_source(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int, root: int):
     return world, qv, np.full(K, n_k)
 
 
+def _source_risks(cfg: MetaConfig, h: Hypothesis, roots: list[int], K: int,
+                  n_k: int) -> np.ndarray:
+    """The (len(roots), K) query matrix of K fresh source clients of n_k
+    samples under each root: row i is ``_draw_source``'s query values at
+    ``roots[i]``, value for value.  One ``draw_sample_rows`` pass hands each
+    block of samples to ``empirical_risk_values`` and keeps no features."""
+    qv = np.empty((len(roots), K))
+    flat = qv.reshape(-1)
+    for rows, X, labels in draw_sample_rows(cfg, roots, K, n_k):
+        flat[rows] = empirical_risk_values(h, X, labels, _ZERO_ONE)
+    return qv
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo coverage
 # ---------------------------------------------------------------------------
@@ -720,6 +788,10 @@ class _CoveragePlan:
     def target_key(self) -> tuple:
         return self.target_cfg.digest(), self.target_clients, self.h.cache_key()
 
+    def draw_key(self) -> tuple:
+        """Plans whose targets agree on this draw them from one stream."""
+        return _draw_layout(self.target_cfg), self.target_clients, self.h.cache_key()
+
     def target_statistic(self, risks: np.ndarray):
         """What the check reads of one trial's exact target risks: their
         mean, or their survival at each threshold."""
@@ -788,10 +860,15 @@ def coverage_experiments(cfg: MetaConfig, requests: list[tuple[str, dict]],
     trial's draws (common random numbers): the trial draws its source once
     per (h, K, n_k) and its target risks once per declared target world and
     client count, and every report equals that of the kind run on its own.
-    A trial keeps only its query values and, per kind, the target statistic
-    it checks; a ``wass-mean`` kind certifies the trial's drawn world at
-    once, and every other kind certifies its (trials, K) query matrix in one
-    ``certify_rows`` call after the last trial.
+
+    Each source key takes one ``_source_risks`` pass over every trial's
+    root, which keeps only the (trials, K) query values, before the first
+    trial; a key that a ``wass-mean`` kind reads is instead drawn as a world
+    per trial, which that kind certifies at once.  Per trial, the target
+    worlds that share a ``_draw_layout`` (and client count and rule) are
+    drawn by one ``_TargetDraws``, from one stream, and each kind keeps only
+    the target statistic it checks.  Every kind but ``wass-mean`` certifies
+    its query matrix in one ``certify_rows`` call after the last trial.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -800,23 +877,37 @@ def coverage_experiments(cfg: MetaConfig, requests: list[tuple[str, dict]],
     tgt_keys = [plan.target_key() for plan in plans]
     # per key, a plan that reads it: the plans sharing a key share what is drawn
     sources, targets = dict(zip(src_keys, plans)), dict(zip(tgt_keys, plans))
-    qvs = {key: np.empty((trials, plan.K)) for key, plan in sources.items()}
+    roots = [_trial_seed(seed, t) for t in range(trials)]
+    # the sources a wass-mean kind reads are drawn as a world per trial
+    per_trial = dict.fromkeys(key for key, plan in zip(src_keys, plans)
+                              if plan.kind == "wass-mean")
+    qvs = {key: np.empty((trials, plan.K)) if key in per_trial
+           else _source_risks(cfg, plan.h, roots, plan.K, plan.n_k)
+           for key, plan in sources.items()}
+    # the target worlds that draw alike share one draw per trial
+    layouts = {}
+    for key, plan in targets.items():
+        layouts.setdefault(plan.draw_key(), []).append(key)
+    draws = [(keys, _TargetDraws([targets[key].target_cfg for key in keys],
+                                 targets[keys[0]].target_clients, targets[keys[0]].h))
+             for keys in layouts.values()]
     values = [np.empty(trials) if plan.kind == "wass-mean" else None for plan in plans]
     stats = [np.empty((trials, len(plan.lams)) if plan.kind in CURVE_KINDS else trials)
              for plan in plans]
-    for t in range(trials):
-        for key, plan in sources.items():
-            source = _draw_source(cfg, plan.h, plan.K, plan.n_k, _trial_seed(seed, t))
+    for t, root in enumerate(roots):
+        for key in per_trial:
+            plan = sources[key]
+            source = _draw_source(cfg, plan.h, plan.K, plan.n_k, root)
             qvs[key][t] = source[1]
             for i, value in enumerate(values):
                 if value is not None and src_keys[i] == key:
                     value[t] = plans[i].wass_value(source)
-        for key, plan in targets.items():
+        for keys, draw in draws:
             rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
-            risks = sample_true_risks(plan.target_cfg, plan.target_clients, plan.h, rng_t)
-            for i, stat in enumerate(stats):
-                if tgt_keys[i] == key:
-                    stat[t] = plans[i].target_statistic(risks)
+            for key, risks in zip(keys, draw.risks(rng_t)):
+                for i, stat in enumerate(stats):
+                    if tgt_keys[i] == key:
+                        stat[t] = plans[i].target_statistic(risks)
     reports = []
     for plan, key, value, stat in zip(plans, src_keys, values, stats):
         if value is None:
@@ -837,8 +928,9 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
     schedule point.  Rows carry it as ``truth``, the difference of its last
     two quadrature levels as ``truth_error``, and the median slack
     components, so the vanishing pieces can be read off separately.  Each
-    schedule point certifies its (trials, K) query matrix in one
-    ``certify_rows`` call.
+    schedule point draws its (trials, K) query matrix in one
+    ``_source_risks`` pass, trial t under the root (seed, 1e6 K + t), and
+    certifies it in one ``certify_rows`` call.
     """
     if bound_kind not in TIGHTNESS_KINDS:
         raise ValueError("tightness probe supports the mean-style bounds")
@@ -854,9 +946,8 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
 
     rows = []
     for K, n_k in zip(K_schedule, n_schedule):
-        qv = np.empty((trials, K))
-        for t in range(trials):
-            qv[t] = _draw_source(cfg, h, K, n_k, _trial_seed(seed, 1_000_000 * K + t))[1]
+        qv = _source_risks(cfg, h, [_trial_seed(seed, 1_000_000 * K + t) for t in range(trials)],
+                           K, n_k)
         certified = certify_rows(bound_kind, req, qv, np.full((trials, K), n_k))
         gaps = certified.value - truth
         row = {

@@ -739,17 +739,62 @@ def test_verify_draws_each_trials_source_once_for_every_kind(tmp_path, monkeypat
         {"kind": "fdiv-mean", "delta": 0.1, "epsilon": 0.05, "f_name": "chi-square"},
         {"kind": "fdiv-cdf", "delta": 0.1, "epsilon": 0.05, "f_name": "kl"},
     ]
-    calls = []
-    original = fedcert.oracle.draw_world
+    counts = {}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(fedcert.oracle, "draw_world", counted)
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    counting(fedcert.oracle, "draw_world")
+    counting(fedcert.oracle, "_source_risks")
+    counting(fedcert.oracle._TargetDraws, "risks")
     assert main(["verify", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "v")]) == 0
     tc = cfg["verify"]["tightness"]
-    assert len(calls) == cfg["verify"]["trials"] + len(tc["K_schedule"]) * tc["trials"]
+    # one source pass for the kinds' shared source and one per schedule
+    # point, and no world drawn on its own
+    assert counts.get("_source_risks") == 1 + len(tc["K_schedule"])
+    assert "draw_world" not in counts
+    # the source and the two tilts share one target draw per trial
+    assert counts.get("risks") == cfg["verify"]["trials"]
+
+
+def _golden_verify_config(name):
+    """The config of one pinned verify tree: BASE_CONFIG itself, or the four
+    kinds that certify from the query matrix with an fdiv-mean tightness
+    probe, or those four beside a wass-mean kind."""
+    cfg = copy.deepcopy(BASE_CONFIG)
+    if name == "base":
+        return cfg
+    cfg["verify"]["kinds"] = [
+        {"kind": "mean", "delta": 0.1},
+        {"kind": "cdf", "delta": 0.1},
+        {"kind": "fdiv-mean", "delta": 0.1, "epsilon": 0.05, "f_name": "chi-square"},
+        {"kind": "fdiv-cdf", "delta": 0.1, "epsilon": 0.05, "f_name": "kl"},
+    ]
+    cfg["verify"]["tightness"] = {"bound_kind": "fdiv-mean", "epsilon": 0.05, "f_name": "kl",
+                                  "K_schedule": [5, 20], "n_schedule": [10, 30], "trials": 4}
+    if name.startswith("five-kinds"):
+        cfg["verify"]["kinds"].append({"kind": "wass-mean", "delta": 0.1, "epsilon": 0.02})
+    return cfg
+
+
+GOLDEN_VERIFY = json.loads((Path(__file__).parent / "golden" / "verify_trees.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_verify_trees_equal_their_golden_digests(tmp_path, name):
+    # pinned before the sampling passes were batched: every file of the
+    # tree, byte for byte
+    golden = GOLDEN_VERIFY[name]
+    out = tmp_path / "v"
+    rc = main(["verify", "--config", write_config(tmp_path, _golden_verify_config(name)),
+               "--seed", str(golden["seed"]), "--out", str(out)])
+    assert rc == golden["exit_code"]
+    assert tree_digest(out) == golden["files"]
 
 
 def test_verify_without_section_exits_one(tmp_path, capsys):

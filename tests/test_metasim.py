@@ -20,12 +20,14 @@ from fedcert import (
     shift_meta_wass,
     tilt_for_divergence,
 )
+import fedcert.metasim
 from fedcert.metasim import (
     _BLOCK_BYTES,
     _categorical,
     _choice_cdf,
     _dirichlet,
     _philox_keys,
+    draw_sample_rows,
     tilt_divergence_limit,
 )
 
@@ -254,6 +256,51 @@ def test_philox_keys_take_a_stream_per_id():
     for stream in (-1, 2**32):
         with pytest.raises(ValueError):
             _philox_keys(0, [0], stream)
+
+
+# roots on both sides of 2**32 (one or two entropy words) and of 2**63, and
+# one of three words
+EDGE_ROOTS = (2**32 - 1, 2**63, 7, 2**32, 2**63 - 1, 2**64 - 1, 2**70 + 3)
+
+
+def test_philox_keys_take_a_root_per_id():
+    ids, streams, n = [0, 5, 2**32 - 1], [0, 1, 1], len(EDGE_ROOTS)
+    got = _philox_keys([r for r in EDGE_ROOTS for _ in ids], ids * n, streams * n)
+    want = np.concatenate([_philox_keys(r, ids, streams) for r in EDGE_ROOTS])
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    assert _philox_keys([], [], 0).shape == (0, 2)
+    for roots, ids in (([0, 1], [0]), ([-1], [0])):
+        with pytest.raises(ValueError):
+            _philox_keys(roots, ids, 0)
+
+
+@pytest.mark.parametrize("archetypes", [False, True])
+@pytest.mark.parametrize("shift_mode", ["none", "feature", "label", "both"])
+def test_sample_rows_equal_draw_world_root_by_root(monkeypatch, shift_mode, archetypes):
+    # blocks that straddle two roots, and passes of two roots and then one
+    K = BLOCK + 2
+    monkeypatch.setattr(fedcert.metasim, "_PASS_CLIENTS", 2 * K + 1)
+    cfg = three_class_cfg(shift_mode, archetypes, 0)
+    worlds = [draw_world(cfg, K, N_K, seed=root) for root in EDGE_ROOTS]
+    features = np.concatenate([w.features for w in worlds])
+    labels = np.concatenate([w.labels for w in worlds])
+    seen = []
+    for rows, X, y in draw_sample_rows(cfg, list(EDGE_ROOTS), K, N_K):
+        assert np.array_equal(X, features[rows]) and np.array_equal(y, labels[rows])
+        assert y.dtype == labels.dtype
+        seen += range(rows.start, rows.stop)
+    assert seen == list(range(len(EDGE_ROOTS) * K))
+
+
+def test_generate_datasets_over_specs_of_mixed_roots():
+    # one call over specs whose roots take one, two and three words
+    cfg = three_class_cfg("both", True, 0)
+    worlds = [draw_world(cfg, 3, 6, seed=root) for root in EDGE_ROOTS]
+    specs = [spec for w in worlds for spec in w.specs()][::-1]
+    want = [ds for w in worlds for ds in w.datasets()][::-1]
+    for ds, ref in zip(generate_datasets(specs, 6, cfg), want):
+        assert np.array_equal(ds.features, ref.features)
+        assert np.array_equal(ds.labels, ref.labels)
 
 
 def test_gamma_dirichlet_equals_generator_dirichlet():

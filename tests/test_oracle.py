@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedcert.metasim
 import fedcert.oracle
 from scipy.special import ndtr
 
@@ -36,6 +37,8 @@ from fedcert.oracle import (
     _CoveragePlan,
     _draw_source,
     _risks_from_parts,
+    _source_risks,
+    _TargetDraws,
     _trial_seed,
     certify_rows,
     issue_certificate,
@@ -559,14 +562,14 @@ _ALL_KINDS = [
 ]
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, owner=fedcert.oracle):
     calls = []
-    original = getattr(fedcert.oracle, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
-    monkeypatch.setattr(fedcert.oracle, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -576,13 +579,17 @@ def test_coverage_experiments_equal_each_kind_run_alone(monkeypatch):
     requests = [(kind, {**common, **extra}) for kind, extra in _ALL_KINDS]
     alone = [coverage_experiments(cfg, [request], trials=3, seed=5)[0].to_json_dict()
              for request in requests]
-    sources = _counting(monkeypatch, "draw_world")
-    targets = _counting(monkeypatch, "sample_true_risks")
+    worlds = _counting(monkeypatch, "draw_world")
+    passes = _counting(monkeypatch, "_source_risks")
+    targets = _counting(monkeypatch, "risks", fedcert.oracle._TargetDraws)
     got = coverage_experiments(cfg, requests, trials=3, seed=5)
     assert [r.to_json_dict() for r in got] == alone
-    # one source per trial; mean and cdf-curve declare the source as target
-    assert len(sources) == 3
-    assert len(targets) == 3 * 4
+    # the wass-mean kind reads the shared source key, so it is drawn as one
+    # world per trial, where each other kind run alone took one source pass
+    assert len(worlds) == 3 and len(passes) == 0
+    # the four target worlds (the source, two tilts, the moved means) share
+    # one draw layout: one target draw per trial serves them all
+    assert len(targets) == 3
 
 
 def test_coverage_experiments_draw_a_source_per_client_count(monkeypatch):
@@ -590,9 +597,11 @@ def test_coverage_experiments_draw_a_source_per_client_count(monkeypatch):
     common = {"h": H, "n_k": 20, "delta": 0.1, "target_clients": 200}
     requests = [("mean", {**common, "K": 6}), ("cdf-curve", {**common, "K": 6}),
                 ("mean", {**common, "K": 9})]
-    sources = _counting(monkeypatch, "draw_world")
+    worlds = _counting(monkeypatch, "draw_world")
+    passes = _counting(monkeypatch, "_source_risks")
     got = coverage_experiments(cfg, requests, trials=2, seed=3)
-    assert len(sources) == 2 * 2
+    # one source pass over every trial per client count, and no world
+    assert len(passes) == 2 and len(worlds) == 0
     assert [r.notes["K"] for r in got] == [6, 6, 9]
     assert got[2].to_json_dict() == coverage_experiments(cfg, requests[2:], trials=2,
                                                          seed=3)[0].to_json_dict()
@@ -609,6 +618,56 @@ def test_draw_source_risks_equal_each_datasets_own_risk(K):
     assert qv.tolist() == [float(np.mean(loss_values(zero_one, H, ds.features, ds.labels)))
                            for ds in datasets]
     assert ns.tolist() == [30] * K
+
+
+@pytest.mark.parametrize("K", [1, (_BLOCK_BYTES // (8 * 30 * 2)) + 3])
+def test_source_risks_equal_each_roots_own_draw(monkeypatch, K):
+    # trial roots on both sides of 2**32 and 2**63, as Python ints; passes of
+    # two roots, with blocks that straddle them
+    monkeypatch.setattr(fedcert.metasim, "_PASS_CLIENTS", 2 * K)
+    roots = [_trial_seed(2, t) for t in range(4)] + [2**32 - 1, 2**32, 2**63 - 1, 2**63]
+    assert {r >= 2**63 for r in roots} == {False, True}
+    cfg = archetype_cfg()
+    qv = _source_risks(cfg, H, roots, K, 30)
+    assert qv.shape == (len(roots), K)
+    for root, row in zip(roots, qv):
+        assert row.tolist() == _draw_source(cfg, H, K, 30, root)[1].tolist()
+
+
+def _tilted_and_moved_targets(cfg):
+    """The worlds a verify run declares from ``cfg``: the source, a KL and a
+    chi-square tilt, and the class means moved against H."""
+    return [cfg, target_world(cfg, "fdiv-mean", 0.05, H, "kl"),
+            target_world(cfg, "fdiv-cdf", 0.1, H, "chi-square"),
+            target_world(cfg, "wass-mean", 0.02, H)]
+
+
+@pytest.mark.parametrize("shift_mode", ["none", "feature", "label", "both"])
+def test_target_draws_equal_each_world_drawn_alone(shift_mode):
+    shared = [Archetype(class_means=BASE_MEANS * f, class_props=np.array(p), score=s)
+              for f, p, s in ((1.0, [0.7, 0.3], 0.0), (0.5, [0.4, 0.6], 1.0),
+                              (0.8, [0.7, 0.3], 2.0))]
+    cfg = MetaConfig(dim=2, n_classes=2, class_means=BASE_MEANS, shift_mode=shift_mode,
+                     archetypes=shared, archetype_weights=np.array([0.6, 0.05, 0.35]))
+    worlds = _tilted_and_moved_targets(cfg)
+    # a world of other proportions and concentration shares the layout too
+    worlds.append(replace(cfg, alpha_dir=2.0, archetypes=shared[::-1]))
+    for T in (1, 3, 2000):
+        got = _TargetDraws(worlds, T, H).risks(np.random.default_rng(T))
+        for world, risks in zip(worlds, got):
+            assert np.array_equal(risks, sample_true_risks(world, T, H,
+                                                           np.random.default_rng(T)))
+    plain = [plain_cfg(shift_mode=shift_mode), plain_cfg(shift_mode=shift_mode, cov_scale=2.0)]
+    got = _TargetDraws(plain, 50, H).risks(np.random.default_rng(1))
+    for world, risks in zip(plain, got):
+        assert np.array_equal(risks, sample_true_risks(world, 50, H, np.random.default_rng(1)))
+
+
+def test_target_draws_need_one_layout():
+    for other in (plain_cfg(shift_mode="both"), replace(archetype_cfg(), sigma_shift=0.2),
+                  replace(archetype_cfg(), shift_mode="label")):
+        with pytest.raises(ValueError):
+            _TargetDraws([archetype_cfg(), other], 10, H)
 
 
 # -------------------------------------------------- batched against per trial
@@ -653,10 +712,12 @@ def _per_trial_coverage(cfg, bound_kind, params, trials, seed):
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 @pytest.mark.parametrize("inflate", [1.0, 4.0])
 def test_batched_coverage_equals_the_per_trial_loop(monkeypatch, trials, K, epsilon, inflate):
-    # inflate 4 scales every target risk (capped at 1) so that trials violate
-    original = fedcert.oracle.sample_true_risks
-    monkeypatch.setattr(fedcert.oracle, "sample_true_risks",
-                        lambda *args: np.minimum(1.0, inflate * original(*args)))
+    # inflate 4 scales every target risk (capped at 1) so that trials
+    # violate: every target draw, each world's of coverage_experiments' shared
+    # ones and the per-trial loop's sample_true_risks, goes through risks
+    original = fedcert.oracle._TargetDraws.risks
+    monkeypatch.setattr(fedcert.oracle._TargetDraws, "risks",
+                        lambda *args: [np.minimum(1.0, inflate * r) for r in original(*args)])
     cfg, seed, delta, n_k = archetype_cfg(), 13, 0.1, 20
     # a grid, out of order and with a repeat, that holds trial 0's first
     # breakpoint qv_0 + s_0 exactly
@@ -709,6 +770,26 @@ def test_coverage_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peak(40) - peak(10) < 256 * 1024
+
+
+def test_tightness_memory_does_not_grow_with_trials():
+    # a schedule point keeps its (trials, K) query matrix; the source pass
+    # holds a bounded number of clients' parameters and one block of
+    # features, where the trials' features would add about 9.6 MB here
+    cfg = archetype_cfg()
+    params = {"h": H, "delta": 0.1, "epsilon": 0.05, "f_name": "kl"}
+    K_schedule, n_schedule = [50, 200], [100, 100]
+    tightness_probe(cfg, "fdiv-mean", K_schedule, n_schedule, 2, 1, params)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            tightness_probe(cfg, "fdiv-mean", K_schedule, n_schedule, trials, 1, params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    matrix_growth = (40 - 10) * max(K_schedule) * 8
+    assert peak(40) - peak(10) < matrix_growth + 256 * 1024
 
 
 # ---------------------------------------------------------------- tightness
