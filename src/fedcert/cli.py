@@ -55,6 +55,7 @@ from .oracle import (
     issue_certificate,
     lambda_grid,
     sample_true_risks,
+    survival_at,
     target_world,
     tightness_probe,
 )
@@ -589,7 +590,9 @@ def cmd_certify(args) -> int:
             np.random.SeedSequence([world.seed, 777, i])))
         risks = sample_true_risks(target, int(req.get("target_clients", 2000)), h, rng)
         if kind in CURVE_KINDS:
-            rows = [[_fmt(lam), _fmt(np.mean(risks >= lam))] for lam in lambda_grid(req)]
+            lams = lambda_grid(req)
+            rows = [[_fmt(lam), _fmt(share)]
+                    for lam, share in zip(lams.tolist(), survival_at(risks, lams).tolist())]
         else:
             rows = [["", _fmt(np.mean(risks))]]
         results.append((f"{i:02d}_{kind}", kind, result, rows))

@@ -139,8 +139,10 @@ class Hypothesis:
 
     def stacked_scores(self, X: np.ndarray) -> np.ndarray:
         """``scores`` of B stacked datasets X (B, n, d), laid end to end as
-        (B * n, ...): one product per dataset, so each dataset's scores
-        round as they would alone (a stacked product may not)."""
+        (B * n, ...): one ``np.matmul`` over the block, whose loop makes the
+        product of each dataset as ``x @ w`` makes it alone, so each
+        dataset's scores round as they would alone (one (B * n, d) product
+        may not)."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 3 or X.shape[2] != self.n_features:
             raise DimensionMismatchError(
@@ -149,7 +151,8 @@ class Hypothesis:
         if self.kind == LOOKUP:
             return self._table_rows(X.reshape(-1, X.shape[2])).astype(float)
         w = self.weights.T if self.kind == LINEAR else self.weights
-        return np.concatenate([x @ w for x in X]) + self.bias
+        scores = np.matmul(X, w)
+        return scores.reshape(-1, *scores.shape[2:]) + self.bias
 
     def labels_from_scores(self, scores: np.ndarray) -> np.ndarray:
         """Hard labels from the rule's ``scores``: argmax for linear,

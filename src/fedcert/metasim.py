@@ -259,11 +259,29 @@ class ClientSpec:
 
 @dataclass
 class LocalDataset:
-    """A client's private sample; stays on the client side of the API."""
+    """A client's private sample; stays on the client side of the API.
+
+    A dataset of a ``DrawnWorld`` is a row view (``row_view``): its features
+    and labels are row ``client_id`` of the world's drawn columns
+    ``_columns``, which blocks of consecutive rows read in place."""
 
     client_id: int
     features: np.ndarray   # (n, d)
     labels: np.ndarray     # (n,)
+
+    # the (features (K, n, d), labels (K, n)) columns a row view reads; None
+    # for a standalone dataset
+    _columns = None
+
+    @classmethod
+    def row_view(cls, columns: tuple[np.ndarray, np.ndarray], row: int) -> "LocalDataset":
+        """Row ``row`` of the drawn ``columns``, as client ``row``.  The
+        columns were checked when they were drawn, so the view skips
+        ``__post_init__``."""
+        ds = cls.__new__(cls)
+        ds.client_id, ds.features, ds.labels = row, columns[0][row], columns[1][row]
+        ds._columns = columns
+        return ds
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -454,8 +472,11 @@ class DrawnWorld:
                     self.archetype.tolist()))]
 
     def datasets(self) -> list[LocalDataset]:
-        return [LocalDataset(client_id=k, features=x, labels=y)
-                for k, (x, y) in enumerate(zip(self.features, self.labels))]
+        """Client k's sample as row view k of the columns (n_k >= 1)."""
+        if self.features.shape[1] == 0:
+            raise ValueError("empty dataset")
+        columns = (self.features, self.labels)
+        return [LocalDataset.row_view(columns, k) for k in range(len(self.labels))]
 
 
 def draw_world(cfg: MetaConfig, K: int, n_k: int, seed: int | None = None) -> DrawnWorld:

@@ -82,6 +82,7 @@ __all__ = [
     "FDIV_KINDS",
     "TIGHTNESS_KINDS",
     "lambda_grid",
+    "survival_at",
     "issue_certificate",
     "certify_rows",
     "target_world",
@@ -633,6 +634,14 @@ def lambda_grid(req: dict) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
+def survival_at(risks: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The share of ``risks`` at or above each threshold of ``lams``, from
+    one sort: each count is exact, so each share is ``np.mean(risks >=
+    lam)`` to the last bit."""
+    below = np.searchsorted(np.sort(risks), lams, side="left")
+    return (len(risks) - below) / len(risks)
+
+
 def issue_certificate(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
                       clients: list[Client] | None = None, h: Hypothesis | None = None):
     """The certificate of ``kind`` from the clients' empirical answers ``qv``
@@ -797,8 +806,7 @@ class _CoveragePlan:
         mean, or their survival at each threshold."""
         if self.kind not in CURVE_KINDS:
             return float(np.mean(risks))
-        below = np.searchsorted(np.sort(risks), self.lams, side="left")
-        return (len(risks) - below) / len(risks)
+        return survival_at(risks, self.lams)
 
     def wass_value(self, source) -> float:
         """The ``wass-mean`` certificate of one trial's drawn source."""

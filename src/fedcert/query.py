@@ -8,7 +8,9 @@ entry and one unit of the query budget per radius.  ``query_profiles``
 answers many clients' radius vectors as one (K, G) table of values and
 slopes, and ``query_empirical`` many clients' zero-radius queries from one
 batched loss pass (``empirical_risks``); both pass each answer through
-``query`` in the same way.  A query is charged once answered.  At rho = 0
+``query`` in the same way.  The datasets of a drawn world are row views of
+its columns, and a block of consecutive rows of one draw is read in place
+(``_stacked``).  A query is charged once answered.  At rho = 0
 the answer is the plain empirical risk; at rho > 0 it is the worst-case risk
 over all data distributions within transport cost rho of the client's
 empirical sample,
@@ -214,24 +216,40 @@ def empirical_risk(h: Hypothesis, dataset: LocalDataset, loss_fn: LossFn) -> Que
 
 
 def empirical_risks(h: Hypothesis, datasets, loss_fn: LossFn) -> list[QueryValue]:
+    """The empirical risk of each dataset, in order, as a ``QueryValue``
+    (``_risks_of``)."""
+    return [QueryValue(value=v, rho=0.0, gamma_star=0.0, inner_iterations=0, status="exact")
+            for v in _risks_of(h, list(datasets), loss_fn).tolist()]
+
+
+def _risks_of(h: Hypothesis, datasets: list[LocalDataset], loss_fn: LossFn) -> np.ndarray:
     """The empirical risk of each dataset, in order: ``empirical_risk_values``
-    on the datasets of each sample count, stacked a block of about
-    ``_BLOCK_BYTES`` of features at a time."""
-    datasets = list(datasets)
+    on the datasets of each sample count, a block of about ``_BLOCK_BYTES``
+    of features at a time (``_stacked``: read in place when the block is
+    consecutive rows of one draw)."""
     of_size: dict[int, list[int]] = {}
     for i, ds in enumerate(datasets):
         of_size.setdefault(len(ds), []).append(i)
-    values = [0.0] * len(datasets)
+    values = np.zeros(len(datasets))
     for n, same in of_size.items():
         step = _block_rows(n, h)
         for start in range(0, len(same), step):
             rows = same[start:start + step]
-            risks = empirical_risk_values(h, np.stack([datasets[i].features for i in rows]),
-                                          np.stack([datasets[i].labels for i in rows]), loss_fn)
-            for i, v in zip(rows, risks.tolist()):
-                values[i] = v
-    return [QueryValue(value=v, rho=0.0, gamma_star=0.0, inner_iterations=0, status="exact")
-            for v in values]
+            values[rows] = empirical_risk_values(h, *_stacked([datasets[i] for i in rows]),
+                                                 loss_fn)
+    return values
+
+
+def _stacked(datasets: list[LocalDataset]) -> tuple[np.ndarray, np.ndarray]:
+    """The features (B, n, d) and labels (B, n) of B datasets of n samples
+    each: a slice of the drawn columns when the datasets are consecutive
+    row views of one draw (``LocalDataset.row_view``), else a stack."""
+    columns, first = datasets[0]._columns, datasets[0].client_id
+    if columns is not None and all(ds._columns is columns and ds.client_id == first + b
+                                   for b, ds in enumerate(datasets)):
+        rows = slice(first, first + len(datasets))
+        return columns[0][rows], columns[1][rows]
+    return np.stack([ds.features for ds in datasets]), np.stack([ds.labels for ds in datasets])
 
 
 def _block_rows(n: int, h: Hypothesis) -> int:
@@ -876,7 +894,7 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
     of squared distances for the grid route; a lone client, and a
     score-line client, through the client's own cached inner.  Every inner
     answers through one ``_RowFill`` call.  A zero radius takes the
-    empirical risk (``empirical_risks``) and slope 0."""
+    empirical risk (``_risks_of``) and slope 0."""
     G = len(rhos)
     fits = []
     for c in clients:
@@ -910,15 +928,14 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
             step = _block_rows(n, h)
         for start in range(0, len(idx), step):
             rows = idx[start:start + step]
-            data = [clients[i]._dataset for i in rows]
-            X, y = np.stack([ds.features for ds in data]), np.stack([ds.labels for ds in data])
+            X, y = _stacked([clients[i]._dataset for i in rows])
             inner = (_GridInner(h, X, y, grid, cost, key[4]) if route == "grid"
                      else _FlipInner(h, X, y, cost))
             v, g = inner.table([rhos[j] for j in robust])
             values[np.ix_(rows, robust)], slopes[np.ix_(rows, robust)] = v, g
     for loss_fn, idx in by_loss.items():
-        risks = empirical_risks(h, [clients[i]._dataset for i in idx], loss_fn)
-        values[np.ix_(idx, zero)] = np.array([qv.value for qv in risks])[:, None]
+        values[np.ix_(idx, zero)] = _risks_of(h, [clients[i]._dataset for i in idx],
+                                              loss_fn)[:, None]
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValueError("query values live in [0, 1]")
     return values, slopes, fits, status

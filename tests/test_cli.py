@@ -797,6 +797,30 @@ def test_verify_trees_equal_their_golden_digests(tmp_path, name):
     assert tree_digest(out) == golden["files"]
 
 
+GOLDEN_TARGETS = json.loads((Path(__file__).parent / "golden" / "target_draws.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TARGETS))
+def test_verify_target_draws_equal_their_golden_digests(tmp_path, monkeypatch, name):
+    # a coverage report keeps only violation counts, so the pinned trees do
+    # not see the target draws: pin each trial's draw of every target world,
+    # as its sha256 over the worlds' risks in order
+    golden, seen = GOLDEN_TARGETS[name], []
+    original = fedcert.oracle._TargetDraws.risks
+
+    def recording(self, rng):
+        risks = original(self, rng)
+        digest = hashlib.sha256()
+        for r in risks:
+            digest.update(r.tobytes())
+        seen.append(digest.hexdigest())
+        return risks
+    monkeypatch.setattr(fedcert.oracle._TargetDraws, "risks", recording)
+    assert main(["verify", "--config", write_config(tmp_path, _golden_verify_config(name)),
+                 "--seed", str(golden["seed"]), "--out", str(tmp_path / "v")]) == 0
+    assert seen == golden["trials"]
+
+
 def test_verify_without_section_exits_one(tmp_path, capsys):
     cfg = copy.deepcopy(BASE_CONFIG)
     del cfg["verify"]

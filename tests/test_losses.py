@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcert import (
     CROSS_ENTROPY,
@@ -102,3 +104,51 @@ def test_two_class_cross_entropy_is_the_margin_logistic_rules():
         y = rng.integers(0, 2, size=200)
         lin, log = (loss_values(LossFn(CROSS_ENTROPY), r, X, y) for r in (h, margin))
         assert np.all(np.abs(log - lin) <= 2e-12)
+
+
+# ------------------------------------------------------- stacked model product
+
+def _stack_rule(rule, d, rng):
+    if rule == "logistic":
+        return Hypothesis(kind=LOGISTIC, weights=rng.normal(size=d), bias=rng.normal())
+    if rule == "lookup":
+        grid = rng.normal(size=(7, d))
+        return Hypothesis(kind=LOOKUP, weights=rng.uniform(size=7), grid=grid)
+    C = int(rule[-1])
+    return Hypothesis(kind=LINEAR, weights=rng.normal(size=(C, d)), bias=rng.normal(size=C))
+
+
+def _stack_layouts(h, B, n, d, scale, rng):
+    """B datasets of n samples as a C-ordered stack, a block slice of
+    drawn-like columns, a fancy-indexed gather and a strided stack."""
+    def points(shape):
+        if h.kind == LOOKUP:
+            return h.grid[rng.integers(0, len(h.grid), size=shape[:-1])]
+        return rng.normal(size=shape) * scale
+    columns = points((B + 3, n, d))
+    wide = np.zeros((2 * B, 2 * n, 2 * d))
+    wide[::2, ::2, ::2] = points((B, n, d))
+    strided = wide[::2, ::2, ::2]
+    return {"stack": np.ascontiguousarray(columns[:B]), "block": columns[2:2 + B],
+            "gather": columns[rng.permutation(B + 3)[:B]], "strided": strided}
+
+
+def _per_dataset_scores(h, X):
+    if h.kind == LOOKUP:
+        return np.concatenate([h.scores(x) for x in X])
+    w = h.weights.T if h.kind == LINEAR else h.weights
+    return np.concatenate([x @ w for x in X]) + h.bias
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rule=st.sampled_from(["logistic", "linear-2", "linear-3", "lookup"]),
+       B=st.integers(2, 40), n=st.integers(1, 60), d=st.integers(1, 12),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_stacked_scores_equal_one_product_per_dataset_bit_for_bit(rule, B, n, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    h = _stack_rule(rule, d, rng)
+    for count in (1, B):
+        for layout, X in _stack_layouts(h, count, n, d, scale, rng).items():
+            got, want = h.stacked_scores(X), _per_dataset_scores(h, X)
+            assert got.shape == want.shape, layout
+            assert got.tobytes() == want.tobytes(), layout

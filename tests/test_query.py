@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from fedcert import (
     Hypothesis,
     LocalDataset,
     LossFn,
+    MetaConfig,
     TransportCost,
     QueryValue,
     adversarial_risk,
+    draw_world,
     empirical_risk,
     empirical_risk_values,
     empirical_risks,
@@ -1556,3 +1560,123 @@ def test_a_lookup_client_off_its_table_refuses_the_profiles_before_any_charge(of
     with pytest.raises(ValueError, match="table's grid"):
         query_profiles(clients, _LOOKUP_H, [0.0, 0.1, 0.4])
     assert all(c.queries_used == 0 and c.audit_log == [] for c in clients)
+
+
+# ------------------------------------------------------ row views of a draw
+
+_VIEW_CFG = MetaConfig(dim=2, n_classes=2, class_means=[[-1.0, 0.0], [1.0, 0.0]],
+                       cov_scale=0.8, shift_mode="both", seed=3)
+_VIEW_GRID = np.stack(np.meshgrid(*[np.linspace(-4, 4, 17)] * 2), -1).reshape(-1, 2)
+_VIEW_ORDERS = ["consecutive", "out-of-order", "two-draws", "mixed"]
+
+
+def _copied(ds):
+    return LocalDataset(ds.client_id, ds.features.copy(), ds.labels.copy())
+
+
+def _view_lists(on_grid=False):
+    """Row views of two draws of ten clients of 12 samples (on the grid's
+    points for the grid route): a whole draw in order, its rows out of
+    order, rows of both draws, and a draw with a standalone dataset in it."""
+    a, b = (draw_world(_VIEW_CFG, 10, 12, seed) for seed in (11, 12))
+    if on_grid:
+        a, b = (replace(w, features=np.clip(np.round(w.features * 2) / 2, -4, 4)) for w in (a, b))
+    a, b = a.datasets(), b.datasets()
+    return {"consecutive": a, "out-of-order": a[3:] + a[2::-1],
+            "two-draws": a[:4] + b[4:] + a[4:6], "mixed": a[:5] + [_copied(b[0])] + a[5:]}
+
+
+def test_stacked_reads_consecutive_row_views_in_place():
+    views = _view_lists()
+    columns = views["consecutive"][0]._columns
+    X, y = query._stacked(views["consecutive"][2:7])
+    assert np.shares_memory(X, columns[0]) and np.shares_memory(y, columns[1])
+    assert np.array_equal(X, columns[0][2:7]) and np.array_equal(y, columns[1][2:7])
+    for order in _VIEW_ORDERS[1:]:
+        X, y = query._stacked(views[order])
+        assert not np.shares_memory(X, columns[0])
+        assert np.array_equal(X, np.stack([ds.features for ds in views[order]]))
+        assert np.array_equal(y, np.stack([ds.labels for ds in views[order]]))
+
+
+def test_row_views_are_the_drawn_rows():
+    world = draw_world(_VIEW_CFG, 4, 3, 11)
+    for k, ds in enumerate(world.datasets()):
+        assert ds.client_id == k and len(ds) == 3
+        assert np.shares_memory(ds.features, world.features)
+        assert np.array_equal(ds.features, world.features[k])
+        assert np.array_equal(ds.labels, world.labels[k])
+    with pytest.raises(ValueError, match="empty dataset"):
+        draw_world(_VIEW_CFG, 4, 0, 11).datasets()
+
+
+@pytest.mark.parametrize("per_block", [None, 4])
+@pytest.mark.parametrize("order", _VIEW_ORDERS)
+@pytest.mark.parametrize("rule", ["logistic", "binary-linear"])
+def test_empirical_risks_of_row_views_equal_those_of_standalone_copies(
+        monkeypatch, rule, order, per_block):
+    if per_block is not None:
+        monkeypatch.setattr(query, "_BLOCK_BYTES", per_block * 8 * 12 * 2)
+    h, views = _BATCH_RULES[rule], _view_lists()[order]
+    for kind in (ZERO_ONE, CROSS_ENTROPY):
+        got = empirical_risks(h, views, LossFn(kind))
+        assert got == empirical_risks(h, [_copied(ds) for ds in views], LossFn(kind))
+        assert got == [_one_at_a_time(h, ds, LossFn(kind)) for ds in views]
+
+
+def _view_clients(order, route, copy, max_queries=None):
+    views = _view_lists(on_grid=route == "grid")[order]
+    grid = _VIEW_GRID if route == "grid" else None
+    return [Client(i, _copied(ds) if copy else ds, LossFn(ZERO_ONE), max_queries=max_queries,
+                   grid=grid) for i, ds in enumerate(views)]
+
+
+def _views_against_copies(order, route, ask_views, ask_copies, max_queries, spend):
+    """The outcome of ``ask_views`` on clients of row views against that of
+    ``ask_copies`` on clients of their standalone copies, after the
+    zero-radius queries each (client index, count) in ``spend`` asks."""
+    twins = (_view_clients(order, route, False, max_queries),
+             _view_clients(order, route, True, max_queries))
+    for clients in twins:
+        for i, count in spend:
+            for _ in range(count):
+                clients[i].query(_PROFILES_H, 0.0)
+    got = _profile_outcome(twins[0], ask_views)
+    assert got == _profile_outcome(twins[1], ask_copies)
+    return got
+
+
+@pytest.mark.parametrize("budget", ["none", "spent"])
+@pytest.mark.parametrize("order", _VIEW_ORDERS)
+def test_query_empirical_of_row_views_equals_a_loop_over_standalone_copies(order, budget):
+    h = _PROFILES_H
+    tables, err, logs = _views_against_copies(
+        order, "flip", lambda cs: ([q.value for q in query_empirical(cs, h)],),
+        lambda cs: ([c.query(h, 0.0).value for c in cs],),
+        *((None, ()) if budget == "none" else (3, [(4, 3)])))
+    if budget == "none":
+        assert err is None and all(used == 1 for used, _ in logs)
+    else:
+        assert err == (BudgetExceededError, 4)
+        assert [used for used, _ in logs] == [1] * 4 + [3] + [0] * (len(logs) - 5)
+
+
+@pytest.mark.parametrize("per_block", [None, 4])
+@pytest.mark.parametrize("budget", ["none", "partway"])
+@pytest.mark.parametrize("order", _VIEW_ORDERS)
+@pytest.mark.parametrize("route", ["flip", "grid"])
+def test_query_profiles_of_row_views_equal_a_loop_over_standalone_copies(
+        monkeypatch, route, order, budget, per_block):
+    if per_block is not None:
+        monkeypatch.setattr(query, "_BLOCK_BYTES", per_block * 8 * 12 * 2)
+        monkeypatch.setattr(query, "_GRID_BLOCK_BYTES", per_block * 8 * 12 * len(_VIEW_GRID))
+    h, rhos = _PROFILES_H, [0.0, 0.02, 0.3, 0.0, 1.0]
+    # with a cap of 5, client 6 has three queries left for the five radii
+    tables, err, logs = _views_against_copies(
+        order, route, lambda cs: query_profiles(cs, h, rhos), _looped(h, rhos),
+        *((None, ()) if budget == "none" else (5, [(6, 2)])))
+    if budget == "none":
+        assert err is None and all(used == len(rhos) for used, _ in logs)
+    else:
+        assert err == (BudgetExceededError, 6)
+        assert [used for used, _ in logs] == [5] * 7 + [0] * (len(logs) - 7)

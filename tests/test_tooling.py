@@ -70,6 +70,42 @@ def test_cli_and_oracle_draw_worlds_only_through_draw_world():
         assert not named & {"sample_clients", "generate_datasets"}, module
 
 
+def _call_name(node):
+    return node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+
+
+def test_cli_and_oracle_take_drawn_clients_only_from_drawn_world_datasets():
+    # a drawn world's clients are row views of its columns, which the query
+    # tables read in place; a dataset built here would be stacked again
+    for module in ("cli.py", "oracle.py"):
+        tree = ast.parse((SRC / module).read_text())
+        _, named = _names(SRC / module)
+        assert not named & {"LocalDataset", "row_view", "generate_dataset"}, module
+        clients = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and _call_name(node) == "Client"]
+        checked = 0
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            # the calls each local name is assigned from
+            sources = {}
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                    for name in (n for t in node.targets for n in ast.walk(t)
+                                 if isinstance(n, ast.Name)):
+                        sources.setdefault(name.id, set()).add(_call_name(node.value))
+            for comp in ast.walk(func):
+                if not (isinstance(comp, ast.ListComp) and isinstance(comp.elt, ast.Call)
+                        and _call_name(comp.elt) == "Client"):
+                    continue
+                (gen,) = comp.generators
+                it = gen.iter
+                origin = {_call_name(it)} if isinstance(it, ast.Call) else sources.get(it.id)
+                # a drawn world's datasets, or a saved world's read back
+                assert origin and origin <= {"datasets", "load_world"}, (module, func.name)
+                assert comp.elt.args[1].id == gen.target.id, (module, func.name)
+                checked += 1
+        assert clients and checked == len(clients), module
+
+
 README = SRC.parents[1] / "README.md"
 
 
