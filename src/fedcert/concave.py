@@ -1,12 +1,14 @@
 """Spend a budget on concave piecewise-linear curves for the largest gain:
 buying their linear pieces (cost, gain) best gain per unit cost first takes
 each curve left to right, as its slopes fall, and is optimal.  The curves
-are upper hulls of rows of points, taken for many rows at once."""
+are upper hulls of rows of points, taken for many rows at once, and
+``RowFill`` fills many rows of pieces at once: the clients of every query
+route (``query``) and the transport certificate's radius budget (``wass``)."""
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["upper_hulls", "hull_pieces", "GreedyFill"]
+__all__ = ["upper_hulls", "hull_pieces", "RowFill"]
 
 
 # points hulled at once: each float array of a block holds about 64 KB
@@ -101,45 +103,76 @@ def hull_pieces(x, y, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.bincount(row, minlength=len(counts)) - 1)
 
 
-class GreedyFill:
-    """Pieces sorted once by gain per unit cost, best first; a free piece
-    (cost 0) is always bought, and ties keep the given order."""
+class RowFill:
+    """The greedy fill of each of B rows of pieces, ``cost`` and ``gain``
+    (B, M): row b's first ``m[b]`` pieces in greedy order (best gain per
+    unit cost first, ties in the given order; ``greedy`` sorts them), then
+    padding of cost inf.  A budget buys the pieces whose running cost it
+    covers, as ``np.searchsorted(..., side="right")`` counts them, then part
+    of the next piece, or a padding piece (cost 1, gain 0) once all are."""
 
-    def __init__(self, cost, gain):
-        cost, gain = np.asarray(cost, dtype=float), np.asarray(gain, dtype=float)
-        with np.errstate(divide="ignore"):
-            self._order = np.argsort(-(gain / cost), kind="stable")
-        # the pieces best first, then a padding piece (cost 1, gain 0) that
-        # a bought-out fill reads with nothing left to spend
-        self._cost = np.concatenate([cost[self._order], [1.0]])
-        self._gain = np.concatenate([gain[self._order], [0.0]])
-        # what pieces [0, k) paid and gained, indexed by k
-        self._paid_before = np.concatenate([[0.0], np.cumsum(self._cost[:-1])])
-        self._gained_before = np.concatenate([[0.0], np.cumsum(self._gain[:-1])])
-        self._paid = self._paid_before[1:]
+    def __init__(self, cost: np.ndarray, gain: np.ndarray, m, order: np.ndarray | None = None):
+        B, M = cost.shape
+        if M == 0:   # no row has a piece: one column of padding
+            cost, gain, M = np.full((B, 1), np.inf), np.zeros((B, 1)), 1
+        self._cost, self._gain, self._m = cost, gain, np.asarray(m)[:, None]
+        # where each stored piece was given: in place, unless ``greedy`` sorted it
+        self._order = np.broadcast_to(np.arange(M), (B, M)) if order is None else order
+        self._rows = np.arange(B)[:, None]
+        # each row's running costs after a 0, keyed as (its row) + i (cost):
+        # numpy orders complex numbers by real part, then imaginary part, so
+        # the rows laid end to end are one sorted array, and a keyed budget
+        # searched in it meets its own row's entries only, compared as floats
+        self._keyed_paid = np.zeros((B, M + 1), dtype=complex)
+        self._keyed_paid.real = self._rows
+        np.cumsum(cost, axis=1, out=self._keyed_paid.imag[:, 1:])
+        self._gained_before = np.zeros((B, M + 1))
+        np.cumsum(gain, axis=1, out=self._gained_before[:, 1:])
+        self._total = self._keyed_paid.imag[self._rows, self._m]
+
+    @classmethod
+    def greedy(cls, cost: np.ndarray, gain: np.ndarray, m) -> "RowFill":
+        """The fill of each row's first ``m[b]`` pieces given in any order,
+        sorted in place as ``ndarray.sort`` sorts: a stable sort of each row on
+        -gain/cost (a free piece first, one of no cost and no gain last)."""
+        pad = np.arange(cost.shape[1]) >= np.asarray(m)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # NaN sorts last, and stably, so the padding follows every piece
+            # and keeps its place past m[b]
+            order = np.argsort(np.where(pad, np.nan, -(gain / cost)), axis=1, kind="stable")
+        rows = np.arange(len(order))[:, None]
+        for a, padding in ((cost, np.inf), (gain, 0.0)):
+            a[...] = a[rows, order]
+            a[pad] = padding
+        return cls(cost, gain, m, order)
 
     def _split(self, budget):
-        # pieces [0, k) are paid in full; piece k, if any, takes the rest
-        k = np.searchsorted(self._paid, budget, side="right")
-        return k, budget - self._paid_before[k]
+        # past its total cost a row has bought every piece and has nothing
+        # left; pieces [0, k) are paid in full, counted past the row's
+        # leading 0, and piece k, if any, takes the rest
+        spend = np.minimum(budget, self._total)
+        keyed = np.empty(spend.shape, dtype=complex)
+        keyed.real, keyed.imag = self._rows, spend
+        k = np.searchsorted(self._keyed_paid.reshape(-1), keyed.reshape(-1), side="right")
+        k = k.reshape(spend.shape) - self._rows * self._keyed_paid.shape[1] - 1
+        return k, spend - self._keyed_paid.imag[self._rows, k]
 
-    def __call__(self, budget):
-        """(gain bought with ``budget``, marginal gain per unit cost there,
-        which is 0 once every piece is bought): floats for a scalar budget,
-        arrays for an array of budgets, answered with one search."""
-        # past the total cost every piece is bought and nothing is left
-        k, rest = self._split(np.minimum(budget, self._paid_before[-1]))
-        cost, gain = self._cost[k], self._gain[k]
-        value = self._gained_before[k] + gain * rest / cost
-        slope = gain / cost
-        if value.ndim == 0:
-            return float(value), float(slope)
-        return value, slope
+    def __call__(self, budget) -> tuple[np.ndarray, np.ndarray]:
+        """(gain bought, marginal gain per unit cost there), (B, G), for
+        budgets of at least 0: (G,), shared by the rows, or (B, G)."""
+        k, rest = self._split(budget)
+        part = k < self._m
+        at = np.minimum(k, self._cost.shape[1] - 1)
+        cost = np.where(part, self._cost[self._rows, at], 1.0)
+        gain = np.where(part, self._gain[self._rows, at], 0.0)
+        return self._gained_before[self._rows, k] + gain * rest / cost, gain / cost
 
-    def taken(self, budget: float) -> np.ndarray:
-        """Cost each piece takes from ``budget``, in the order they were given."""
-        k, rest = self._split(float(budget))
-        out = np.zeros(len(self._order))
-        out[self._order[:k]] = self._cost[:k]
-        out[self._order[k:k + 1]] = rest   # the piece bought in part, if any
-        return out
+    def taken(self, budget) -> np.ndarray:
+        """The cost each piece takes from ``budget``, one for every row or
+        one per row: (B, M), in the order the pieces were given."""
+        k, rest = self._split(np.reshape(budget, (-1, 1)))
+        j = np.arange(self._cost.shape[1])
+        out = np.where(j < k, self._cost, np.where((j == k) & (j < self._m), rest, 0.0))
+        given = np.empty(self._order.shape)
+        given[self._rows, self._order] = out[:, :self._order.shape[1]]
+        return given

@@ -116,7 +116,7 @@ class Archetype:
 
 
 class WorldFieldError(ValueError):
-    """A ``MetaConfig`` field out of its range; ``field`` names it."""
+    """A ``MetaConfig`` field out of its range or shape; ``field`` names it."""
 
     def __init__(self, field: str, problem: str):
         super().__init__(f"{field} {problem}")
@@ -144,7 +144,7 @@ class MetaConfig:
             raise ValueError(f"shift_mode must be one of {SHIFT_MODES}")
         self.class_means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
         if self.class_means.shape != (self.n_classes, self.dim):
-            raise ValueError("class_means must be (n_classes, dim)")
+            raise WorldFieldError("class_means", "must be (n_classes, dim)")
         # numpy draws no Dirichlet at alpha 0 and no normal at a negative
         # scale; an infinite one fills the world with NaN
         if not 0 < self.cov_scale < np.inf:
@@ -169,9 +169,10 @@ class MetaConfig:
                 raise WorldFieldError("archetype_weights", "must have a positive, finite sum")
             if abs(total - 1.0) > 1e-12:
                 self.archetype_weights = self.archetype_weights / total
-            for a in self.archetypes:
+            for i, a in enumerate(self.archetypes):
                 if a.class_means.shape != (self.n_classes, self.dim):
-                    raise ValueError("archetype means must match (n_classes, dim)")
+                    raise WorldFieldError(f"archetypes[{i}].class_means",
+                                          "must match (n_classes, dim)")
 
     def to_json_dict(self) -> dict:
         out = {

@@ -28,11 +28,10 @@ world by (seed, t) and its target risks by (seed, t, 1), whatever the kind.
 So every kind certifies the same clients, and kinds that declare the same
 target world test against the same risks.  ``coverage_experiments`` draws
 each source once for every trial, in one sampling pass that keeps only the
-query values (``_source_risks``), and each trial's targets once, in one draw
-for every target world of one layout (``_TargetDraws``); it keeps of them
-only the query values and the statistic each kind checks, and each kind
-then certifies its (trials, K) query matrix in one kernel call.  Each report
-equals the one its kind gets when run on its own.
+query values and each ``wass-mean`` kind's answers on its radius grid
+(``_source_risks``), and each trial's targets once, in one draw for every
+target world of one layout (``_TargetDraws``); each kind then certifies what
+it kept in one kernel call, and each report equals its kind's run alone.
 
 Target statistics use exact per-client risks (Gaussian class-conditional
 worlds with a binary linear rule admit a closed form), so coverage tests
@@ -60,14 +59,13 @@ from .metasim import (
     _categorical,
     _choice_cdf,
     draw_sample_rows,
-    draw_world,
     shift_meta_fdiv,
     shift_meta_wass,
     tilt_for_divergence,
 )
 from .nonrobust import Rows, cdf_bound, cdf_rows, mean_bound, mean_rows
-from .query import HALF_SQ, Client, empirical_risk_values, query_empirical
-from .wass import DEFAULT_GRID_SIZE, wass_mean_bound
+from .query import HALF_SQ, BudgetExceededError, empirical_risk_values, flip_risk_values
+from .wass import DEFAULT_GRID_SIZE, certificate_grid, wass_mean_bound, wass_mean_rows
 
 __all__ = [
     "grid_ball_oracle",
@@ -643,11 +641,11 @@ def survival_at(risks: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
 
 def issue_certificate(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
-                      clients: list[Client] | None = None, h: Hypothesis | None = None):
+                      clients: list | None = None, h: Hypothesis | None = None):
     """The certificate of ``kind`` from the clients' empirical answers ``qv``
     on ``ns`` samples each.  ``req`` carries delta and, per kind, epsilon,
     f_name, lambda_grid and grid_size; ``wass-mean`` queries the
-    ``clients`` about ``h`` itself."""
+    ``clients`` (``query.Client``) about ``h`` itself."""
     delta = float(req["delta"])
     if kind == "mean":
         return mean_bound(qv, ns, delta)
@@ -664,12 +662,18 @@ def issue_certificate(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
     raise ValueError(f"kind must be one of {BOUND_KINDS}")
 
 
-def certify_rows(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray) -> Rows:
-    """``issue_certificate`` for a (T, K) matrix of T problems, every kind
-    but ``wass-mean``, whose clients answer their own queries: one kernel
+def certify_rows(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
+                 table: tuple | None = None) -> Rows:
+    """``issue_certificate`` for a (T, K) matrix of T problems: one kernel
     call returns each row's value and slack terms, or for a curve kind its
-    band at the request's thresholds, in their given order."""
+    band at the request's thresholds, in their given order.  ``wass-mean``
+    reads ``table``, the (values, slopes) on its ``certificate_grid``."""
     delta = float(req["delta"])
+    if kind == "wass-mean":
+        if table is None:
+            raise ValueError("wass-mean rows need the clients' answers on the radius grid")
+        return wass_mean_rows(*table, ns, float(req["epsilon"]), delta,
+                              grid_size=int(req.get("grid_size", DEFAULT_GRID_SIZE)))
     if kind == "mean":
         return mean_rows(qv, ns, delta)
     if kind == "fdiv-mean":
@@ -679,7 +683,7 @@ def certify_rows(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray) -> Rows:
         band = (cdf_rows(qv, ns, delta, lams) if kind == "cdf" else
                 fdiv_cdf_rows(qv, ns, delta, float(req["epsilon"]), req["f_name"], lams))
         return band._replace(value=band.value[:, back], raw=band.raw[:, back])
-    raise ValueError("kind must be one of ('mean', 'cdf', 'fdiv-mean', 'fdiv-cdf')")
+    raise ValueError(f"kind must be one of {BOUND_KINDS}")
 
 
 def target_world(cfg: MetaConfig, kind: str, epsilon: float, h: Hypothesis,
@@ -704,26 +708,19 @@ def target_world(cfg: MetaConfig, kind: str, epsilon: float, h: Hypothesis,
     return target
 
 
-def _draw_source(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int, root: int):
-    """K fresh clients of n_k samples from the source world, seeded by
-    ``root``: the drawn world, its empirical zero-one risks and sample
-    counts."""
-    world = draw_world(cfg, K, n_k, seed=root)
-    qv = empirical_risk_values(h, world.features, world.labels, _ZERO_ONE)
-    return world, qv, np.full(K, n_k)
-
-
-def _source_risks(cfg: MetaConfig, h: Hypothesis, roots: list[int], K: int,
-                  n_k: int) -> np.ndarray:
-    """The (len(roots), K) query matrix of K fresh source clients of n_k
-    samples under each root: row i is ``_draw_source``'s query values at
-    ``roots[i]``, value for value.  One ``draw_sample_rows`` pass hands each
-    block of samples to ``empirical_risk_values`` and keeps no features."""
+def _source_risks(cfg: MetaConfig, h: Hypothesis, roots: list[int], K: int, n_k: int,
+                  grids=()) -> tuple[np.ndarray, list]:
+    """The zero-one risks, (len(roots), K), of the clients of each root's
+    ``draw_world(cfg, K, n_k, root)``, and their values and slopes on each
+    grid of ``grids``, (2, len(roots), K, G): one ``draw_sample_rows`` pass
+    to ``empirical_risk_values`` and ``flip_risk_values``, keeping no features."""
     qv = np.empty((len(roots), K))
-    flat = qv.reshape(-1)
+    tables = [np.empty((2, len(roots), K, len(grid))) for grid in grids]
     for rows, X, labels in draw_sample_rows(cfg, roots, K, n_k):
-        flat[rows] = empirical_risk_values(h, X, labels, _ZERO_ONE)
-    return qv
+        qv.reshape(-1)[rows] = empirical_risk_values(h, X, labels, _ZERO_ONE)
+        for grid, table in zip(grids, tables):
+            table.reshape(2, -1, len(grid))[:, rows] = flip_risk_values(h, X, labels, grid)
+    return qv, tables
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +769,7 @@ class _CoveragePlan:
     lams: np.ndarray
     req: dict
     target_cfg: MetaConfig
+    grid: np.ndarray | None   # the radius grid a wass-mean kind's clients answer
 
     @classmethod
     def of(cls, cfg: MetaConfig, bound_kind: str, params: dict) -> "_CoveragePlan":
@@ -782,13 +780,16 @@ class _CoveragePlan:
         delta = float(params.get("delta", 0.1))
         epsilon = float(params.get("epsilon", 0.0))
         lams = lambda_grid(params)
+        K, n_k = int(params.get("K", 50)), int(params.get("n_k", 100))
         return cls(
-            bound_kind=bound_kind, kind=kind, h=h,
-            K=int(params.get("K", 50)), n_k=int(params.get("n_k", 100)),
+            bound_kind=bound_kind, kind=kind, h=h, K=K, n_k=n_k,
             delta=delta, epsilon=epsilon,
             target_clients=int(params.get("target_clients", 2000)), lams=lams,
             req={**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams},
             target_cfg=target_world(cfg, kind, epsilon, h, params.get("f_name")),
+            grid=certificate_grid(np.full(K, n_k), epsilon, delta,
+                                  grid_size=int(params.get("grid_size", DEFAULT_GRID_SIZE)))
+            if kind == "wass-mean" else None,
         )
 
     def source_key(self) -> tuple:
@@ -807,14 +808,6 @@ class _CoveragePlan:
         if self.kind not in CURVE_KINDS:
             return float(np.mean(risks))
         return survival_at(risks, self.lams)
-
-    def wass_value(self, source) -> float:
-        """The ``wass-mean`` certificate of one trial's drawn source."""
-        world, qv, ns = source
-        clients = [Client(ds.client_id, ds, _ZERO_ONE, max_queries=self.req.get("max_queries"))
-                   for ds in world.datasets()]
-        query_empirical(clients, self.h)   # qv's queries, charged as certify charges them
-        return issue_certificate(self.kind, self.req, qv, ns, clients, self.h).value
 
     def report(self, cfg: MetaConfig, violated: np.ndarray) -> CoverageReport:
         """The report of ``violated``: per trial, or per trial and threshold
@@ -856,42 +849,41 @@ def coverage_experiments(cfg: MetaConfig, requests: list[tuple[str, dict]],
     ``params`` carries: h (Hypothesis, required), K, n_k, delta,
     target_clients, and per kind epsilon / f_name / lambda_grid / grid_size /
     max_queries.  The clients answer zero-one queries under the half-squared
-    cost.  A ``wass-mean`` trial charges each client its zero-radius query and
-    its radius grid against ``max_queries`` (None: no cap), as certify does,
-    and raises BudgetExceededError past it.
+    cost.  One zero-radius query and a ``wass-mean`` radius grid must fit
+    ``max_queries`` (None: no cap), as certify charges them, or client 0
+    raises BudgetExceededError before the first trial.
     A violation is recorded when the target statistic exceeds the certificate
     by more than a 1e-9 float guard; a report passes when its violation rate
     stays within delta plus three binomial standard errors.
 
     Trial t seeds its source world by (seed, t) alone and its target risks by
-    SeedSequence([seed, t, 1]), whatever the kind.  So the kinds share each
-    trial's draws (common random numbers): the trial draws its source once
-    per (h, K, n_k) and its target risks once per declared target world and
-    client count, and every report equals that of the kind run on its own.
-
-    Each source key takes one ``_source_risks`` pass over every trial's
-    root, which keeps only the (trials, K) query values, before the first
-    trial; a key that a ``wass-mean`` kind reads is instead drawn as a world
-    per trial, which that kind certifies at once.  Per trial, the target
-    worlds that share a ``_draw_layout`` (and client count and rule) are
-    drawn by one ``_TargetDraws``, from one stream, and each kind keeps only
-    the target statistic it checks.  Every kind but ``wass-mean`` certifies
-    its query matrix in one ``certify_rows`` call after the last trial.
+    SeedSequence([seed, t, 1]), whatever the kind, so every report equals
+    that of the kind run on its own.  Each (h, K, n_k) takes one
+    ``_source_risks`` pass over every trial's root, which keeps only the
+    query values and each ``wass-mean`` kind's answers on its radius grid.
+    Per trial, the target worlds that share a ``_draw_layout`` (and client
+    count and rule) are drawn by one ``_TargetDraws``, and each kind keeps
+    only the target statistic it checks.  Every kind then certifies its
+    trials in one ``certify_rows`` call.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     plans = [_CoveragePlan.of(cfg, bound_kind, params) for bound_kind, params in requests]
+    for plan in plans:
+        cap = plan.req.get("max_queries")
+        if plan.grid is not None and cap is not None and 1 + len(plan.grid) > cap:
+            raise BudgetExceededError(0, cap)
     src_keys = [plan.source_key() for plan in plans]
     tgt_keys = [plan.target_key() for plan in plans]
     # per key, a plan that reads it: the plans sharing a key share what is drawn
     sources, targets = dict(zip(src_keys, plans)), dict(zip(tgt_keys, plans))
     roots = [_trial_seed(seed, t) for t in range(trials)]
-    # the sources a wass-mean kind reads are drawn as a world per trial
-    per_trial = dict.fromkeys(key for key, plan in zip(src_keys, plans)
-                              if plan.kind == "wass-mean")
-    qvs = {key: np.empty((trials, plan.K)) if key in per_trial
-           else _source_risks(cfg, plan.h, roots, plan.K, plan.n_k)
-           for key, plan in sources.items()}
+    # each source key's pass also answers the grid of each wass-mean kind
+    # that reads it, in the order of the requests
+    drawn = {key: _source_risks(cfg, plan.h, roots, plan.K, plan.n_k,
+                                [p.grid for p, k in zip(plans, src_keys)
+                                 if k == key and p.grid is not None])
+             for key, plan in sources.items()}
     # the target worlds that draw alike share one draw per trial
     layouts = {}
     for key, plan in targets.items():
@@ -899,28 +891,21 @@ def coverage_experiments(cfg: MetaConfig, requests: list[tuple[str, dict]],
     draws = [(keys, _TargetDraws([targets[key].target_cfg for key in keys],
                                  targets[keys[0]].target_clients, targets[keys[0]].h))
              for keys in layouts.values()]
-    values = [np.empty(trials) if plan.kind == "wass-mean" else None for plan in plans]
     stats = [np.empty((trials, len(plan.lams)) if plan.kind in CURVE_KINDS else trials)
              for plan in plans]
-    for t, root in enumerate(roots):
-        for key in per_trial:
-            plan = sources[key]
-            source = _draw_source(cfg, plan.h, plan.K, plan.n_k, root)
-            qvs[key][t] = source[1]
-            for i, value in enumerate(values):
-                if value is not None and src_keys[i] == key:
-                    value[t] = plans[i].wass_value(source)
+    for t in range(trials):
         for keys, draw in draws:
             rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
             for key, risks in zip(keys, draw.risks(rng_t)):
                 for i, stat in enumerate(stats):
                     if tgt_keys[i] == key:
                         stat[t] = plans[i].target_statistic(risks)
+    tables = {key: iter(drawn[key][1]) for key in drawn}
     reports = []
-    for plan, key, value, stat in zip(plans, src_keys, values, stats):
-        if value is None:
-            value = certify_rows(plan.kind, plan.req, qvs[key],
-                                 np.full((trials, plan.K), plan.n_k)).value
+    for plan, key, stat in zip(plans, src_keys, stats):
+        value = certify_rows(plan.kind, plan.req, drawn[key][0],
+                             np.full((trials, plan.K), plan.n_k),
+                             next(tables[key]) if plan.grid is not None else None).value
         reports.append(plan.report(cfg, stat > value + VIOLATION_GUARD))
     return reports
 
@@ -954,8 +939,8 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
 
     rows = []
     for K, n_k in zip(K_schedule, n_schedule):
-        qv = _source_risks(cfg, h, [_trial_seed(seed, 1_000_000 * K + t) for t in range(trials)],
-                           K, n_k)
+        qv, _ = _source_risks(cfg, h, [_trial_seed(seed, 1_000_000 * K + t)
+                                       for t in range(trials)], K, n_k)
         certified = certify_rows(bound_kind, req, qv, np.full((trials, K), n_k))
         gaps = certified.value - truth
         row = {

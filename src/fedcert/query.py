@@ -42,12 +42,13 @@ loss/hypothesis pair:
 Each route is a primal knapsack: the budget n * rho buys the samples'
 concave pieces best gain per unit cost first, and gamma_star is the
 marginal slope at the budget.  Every route fills its pieces through one
-kernel, ``_RowFill``: each client's pieces in ``concave.GreedyFill``'s
-order make one row, their running costs and gains are summed once, and one
-search answers every client and radius of a stack.  The flip route's
-pieces all gain 1, so one sort of each row's flip costs orders them; the
-grid and score-line routes order the segments of their samples' upper
-hulls by a stable sort on -gain/cost.  The flip and grid routes are exact.
+kernel, ``concave.RowFill``: each client's pieces in greedy order make one
+row, their running costs and gains are summed once, and one search answers
+every client and radius of a stack.  The flip route's pieces all gain 1, so
+one sort of each row's flip costs orders them (``_by_key``); the grid and
+score-line routes order the segments of their samples' upper hulls by
+``RowFill.greedy``'s stable sort on -gain/cost.  The flip and grid routes
+are exact, and ``flip_risk_values`` is the flip route's stacked table.
 
 Why the score-line route is sound.  A logistic rule's clipped losses see a
 sample only through its score u = w.x + b.  The cheapest point with score u
@@ -96,7 +97,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concave import _HULL_BLOCK, hull_pieces
+from .concave import _HULL_BLOCK, RowFill, hull_pieces
 from .losses import (
     CROSS_ENTROPY,
     LINEAR,
@@ -121,6 +122,7 @@ __all__ = [
     "empirical_risk",
     "empirical_risks",
     "empirical_risk_values",
+    "flip_risk_values",
     "adversarial_risk",
     "phi_gamma",
 ]
@@ -279,6 +281,14 @@ def empirical_risk_values(h: Hypothesis, features: np.ndarray, labels: np.ndarra
     return risks
 
 
+def flip_risk_values(h: Hypothesis, features: np.ndarray, labels: np.ndarray, rhos,
+                     cost: TransportCost = TransportCost()) -> tuple[np.ndarray, np.ndarray]:
+    """(values, slopes), each (B, G), of B datasets of n samples stacked as
+    ``features`` (B, n, d) and ``labels`` (B, n), at the positive radii
+    ``rhos``: the flip-route table ``query_profiles`` reads, row by row."""
+    return _FlipInner(h, features, labels, cost).table(rhos)
+
+
 # ---------------------------------------------------------------------------
 # inner suprema  sup_{x'} loss(x') - gamma * c(x', x)
 # ---------------------------------------------------------------------------
@@ -292,7 +302,7 @@ class _FillInner:
 
     def table(self, rhos) -> tuple[np.ndarray, np.ndarray]:
         """(values, slopes) of each client at each radius, (B, G): one
-        ``_RowFill`` call for every client and radius."""
+        ``RowFill`` call for every client and radius."""
         gain, slope = self._fill(self._n * np.asarray(rhos, dtype=float))
         return np.clip((self._base[:, None] + gain) / self._n, 0.0, 1.0), slope
 
@@ -303,53 +313,6 @@ class _FillInner:
                            status=self._status)
                 for v, r, g in zip(values[0].tolist(), np.asarray(rhos, dtype=float).tolist(),
                                    slopes[0].tolist())]
-
-
-class _RowFill:
-    """The greedy fill of each of B rows of pieces, ``cost`` and ``gain``
-    (B, M): row b's first ``m[b]`` pieces, in ``concave.GreedyFill``'s
-    order (best gain per unit cost first, ties in the given order), then
-    cost inf, which no budget covers.
-
-    A budget buys the pieces of its row whose running cost it covers,
-    counted as ``np.searchsorted(..., side="right")`` counts them, then part
-    of the next piece, or the padding piece (cost 1, gain 0) once every
-    piece is bought.  So each row's answers are a one-row ``GreedyFill``'s,
-    bit for bit, and one search of every row's running costs
-    (``_row_keyed``) answers a whole (B, G) table of budgets.
-    """
-
-    def __init__(self, cost: np.ndarray, gain: np.ndarray, m: np.ndarray):
-        B, M = cost.shape
-        self._cost, self._gain, self._m = cost, gain, np.asarray(m)[:, None]
-        self._rows = np.arange(B)[:, None]
-        # each row's running costs after a 0, keyed by row (``_row_keyed``):
-        # the imaginary parts are what pieces [0, k) pay, indexed by k
-        self._keyed_paid = np.zeros((B, M + 1), dtype=complex)
-        self._keyed_paid.real = self._rows
-        np.cumsum(cost, axis=1, out=self._keyed_paid.imag[:, 1:])
-        self._gained_before = np.zeros((B, M + 1))
-        np.cumsum(gain, axis=1, out=self._gained_before[:, 1:])
-        self._total = self._keyed_paid.imag[self._rows, self._m]
-
-    def __call__(self, budget) -> tuple[np.ndarray, np.ndarray]:
-        """(gain bought, marginal gain per unit cost there) for each row and
-        budget, (B, G): ``budget`` is (G,), shared by the rows, or (B, G),
-        and at least 0."""
-        # past its total cost a row has bought every piece and has nothing left
-        spend = np.minimum(budget, self._total)
-        # pieces [0, k) are paid in full, counted past the row's leading 0;
-        # piece k, if any, takes the rest
-        M = self._cost.shape[1]
-        k = np.searchsorted(self._keyed_paid.reshape(-1),
-                            _row_keyed(self._rows, spend).reshape(-1),
-                            side="right").reshape(spend.shape) - self._rows * (M + 1) - 1
-        rest = spend - self._keyed_paid.imag[self._rows, k]
-        part = k < self._m
-        at = np.minimum(k, M - 1)
-        cost = np.where(part, self._cost[self._rows, at], 1.0)
-        gain = np.where(part, self._gain[self._rows, at], 0.0)
-        return self._gained_before[self._rows, k] + gain * rest / cost, gain / cost
 
 
 # a stacked grid build spans about this many bytes of squared distances, taken
@@ -455,32 +418,26 @@ def _grid_staircases(key_of, losses, which, own, to_cost):
             np.bincount(rows, minlength=len(which)))
 
 
-def _hull_fill(blocks, B: int) -> tuple[np.ndarray, _RowFill]:
+def _hull_fill(blocks, B: int) -> tuple[np.ndarray, RowFill]:
     """Each of B clients' total loss at cost 0, and the fill over the
     segments of its samples' upper hulls.  ``blocks`` yields (C, L,
     counts): rows of ``counts`` points each, one per sample, laid end to
     end, each a rising staircase from its cost-0 point, its costs and
     losses strictly rising; the blocks' rows are the B clients' samples in
     order, the same number each.  Each block's rows are hulled together
-    (``concave.hull_pieces``), and each client's pieces are put in
-    ``GreedyFill``'s order by a stable sort on -gain/cost."""
-    base, width, rise, pieces = [], [], [], []
+    (``concave.hull_pieces``), and each client's pieces, laid out as one
+    row, are put in greedy order (``RowFill.greedy``)."""
+    base, pieces = [], []
     for C, L, counts in blocks:
         base.append(L[np.cumsum(counts) - counts])
-        w, r, per_row = hull_pieces(C, L, counts)
-        width.append(w)
-        rise.append(r)
-        pieces.append(per_row)
-    base = np.concatenate(base).reshape(B, -1)
-    m = np.sum(np.concatenate(pieces).reshape(B, -1), axis=1)
-    width, rise = np.concatenate(width), np.concatenate(rise)
-    shape = (B, max(1, int(m.max())))
-    cost, gain = np.full(shape, np.inf), np.zeros(shape)
-    ends = np.cumsum(m)
-    for b, (lo, hi) in enumerate(zip(ends - m, ends)):   # the sort its own GreedyFill makes
-        order = np.argsort(-(rise[lo:hi] / width[lo:hi]), kind="stable")
-        cost[b, :hi - lo], gain[b, :hi - lo] = width[lo:hi][order], rise[lo:hi][order]
-    return np.sum(base, axis=1), _RowFill(cost, gain, m)
+        pieces.append(hull_pieces(C, L, counts))
+    width, rise, per_row = zip(*pieces)
+    m = np.sum(np.concatenate(per_row).reshape(B, -1), axis=1)
+    # each client's pieces, in order, at the front of its row
+    piece = np.arange(m.max()) < m[:, None]
+    cost, gain = np.zeros(piece.shape), np.zeros(piece.shape)
+    cost[piece], gain[piece] = np.concatenate(width), np.concatenate(rise)
+    return np.sum(np.concatenate(base).reshape(B, -1), axis=1), RowFill.greedy(cost, gain, m)
 
 
 class _FlipInner(_FillInner):
@@ -495,7 +452,7 @@ class _FlipInner(_FillInner):
 
     A client's pieces are the finite flips of its correctly classified
     samples, each of gain 1, so one sort of each row's costs puts them in
-    ``GreedyFill``'s order (``_by_key``) for the ``_RowFill``.  The whole
+    greedy order (``_by_key``) for the ``RowFill``.  The whole
     table takes one model pass, one sort and one search.
     """
 
@@ -508,7 +465,7 @@ class _FlipInner(_FillInner):
         piece = ~self._wrong & np.isfinite(self._flip_cost)
         self._n, self._base = n, np.count_nonzero(self._wrong, axis=1)
         # each row's pieces best first, then inf, which no budget covers
-        self._fill = _RowFill(_by_key(np.where(piece, self._flip_cost, np.inf)),
+        self._fill = RowFill(_by_key(np.where(piece, self._flip_cost, np.inf)),
                               np.ones((B, n)), np.count_nonzero(piece, axis=1))
 
     def phi(self, gamma: float) -> np.ndarray:
@@ -520,23 +477,12 @@ class _FlipInner(_FillInner):
         return out.reshape(-1)
 
 
-def _row_keyed(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each entry of x as the complex number (its row) + i (entry).  numpy
-    orders complex numbers by real part, then imaginary part, in sorts and
-    in ``searchsorted``, so rows of sorted entries laid end to end are one
-    sorted array, and a keyed value searched in it is compared with its own
-    row's entries only, exactly as floats."""
-    out = np.empty(x.shape, dtype=complex)
-    out.real, out.imag = rows, x
-    return out
-
-
 def _by_key(cost: np.ndarray) -> np.ndarray:
-    """Each row of piece costs (inf past its pieces) in ``GreedyFill``'s
-    order for unit gains: a stable sort by -(1/cost).  That key never falls
-    as the cost grows, so a plain sort of the costs orders the keys too, and
-    it gives the stable sort's costs unless two different costs share a key;
-    only then is the stable sort run."""
+    """Each row of piece costs (inf past its pieces) in greedy order for
+    unit gains: ``RowFill.greedy``'s stable sort by -(1/cost).  That key
+    never falls as the cost grows, so a plain sort of the costs orders the
+    keys too, and it gives the stable sort's costs unless two different
+    costs share a key; only then is the stable sort run."""
     out = np.sort(cost, axis=1)
     with np.errstate(divide="ignore"):
         key = -(1.0 / out)
@@ -893,7 +839,7 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
     ``empirical_risk_values`` blocks them) and about ``_GRID_BLOCK_BYTES``
     of squared distances for the grid route; a lone client, and a
     score-line client, through the client's own cached inner.  Every inner
-    answers through one ``_RowFill`` call.  A zero radius takes the
+    answers through one ``RowFill`` call.  A zero radius takes the
     empirical risk (``_risks_of``) and slope 0."""
     G = len(rhos)
     fits = []
@@ -929,9 +875,9 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
         for start in range(0, len(idx), step):
             rows = idx[start:start + step]
             X, y = _stacked([clients[i]._dataset for i in rows])
-            inner = (_GridInner(h, X, y, grid, cost, key[4]) if route == "grid"
-                     else _FlipInner(h, X, y, cost))
-            v, g = inner.table([rhos[j] for j in robust])
+            asked = [rhos[j] for j in robust]
+            v, g = (_GridInner(h, X, y, grid, cost, key[4]).table(asked) if route == "grid"
+                    else flip_risk_values(h, X, y, asked, cost))
             values[np.ix_(rows, robust)], slopes[np.ix_(rows, robust)] = v, g
     for loss_fn, idx in by_loss.items():
         values[np.ix_(idx, zero)] = _risks_of(h, [clients[i]._dataset for i in idx],

@@ -23,10 +23,12 @@ capped at 1, bounds each client's curve from above at no extra query
 grid points; the straight chords between them, which lie below the curve,
 are reported only as ``chord_value``.  The allocation over these
 piecewise-linear concave envelopes is solved exactly by greedy water-filling
-on their slopes (``concave``, as in the exact query routes), once per
-certificate, and its maximum is the program value.  Every query route is
-``exact`` or a ``bound`` that lies above its inner supremum, with the slope
-of that bound, so the certificate's status is ``optimal``.
+on their slopes (``concave.RowFill``, the kernel of the exact query routes),
+and its maximum is the program value; ``wass_mean_rows`` solves many
+populations' tables at once, and ``wass_mean_bound`` is its one-row case.
+Every query route is ``exact`` or a ``bound`` that lies above its inner
+supremum, with the slope of that bound, so the certificate's status is
+``optimal``.
 
 The per-client slack carries log((K+2) n_k / (epsilon delta)); a budget for
 which that log is not positive for some client has no slack term, and is
@@ -34,19 +36,22 @@ refused.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .certificates import CertifiedBound
-from .concave import GreedyFill
+from .concave import RowFill
 from .losses import Hypothesis
+from .nonrobust import Rows
 from .query import Client, query_profiles
 
 __all__ = [
     "RadiusAllocation",
     "mean_radius_cap",
     "radius_grid",
+    "certificate_grid",
+    "wass_mean_rows",
     "wass_mean_bound",
 ]
 
@@ -55,12 +60,11 @@ DEFAULT_C2 = 1.0
 DEFAULT_GRID_SIZE = 16
 
 
-@dataclass
-class RadiusAllocation:
-    rho: np.ndarray           # per-client radii
-    mean_rho: float
+class RadiusAllocation(NamedTuple):
+    rho: np.ndarray           # per-client radii, after the rows' leading axes
+    mean_rho: np.ndarray
     values: np.ndarray        # envelope values at those radii
-    objective: float          # mean of values
+    objective: np.ndarray     # mean of values
 
 
 def mean_radius_cap(epsilon: float, delta: float, K: int, *,
@@ -72,10 +76,9 @@ def mean_radius_cap(epsilon: float, delta: float, K: int, *,
 
 
 def _per_client_log_terms(K: int, ns, epsilon: float, delta: float) -> np.ndarray:
-    """log((K+2) n_k / (epsilon delta)) for each client's sample count n_k:
-    the per-client slack is the square root of this term over n_k.  Raises
-    ValueError where the term is not positive (epsilon delta >= (K+2) n_k),
-    since no slack term is derived for such a budget."""
+    """log((K+2) n_k / (epsilon delta)) per client, whose square root over
+    n_k is its slack; ValueError where it is not positive (epsilon delta >=
+    (K+2) n_k), since no slack term is derived for such a budget."""
     arg = (K + 2) * np.asarray(ns, dtype=float) / (epsilon * delta)
     if np.any(arg <= 1.0):
         raise ValueError(f"epsilon {epsilon:g} is too large for the per-client slack: "
@@ -98,42 +101,66 @@ def radius_grid(floor: float, top: float, grid_size: int) -> np.ndarray:
     return np.unique(np.geomspace(floor, top, grid_size))
 
 
+def certificate_grid(ns, epsilon: float, delta: float, *, grid_size: int = DEFAULT_GRID_SIZE,
+                     include_slack: bool = True) -> np.ndarray:
+    """The ``radius_grid`` of K clients of ``ns`` samples (K along the last
+    axis) for a ``wass-mean`` certificate, after the budget is checked: a
+    budget the certificate refuses is refused before any query."""
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    if not (0 < delta < 1):
+        raise ValueError("delta must lie in (0, 1)")
+    K = np.shape(ns)[-1]
+    if include_slack:
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive when slack terms are on "
+                             "(the per-client term carries log(1/epsilon))")
+        _per_client_log_terms(K, ns, epsilon, delta)
+    cap = mean_radius_cap(epsilon, delta, K, include_slack=include_slack)
+    return radius_grid(epsilon / K, K * cap, grid_size)
+
+
 def _tangent_vertices(grid, values, slopes) -> np.ndarray:
-    """Where each client's neighbouring tangent lines meet, (K, G-1): lines j
-    and j+1 of a concave curve meet in [grid[j], grid[j+1]], and each vertex
-    is clipped there to absorb rounding.  Lines of equal slope meet at
-    grid[j+1]."""
+    """Where each client's neighbouring tangent lines meet, (..., K, G-1):
+    lines j and j+1 of a concave curve meet in [grid[j], grid[j+1]], and
+    each vertex is clipped there to absorb rounding.  Lines of equal slope
+    meet at grid[j+1]."""
     step = np.diff(grid)
-    drop = slopes[:, :-1] - slopes[:, 1:]
+    drop = slopes[..., :-1] - slopes[..., 1:]
     # (s_j - s_j+1) (x - r_j) = v_j+1 - v_j - s_j+1 (r_j+1 - r_j)
-    lift = np.diff(values, axis=1) - slopes[:, 1:] * step
+    lift = np.diff(values, axis=-1) - slopes[..., 1:] * step
     x = np.divide(lift, drop, out=np.broadcast_to(step, drop.shape).copy(), where=drop > 0)
     return np.clip(grid[:-1] + x, grid[:-1], grid[1:])
 
 
 def _waterfill(grid, values, slopes, floor: float, mean_cap: float) -> RadiusAllocation:
     """Exact maximizer of the mean envelope value under the radius floor and
-    mean cap.  Client k's envelope is min(1, min_j values[k, j] + slopes[k, j]
-    (rho - grid[j])): line j from vertex j-1 to vertex j, cut short where it
-    reaches 1.  The spare budget is poured onto those pieces in slope order."""
-    K = len(values)
+    mean cap, for each row of (..., K, G) values and slopes.  Client k's
+    envelope is min(1, min_j values[k, j] + slopes[k, j] (rho - grid[j])):
+    line j from vertex j-1 to vertex j, cut short where it reaches 1.  One
+    ``RowFill`` pours each row's spare budget onto its pieces in slope order."""
+    *lead, K, G = np.shape(values)
     x = _tangent_vertices(grid, values, slopes)
-    lo = np.maximum(np.c_[np.full(K, -np.inf), x], floor)
-    # where each line reaches 1; a flat line never does, and is no piece
+    edge = np.full((*lead, K, 1), np.inf)
+    lo = np.maximum(np.concatenate([-edge, x], axis=-1), floor)
+    # where each line reaches 1; a flat line never does, and a line that
+    # rises over no width is a piece of no cost and no gain
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = lo + (1.0 - (values + slopes * (lo - grid))) / slopes
-        width = np.minimum(np.c_[x, np.full(K, np.inf)], reach) - lo
-        rising = (slopes > 0.0) & (width > 0.0)
-    width = width[rising]
-    taken = GreedyFill(width, slopes[rising] * width).taken(K * (mean_cap - floor))
+        width = np.minimum(np.concatenate([x, edge], axis=-1), reach) - lo
+        width = np.where((slopes > 0.0) & (width > 0.0), width, 0.0)
+        gain = slopes * width
+    taken = RowFill.greedy(width.reshape(-1, K * G), gain.reshape(-1, K * G),
+                           np.full(width.size // (K * G), K * G)).taken(K * (mean_cap - floor))
     # a client's pieces tile its radii from the floor, and fill left to right
-    rho = floor + np.bincount(np.nonzero(rising)[0], weights=taken, minlength=K)
-    at_rho = np.minimum(1.0, np.min(values + slopes * (rho[:, None] - grid), axis=1))
+    client = np.repeat(np.arange(taken.size // G), G)
+    rho = floor + np.bincount(client, weights=taken.reshape(-1)).reshape(*lead, K)
+    at_rho = np.minimum(1.0, np.min(values + slopes * (rho[..., None] - grid), axis=-1))
     return RadiusAllocation(
         rho=rho,
-        mean_rho=float(np.mean(rho)),
+        mean_rho=np.mean(rho, axis=-1),
         values=at_rho,
-        objective=float(np.mean(at_rho)),
+        objective=np.mean(at_rho, axis=-1),
     )
 
 
@@ -142,11 +169,39 @@ def _chords(grid, values, rho) -> np.ndarray:
     radius, at that radius; a radius past the grid's ends takes the answer
     at the nearer end."""
     if len(grid) == 1:
-        return values[:, 0]
+        return values[..., 0]
     j = np.clip(np.searchsorted(grid, rho, side="right") - 1, 0, len(grid) - 2)
     t = np.clip((rho - grid[j]) / (grid[j + 1] - grid[j]), 0.0, 1.0)
-    at = np.arange(len(rho))
-    return values[at, j] + t * (values[at, j + 1] - values[at, j])
+    lo, hi = (np.take_along_axis(values, at[..., None], axis=-1)[..., 0] for at in (j, j + 1))
+    return lo + t * (hi - lo)
+
+
+def wass_mean_rows(values, slopes, ns, epsilon: float, delta: float, *,
+                   grid_size: int = DEFAULT_GRID_SIZE, include_slack: bool = True) -> Rows:
+    """``wass_mean_bound`` of T client populations from their answers on
+    ``certificate_grid``, ``values`` and ``slopes`` (T, K, G), and sample
+    counts ``ns`` (T, K): each term is (T,), and the witness radii (T, K)."""
+    ns = np.asarray(ns, dtype=float)
+    grid = certificate_grid(ns, epsilon, delta, grid_size=grid_size, include_slack=include_slack)
+    if np.shape(values)[-1] != len(grid) or np.shape(values)[:-1] != ns.shape:
+        raise ValueError("each client needs one answer per radius of its certificate grid")
+    T, K = ns.shape
+    witness = _waterfill(grid, values, slopes, epsilon / K,
+                         mean_radius_cap(epsilon, delta, K, include_slack=include_slack))
+    chord_value = np.mean(_chords(grid, values, witness.rho), axis=-1)
+    meta, per_client = np.zeros(T), np.zeros(T)
+    if include_slack:
+        meta[:] = np.sqrt(np.log((K + 2) / delta) / (2 * K))
+        per_client = np.mean(DEFAULT_C2 * np.sqrt(_per_client_log_terms(K, ns, epsilon, delta)
+                                                  / ns), axis=-1)
+    raw = witness.objective + meta + per_client
+    return Rows(np.minimum(raw, 1.0), raw, {"meta": meta, "per_client": per_client}, {
+        "program_value": witness.objective,
+        "chord_value": chord_value,
+        "grid_gap": witness.objective - chord_value,
+        "witness_mean_rho": witness.mean_rho,
+        "witness_rho": witness.rho,
+    })
 
 
 def wass_mean_bound(
@@ -159,48 +214,27 @@ def wass_mean_bound(
     include_slack: bool = True,
 ) -> CertifiedBound:
     """Certified upper bound on the target mean risk when the target moves
-    clients by at most epsilon average transport cost."""
+    clients by at most epsilon average transport cost: ``wass_mean_rows`` of
+    the clients' answers on ``certificate_grid``."""
     if not clients:
         raise ValueError("at least one client required")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    if include_slack and epsilon <= 0:
-        raise ValueError("epsilon must be positive when slack terms are on "
-                         "(the per-client term carries log(1/epsilon))")
-    K = len(clients)
     ns = np.array([c.n_samples for c in clients], dtype=float)
-    if include_slack:
-        per_client_log = _per_client_log_terms(K, ns, epsilon, delta)
-    cap = mean_radius_cap(epsilon, delta, K, include_slack=include_slack)
-    grid = radius_grid(epsilon / K, K * cap, grid_size)
+    grid = certificate_grid(ns, epsilon, delta, grid_size=grid_size, include_slack=include_slack)
     values, slopes = query_profiles(clients, h, grid)
-    witness = _waterfill(grid, values, slopes, epsilon / K, cap)
-    chord_value = float(np.mean(_chords(grid, values, witness.rho)))
-    if include_slack:
-        meta = float(np.sqrt(np.log((K + 2) / delta) / (2 * K)))
-        per_client = float(np.mean(DEFAULT_C2 * np.sqrt(per_client_log / ns)))
-    else:
-        meta = per_client = 0.0
-    raw = witness.objective + meta + per_client
+    row = wass_mean_rows(values[None], slopes[None], ns[None], epsilon, delta,
+                         grid_size=grid_size, include_slack=include_slack)
     return CertifiedBound(
         kind="wass-mean",
-        value=float(min(raw, 1.0)),
-        raw_value=raw,
+        value=float(row.value[0]),
+        raw_value=float(row.raw[0]),
         status="optimal",
-        slack={"meta": meta, "per_client": per_client},
+        slack={name: float(v[0]) for name, v in row.slack.items()},
         params={
-            "K": K, "delta": delta, "epsilon": epsilon,
+            "K": len(ns), "delta": delta, "epsilon": epsilon,
             "c1": DEFAULT_C1, "c2": DEFAULT_C2, "grid_size": grid_size,
-            "mean_radius_cap": cap,
+            "mean_radius_cap": mean_radius_cap(epsilon, delta, len(ns),
+                                               include_slack=include_slack),
             "include_slack": include_slack,
         },
-        extra={
-            "program_value": witness.objective,
-            "chord_value": chord_value,
-            "grid_gap": witness.objective - chord_value,
-            "witness_mean_rho": witness.mean_rho,
-            "witness_rho": witness.rho.tolist(),
-        },
+        extra={name: v[0].tolist() for name, v in row.extra.items()},
     )

@@ -521,8 +521,14 @@ def test_a_world_dir_of_the_declared_size_certifies(tmp_path):
      "$.model.from_world"),
     (lambda cfg: cfg.update(model={"from_world": {"scale": 1e300}}), "$.model.weights"),
     (lambda cfg: cfg.update(model={"from_world": {"scale": 1e-300}}), "$.model.weights"),
+    (lambda cfg: cfg["world"].update(class_means=[[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+     "$.world.class_means"),
+    (lambda cfg: cfg["world"]["archetypes"][1].update(class_means=[[-1.0, 0.0, 0.0],
+                                                                   [1.0, 0.0, 0.0]]),
+     "$.world.archetypes[1].class_means"),
 ], ids=["world-means-object", "archetype-score-list", "weights-object", "bias-list",
-        "from-world-overflow", "margin-norm-overflow", "margin-norm-underflow"])
+        "from-world-overflow", "margin-norm-overflow", "margin-norm-underflow",
+        "world-means-shape", "archetype-means-shape"])
 def test_a_model_or_world_the_library_refuses_exits_one_at_its_path(tmp_path, capsys,
                                                                      command, change, where):
     cfg = copy.deepcopy(BASE_CONFIG)
@@ -748,7 +754,7 @@ def test_verify_draws_each_trials_source_once_for_every_kind(tmp_path, monkeypat
             counts[name] = counts.get(name, 0) + 1
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    counting(fedcert.oracle, "draw_world")
+    counting(fedcert.metasim, "draw_world")
     counting(fedcert.oracle, "_source_risks")
     counting(fedcert.oracle._TargetDraws, "risks")
     assert main(["verify", "--config", write_config(tmp_path, cfg),

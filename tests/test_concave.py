@@ -1,5 +1,6 @@
 """The greedy fill over concave pieces and the segmented upper hull, on
-hand instances and against a monotone chain kept here as the reference.
+hand instances, against the one-curve fill (``_greedy_fill.GreedyFill``)
+and against a monotone chain, both kept as references.
 
 Expected values are worked out by hand, never through the fill itself.
 """
@@ -11,7 +12,9 @@ from fedcert import (
     LOOKUP, SQUARED, Hypothesis, LocalDataset, LossFn, TransportCost, adversarial_risk,
 )
 from fedcert import concave
-from fedcert.concave import GreedyFill, hull_pieces, upper_hulls
+from fedcert.concave import RowFill, hull_pieces, upper_hulls
+
+from _greedy_fill import GreedyFill
 
 
 def chain_hull(x, y):
@@ -30,37 +33,58 @@ def chain_hull(x, y):
     return np.array(hull).T
 
 
+class OneRow:
+    """A one-row ``RowFill.greedy`` read at one budget, as ``GreedyFill``
+    reads it: (gain, slope) as floats, and each piece's cost taken."""
+
+    def __init__(self, cost, gain):
+        self.fill = RowFill.greedy(np.array(cost, dtype=float).reshape(1, -1),
+                                   np.array(gain, dtype=float).reshape(1, -1), [len(cost)])
+
+    def __call__(self, budget):
+        value, slope = self.fill(np.array([float(budget)]))
+        return float(value[0, 0]), float(slope[0, 0])
+
+    def taken(self, budget):
+        return self.fill.taken(budget)[0]
+
+
+def fills(cost, gain):
+    """The kernel and the reference over the same pieces."""
+    return OneRow(cost, gain), GreedyFill(cost, gain)
+
+
 def test_free_piece_is_bought_with_no_budget():
-    fill = GreedyFill([2.0, 0.0], [1.0, 0.5])
-    assert fill(0.0) == (0.5, 0.5)
-    assert fill.taken(0.0).tolist() == [0.0, 0.0]
-    assert fill(1.0) == (1.0, 0.5)
+    for fill in fills([2.0, 0.0], [1.0, 0.5]):
+        assert fill(0.0) == (0.5, 0.5)
+        assert fill.taken(0.0).tolist() == [0.0, 0.0]
+        assert fill(1.0) == (1.0, 0.5)
 
 
 def test_slope_ties_keep_the_given_order():
-    fill = GreedyFill([2.0, 1.0, 4.0], [1.0, 0.5, 2.0])
-    assert fill(2.5) == (1.25, 0.5)
-    assert fill.taken(2.5).tolist() == [2.0, 0.5, 0.0]
+    for fill in fills([2.0, 1.0, 4.0], [1.0, 0.5, 2.0]):
+        assert fill(2.5) == (1.25, 0.5)
+        assert fill.taken(2.5).tolist() == [2.0, 0.5, 0.0]
 
 
 def test_zero_budget_buys_nothing_at_the_best_slope():
-    fill = GreedyFill([4.0, 1.0], [1.0, 1.0])
-    assert fill(0.0) == (0.0, 1.0)
-    assert fill.taken(0.0).tolist() == [0.0, 0.0]
+    for fill in fills([4.0, 1.0], [1.0, 1.0]):
+        assert fill(0.0) == (0.0, 1.0)
+        assert fill.taken(0.0).tolist() == [0.0, 0.0]
 
 
 def test_exact_saturation_has_slope_zero():
-    fill = GreedyFill([1.0, 4.0], [0.5, 0.25])
-    assert fill(3.0) == (0.625, 0.0625)
-    assert fill(5.0) == (0.75, 0.0)
-    assert fill.taken(5.0).tolist() == [1.0, 4.0]
-    assert fill(9.0) == (0.75, 0.0)
+    for fill in fills([1.0, 4.0], [0.5, 0.25]):
+        assert fill(3.0) == (0.625, 0.0625)
+        assert fill(5.0) == (0.75, 0.0)
+        assert fill.taken(5.0).tolist() == [1.0, 4.0]
+        assert fill(9.0) == (0.75, 0.0)
 
 
 def test_no_pieces():
-    fill = GreedyFill([], [])
-    assert fill(1.0) == (0.0, 0.0)
-    assert fill.taken(1.0).tolist() == []
+    for fill in fills([], []):
+        assert fill(1.0) == (0.0, 0.0)
+        assert fill.taken(1.0).tolist() == []
 
 
 def test_split_on_a_middle_hull_segment():
@@ -106,6 +130,57 @@ def test_array_of_budgets_matches_the_scalar_fill_bit_for_bit():
         want = [_scalar_fill(cost, gain, b) for b in budgets.tolist()]
         assert list(zip(value.tolist(), slope.tolist())) == want
         assert [fill(b) for b in budgets.tolist()] == want
+        value, slope = OneRow(cost, gain).fill(budgets)
+        assert list(zip(value[0].tolist(), slope[0].tolist())) == want
+
+
+def _rows_of_pieces(rng, B, M):
+    """(cost, gain, m): B rows of M columns, row b's first m[b] of them
+    pieces and the rest garbage that the fill must never read.  Among the
+    pieces are free ones, ones of no cost and no gain, and ones of equal
+    gain per unit cost from different costs."""
+    m = rng.integers(0, M + 1, B)
+    gain = rng.choice([0.0, 0.25, 0.5, 1.0], (B, M)) if rng.uniform() < 0.5 \
+        else rng.uniform(0.0, 1.0, (B, M))
+    cost = np.where(rng.uniform(size=(B, M)) < 0.3, gain * rng.choice([1.0, 2.0, 4.0], (B, M)),
+                    rng.exponential(1.0, (B, M)))
+    cost[rng.uniform(size=(B, M)) < 0.15] = 0.0
+    past = np.arange(M) >= m[:, None]
+    cost[past], gain[past] = rng.choice([np.nan, -1.0, np.inf], np.count_nonzero(past)), np.nan
+    return cost, gain, m
+
+
+def test_row_fill_equals_the_one_row_reference_bit_for_bit():
+    rng = np.random.default_rng(np.random.SeedSequence(2701))
+    for trial in range(400):
+        # the first rows have no columns at all
+        B, M = int(rng.integers(1, 6)), int(rng.integers(0, 12)) if trial > 2 else 0
+        cost, gain, m = _rows_of_pieces(rng, B, M)
+        fill = RowFill.greedy(cost.copy(), gain.copy(), m)
+        with np.errstate(invalid="ignore"):   # a piece of no cost and no gain has key NaN
+            refs = [GreedyFill(c[:k], g[:k]) for c, g, k in zip(cost, gain, m)]
+        # per row: 0, every piece's end, exactly the row total, and past it
+        ends = [np.concatenate([[0.0], ref._paid_before[1:], [ref._paid_before[-1]]])
+                for ref in refs]
+        G = max(map(len, ends)) + 3
+        budgets = np.stack([np.concatenate([e, rng.uniform(0.0, 1.5 * e[-1] + 1.0, G - len(e))])
+                            for e in ends])
+        value, slope = fill(budgets)
+        for b, ref in enumerate(refs):
+            want_value, want_slope = ref(budgets[b])
+            assert value[b].tobytes() == want_value.tobytes()
+            assert slope[b].tobytes() == want_slope.tobytes()
+        for g in range(G):
+            taken = fill.taken(budgets[:, g])
+            assert taken.shape == (B, M)
+            for b, ref in enumerate(refs):
+                assert taken[b, :m[b]].tobytes() == ref.taken(budgets[b, g]).tobytes()
+                assert not taken[b, m[b]:].any()
+        # one budget shared by every row, past every row's total
+        top = np.array([max(e[-1] for e in ends) + 1.0])
+        assert fill(top)[1].tolist() == [[0.0]] * B
+        assert fill.taken(top[0]).tobytes() == np.where(np.arange(M) < m[:, None], cost,
+                                                        0.0).tobytes()
 
 
 # -- the segmented upper hull ------------------------------------------------

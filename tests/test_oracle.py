@@ -35,7 +35,6 @@ from fedcert.oracle import (
     CoverageReport,
     _binary_margin,
     _CoveragePlan,
-    _draw_source,
     _risks_from_parts,
     _source_risks,
     _TargetDraws,
@@ -46,12 +45,42 @@ from fedcert.oracle import (
     mean_true_risk,
     target_world,
 )
-from fedcert.query import empirical_risk
+from fedcert.metasim import draw_world
+from fedcert.query import (
+    BudgetExceededError,
+    Client,
+    empirical_risk,
+    empirical_risk_values,
+    query_empirical,
+    query_profiles,
+)
+from fedcert.wass import certificate_grid, wass_mean_bound
 
 from _corpus import concave_curve, tangents
 
 BASE_MEANS = np.array([[-1.0, 0.0], [1.0, 0.0]])
 H = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, 0.0]), bias=0.0)
+ZERO_ONE_LOSS = LossFn(ZERO_ONE)
+
+
+def _draw_source(cfg, h, K, n_k, root):
+    """K fresh clients of n_k samples from the source world, seeded by
+    ``root``: the drawn world, its empirical zero-one risks and sample
+    counts, drawn on its own as the reference the sampling pass must equal."""
+    world = draw_world(cfg, K, n_k, seed=root)
+    qv = empirical_risk_values(h, world.features, world.labels, ZERO_ONE_LOSS)
+    return world, qv, np.full(K, n_k)
+
+
+def _wass_trial(source, h, req):
+    """The ``wass-mean`` certificate of one trial's drawn source, as certify
+    issues it: the world's clients, charged their zero-radius queries and
+    then asked the radius grid by ``wass_mean_bound``."""
+    world, qv, ns = source
+    clients = [Client(ds.client_id, ds, ZERO_ONE_LOSS, max_queries=req.get("max_queries"))
+               for ds in world.datasets()]
+    query_empirical(clients, h)
+    return issue_certificate("wass-mean", req, qv, ns, clients, h)
 
 
 def plain_cfg(**kw):
@@ -579,14 +608,14 @@ def test_coverage_experiments_equal_each_kind_run_alone(monkeypatch):
     requests = [(kind, {**common, **extra}) for kind, extra in _ALL_KINDS]
     alone = [coverage_experiments(cfg, [request], trials=3, seed=5)[0].to_json_dict()
              for request in requests]
-    worlds = _counting(monkeypatch, "draw_world")
+    worlds = _counting(monkeypatch, "draw_world", fedcert.metasim)
     passes = _counting(monkeypatch, "_source_risks")
     targets = _counting(monkeypatch, "risks", fedcert.oracle._TargetDraws)
     got = coverage_experiments(cfg, requests, trials=3, seed=5)
     assert [r.to_json_dict() for r in got] == alone
-    # the wass-mean kind reads the shared source key, so it is drawn as one
-    # world per trial, where each other kind run alone took one source pass
-    assert len(worlds) == 3 and len(passes) == 0
+    # every kind, wass-mean too, reads the shared source key: one source
+    # pass over the trials, and no world drawn on its own
+    assert len(worlds) == 0 and len(passes) == 1
     # the four target worlds (the source, two tilts, the moved means) share
     # one draw layout: one target draw per trial serves them all
     assert len(targets) == 3
@@ -597,7 +626,7 @@ def test_coverage_experiments_draw_a_source_per_client_count(monkeypatch):
     common = {"h": H, "n_k": 20, "delta": 0.1, "target_clients": 200}
     requests = [("mean", {**common, "K": 6}), ("cdf-curve", {**common, "K": 6}),
                 ("mean", {**common, "K": 9})]
-    worlds = _counting(monkeypatch, "draw_world")
+    worlds = _counting(monkeypatch, "draw_world", fedcert.metasim)
     passes = _counting(monkeypatch, "_source_risks")
     got = coverage_experiments(cfg, requests, trials=2, seed=3)
     # one source pass over every trial per client count, and no world
@@ -628,10 +657,74 @@ def test_source_risks_equal_each_roots_own_draw(monkeypatch, K):
     roots = [_trial_seed(2, t) for t in range(4)] + [2**32 - 1, 2**32, 2**63 - 1, 2**63]
     assert {r >= 2**63 for r in roots} == {False, True}
     cfg = archetype_cfg()
-    qv = _source_risks(cfg, H, roots, K, 30)
-    assert qv.shape == (len(roots), K)
+    qv, tables = _source_risks(cfg, H, roots, K, 30)
+    assert qv.shape == (len(roots), K) and tables == []
     for root, row in zip(roots, qv):
         assert row.tolist() == _draw_source(cfg, H, K, 30, root)[1].tolist()
+
+
+@pytest.mark.parametrize("K", [1, (_BLOCK_BYTES // (8 * 30 * 2)) + 3])
+def test_source_tables_equal_each_roots_query_profiles(monkeypatch, K):
+    # passes of two roots, with blocks that straddle them, on two grids
+    monkeypatch.setattr(fedcert.metasim, "_PASS_CLIENTS", 2 * K)
+    roots = [_trial_seed(6, t) for t in range(3)]
+    cfg = archetype_cfg()
+    grids = [certificate_grid(np.full(K, 30), 0.05, 0.1, grid_size=6), np.array([0.01, 0.3, 9.0])]
+    qv, tables = _source_risks(cfg, H, roots, K, 30, grids)
+    assert [v.shape for v, _ in tables] == [(3, K, len(g)) for g in grids]
+    for i, root in enumerate(roots):
+        world, want_qv, _ = _draw_source(cfg, H, K, 30, root)
+        assert qv[i].tobytes() == want_qv.tobytes()
+        clients = [Client(ds.client_id, ds, ZERO_ONE_LOSS) for ds in world.datasets()]
+        for grid, (values, slopes) in zip(grids, tables):
+            want_values, want_slopes = query_profiles(clients, H, grid)
+            assert values[i].tobytes() == want_values.tobytes()
+            assert slopes[i].tobytes() == want_slopes.tobytes()
+
+
+def _as_certificate(rows, t):
+    """Row t of ``certify_rows``' wass-mean rows in the fields of the
+    certificate ``wass_mean_bound`` issues."""
+    return {"value": float(rows.value[t]), "raw_value": float(rows.raw[t]),
+            "slack": {k: float(v[t]) for k, v in rows.slack.items()},
+            "extra": {k: v[t].tolist() for k, v in rows.extra.items()}}
+
+
+@pytest.mark.parametrize("K, epsilon, grid_size", [(1, 0.05, 4), (8, 0.02, 6), (8, 0.3, 16)])
+def test_wass_rows_equal_each_trials_wass_mean_bound(K, epsilon, grid_size):
+    cfg, n_k, trials = archetype_cfg(), 20, 4
+    req = {"delta": 0.1, "epsilon": epsilon, "grid_size": grid_size}
+    roots = [_trial_seed(13, t) for t in range(trials)]
+    grid = certificate_grid(np.full(K, n_k), epsilon, 0.1, grid_size=grid_size)
+    qv, (table,) = _source_risks(cfg, H, roots, K, n_k, [grid])
+    rows = certify_rows("wass-mean", req, qv, np.full((trials, K), n_k), table)
+    for t, root in enumerate(roots):
+        cert = _wass_trial(_draw_source(cfg, H, K, n_k, root), H, req)
+        want = {"value": cert.value, "raw_value": cert.raw_value, "slack": cert.slack,
+                "extra": cert.extra}
+        # repr tells every float apart, to the last bit and the sign of zero
+        assert repr(_as_certificate(rows, t)) == repr(want)
+
+
+def test_wass_coverage_checks_the_query_budget_before_the_first_trial(monkeypatch):
+    cfg = archetype_cfg()
+    params = {"h": H, "K": 5, "n_k": 20, "delta": 0.1, "epsilon": 0.02, "grid_size": 6,
+              "target_clients": 200}
+    grid = certificate_grid(np.full(5, 20), 0.02, 0.1, grid_size=6)
+    passes = _counting(monkeypatch, "_source_risks")
+    for cap in (1, len(grid)):
+        with pytest.raises(BudgetExceededError) as err:
+            coverage_experiments(cfg, [("wass-mean", {**params, "max_queries": cap})], trials=2)
+        assert (err.value.client_id, err.value.max_queries) == (0, cap)
+        # the clients of trial 0, asked one at a time, ran out at client 0 too
+        with pytest.raises(BudgetExceededError) as one_by_one:
+            _wass_trial(_draw_source(cfg, H, 5, 20, _trial_seed(0, 0)), H,
+                        {**params, "max_queries": cap})
+        assert one_by_one.value.client_id == 0
+    assert not passes
+    ok = coverage_experiments(cfg, [("wass-mean", {**params, "max_queries": len(grid) + 1})],
+                              trials=2)
+    assert ok[0].trials == 2 and len(passes) == 1
 
 
 def _tilted_and_moved_targets(cfg):
@@ -674,8 +767,9 @@ def test_target_draws_need_one_layout():
 
 def _per_trial_coverage(cfg, bound_kind, params, trials, seed):
     """The coverage report of one kind from a loop over trials: each trial
-    draws its source and target risks, certifies with issue_certificate and
-    applies the outcome rule to that one certificate."""
+    draws its source and target risks, certifies with issue_certificate
+    (``wass-mean`` on the drawn world's clients) and applies the outcome
+    rule to that one certificate."""
     kind = "cdf" if bound_kind == "cdf-curve" else bound_kind
     h, K, n_k = params["h"], params["K"], params["n_k"]
     delta, epsilon = float(params.get("delta", 0.1)), float(params.get("epsilon", 0.0))
@@ -684,10 +778,11 @@ def _per_trial_coverage(cfg, bound_kind, params, trials, seed):
     target = target_world(cfg, kind, epsilon, h, params.get("f_name"))
     violations, per_lambda = 0, np.zeros(len(lams), dtype=int)
     for t in range(trials):
-        _, qv, ns = _draw_source(cfg, h, K, n_k, _trial_seed(seed, t))
+        source = _draw_source(cfg, h, K, n_k, _trial_seed(seed, t))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
         risks = fedcert.oracle.sample_true_risks(target, params["target_clients"], h, rng)
-        cert = issue_certificate(kind, req, qv, ns)
+        cert = (_wass_trial(source, h, req) if kind == "wass-mean"
+                else issue_certificate(kind, req, *source[1:]))
         if kind not in CURVE_KINDS:
             violations += int(float(np.mean(risks)) > cert.value + VIOLATION_GUARD)
             continue
@@ -738,6 +833,23 @@ def test_batched_coverage_equals_the_per_trial_loop(monkeypatch, trials, K, epsi
         assert any(0 < max(r["per_lambda"]["violation_rates"]) < 1 for r in got if "per_lambda" in r)
     with pytest.raises(ValueError):
         certify_rows("wass-mean", common, np.zeros((1, K)), np.full((1, K), n_k))
+
+
+@pytest.mark.parametrize("trials", [1, 5])
+@pytest.mark.parametrize("K", [1, 8])
+def test_batched_wass_coverage_equals_the_per_trial_path(trials, K):
+    # the per-trial path certified each trial's drawn world through its
+    # clients; two wass-mean kinds share the source pass, one under a cap
+    # that one zero-radius query and its grid fill exactly.  At these sizes
+    # every certificate reads 1 and no trial violates; the raw values are
+    # compared bit for bit in test_wass_rows_equal_each_trials_wass_mean_bound
+    cfg, seed = archetype_cfg(), 13
+    common = {"h": H, "K": K, "n_k": 20, "delta": 0.1, "target_clients": 300}
+    requests = [("wass-mean", {**common, "epsilon": 0.02, "grid_size": 6}),
+                ("wass-mean", {**common, "epsilon": 0.3, "grid_size": 3, "max_queries": 4})]
+    got = [r.to_json_dict() for r in coverage_experiments(cfg, requests, trials=trials, seed=seed)]
+    assert got == [_per_trial_coverage(cfg, kind, params, trials, seed)
+                   for kind, params in requests]
 
 
 def test_target_statistic_is_the_mean_or_the_survival_at_each_threshold():

@@ -38,7 +38,6 @@ from fedcert.losses import (
     score_loss_values,
 )
 from fedcert import concave
-from fedcert.concave import GreedyFill
 from fedcert.metasim import _BLOCK_BYTES
 from fedcert import query
 from fedcert.query import (
@@ -50,6 +49,7 @@ from fedcert.query import (
     sq_distances,
 )
 
+from _greedy_fill import GreedyFill
 from test_concave import chain_hull
 
 COST = TransportCost()

@@ -9,20 +9,20 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "fedcert"
 ORACLE = SRC / "oracle.py"
 
 # the solution code of the solvers the oracles cross-check
-SOLVER_NAMES = {"GreedyFill", "upper_hulls", "hull_pieces", "_block_hull",
+SOLVER_NAMES = {"RowFill", "upper_hulls", "hull_pieces", "_block_hull",
                 "_rise_over_chord", "_waterfill", "ball", "_kl_bernoulli",
                 "_mean_duals", "_golden", "_ScoreLineInner",
                 "_staircases_by_block", "_line_tables", "_padded", "_LEVELS",
                 "_rising_score", "_hull_fill", "_grid_staircases", "_tangent_vertices",
-                "_FlipInner", "_by_key", "_row_keyed", "_profiles", "_RowFill",
-                "_GridInner", "sq_distances", "of_sq_distance"}
+                "_FlipInner", "_by_key", "_profiles", "greedy",
+                "_GridInner", "sq_distances", "of_sq_distance", "_split"}
 
 # the bound functions and target shifts a certificate kind is wired to; the
 # command line reaches them only through oracle.issue_certificate and
 # oracle.target_world
 KIND_WIRING = {"mean_bound", "cdf_bound", "fdiv_mean_bound", "fdiv_cdf_bound",
                "mean_rows", "cdf_rows", "fdiv_mean_rows", "fdiv_cdf_rows",
-               "wass_mean_bound", "tilt_for_divergence"}
+               "wass_mean_bound", "wass_mean_rows", "tilt_for_divergence"}
 
 
 def _names(path):
@@ -48,12 +48,14 @@ def test_oracles_share_no_solution_code_with_the_solvers():
 
 
 def test_the_oracle_takes_from_wass_only_its_bound_and_default_grid():
-    # the allocation oracle evaluates the tangent envelopes with its own code
+    # the allocation oracle evaluates the tangent envelopes with its own
+    # code; the coverage trials take the rows kernel and the grid it reads
     tree = ast.parse(ORACLE.read_text())
     taken = {a.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "wass"
              for a in node.names}
-    assert taken == {"wass_mean_bound", "DEFAULT_GRID_SIZE"}
+    assert taken == {"wass_mean_bound", "wass_mean_rows", "certificate_grid",
+                     "DEFAULT_GRID_SIZE"}
     _, named = _names(ORACLE)
     assert "wass" not in named
 
@@ -76,34 +78,38 @@ def _call_name(node):
 
 def test_cli_and_oracle_take_drawn_clients_only_from_drawn_world_datasets():
     # a drawn world's clients are row views of its columns, which the query
-    # tables read in place; a dataset built here would be stacked again
-    for module in ("cli.py", "oracle.py"):
-        tree = ast.parse((SRC / module).read_text())
-        _, named = _names(SRC / module)
-        assert not named & {"LocalDataset", "row_view", "generate_dataset"}, module
-        clients = [node for node in ast.walk(tree)
-                   if isinstance(node, ast.Call) and _call_name(node) == "Client"]
-        checked = 0
-        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
-            # the calls each local name is assigned from
-            sources = {}
-            for node in ast.walk(func):
-                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                    for name in (n for t in node.targets for n in ast.walk(t)
-                                 if isinstance(n, ast.Name)):
-                        sources.setdefault(name.id, set()).add(_call_name(node.value))
-            for comp in ast.walk(func):
-                if not (isinstance(comp, ast.ListComp) and isinstance(comp.elt, ast.Call)
-                        and _call_name(comp.elt) == "Client"):
-                    continue
-                (gen,) = comp.generators
-                it = gen.iter
-                origin = {_call_name(it)} if isinstance(it, ast.Call) else sources.get(it.id)
-                # a drawn world's datasets, or a saved world's read back
-                assert origin and origin <= {"datasets", "load_world"}, (module, func.name)
-                assert comp.elt.args[1].id == gen.target.id, (module, func.name)
-                checked += 1
-        assert clients and checked == len(clients), module
+    # tables read in place; a dataset built here would be stacked again.  The
+    # oracle's trials read the sampling pass's blocks, and build no client
+    _, named = _names(ORACLE)
+    assert not named & {"Client", "draw_world", "query_empirical", "query_profiles",
+                        "LocalDataset", "row_view", "generate_dataset"}
+    module = "cli.py"
+    tree = ast.parse((SRC / module).read_text())
+    _, named = _names(SRC / module)
+    assert not named & {"LocalDataset", "row_view", "generate_dataset"}, module
+    clients = [node for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and _call_name(node) == "Client"]
+    checked = 0
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        # the calls each local name is assigned from
+        sources = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                for name in (n for t in node.targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)):
+                    sources.setdefault(name.id, set()).add(_call_name(node.value))
+        for comp in ast.walk(func):
+            if not (isinstance(comp, ast.ListComp) and isinstance(comp.elt, ast.Call)
+                    and _call_name(comp.elt) == "Client"):
+                continue
+            (gen,) = comp.generators
+            it = gen.iter
+            origin = {_call_name(it)} if isinstance(it, ast.Call) else sources.get(it.id)
+            # a drawn world's datasets, or a saved world's read back
+            assert origin and origin <= {"datasets", "load_world"}, (module, func.name)
+            assert comp.elt.args[1].id == gen.target.id, (module, func.name)
+            checked += 1
+    assert clients and checked == len(clients), module
 
 
 README = SRC.parents[1] / "README.md"

@@ -22,7 +22,6 @@ from fedcert import (
     loss_values,
 )
 from fedcert import wass
-from fedcert.concave import GreedyFill
 from fedcert.losses import CROSS_ENTROPY, LINEAR, LOGISTIC
 from fedcert.oracle import wass_alloc_grid_oracle, wass_ball_lp_oracle
 from fedcert.wass import (
@@ -33,6 +32,7 @@ from fedcert.wass import (
 )
 
 from _corpus import concave_curve, tangents
+from _greedy_fill import GreedyFill
 
 H = Hypothesis(kind=LOGISTIC, weights=np.array([1.0, -0.5]), bias=0.1)
 
@@ -215,13 +215,14 @@ def test_wass_mean_bound_waterfills_once(monkeypatch):
 
     monkeypatch.setattr(wass, "_waterfill", counting)
     b = wass_mean_bound(clients, H, eps, delta)
-    assert len(allocs) == 1
+    # one water-fill of the certificate's one row
+    assert len(allocs) == 1 and allocs[0].rho.shape == (1, 4)
     # the program value is the exact maximum itself, not a level near it
-    assert b.extra["program_value"] == allocs[0].objective
-    assert b.extra["witness_rho"] == allocs[0].rho.tolist()
+    assert b.extra["program_value"] == allocs[0].objective[0]
+    assert b.extra["witness_rho"] == allocs[0].rho[0].tolist()
     cap = mean_radius_cap(eps, delta, 4)
     assert b.params["mean_radius_cap"] == cap
-    assert allocs[0].rho.min() >= eps / 4 and allocs[0].mean_rho <= cap + 1e-12
+    assert allocs[0].rho.min() >= eps / 4 and allocs[0].mean_rho[0] <= cap + 1e-12
 
 
 def test_constant_profiles_stay_at_the_floor():
