@@ -17,6 +17,7 @@ from .losses import (
     SQUARED,
     ZERO_ONE,
     DimensionMismatchError,
+    FieldError,
     Hypothesis,
     LossFn,
     Sample,

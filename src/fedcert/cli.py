@@ -37,10 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import CdfCurve
-from .losses import LINEAR, LOOKUP, LOSS_KINDS, ZERO_ONE, Hypothesis, LossFn
+from .losses import LINEAR, LOOKUP, LOSS_KINDS, ZERO_ONE, FieldError, Hypothesis, LossFn
 from .metasim import (
     MetaConfig,
-    WorldFieldError,
     draw_world,
     export_world,
     load_world,
@@ -400,7 +399,7 @@ def _world_from_config(cfg: dict, seed: int | None) -> MetaConfig:
         wd["seed"] = int(seed)
     try:
         return MetaConfig.from_json_dict(wd)
-    except WorldFieldError as exc:
+    except FieldError as exc:
         raise ConfigError(f"config error at $.world.{exc.field}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"config error at $.world: {exc}") from exc
@@ -428,6 +427,8 @@ def _model_from_config(cfg: dict, world: MetaConfig) -> Hypothesis:
         return Hypothesis(kind="logistic", weights=wvec, bias=bias, name="world-lda")
     try:
         return Hypothesis.from_json_dict(md)
+    except FieldError as exc:
+        raise ConfigError(f"config error at $.model.{exc.field}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"config error at $.model: {exc}") from exc
 

@@ -25,6 +25,7 @@ __all__ = [
     "Hypothesis",
     "LossFn",
     "DimensionMismatchError",
+    "FieldError",
     "loss",
     "loss_values",
     "score_loss_values",
@@ -46,6 +47,16 @@ _P_FLOOR = 1e-12
 
 class DimensionMismatchError(ValueError):
     """Feature vector does not match the hypothesis' declared input width."""
+
+
+class FieldError(ValueError):
+    """A config field out of its range, shape or type: of a ``Hypothesis``
+    (``kind``, ``weights``, ``bias``, ``grid``) or of a world
+    (``metasim.MetaConfig``).  ``field`` names it within its section."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -87,28 +98,34 @@ class Hypothesis:
 
     def __post_init__(self):
         if self.kind not in HYPOTHESIS_KINDS:
-            raise ValueError(f"unknown hypothesis kind {self.kind!r}")
-        self.weights = np.asarray(self.weights, dtype=float)
+            raise FieldError("kind", f"{self.kind!r} is not one of {HYPOTHESIS_KINDS}")
+        self.weights = _float_array("weights", self.weights)
         if not np.all(np.isfinite(self.weights)):
-            raise ValueError("hypothesis weights must be finite")
+            raise FieldError("weights", "must be finite")
         if self.kind == LINEAR:
             if self.weights.ndim != 2:
-                raise ValueError("linear-classifier weights must be (C, d)")
-            self.bias = np.broadcast_to(
-                np.asarray(self.bias, dtype=float), (self.weights.shape[0],)
-            ).copy()
+                raise FieldError("weights", "of a linear-classifier must be (C, d)")
+            bias, C = _float_array("bias", self.bias), len(self.weights)
+            if bias.ndim > 1 or bias.size not in (1, C):
+                raise FieldError("bias", "of a linear-classifier needs one entry per class")
+            self.bias = np.broadcast_to(bias, (C,)).copy()
         elif self.kind == LOGISTIC:
             if self.weights.ndim != 1:
-                raise ValueError("logistic weights must be a vector")
-            self.bias = float(self.bias)
-        else:
+                raise FieldError("weights", "of a logistic rule must be a vector")
+            bias = _float_array("bias", self.bias)
+            if bias.size != 1:
+                raise FieldError("bias", "of a logistic rule must be one number")
+            self.bias = float(bias.reshape(-1)[0])
+        if self.grid is not None:
+            self.grid = _float_array("grid", self.grid)
+        if self.kind == LOOKUP:
             if self.grid is None:
-                raise ValueError("lookup-table hypothesis needs a grid")
-            self.grid = np.asarray(self.grid, dtype=float)
+                raise FieldError("grid", "is needed by a lookup-table")
             if self.grid.ndim == 1:
                 self.grid = self.grid[:, None]
             if self.weights.ndim != 1 or len(self.weights) != len(self.grid):
-                raise ValueError("lookup-table needs one prediction per grid point")
+                raise FieldError("weights", "of a lookup-table needs one prediction "
+                                 "per grid point")
 
     @property
     def n_features(self) -> int:
@@ -197,15 +214,9 @@ class Hypothesis:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Hypothesis":
-        return cls(
-            kind=d["kind"],
-            weights=np.asarray(d["weights"], dtype=float),
-            bias=np.asarray(d["bias"], dtype=float)
-            if isinstance(d.get("bias"), list)
-            else float(d.get("bias", 0.0)),
-            grid=np.asarray(d["grid"], dtype=float) if "grid" in d else None,
-            name=d.get("name", ""),
-        )
+        """The rule of a JSON object; FieldError names the field refused."""
+        return cls(kind=d["kind"], weights=d["weights"], bias=d.get("bias", 0.0),
+                   grid=d.get("grid"), name=d.get("name", ""))
 
     def cache_key(self) -> str:
         """Digest of what the predictions depend on: kind, and the shape and
@@ -228,6 +239,14 @@ class LossFn:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
+
+
+def _float_array(field: str, value) -> np.ndarray:
+    """``value`` as a float array, or FieldError naming ``field``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FieldError(field, f"is not an array of numbers: {exc}") from exc
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:

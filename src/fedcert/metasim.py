@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import Sample
+from .losses import FieldError, Sample
 
 __all__ = [
     "Archetype",
@@ -115,12 +115,8 @@ class Archetype:
         )
 
 
-class WorldFieldError(ValueError):
-    """A ``MetaConfig`` field out of its range or shape; ``field`` names it."""
-
-    def __init__(self, field: str, problem: str):
-        super().__init__(f"{field} {problem}")
-        self.field = field
+# the name ``MetaConfig``'s field errors were first exported under
+WorldFieldError = FieldError
 
 
 @dataclass
@@ -144,16 +140,16 @@ class MetaConfig:
             raise ValueError(f"shift_mode must be one of {SHIFT_MODES}")
         self.class_means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
         if self.class_means.shape != (self.n_classes, self.dim):
-            raise WorldFieldError("class_means", "must be (n_classes, dim)")
+            raise FieldError("class_means", "must be (n_classes, dim)")
         # numpy draws no Dirichlet at alpha 0 and no normal at a negative
         # scale; an infinite one fills the world with NaN
         if not 0 < self.cov_scale < np.inf:
-            raise WorldFieldError("cov_scale", "must be positive and finite")
+            raise FieldError("cov_scale", "must be positive and finite")
         if not 0 < self.alpha_dir < np.inf:
-            raise WorldFieldError("alpha_dir", "must be positive and finite")
+            raise FieldError("alpha_dir", "must be positive and finite")
         for name in ("sigma_affine", "sigma_shift"):
             if not 0 <= getattr(self, name) < np.inf:
-                raise WorldFieldError(name, "must be nonnegative and finite")
+                raise FieldError(name, "must be nonnegative and finite")
         if self.archetypes is not None:
             if self.archetype_weights is None:
                 self.archetype_weights = np.full(
@@ -161,18 +157,18 @@ class MetaConfig:
                 )
             self.archetype_weights = np.asarray(self.archetype_weights, dtype=float)
             if len(self.archetype_weights) != len(self.archetypes):
-                raise WorldFieldError("archetype_weights", "needs one weight per archetype")
+                raise FieldError("archetype_weights", "needs one weight per archetype")
             if np.any(self.archetype_weights < 0):
-                raise WorldFieldError("archetype_weights", "must be nonnegative")
+                raise FieldError("archetype_weights", "must be nonnegative")
             total = self.archetype_weights.sum()
             if not 0 < total < np.inf:
-                raise WorldFieldError("archetype_weights", "must have a positive, finite sum")
+                raise FieldError("archetype_weights", "must have a positive, finite sum")
             if abs(total - 1.0) > 1e-12:
                 self.archetype_weights = self.archetype_weights / total
             for i, a in enumerate(self.archetypes):
                 if a.class_means.shape != (self.n_classes, self.dim):
-                    raise WorldFieldError(f"archetypes[{i}].class_means",
-                                          "must match (n_classes, dim)")
+                    raise FieldError(f"archetypes[{i}].class_means",
+                                     "must match (n_classes, dim)")
 
     def to_json_dict(self) -> dict:
         out = {

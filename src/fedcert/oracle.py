@@ -667,13 +667,13 @@ def certify_rows(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
     """``issue_certificate`` for a (T, K) matrix of T problems: one kernel
     call returns each row's value and slack terms, or for a curve kind its
     band at the request's thresholds, in their given order.  ``wass-mean``
-    reads ``table``, the (values, slopes) on its ``certificate_grid``."""
+    reads ``table``: its ``certificate_grid`` and the (values, slopes) on
+    it."""
     delta = float(req["delta"])
     if kind == "wass-mean":
         if table is None:
             raise ValueError("wass-mean rows need the clients' answers on the radius grid")
-        return wass_mean_rows(*table, ns, float(req["epsilon"]), delta,
-                              grid_size=int(req.get("grid_size", DEFAULT_GRID_SIZE)))
+        return wass_mean_rows(*table, ns, float(req["epsilon"]), delta)
     if kind == "mean":
         return mean_rows(qv, ns, delta)
     if kind == "fdiv-mean":
@@ -905,7 +905,8 @@ def coverage_experiments(cfg: MetaConfig, requests: list[tuple[str, dict]],
     for plan, key, stat in zip(plans, src_keys, stats):
         value = certify_rows(plan.kind, plan.req, drawn[key][0],
                              np.full((trials, plan.K), plan.n_k),
-                             next(tables[key]) if plan.grid is not None else None).value
+                             (plan.grid, *next(tables[key])) if plan.grid is not None
+                             else None).value
         reports.append(plan.report(cfg, stat > value + VIOLATION_GUARD))
     return reports
 

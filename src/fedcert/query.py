@@ -8,8 +8,9 @@ entry and one unit of the query budget per radius.  ``query_profiles``
 answers many clients' radius vectors as one (K, G) table of values and
 slopes, and ``query_empirical`` many clients' zero-radius queries from one
 batched loss pass (``empirical_risks``); both pass each answer through
-``query`` in the same way.  The datasets of a drawn world are row views of
-its columns, and a block of consecutive rows of one draw is read in place
+``query`` in the same way.  Every answer, ``query``'s own included, is read
+off one table (``_profiles``).  The datasets of a drawn world are row views
+of its columns, and a block of consecutive rows of one draw is read in place
 (``_stacked``).  A query is charged once answered.  At rho = 0
 the answer is the plain empirical risk; at rho > 0 it is the worst-case risk
 over all data distributions within transport cost rho of the client's
@@ -19,12 +20,14 @@ empirical sample,
         =  min_{gamma >= 0}  gamma * rho + mean_i sup_{z'} [loss(z') - gamma c(z', z_i)]
 
 with the minimizing gamma known to lie in [0, 1/rho] for losses in [0, 1].
-A negative or NaN radius is refused.  Each inner solver is built once per
-hypothesis and answers a radius vector as a table (``table(rhos)``); the
-flip and grid routes' solvers stack many clients of one sample count and
-cost (and, for the grid, one grid array and loss), so ``query_profiles``
-builds one per block of them.  The route is chosen from the
-loss/hypothesis pair:
+A negative or NaN radius is refused.  One function, ``_route``, picks the
+route of a rule, loss and declared grid, and refuses what no route answers.
+``_make_inner`` builds that route's solver for B clients stacked as (B, n, d)
+features, once per call, and the solver answers a radius vector as a table
+(``table(rhos)``).  ``_profiles`` stacks the flip clients of one sample
+count and cost, and the grid clients of one sample count, cost, grid array
+and loss, and builds one solver per block of a stack; a score-line client
+is a stack of its own, and a lone client a block of one.  The routes:
 
   * zero-one loss with a binary linear rule on continuous features: a
     correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
@@ -285,7 +288,8 @@ def flip_risk_values(h: Hypothesis, features: np.ndarray, labels: np.ndarray, rh
                      cost: TransportCost = TransportCost()) -> tuple[np.ndarray, np.ndarray]:
     """(values, slopes), each (B, G), of B datasets of n samples stacked as
     ``features`` (B, n, d) and ``labels`` (B, n), at the positive radii
-    ``rhos``: the flip-route table ``query_profiles`` reads, row by row."""
+    ``rhos``: the flip route's table, as ``query_profiles`` builds it for a
+    block of flip clients."""
     return _FlipInner(h, features, labels, cost).table(rhos)
 
 
@@ -305,14 +309,6 @@ class _FillInner:
         ``RowFill`` call for every client and radius."""
         gain, slope = self._fill(self._n * np.asarray(rhos, dtype=float))
         return np.clip((self._base[:, None] + gain) / self._n, 0.0, 1.0), slope
-
-    def query_profile(self, rhos) -> list[QueryValue]:
-        """The first client's answer at each radius."""
-        values, slopes = self.table(rhos)
-        return [QueryValue(value=v, rho=r, gamma_star=g, inner_iterations=1,
-                           status=self._status)
-                for v, r, g in zip(values[0].tolist(), np.asarray(rhos, dtype=float).tolist(),
-                                   slopes[0].tolist())]
 
 
 # a stacked grid build spans about this many bytes of squared distances, taken
@@ -508,7 +504,9 @@ class _ScoreLineInner(_FillInner):
     """Clipped cross-entropy or squared loss with a logistic rule: the
     knapsack over the staircase candidates on each sample's score line, an
     upper bound within ``SCORE_LINE_TAU`` of the worst case (module
-    docstring).  ``phi`` is the maximum over the nodes, which are feasible.
+    docstring), for B clients of n samples each, stacked as features
+    (B, n, d) and labels (B, n).  ``phi`` is the maximum over the nodes,
+    which are feasible.
 
     The build makes one model pass, for the scores; the nodes' losses come
     from their scores alone (``score_loss_values``).  The samples of one
@@ -523,18 +521,19 @@ class _ScoreLineInner(_FillInner):
     _status = "bound"
 
     def __init__(self, h, X, y, cost, loss_fn):
-        y = np.asarray(y, dtype=float)
+        B, n = np.shape(y)
+        y = np.asarray(y, dtype=float).reshape(-1)
         if loss_fn.kind == CROSS_ENTROPY and not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("clipped cross-entropy with a logistic rule needs labels 0 and 1")
-        self._s = h.scores(X)   # the build's one model pass
+        self._s = h.stacked_scores(X)   # the build's one model pass
         self._own = score_loss_values(loss_fn, h, self._s, y)
         # a constant rule (w = 0) has only padding, whose costs never count
         self._cost, self._w = cost, float(np.linalg.norm(h.weights)) or 1.0
         labels, self._which = np.unique(y, return_inverse=True)
         tables = zip(*(_line_tables(h, loss_fn, lab) for lab in labels))
         self._loss, self._via_u, self._via_l, self._node_u, self._node_l = map(_padded, tables)
-        self._n = len(y)
-        self._base, self._fill = _hull_fill(self._staircases_by_block(), 1)
+        self._n = n
+        self._base, self._fill = _hull_fill(self._staircases_by_block(), B)
 
     def _costs(self, u, s):
         """The cost of moving samples of scores s to the points of scores u."""
@@ -547,7 +546,7 @@ class _ScoreLineInner(_FillInner):
         The keys are the distances |u - s| / |w|, zeroed there, and
         ``of_distance`` maps them to costs."""
         step = max(1, _HULL_BLOCK // self._loss.shape[1])
-        for start in range(0, self._n, step):
+        for start in range(0, len(self._s), step):
             block = slice(start, start + step)
             present, which = np.unique(self._which[block], return_inverse=True)
             s, own = self._s[block, None], self._own[block]
@@ -627,19 +626,18 @@ def _rising_score(loss_fn, level, y, side):
         return np.log(p / (1.0 - p))
 
 
-def _flips(h: Hypothesis, loss_fn: LossFn, grid) -> bool:
-    """Whether robust queries of this rule, loss and grid take the flip route."""
-    return (grid is None and loss_fn.kind == ZERO_ONE
-            and (h.kind == LOGISTIC or (h.kind == LINEAR and h.n_classes == 2)))
-
-
-def _make_inner(h, X, y, cost, loss_fn, grid):
+def _route(h: Hypothesis, loss_fn: LossFn, grid) -> tuple[str, object]:
+    """The route of robust queries of rule ``h`` under ``loss_fn`` with the
+    declared perturbation ``grid`` (None for none), and what it searches:
+    ("grid", the declared grid, or a lookup table's own), ("flip", None), or
+    ("line", the logistic rule on the score line: ``h``, or a two-class
+    linear-classifier's rule on its margin).  A triple no route answers is
+    refused with ValueError."""
     if h.kind == LOOKUP or grid is not None:
-        return _GridInner(h, np.atleast_2d(X)[None], np.asarray(y)[None],
-                          h.grid if grid is None else grid, cost, loss_fn)
-    if _flips(h, loss_fn, grid):
-        return _FlipInner(h, np.asarray(X, dtype=float)[None], np.asarray(y)[None], cost)
+        return "grid", h.grid if grid is None else grid
     if loss_fn.kind == ZERO_ONE:
+        if h.kind == LOGISTIC or (h.kind == LINEAR and h.n_classes == 2):
+            return "flip", None
         raise ValueError("zero-one adversarial queries need a binary linear rule "
                          "or a declared perturbation grid")
     if h.kind == LINEAR:
@@ -648,7 +646,18 @@ def _make_inner(h, X, y, cost, loss_fn, grid):
                              "clipped cross-entropy with a two-class linear-classifier")
         h = Hypothesis(kind=LOGISTIC, weights=h.margin_direction(),
                        bias=float(h.bias[1] - h.bias[0]))
-    return _ScoreLineInner(h, X, y, cost, loss_fn)
+    return "line", h
+
+
+def _make_inner(h, X, y, cost, loss_fn, grid) -> _FillInner:
+    """The inner solver of B clients of n samples each, stacked as features
+    X (B, n, d) and labels y (B, n), on the route ``_route`` picks."""
+    route, searched = _route(h, loss_fn, grid)
+    if route == "grid":
+        return _GridInner(h, X, y, searched, cost, loss_fn)
+    if route == "flip":
+        return _FlipInner(h, X, y, cost)
+    return _ScoreLineInner(searched, X, y, cost, loss_fn)
 
 
 def phi_gamma(
@@ -662,7 +671,8 @@ def phi_gamma(
     """Penalized single-sample supremum sup_{z'} loss(z') - gamma c(z', z)."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    inner = _make_inner(h, z.features[None, :], np.array([z.label]), cost, loss_fn, grid)
+    inner = _make_inner(h, z.features[None, None, :], np.array([[z.label]]), cost, loss_fn,
+                        grid)
     return float(inner.phi(gamma)[0])
 
 
@@ -674,13 +684,9 @@ def adversarial_risk(
     loss_fn: LossFn = LossFn(ZERO_ONE),
     grid: np.ndarray | None = None,
 ) -> QueryValue:
-    """Worst-case mean loss over the transport ball of radius rho."""
-    if not rho >= 0:
-        raise ValueError("rho must be nonnegative")
-    if rho == 0.0:
-        return empirical_risk(h, dataset, loss_fn)
-    inner = _make_inner(h, dataset.features, dataset.labels, cost, loss_fn, grid)
-    return inner.query_profile([rho])[0]
+    """Worst-case mean loss over the transport ball of radius rho: the
+    answer of a fresh client holding ``dataset``."""
+    return Client(dataset.client_id, dataset, loss_fn, cost, grid=grid).query(h, rho)
 
 
 class Client:
@@ -708,7 +714,6 @@ class Client:
         self._cost = cost
         self._grid = grid
         self._used = 0
-        self._inner_cache: tuple[str, _FillInner] | None = None
 
     @property
     def queries_used(self) -> int:
@@ -721,23 +726,22 @@ class Client:
     def query(self, h: Hypothesis, rho: float = 0.0, *,
               _answer: QueryValue | None = None) -> QueryValue:
         """Answer one loss query; raises ValueError for a negative or NaN rho
-        and BudgetExceededError past the cap.  The query is charged and
-        logged once answered, so a query the inner solver refuses uses no
-        budget.  ``query_profile`` passes in the answers it computed, so
-        every answer that leaves the client is charged and logged here."""
+        and BudgetExceededError past the cap.  The answer is this client's
+        one-radius table (``_profiles``).  The query is charged and logged
+        once answered, so a query the inner solver refuses uses no budget.
+        ``query_profile`` passes in the answers it computed, so every answer
+        that leaves the client is charged and logged here."""
         if not rho >= 0.0:
             raise ValueError("rho must be nonnegative")
         if self.max_queries is not None and self._used >= self.max_queries:
             raise BudgetExceededError(self.client_id, self.max_queries)
-        if _answer is not None:
-            qv = _answer
-        elif rho == 0.0:
-            qv = empirical_risk(h, self._dataset, self._loss_fn)
-        else:
-            qv = self._inner(h).query_profile([rho])[0]
+        if _answer is None:
+            rho = float(rho)
+            values, slopes, _, status = _profiles([self], h, [rho])
+            _answer, = _answers([rho], values[0], slopes[0], status[0])
         self._used += 1
-        self.audit_log.append({"client": self.client_id, **qv.to_json_dict()})
-        return qv
+        self.audit_log.append({"client": self.client_id, **_answer.to_json_dict()})
+        return _answer
 
     def query_profile(self, h: Hypothesis, rhos) -> list[QueryValue]:
         """Answer one loss query per radius, in order: ``query_profiles`` for
@@ -755,26 +759,20 @@ class Client:
         """Pass the answers to the first ``fit`` radii through ``query``,
         which charges and logs each, and ask the next radius, if any, with
         no answer, so that ``query`` raises BudgetExceededError as a loop of
-        ``query`` calls would.  A zero radius's answer is the empirical
-        risk's."""
-        answers = [QueryValue._checked(v, r, g, 1, status) if r != 0.0
-                   else QueryValue._checked(v, 0.0, 0.0, 0, "exact")
-                   for r, v, g in zip(rhos[:fit], values.tolist(), slopes.tolist())]
-        out = [self.query(h, r, _answer=qv) for r, qv in zip(rhos, answers)]
+        ``query`` calls would."""
+        out = [self.query(h, r, _answer=qv)
+               for r, qv in zip(rhos, _answers(rhos[:fit], values, slopes, status))]
         if fit < len(rhos):
             self.query(h, rhos[fit])   # past the budget: raises before answering
         return out
 
-    def _inner(self, h: Hypothesis) -> _FillInner:
-        # the inner solver's precomputations depend only on h, reuse across radii
-        key = h.cache_key()
-        if self._inner_cache is None or self._inner_cache[0] != key:
-            inner = _make_inner(
-                h, self._dataset.features, self._dataset.labels,
-                self._cost, self._loss_fn, self._grid,
-            )
-            self._inner_cache = (key, inner)
-        return self._inner_cache[1]
+
+def _answers(rhos: list[float], values, slopes, status: str) -> list[QueryValue]:
+    """One client's answers to ``rhos`` from its row of the table: a zero
+    radius's answer is the empirical risk's."""
+    return [QueryValue._checked(v, r, g, 1, status) if r != 0.0
+            else QueryValue._checked(v, 0.0, 0.0, 0, "exact")
+            for r, v, g in zip(rhos, values.tolist(), slopes.tolist())]
 
 
 def query_empirical(clients: list[Client], h: Hypothesis) -> list[QueryValue]:
@@ -827,20 +825,22 @@ def query_profiles(clients: list[Client], h: Hypothesis, rhos) -> tuple[np.ndarr
 
 
 def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
-    """The answers ``query_profiles`` charges: (values, slopes, fits,
-    status) for the clients up to the first whose budget runs out within
-    ``rhos``, where ``fits`` counts the radii each has budget for and
-    ``status`` is each route's status.  Only those radii are answered.
+    """The answers ``query_profiles`` and ``Client.query`` charge: (values,
+    slopes, fits, status) for the clients up to the first whose budget runs
+    out within ``rhos``, where ``fits`` counts the radii each has budget for
+    and ``status`` is each route's status.  Only those clients are answered.
 
-    The flip and grid clients are stacked (``_stack_key``): flip clients of
-    one feature shape and cost, and grid clients of one grid array, feature
-    shape, cost and loss.  A stack answers through one stacked inner per
-    block, of about ``_BLOCK_BYTES`` of features for the flip route (as
-    ``empirical_risk_values`` blocks them) and about ``_GRID_BLOCK_BYTES``
-    of squared distances for the grid route; a lone client, and a
-    score-line client, through the client's own cached inner.  Every inner
-    answers through one ``RowFill`` call.  A zero radius takes the
-    empirical risk (``_risks_of``) and slope 0."""
+    Every client with a radius to answer above 0 joins a stack, by its route
+    (``_route``): flip clients of one feature shape and cost, grid clients
+    of one grid array, feature shape, cost and loss, and each score-line
+    client alone.  Every route is picked before any solver is built, so a
+    refused one is refused before any work.  A stack answers through one
+    inner (``_make_inner``) per block, of about ``_BLOCK_BYTES`` of features
+    for the flip route (as ``empirical_risk_values`` blocks them) and about
+    ``_GRID_BLOCK_BYTES`` of squared distances for the grid route; a lone
+    client is a block of one.  Every inner answers every radius above 0
+    through one ``RowFill`` call.  A zero radius takes the empirical risk
+    (``_risks_of``) and slope 0."""
     G = len(rhos)
     fits = []
     for c in clients:
@@ -852,54 +852,30 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
     robust = [j for j, r in enumerate(rhos) if r != 0.0]
     zero = [j for j, r in enumerate(rhos) if r == 0.0]
     by_loss: dict[LossFn, list[int]] = {}
-    stacks: dict[tuple, list[int]] = {}
+    stacks: dict[tuple, tuple[object, list[int]]] = {}
     for i, (c, fit) in enumerate(zip(clients, fits)):
         if zero and zero[0] < fit:
             by_loss.setdefault(c._loss_fn, []).append(i)
         if robust and robust[0] < fit:
-            # a score-line client stands alone
-            stacks.setdefault(_stack_key(h, c) or i, []).append(i)
-    for key, idx in stacks.items():
-        if len(idx) == 1:
-            inner = clients[idx[0]]._inner(h)
-            asked = [j for j in robust if j < fits[idx[0]]]
-            v, g = inner.table([rhos[j] for j in asked])
-            values[idx[0], asked], slopes[idx[0], asked], status[idx[0]] = v[0], g[0], inner._status
-            continue
-        route, (n, _), cost = key[:3]
-        if route == "grid":
-            grid = _grid_of(h, clients[idx[0]])
-            step = max(1, _GRID_BLOCK_BYTES // (8 * n * len(grid)))
-        else:
-            step = _block_rows(n, h)
+            route, searched = _route(h, c._loss_fn, c._grid)
+            # a score-line client is a stack of its own
+            key = (route, c._dataset.features.shape, c._cost, c._loss_fn,
+                   i if route == "line" else id(searched))
+            stacks.setdefault(key, (searched, []))[1].append(i)
+    asked = [rhos[j] for j in robust]
+    for (route, (n, _), cost, loss_fn, _), (searched, idx) in stacks.items():
+        step = (max(1, _GRID_BLOCK_BYTES // (8 * n * len(searched))) if route == "grid"
+                else _block_rows(n, h))
         for start in range(0, len(idx), step):
             rows = idx[start:start + step]
             X, y = _stacked([clients[i]._dataset for i in rows])
-            asked = [rhos[j] for j in robust]
-            v, g = (_GridInner(h, X, y, grid, cost, key[4]).table(asked) if route == "grid"
-                    else flip_risk_values(h, X, y, asked, cost))
-            values[np.ix_(rows, robust)], slopes[np.ix_(rows, robust)] = v, g
+            inner = _make_inner(h, X, y, cost, loss_fn, clients[rows[0]]._grid)
+            values[np.ix_(rows, robust)], slopes[np.ix_(rows, robust)] = inner.table(asked)
+            for i in rows:
+                status[i] = inner._status
     for loss_fn, idx in by_loss.items():
         values[np.ix_(idx, zero)] = _risks_of(h, [clients[i]._dataset for i in idx],
                                               loss_fn)[:, None]
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValueError("query values live in [0, 1]")
     return values, slopes, fits, status
-
-
-def _stack_key(h: Hypothesis, c: Client) -> tuple | None:
-    """What a client's robust queries of ``h`` are stacked by: the route,
-    the feature shape and the cost, then for the grid route the grid
-    array's identity and the loss; None for the score-line route, which is
-    not stacked."""
-    shape = c._dataset.features.shape
-    if h.kind == LOOKUP or c._grid is not None:
-        return ("grid", shape, c._cost, id(_grid_of(h, c)), c._loss_fn)
-    if _flips(h, c._loss_fn, c._grid):
-        return ("flip", shape, c._cost)
-    return None
-
-
-def _grid_of(h: Hypothesis, c: Client) -> np.ndarray:
-    """The grid a grid-route client searches: its own, or the lookup table's."""
-    return h.grid if c._grid is None else c._grid

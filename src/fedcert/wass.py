@@ -137,21 +137,28 @@ def _waterfill(grid, values, slopes, floor: float, mean_cap: float) -> RadiusAll
     """Exact maximizer of the mean envelope value under the radius floor and
     mean cap, for each row of (..., K, G) values and slopes.  Client k's
     envelope is min(1, min_j values[k, j] + slopes[k, j] (rho - grid[j])):
-    line j from vertex j-1 to vertex j, cut short where it reaches 1.  One
-    ``RowFill`` pours each row's spare budget onto its pieces in slope order."""
+    line j from vertex j-1 to vertex j, cut short where it reaches 1.  The
+    rising pieces of each row, in client and line order, make one row of a
+    ``RowFill``, which pours the row's spare budget onto them in slope
+    order."""
     *lead, K, G = np.shape(values)
     x = _tangent_vertices(grid, values, slopes)
     edge = np.full((*lead, K, 1), np.inf)
     lo = np.maximum(np.concatenate([-edge, x], axis=-1), floor)
-    # where each line reaches 1; a flat line never does, and a line that
-    # rises over no width is a piece of no cost and no gain
+    # where each line reaches 1; a flat line never does, and one that rises
+    # over no width is no piece
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = lo + (1.0 - (values + slopes * (lo - grid))) / slopes
         width = np.minimum(np.concatenate([x, edge], axis=-1), reach) - lo
-        width = np.where((slopes > 0.0) & (width > 0.0), width, 0.0)
-        gain = slopes * width
-    taken = RowFill.greedy(width.reshape(-1, K * G), gain.reshape(-1, K * G),
-                           np.full(width.size // (K * G), K * G)).taken(K * (mean_cap - floor))
+    rising = ((slopes > 0.0) & (width > 0.0)).reshape(-1, K * G)
+    m = np.count_nonzero(rising, axis=1)
+    # each row's pieces, in order, at its front
+    piece = np.arange(m.max(initial=0)) < m[:, None]
+    cost, gain = np.zeros(piece.shape), np.zeros(piece.shape)
+    cost[piece] = width.reshape(rising.shape)[rising]
+    gain[piece] = slopes.reshape(rising.shape)[rising] * cost[piece]
+    taken = np.zeros(rising.shape)
+    taken[rising] = RowFill.greedy(cost, gain, m).taken(K * (mean_cap - floor))[piece]
     # a client's pieces tile its radii from the floor, and fill left to right
     client = np.repeat(np.arange(taken.size // G), G)
     rho = floor + np.bincount(client, weights=taken.reshape(-1)).reshape(*lead, K)
@@ -176,13 +183,14 @@ def _chords(grid, values, rho) -> np.ndarray:
     return lo + t * (hi - lo)
 
 
-def wass_mean_rows(values, slopes, ns, epsilon: float, delta: float, *,
-                   grid_size: int = DEFAULT_GRID_SIZE, include_slack: bool = True) -> Rows:
+def wass_mean_rows(grid, values, slopes, ns, epsilon: float, delta: float, *,
+                   include_slack: bool = True) -> Rows:
     """``wass_mean_bound`` of T client populations from their answers on
-    ``certificate_grid``, ``values`` and ``slopes`` (T, K, G), and sample
-    counts ``ns`` (T, K): each term is (T,), and the witness radii (T, K)."""
+    ``grid``, ``values`` and ``slopes`` (T, K, G), and sample counts ``ns``
+    (T, K): each term is (T,), and the witness radii (T, K).  ``grid`` is
+    the ``certificate_grid`` of these counts and budget, which has checked
+    the budget."""
     ns = np.asarray(ns, dtype=float)
-    grid = certificate_grid(ns, epsilon, delta, grid_size=grid_size, include_slack=include_slack)
     if np.shape(values)[-1] != len(grid) or np.shape(values)[:-1] != ns.shape:
         raise ValueError("each client needs one answer per radius of its certificate grid")
     T, K = ns.shape
@@ -221,8 +229,8 @@ def wass_mean_bound(
     ns = np.array([c.n_samples for c in clients], dtype=float)
     grid = certificate_grid(ns, epsilon, delta, grid_size=grid_size, include_slack=include_slack)
     values, slopes = query_profiles(clients, h, grid)
-    row = wass_mean_rows(values[None], slopes[None], ns[None], epsilon, delta,
-                         grid_size=grid_size, include_slack=include_slack)
+    row = wass_mean_rows(grid, values[None], slopes[None], ns[None], epsilon, delta,
+                         include_slack=include_slack)
     return CertifiedBound(
         kind="wass-mean",
         value=float(row.value[0]),

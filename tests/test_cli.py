@@ -514,9 +514,13 @@ def test_a_world_dir_of_the_declared_size_certifies(tmp_path):
 @pytest.mark.parametrize("change, where", [
     (lambda cfg: cfg["world"].update(class_means={"a": 1}), "$.world"),
     (lambda cfg: cfg["world"]["archetypes"][0].update(score=[1]), "$.world"),
-    (lambda cfg: cfg.update(model={"kind": "logistic", "weights": {"a": 1}}), "$.model"),
+    (lambda cfg: cfg.update(model={"kind": "logistic", "weights": {"a": 1}}),
+     "$.model.weights"),
     (lambda cfg: cfg.update(model={"kind": "logistic", "weights": [1, 0], "bias": [1, 2]}),
-     "$.model"),
+     "$.model.bias"),
+    (lambda cfg: cfg.update(model={"kind": "tree", "weights": [1, 0]}), "$.model.kind"),
+    (lambda cfg: cfg.update(model={"kind": "lookup-table", "weights": [0, 1]}),
+     "$.model.grid"),
     (lambda cfg: cfg["world"]["archetypes"][0].update(class_means=[[1e300, 0], [0, 0]]),
      "$.model.from_world"),
     (lambda cfg: cfg.update(model={"from_world": {"scale": 1e300}}), "$.model.weights"),
@@ -527,7 +531,7 @@ def test_a_world_dir_of_the_declared_size_certifies(tmp_path):
                                                                    [1.0, 0.0, 0.0]]),
      "$.world.archetypes[1].class_means"),
 ], ids=["world-means-object", "archetype-score-list", "weights-object", "bias-list",
-        "from-world-overflow", "margin-norm-overflow", "margin-norm-underflow",
+        "unknown-kind", "lookup-without-grid", "from-world-overflow", "margin-norm-overflow", "margin-norm-underflow",
         "world-means-shape", "archetype-means-shape"])
 def test_a_model_or_world_the_library_refuses_exits_one_at_its_path(tmp_path, capsys,
                                                                      command, change, where):

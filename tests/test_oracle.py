@@ -697,7 +697,7 @@ def test_wass_rows_equal_each_trials_wass_mean_bound(K, epsilon, grid_size):
     roots = [_trial_seed(13, t) for t in range(trials)]
     grid = certificate_grid(np.full(K, n_k), epsilon, 0.1, grid_size=grid_size)
     qv, (table,) = _source_risks(cfg, H, roots, K, n_k, [grid])
-    rows = certify_rows("wass-mean", req, qv, np.full((trials, K), n_k), table)
+    rows = certify_rows("wass-mean", req, qv, np.full((trials, K), n_k), (grid, *table))
     for t, root in enumerate(roots):
         cert = _wass_trial(_draw_source(cfg, H, K, n_k, root), H, req)
         want = {"value": cert.value, "raw_value": cert.raw_value, "slack": cert.slack,
@@ -850,6 +850,29 @@ def test_batched_wass_coverage_equals_the_per_trial_path(trials, K):
     got = [r.to_json_dict() for r in coverage_experiments(cfg, requests, trials=trials, seed=seed)]
     assert got == [_per_trial_coverage(cfg, kind, params, trials, seed)
                    for kind, params in requests]
+
+
+def test_wass_coverage_counts_the_trials_whose_rows_read_below_their_target(monkeypatch):
+    # at test sizes every wass-mean certificate reads 1 and no trial
+    # violates; with the rows of trials 0, 2 and 4 lowered to 0, those read
+    # below their target's mean risk, and the report counts them and fails
+    cfg, trials = archetype_cfg(), 5
+    request = ("wass-mean", {"h": H, "K": 8, "n_k": 20, "delta": 0.1, "epsilon": 0.02,
+                             "grid_size": 6, "target_clients": 300})
+    honest, = coverage_experiments(cfg, [request], trials=trials, seed=13)
+    assert honest.violations == 0 and honest.passed
+    rows_of = fedcert.oracle.wass_mean_rows
+
+    def lowered(*args, **kwargs):
+        rows = rows_of(*args, **kwargs)
+        value = rows.value.copy()
+        value[::2] = 0.0
+        return rows._replace(value=value)
+
+    monkeypatch.setattr(fedcert.oracle, "wass_mean_rows", lowered)
+    report, = coverage_experiments(cfg, [request], trials=trials, seed=13)
+    assert (report.trials, report.violations, report.violation_rate) == (trials, 3, 3 / trials)
+    assert report.violation_rate > report.threshold and not report.passed
 
 
 def test_target_statistic_is_the_mean_or_the_survival_at_each_threshold():

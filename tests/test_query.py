@@ -725,24 +725,29 @@ def test_score_line_plateau_and_asymptote_hand_values():
         assert reach <= qv.value <= min(reach, 0.25) + SCORE_LINE_TAU
 
 
-def test_score_line_build_makes_one_model_pass_and_queries_none(monkeypatch):
+def _counted_model_passes(monkeypatch):
+    """The number of samples each ``scores`` or ``stacked_scores`` call
+    scores, in call order."""
+    passes = []
+    for name in ("scores", "stacked_scores"):
+        def counted(self, Xq, model=getattr(Hypothesis, name)):
+            out = model(self, Xq)
+            passes.append(len(out))
+            return out
+        monkeypatch.setattr(Hypothesis, name, counted)
+    return passes
+
+
+def test_score_line_build_makes_one_model_pass_per_profile_call(monkeypatch):
     rng = np.random.default_rng(np.random.SeedSequence(1303))
     h, X, y, loss_fn, cost = _score_line_instance(rng, CROSS_ENTROPY, "l2")
     c = Client(0, dataset(X, y), loss_fn, cost=cost)
-    passes = []
-    scores = Hypothesis.scores
-
-    def counted(self, Xq):
-        passes.append(len(Xq))
-        return scores(self, Xq)
-
-    monkeypatch.setattr(Hypothesis, "scores", counted)
+    passes = _counted_model_passes(monkeypatch)
     c.query(h, 0.1)
-    assert 1 <= len(passes) <= 2
+    assert passes == [len(X)]
     del passes[:]
-    for rho in (0.01, 0.5, 2.0):
-        c.query(h, rho)
-    assert passes == []
+    c.query_profile(h, [0.01, 0.5, 2.0])
+    assert passes == [len(X)]
 
 
 def test_score_line_cross_entropy_needs_binary_labels():
@@ -785,14 +790,16 @@ _REFERENCE_RHOS = np.concatenate([[0.0], np.geomspace(1e-5, 20.0, 40)])
 
 
 def assert_answers_match(inner, base, fill):
-    """A one-client inner's answers equal, bit for bit, the reference
-    ``GreedyFill`` ``fill``'s from the total loss ``base`` at cost 0."""
+    """A one-client inner's table equals, bit for bit, the reference
+    ``GreedyFill`` ``fill``'s from the total loss ``base`` at cost 0, and
+    its status is its route's."""
     assert inner._base.tolist() == [base]
     gain, slope = fill(inner._n * _REFERENCE_RHOS)
-    values = np.clip((base + gain) / inner._n, 0.0, 1.0)
-    want = [QueryValue(value=v, rho=r, gamma_star=g, inner_iterations=1, status=inner._status)
-            for v, r, g in zip(values.tolist(), _REFERENCE_RHOS.tolist(), slope.tolist())]
-    assert inner.query_profile(_REFERENCE_RHOS) == want   # every field
+    values, slopes = inner.table(_REFERENCE_RHOS)
+    assert values.shape == slopes.shape == (1, len(_REFERENCE_RHOS))
+    assert values[0].tobytes() == np.clip((base + gain) / inner._n, 0.0, 1.0).tobytes()
+    assert slopes[0].tobytes() == slope.tobytes()
+    assert inner._status == ("bound" if isinstance(inner, query._ScoreLineInner) else "exact")
 
 
 def _grid_case(name):
@@ -831,7 +838,7 @@ def _grid_case(name):
                                   "cost-0 neighbour"])
 def test_grid_fill_matches_the_per_row_reference(name):
     h, X, y, grid, cost, loss_fn = _grid_case(name)
-    inner = _make_inner(h, X, y, cost, loss_fn, grid)
+    inner = _make_inner(h, X[None], np.asarray(y)[None], cost, loss_fn, grid)
     search = h.grid if grid is None else grid
     if name == "cost-0 neighbour":
         assert cost.pairwise(X[:1], search)[0, -1] == 0.0
@@ -927,7 +934,7 @@ def test_score_line_fill_matches_the_per_row_reference(kind, cost_kind):
     rng = np.random.default_rng(np.random.SeedSequence([1703, len(kind), len(cost_kind)]))
     cost, loss_fn = TransportCost(cost_kind), LossFn(kind)
     for name, h, X, y in _line_cases(kind, rng):
-        inner = _make_inner(h, X, y, cost, loss_fn, None)
+        inner = _make_inner(h, X[None], y[None], cost, loss_fn, None)
         rows, costly = line_reference_rows(h, X, y, cost, loss_fn)
         if name == "random":
             assert sum(len(c) for c, _ in rows) > 2 * concave._HULL_BLOCK   # several blocks
@@ -958,7 +965,7 @@ def full_cost_line_staircases(inner):
 def test_score_line_staircases_from_distance_minima_equal_the_full_cost_ones(kind, cost_kind):
     rng = np.random.default_rng(np.random.SeedSequence([1705, len(kind), len(cost_kind)]))
     for name, h, X, y in _line_cases(kind, rng):
-        inner = _make_inner(h, X, y, TransportCost(cost_kind), LossFn(kind), None)
+        inner = _make_inner(h, X[None], y[None], TransportCost(cost_kind), LossFn(kind), None)
         got, want = list(inner._staircases_by_block()), list(full_cost_line_staircases(inner))
         assert len(got) == len(want), name
         for g, w in zip(got, want):
@@ -1105,6 +1112,66 @@ def test_query_profile_answers_what_fits_when_the_budget_runs_out(route):
     assert batched.queries_used == 4 and len(batched.audit_log) == 4
 
 
+_ROUTE_RULES = {
+    "logistic": Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0),
+    "binary-linear": Hypothesis(kind=LINEAR, weights=np.array([[1.0], [-1.0]]),
+                                bias=np.zeros(2)),
+    "three-class": Hypothesis(kind=LINEAR, weights=np.array([[1.0], [0.0], [-1.0]]),
+                              bias=np.zeros(3)),
+    "lookup": Hypothesis(kind=LOOKUP, weights=np.array([0.0, 1.0]),
+                         grid=np.array([[0.0], [1.0]])),
+}
+_NO_ZERO_ONE_ROUTE = ("zero-one adversarial queries need a binary linear rule "
+                      "or a declared perturbation grid")
+_NO_SMOOTH_ROUTE = ("smooth-loss adversarial queries need a logistic rule, or "
+                    "clipped cross-entropy with a two-class linear-classifier")
+# the route of each rule and loss with no declared grid, or its refusal; a
+# declared grid, and a lookup table's own, takes the grid route
+_ROUTE_TABLE = {
+    ("logistic", ZERO_ONE): "flip",
+    ("logistic", CROSS_ENTROPY): "line",
+    ("logistic", SQUARED): "line",
+    ("binary-linear", ZERO_ONE): "flip",
+    ("binary-linear", CROSS_ENTROPY): "line",
+    ("binary-linear", SQUARED): _NO_SMOOTH_ROUTE,
+    ("three-class", ZERO_ONE): _NO_ZERO_ONE_ROUTE,
+    ("three-class", CROSS_ENTROPY): _NO_SMOOTH_ROUTE,
+    ("three-class", SQUARED): _NO_SMOOTH_ROUTE,
+    ("lookup", ZERO_ONE): "grid",
+    ("lookup", CROSS_ENTROPY): "grid",
+    ("lookup", SQUARED): "grid",
+}
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["no-grid", "grid"])
+@pytest.mark.parametrize("rule, kind", list(_ROUTE_TABLE))
+def test_the_route_table_and_its_refusals_at_every_entry_point(rule, kind, declared):
+    """A refused rule, loss and grid raises the same ValueError through
+    every entry point, before anything is charged or logged."""
+    h, loss_fn = _ROUTE_RULES[rule], LossFn(kind)
+    grid = np.array([[0.0], [1.0], [2.0]]) if declared else None
+    want = "grid" if declared else _ROUTE_TABLE[rule, kind]
+    if want in ("flip", "grid", "line"):
+        assert query._route(h, loss_fn, grid)[0] == want
+        return
+    ds = dataset([[0.0], [1.0]], [0, 1])
+    asks = {
+        "_route": lambda c: query._route(h, loss_fn, grid),
+        "Client.query": lambda c: c.query(h, 0.1),
+        "query_profile": lambda c: c.query_profile(h, [0.0, 0.1]),
+        "query_profiles": lambda c: query_profiles([c], h, [0.0, 0.1]),
+        "adversarial_risk": lambda c: adversarial_risk(h, ds, 0.1, COST, loss_fn, grid),
+        "phi_gamma": lambda c: phi_gamma(h, 0.5, Sample(ds.features[0], 0), COST, loss_fn,
+                                         grid),
+    }
+    for name, ask in asks.items():
+        c = Client(0, ds, loss_fn, max_queries=3, grid=grid)
+        with pytest.raises(ValueError) as err:
+            ask(c)
+        assert str(err.value) == want, name
+        assert c.queries_used == 0 and c.audit_log == [], name
+
+
 @pytest.mark.parametrize("h, labels, kind", [
     (Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0), [0.0, 0.5], CROSS_ENTROPY),
     (Hypothesis(kind=LINEAR, weights=np.array([[1.0], [0.0], [-1.0]]), bias=np.zeros(3)),
@@ -1135,18 +1202,12 @@ def test_a_refused_query_uses_no_budget(h, labels, kind):
 ], ids=["logistic", "binary-linear"])
 def test_flip_build_makes_one_model_pass(monkeypatch, h):
     c, _ = make_client()
-    passes = []
-    for name in ("scores", "stacked_scores"):
-        def counted(self, Xq, model=getattr(Hypothesis, name)):
-            out = model(self, Xq)
-            passes.append(len(out))   # the samples scored
-            return out
-        monkeypatch.setattr(Hypothesis, name, counted)
+    passes = _counted_model_passes(monkeypatch)
     first = c.query(h, 0.1)
     assert passes == [c.n_samples]
     del passes[:]
     c.query_profile(h, [0.01, 0.5, 2.0])
-    assert passes == []
+    assert passes == [c.n_samples]
     monkeypatch.undo()
     assert first == adversarial_risk(h, c._dataset, 0.1)
 
@@ -1203,7 +1264,7 @@ def _flip_stacks():
 @pytest.mark.parametrize("case", list(_flip_stacks()), ids=lambda c: c[0])
 def test_stacked_flip_table_equals_each_clients_greedy_fill(case):
     name, h, X, y, cost = case
-    inner = _make_inner(h, X[0], y[0], cost, LossFn(ZERO_ONE), None)
+    inner = _make_inner(h, X[:1], y[:1], cost, LossFn(ZERO_ONE), None)
     assert type(inner).__name__ == "_FlipInner"
     values, slopes = type(inner)(h, X, y, cost).table(_STACK_RHOS)
     assert values.shape == slopes.shape == (len(X), len(_STACK_RHOS))
@@ -1297,7 +1358,7 @@ def test_query_profiles_stacks_each_size_once(monkeypatch):
     monkeypatch.setattr(query._FlipInner, "__init__", counted)
     query_profiles(_mixed_clients(), _PROFILES_H, [0.01, 0.2])
     # four clients of 12 and two of 20 at the default cost; the client with
-    # its own cost stands alone and answers through its own inner
+    # its own cost is a block of one
     assert sorted(builds) == [(1, 20), (2, 20), (4, 12)]
 
 
@@ -1513,8 +1574,8 @@ def test_query_profiles_stacks_grid_clients_by_grid_size_cost_and_loss(monkeypat
     monkeypatch.setattr(query._GridInner, "__init__", counted)
     query_profiles(_grid_clients(), _PROFILES_H, [0.01, 0.2])
     # grid A: four clients of 12 (three on it, one off it) and two of 20;
-    # grid B: three of 12; the l2-cost and squared-loss clients stand alone
-    # and answer through their own inner
+    # grid B: three of 12; the l2-cost and squared-loss clients are blocks
+    # of one
     assert sorted(builds) == [(25, (3, 12)), (49, (1, 12)), (49, (1, 12)), (49, (2, 20)),
                               (49, (4, 12))]
 
