@@ -1,9 +1,12 @@
-"""Shared certificate containers.
+"""Shared certificate containers and the one format they are written in.
 
 A CertifiedBound is a scalar guarantee plus enough metadata to audit it:
 the raw (pre-clip) value, the individual slack terms, and the parameters the
 guarantee was issued under.  A CdfCurve is the survival-function analogue,
-one bound per threshold.
+one bound per threshold.  Every kind's kernel returns ``Rows``, one
+certificate per row of a query matrix, and a one-row certificate is row 0
+of them made by ``Rows.bound`` or ``Rows.curve``.  ``write_json`` writes
+every JSON artefact of the package.
 """
 from __future__ import annotations
 
@@ -11,10 +14,19 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["CertifiedBound", "CdfCurve"]
+__all__ = ["CertifiedBound", "CdfCurve", "Rows", "write_json"]
+
+
+def write_json(path: str | Path, doc) -> None:
+    """``doc`` as JSON in the byte format of every artefact: sorted keys,
+    a one-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 @dataclass
@@ -39,9 +51,7 @@ class CertifiedBound:
         }
 
     def write_json(self, path: str | Path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 @dataclass
@@ -98,6 +108,34 @@ class CdfCurve:
                 writer.writerow(row)
 
     def write_json(self, path: str | Path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
+
+
+class Rows(NamedTuple):
+    """One certificate per row of a (T, K) query matrix: ``value`` and
+    ``raw`` (before the clip to 1) are (T,) for a mean kind and (T, L) for a
+    band at L thresholds; ``slack`` and ``extra`` map each named term to its
+    (T,) values, or (T, K) for a per-client term."""
+
+    value: np.ndarray
+    raw: np.ndarray
+    slack: dict
+    extra: dict
+
+    def bound(self, kind: str, **params) -> CertifiedBound:
+        """Row 0 as the scalar certificate of ``kind`` issued under ``params``."""
+        return CertifiedBound(
+            kind=kind,
+            value=float(self.value[0]),
+            raw_value=float(self.raw[0]),
+            slack={name: float(v[0]) for name, v in self.slack.items()},
+            params=params,
+            extra={name: v[0].tolist() for name, v in self.extra.items()},
+        )
+
+    def curve(self, kind: str, lambdas, **params) -> CdfCurve:
+        """Row 0 as the band of ``kind`` at the thresholds ``lambdas``; its
+        params carry the kind and the band's meta slack."""
+        return CdfCurve(lambdas=lambdas, bounds=self.value[0], raw=self.raw[0],
+                        params={"kind": kind, **params,
+                                "meta_slack": float(self.slack["meta"][0])})

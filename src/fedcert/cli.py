@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import CdfCurve
+from .certificates import CdfCurve, write_json
 from .losses import LINEAR, LOOKUP, LOSS_KINDS, ZERO_ONE, FieldError, Hypothesis, LossFn
 from .metasim import (
     MetaConfig,
@@ -625,9 +625,7 @@ def cmd_certify(args) -> int:
         "seed": world.seed,
         "requests": entries,
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     print(f"wrote {len(entries)} certificates to {out}")
     return EXIT_OK
 

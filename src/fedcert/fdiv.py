@@ -60,6 +60,10 @@ largest q with D_f(Bernoulli(q) || Bernoulli(p)) <= epsilon, p = P(R >= lambda):
 (``ball``).  The map is nondecreasing in p, so the band of
 ``nonrobust.cdf_bound``, which holds at every threshold at once, maps to one
 that does too: the adversarially robust DKW band.
+
+Each kind is a row kernel over a (T, K) query matrix (``fdiv_mean_rows``,
+``fdiv_cdf_rows``); ``fdiv_mean_bound`` and ``fdiv_cdf_bound`` are its
+one-row case, made by ``Rows.bound`` and ``Rows.curve``.
 """
 from __future__ import annotations
 
@@ -67,8 +71,8 @@ import math
 
 import numpy as np
 
-from .certificates import CdfCurve, CertifiedBound
-from .nonrobust import Rows, _curve_thresholds, _one_row, _slack_terms, _validate, cdf_rows
+from .certificates import CdfCurve, CertifiedBound, Rows
+from .nonrobust import _curve_thresholds, _one_row, _slack_terms, _validate, cdf_rows
 
 __all__ = ["ball", "fdiv_mean_rows", "fdiv_cdf_rows", "fdiv_mean_bound", "fdiv_cdf_bound"]
 
@@ -215,7 +219,7 @@ def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str,
                     *, include_slack: bool = True) -> CertifiedBound:
     """Certified upper bound on the target population's mean risk when the
     target is any law within f-divergence epsilon of the source: the one
-    row of ``fdiv_mean_rows``.
+    row of ``fdiv_mean_rows``, made by ``Rows.bound``.
 
     ``program_value`` is the dual on the query values themselves; the
     per-client slack is what replacing them by x = qv + s adds, and the meta
@@ -223,34 +227,18 @@ def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str,
     monotone in both, and the three sum to the raw value.
     """
     qv, n = _one_row(qv, n)
-    rows = fdiv_mean_rows(qv, n, delta, epsilon, name, include_slack=include_slack)
-    return CertifiedBound(
-        kind="fdiv-mean",
-        value=float(rows.value[0]),
-        raw_value=float(rows.raw[0]),
-        slack={key: float(v[0]) for key, v in rows.slack.items()},
-        params={"K": qv.shape[1], "delta": delta, "epsilon": epsilon, "divergence": name,
-                "include_slack": include_slack},
-        extra={"program_value": float(rows.extra["program_value"][0])},
-    )
+    return fdiv_mean_rows(qv, n, delta, epsilon, name, include_slack=include_slack).bound(
+        "fdiv-mean", K=qv.shape[1], delta=delta, epsilon=epsilon, divergence=name,
+        include_slack=include_slack)
 
 
 def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
                    *, include_slack: bool = True) -> CdfCurve:
     """Certified survival-function bounds under an f-divergence shift, valid
     simultaneously at every threshold: the one row of ``fdiv_cdf_rows``, on
-    the thresholds of ``nonrobust.cdf_bound``.  ``raw`` keeps the band
-    before its clip to 1."""
+    the thresholds of ``nonrobust.cdf_bound``, made by ``Rows.curve``.
+    ``raw`` keeps the band before its clip to 1."""
     qv, n, lams = _curve_thresholds(qv, n, delta, lambda_grid, include_slack)
-    rows = fdiv_cdf_rows(qv, n, delta, epsilon, name, lams, include_slack=include_slack)
-    return CdfCurve(
-        lambdas=lams,
-        bounds=rows.value[0],
-        raw=rows.raw[0],
-        params={
-            "kind": "fdiv-cdf",
-            "K": qv.shape[1], "delta": delta, "epsilon": epsilon, "divergence": name,
-            "meta_slack": float(rows.slack["meta"][0]),
-            "include_slack": include_slack,
-        },
-    )
+    return fdiv_cdf_rows(qv, n, delta, epsilon, name, lams, include_slack=include_slack).curve(
+        "fdiv-cdf", lams, K=qv.shape[1], delta=delta, epsilon=epsilon, divergence=name,
+        include_slack=include_slack)

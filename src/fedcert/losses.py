@@ -116,6 +116,8 @@ class Hypothesis:
             if bias.size != 1:
                 raise FieldError("bias", "of a logistic rule must be one number")
             self.bias = float(bias.reshape(-1)[0])
+        if self.kind != LOOKUP and not np.all(np.isfinite(self.bias)):
+            raise FieldError("bias", "must be finite")
         if self.grid is not None:
             self.grid = _float_array("grid", self.grid)
         if self.kind == LOOKUP:

@@ -50,7 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import FieldError, Sample
+from .certificates import write_json
+from .losses import FieldError
 
 __all__ = [
     "Archetype",
@@ -290,10 +291,6 @@ class LocalDataset:
 
     def __len__(self) -> int:
         return len(self.features)
-
-    def __iter__(self):
-        for x, y in zip(self.features, self.labels):
-            yield Sample(features=x, label=float(y))
 
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:
@@ -899,9 +896,7 @@ def export_world(path: str | Path, cfg: MetaConfig, specs: list[ClientSpec],
         "K": len(specs),
         "clients": entries,
     }
-    with open(path / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path / "manifest.json", manifest)
     return path / "manifest.json"
 
 

@@ -18,29 +18,16 @@ across K+1 events (one meta, one per client).
 Each bound is written once, as a row kernel over a (T, K) matrix of T
 independent problems (``mean_rows``, ``cdf_rows``), so that many problems of
 one size are certified in one call; ``mean_bound`` and ``cdf_bound`` are
-its one-row case.  A row's result does not depend on the other rows.
+its one-row case, made by ``Rows.bound`` and ``Rows.curve``.  A row's result
+does not depend on the other rows.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .certificates import CdfCurve, CertifiedBound
+from .certificates import CdfCurve, CertifiedBound, Rows
 
-__all__ = ["Rows", "mean_rows", "cdf_rows", "mean_bound", "cdf_bound"]
-
-
-class Rows(NamedTuple):
-    """One certificate per row of a (T, K) query matrix: ``value`` and
-    ``raw`` (before the clip to 1) are (T,) for a mean kind and (T, L) for a
-    band at L thresholds; ``slack`` and ``extra`` map each named term to its
-    (T,) values."""
-
-    value: np.ndarray
-    raw: np.ndarray
-    slack: dict
-    extra: dict
+__all__ = ["mean_rows", "cdf_rows", "mean_bound", "cdf_bound"]
 
 
 def _validate(qv, n, delta):
@@ -136,14 +123,8 @@ def mean_bound(qv, n, delta: float, *, include_slack: bool = True) -> CertifiedB
     """Certified upper bound on the population-average true risk: the one
     row of ``mean_rows``."""
     qv, n = _one_row(qv, n)
-    rows = mean_rows(qv, n, delta, include_slack=include_slack)
-    return CertifiedBound(
-        kind="mean",
-        value=float(rows.value[0]),
-        raw_value=float(rows.raw[0]),
-        slack={key: float(v[0]) for key, v in rows.slack.items()},
-        params={"K": qv.shape[1], "delta": delta, "include_slack": include_slack},
-    )
+    return mean_rows(qv, n, delta, include_slack=include_slack).bound(
+        "mean", K=qv.shape[1], delta=delta, include_slack=include_slack)
 
 
 def cdf_bound(qv, n, delta: float, lambda_grid, *, include_slack: bool = True) -> CdfCurve:
@@ -155,16 +136,5 @@ def cdf_bound(qv, n, delta: float, lambda_grid, *, include_slack: bool = True) -
     between consecutive thresholds.
     """
     qv, n, lams = _curve_thresholds(qv, n, delta, lambda_grid, include_slack)
-    rows = cdf_rows(qv, n, delta, lams, include_slack=include_slack)
-    return CdfCurve(
-        lambdas=lams,
-        bounds=rows.value[0],
-        raw=rows.raw[0],
-        params={
-            "kind": "cdf",
-            "K": qv.shape[1],
-            "delta": delta,
-            "meta_slack": float(rows.slack["meta"][0]),
-            "include_slack": include_slack,
-        },
-    )
+    return cdf_rows(qv, n, delta, lams, include_slack=include_slack).curve(
+        "cdf", lams, K=qv.shape[1], delta=delta, include_slack=include_slack)

@@ -20,8 +20,10 @@ Everything here is deliberately independent of the solvers it checks:
 
 Each certificate kind is wired once, here, for the command line and the two
 experiments alike: ``BOUND_KINDS`` names the kinds, ``issue_certificate``
-maps a kind to its bound function, ``certify_rows`` to its row kernel, and
-``target_world`` builds the shifted meta-distribution the kind declares.
+maps a kind to its bound function (its row kernel's row 0, made into a
+certificate by ``Rows.bound`` or ``Rows.curve``), ``certify_rows`` to its
+row kernel, and ``target_world`` builds the shifted meta-distribution the
+kind declares.
 
 The coverage trials use common random numbers: trial t seeds its source
 world by (seed, t) and its target risks by (seed, t, 1), whatever the kind.
@@ -44,7 +46,6 @@ their clients with the zero-one loss.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -52,6 +53,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .certificates import Rows, write_json
 from .fdiv import fdiv_cdf_bound, fdiv_cdf_rows, fdiv_mean_bound, fdiv_mean_rows
 from .losses import LINEAR, LOGISTIC, ZERO_ONE, Hypothesis, LossFn
 from .metasim import (
@@ -63,7 +65,7 @@ from .metasim import (
     shift_meta_wass,
     tilt_for_divergence,
 )
-from .nonrobust import Rows, cdf_bound, cdf_rows, mean_bound, mean_rows
+from .nonrobust import cdf_bound, cdf_rows, mean_bound, mean_rows
 from .query import HALF_SQ, BudgetExceededError, empirical_risk_values, flip_risk_values
 from .wass import DEFAULT_GRID_SIZE, certificate_grid, wass_mean_bound, wass_mean_rows
 
@@ -745,9 +747,7 @@ class CoverageReport:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
     def write_json(self, path: str | Path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def _trial_seed(seed: int, trial: int) -> int:

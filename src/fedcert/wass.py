@@ -25,10 +25,10 @@ are reported only as ``chord_value``.  The allocation over these
 piecewise-linear concave envelopes is solved exactly by greedy water-filling
 on their slopes (``concave.RowFill``, the kernel of the exact query routes),
 and its maximum is the program value; ``wass_mean_rows`` solves many
-populations' tables at once, and ``wass_mean_bound`` is its one-row case.
-Every query route is ``exact`` or a ``bound`` that lies above its inner
-supremum, with the slope of that bound, so the certificate's status is
-``optimal``.
+populations' tables at once, and ``wass_mean_bound`` is its one-row case,
+made by ``Rows.bound``.  Every query route is ``exact`` or a ``bound`` that
+lies above its inner supremum, with the slope of that bound, so the
+certificate's status is ``optimal``.
 
 The per-client slack carries log((K+2) n_k / (epsilon delta)); a budget for
 which that log is not positive for some client has no slack term, and is
@@ -40,10 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certificates import CertifiedBound
+from .certificates import CertifiedBound, Rows
 from .concave import RowFill
 from .losses import Hypothesis
-from .nonrobust import Rows
 from .query import Client, query_profiles
 
 __all__ = [
@@ -223,26 +222,15 @@ def wass_mean_bound(
 ) -> CertifiedBound:
     """Certified upper bound on the target mean risk when the target moves
     clients by at most epsilon average transport cost: ``wass_mean_rows`` of
-    the clients' answers on ``certificate_grid``."""
+    the clients' answers on ``certificate_grid``, made by ``Rows.bound``."""
     if not clients:
         raise ValueError("at least one client required")
     ns = np.array([c.n_samples for c in clients], dtype=float)
     grid = certificate_grid(ns, epsilon, delta, grid_size=grid_size, include_slack=include_slack)
     values, slopes = query_profiles(clients, h, grid)
-    row = wass_mean_rows(grid, values[None], slopes[None], ns[None], epsilon, delta,
-                         include_slack=include_slack)
-    return CertifiedBound(
-        kind="wass-mean",
-        value=float(row.value[0]),
-        raw_value=float(row.raw[0]),
-        status="optimal",
-        slack={name: float(v[0]) for name, v in row.slack.items()},
-        params={
-            "K": len(ns), "delta": delta, "epsilon": epsilon,
-            "c1": DEFAULT_C1, "c2": DEFAULT_C2, "grid_size": grid_size,
-            "mean_radius_cap": mean_radius_cap(epsilon, delta, len(ns),
-                                               include_slack=include_slack),
-            "include_slack": include_slack,
-        },
-        extra={name: v[0].tolist() for name, v in row.extra.items()},
-    )
+    return wass_mean_rows(grid, values[None], slopes[None], ns[None], epsilon, delta,
+                          include_slack=include_slack).bound(
+        "wass-mean", K=len(ns), delta=delta, epsilon=epsilon, c1=DEFAULT_C1, c2=DEFAULT_C2,
+        grid_size=grid_size,
+        mean_radius_cap=mean_radius_cap(epsilon, delta, len(ns), include_slack=include_slack),
+        include_slack=include_slack)

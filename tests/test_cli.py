@@ -656,6 +656,32 @@ def test_certify_reruns_are_byte_identical(tmp_path):
     assert tree_digest(tmp_path / "c1") == tree_digest(tmp_path / "c2")
 
 
+def _golden_certify_config(name):
+    """The config of one pinned certify tree: BASE_CONFIG itself, or
+    BASE_CONFIG with a KL fdiv-cdf request after its four."""
+    cfg = copy.deepcopy(BASE_CONFIG)
+    if name == "base-fdiv-cdf":
+        cfg["certificates"].append({"kind": "fdiv-cdf", "delta": 0.1, "epsilon": 0.05,
+                                    "f_name": "kl", "target_clients": 300,
+                                    "lambda_grid": {"start": 0.0, "stop": 1.0, "num": 11}})
+    return cfg
+
+
+GOLDEN_CERTIFY = json.loads((Path(__file__).parent / "golden" / "certify_trees.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CERTIFY))
+def test_certify_trees_equal_their_golden_digests(tmp_path, name):
+    # every file that certify and then emit-plots write, byte for byte
+    golden = GOLDEN_CERTIFY[name]
+    out = tmp_path / "c"
+    rc = main(["certify", "--config", write_config(tmp_path, _golden_certify_config(name)),
+               "--seed", str(golden["seed"]), "--out", str(out)])
+    assert rc == golden["exit_codes"]["certify"]
+    assert main(["emit-plots", "--out", str(out)]) == golden["exit_codes"]["emit-plots"]
+    assert tree_digest(out) == golden["files"]
+
+
 def test_certify_budget_exhaustion_exits_three(tmp_path, capsys):
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["data"]["max_queries"] = 3   # one ordinary query, then the radius grid

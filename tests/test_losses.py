@@ -11,6 +11,7 @@ from fedcert import (
     SQUARED,
     ZERO_ONE,
     DimensionMismatchError,
+    FieldError,
     Hypothesis,
     LossFn,
     Sample,
@@ -86,6 +87,16 @@ def test_nonfinite_weights_rejected():
         Hypothesis(kind=LOGISTIC, weights=np.array([np.nan]), bias=0.0)
     with pytest.raises(ValueError):
         Sample(features=np.array([np.inf]), label=0)
+
+
+@pytest.mark.parametrize("kind, weights, bias", [
+    (LOGISTIC, [1.0, 0.0], np.nan),
+    (LINEAR, [[1.0, 0.0], [0.0, 1.0]], [0.0, np.inf]),
+])
+def test_nonfinite_bias_rejected(kind, weights, bias):
+    with pytest.raises(FieldError) as err:
+        Hypothesis(kind=kind, weights=weights, bias=bias)
+    assert (err.value.field, str(err.value)) == ("bias", "bias must be finite")
 
 
 

@@ -27,6 +27,7 @@ from fedcert import (
     wass_alloc_grid_oracle,
     wass_ball_lp_oracle,
 )
+from fedcert.certificates import Rows
 from fedcert.losses import LINEAR, LOGISTIC, loss_values
 from fedcert.metasim import _BLOCK_BYTES
 from fedcert.oracle import (
@@ -682,12 +683,14 @@ def test_source_tables_equal_each_roots_query_profiles(monkeypatch, K):
             assert slopes[i].tobytes() == want_slopes.tobytes()
 
 
-def _as_certificate(rows, t):
-    """Row t of ``certify_rows``' wass-mean rows in the fields of the
-    certificate ``wass_mean_bound`` issues."""
-    return {"value": float(rows.value[t]), "raw_value": float(rows.raw[t]),
-            "slack": {k: float(v[t]) for k, v in rows.slack.items()},
-            "extra": {k: v[t].tolist() for k, v in rows.extra.items()}}
+def _as_certificate(rows, t, params):
+    """Row t of ``certify_rows``' wass-mean rows, made into a certificate
+    issued under ``params`` by the builder ``wass_mean_bound`` uses."""
+    def row(v):
+        return v[t:t + 1]
+    one = Rows(row(rows.value), row(rows.raw), {k: row(v) for k, v in rows.slack.items()},
+               {k: row(v) for k, v in rows.extra.items()})
+    return one.bound("wass-mean", **params)
 
 
 @pytest.mark.parametrize("K, epsilon, grid_size", [(1, 0.05, 4), (8, 0.02, 6), (8, 0.3, 16)])
@@ -700,10 +703,8 @@ def test_wass_rows_equal_each_trials_wass_mean_bound(K, epsilon, grid_size):
     rows = certify_rows("wass-mean", req, qv, np.full((trials, K), n_k), (grid, *table))
     for t, root in enumerate(roots):
         cert = _wass_trial(_draw_source(cfg, H, K, n_k, root), H, req)
-        want = {"value": cert.value, "raw_value": cert.raw_value, "slack": cert.slack,
-                "extra": cert.extra}
         # repr tells every float apart, to the last bit and the sign of zero
-        assert repr(_as_certificate(rows, t)) == repr(want)
+        assert repr(_as_certificate(rows, t, cert.params)) == repr(cert)
 
 
 def test_wass_coverage_checks_the_query_budget_before_the_first_trial(monkeypatch):

@@ -112,6 +112,27 @@ def test_cli_and_oracle_take_drawn_clients_only_from_drawn_world_datasets():
     assert clients and checked == len(clients), module
 
 
+def _top_level_calls(path, names):
+    """(top-level function or class, call name) of each call in ``path``
+    to one of ``names``."""
+    tree = ast.parse(path.read_text())
+    return {(getattr(top, "name", None), _call_name(node))
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and _call_name(node) in names}
+
+
+def test_only_certificates_builds_certificates_and_writes_json():
+    # every one-row certificate is made from its kernel's rows by
+    # Rows.bound or Rows.curve, and every JSON artefact by write_json;
+    # emit-plots reads a curve back from its CSV
+    names = {"CertifiedBound", "CdfCurve", "dump"}
+    made = {(path.name, *call) for path in sorted(SRC.glob("*.py"))
+            for call in _top_level_calls(path, names)}
+    assert {m for m in made if m[0] != "certificates.py"} == \
+        {("cli.py", "cmd_emit_plots", "CdfCurve")}
+    assert {m[2] for m in made if m[0] == "certificates.py"} == names
+
+
 README = SRC.parents[1] / "README.md"
 
 
