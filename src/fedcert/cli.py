@@ -642,14 +642,13 @@ def cmd_verify(args) -> int:
     if trials < 1:
         raise ConfigError(f"config error at $.verify.trials: --trials {trials} is below 1")
     entries = vc.get("kinds", [])
-    shared = {"h": h, "K": cfg["data"]["K"], "n_k": cfg["data"]["n_k"],
-              "max_queries": cfg["data"].get("max_queries"),
-              "target_clients": vc.get("target_clients", 2000)}
+    data = cfg["data"]
     # the kinds share each trial's source world and target draws
     coverage = coverage_experiments(
-        world, [("cdf-curve" if e["kind"] == "cdf" else e["kind"], {**e, **shared})
-                for e in entries],
-        trials, seed=world.seed)
+        world, h, data["K"], data["n_k"],
+        [("cdf-curve" if e["kind"] == "cdf" else e["kind"], e) for e in entries],
+        trials, seed=world.seed, target_clients=vc.get("target_clients", 2000),
+        max_queries=data.get("max_queries"))
     all_passed = True
     reports = []
     for i, (entry, report) in enumerate(zip(entries, coverage)):
@@ -665,9 +664,9 @@ def cmd_verify(args) -> int:
         tc = vc["tightness"]
         try:
             rows = tightness_probe(
-                world, tc["bound_kind"], tc["K_schedule"], tc["n_schedule"],
+                world, h, tc["bound_kind"], tc["K_schedule"], tc["n_schedule"],
                 int(tc.get("trials", 20)), world.seed,
-                {"h": h, **{k: tc[k] for k in ("delta", "epsilon", "f_name") if k in tc}},
+                {k: tc[k] for k in ("delta", "epsilon", "f_name") if k in tc},
             )
         except RuntimeError as exc:
             # the target world's shift or its mean risk's quadrature failed

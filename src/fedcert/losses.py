@@ -7,7 +7,6 @@ other module needs to know what kind of predictor is being certified.  All losse
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -56,7 +55,7 @@ class FieldError(ValueError):
 
     def __init__(self, field: str, problem: str):
         super().__init__(f"{field} {problem}")
-        self.field = field
+        self.field, self.problem = field, problem
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,14 @@ class Hypothesis:
             if bias.ndim > 1 or bias.size not in (1, C):
                 raise FieldError("bias", "of a linear-classifier needs one entry per class")
             self.bias = np.broadcast_to(bias, (C,)).copy()
-        elif self.kind == LOGISTIC:
-            if self.weights.ndim != 1:
+        else:
+            if self.kind == LOGISTIC and self.weights.ndim != 1:
                 raise FieldError("weights", "of a logistic rule must be a vector")
             bias = _float_array("bias", self.bias)
             if bias.size != 1:
-                raise FieldError("bias", "of a logistic rule must be one number")
+                raise FieldError("bias", f"of a {self.kind} rule must be one number")
             self.bias = float(bias.reshape(-1)[0])
-        if self.kind != LOOKUP and not np.all(np.isfinite(self.bias)):
+        if not np.all(np.isfinite(self.bias)):
             raise FieldError("bias", "must be finite")
         if self.grid is not None:
             self.grid = _float_array("grid", self.grid)
@@ -219,17 +218,6 @@ class Hypothesis:
         """The rule of a JSON object; FieldError names the field refused."""
         return cls(kind=d["kind"], weights=d["weights"], bias=d.get("bias", 0.0),
                    grid=d.get("grid"), name=d.get("name", ""))
-
-    def cache_key(self) -> str:
-        """Digest of what the predictions depend on: kind, and the shape and
-        bytes of weights, bias and grid (the name is left out)."""
-        h = hashlib.sha1(self.kind.encode())
-        for a in (self.weights, self.bias, self.grid):
-            if a is not None:
-                a = np.ascontiguousarray(a, dtype=float)
-                h.update(repr(a.shape).encode())
-                h.update(a.tobytes())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import write_json
-from .losses import FieldError
+from .losses import FieldError, _float_array
 
 __all__ = [
     "Archetype",
@@ -90,15 +90,21 @@ class Archetype:
     score: float = 0.0               # exponential-tilt coordinate
 
     def __post_init__(self):
-        self.class_means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
+        self.class_means = np.atleast_2d(_float_array("class_means", self.class_means))
         C = self.class_means.shape[0]
         if self.class_props is None:
             self.class_props = np.full(C, 1.0 / C)
-        self.class_props = np.asarray(self.class_props, dtype=float)
-        if len(self.class_props) != C or abs(self.class_props.sum() - 1.0) > 1e-9:
-            raise ValueError("class proportions must sum to 1")
+        self.class_props = _float_array("class_props", self.class_props)
+        if self.class_props.shape != (C,) or not abs(self.class_props.sum() - 1.0) <= 1e-9:
+            raise FieldError("class_props", "must sum to 1, one entry per class")
         if np.any(self.class_props < 0):
-            raise ValueError("class proportions must be nonnegative")
+            raise FieldError("class_props", "must be nonnegative")
+        try:
+            self.score = float(self.score)
+        except (TypeError, ValueError) as exc:
+            raise FieldError("score", f"must be one number: {exc}") from exc
+        if not np.isfinite(self.score):
+            raise FieldError("score", "must be finite")
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,11 +115,10 @@ class Archetype:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Archetype":
-        return cls(
-            class_means=np.asarray(d["class_means"], dtype=float),
-            class_props=np.asarray(d["class_props"], dtype=float),
-            score=float(d.get("score", 0.0)),
-        )
+        if "class_means" not in d:
+            raise FieldError("class_means", "is required")
+        return cls(class_means=d["class_means"], class_props=d.get("class_props"),
+                   score=d.get("score", 0.0))
 
 
 # the name ``MetaConfig``'s field errors were first exported under
@@ -192,7 +197,12 @@ class MetaConfig:
     def from_json_dict(cls, d: dict) -> "MetaConfig":
         arche = None
         if "archetypes" in d:
-            arche = [Archetype.from_json_dict(a) for a in d["archetypes"]]
+            arche = []
+            for i, a in enumerate(d["archetypes"]):
+                try:
+                    arche.append(Archetype.from_json_dict(a))
+                except FieldError as exc:
+                    raise FieldError(f"archetypes[{i}].{exc.field}", exc.problem) from exc
         return cls(
             dim=int(d["dim"]),
             n_classes=int(d["n_classes"]),

@@ -28,8 +28,9 @@ kind declares.
 The coverage trials use common random numbers: trial t seeds its source
 world by (seed, t) and its target risks by (seed, t, 1), whatever the kind.
 So every kind certifies the same clients, and kinds that declare the same
-target world test against the same risks.  ``coverage_experiments`` draws
-each source once for every trial, in one sampling pass that keeps only the
+target world test against the same risks.  A call of
+``coverage_experiments`` certifies one rule on one source size: it draws
+that source once for every trial, in one sampling pass that keeps only the
 query values and each ``wass-mean`` kind's answers on its radius grid
 (``_source_risks``), and each trial's targets once, in one draw for every
 target world of one layout (``_TargetDraws``); each kind then certifies what
@@ -715,14 +716,25 @@ def _source_risks(cfg: MetaConfig, h: Hypothesis, roots: list[int], K: int, n_k:
     """The zero-one risks, (len(roots), K), of the clients of each root's
     ``draw_world(cfg, K, n_k, root)``, and their values and slopes on each
     grid of ``grids``, (2, len(roots), K, G): one ``draw_sample_rows`` pass
-    to ``empirical_risk_values`` and ``flip_risk_values``, keeping no features."""
+    to ``empirical_risk_values`` and one ``flip_risk_values`` per block on
+    the grids laid end to end (each radius is answered on its own)."""
     qv = np.empty((len(roots), K))
     tables = [np.empty((2, len(roots), K, len(grid))) for grid in grids]
+    splits = np.cumsum([len(grid) for grid in grids])[:-1]
     for rows, X, labels in draw_sample_rows(cfg, roots, K, n_k):
         qv.reshape(-1)[rows] = empirical_risk_values(h, X, labels, _ZERO_ONE)
-        for grid, table in zip(grids, tables):
-            table.reshape(2, -1, len(grid))[:, rows] = flip_risk_values(h, X, labels, grid)
+        if tables:
+            answers = np.stack(flip_risk_values(h, X, labels, np.concatenate(grids)))
+            for table, cols in zip(tables, np.split(answers, splits, axis=2)):
+                table.reshape(2, -1, cols.shape[2])[:, rows] = cols
     return qv, tables
+
+
+def _check_kind_request(params: dict) -> None:
+    """ValueError naming a field of ``params`` that the experiment call takes."""
+    for key in ("h", "K", "n_k", "target_clients", "max_queries"):
+        if key in params:
+            raise ValueError(f"request field {key!r} is an argument of the experiment")
 
 
 # ---------------------------------------------------------------------------
@@ -760,47 +772,31 @@ class _CoveragePlan:
 
     bound_kind: str
     kind: str
-    h: Hypothesis
-    K: int
-    n_k: int
     delta: float
     epsilon: float
-    target_clients: int
     lams: np.ndarray
     req: dict
     target_cfg: MetaConfig
     grid: np.ndarray | None   # the radius grid a wass-mean kind's clients answer
 
     @classmethod
-    def of(cls, cfg: MetaConfig, bound_kind: str, params: dict) -> "_CoveragePlan":
+    def of(cls, cfg: MetaConfig, h: Hypothesis, K: int, n_k: int, bound_kind: str,
+           params: dict) -> "_CoveragePlan":
         if bound_kind not in _COVERAGE_KINDS:
             raise ValueError(f"bound_kind must be one of {_COVERAGE_KINDS}")
         kind = "cdf" if bound_kind == "cdf-curve" else bound_kind
-        h: Hypothesis = params["h"]
+        _check_kind_request(params)
         delta = float(params.get("delta", 0.1))
         epsilon = float(params.get("epsilon", 0.0))
         lams = lambda_grid(params)
-        K, n_k = int(params.get("K", 50)), int(params.get("n_k", 100))
         return cls(
-            bound_kind=bound_kind, kind=kind, h=h, K=K, n_k=n_k,
-            delta=delta, epsilon=epsilon,
-            target_clients=int(params.get("target_clients", 2000)), lams=lams,
+            bound_kind=bound_kind, kind=kind, delta=delta, epsilon=epsilon, lams=lams,
             req={**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams},
             target_cfg=target_world(cfg, kind, epsilon, h, params.get("f_name")),
             grid=certificate_grid(np.full(K, n_k), epsilon, delta,
                                   grid_size=int(params.get("grid_size", DEFAULT_GRID_SIZE)))
             if kind == "wass-mean" else None,
         )
-
-    def source_key(self) -> tuple:
-        return self.h.cache_key(), self.K, self.n_k
-
-    def target_key(self) -> tuple:
-        return self.target_cfg.digest(), self.target_clients, self.h.cache_key()
-
-    def draw_key(self) -> tuple:
-        """Plans whose targets agree on this draw them from one stream."""
-        return _draw_layout(self.target_cfg), self.target_clients, self.h.cache_key()
 
     def target_statistic(self, risks: np.ndarray):
         """What the check reads of one trial's exact target risks: their
@@ -809,7 +805,7 @@ class _CoveragePlan:
             return float(np.mean(risks))
         return survival_at(risks, self.lams)
 
-    def report(self, cfg: MetaConfig, violated: np.ndarray) -> CoverageReport:
+    def report(self, cfg: MetaConfig, K: int, n_k: int, violated: np.ndarray) -> CoverageReport:
         """The report of ``violated``: per trial, or per trial and threshold
         for a curve kind."""
         trials = len(violated)
@@ -835,86 +831,82 @@ class _CoveragePlan:
             passed=passed,
             config_digest=cfg.digest(),
             per_lambda=per_lambda,
-            notes={"K": self.K, "n_k": self.n_k, "epsilon": self.epsilon},
+            notes={"K": K, "n_k": n_k, "epsilon": self.epsilon},
         )
 
 
-def coverage_experiments(cfg: MetaConfig, requests: list[tuple[str, dict]],
-                         trials: int, seed: int = 0) -> list[CoverageReport]:
-    """Repeatedly certify fresh source worlds and test each certificate
-    against the exact statistics of its declared shifted target; one report
+def coverage_experiments(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int,
+                         requests: list[tuple[str, dict]], trials: int, seed: int = 0, *,
+                         target_clients: int = 2000,
+                         max_queries: int | None = None) -> list[CoverageReport]:
+    """Repeatedly certify ``h`` on fresh source worlds of K clients of n_k
+    samples, and test each certificate against the exact statistics of
+    ``target_clients`` clients of its declared shifted target; one report
     per ``(bound_kind, params)`` request, in order.
 
     ``bound_kind`` is a certificate kind, with ``cdf-curve`` for ``cdf``.
-    ``params`` carries: h (Hypothesis, required), K, n_k, delta,
-    target_clients, and per kind epsilon / f_name / lambda_grid / grid_size /
-    max_queries.  The clients answer zero-one queries under the half-squared
-    cost.  One zero-radius query and a ``wass-mean`` radius grid must fit
-    ``max_queries`` (None: no cap), as certify charges them, or client 0
-    raises BudgetExceededError before the first trial.
+    ``params`` holds one kind's delta, epsilon, f_name, lambda_grid and
+    grid_size; one that holds h, K, n_k, target_clients or max_queries
+    raises ValueError.  The clients answer zero-one queries under the
+    half-squared cost.  One zero-radius query and each ``wass-mean``
+    radius grid must fit ``max_queries`` (None: no cap), as certify charges
+    them, or client 0 raises BudgetExceededError before the first trial.
     A violation is recorded when the target statistic exceeds the certificate
     by more than a 1e-9 float guard; a report passes when its violation rate
     stays within delta plus three binomial standard errors.
 
     Trial t seeds its source world by (seed, t) alone and its target risks by
     SeedSequence([seed, t, 1]), whatever the kind, so every report equals
-    that of the kind run on its own.  Each (h, K, n_k) takes one
-    ``_source_risks`` pass over every trial's root, which keeps only the
-    query values and each ``wass-mean`` kind's answers on its radius grid.
-    Per trial, the target worlds that share a ``_draw_layout`` (and client
-    count and rule) are drawn by one ``_TargetDraws``, and each kind keeps
-    only the target statistic it checks.  Every kind then certifies its
-    trials in one ``certify_rows`` call.
+    that of the kind run on its own.  One ``_source_risks`` pass over every
+    trial's root keeps only the query values and each ``wass-mean`` kind's
+    answers on its radius grid.  Per trial, the target worlds that share a
+    ``_draw_layout`` are drawn by one ``_TargetDraws``, kinds that declare
+    one target world (by its ``digest``) share its risks, and each kind
+    keeps only the target statistic it checks.  Every kind then certifies
+    its trials in one ``certify_rows`` call.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    plans = [_CoveragePlan.of(cfg, bound_kind, params) for bound_kind, params in requests]
-    for plan in plans:
-        cap = plan.req.get("max_queries")
-        if plan.grid is not None and cap is not None and 1 + len(plan.grid) > cap:
-            raise BudgetExceededError(0, cap)
-    src_keys = [plan.source_key() for plan in plans]
-    tgt_keys = [plan.target_key() for plan in plans]
-    # per key, a plan that reads it: the plans sharing a key share what is drawn
-    sources, targets = dict(zip(src_keys, plans)), dict(zip(tgt_keys, plans))
-    roots = [_trial_seed(seed, t) for t in range(trials)]
-    # each source key's pass also answers the grid of each wass-mean kind
-    # that reads it, in the order of the requests
-    drawn = {key: _source_risks(cfg, plan.h, roots, plan.K, plan.n_k,
-                                [p.grid for p, k in zip(plans, src_keys)
-                                 if k == key and p.grid is not None])
-             for key, plan in sources.items()}
-    # the target worlds that draw alike share one draw per trial
+    plans = [_CoveragePlan.of(cfg, h, K, n_k, bound_kind, params)
+             for bound_kind, params in requests]
+    grids = [plan.grid for plan in plans if plan.grid is not None]
+    if max_queries is not None and any(1 + len(grid) > max_queries for grid in grids):
+        raise BudgetExceededError(0, max_queries)
+    qv, tables = _source_risks(cfg, h, [_trial_seed(seed, t) for t in range(trials)],
+                               K, n_k, grids)
+    # the plans that declare one target world share its risks, and the
+    # target worlds that draw alike share one draw per trial
+    digests = [plan.target_cfg.digest() for plan in plans]
     layouts = {}
-    for key, plan in targets.items():
-        layouts.setdefault(plan.draw_key(), []).append(key)
-    draws = [(keys, _TargetDraws([targets[key].target_cfg for key in keys],
-                                 targets[keys[0]].target_clients, targets[keys[0]].h))
-             for keys in layouts.values()]
+    for digest, plan in zip(digests, plans):
+        layouts.setdefault(_draw_layout(plan.target_cfg), {})[digest] = plan.target_cfg
+    draws = [(list(worlds), _TargetDraws(list(worlds.values()), target_clients, h))
+             for worlds in layouts.values()]
     stats = [np.empty((trials, len(plan.lams)) if plan.kind in CURVE_KINDS else trials)
              for plan in plans]
     for t in range(trials):
+        risks = {}
         for keys, draw in draws:
             rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
-            for key, risks in zip(keys, draw.risks(rng_t)):
-                for i, stat in enumerate(stats):
-                    if tgt_keys[i] == key:
-                        stat[t] = plans[i].target_statistic(risks)
-    tables = {key: iter(drawn[key][1]) for key in drawn}
+            risks.update(zip(keys, draw.risks(rng_t)))
+        for plan, digest, stat in zip(plans, digests, stats):
+            stat[t] = plan.target_statistic(risks[digest])
+    tables = iter(tables)
+    ns = np.full((trials, K), n_k)
     reports = []
-    for plan, key, stat in zip(plans, src_keys, stats):
-        value = certify_rows(plan.kind, plan.req, drawn[key][0],
-                             np.full((trials, plan.K), plan.n_k),
-                             (plan.grid, *next(tables[key])) if plan.grid is not None
-                             else None).value
-        reports.append(plan.report(cfg, stat > value + VIOLATION_GUARD))
+    for plan, stat in zip(plans, stats):
+        table = (plan.grid, *next(tables)) if plan.grid is not None else None
+        value = certify_rows(plan.kind, plan.req, qv, ns, table).value
+        reports.append(plan.report(cfg, K, n_k, stat > value + VIOLATION_GUARD))
     return reports
 
 
-def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
+def tightness_probe(cfg: MetaConfig, h: Hypothesis, bound_kind: str, K_schedule: list[int],
                     n_schedule: list[int], trials: int, seed: int,
                     params: dict) -> list[dict]:
-    """Median certificate-minus-achievable gap along a (K, n_k) schedule.
+    """Median gap of ``h``'s certificate minus the achievable statistic
+    along a (K, n_k) schedule.  ``params`` holds the kind's delta, epsilon
+    and f_name; a field of the call (h, K, n_k, ...) raises ValueError.
 
     The achievable statistic is the exact target mean under the declared
     shift (no shift for the plain mean bound), computed once by
@@ -932,7 +924,7 @@ def tightness_probe(cfg: MetaConfig, bound_kind: str, K_schedule: list[int],
         raise ValueError("schedules must be nonempty and aligned")
     if list(K_schedule) != sorted(K_schedule) or list(n_schedule) != sorted(n_schedule):
         raise ValueError("schedules must be nondecreasing")
-    h: Hypothesis = params["h"]
+    _check_kind_request(params)
     req = {"delta": float(params.get("delta", 0.1)),
            "epsilon": float(params.get("epsilon", 0.0)), "f_name": params.get("f_name")}
     target_cfg = target_world(cfg, bound_kind, req["epsilon"], h, req["f_name"])

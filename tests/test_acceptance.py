@@ -82,9 +82,11 @@ def archetype_world(seed=200):
 def test_acceptance_1_coverage_same_world():
     t0 = time.monotonic()
     cfg = plain_world(seed=101)
-    params = {"h": H2, "K": 100, "n_k": 200, "delta": 0.1}
-    mean_rep = coverage_experiments(cfg, [("mean", params)], trials=200, seed=11)[0]
-    cdf_rep = coverage_experiments(cfg, [("cdf-curve", params)], trials=200, seed=12)[0]
+    params = {"delta": 0.1}
+    mean_rep = coverage_experiments(cfg, H2, 100, 200, [("mean", params)], trials=200,
+                                    seed=11)[0]
+    cdf_rep = coverage_experiments(cfg, H2, 100, 200, [("cdf-curve", params)], trials=200,
+                                   seed=12)[0]
     elapsed = time.monotonic() - t0
     max_lambda_rate = max(cdf_rep.per_lambda["violation_rates"])
     ok = (mean_rep.violation_rate <= 0.1
@@ -105,9 +107,8 @@ def test_acceptance_2_coverage_divergence_tilts():
     for f_name in ("kl", "chi-square"):
         for eps in (0.05, 0.2):
             for kind in ("fdiv-mean", "fdiv-cdf"):
-                params = {"h": H2, "K": 100, "n_k": 200, "delta": 0.1,
-                          "epsilon": eps, "f_name": f_name}
-                rep = coverage_experiments(cfg, [(kind, params)], trials=100,
+                params = {"delta": 0.1, "epsilon": eps, "f_name": f_name}
+                rep = coverage_experiments(cfg, H2, 100, 200, [(kind, params)], trials=100,
                                            seed=21)[0]
                 worst = max(worst, rep.violation_rate)
                 runs.append(f"{kind}/{f_name}/eps={eps}:{rep.violation_rate:.2f}")
@@ -124,8 +125,9 @@ def test_acceptance_3_coverage_transport_attack():
     cfg = MetaConfig(dim=1, n_classes=2, class_means=np.array([[-1.0], [1.0]]),
                      shift_mode="both", seed=301)
     h = Hypothesis(kind=LOGISTIC, weights=np.array([1.0]), bias=0.0)
-    params = {"h": h, "K": 50, "n_k": 100, "delta": 0.1, "epsilon": 0.02}
-    rep = coverage_experiments(cfg, [("wass-mean", params)], trials=50, seed=31)[0]
+    params = {"delta": 0.1, "epsilon": 0.02}
+    rep = coverage_experiments(cfg, h, 50, 100, [("wass-mean", params)], trials=50,
+                               seed=31)[0]
     elapsed = time.monotonic() - t0
     ok = rep.violation_rate <= 0.1 and elapsed < 180.0
     _report(3, ok, f"violation rate {rep.violation_rate:.3f} under transport "
@@ -331,8 +333,8 @@ def test_acceptance_7_gap_shrinks_with_world_size():
     cfg = plain_world(seed=700, sigma_affine=0.03)
     Ks = [25, 50, 100, 200]
     rows = tightness_probe(
-        cfg, "mean", Ks, [2 * k for k in Ks], trials=30, seed=71,
-        params={"h": H2, "delta": 0.1},
+        cfg, H2, "mean", Ks, [2 * k for k in Ks], trials=30, seed=71,
+        params={"delta": 0.1},
     )
     gaps = [r["median_gap"] for r in rows]
     ses = [r["se_median"] for r in rows]

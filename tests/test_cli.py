@@ -513,7 +513,17 @@ def test_a_world_dir_of_the_declared_size_certifies(tmp_path):
 @pytest.mark.parametrize("command", ["certify", "verify"])
 @pytest.mark.parametrize("change, where", [
     (lambda cfg: cfg["world"].update(class_means={"a": 1}), "$.world"),
-    (lambda cfg: cfg["world"]["archetypes"][0].update(score=[1]), "$.world"),
+    (lambda cfg: cfg["world"]["archetypes"][0].update(score=[1]),
+     "$.world.archetypes[0].score"),
+    (lambda cfg: cfg["world"]["archetypes"][0].update(score="x"),
+     "$.world.archetypes[0].score"),
+    (lambda cfg: cfg["world"]["archetypes"][1].update(class_props=[0.3, 0.3]),
+     "$.world.archetypes[1].class_props"),
+    (lambda cfg: cfg["world"]["archetypes"][0].pop("class_means"),
+     "$.world.archetypes[0].class_means"),
+    (lambda cfg: cfg.update(model={"kind": "lookup-table", "weights": [0, 1],
+                                   "grid": [[0.0, 0.0], [1.0, 1.0]], "bias": "x"}),
+     "$.model.bias"),
     (lambda cfg: cfg.update(model={"kind": "logistic", "weights": {"a": 1}}),
      "$.model.weights"),
     (lambda cfg: cfg.update(model={"kind": "logistic", "weights": [1, 0], "bias": [1, 2]}),
@@ -530,7 +540,9 @@ def test_a_world_dir_of_the_declared_size_certifies(tmp_path):
     (lambda cfg: cfg["world"]["archetypes"][1].update(class_means=[[-1.0, 0.0, 0.0],
                                                                    [1.0, 0.0, 0.0]]),
      "$.world.archetypes[1].class_means"),
-], ids=["world-means-object", "archetype-score-list", "weights-object", "bias-list",
+], ids=["world-means-object", "archetype-score-list", "archetype-score-text",
+        "archetype-props-sum", "archetype-means-missing", "lookup-bias-text",
+        "weights-object", "bias-list",
         "unknown-kind", "lookup-without-grid", "from-world-overflow", "margin-norm-overflow", "margin-norm-underflow",
         "world-means-shape", "archetype-means-shape"])
 def test_a_model_or_world_the_library_refuses_exits_one_at_its_path(tmp_path, capsys,
@@ -539,6 +551,25 @@ def test_a_model_or_world_the_library_refuses_exits_one_at_its_path(tmp_path, ca
     change(cfg)
     cfg["verify"]["kinds"].append(dict(_WASS_VERIFY_KIND))
     assert_rejected_before_writing(tmp_path, capsys, command, cfg, f"config error at {where}:")
+
+
+def test_omitted_archetype_props_are_uniform(tmp_path):
+    # archetype 0 declares the uniform proportions the schema lets it omit;
+    # only the digest of the config text itself tells the two runs apart
+    trees = []
+    for name, omit in (("written.json", False), ("omitted.json", True)):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        if omit:
+            del cfg["world"]["archetypes"][0]["class_props"]
+        out = tmp_path / name.replace(".json", "")
+        assert main(["certify", "--config", write_config(tmp_path, cfg, name),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        trees.append((tree_digest(out), summary.pop("config_digest"), summary))
+    (written, written_cfg, written_summary), (omitted, omitted_cfg, omitted_summary) = trees
+    assert written_cfg != omitted_cfg and written_summary == omitted_summary
+    del written["summary.json"], omitted["summary.json"]
+    assert written == omitted
 
 
 def test_archetype_scores_no_tilt_separates_exit_one_at_the_budget(tmp_path, capsys):

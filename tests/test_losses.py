@@ -79,7 +79,7 @@ def test_hypothesis_json_round_trip():
         h2 = Hypothesis.from_json_dict(h.to_json_dict())
         assert h2.kind == h.kind
         assert np.array_equal(h2.weights, h.weights)
-        assert h2.cache_key() == h.cache_key()
+        assert h2.to_json_dict() == h.to_json_dict()
 
 
 def test_nonfinite_weights_rejected():
@@ -92,11 +92,28 @@ def test_nonfinite_weights_rejected():
 @pytest.mark.parametrize("kind, weights, bias", [
     (LOGISTIC, [1.0, 0.0], np.nan),
     (LINEAR, [[1.0, 0.0], [0.0, 1.0]], [0.0, np.inf]),
+    (LOOKUP, [0.0, 1.0], np.nan),
+    (LOOKUP, [0.0, 1.0], -np.inf),
 ])
 def test_nonfinite_bias_rejected(kind, weights, bias):
     with pytest.raises(FieldError) as err:
-        Hypothesis(kind=kind, weights=weights, bias=bias)
+        Hypothesis(kind=kind, weights=weights, bias=bias,
+                   grid=[[0.0], [1.0]] if kind == LOOKUP else None)
     assert (err.value.field, str(err.value)) == ("bias", "bias must be finite")
+
+
+@pytest.mark.parametrize("bias, problem", [
+    ("x", "is not an array of numbers"),
+    ([0.0, 1.0], "of a lookup-table rule must be one number"),
+    ([], "of a lookup-table rule must be one number"),
+])
+def test_lookup_table_bias_must_be_one_number(bias, problem):
+    # a table's bias is not used, but it is written back by to_json_dict
+    with pytest.raises(FieldError) as err:
+        Hypothesis(kind=LOOKUP, weights=[0, 1], grid=[[0.0], [1.0]], bias=bias)
+    assert err.value.field == "bias" and problem in str(err.value)
+    h = Hypothesis(kind=LOOKUP, weights=[0, 1], grid=[[0.0], [1.0]], bias=[5])
+    assert h.to_json_dict()["bias"] == 5.0
 
 
 

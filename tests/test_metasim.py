@@ -73,6 +73,21 @@ def test_categorical_draws_match_generator_choice():
             assert ours.random() == ref.random()
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"class_props": [0.3, 0.3]}, "class_props"),
+    ({"class_props": [0.5, 0.25, 0.25]}, "class_props"),
+    ({"class_props": [np.nan, np.nan]}, "class_props"),
+    ({"class_props": "xy"}, "class_props"),
+    ({"class_means": [["a", 0.0], [1.0, 0.0]]}, "class_means"),
+    ({"score": [1.0]}, "score"),
+    ({"score": np.inf}, "score"),
+])
+def test_archetype_refusals_name_their_field(kwargs, field):
+    with pytest.raises(WorldFieldError) as err:
+        Archetype(**{"class_means": BASE_MEANS, **kwargs})
+    assert err.value.field == field
+
+
 def test_negative_proportions_are_rejected():
     with pytest.raises(ValueError):
         Archetype(class_means=BASE_MEANS, class_props=np.array([1.2, -0.2]))

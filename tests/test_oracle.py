@@ -524,19 +524,35 @@ def test_adversarial_directions_shapes_and_signs():
 def test_coverage_validation():
     cfg = plain_cfg(shift_mode="both")
     with pytest.raises(ValueError):
-        coverage_experiments(cfg, [("median", {"h": H})], trials=2)
+        coverage_experiments(cfg, H, 5, 10, [("median", {})], trials=2)
     with pytest.raises(ValueError):
-        coverage_experiments(cfg, [("mean", {"h": H})], trials=0)
+        coverage_experiments(cfg, H, 5, 10, [("mean", {})], trials=0)
     with pytest.raises(ValueError):
-        coverage_experiments(cfg, [("fdiv-mean", {"h": H, "epsilon": 0.05, "f_name": "kl"})],
+        coverage_experiments(cfg, H, 5, 10, [("fdiv-mean", {"epsilon": 0.05, "f_name": "kl"})],
                              trials=2)
+
+
+@pytest.mark.parametrize("key, value", [("h", H), ("K", 6), ("n_k", 20),
+                                        ("target_clients", 300), ("max_queries", 7)])
+def test_a_request_holding_a_field_of_the_call_is_refused(monkeypatch, key, value):
+    # the rule and the source size are the call's: a request that still
+    # carries one would run at the call's values without notice
+    cfg = archetype_cfg()
+    passes = _counting(monkeypatch, "_source_risks")
+    for kind, extra in _ALL_KINDS:
+        with pytest.raises(ValueError, match=repr(key)):
+            coverage_experiments(cfg, H, 5, 10, [("mean", {}), (kind, {**extra, key: value})],
+                                 trials=2)
+    with pytest.raises(ValueError, match=repr(key)):
+        tightness_probe(cfg, H, "mean", [5], [10], 1, 0, {"delta": 0.1, key: value})
+    assert not passes
 
 
 def test_coverage_mean_smoke_and_determinism():
     cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
-    params = {"h": H, "K": 10, "n_k": 25, "delta": 0.1, "target_clients": 300}
-    rep1 = coverage_experiments(cfg, [("mean", params)], trials=3, seed=4)[0]
-    rep2 = coverage_experiments(cfg, [("mean", params)], trials=3, seed=4)[0]
+    run = (cfg, H, 10, 25, [("mean", {"delta": 0.1})])
+    rep1 = coverage_experiments(*run, trials=3, seed=4, target_clients=300)[0]
+    rep2 = coverage_experiments(*run, trials=3, seed=4, target_clients=300)[0]
     assert rep1.to_json_dict() == rep2.to_json_dict()
     assert rep1.trials == 3
     want_thr = 0.1 + 3 * np.sqrt(0.1 * 0.9 / 3)
@@ -547,8 +563,8 @@ def test_coverage_mean_smoke_and_determinism():
 
 def test_coverage_single_trial_passes_only_without_violation():
     cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
-    params = {"h": H, "K": 8, "n_k": 20, "delta": 0.1, "target_clients": 200}
-    rep = coverage_experiments(cfg, [("mean", params)], trials=1, seed=11)[0]
+    rep = coverage_experiments(cfg, H, 8, 20, [("mean", {"delta": 0.1})], trials=1, seed=11,
+                               target_clients=200)[0]
     # the binomial threshold saturates past 1 here, so the all-violate guard
     # is the only thing that can fail the report
     assert rep.threshold >= 1.0
@@ -558,9 +574,9 @@ def test_coverage_single_trial_passes_only_without_violation():
 def test_coverage_cdf_reports_per_lambda(tmp_path):
     cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
     grid = np.linspace(0, 1, 11)
-    params = {"h": H, "K": 10, "n_k": 25, "delta": 0.1,
-              "target_clients": 300, "lambda_grid": grid}
-    rep = coverage_experiments(cfg, [("cdf-curve", params)], trials=2, seed=3)[0]
+    params = {"delta": 0.1, "lambda_grid": grid}
+    rep = coverage_experiments(cfg, H, 10, 25, [("cdf-curve", params)], trials=2, seed=3,
+                               target_clients=300)[0]
     assert rep.per_lambda is not None
     assert len(rep.per_lambda["violation_rates"]) == 11
     out = tmp_path / "rep.json"
@@ -570,14 +586,14 @@ def test_coverage_cdf_reports_per_lambda(tmp_path):
 
 def test_coverage_fdiv_and_wass_smoke():
     cfg = archetype_cfg()
-    params = {"h": H, "K": 12, "n_k": 30, "delta": 0.1, "epsilon": 0.05,
-              "f_name": "kl", "target_clients": 300}
-    rep = coverage_experiments(cfg, [("fdiv-mean", params)], trials=2, seed=7)[0]
+    params = {"delta": 0.1, "epsilon": 0.05, "f_name": "kl"}
+    rep = coverage_experiments(cfg, H, 12, 30, [("fdiv-mean", params)], trials=2, seed=7,
+                               target_clients=300)[0]
     assert rep.bound_kind == "fdiv-mean"
     assert 0.0 <= rep.violation_rate <= 1.0
-    wparams = {"h": H, "K": 6, "n_k": 30, "delta": 0.1, "epsilon": 0.02,
-               "grid_size": 8, "target_clients": 300}
-    wrep = coverage_experiments(cfg, [("wass-mean", wparams)], trials=2, seed=8)[0]
+    wparams = {"delta": 0.1, "epsilon": 0.02, "grid_size": 8}
+    wrep = coverage_experiments(cfg, H, 6, 30, [("wass-mean", wparams)], trials=2, seed=8,
+                                target_clients=300)[0]
     assert wrep.bound_kind == "wass-mean"
 
 
@@ -587,8 +603,7 @@ _ALL_KINDS = [
     ("fdiv-mean", {"epsilon": 0.05, "f_name": "kl"}),
     ("fdiv-cdf", {"epsilon": 0.05, "f_name": "chi-square",
                   "lambda_grid": np.linspace(0.0, 1.0, 6)}),
-    # one zero-radius query and the 6 radii fill the budget exactly
-    ("wass-mean", {"epsilon": 0.02, "grid_size": 6, "max_queries": 7}),
+    ("wass-mean", {"epsilon": 0.02, "grid_size": 6}),
 ]
 
 
@@ -605,36 +620,22 @@ def _counting(monkeypatch, name, owner=fedcert.oracle):
 
 def test_coverage_experiments_equal_each_kind_run_alone(monkeypatch):
     cfg = archetype_cfg()
-    common = {"h": H, "K": 8, "n_k": 25, "delta": 0.1, "target_clients": 300}
-    requests = [(kind, {**common, **extra}) for kind, extra in _ALL_KINDS]
-    alone = [coverage_experiments(cfg, [request], trials=3, seed=5)[0].to_json_dict()
+    requests = [(kind, {"delta": 0.1, **extra}) for kind, extra in _ALL_KINDS]
+    # one zero-radius query and the 6 radii fill the budget exactly
+    run = dict(trials=3, seed=5, target_clients=300, max_queries=7)
+    alone = [coverage_experiments(cfg, H, 8, 25, [request], **run)[0].to_json_dict()
              for request in requests]
     worlds = _counting(monkeypatch, "draw_world", fedcert.metasim)
     passes = _counting(monkeypatch, "_source_risks")
     targets = _counting(monkeypatch, "risks", fedcert.oracle._TargetDraws)
-    got = coverage_experiments(cfg, requests, trials=3, seed=5)
+    got = coverage_experiments(cfg, H, 8, 25, requests, **run)
     assert [r.to_json_dict() for r in got] == alone
-    # every kind, wass-mean too, reads the shared source key: one source
-    # pass over the trials, and no world drawn on its own
+    # every kind, wass-mean too, reads the one source: one source pass over
+    # the trials, and no world drawn on its own
     assert len(worlds) == 0 and len(passes) == 1
     # the four target worlds (the source, two tilts, the moved means) share
     # one draw layout: one target draw per trial serves them all
     assert len(targets) == 3
-
-
-def test_coverage_experiments_draw_a_source_per_client_count(monkeypatch):
-    cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
-    common = {"h": H, "n_k": 20, "delta": 0.1, "target_clients": 200}
-    requests = [("mean", {**common, "K": 6}), ("cdf-curve", {**common, "K": 6}),
-                ("mean", {**common, "K": 9})]
-    worlds = _counting(monkeypatch, "draw_world", fedcert.metasim)
-    passes = _counting(monkeypatch, "_source_risks")
-    got = coverage_experiments(cfg, requests, trials=2, seed=3)
-    # one source pass over every trial per client count, and no world
-    assert len(passes) == 2 and len(worlds) == 0
-    assert [r.notes["K"] for r in got] == [6, 6, 9]
-    assert got[2].to_json_dict() == coverage_experiments(cfg, requests[2:], trials=2,
-                                                         seed=3)[0].to_json_dict()
 
 
 @pytest.mark.parametrize("K", [1, 2 * (_BLOCK_BYTES // (8 * 30 * 2)) + 1])
@@ -709,22 +710,22 @@ def test_wass_rows_equal_each_trials_wass_mean_bound(K, epsilon, grid_size):
 
 def test_wass_coverage_checks_the_query_budget_before_the_first_trial(monkeypatch):
     cfg = archetype_cfg()
-    params = {"h": H, "K": 5, "n_k": 20, "delta": 0.1, "epsilon": 0.02, "grid_size": 6,
-              "target_clients": 200}
+    requests = [("wass-mean", {"delta": 0.1, "epsilon": 0.02, "grid_size": 6})]
     grid = certificate_grid(np.full(5, 20), 0.02, 0.1, grid_size=6)
     passes = _counting(monkeypatch, "_source_risks")
     for cap in (1, len(grid)):
         with pytest.raises(BudgetExceededError) as err:
-            coverage_experiments(cfg, [("wass-mean", {**params, "max_queries": cap})], trials=2)
+            coverage_experiments(cfg, H, 5, 20, requests, trials=2, target_clients=200,
+                                 max_queries=cap)
         assert (err.value.client_id, err.value.max_queries) == (0, cap)
         # the clients of trial 0, asked one at a time, ran out at client 0 too
         with pytest.raises(BudgetExceededError) as one_by_one:
             _wass_trial(_draw_source(cfg, H, 5, 20, _trial_seed(0, 0)), H,
-                        {**params, "max_queries": cap})
+                        {**requests[0][1], "max_queries": cap})
         assert one_by_one.value.client_id == 0
     assert not passes
-    ok = coverage_experiments(cfg, [("wass-mean", {**params, "max_queries": len(grid) + 1})],
-                              trials=2)
+    ok = coverage_experiments(cfg, H, 5, 20, requests, trials=2, target_clients=200,
+                              max_queries=len(grid) + 1)
     assert ok[0].trials == 2 and len(passes) == 1
 
 
@@ -766,22 +767,23 @@ def test_target_draws_need_one_layout():
 
 # -------------------------------------------------- batched against per trial
 
-def _per_trial_coverage(cfg, bound_kind, params, trials, seed):
+def _per_trial_coverage(cfg, h, K, n_k, bound_kind, params, trials, seed, target_clients,
+                        max_queries=None):
     """The coverage report of one kind from a loop over trials: each trial
     draws its source and target risks, certifies with issue_certificate
-    (``wass-mean`` on the drawn world's clients) and applies the outcome
-    rule to that one certificate."""
+    (``wass-mean`` on the drawn world's clients, under ``max_queries``) and
+    applies the outcome rule to that one certificate."""
     kind = "cdf" if bound_kind == "cdf-curve" else bound_kind
-    h, K, n_k = params["h"], params["K"], params["n_k"]
     delta, epsilon = float(params.get("delta", 0.1)), float(params.get("epsilon", 0.0))
     lams = lambda_grid(params)
-    req = {**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams}
+    req = {**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams,
+           "max_queries": max_queries}
     target = target_world(cfg, kind, epsilon, h, params.get("f_name"))
     violations, per_lambda = 0, np.zeros(len(lams), dtype=int)
     for t in range(trials):
         source = _draw_source(cfg, h, K, n_k, _trial_seed(seed, t))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, t, 1])))
-        risks = fedcert.oracle.sample_true_risks(target, params["target_clients"], h, rng)
+        risks = fedcert.oracle.sample_true_risks(target, target_clients, h, rng)
         cert = (_wass_trial(source, h, req) if kind == "wass-mean"
                 else issue_certificate(kind, req, *source[1:]))
         if kind not in CURVE_KINDS:
@@ -820,13 +822,14 @@ def test_batched_coverage_equals_the_per_trial_loop(monkeypatch, trials, K, epsi
     qv0 = _draw_source(cfg, H, K, n_k, _trial_seed(seed, 0))[1][0]
     edge = qv0 + np.sqrt(np.log((K + 1) / delta) / (2 * n_k))
     grid = np.array([0.5, edge, 0.0, 0.5, 1.0, 0.25])
-    common = {"h": H, "K": K, "n_k": n_k, "delta": delta, "target_clients": 300,
-              "lambda_grid": grid}
+    common = {"delta": delta, "lambda_grid": grid}
     requests = [("mean", common), ("cdf-curve", common)]
     requests += [(kind, {**common, "epsilon": epsilon, "f_name": name})
                  for kind in ("fdiv-mean", "fdiv-cdf") for name in ("kl", "chi-square")]
-    got = [r.to_json_dict() for r in coverage_experiments(cfg, requests, trials=trials, seed=seed)]
-    assert got == [_per_trial_coverage(cfg, kind, params, trials, seed)
+    got = [r.to_json_dict() for r in coverage_experiments(cfg, H, K, n_k, requests,
+                                                          trials=trials, seed=seed,
+                                                          target_clients=300)]
+    assert got == [_per_trial_coverage(cfg, H, K, n_k, kind, params, trials, seed, 300)
                    for kind, params in requests]
     if inflate > 1.0 and (K, trials) == (8, 7):
         # at K = 1 every certificate is clipped to 1 and none is violated
@@ -840,17 +843,35 @@ def test_batched_coverage_equals_the_per_trial_loop(monkeypatch, trials, K, epsi
 @pytest.mark.parametrize("K", [1, 8])
 def test_batched_wass_coverage_equals_the_per_trial_path(trials, K):
     # the per-trial path certified each trial's drawn world through its
-    # clients; two wass-mean kinds share the source pass, one under a cap
-    # that one zero-radius query and its grid fill exactly.  At these sizes
-    # every certificate reads 1 and no trial violates; the raw values are
-    # compared bit for bit in test_wass_rows_equal_each_trials_wass_mean_bound
+    # clients; two wass-mean kinds share the source pass, under a cap that
+    # one zero-radius query and the larger grid fill exactly.  At these
+    # sizes every certificate reads 1 and no trial violates; the raw values
+    # are compared bit for bit in test_wass_rows_equal_each_trials_wass_mean_bound
     cfg, seed = archetype_cfg(), 13
-    common = {"h": H, "K": K, "n_k": 20, "delta": 0.1, "target_clients": 300}
-    requests = [("wass-mean", {**common, "epsilon": 0.02, "grid_size": 6}),
-                ("wass-mean", {**common, "epsilon": 0.3, "grid_size": 3, "max_queries": 4})]
-    got = [r.to_json_dict() for r in coverage_experiments(cfg, requests, trials=trials, seed=seed)]
-    assert got == [_per_trial_coverage(cfg, kind, params, trials, seed)
+    requests = [("wass-mean", {"delta": 0.1, "epsilon": 0.02, "grid_size": 6}),
+                ("wass-mean", {"delta": 0.1, "epsilon": 0.3, "grid_size": 3})]
+    got = [r.to_json_dict() for r in coverage_experiments(cfg, H, K, 20, requests,
+                                                          trials=trials, seed=seed,
+                                                          target_clients=300, max_queries=7)]
+    assert got == [_per_trial_coverage(cfg, H, K, 20, kind, params, trials, seed, 300, 7)
                    for kind, params in requests]
+
+
+def test_wass_kinds_share_one_flip_build_per_block(monkeypatch):
+    # two wass-mean kinds answer their radius grids from one flip table per
+    # block of the source pass, laid end to end; each radius is answered on
+    # its own, so each report equals its kind's run alone
+    monkeypatch.setattr(fedcert.metasim, "_PASS_CLIENTS", 16)
+    cfg, K, n_k = archetype_cfg(), 8, 25
+    requests = [("wass-mean", {"delta": 0.1, "epsilon": epsilon}) for epsilon in (0.02, 0.1)]
+    run = dict(trials=5, seed=3, target_clients=300)
+    alone = [coverage_experiments(cfg, H, K, n_k, [request], **run)[0].to_json_dict()
+             for request in requests]
+    builds = _counting(monkeypatch, "flip_risk_values")
+    blocks = _counting(monkeypatch, "empirical_risk_values")
+    got = coverage_experiments(cfg, H, K, n_k, requests, **run)
+    assert [r.to_json_dict() for r in got] == alone
+    assert len(blocks) > 1 and len(builds) == len(blocks)
 
 
 def test_wass_coverage_counts_the_trials_whose_rows_read_below_their_target(monkeypatch):
@@ -858,9 +879,8 @@ def test_wass_coverage_counts_the_trials_whose_rows_read_below_their_target(monk
     # violates; with the rows of trials 0, 2 and 4 lowered to 0, those read
     # below their target's mean risk, and the report counts them and fails
     cfg, trials = archetype_cfg(), 5
-    request = ("wass-mean", {"h": H, "K": 8, "n_k": 20, "delta": 0.1, "epsilon": 0.02,
-                             "grid_size": 6, "target_clients": 300})
-    honest, = coverage_experiments(cfg, [request], trials=trials, seed=13)
+    run = (cfg, H, 8, 20, [("wass-mean", {"delta": 0.1, "epsilon": 0.02, "grid_size": 6})])
+    honest, = coverage_experiments(*run, trials=trials, seed=13, target_clients=300)
     assert honest.violations == 0 and honest.passed
     rows_of = fedcert.oracle.wass_mean_rows
 
@@ -871,7 +891,7 @@ def test_wass_coverage_counts_the_trials_whose_rows_read_below_their_target(monk
         return rows._replace(value=value)
 
     monkeypatch.setattr(fedcert.oracle, "wass_mean_rows", lowered)
-    report, = coverage_experiments(cfg, [request], trials=trials, seed=13)
+    report, = coverage_experiments(*run, trials=trials, seed=13, target_clients=300)
     assert (report.trials, report.violations, report.violation_rate) == (trials, 3, 3 / trials)
     assert report.violation_rate > report.threshold and not report.passed
 
@@ -881,9 +901,10 @@ def test_target_statistic_is_the_mean_or_the_survival_at_each_threshold():
     grid = np.array([0.5, 0.1, 0.0, 0.5, 1.0])
     # risks on every threshold, where the survival counts a tie
     risks = np.r_[np.random.default_rng(3).uniform(0.0, 1.0, 50), grid, 0.1]
-    params = {"h": H, "lambda_grid": grid}
-    assert _CoveragePlan.of(cfg, "mean", params).target_statistic(risks) == float(np.mean(risks))
-    survival = _CoveragePlan.of(cfg, "cdf-curve", params).target_statistic(risks)
+    params = {"lambda_grid": grid}
+    assert (_CoveragePlan.of(cfg, H, 8, 20, "mean", params).target_statistic(risks)
+            == float(np.mean(risks)))
+    survival = _CoveragePlan.of(cfg, H, 8, 20, "cdf-curve", params).target_statistic(risks)
     assert survival.tolist() == np.mean(risks[None, :] >= grid[:, None], axis=1).tolist()
 
 
@@ -892,16 +913,16 @@ def test_coverage_memory_does_not_grow_with_trials():
     # target risks would add about 1.4 MB from 10 to 40 trials here, held
     # worlds about 3.6 MB
     cfg = archetype_cfg()
-    common = {"h": H, "K": 50, "n_k": 100, "delta": 0.1, "target_clients": 2000}
+    common = {"delta": 0.1}
     requests = [("mean", common), ("cdf-curve", common),
                 ("fdiv-mean", {**common, "epsilon": 0.05, "f_name": "kl"}),
                 ("fdiv-cdf", {**common, "epsilon": 0.05, "f_name": "chi-square"})]
-    coverage_experiments(cfg, requests, trials=2, seed=1)
+    coverage_experiments(cfg, H, 50, 100, requests, trials=2, seed=1)
 
     def peak(trials):
         tracemalloc.start()
         try:
-            coverage_experiments(cfg, requests, trials=trials, seed=1)
+            coverage_experiments(cfg, H, 50, 100, requests, trials=trials, seed=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -913,14 +934,14 @@ def test_tightness_memory_does_not_grow_with_trials():
     # holds a bounded number of clients' parameters and one block of
     # features, where the trials' features would add about 9.6 MB here
     cfg = archetype_cfg()
-    params = {"h": H, "delta": 0.1, "epsilon": 0.05, "f_name": "kl"}
+    params = {"delta": 0.1, "epsilon": 0.05, "f_name": "kl"}
     K_schedule, n_schedule = [50, 200], [100, 100]
-    tightness_probe(cfg, "fdiv-mean", K_schedule, n_schedule, 2, 1, params)
+    tightness_probe(cfg, H, "fdiv-mean", K_schedule, n_schedule, 2, 1, params)
 
     def peak(trials):
         tracemalloc.start()
         try:
-            tightness_probe(cfg, "fdiv-mean", K_schedule, n_schedule, trials, 1, params)
+            tightness_probe(cfg, H, "fdiv-mean", K_schedule, n_schedule, trials, 1, params)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -933,20 +954,20 @@ def test_tightness_memory_does_not_grow_with_trials():
 def test_tightness_validation():
     cfg = plain_cfg(shift_mode="both")
     with pytest.raises(ValueError):
-        tightness_probe(cfg, "cdf-curve", [5], [10], 1, 0, {"h": H})
+        tightness_probe(cfg, H, "cdf-curve", [5], [10], 1, 0, {})
     with pytest.raises(ValueError):
-        tightness_probe(cfg, "mean", [], [], 1, 0, {"h": H})
+        tightness_probe(cfg, H, "mean", [], [], 1, 0, {})
     with pytest.raises(ValueError):
-        tightness_probe(cfg, "mean", [5, 10], [10], 1, 0, {"h": H})
+        tightness_probe(cfg, H, "mean", [5, 10], [10], 1, 0, {})
     with pytest.raises(ValueError):
-        tightness_probe(cfg, "mean", [10, 5], [10, 20], 1, 0, {"h": H})
+        tightness_probe(cfg, H, "mean", [10, 5], [10, 20], 1, 0, {})
 
 
 def test_tightness_rows_smoke():
     cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
     rows = tightness_probe(
-        cfg, "mean", [5, 10], [10, 20], trials=3, seed=2,
-        params={"h": H, "delta": 0.1},
+        cfg, H, "mean", [5, 10], [10, 20], trials=3, seed=2,
+        params={"delta": 0.1},
     )
     assert len(rows) == 2
     for row in rows:
@@ -956,15 +977,14 @@ def test_tightness_rows_smoke():
         assert row["truth"] == fedcert.oracle.mean_true_risk(cfg, H)[0]
         assert 0.0 <= row["truth_error"] <= fedcert.oracle.TRUTH_TOL
     single = tightness_probe(
-        cfg, "mean", [5], [10], trials=1, seed=2,
-        params={"h": H, "delta": 0.1},
+        cfg, H, "mean", [5], [10], trials=1, seed=2,
+        params={"delta": 0.1},
     )
     assert single[0]["se_median"] == 0.0
 
 
-def _per_trial_tightness(cfg, bound_kind, K_schedule, n_schedule, trials, seed, params):
+def _per_trial_tightness(cfg, h, bound_kind, K_schedule, n_schedule, trials, seed, params):
     """tightness_probe's rows from a loop that certifies one trial at a time."""
-    h = params["h"]
     req = {"delta": float(params.get("delta", 0.1)),
            "epsilon": float(params.get("epsilon", 0.0)), "f_name": params.get("f_name")}
     truth, truth_error = mean_true_risk(
@@ -991,6 +1011,6 @@ def _per_trial_tightness(cfg, bound_kind, K_schedule, n_schedule, trials, seed, 
                                         ("fdiv-mean", {"epsilon": 0.0, "f_name": "kl"})])
 def test_batched_tightness_equals_the_per_trial_loop(trials, kind, extra):
     cfg = archetype_cfg()
-    params = {"h": H, "delta": 0.1, **extra}
-    args = (cfg, kind, [1, 8], [10, 30], trials, 3, params)
+    params = {"delta": 0.1, **extra}
+    args = (cfg, H, kind, [1, 8], [10, 30], trials, 3, params)
     assert tightness_probe(*args) == _per_trial_tightness(*args)

@@ -181,7 +181,8 @@ def test_no_command_loads_a_third_party_module_but_numpy(tmp_path):
         "    loaded = {m for m in loaded if not m.startswith(('cython_runtime', '_cython_'))}\n"
         "    print('LOADED', step, sorted(loaded - set(sys.stdlib_module_names)))\n"
         "import fedcert.cli; report('import')\n"
-        "for argv, out in ((['certify', '--config', sys.argv[2]], 'c'),\n"
+        "for argv, out in ((['simulate', '--config', sys.argv[2]], 's'),\n"
+        "                  (['certify', '--config', sys.argv[2]], 'c'),\n"
         "                  (['verify', '--config', sys.argv[2]], 'v'), (['emit-plots'], 'c')):\n"
         "    assert fedcert.cli.main(argv + ['--out', sys.argv[3] + out]) == 0, argv\n"
         "    report(argv[0])\n"
@@ -190,4 +191,4 @@ def test_no_command_loads_a_third_party_module_but_numpy(tmp_path):
                           str(tmp_path / "out-")], capture_output=True, text=True, check=True)
     reports = [line for line in res.stdout.splitlines() if line.startswith("LOADED")]
     assert reports == [f"LOADED {step} []"
-                       for step in ("import", "certify", "verify", "emit-plots")]
+                       for step in ("import", "simulate", "certify", "verify", "emit-plots")]
