@@ -717,17 +717,16 @@ def _source_risks(cfg: MetaConfig, h: Hypothesis, roots: list[int], K: int, n_k:
     ``draw_world(cfg, K, n_k, root)``, and their values and slopes on each
     grid of ``grids``, (2, len(roots), K, G): one ``draw_sample_rows`` pass
     to ``empirical_risk_values`` and one ``flip_risk_values`` per block on
-    the grids laid end to end (each radius is answered on its own)."""
+    the grids laid end to end (each radius is answered on its own), one
+    table whose columns each grid's table views."""
     qv = np.empty((len(roots), K))
-    tables = [np.empty((2, len(roots), K, len(grid))) for grid in grids]
-    splits = np.cumsum([len(grid) for grid in grids])[:-1]
+    grid = np.concatenate([np.empty(0), *grids])
+    table = np.empty((2, len(roots), K, len(grid)))
     for rows, X, labels in draw_sample_rows(cfg, roots, K, n_k):
         qv.reshape(-1)[rows] = empirical_risk_values(h, X, labels, _ZERO_ONE)
-        if tables:
-            answers = np.stack(flip_risk_values(h, X, labels, np.concatenate(grids)))
-            for table, cols in zip(tables, np.split(answers, splits, axis=2)):
-                table.reshape(2, -1, cols.shape[2])[:, rows] = cols
-    return qv, tables
+        if len(grid):
+            table.reshape(2, -1, len(grid))[:, rows] = flip_risk_values(h, X, labels, grid)
+    return qv, np.split(table, np.cumsum([len(g) for g in grids]), axis=3)[:-1]
 
 
 def _check_kind_request(params: dict) -> None:
@@ -842,7 +841,8 @@ def coverage_experiments(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int,
     """Repeatedly certify ``h`` on fresh source worlds of K clients of n_k
     samples, and test each certificate against the exact statistics of
     ``target_clients`` clients of its declared shifted target; one report
-    per ``(bound_kind, params)`` request, in order.
+    per ``(bound_kind, params)`` request, in order, and no draw at all for
+    no request.  K, n_k and target_clients are taken as ints.
 
     ``bound_kind`` is a certificate kind, with ``cdf-curve`` for ``cdf``.
     ``params`` holds one kind's delta, epsilon, f_name, lambda_grid and
@@ -867,8 +867,11 @@ def coverage_experiments(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int,
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    K, n_k, target_clients = int(K), int(n_k), int(target_clients)
     plans = [_CoveragePlan.of(cfg, h, K, n_k, bound_kind, params)
              for bound_kind, params in requests]
+    if not plans:
+        return []
     grids = [plan.grid for plan in plans if plan.grid is not None]
     if max_queries is not None and any(1 + len(grid) > max_queries for grid in grids):
         raise BudgetExceededError(0, max_queries)

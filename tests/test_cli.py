@@ -829,6 +829,23 @@ def test_verify_draws_each_trials_source_once_for_every_kind(tmp_path, monkeypat
     assert counts.get("risks") == cfg["verify"]["trials"]
 
 
+def test_verify_without_kinds_draws_only_the_tightness_sources(tmp_path, monkeypatch):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    del cfg["verify"]["kinds"]
+    passes = []
+    source_risks = fedcert.oracle._source_risks
+
+    def counted(*args, **kwargs):
+        passes.append(args[3])
+        return source_risks(*args, **kwargs)
+    monkeypatch.setattr(fedcert.oracle, "_source_risks", counted)
+    assert main(["verify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "v")]) == 0
+    # one pass per schedule point, at its K, and none for the absent kinds
+    assert passes == cfg["verify"]["tightness"]["K_schedule"]
+    assert sorted(p.name for p in (tmp_path / "v").iterdir()) == ["tightness.csv"]
+
+
 def _golden_verify_config(name):
     """The config of one pinned verify tree: BASE_CONFIG itself, or the four
     kinds that certify from the query matrix with an fdiv-mean tightness

@@ -1,6 +1,7 @@
 """The verification layer itself: grid and LP oracles on instances small
 enough to reason about by hand, closed-form risks against Monte Carlo, and
 the coverage / tightness harnesses on toy worlds."""
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -559,6 +560,25 @@ def test_coverage_mean_smoke_and_determinism():
     assert abs(rep1.threshold - want_thr) < 1e-12
     assert rep1.config_digest == cfg.digest()
     assert rep1.notes["K"] == 10 and rep1.notes["n_k"] == 25
+
+
+def test_coverage_without_requests_draws_nothing(monkeypatch):
+    passes = _counting(monkeypatch, "_source_risks")
+    assert coverage_experiments(archetype_cfg(), H, 5, 10, [], trials=3) == []
+    assert not passes
+
+
+def test_coverage_takes_numpy_sizes_as_ints(tmp_path):
+    # a K or n_k read off a numpy schedule runs as the int it holds, and
+    # its report still writes as JSON
+    cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
+    run = dict(trials=2, seed=4, target_clients=300)
+    want, = coverage_experiments(cfg, H, 10, 25, [("mean", {"delta": 0.1})], **run)
+    got, = coverage_experiments(cfg, H, np.int64(10), 25.0, [("mean", {"delta": 0.1})],
+                                **{**run, "target_clients": np.int64(300)})
+    assert got.to_json_dict() == want.to_json_dict()
+    got.write_json(tmp_path / "rep.json")
+    assert json.loads((tmp_path / "rep.json").read_text())["notes"]["K"] == 10
 
 
 def test_coverage_single_trial_passes_only_without_violation():
