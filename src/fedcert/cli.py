@@ -66,7 +66,7 @@ from .query import (
     TransportCost,
     query_empirical,
 )
-from .wass import _per_client_log_terms
+from .wass import certificate_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -473,10 +473,9 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
     kinds (a tightness probe's included) need a world with archetypes and a
     budget below what the archetype tilt can reach, a wass-mean target needs
     a rule with a nonzero margin to move the class means against and an
-    epsilon whose per-client slack is defined for K clients of n_k samples
-    (``wass._per_client_log_terms``), a world
-    directory must hold a manifest, and the tightness schedules must be
-    aligned and nondecreasing."""
+    epsilon that ``wass.certificate_grid`` takes for K clients of n_k
+    samples, a world directory must hold a manifest, and the tightness
+    schedules must be aligned and nondecreasing."""
     if world.n_classes != 2:
         raise ConfigError("config error at $.world.n_classes: certify and verify "
                           "need a binary world")
@@ -526,8 +525,8 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
         if kind == "wass-mean":
             # a verify kind's delta defaults to the coverage trials' 0.1
             try:
-                _per_client_log_terms(cfg["data"]["K"], [cfg["data"]["n_k"]],
-                                      float(req["epsilon"]), float(req.get("delta", 0.1)))
+                certificate_grid(np.full(cfg["data"]["K"], cfg["data"]["n_k"]),
+                                 float(req["epsilon"]), float(req.get("delta", 0.1)))
             except ValueError as exc:
                 raise ConfigError(f"config error at $.{where}.epsilon: {exc}") from exc
         if kind not in FDIV_KINDS:
@@ -646,7 +645,7 @@ def cmd_verify(args) -> int:
     # the kinds share each trial's source world and target draws
     coverage = coverage_experiments(
         world, h, data["K"], data["n_k"],
-        [("cdf-curve" if e["kind"] == "cdf" else e["kind"], e) for e in entries],
+        [(e["kind"], e) for e in entries],
         trials, seed=world.seed, target_clients=vc.get("target_clients", 2000),
         max_queries=data.get("max_queries"))
     all_passed = True

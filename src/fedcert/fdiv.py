@@ -63,7 +63,11 @@ that does too: the adversarially robust DKW band.
 
 Each kind is a row kernel over a (T, K) query matrix (``fdiv_mean_rows``,
 ``fdiv_cdf_rows``); ``fdiv_mean_bound`` and ``fdiv_cdf_bound`` are its
-one-row case, made by ``Rows.bound`` and ``Rows.curve``.
+one-row case, made by ``Rows.bound`` and ``Rows.curve``.  Every one returns
+a certificate, slack included.  The program a ``fdiv-mean`` certificate
+pads, the dual on the query values themselves, is its
+``extra["program_value"]``; a ``fdiv-cdf`` band pads ``ball`` of the share
+of query values at or above each threshold.
 """
 from __future__ import annotations
 
@@ -188,14 +192,13 @@ def ball(name: str, p, epsilon: float) -> np.ndarray:
     return out
 
 
-def fdiv_mean_rows(qv, n, delta: float, epsilon: float, name: str,
-                   *, include_slack: bool = True) -> Rows:
+def fdiv_mean_rows(qv, n, delta: float, epsilon: float, name: str) -> Rows:
     """``fdiv_mean_bound`` of each row of a (T, K) query matrix ``qv`` with
     sample counts ``n`` of the same shape: every row's three duals (on qv,
     on x = qv + s, and on x with the DKW term) in one search."""
     qv, n = _validate(qv, n, delta)
     _check_divergence(name, epsilon)
-    shifts, t = _slack_terms(n, delta, include_slack)
+    shifts, t = _slack_terms(n, delta)
     x = qv + shifts
     T, K = qv.shape
     duals = _mean_duals(name, np.stack([qv, x, x], axis=1).reshape(3 * T, K),
@@ -206,17 +209,15 @@ def fdiv_mean_rows(qv, n, delta: float, epsilon: float, name: str,
                 {"program_value": program})
 
 
-def fdiv_cdf_rows(qv, n, delta: float, epsilon: float, name: str, lambdas,
-                  *, include_slack: bool = True) -> Rows:
+def fdiv_cdf_rows(qv, n, delta: float, epsilon: float, name: str, lambdas) -> Rows:
     """``ball`` applied to each row's band of ``nonrobust.cdf_rows`` at the
     sorted thresholds ``lambdas``; ``raw`` keeps that band before its clip
     to 1."""
-    band = cdf_rows(qv, n, delta, lambdas, include_slack=include_slack)
+    band = cdf_rows(qv, n, delta, lambdas)
     return band._replace(value=ball(name, band.value, epsilon))
 
 
-def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str,
-                    *, include_slack: bool = True) -> CertifiedBound:
+def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str) -> CertifiedBound:
     """Certified upper bound on the target population's mean risk when the
     target is any law within f-divergence epsilon of the source: the one
     row of ``fdiv_mean_rows``, made by ``Rows.bound``.
@@ -227,18 +228,15 @@ def fdiv_mean_bound(qv, n, delta: float, epsilon: float, name: str,
     monotone in both, and the three sum to the raw value.
     """
     qv, n = _one_row(qv, n)
-    return fdiv_mean_rows(qv, n, delta, epsilon, name, include_slack=include_slack).bound(
-        "fdiv-mean", K=qv.shape[1], delta=delta, epsilon=epsilon, divergence=name,
-        include_slack=include_slack)
+    return fdiv_mean_rows(qv, n, delta, epsilon, name).bound(
+        "fdiv-mean", K=qv.shape[1], delta=delta, epsilon=epsilon, divergence=name)
 
 
-def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid,
-                   *, include_slack: bool = True) -> CdfCurve:
+def fdiv_cdf_bound(qv, n, delta: float, epsilon: float, name: str, lambda_grid) -> CdfCurve:
     """Certified survival-function bounds under an f-divergence shift, valid
     simultaneously at every threshold: the one row of ``fdiv_cdf_rows``, on
     the thresholds of ``nonrobust.cdf_bound``, made by ``Rows.curve``.
     ``raw`` keeps the band before its clip to 1."""
-    qv, n, lams = _curve_thresholds(qv, n, delta, lambda_grid, include_slack)
-    return fdiv_cdf_rows(qv, n, delta, epsilon, name, lams, include_slack=include_slack).curve(
-        "fdiv-cdf", lams, K=qv.shape[1], delta=delta, epsilon=epsilon, divergence=name,
-        include_slack=include_slack)
+    qv, n, lams = _curve_thresholds(qv, n, delta, lambda_grid)
+    return fdiv_cdf_rows(qv, n, delta, epsilon, name, lams).curve(
+        "fdiv-cdf", lams, K=qv.shape[1], delta=delta, epsilon=epsilon, divergence=name)

@@ -19,7 +19,9 @@ Each bound is written once, as a row kernel over a (T, K) matrix of T
 independent problems (``mean_rows``, ``cdf_rows``), so that many problems of
 one size are certified in one call; ``mean_bound`` and ``cdf_bound`` are
 its one-row case, made by ``Rows.bound`` and ``Rows.curve``.  A row's result
-does not depend on the other rows.
+does not depend on the other rows.  Every one returns a certificate, slack
+included; the program it pads is read from the query values themselves:
+mean_k qv_k, or the share of qv_k at or above lambda.
 """
 from __future__ import annotations
 
@@ -56,13 +58,11 @@ def _one_row(qv, n) -> tuple[np.ndarray, np.ndarray]:
     return qv[None], np.asarray(n)[None]
 
 
-def _slack_terms(n: np.ndarray, delta: float, include_slack: bool) -> tuple[np.ndarray, float]:
+def _slack_terms(n: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     """The mean bound's K+1 events: each client's term s_k (its true risk is
     at most qv_k + s_k) and the meta term t (one-sided DKW on the true
-    risks); zeros without slack.  ``n`` holds K clients along its last axis."""
+    risks).  ``n`` holds K clients along its last axis."""
     K = n.shape[-1]
-    if not include_slack:
-        return np.zeros(n.shape), 0.0
     return (np.sqrt(np.log((K + 1) / delta) / (2 * n)),
             float(np.sqrt(np.log((K + 1) / delta) / (2 * K))))
 
@@ -81,7 +81,7 @@ def _survival_counts(breakpoints: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1]
 
 
-def _curve_thresholds(qv, n, delta, lambda_grid, include_slack: bool):
+def _curve_thresholds(qv, n, delta, lambda_grid):
     """A one-row curve's (1, K) input and its thresholds: the grid plus the
     K breakpoints qv_k + s_k where the indicator sum changes (sorted,
     unique), so the step curve on them is exact between neighbours."""
@@ -89,22 +89,22 @@ def _curve_thresholds(qv, n, delta, lambda_grid, include_slack: bool):
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
         raise ValueError("lambda_grid must be a nonempty vector")
-    shifts, _ = _slack_terms(n, delta, include_slack)
+    shifts, _ = _slack_terms(n, delta)
     return qv, n, np.unique(np.concatenate([lambda_grid, qv[0] + shifts[0]]))
 
 
-def mean_rows(qv, n, delta: float, *, include_slack: bool = True) -> Rows:
+def mean_rows(qv, n, delta: float) -> Rows:
     """``mean_bound`` of each row of a (T, K) query matrix ``qv`` with
     sample counts ``n`` of the same shape."""
     qv, n = _validate(qv, n, delta)
-    shifts, meta = _slack_terms(n, delta, include_slack)
+    shifts, meta = _slack_terms(n, delta)
     per_client = np.mean(shifts, axis=1)
     raw = np.mean(qv, axis=1) + meta + per_client
     return Rows(np.minimum(raw, 1.0), raw,
                 {"meta": np.full(len(raw), meta), "per_client": per_client}, {})
 
 
-def cdf_rows(qv, n, delta: float, lambdas, *, include_slack: bool = True) -> Rows:
+def cdf_rows(qv, n, delta: float, lambdas) -> Rows:
     """The survival band of each row of a (T, K) query matrix at the sorted
     thresholds ``lambdas``, shared by every row: ``value`` and ``raw`` are
     (T, L), ``slack["meta"]`` the K-level term."""
@@ -113,21 +113,20 @@ def cdf_rows(qv, n, delta: float, lambdas, *, include_slack: bool = True) -> Row
     if lambdas.ndim != 1 or len(lambdas) == 0 or np.any(np.diff(lambdas) < 0):
         raise ValueError("thresholds must be a nonempty sorted vector")
     T, K = qv.shape
-    shifts, _ = _slack_terms(n, delta, include_slack)
-    meta = float(np.sqrt(np.log(2 * (K + 1) / delta) / (2 * K))) if include_slack else 0.0
+    shifts, _ = _slack_terms(n, delta)
+    meta = float(np.sqrt(np.log(2 * (K + 1) / delta) / (2 * K)))
     raw = _survival_counts(qv + shifts, lambdas) / K + meta
     return Rows(np.minimum(raw, 1.0), raw, {"meta": np.full(T, meta)}, {})
 
 
-def mean_bound(qv, n, delta: float, *, include_slack: bool = True) -> CertifiedBound:
+def mean_bound(qv, n, delta: float) -> CertifiedBound:
     """Certified upper bound on the population-average true risk: the one
     row of ``mean_rows``."""
     qv, n = _one_row(qv, n)
-    return mean_rows(qv, n, delta, include_slack=include_slack).bound(
-        "mean", K=qv.shape[1], delta=delta, include_slack=include_slack)
+    return mean_rows(qv, n, delta).bound("mean", K=qv.shape[1], delta=delta)
 
 
-def cdf_bound(qv, n, delta: float, lambda_grid, *, include_slack: bool = True) -> CdfCurve:
+def cdf_bound(qv, n, delta: float, lambda_grid) -> CdfCurve:
     """Certified upper bounds on the survival function of client risks,
     valid simultaneously at every threshold: the one row of ``cdf_rows``.
 
@@ -135,6 +134,5 @@ def cdf_bound(qv, n, delta: float, lambda_grid, *, include_slack: bool = True) -
     the indicator sum actually changes, so the returned step curve is exact
     between consecutive thresholds.
     """
-    qv, n, lams = _curve_thresholds(qv, n, delta, lambda_grid, include_slack)
-    return cdf_rows(qv, n, delta, lams, include_slack=include_slack).curve(
-        "cdf", lams, K=qv.shape[1], delta=delta, include_slack=include_slack)
+    qv, n, lams = _curve_thresholds(qv, n, delta, lambda_grid)
+    return cdf_rows(qv, n, delta, lams).curve("cdf", lams, K=qv.shape[1], delta=delta)

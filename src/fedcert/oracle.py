@@ -98,8 +98,6 @@ BOUND_KINDS = ("mean", "cdf", "fdiv-mean", "fdiv-cdf", "wass-mean")
 CURVE_KINDS = ("cdf", "fdiv-cdf")
 FDIV_KINDS = ("fdiv-mean", "fdiv-cdf")
 TIGHTNESS_KINDS = ("mean", "fdiv-mean")
-# coverage reports name the survival-curve kind "cdf-curve"
-_COVERAGE_KINDS = tuple("cdf-curve" if k == "cdf" else k for k in BOUND_KINDS)
 
 _ZERO_ONE = LossFn(ZERO_ONE)
 
@@ -769,7 +767,6 @@ def _trial_seed(seed: int, trial: int) -> int:
 class _CoveragePlan:
     """What one requested kind's trials need, fixed before the first trial."""
 
-    bound_kind: str
     kind: str
     delta: float
     epsilon: float
@@ -779,17 +776,16 @@ class _CoveragePlan:
     grid: np.ndarray | None   # the radius grid a wass-mean kind's clients answer
 
     @classmethod
-    def of(cls, cfg: MetaConfig, h: Hypothesis, K: int, n_k: int, bound_kind: str,
+    def of(cls, cfg: MetaConfig, h: Hypothesis, K: int, n_k: int, kind: str,
            params: dict) -> "_CoveragePlan":
-        if bound_kind not in _COVERAGE_KINDS:
-            raise ValueError(f"bound_kind must be one of {_COVERAGE_KINDS}")
-        kind = "cdf" if bound_kind == "cdf-curve" else bound_kind
+        if kind not in BOUND_KINDS:
+            raise ValueError(f"bound_kind must be one of {BOUND_KINDS}")
         _check_kind_request(params)
         delta = float(params.get("delta", 0.1))
         epsilon = float(params.get("epsilon", 0.0))
         lams = lambda_grid(params)
         return cls(
-            bound_kind=bound_kind, kind=kind, delta=delta, epsilon=epsilon, lams=lams,
+            kind=kind, delta=delta, epsilon=epsilon, lams=lams,
             req={**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams},
             target_cfg=target_world(cfg, kind, epsilon, h, params.get("f_name")),
             grid=certificate_grid(np.full(K, n_k), epsilon, delta,
@@ -821,7 +817,7 @@ class _CoveragePlan:
                 "violation_rates": (np.sum(violated, axis=0) / trials).tolist(),
             }
         return CoverageReport(
-            bound_kind=self.bound_kind,
+            bound_kind=self.kind,
             trials=trials,
             violations=violations,
             violation_rate=rate,
@@ -844,7 +840,7 @@ def coverage_experiments(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int,
     per ``(bound_kind, params)`` request, in order, and no draw at all for
     no request.  K, n_k and target_clients are taken as ints.
 
-    ``bound_kind`` is a certificate kind, with ``cdf-curve`` for ``cdf``.
+    ``bound_kind`` is one of ``BOUND_KINDS``, and its report carries it.
     ``params`` holds one kind's delta, epsilon, f_name, lambda_grid and
     grid_size; one that holds h, K, n_k, target_clients or max_queries
     raises ValueError.  The clients answer zero-one queries under the

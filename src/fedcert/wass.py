@@ -30,9 +30,11 @@ made by ``Rows.bound``.  Every query route is ``exact`` or a ``bound`` that
 lies above its inner supremum, with the slope of that bound, so the
 certificate's status is ``optimal``.
 
-The per-client slack carries log((K+2) n_k / (epsilon delta)); a budget for
-which that log is not positive for some client has no slack term, and is
-refused.
+The per-client slack carries log((K+2) n_k / (epsilon delta)); a zero
+budget, or one for which that log is not positive for some client, has no
+slack term, and ``certificate_grid`` refuses it before any query.  Every
+bound function here returns a certificate, slack included; the program
+value it pads is its ``extra["program_value"]``.
 """
 from __future__ import annotations
 
@@ -66,12 +68,8 @@ class RadiusAllocation(NamedTuple):
     objective: np.ndarray     # mean of values
 
 
-def mean_radius_cap(epsilon: float, delta: float, K: int, *,
-                    include_slack: bool = True) -> float:
-    cap = epsilon * (1.0 + 1.0 / K)
-    if include_slack:
-        cap += DEFAULT_C1 * float(np.sqrt(np.log((K + 2) / delta) / K))
-    return cap
+def mean_radius_cap(epsilon: float, delta: float, K: int) -> float:
+    return epsilon * (1.0 + 1.0 / K) + DEFAULT_C1 * float(np.sqrt(np.log((K + 2) / delta) / K))
 
 
 def _per_client_log_terms(K: int, ns, epsilon: float, delta: float) -> np.ndarray:
@@ -100,23 +98,19 @@ def radius_grid(floor: float, top: float, grid_size: int) -> np.ndarray:
     return np.unique(np.geomspace(floor, top, grid_size))
 
 
-def certificate_grid(ns, epsilon: float, delta: float, *, grid_size: int = DEFAULT_GRID_SIZE,
-                     include_slack: bool = True) -> np.ndarray:
+def certificate_grid(ns, epsilon: float, delta: float, *,
+                     grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """The ``radius_grid`` of K clients of ``ns`` samples (K along the last
     axis) for a ``wass-mean`` certificate, after the budget is checked: a
     budget the certificate refuses is refused before any query."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive: the per-client term carries "
+                         "log(1/epsilon)")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     K = np.shape(ns)[-1]
-    if include_slack:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive when slack terms are on "
-                             "(the per-client term carries log(1/epsilon))")
-        _per_client_log_terms(K, ns, epsilon, delta)
-    cap = mean_radius_cap(epsilon, delta, K, include_slack=include_slack)
-    return radius_grid(epsilon / K, K * cap, grid_size)
+    _per_client_log_terms(K, ns, epsilon, delta)
+    return radius_grid(epsilon / K, K * mean_radius_cap(epsilon, delta, K), grid_size)
 
 
 def _tangent_vertices(grid, values, slopes) -> np.ndarray:
@@ -182,8 +176,7 @@ def _chords(grid, values, rho) -> np.ndarray:
     return lo + t * (hi - lo)
 
 
-def wass_mean_rows(grid, values, slopes, ns, epsilon: float, delta: float, *,
-                   include_slack: bool = True) -> Rows:
+def wass_mean_rows(grid, values, slopes, ns, epsilon: float, delta: float) -> Rows:
     """``wass_mean_bound`` of T client populations from their answers on
     ``grid``, ``values`` and ``slopes`` (T, K, G), and sample counts ``ns``
     (T, K): each term is (T,), and the witness radii (T, K).  ``grid`` is
@@ -193,14 +186,11 @@ def wass_mean_rows(grid, values, slopes, ns, epsilon: float, delta: float, *,
     if np.shape(values)[-1] != len(grid) or np.shape(values)[:-1] != ns.shape:
         raise ValueError("each client needs one answer per radius of its certificate grid")
     T, K = ns.shape
-    witness = _waterfill(grid, values, slopes, epsilon / K,
-                         mean_radius_cap(epsilon, delta, K, include_slack=include_slack))
+    witness = _waterfill(grid, values, slopes, epsilon / K, mean_radius_cap(epsilon, delta, K))
     chord_value = np.mean(_chords(grid, values, witness.rho), axis=-1)
-    meta, per_client = np.zeros(T), np.zeros(T)
-    if include_slack:
-        meta[:] = np.sqrt(np.log((K + 2) / delta) / (2 * K))
-        per_client = np.mean(DEFAULT_C2 * np.sqrt(_per_client_log_terms(K, ns, epsilon, delta)
-                                                  / ns), axis=-1)
+    meta = np.full(T, np.sqrt(np.log((K + 2) / delta) / (2 * K)))
+    per_client = np.mean(DEFAULT_C2 * np.sqrt(_per_client_log_terms(K, ns, epsilon, delta) / ns),
+                         axis=-1)
     raw = witness.objective + meta + per_client
     return Rows(np.minimum(raw, 1.0), raw, {"meta": meta, "per_client": per_client}, {
         "program_value": witness.objective,
@@ -218,7 +208,6 @@ def wass_mean_bound(
     delta: float,
     *,
     grid_size: int = DEFAULT_GRID_SIZE,
-    include_slack: bool = True,
 ) -> CertifiedBound:
     """Certified upper bound on the target mean risk when the target moves
     clients by at most epsilon average transport cost: ``wass_mean_rows`` of
@@ -226,11 +215,8 @@ def wass_mean_bound(
     if not clients:
         raise ValueError("at least one client required")
     ns = np.array([c.n_samples for c in clients], dtype=float)
-    grid = certificate_grid(ns, epsilon, delta, grid_size=grid_size, include_slack=include_slack)
+    grid = certificate_grid(ns, epsilon, delta, grid_size=grid_size)
     values, slopes = query_profiles(clients, h, grid)
-    return wass_mean_rows(grid, values[None], slopes[None], ns[None], epsilon, delta,
-                          include_slack=include_slack).bound(
+    return wass_mean_rows(grid, values[None], slopes[None], ns[None], epsilon, delta).bound(
         "wass-mean", K=len(ns), delta=delta, epsilon=epsilon, c1=DEFAULT_C1, c2=DEFAULT_C2,
-        grid_size=grid_size,
-        mean_radius_cap=mean_radius_cap(epsilon, delta, len(ns), include_slack=include_slack),
-        include_slack=include_slack)
+        grid_size=grid_size, mean_radius_cap=mean_radius_cap(epsilon, delta, len(ns)))

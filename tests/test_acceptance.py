@@ -30,6 +30,7 @@ from fedcert import (
     fdiv_mean_bound,
     grid_ball_oracle,
     mean_bound,
+    query_profiles,
     tightness_probe,
     wass_alloc_grid_oracle,
     wass_ball_lp_oracle,
@@ -85,7 +86,7 @@ def test_acceptance_1_coverage_same_world():
     params = {"delta": 0.1}
     mean_rep = coverage_experiments(cfg, H2, 100, 200, [("mean", params)], trials=200,
                                     seed=11)[0]
-    cdf_rep = coverage_experiments(cfg, H2, 100, 200, [("cdf-curve", params)], trials=200,
+    cdf_rep = coverage_experiments(cfg, H2, 100, 200, [("cdf", params)], trials=200,
                                    seed=12)[0]
     elapsed = time.monotonic() - t0
     max_lambda_rate = max(cdf_rep.per_lambda["violation_rates"])
@@ -143,8 +144,8 @@ def test_acceptance_4_solvers_match_oracles():
     # never below the grid optimum, and above it by at most the grid's error
     worst_reweight, reweight_ok = 0.0, True
     for K, i, step, name, epsilon, q in iter_ball_corpus():
-        raw = fdiv_mean_bound(q, np.ones(K, int), 0.1, epsilon, name,
-                              include_slack=False).raw_value
+        raw = fdiv_mean_bound(q, np.ones(K, int), 0.1, epsilon,
+                              name).extra["program_value"]
         orc = grid_ball_oracle(q, name, epsilon, step=step)
         reweight_ok = reweight_ok and orc - 1e-12 <= raw <= orc + 2e-3
         worst_reweight = max(worst_reweight, raw - orc)
@@ -208,20 +209,17 @@ def test_acceptance_5_zero_budget_reductions():
         delta = float(rng.uniform(0.02, 0.3))
         grid = np.linspace(0, 1, 21)
 
-        a = fdiv_mean_bound(qv, ns, delta, 0.0, "kl", include_slack=False)
-        b = mean_bound(qv, ns, delta, include_slack=False)
-        worst = max(worst, abs(a.value - b.value))
+        # the robust program at a zero budget is the plain mean, and the
+        # two certificates differ by exactly their slack terms
+        a = fdiv_mean_bound(qv, ns, delta, 0.0, "kl")
+        b = mean_bound(qv, ns, delta)
+        worst = max(worst, abs(a.value - b.value), abs(a.extra["program_value"] - np.mean(qv)))
+        slack_diff = sum(a.slack.values()) - sum(b.slack.values())
+        worst = max(worst, abs((a.raw_value - b.raw_value) - slack_diff))
 
-        ca = fdiv_cdf_bound(qv, ns, delta, 0.0, "chi-square", grid,
-                            include_slack=False)
-        cb = cdf_bound(qv, ns, delta, grid, include_slack=False)
+        ca = fdiv_cdf_bound(qv, ns, delta, 0.0, "chi-square", grid)
+        cb = cdf_bound(qv, ns, delta, grid)
         worst = max(worst, max(abs(ca.at(l) - cb.at(l)) for l in grid))
-
-        # with slack on, the bounds differ by exactly their slack terms
-        ra = fdiv_mean_bound(qv, ns, delta, 0.0, "kl")
-        rb = mean_bound(qv, ns, delta)
-        slack_diff = sum(ra.slack.values()) - sum(rb.slack.values())
-        worst = max(worst, abs((ra.raw_value - rb.raw_value) - slack_diff))
 
     wrng = np.random.default_rng(np.random.SeedSequence(50506))
     datasets = [
@@ -230,11 +228,13 @@ def test_acceptance_5_zero_budget_reductions():
         for i in range(4)
     ]
     clients = [Client(i, ds, LossFn(ZERO_ONE)) for i, ds in enumerate(datasets)]
-    wb = wass_mean_bound(clients, H2, 0.0, 0.1, include_slack=False)
+    # at a zero floor and mean cap every client takes its radius-0 answer
+    grid = np.array([0.0])
+    alloc = _waterfill(grid, *query_profiles(clients, H2, grid), 0.0, 0.0)
     emp = float(np.mean([
         empirical_risk(H2, ds, LossFn(ZERO_ONE)).value for ds in datasets
     ]))
-    worst = max(worst, abs(wb.value - emp))
+    worst = max(worst, abs(alloc.objective - emp), float(np.max(alloc.rho)))
 
     exact_rho0 = True
     for kind in (ZERO_ONE, SQUARED, CROSS_ENTROPY):
@@ -310,14 +310,15 @@ def test_acceptance_6_monotonicity_fuzz():
         ]
         e1, e2 = np.sort(sub.uniform(0.005, 0.3, 2))
 
-        def bound(eps):
+        # the program value: the slacked one carries log(1/epsilon)
+        def program(eps):
             clients = [Client(i, ds, LossFn(ZERO_ONE))
                        for i, ds in enumerate(datasets)]
             return wass_mean_bound(clients, H2, float(eps), 0.1,
-                                   include_slack=False, grid_size=8)
-        b1, b2 = bound(e1), bound(e2)
-        ok = ok and b2.value >= b1.value - 3e-6
-        ok = ok and 0.0 <= b1.value <= 1.0 and 0.0 <= b2.value <= 1.0
+                                   grid_size=8).extra["program_value"]
+        p1, p2 = program(e1), program(e2)
+        ok = ok and p2 >= p1 - 3e-6
+        ok = ok and 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
         checked += 1
 
     elapsed = time.monotonic() - t0

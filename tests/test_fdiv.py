@@ -14,7 +14,7 @@ import pytest
 
 from fedcert import Hypothesis, MetaConfig
 from fedcert.fdiv import (ball, fdiv_cdf_bound, fdiv_cdf_rows, fdiv_mean_bound, fdiv_mean_rows,
-                          _golden, _kl_bernoulli)
+                          _golden, _kl_bernoulli, _mean_duals)
 from fedcert.nonrobust import cdf_bound, cdf_rows, mean_bound, mean_rows
 from fedcert.oracle import grid_ball_oracle, mean_true_risk, sample_true_risks, target_world
 
@@ -123,25 +123,30 @@ def test_golden_search_finds_each_rows_minimum_or_its_nearest_end():
 def test_mean_bound_zero_shift_reduces_to_empirical(name):
     qv = np.array([0.12, 0.4, 0.33, 0.05, 0.2])
     n = np.full(5, 50)
-    b = fdiv_mean_bound(qv, n, 0.1, 0.0, name, include_slack=False)
-    assert abs(b.raw_value - float(np.mean(qv))) < 1e-12
-    assert b.slack == {"meta": 0.0, "per_client": 0.0}
-    plain = mean_bound(qv, n, 0.1, include_slack=False)
+    b = fdiv_mean_bound(qv, n, 0.1, 0.0, name)
+    assert abs(b.extra["program_value"] - float(np.mean(qv))) < 1e-12
+    plain = mean_bound(qv, n, 0.1)
     assert abs(b.value - plain.value) < 1e-12
 
 
+# what a mean test reads off a certificate: its unclipped value, or the
+# program that value pads
+_READ = {"certificate": lambda b: b.raw_value,
+         "program": lambda b: b.extra["program_value"]}
+
+
 @pytest.mark.parametrize("name", NAMES)
-@pytest.mark.parametrize("include_slack", [True, False])
-def test_mean_bound_monotone_in_epsilon(name, include_slack):
+@pytest.mark.parametrize("read", sorted(_READ))
+def test_mean_bound_monotone_in_epsilon(name, read):
     rng = np.random.default_rng(np.random.SeedSequence(633))
     qv = rng.uniform(0.0, 0.6, 40)
     n = np.full(40, 100)
     prev = -np.inf
     for eps in (0.0, 1e-12, 1e-8, 1e-4, 0.02, 0.05, 0.1, 0.2, 1.0, 10.0):
-        b = fdiv_mean_bound(qv, n, 0.1, eps, name, include_slack=include_slack)
-        assert b.raw_value >= prev - 1e-12, eps
+        b = fdiv_mean_bound(qv, n, 0.1, eps, name)
+        assert _READ[read](b) >= prev - 1e-12, eps
         assert b.slack["meta"] >= 0.0 and b.slack["per_client"] >= 0.0
-        prev = b.raw_value
+        prev = _READ[read](b)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -156,11 +161,10 @@ def test_mean_bound_slack_spends_the_mean_bounds_events(name):
         program = b.extra["program_value"]
         assert b.extra == {"program_value": program}
         # the program is the dual on the query values themselves
-        assert program == fdiv_mean_bound(qv, n, delta, eps, name,
-                                          include_slack=False).raw_value
+        assert program == _mean_duals(name, qv[None], np.zeros(1), eps)[0]
         assert abs(b.raw_value - (program + b.slack["meta"] + b.slack["per_client"])) < 1e-12
         assert b.value == min(b.raw_value, 1.0)
-        assert set(b.params) == {"K", "delta", "epsilon", "divergence", "include_slack"}
+        assert set(b.params) == {"K", "delta", "epsilon", "divergence"}
     # at epsilon 0 the certificate is the mean bound, term by term
     b = fdiv_mean_bound(qv, n, delta, 0.0, name)
     assert abs(b.slack["per_client"] - plain.slack["per_client"]) < 1e-12
@@ -175,9 +179,9 @@ def test_mean_bound_on_indicators_is_the_two_point_ball(name, epsilon):
     # ones: the dual's infimum meets the primal closed form
     for K, ones in ((10, 3), (40, 1), (25, 24), (7, 7)):
         qv = np.r_[np.ones(ones), np.zeros(K - ones)]
-        b = fdiv_mean_bound(qv, np.full(K, 5), 0.1, epsilon, name, include_slack=False)
+        b = fdiv_mean_bound(qv, np.full(K, 5), 0.1, epsilon, name)
         want = float(ball(name, ones / K, epsilon))
-        assert want - 1e-12 <= b.raw_value <= want + 1e-9, (K, ones)
+        assert want - 1e-12 <= b.extra["program_value"] <= want + 1e-9, (K, ones)
 
 
 @pytest.mark.parametrize("epsilon", [1e-10, 1e-4, 0.01])
@@ -189,8 +193,8 @@ def test_chi2_mean_bound_is_cauchy_schwarz_while_every_client_is_active(epsilon)
     qv = rng.uniform(0.2, 0.6, 50)
     var = float(np.var(qv))
     assert qv.mean() - np.sqrt(var / epsilon) < qv.min()
-    b = fdiv_mean_bound(qv, np.full(50, 9), 0.1, epsilon, "chi-square", include_slack=False)
-    assert abs(b.raw_value - (qv.mean() + np.sqrt(epsilon * var))) < 1e-12
+    b = fdiv_mean_bound(qv, np.full(50, 9), 0.1, epsilon, "chi-square")
+    assert abs(b.extra["program_value"] - (qv.mean() + np.sqrt(epsilon * var))) < 1e-12
 
 
 def _grid_dual(name, x, t, epsilon):
@@ -234,22 +238,26 @@ def test_mean_bound_is_the_dual_over_the_dkw_band(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-@pytest.mark.parametrize("include_slack", [True, False])
-def test_mean_bound_dominates_plain_bound(name, include_slack):
+@pytest.mark.parametrize("read", sorted(_READ))
+def test_mean_bound_dominates_plain_bound(name, read):
     # the robust certificate never reads below the mean bound on the same
-    # events: by Jensen without slack, by its floor with it; the second
-    # instance is small K with large slack, the third clips at 1
+    # events, by its floor, and its program never below the mean bound's
+    # program mean(qv), by Jensen; the second instance is small K with
+    # large slack, the third clips at 1
     seeds = np.random.SeedSequence(635).spawn(3)
     cases = [(np.random.default_rng(seeds[0]).uniform(0.0, 0.4, 25), 80),
              (np.random.default_rng(seeds[1]).uniform(0.0, 0.3, 30), 10),
              (np.random.default_rng(seeds[2]).uniform(0.3, 0.9, 5), 10)]
     for qv, n_k in cases:
         n = np.full(len(qv), n_k)
-        plain = mean_bound(qv, n, 0.1, include_slack=include_slack)
+        plain = mean_bound(qv, n, 0.1)
         for eps in (0.0, 1e-6, 0.01, 0.05, 0.1, 0.5, 4.0):
-            rob = fdiv_mean_bound(qv, n, 0.1, eps, name, include_slack=include_slack)
-            assert rob.raw_value >= plain.raw_value - 1e-12, (len(qv), eps)
-            assert rob.value >= plain.value - 1e-12, (len(qv), eps)
+            rob = fdiv_mean_bound(qv, n, 0.1, eps, name)
+            if read == "certificate":
+                assert rob.raw_value >= plain.raw_value - 1e-12, (len(qv), eps)
+                assert rob.value >= plain.value - 1e-12, (len(qv), eps)
+            else:
+                assert _READ[read](rob) >= np.mean(qv) - 1e-12, (len(qv), eps)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -277,8 +285,8 @@ def test_mean_bound_tracks_the_ball_oracle_subset():
     cases = [(2, i, 1e-3) for i in range(4)] + [(3, i, 2e-3) for i in range(2)]
     for K, i, step in cases:
         name, epsilon, q = ball_instance(K, i)
-        got = fdiv_mean_bound(q, np.ones(K, int), 0.1, epsilon, name,
-                              include_slack=False).raw_value
+        got = fdiv_mean_bound(q, np.ones(K, int), 0.1, epsilon,
+                              name).extra["program_value"]
         orc = grid_ball_oracle(q, name, epsilon, step)
         assert orc - 1e-12 <= got <= orc + 2e-3, (K, i, name)
 
@@ -290,23 +298,28 @@ def test_cdf_zero_shift_matches_plain_survival():
     qv = rng.uniform(0.0, 1.0, 20)
     n = np.full(20, 60)
     grid = np.linspace(0.0, 1.0, 21)
-    rob = fdiv_cdf_bound(qv, n, 0.1, 0.0, "kl", grid, include_slack=False)
-    plain = cdf_bound(qv, n, 0.1, grid, include_slack=False)
+    rob = fdiv_cdf_bound(qv, n, 0.1, 0.0, "kl", grid)
+    plain = cdf_bound(qv, n, 0.1, grid)
+    # the band written out: the share of qv_k + s_k at or above lambda, plus
+    # the meta term
+    x = qv + np.sqrt(np.log(21 / 0.1) / (2 * n))
+    meta = np.sqrt(np.log(2 * 21 / 0.1) / 40)
     for lam in grid:
         assert abs(rob.at(lam) - plain.at(lam)) < 1e-12
-        assert abs(rob.at(lam) - float(np.mean(qv >= lam))) < 1e-12
+        assert abs(rob.at(lam) - min(1.0, float(np.mean(x >= lam)) + meta)) < 1e-12
 
 
 @pytest.mark.parametrize("name", NAMES)
-@pytest.mark.parametrize("include_slack", [True, False])
-def test_cdf_bound_is_the_ball_of_the_plain_band(name, include_slack):
+@pytest.mark.parametrize("delta", [0.1, 1e-3])
+def test_cdf_bound_is_the_ball_of_the_plain_band(name, delta):
+    # at delta 1e-3 the band's meta term is large and more of it clips at 1
     rng = np.random.default_rng(np.random.SeedSequence(73))
     qv = rng.uniform(0.0, 1.0, 40)
     n = rng.integers(20, 300, 40)
     grid = np.linspace(0.0, 1.0, 31)
-    band = cdf_bound(qv, n, 0.1, grid, include_slack=include_slack)
+    band = cdf_bound(qv, n, delta, grid)
     for epsilon in (0.0, 0.01, 0.08, 0.5):
-        curve = fdiv_cdf_bound(qv, n, 0.1, epsilon, name, grid, include_slack=include_slack)
+        curve = fdiv_cdf_bound(qv, n, delta, epsilon, name, grid)
         assert np.array_equal(curve.lambdas, band.lambdas)
         assert np.array_equal(curve.bounds, ball(name, band.bounds, epsilon))
         assert np.array_equal(curve.raw, band.raw)
@@ -314,9 +327,8 @@ def test_cdf_bound_is_the_ball_of_the_plain_band(name, include_slack):
         if epsilon == 0.0:
             assert np.allclose(curve.bounds, band.bounds, rtol=0.0, atol=1e-12)
         assert curve.params == {
-            "kind": "fdiv-cdf", "K": 40, "delta": 0.1, "epsilon": epsilon,
-            "divergence": name, "meta_slack": band.params["meta_slack"],
-            "include_slack": include_slack}
+            "kind": "fdiv-cdf", "K": 40, "delta": delta, "epsilon": epsilon,
+            "divergence": name, "meta_slack": band.params["meta_slack"]}
 
 
 def test_cdf_bound_shape_and_extremes():
@@ -339,8 +351,7 @@ def test_cdf_bound_dominates_empirical_survival():
     qv = rng.uniform(0.0, 1.0, 40)
     n = np.full(40, 70)
     grid = np.linspace(0.0, 1.0, 31)
-    curve = fdiv_cdf_bound(qv, n, 0.1, 0.08, "chi-square", grid,
-                           include_slack=False)
+    curve = fdiv_cdf_bound(qv, n, 0.1, 0.08, "chi-square", grid)
     for lam in grid:
         assert curve.at(lam) >= float(np.mean(qv >= lam)) - 1e-12
 
@@ -407,34 +418,33 @@ def _query_rows(T, K, seed):
 
 @pytest.mark.parametrize("T", [1, 7])
 @pytest.mark.parametrize("K", [1, 8])
-@pytest.mark.parametrize("include_slack", [True, False])
-def test_each_kernel_row_is_its_one_row_certificate(T, K, include_slack):
+@pytest.mark.parametrize("delta", [0.1, 0.9])
+def test_each_kernel_row_is_its_one_row_certificate(T, K, delta):
+    # delta 0.1 clips most small-K rows at 1; delta 0.9 leaves more unclipped
     qv, n = _query_rows(T, K, 81)
     grid = np.linspace(0.0, 1.0, 6)
-    plain = mean_rows(qv, n, 0.1, include_slack=include_slack)
-    robust = {(name, eps): fdiv_mean_rows(qv, n, 0.1, eps, name, include_slack=include_slack)
+    plain = mean_rows(qv, n, delta)
+    robust = {(name, eps): fdiv_mean_rows(qv, n, delta, eps, name)
               for name in NAMES for eps in (0.0, 0.05)}
     for t in range(T):
-        b = mean_bound(qv[t], n[t], 0.1, include_slack=include_slack)
+        b = mean_bound(qv[t], n[t], delta)
         assert (plain.value[t], plain.raw[t]) == (b.value, b.raw_value)
         assert {k: v[t] for k, v in plain.slack.items()} == b.slack
         for (name, eps), rows in robust.items():
-            b = fdiv_mean_bound(qv[t], n[t], 0.1, eps, name, include_slack=include_slack)
+            b = fdiv_mean_bound(qv[t], n[t], delta, eps, name)
             assert (rows.value[t], rows.raw[t]) == (b.value, b.raw_value)
             assert {k: v[t] for k, v in rows.slack.items()} == b.slack
             assert {k: v[t] for k, v in rows.extra.items()} == b.extra
         # the one-row curve's thresholds: the grid and row t's breakpoints
-        curve = cdf_bound(qv[t], n[t], 0.1, grid, include_slack=include_slack)
-        band = cdf_rows(qv, n, 0.1, curve.lambdas, include_slack=include_slack)
+        curve = cdf_bound(qv[t], n[t], delta, grid)
+        band = cdf_rows(qv, n, delta, curve.lambdas)
         assert band.value[t].tolist() == curve.bounds.tolist()
         assert band.raw[t].tolist() == curve.raw.tolist()
         assert band.slack["meta"][t] == curve.params["meta_slack"]
         for name in NAMES:
             for eps in (0.0, 0.05):
-                curve = fdiv_cdf_bound(qv[t], n[t], 0.1, eps, name, grid,
-                                       include_slack=include_slack)
-                rows = fdiv_cdf_rows(qv, n, 0.1, eps, name, curve.lambdas,
-                                     include_slack=include_slack)
+                curve = fdiv_cdf_bound(qv[t], n[t], delta, eps, name, grid)
+                rows = fdiv_cdf_rows(qv, n, delta, eps, name, curve.lambdas)
                 assert rows.value[t].tolist() == curve.bounds.tolist()
                 assert rows.raw[t].tolist() == curve.raw.tolist()
 

@@ -98,8 +98,13 @@ def test_cdf_bound_step_structure_between_breakpoints():
     assert curve.at(lam) == curve.bounds[i]
 
 
-def test_include_slack_false_zeroes_all_padding():
-    b = mean_bound(QV, N, 0.1, include_slack=False)
-    assert b.value == float(np.mean(QV))
-    curve = cdf_bound(QV, N, 0.1, np.array([0.25]), include_slack=False)
-    assert curve.at(0.25) == np.mean(QV >= 0.25)
+def test_the_certificate_pads_the_empirical_program():
+    # the mean bound is mean(qv) plus its two slack terms; the band at lambda
+    # is the share of shifted values at or above it plus the meta term
+    b = mean_bound(QV, N, 0.9)
+    assert abs(b.raw_value - (np.mean(QV) + b.slack["meta"] + b.slack["per_client"])) < 1e-12
+    assert b.value == b.raw_value < 1.0
+    curve = cdf_bound(QV, N, 0.9, np.array([0.45]))
+    shift = np.sqrt(np.log(5 / 0.9) / 200)
+    want = np.mean(QV + shift >= 0.45) + curve.params["meta_slack"]
+    assert abs(curve.at(0.45) - want) < 1e-12 and want < 1.0

@@ -118,8 +118,8 @@ def test_grid_oracle_refines_upward():
     # grids nest when the step halves, so the value can only improve, and it
     # never exceeds the ball's supremum that the dual certificate bounds
     q = np.array([0.9, 0.3])
-    exact = fdiv_mean_bound(q, np.ones(2, int), 0.1, 0.3, "chi-square",
-                            include_slack=False).raw_value
+    exact = fdiv_mean_bound(q, np.ones(2, int), 0.1, 0.3,
+                            "chi-square").extra["program_value"]
     coarse = grid_ball_oracle(q, "chi-square", 0.3, step=4e-3)
     fine = grid_ball_oracle(q, "chi-square", 0.3, step=2e-3)
     assert coarse <= fine + 1e-12
@@ -595,7 +595,7 @@ def test_coverage_cdf_reports_per_lambda(tmp_path):
     cfg = plain_cfg(shift_mode="both", sigma_affine=0.02)
     grid = np.linspace(0, 1, 11)
     params = {"delta": 0.1, "lambda_grid": grid}
-    rep = coverage_experiments(cfg, H, 10, 25, [("cdf-curve", params)], trials=2, seed=3,
+    rep = coverage_experiments(cfg, H, 10, 25, [("cdf", params)], trials=2, seed=3,
                                target_clients=300)[0]
     assert rep.per_lambda is not None
     assert len(rep.per_lambda["violation_rates"]) == 11
@@ -619,7 +619,7 @@ def test_coverage_fdiv_and_wass_smoke():
 
 _ALL_KINDS = [
     ("mean", {}),
-    ("cdf-curve", {"lambda_grid": np.linspace(0.0, 1.0, 11)}),
+    ("cdf", {"lambda_grid": np.linspace(0.0, 1.0, 11)}),
     ("fdiv-mean", {"epsilon": 0.05, "f_name": "kl"}),
     ("fdiv-cdf", {"epsilon": 0.05, "f_name": "chi-square",
                   "lambda_grid": np.linspace(0.0, 1.0, 6)}),
@@ -787,13 +787,12 @@ def test_target_draws_need_one_layout():
 
 # -------------------------------------------------- batched against per trial
 
-def _per_trial_coverage(cfg, h, K, n_k, bound_kind, params, trials, seed, target_clients,
+def _per_trial_coverage(cfg, h, K, n_k, kind, params, trials, seed, target_clients,
                         max_queries=None):
     """The coverage report of one kind from a loop over trials: each trial
     draws its source and target risks, certifies with issue_certificate
     (``wass-mean`` on the drawn world's clients, under ``max_queries``) and
     applies the outcome rule to that one certificate."""
-    kind = "cdf" if bound_kind == "cdf-curve" else bound_kind
     delta, epsilon = float(params.get("delta", 0.1)), float(params.get("epsilon", 0.0))
     lams = lambda_grid(params)
     req = {**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams,
@@ -816,7 +815,7 @@ def _per_trial_coverage(cfg, h, K, n_k, bound_kind, params, trials, seed, target
     rate = violations / trials
     threshold = delta + 3.0 * float(np.sqrt(delta * (1 - delta) / trials))
     return CoverageReport(
-        bound_kind=bound_kind, trials=trials, violations=violations, violation_rate=rate,
+        bound_kind=kind, trials=trials, violations=violations, violation_rate=rate,
         delta=delta, threshold=threshold, passed=rate <= threshold and violations < trials,
         config_digest=cfg.digest(),
         per_lambda={"lambdas": lams.tolist(), "violation_rates": (per_lambda / trials).tolist()}
@@ -843,7 +842,7 @@ def test_batched_coverage_equals_the_per_trial_loop(monkeypatch, trials, K, epsi
     edge = qv0 + np.sqrt(np.log((K + 1) / delta) / (2 * n_k))
     grid = np.array([0.5, edge, 0.0, 0.5, 1.0, 0.25])
     common = {"delta": delta, "lambda_grid": grid}
-    requests = [("mean", common), ("cdf-curve", common)]
+    requests = [("mean", common), ("cdf", common)]
     requests += [(kind, {**common, "epsilon": epsilon, "f_name": name})
                  for kind in ("fdiv-mean", "fdiv-cdf") for name in ("kl", "chi-square")]
     got = [r.to_json_dict() for r in coverage_experiments(cfg, H, K, n_k, requests,
@@ -924,7 +923,7 @@ def test_target_statistic_is_the_mean_or_the_survival_at_each_threshold():
     params = {"lambda_grid": grid}
     assert (_CoveragePlan.of(cfg, H, 8, 20, "mean", params).target_statistic(risks)
             == float(np.mean(risks)))
-    survival = _CoveragePlan.of(cfg, H, 8, 20, "cdf-curve", params).target_statistic(risks)
+    survival = _CoveragePlan.of(cfg, H, 8, 20, "cdf", params).target_statistic(risks)
     assert survival.tolist() == np.mean(risks[None, :] >= grid[:, None], axis=1).tolist()
 
 
@@ -934,7 +933,7 @@ def test_coverage_memory_does_not_grow_with_trials():
     # worlds about 3.6 MB
     cfg = archetype_cfg()
     common = {"delta": 0.1}
-    requests = [("mean", common), ("cdf-curve", common),
+    requests = [("mean", common), ("cdf", common),
                 ("fdiv-mean", {**common, "epsilon": 0.05, "f_name": "kl"}),
                 ("fdiv-cdf", {**common, "epsilon": 0.05, "f_name": "chi-square"})]
     coverage_experiments(cfg, H, 50, 100, requests, trials=2, seed=1)
@@ -974,7 +973,7 @@ def test_tightness_memory_does_not_grow_with_trials():
 def test_tightness_validation():
     cfg = plain_cfg(shift_mode="both")
     with pytest.raises(ValueError):
-        tightness_probe(cfg, H, "cdf-curve", [5], [10], 1, 0, {})
+        tightness_probe(cfg, H, "cdf", [5], [10], 1, 0, {})
     with pytest.raises(ValueError):
         tightness_probe(cfg, H, "mean", [], [], 1, 0, {})
     with pytest.raises(ValueError):

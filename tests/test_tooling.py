@@ -66,6 +66,16 @@ def test_the_cli_wires_no_certificate_kind_itself():
     assert not [n for n in named if n.startswith("shift_meta_")]
 
 
+def test_the_cli_imports_no_private_name_of_another_module():
+    # a rule the command line checks goes through a module's public entry
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [(node.module, a.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level == 1 or (node.module or "").split(".")[0] == "fedcert")
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
 def test_cli_and_oracle_draw_worlds_only_through_draw_world():
     for module in ("cli.py", "oracle.py"):
         _, named = _names(SRC / module)

@@ -20,6 +20,7 @@ from fedcert import (
     adversarial_risk,
     empirical_risk,
     loss_values,
+    query_profiles,
 )
 from fedcert import wass
 from fedcert.losses import CROSS_ENTROPY, LINEAR, LOGISTIC
@@ -251,8 +252,6 @@ def test_mean_radius_cap_formula():
     eps, delta, K = 0.1, 0.05, 7
     want = eps * (1 + 1 / 7) + DEFAULT_C1 * np.sqrt(np.log((K + 2) / delta) / K)
     assert abs(mean_radius_cap(eps, delta, K) - want) < 1e-12
-    assert abs(mean_radius_cap(eps, delta, K, include_slack=False)
-               - eps * 8 / 7) < 1e-12
 
 
 def test_radius_grid_spans_the_floor_to_the_whole_budget_on_one_client():
@@ -322,26 +321,37 @@ def test_coarse_grids_bound_an_exact_feasible_allocation():
     # the witness of a fine grid is feasible for every grid, and the exact
     # queries there give a value at or below the program each grid solves;
     # chords joining the grid answers fall below it at every size here
-    # (0.650 at a one-point grid, 0.697 at two, 0.848 at 16, against 0.849)
+    # (0.650 at a one-point grid, 0.673 at two, 0.847 at 16, against 0.849).
+    # The program runs at the mean cap epsilon (1 + 1/K): the certificate's
+    # own cap adds its estimation term, which here lets every client reach 1
     rng = np.random.default_rng(np.random.SeedSequence(818))
     clients = make_clients(rng, 10, 40)
-    eps, delta = 0.05, 0.1
-    fine = wass_mean_bound(clients, H, eps, delta, grid_size=256, include_slack=False)
-    rho = fine.extra["witness_rho"]
+    eps, K = 0.05, len(clients)
+    floor, cap = eps / K, eps * (1 + 1 / K)
+
+    def program(grid_size):
+        grid = radius_grid(floor, K * cap, grid_size)
+        values, slopes = query_profiles(clients, H, grid)
+        alloc = wass._waterfill(grid, values, slopes, floor, cap)
+        return alloc, np.mean(wass._chords(grid, values, alloc.rho))
+
+    fine, _ = program(256)
     feasible = np.mean([adversarial_risk(H, c._dataset, r).value
-                        for c, r in zip(clients, rho)])
-    assert fine.extra["program_value"] >= feasible - 1e-12
+                        for c, r in zip(clients, fine.rho)])
+    assert fine.objective >= feasible - 1e-12
     for g in (1, 2, 3, 4, 8, 16):
-        b = wass_mean_bound(clients, H, eps, delta, grid_size=g, include_slack=False)
-        assert b.extra["program_value"] >= feasible - 1e-12, g
-        assert b.extra["grid_gap"] >= -1e-12, g
+        alloc, chord_value = program(g)
+        assert alloc.objective >= feasible - 1e-12, g
+        assert alloc.objective - chord_value >= -1e-12, g
 
 
-def test_zero_epsilon_needs_slack_off():
+def test_zero_epsilon_is_refused_before_any_query():
+    # the per-client slack carries log(1/epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(807))
     clients = make_clients(rng, 3, 30)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
         wass_mean_bound(clients, H, 0.0, 0.1)
+    assert all(c.queries_used == 0 for c in clients)
 
 
 def test_a_budget_past_the_per_client_slack_is_refused_before_any_query():
@@ -358,15 +368,16 @@ def test_a_budget_past_the_per_client_slack_is_refused_before_any_query():
     assert np.isfinite(b.raw_value) and b.slack["per_client"] > 0.0
 
 
-def test_zero_epsilon_reduces_to_empirical_mean():
+def test_zero_floor_and_cap_take_each_clients_radius_zero_answer():
     rng = np.random.default_rng(np.random.SeedSequence(808))
     clients = make_clients(rng, 4, 40)
     emp = np.mean([
         empirical_risk(H, c._dataset, LossFn(ZERO_ONE)).value for c in clients
     ])
-    b = wass_mean_bound(clients, H, 0.0, 0.1, include_slack=False)
-    assert abs(b.value - emp) <= 2e-9
-    assert b.slack["meta"] == 0.0 and b.slack["per_client"] == 0.0
+    grid = np.array([0.0])
+    alloc = wass._waterfill(grid, *query_profiles(clients, H, grid), 0.0, 0.0)
+    assert alloc.rho.tolist() == [0.0] * 4
+    assert abs(alloc.objective - emp) <= 2e-9
 
 
 def test_mean_bound_dominates_empirical_and_grows_with_epsilon():
@@ -379,12 +390,13 @@ def test_mean_bound_dominates_empirical_and_grows_with_epsilon():
     emp = np.mean([
         empirical_risk(H, c._dataset, LossFn(ZERO_ONE)).value for c in fresh()
     ])
+    # the program value; the slacked one carries log(1/epsilon)
     prev = -np.inf
     for eps in (0.01, 0.05, 0.1):
-        b = wass_mean_bound(fresh(), H, eps, 0.1, include_slack=False)
-        assert b.value >= emp - 1e-9
-        assert b.value >= prev - 2e-6
-        prev = b.value
+        program = wass_mean_bound(fresh(), H, eps, 0.1).extra["program_value"]
+        assert program >= emp - 1e-9
+        assert program >= prev - 2e-6
+        prev = program
     rob = wass_mean_bound(fresh(), H, 0.05, 0.1)
     assert rob.raw_value >= emp - 1e-9
 
