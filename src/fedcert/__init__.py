@@ -66,7 +66,6 @@ from .query import (
     empirical_risk_values,
     empirical_risks,
     phi_gamma,
-    query_empirical,
     query_profiles,
 )
 from .wass import (

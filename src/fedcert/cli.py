@@ -8,9 +8,11 @@ Four subcommands drive the whole pipeline from one JSON config:
   verify       Monte-Carlo coverage and tightness checks
   emit-plots   join certificates with target curves into tidy CSVs
 
-What a certificate kind means, its bound function and the shifted target
-world it declares, lives in ``oracle`` (``issue_certificate``,
-``target_world``); this module reads configs, checks them and writes files.
+What a certificate kind means, its bound function, the radius grid a
+``wass-mean`` request asks and the shifted target world it declares, lives
+in ``oracle`` (``issue_certificate``, ``request_grid``, ``target_world``);
+this module reads configs, checks them, asks each client one query table
+(``query.query_profiles``) and writes files.
 A config and a certify run's ``summary.json`` are checked against
 ``CONFIG_SCHEMA`` and ``_SUMMARY_SCHEMA`` by ``schema_error``, a short walk
 over just the JSON Schema keywords those schemas use (listed above it), so
@@ -53,6 +55,7 @@ from .oracle import (
     coverage_experiments,
     issue_certificate,
     lambda_grid,
+    request_grid,
     sample_true_risks,
     survival_at,
     target_world,
@@ -64,9 +67,8 @@ from .query import (
     BudgetExceededError,
     Client,
     TransportCost,
-    query_empirical,
+    query_profiles,
 )
-from .wass import certificate_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -473,8 +475,8 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
     kinds (a tightness probe's included) need a world with archetypes and a
     budget below what the archetype tilt can reach, a wass-mean target needs
     a rule with a nonzero margin to move the class means against and an
-    epsilon that ``wass.certificate_grid`` takes for K clients of n_k
-    samples, a world directory must hold a manifest, and the tightness
+    epsilon whose ``oracle.request_grid`` K clients of n_k samples can
+    answer, a world directory must hold a manifest, and the tightness
     schedules must be aligned and nondecreasing."""
     if world.n_classes != 2:
         raise ConfigError("config error at $.world.n_classes: certify and verify "
@@ -523,10 +525,8 @@ def _check_inputs(cfg: dict, world: MetaConfig, h: Hypothesis) -> None:
                           f"$.{wass_targets[0]}")
     for where, req, kind in requests:
         if kind == "wass-mean":
-            # a verify kind's delta defaults to the coverage trials' 0.1
             try:
-                certificate_grid(np.full(cfg["data"]["K"], cfg["data"]["n_k"]),
-                                 float(req["epsilon"]), float(req.get("delta", 0.1)))
+                request_grid(req, np.full(cfg["data"]["K"], cfg["data"]["n_k"]))
             except ValueError as exc:
                 raise ConfigError(f"config error at $.{where}.epsilon: {exc}") from exc
         if kind not in FDIV_KINDS:
@@ -571,16 +571,25 @@ def cmd_certify(args) -> int:
     h = _model_from_config(cfg, world)
     _check_inputs(cfg, world, h)
     clients, cost = _build_clients(cfg, world)
-
-    qv = np.array([a.value for a in query_empirical(clients, h)])
     ns = np.array([c.n_samples for c in clients])
+
+    # each client answers one table: radius 0, then every wass-mean request's
+    # grid in request order (an empty one for any other kind), duplicates
+    # kept, so each request reads its own columns
+    grids = [request_grid(req, ns) if req["kind"] == "wass-mean" else np.empty(0)
+             for req in cfg["certificates"]]
+    values, slopes = query_profiles(clients, h, np.concatenate([[0.0], *grids]))
+    qv = values[:, 0]
+    ends = np.cumsum([len(g) for g in grids])[:-1]
+    tables = zip(grids, np.split(values[:, 1:], ends, axis=1),
+                 np.split(slopes[:, 1:], ends, axis=1))
 
     # every certificate and target is computed before --out is created, so a
     # run that fails (an exhausted query budget) leaves nothing behind
     results = []
-    for i, req in enumerate(cfg["certificates"]):
+    for i, (req, table) in enumerate(zip(cfg["certificates"], tables)):
         kind = req["kind"]
-        result = issue_certificate(kind, req, qv, ns, clients, h)
+        result = issue_certificate(kind, req, qv, ns, table)
 
         # empirical target curve: exact risks of fresh clients drawn from the
         # world this certificate declares (shifted when epsilon > 0)

@@ -811,28 +811,24 @@ def shift_meta_wass(
     budget: float,
     directions: np.ndarray | None = None,
     cost_kind: str = "half-squared-l2",
-    radii: np.ndarray | None = None,
 ) -> tuple[MetaConfig, float]:
     """Translate class means so the weighted average per-client transport
     cost stays within ``budget``.
 
-    Archetype m's class means move by L2 norm r_m along per-archetype
-    per-class unit ``directions`` of shape (M, C, d) (default: first axis).
-    ``radii`` sets the per-archetype norms explicitly; when omitted a single
-    shared norm is solved from cost(r) = budget, spending the budget exactly.
-    Pairing each client with its translated self moves every sample by
-    exactly r_m, so the reported weighted cost sum_m w_m cost(r_m) is an
-    upper bound on the true transport distance between the two
-    meta-distributions.
+    Every archetype's class means move by one L2 norm r along per-archetype
+    per-class unit ``directions`` of shape (M, C, d) (default: first axis),
+    where r solves cost(r) = budget, spending the budget exactly.  Pairing
+    each client with its translated self moves every sample by exactly r,
+    so the reported weighted cost sum_m w_m cost(r) is an upper bound on the
+    true transport distance between the two meta-distributions.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if cost_kind == "half-squared-l2":
-        def cost_of(r):
-            return 0.5 * r * r
+        r = float(np.sqrt(2.0 * budget))
+        cost = 0.5 * r * r
     elif cost_kind == "l2":
-        def cost_of(r):
-            return r
+        r = cost = float(budget)
     else:
         raise ValueError(f"unknown cost kind {cost_kind!r}")
 
@@ -848,19 +844,6 @@ def shift_meta_wass(
         M = len(groups)
     C, d = cfg.n_classes, cfg.dim
 
-    if radii is None:
-        r = np.sqrt(2.0 * budget) if cost_kind == "half-squared-l2" else budget
-        radii = np.full(M, float(r))
-    else:
-        radii = np.asarray(radii, dtype=float)
-        if radii.shape != (M,):
-            raise ValueError(f"radii must have shape ({M},)")
-        if np.any(radii < 0):
-            raise ValueError("radii must be nonnegative")
-        total = sum(w * cost_of(r) for (w, _), r in zip(groups, radii))
-        if total > budget + 1e-12:
-            raise ValueError("requested radii exceed the transport budget")
-
     if directions is None:
         directions = np.zeros((M, C, d))
         directions[:, :, 0] = 1.0
@@ -872,9 +855,9 @@ def shift_meta_wass(
         raise ValueError("directions must be unit vectors")
 
     achieved = 0.0
-    for (w, means), dirs, r in zip(groups, directions, radii):
+    for (w, means), dirs in zip(groups, directions):
         means += r * dirs
-        achieved += w * cost_of(r)
+        achieved += w * cost
     return shifted, float(achieved)
 
 

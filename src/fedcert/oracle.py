@@ -68,7 +68,7 @@ from .metasim import (
 )
 from .nonrobust import cdf_bound, cdf_rows, mean_bound, mean_rows
 from .query import HALF_SQ, BudgetExceededError, empirical_risk_values, flip_risk_values
-from .wass import DEFAULT_GRID_SIZE, certificate_grid, wass_mean_bound, wass_mean_rows
+from .wass import DEFAULT_GRID_SIZE, certificate_grid, wass_mean_certificate, wass_mean_rows
 
 __all__ = [
     "grid_ball_oracle",
@@ -84,6 +84,7 @@ __all__ = [
     "TIGHTNESS_KINDS",
     "lambda_grid",
     "survival_at",
+    "request_grid",
     "issue_certificate",
     "certify_rows",
     "target_world",
@@ -641,20 +642,31 @@ def survival_at(risks: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return (len(risks) - below) / len(risks)
 
 
+def request_grid(req: dict, ns) -> np.ndarray:
+    """The radius grid a ``wass-mean`` request's clients of ``ns`` samples
+    answer (``wass.certificate_grid``): from its epsilon, its delta (by
+    default the coverage trials' 0.1) and its grid_size."""
+    return certificate_grid(ns, float(req["epsilon"]), float(req.get("delta", 0.1)),
+                            grid_size=int(req.get("grid_size", DEFAULT_GRID_SIZE)))
+
+
 def issue_certificate(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
-                      clients: list | None = None, h: Hypothesis | None = None):
+                      table: tuple | None = None):
     """The certificate of ``kind`` from the clients' empirical answers ``qv``
-    on ``ns`` samples each.  ``req`` carries delta and, per kind, epsilon,
-    f_name, lambda_grid and grid_size; ``wass-mean`` queries the
-    ``clients`` (``query.Client``) about ``h`` itself."""
+    on ``ns`` samples each, from its kind's bound function: the one-row case
+    of ``certify_rows``, which takes the same arguments.  ``req`` carries
+    delta and, per kind, epsilon, f_name, lambda_grid and grid_size.
+    ``wass-mean`` reads ``table``: its ``request_grid`` and the clients'
+    (values, slopes) on it, (K, G)."""
     delta = float(req["delta"])
     if kind == "mean":
         return mean_bound(qv, ns, delta)
     if kind == "cdf":
         return cdf_bound(qv, ns, delta, lambda_grid(req))
     if kind == "wass-mean":
-        return wass_mean_bound(clients, h, float(req["epsilon"]), delta,
-                               grid_size=int(req.get("grid_size", DEFAULT_GRID_SIZE)))
+        if table is None:
+            raise ValueError("a wass-mean certificate needs the clients' answers on its grid")
+        return wass_mean_certificate(*table, ns, float(req["epsilon"]), delta)
     if kind == "fdiv-mean":
         return fdiv_mean_bound(qv, ns, delta, float(req["epsilon"]), req["f_name"])
     if kind == "fdiv-cdf":
@@ -668,8 +680,8 @@ def certify_rows(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
     """``issue_certificate`` for a (T, K) matrix of T problems: one kernel
     call returns each row's value and slack terms, or for a curve kind its
     band at the request's thresholds, in their given order.  ``wass-mean``
-    reads ``table``: its ``certificate_grid`` and the (values, slopes) on
-    it."""
+    reads ``table``: its ``request_grid`` and the (values, slopes) on it,
+    (T, K, G)."""
     delta = float(req["delta"])
     if kind == "wass-mean":
         if table is None:
@@ -784,13 +796,11 @@ class _CoveragePlan:
         delta = float(params.get("delta", 0.1))
         epsilon = float(params.get("epsilon", 0.0))
         lams = lambda_grid(params)
+        req = {**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams}
         return cls(
-            kind=kind, delta=delta, epsilon=epsilon, lams=lams,
-            req={**params, "delta": delta, "epsilon": epsilon, "lambda_grid": lams},
+            kind=kind, delta=delta, epsilon=epsilon, lams=lams, req=req,
             target_cfg=target_world(cfg, kind, epsilon, h, params.get("f_name")),
-            grid=certificate_grid(np.full(K, n_k), epsilon, delta,
-                                  grid_size=int(params.get("grid_size", DEFAULT_GRID_SIZE)))
-            if kind == "wass-mean" else None,
+            grid=request_grid(req, np.full(K, n_k)) if kind == "wass-mean" else None,
         )
 
     def target_statistic(self, risks: np.ndarray):
@@ -844,9 +854,11 @@ def coverage_experiments(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int,
     ``params`` holds one kind's delta, epsilon, f_name, lambda_grid and
     grid_size; one that holds h, K, n_k, target_clients or max_queries
     raises ValueError.  The clients answer zero-one queries under the
-    half-squared cost.  One zero-radius query and each ``wass-mean``
-    radius grid must fit ``max_queries`` (None: no cap), as certify charges
-    them, or client 0 raises BudgetExceededError before the first trial.
+    half-squared cost.  A trial certifies every kind on one client set, so
+    one zero-radius query plus every ``wass-mean`` radius grid, laid end to
+    end, must fit ``max_queries`` (None: no cap), as certify charges them in
+    its one table, or client 0 raises BudgetExceededError before the first
+    trial.
     A violation is recorded when the target statistic exceeds the certificate
     by more than a 1e-9 float guard; a report passes when its violation rate
     stays within delta plus three binomial standard errors.
@@ -869,7 +881,7 @@ def coverage_experiments(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int,
     if not plans:
         return []
     grids = [plan.grid for plan in plans if plan.grid is not None]
-    if max_queries is not None and any(1 + len(grid) > max_queries for grid in grids):
+    if max_queries is not None and 1 + sum(len(grid) for grid in grids) > max_queries:
         raise BudgetExceededError(0, max_queries)
     qv, tables = _source_risks(cfg, h, [_trial_seed(seed, t) for t in range(trials)],
                                K, n_k, grids)

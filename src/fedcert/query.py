@@ -6,15 +6,17 @@ returns a single scalar summary (plus solver metadata), and
 in one call and passes each through ``query``: one scalar answer, one audit
 entry and one unit of the query budget per radius.  ``query_profiles``
 answers many clients' radius vectors as one (K, G) table of values and
-slopes, and ``query_empirical`` many clients' zero-radius queries from one
-batched loss pass (``empirical_risks``); both pass each answer through
-``query`` in the same way.  Every answer, ``query``'s own included, is read
-off one table (``_profiles``).  The datasets of a drawn world are row views
-of its columns, and a block of consecutive rows of one draw is read in place
-(``_stacked``).  A query is charged once answered.  At rho = 0
-the answer is the plain empirical risk; at rho > 0 it is the worst-case risk
-over all data distributions within transport cost rho of the client's
-empirical sample,
+slopes, and passes each answer through ``query`` in the same way; a radius
+vector may hold 0 and repeat a radius, and each entry is answered and
+charged on its own.  So ``certify`` asks each client one table: radius 0,
+then every ``wass-mean`` grid.  Every answer, ``query``'s own included, is
+read off one table (``_profiles``): the zero radii from one batched loss
+pass (``empirical_risk_values``), and the others from the route's inner
+solver.  The datasets of a drawn world are row views of its columns, and a
+block of consecutive rows of one draw is read in place (``_stacked``).  A
+query is charged once answered.  At rho = 0 the answer is the plain
+empirical risk; at rho > 0 it is the worst-case risk over all data
+distributions within transport cost rho of the client's empirical sample,
 
     sup_{Q in ball(rho)}  E_Q[loss]
         =  min_{gamma >= 0}  gamma * rho + mean_i sup_{z'} [loss(z') - gamma c(z', z_i)]
@@ -120,7 +122,6 @@ __all__ = [
     "QueryValue",
     "BudgetExceededError",
     "Client",
-    "query_empirical",
     "query_profiles",
     "empirical_risk",
     "empirical_risks",
@@ -196,14 +197,18 @@ class QueryValue:
             raise ValueError("query values live in [0, 1]")
 
     @classmethod
-    def _checked(cls, value: float, rho: float, gamma_star: float, inner_iterations: int,
-                 status: str) -> "QueryValue":
-        """An answer read off a table whose values were checked to lie in
-        [0, 1] as one array: made without repeating the check."""
+    def _read(cls, value: float, rho: float, slope: float, status: str) -> "QueryValue":
+        """The answer at ``rho`` read off a table whose values were checked
+        to lie in [0, 1] as one array: made without repeating the check.  A
+        zero radius's answer is the empirical risk's."""
+        if rho == 0.0:
+            rho, slope, iterations, status = 0.0, 0.0, 0, "exact"
+        else:
+            iterations = 1
         qv = object.__new__(cls)
         fields = vars(qv)   # set in declaration order, as __init__ sets them
-        fields["value"], fields["rho"], fields["gamma_star"] = value, rho, gamma_star
-        fields["inner_iterations"], fields["status"] = inner_iterations, status
+        fields["value"], fields["rho"], fields["gamma_star"] = value, rho, slope
+        fields["inner_iterations"], fields["status"] = iterations, status
         return qv
 
     def to_json_dict(self) -> dict:
@@ -729,7 +734,7 @@ class Client:
         and BudgetExceededError past the cap.  The answer is this client's
         one-radius table (``_profiles``).  The query is charged and logged
         once answered, so a query the inner solver refuses uses no budget.
-        ``query_profile`` passes in the answers it computed, so every answer
+        ``_charge`` passes in the answers a table holds, so every answer
         that leaves the client is charged and logged here."""
         if not rho >= 0.0:
             raise ValueError("rho must be nonnegative")
@@ -738,7 +743,7 @@ class Client:
         if _answer is None:
             rho = float(rho)
             values, slopes, _, status = _profiles([self], h, [rho])
-            _answer, = _answers([rho], values[0], slopes[0], status[0])
+            _answer = QueryValue._read(float(values[0, 0]), rho, float(slopes[0, 0]), status[0])
         self._used += 1
         self.audit_log.append({"client": self.client_id, **_answer.to_json_dict()})
         return _answer
@@ -751,51 +756,27 @@ class Client:
         raised.  A negative or NaN radius, or a vector the inner solver
         refuses, is refused whole, before anything is charged."""
         rhos = _radii(rhos)
-        values, slopes, fits, status = _profiles([self], h, rhos)
-        return self._charge(h, rhos, values[0], slopes[0], status[0], fits[0])
-
-    def _charge(self, h: Hypothesis, rhos: list[float], values, slopes, status: str,
-                fit: int) -> list[QueryValue]:
-        """Pass the answers to the first ``fit`` radii through ``query``,
-        which charges and logs each, and ask the next radius, if any, with
-        no answer, so that ``query`` raises BudgetExceededError as a loop of
-        ``query`` calls would."""
-        out = [self.query(h, r, _answer=qv)
-               for r, qv in zip(rhos, _answers(rhos[:fit], values, slopes, status))]
-        if fit < len(rhos):
-            self.query(h, rhos[fit])   # past the budget: raises before answering
-        return out
+        return [column[0] for column in _charge([self], h, rhos, *_profiles([self], h, rhos))]
 
 
-def _answers(rhos: list[float], values, slopes, status: str) -> list[QueryValue]:
-    """One client's answers to ``rhos`` from its row of the table: a zero
-    radius's answer is the empirical risk's."""
-    return [QueryValue._checked(v, r, g, 1, status) if r != 0.0
-            else QueryValue._checked(v, 0.0, 0.0, 0, "exact")
-            for r, v, g in zip(rhos, values.tolist(), slopes.tolist())]
-
-
-def query_empirical(clients: list[Client], h: Hypothesis) -> list[QueryValue]:
-    """Each client's zero-radius query, in order: the answers come from one
-    ``empirical_risks`` call per loss, and each then goes through
-    ``Client.query``, which charges and logs it.  So budgets and audit logs
-    end as a loop of ``c.query(h, 0.0)`` leaves them: the clients before the
-    first one whose budget is spent are answered and logged, and that one
-    raises BudgetExceededError.  Datasets the loss refuses are refused
-    whole, before anything is charged."""
-    fit = next((i for i, c in enumerate(clients)
-                if c.max_queries is not None and c.queries_used >= c.max_queries),
-               len(clients))
-    answers: list[QueryValue | None] = [None] * len(clients)
-    by_loss: dict[LossFn, list[int]] = {}
-    for i, c in enumerate(clients[:fit]):
-        by_loss.setdefault(c._loss_fn, []).append(i)
-    for loss_fn, idx in by_loss.items():
-        risks = empirical_risks(h, [clients[i]._dataset for i in idx], loss_fn)
-        for i, qv in zip(idx, risks):
-            answers[i] = qv
-    # past the budget there is no answer, and query raises before answering
-    return [c.query(h, 0.0, _answer=qv) for c, qv in zip(clients, answers)]
+def _charge(clients: list[Client], h: Hypothesis, rhos: list[float], values, slopes,
+            fits: list[int], status: list[str]) -> list[list[QueryValue]]:
+    """Pass the answers of the table (``_profiles``) through
+    ``Client.query``, which charges and logs each, one radius at a time:
+    each client answers the first of its ``fits`` radii, and the answers to
+    each radius come back as one list.  ``_profiles`` answers no client
+    past the first whose budget runs out, so only the last client can lack
+    budget for a radius; it then asks that radius with no answer, so that
+    ``query`` raises BudgetExceededError.  So budgets and audit logs end as
+    a loop of ``query`` calls, client by client, leaves them."""
+    answered = [[c.query(h, r, _answer=QueryValue._read(v, r, g, st))
+                 for c, v, g, st, fit in zip(clients, column, slope, status, fits) if j < fit]
+                for j, (r, column, slope)
+                in enumerate(zip(rhos, values.T.tolist(), slopes.T.tolist()))]
+    if fits and fits[-1] < len(rhos):
+        # past the budget: raises before answering
+        clients[len(fits) - 1].query(h, rhos[fits[-1]])
+    return answered
 
 
 def _radii(rhos) -> list[float]:
@@ -811,16 +792,15 @@ def query_profiles(clients: list[Client], h: Hypothesis, rhos) -> tuple[np.ndarr
     """Each client's answers to the radius vector ``rhos``, in order, as
     (values, slopes), each (K, G): ``QueryValue.value`` and ``gamma_star``.
 
-    Each client's answers then go through ``Client.query``, which charges
-    and logs them, client by client.  So budgets and audit logs end as a
-    loop of ``c.query_profile(h, rhos)`` leaves them: the first client whose
+    Every answer then goes through ``Client.query``, which charges and logs
+    it (``_charge``).  So budgets and audit logs end as a loop of
+    ``c.query_profile(h, rhos)`` leaves them: the first client whose
     budget runs out partway answers the radii that fit and raises
     BudgetExceededError.  A negative or NaN radius, or a dataset its route
     refuses, is refused whole, before anything is charged."""
     rhos = _radii(rhos)
     values, slopes, fits, status = _profiles(clients, h, rhos)
-    for c, v, g, st, fit in zip(clients, values, slopes, status, fits):
-        c._charge(h, rhos, v, g, st, fit)
+    _charge(clients, h, rhos, values, slopes, fits, status)
     return values, slopes
 
 

@@ -25,10 +25,13 @@ are reported only as ``chord_value``.  The allocation over these
 piecewise-linear concave envelopes is solved exactly by greedy water-filling
 on their slopes (``concave.RowFill``, the kernel of the exact query routes),
 and its maximum is the program value; ``wass_mean_rows`` solves many
-populations' tables at once, and ``wass_mean_bound`` is its one-row case,
-made by ``Rows.bound``.  Every query route is ``exact`` or a ``bound`` that
-lies above its inner supremum, with the slope of that bound, so the
-certificate's status is ``optimal``.
+populations' tables at once, and ``wass_mean_certificate`` is its one-row
+case, made by ``Rows.bound``.  ``wass_mean_bound`` asks the clients the
+grid and returns that certificate; ``certify`` reads each grid's columns
+off the one table it asks every client (``oracle.issue_certificate``).
+Every query route is ``exact`` or a ``bound`` that lies above its inner
+supremum, with the slope of that bound, so the certificate's status is
+``optimal``.
 
 The per-client slack carries log((K+2) n_k / (epsilon delta)); a zero
 budget, or one for which that log is not positive for some client, has no
@@ -53,6 +56,7 @@ __all__ = [
     "radius_grid",
     "certificate_grid",
     "wass_mean_rows",
+    "wass_mean_certificate",
     "wass_mean_bound",
 ]
 
@@ -86,15 +90,10 @@ def _per_client_log_terms(K: int, ns, epsilon: float, delta: float) -> np.ndarra
 def radius_grid(floor: float, top: float, grid_size: int) -> np.ndarray:
     """The shared radius grid: ``grid_size`` log-spaced radii from the floor
     epsilon/K to the top, the whole population budget on one client (the
-    curves flatten quickly), or the floor alone where the two meet.  A zero
-    floor below a higher top is refused: its answer carries slope 0, and
-    that flat tangent would not bound the curve above it."""
+    curves flatten quickly).  ``certificate_grid`` refuses a zero epsilon,
+    so the floor is positive and the top lies above it."""
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
-    if top <= floor + 1e-15:
-        return np.array([floor])
-    if floor <= 0.0:
-        raise ValueError("a radius grid above a zero floor has no sound tangent at 0")
     return np.unique(np.geomspace(floor, top, grid_size))
 
 
@@ -201,6 +200,19 @@ def wass_mean_rows(grid, values, slopes, ns, epsilon: float, delta: float) -> Ro
     })
 
 
+def wass_mean_certificate(grid, values, slopes, ns, epsilon: float,
+                          delta: float) -> CertifiedBound:
+    """The ``wass-mean`` certificate of K clients from their answers on
+    ``grid``, ``values`` and ``slopes`` (K, G), and sample counts ``ns``
+    (K,): ``wass_mean_rows`` of one row, made by ``Rows.bound``.  ``grid``
+    is the ``certificate_grid`` of these counts and budget, whose log-spaced
+    radii are distinct, so its ``grid_size`` is its length."""
+    ns = np.asarray(ns, dtype=float)
+    return wass_mean_rows(grid, values[None], slopes[None], ns[None], epsilon, delta).bound(
+        "wass-mean", K=len(ns), delta=delta, epsilon=epsilon, c1=DEFAULT_C1, c2=DEFAULT_C2,
+        grid_size=len(grid), mean_radius_cap=mean_radius_cap(epsilon, delta, len(ns)))
+
+
 def wass_mean_bound(
     clients: list[Client],
     h: Hypothesis,
@@ -210,13 +222,12 @@ def wass_mean_bound(
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> CertifiedBound:
     """Certified upper bound on the target mean risk when the target moves
-    clients by at most epsilon average transport cost: ``wass_mean_rows`` of
-    the clients' answers on ``certificate_grid``, made by ``Rows.bound``."""
+    clients by at most epsilon average transport cost: the
+    ``wass_mean_certificate`` of the clients' answers on
+    ``certificate_grid``."""
     if not clients:
         raise ValueError("at least one client required")
     ns = np.array([c.n_samples for c in clients], dtype=float)
     grid = certificate_grid(ns, epsilon, delta, grid_size=grid_size)
     values, slopes = query_profiles(clients, h, grid)
-    return wass_mean_rows(grid, values[None], slopes[None], ns[None], epsilon, delta).bound(
-        "wass-mean", K=len(ns), delta=delta, epsilon=epsilon, c1=DEFAULT_C1, c2=DEFAULT_C2,
-        grid_size=grid_size, mean_radius_cap=mean_radius_cap(epsilon, delta, len(ns)))
+    return wass_mean_certificate(grid, values, slopes, ns, epsilon, delta)

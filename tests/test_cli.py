@@ -688,13 +688,19 @@ def test_certify_reruns_are_byte_identical(tmp_path):
 
 
 def _golden_certify_config(name):
-    """The config of one pinned certify tree: BASE_CONFIG itself, or
-    BASE_CONFIG with a KL fdiv-cdf request after its four."""
+    """The config of one pinned certify tree: BASE_CONFIG itself,
+    BASE_CONFIG with a KL fdiv-cdf request after its four, or BASE_CONFIG
+    with a second wass-mean kind and a copy of its first after its four, so
+    that three wass-mean kinds split one query table."""
     cfg = copy.deepcopy(BASE_CONFIG)
     if name == "base-fdiv-cdf":
         cfg["certificates"].append({"kind": "fdiv-cdf", "delta": 0.1, "epsilon": 0.05,
                                     "f_name": "kl", "target_clients": 300,
                                     "lambda_grid": {"start": 0.0, "stop": 1.0, "num": 11}})
+    if name == "base-wass-kinds":
+        cfg["certificates"] += [{"kind": "wass-mean", "delta": 0.05, "epsilon": 0.1,
+                                 "grid_size": 5, "target_clients": 300},
+                                copy.deepcopy(cfg["certificates"][3])]
     return cfg
 
 
@@ -711,6 +717,33 @@ def test_certify_trees_equal_their_golden_digests(tmp_path, name):
     assert rc == golden["exit_codes"]["certify"]
     assert main(["emit-plots", "--out", str(out)]) == golden["exit_codes"]["emit-plots"]
     assert tree_digest(out) == golden["files"]
+
+
+def test_certify_asks_each_client_one_table(tmp_path, monkeypatch):
+    # radius 0 and every wass-mean grid in one query_profiles call: a
+    # second wass-mean kind adds columns to the table, not a flip build
+    from fedcert import query
+    counts = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(query._FlipInner, "__init__",
+                        counting("flip", query._FlipInner.__init__))
+    monkeypatch.setattr(fedcert.cli, "query_profiles",
+                        counting("profiles", fedcert.cli.query_profiles))
+    seen = []
+    for extra in ([], [{"kind": "wass-mean", "delta": 0.05, "epsilon": 0.1, "grid_size": 5,
+                        "target_clients": 300}]):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["certificates"] += extra
+        counts.clear()
+        out = tmp_path / str(len(seen))
+        assert main(["certify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == {"flip": 1, "profiles": 1}
 
 
 def test_certify_budget_exhaustion_exits_three(tmp_path, capsys):
@@ -769,16 +802,21 @@ def test_verify_tightness_truth_that_does_not_converge_exits_one(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("max_queries, rc", [(1, 3), (16, 3), (17, 0)])
-def test_verify_wass_trials_spend_certifys_query_budget(tmp_path, capsys, max_queries, rc):
+@pytest.mark.parametrize("epsilons, max_queries, rc", [
+    ((0.05,), 1, 3), ((0.05,), 16, 3), ((0.05,), 17, 0),
+    ((0.05, 0.1), 32, 3), ((0.05, 0.1), 33, 0)])
+def test_verify_wass_trials_spend_certifys_query_budget(tmp_path, capsys, epsilons,
+                                                        max_queries, rc):
     # a client pays one zero-radius query and the 16 radii of the default
-    # grid, in certify and in each wass-mean coverage trial alike
+    # grid per wass-mean kind, in certify and in each coverage trial alike:
+    # a trial certifies every kind on one client set
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["data"]["max_queries"] = max_queries
-    cfg["certificates"] = [{"kind": "wass-mean", "delta": 0.1, "epsilon": 0.05,
-                            "target_clients": 300}]
+    cfg["certificates"] = [{"kind": "wass-mean", "delta": 0.1, "epsilon": epsilon,
+                            "target_clients": 300} for epsilon in epsilons]
     cfg["verify"] = {"trials": 2, "target_clients": 300,
-                     "kinds": [{"kind": "wass-mean", "delta": 0.1, "epsilon": 0.05}]}
+                     "kinds": [{"kind": "wass-mean", "delta": 0.1, "epsilon": epsilon}
+                               for epsilon in epsilons]}
     cfgp = write_config(tmp_path, cfg)
     assert main(["certify", "--config", cfgp, "--out", str(tmp_path / "c")]) == rc
     assert main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == rc

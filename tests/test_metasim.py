@@ -530,21 +530,6 @@ def test_wass_single_norm_cost():
     assert np.allclose(np.linalg.norm(moved, axis=1), 0.3)
 
 
-def test_wass_per_archetype_radii():
-    # radii (0.2, 0.4) at weights (.5,.5): 0.5*0.02 + 0.5*0.08 = 0.05
-    cfg = two_archetype_cfg()
-    shifted, cost = shift_meta_wass(cfg, 0.05, radii=np.array([0.2, 0.4]))
-    assert abs(cost - 0.05) < 1e-15
-    for a, a0, r in zip(shifted.archetypes, cfg.archetypes, (0.2, 0.4)):
-        assert np.allclose(np.linalg.norm(a.class_means - a0.class_means, axis=1), r)
-
-
-def test_wass_radii_over_budget_rejected():
-    cfg = two_archetype_cfg()
-    with pytest.raises(ValueError):
-        shift_meta_wass(cfg, 0.04, radii=np.array([0.2, 0.4]))
-
-
 def test_wass_negative_budget_rejected():
     with pytest.raises(ValueError):
         shift_meta_wass(plain_cfg(), -0.1)

@@ -45,6 +45,7 @@ from fedcert.oracle import (
     issue_certificate,
     lambda_grid,
     mean_true_risk,
+    request_grid,
     target_world,
 )
 from fedcert.metasim import draw_world
@@ -53,7 +54,6 @@ from fedcert.query import (
     Client,
     empirical_risk,
     empirical_risk_values,
-    query_empirical,
     query_profiles,
 )
 from fedcert.wass import certificate_grid, wass_mean_bound
@@ -76,13 +76,16 @@ def _draw_source(cfg, h, K, n_k, root):
 
 def _wass_trial(source, h, req):
     """The ``wass-mean`` certificate of one trial's drawn source, as certify
-    issues it: the world's clients, charged their zero-radius queries and
-    then asked the radius grid by ``wass_mean_bound``."""
+    issues it: the world's clients each answer one table, radius 0 and then
+    the request's radius grid, and the certificate reads the grid's
+    columns."""
     world, qv, ns = source
     clients = [Client(ds.client_id, ds, ZERO_ONE_LOSS, max_queries=req.get("max_queries"))
                for ds in world.datasets()]
-    query_empirical(clients, h)
-    return issue_certificate("wass-mean", req, qv, ns, clients, h)
+    grid = request_grid(req, ns)
+    values, slopes = query_profiles(clients, h, np.r_[0.0, grid])
+    assert values[:, 0].tolist() == qv.tolist()
+    return issue_certificate("wass-mean", req, qv, ns, (grid, values[:, 1:], slopes[:, 1:]))
 
 
 def plain_cfg(**kw):
@@ -706,7 +709,7 @@ def test_source_tables_equal_each_roots_query_profiles(monkeypatch, K):
 
 def _as_certificate(rows, t, params):
     """Row t of ``certify_rows``' wass-mean rows, made into a certificate
-    issued under ``params`` by the builder ``wass_mean_bound`` uses."""
+    issued under ``params`` by the builder ``wass_mean_certificate`` uses."""
     def row(v):
         return v[t:t + 1]
     one = Rows(row(rows.value), row(rows.raw), {k: row(v) for k, v in rows.slack.items()},
@@ -723,9 +726,13 @@ def test_wass_rows_equal_each_trials_wass_mean_bound(K, epsilon, grid_size):
     qv, (table,) = _source_risks(cfg, H, roots, K, n_k, [grid])
     rows = certify_rows("wass-mean", req, qv, np.full((trials, K), n_k), (grid, *table))
     for t, root in enumerate(roots):
-        cert = _wass_trial(_draw_source(cfg, H, K, n_k, root), H, req)
+        source = _draw_source(cfg, H, K, n_k, root)
+        cert = _wass_trial(source, H, req)
         # repr tells every float apart, to the last bit and the sign of zero
         assert repr(_as_certificate(rows, t, cert.params)) == repr(cert)
+        # the library bound asks the grid alone, and issues the same certificate
+        clients = [Client(ds.client_id, ds, ZERO_ONE_LOSS) for ds in source[0].datasets()]
+        assert repr(wass_mean_bound(clients, H, epsilon, 0.1, grid_size=grid_size)) == repr(cert)
 
 
 def test_wass_coverage_checks_the_query_budget_before_the_first_trial(monkeypatch):
@@ -863,17 +870,21 @@ def test_batched_coverage_equals_the_per_trial_loop(monkeypatch, trials, K, epsi
 def test_batched_wass_coverage_equals_the_per_trial_path(trials, K):
     # the per-trial path certified each trial's drawn world through its
     # clients; two wass-mean kinds share the source pass, under a cap that
-    # one zero-radius query and the larger grid fill exactly.  At these
-    # sizes every certificate reads 1 and no trial violates; the raw values
-    # are compared bit for bit in test_wass_rows_equal_each_trials_wass_mean_bound
+    # one zero-radius query and both grids, as certify asks them in one
+    # table, fill exactly.  At these sizes every certificate reads 1 and no
+    # trial violates; the raw values are compared bit for bit in
+    # test_wass_rows_equal_each_trials_wass_mean_bound
     cfg, seed = archetype_cfg(), 13
     requests = [("wass-mean", {"delta": 0.1, "epsilon": 0.02, "grid_size": 6}),
                 ("wass-mean", {"delta": 0.1, "epsilon": 0.3, "grid_size": 3})]
     got = [r.to_json_dict() for r in coverage_experiments(cfg, H, K, 20, requests,
                                                           trials=trials, seed=seed,
-                                                          target_clients=300, max_queries=7)]
-    assert got == [_per_trial_coverage(cfg, H, K, 20, kind, params, trials, seed, 300, 7)
+                                                          target_clients=300, max_queries=10)]
+    assert got == [_per_trial_coverage(cfg, H, K, 20, kind, params, trials, seed, 300, 10)
                    for kind, params in requests]
+    with pytest.raises(BudgetExceededError):
+        coverage_experiments(cfg, H, K, 20, requests, trials=trials, seed=seed,
+                             target_clients=300, max_queries=9)
 
 
 def test_wass_kinds_share_one_flip_build_per_block(monkeypatch):

@@ -26,7 +26,6 @@ from fedcert import (
     empirical_risk_values,
     empirical_risks,
     phi_gamma,
-    query_empirical,
     query_profiles,
     wass_ball_lp_oracle,
 )
@@ -214,7 +213,7 @@ def _budget_clients():
     return clients, h
 
 
-def test_query_empirical_matches_a_loop_of_client_queries():
+def test_zero_radius_profiles_match_a_loop_of_client_queries():
     looped, h = _budget_clients()
     batched, _ = _budget_clients()
     want = []
@@ -222,7 +221,7 @@ def test_query_empirical_matches_a_loop_of_client_queries():
         for c in looped:
             want.append(c.query(h, 0.0))
     with pytest.raises(BudgetExceededError) as batch_error:
-        query_empirical(batched, h)
+        query_profiles(batched, h, [0.0])
     assert batch_error.value.client_id == loop_error.value.client_id == 2
     for a, b in zip(batched, looped):
         assert a.audit_log == b.audit_log
@@ -230,9 +229,10 @@ def test_query_empirical_matches_a_loop_of_client_queries():
     assert [c.queries_used for c in batched] == [1, 1, 1, 0, 0]
     # past the spent client, every answer is the loop's
     rest = batched[:2] + batched[3:]
-    got = query_empirical(rest, h)
-    assert got[:2] == [c.query(h, 0.0) for c in looped[:2]]
-    assert got[2:] == [c.query(h, 0.0) for c in looped[3:]]
+    values, slopes = query_profiles(rest, h, [0.0])
+    want = [c.query(h, 0.0) for c in looped[:2] + looped[3:]]
+    assert values[:, 0].tolist() == [q.value for q in want]
+    assert not np.any(slopes)
     for a, b in zip(rest, looped[:2] + looped[3:]):
         assert a.audit_log == b.audit_log
         assert a.queries_used == b.queries_used
@@ -1709,10 +1709,10 @@ def _views_against_copies(order, route, ask_views, ask_copies, max_queries, spen
 
 @pytest.mark.parametrize("budget", ["none", "spent"])
 @pytest.mark.parametrize("order", _VIEW_ORDERS)
-def test_query_empirical_of_row_views_equals_a_loop_over_standalone_copies(order, budget):
+def test_zero_radius_profiles_of_row_views_equal_a_loop_over_standalone_copies(order, budget):
     h = _PROFILES_H
     tables, err, logs = _views_against_copies(
-        order, "flip", lambda cs: ([q.value for q in query_empirical(cs, h)],),
+        order, "flip", lambda cs: (query_profiles(cs, h, [0.0])[0][:, 0],),
         lambda cs: ([c.query(h, 0.0).value for c in cs],),
         *((None, ()) if budget == "none" else (3, [(4, 3)])))
     if budget == "none":

@@ -22,7 +22,8 @@ SOLVER_NAMES = {"RowFill", "upper_hulls", "hull_pieces", "_block_hull",
 # oracle.target_world
 KIND_WIRING = {"mean_bound", "cdf_bound", "fdiv_mean_bound", "fdiv_cdf_bound",
                "mean_rows", "cdf_rows", "fdiv_mean_rows", "fdiv_cdf_rows",
-               "wass_mean_bound", "wass_mean_rows", "tilt_for_divergence"}
+               "wass_mean_bound", "wass_mean_rows", "wass_mean_certificate",
+               "tilt_for_divergence"}
 
 
 def _names(path):
@@ -49,19 +50,22 @@ def test_oracles_share_no_solution_code_with_the_solvers():
 
 def test_the_oracle_takes_from_wass_only_its_bound_and_default_grid():
     # the allocation oracle evaluates the tangent envelopes with its own
-    # code; the coverage trials take the rows kernel and the grid it reads
+    # code; certify takes the one-row certificate of a table, the coverage
+    # trials the rows kernel, and both the grid they read
     tree = ast.parse(ORACLE.read_text())
     taken = {a.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "wass"
              for a in node.names}
-    assert taken == {"wass_mean_bound", "wass_mean_rows", "certificate_grid",
+    assert taken == {"wass_mean_certificate", "wass_mean_rows", "certificate_grid",
                      "DEFAULT_GRID_SIZE"}
     _, named = _names(ORACLE)
     assert "wass" not in named
 
 
 def test_the_cli_wires_no_certificate_kind_itself():
-    _, named = _names(SRC / "cli.py")
+    # a wass-mean request's radius grid comes from oracle.request_grid too
+    imported, named = _names(SRC / "cli.py")
+    assert not [m for m in imported if m.split(".")[-1] == "wass"]
     assert not named & KIND_WIRING
     assert not [n for n in named if n.startswith("shift_meta_")]
 
@@ -91,7 +95,7 @@ def test_cli_and_oracle_take_drawn_clients_only_from_drawn_world_datasets():
     # tables read in place; a dataset built here would be stacked again.  The
     # oracle's trials read the sampling pass's blocks, and build no client
     _, named = _names(ORACLE)
-    assert not named & {"Client", "draw_world", "query_empirical", "query_profiles",
+    assert not named & {"Client", "draw_world", "query_profiles",
                         "LocalDataset", "row_view", "generate_dataset"}
     module = "cli.py"
     tree = ast.parse((SRC / module).read_text())
