@@ -62,9 +62,9 @@ from .query import (
     QueryValue,
     TransportCost,
     adversarial_risk,
+    answer_table,
     empirical_risk,
     empirical_risk_values,
-    empirical_risks,
     phi_gamma,
     query_profiles,
 )

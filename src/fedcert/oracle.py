@@ -32,9 +32,11 @@ target world test against the same risks.  A call of
 ``coverage_experiments`` certifies one rule on one source size: it draws
 that source once for every trial, in one sampling pass that keeps only the
 query values and each ``wass-mean`` kind's answers on its radius grid
-(``_source_risks``), and each trial's targets once, in one draw for every
-target world of one layout (``_TargetDraws``); each kind then certifies what
-it kept in one kernel call, and each report equals its kind's run alone.
+(``_source_risks``: each block of clients answered by ``query.answer_table``,
+the function that answers ``certify``'s clients), and each trial's targets
+once, in one draw for every target world of one layout (``_TargetDraws``);
+each kind then certifies what it kept in one kernel call, and each report
+equals its kind's run alone.
 
 Target statistics use exact per-client risks (Gaussian class-conditional
 worlds with a binary linear rule admit a closed form), so coverage tests
@@ -43,7 +45,7 @@ finite target populations of such risks (``sample_true_risks``); the
 tightness probe needs only their population mean, a low-dimensional
 Gaussian integral that ``mean_true_risk`` evaluates by quadrature, with no
 sampling at all.  Those risks are zero-one risks, so the experiments query
-their clients with the zero-one loss.
+their clients with the zero-one loss, ``answer_table``'s default.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .certificates import Rows, write_json
 from .fdiv import fdiv_cdf_bound, fdiv_cdf_rows, fdiv_mean_bound, fdiv_mean_rows
-from .losses import LINEAR, LOGISTIC, ZERO_ONE, Hypothesis, LossFn
+from .losses import LINEAR, LOGISTIC, Hypothesis
 from .metasim import (
     MetaConfig,
     _categorical,
@@ -67,7 +69,7 @@ from .metasim import (
     tilt_for_divergence,
 )
 from .nonrobust import cdf_bound, cdf_rows, mean_bound, mean_rows
-from .query import HALF_SQ, BudgetExceededError, empirical_risk_values, flip_risk_values
+from .query import HALF_SQ, BudgetExceededError, answer_table
 from .wass import DEFAULT_GRID_SIZE, certificate_grid, wass_mean_certificate, wass_mean_rows
 
 __all__ = [
@@ -99,8 +101,6 @@ BOUND_KINDS = ("mean", "cdf", "fdiv-mean", "fdiv-cdf", "wass-mean")
 CURVE_KINDS = ("cdf", "fdiv-cdf")
 FDIV_KINDS = ("fdiv-mean", "fdiv-cdf")
 TIGHTNESS_KINDS = ("mean", "fdiv-mean")
-
-_ZERO_ONE = LossFn(ZERO_ONE)
 
 # local copies of the divergence generators: the oracle must not lean on the
 # solver module it exists to check
@@ -725,18 +725,19 @@ def _source_risks(cfg: MetaConfig, h: Hypothesis, roots: list[int], K: int, n_k:
                   grids=()) -> tuple[np.ndarray, list]:
     """The zero-one risks, (len(roots), K), of the clients of each root's
     ``draw_world(cfg, K, n_k, root)``, and their values and slopes on each
-    grid of ``grids``, (2, len(roots), K, G): one ``draw_sample_rows`` pass
-    to ``empirical_risk_values`` and one ``flip_risk_values`` per block on
-    the grids laid end to end (each radius is answered on its own), one
-    table whose columns each grid's table views."""
-    qv = np.empty((len(roots), K))
+    grid of ``grids``, (2, len(roots), K, G): one ``draw_sample_rows`` pass,
+    and one ``answer_table`` call per block on radius 0 and the grids laid
+    end to end (each radius is answered on its own), as ``certify`` asks
+    its clients; each grid's table views its columns."""
+    qv = np.empty(len(roots) * K)
     grid = np.concatenate([np.empty(0), *grids])
-    table = np.empty((2, len(roots), K, len(grid)))
+    table = np.empty((2, len(roots) * K, len(grid)))
     for rows, X, labels in draw_sample_rows(cfg, roots, K, n_k):
-        qv.reshape(-1)[rows] = empirical_risk_values(h, X, labels, _ZERO_ONE)
-        if len(grid):
-            table.reshape(2, -1, len(grid))[:, rows] = flip_risk_values(h, X, labels, grid)
-    return qv, np.split(table, np.cumsum([len(g) for g in grids]), axis=3)[:-1]
+        values, slopes, _ = answer_table(h, X, labels, [0.0, *grid])
+        qv[rows], table[:, rows] = values[:, 0], (values[:, 1:], slopes[:, 1:])
+    table = table.reshape(2, len(roots), K, len(grid))
+    return (qv.reshape(len(roots), K),
+            np.split(table, np.cumsum([len(g) for g in grids]), axis=3)[:-1])
 
 
 def _check_kind_request(params: dict) -> None:

@@ -2,21 +2,25 @@
 
 The server learns about a client only through ``Client.query(h, rho)``, which
 returns a single scalar summary (plus solver metadata), and
-``Client.query_profile(h, rhos)``, which computes a radius vector's answers
-in one call and passes each through ``query``: one scalar answer, one audit
-entry and one unit of the query budget per radius.  ``query_profiles``
-answers many clients' radius vectors as one (K, G) table of values and
-slopes, and passes each answer through ``query`` in the same way; a radius
-vector may hold 0 and repeat a radius, and each entry is answered and
-charged on its own.  So ``certify`` asks each client one table: radius 0,
-then every ``wass-mean`` grid.  Every answer, ``query``'s own included, is
-read off one table (``_profiles``): the zero radii from one batched loss
-pass (``empirical_risk_values``), and the others from the route's inner
-solver.  The datasets of a drawn world are row views of its columns, and a
-block of consecutive rows of one draw is read in place (``_stacked``).  A
-query is charged once answered.  At rho = 0 the answer is the plain
-empirical risk; at rho > 0 it is the worst-case risk over all data
-distributions within transport cost rho of the client's empirical sample,
+``Client.query_profile(h, rhos)``, which answers a radius vector in one call
+and passes each answer through ``query``: one scalar answer, one audit entry
+and one unit of the query budget per radius.  ``query_profiles`` answers
+many clients' radius vectors as one (K, G) table of values and slopes, and
+passes each answer through ``query`` in the same way; a radius vector may
+hold 0 and repeat a radius, and each entry is answered and charged on its
+own.  So ``certify`` asks each client one table: radius 0, then every
+``wass-mean`` grid.
+
+One function answers every query: ``answer_table``, for B clients stacked as
+(B, n, d) features and (B, n) labels.  ``_profiles`` serves ``query`` and
+``query_profiles`` from it, and the coverage trials call it on each block of
+their drawn samples.  Its zero radii come from one batched loss pass
+(``empirical_risk_values``), and the others from the route's inner solver.
+The datasets of a drawn world are row views of its columns, and a block of
+consecutive rows of one draw is read in place (``_stacked``).  A query is
+charged once answered.  At rho = 0 the answer is the plain empirical risk;
+at rho > 0 it is the worst-case risk over all data distributions within
+transport cost rho of the client's empirical sample,
 
     sup_{Q in ball(rho)}  E_Q[loss]
         =  min_{gamma >= 0}  gamma * rho + mean_i sup_{z'} [loss(z') - gamma c(z', z_i)]
@@ -25,11 +29,11 @@ with the minimizing gamma known to lie in [0, 1/rho] for losses in [0, 1].
 A negative or NaN radius is refused.  One function, ``_route``, picks the
 route of a rule, loss and declared grid, and refuses what no route answers.
 ``_make_inner`` builds that route's solver for B clients stacked as (B, n, d)
-features, once per call, and the solver answers a radius vector as a table
-(``table(rhos)``).  ``_profiles`` stacks the flip clients of one sample
-count and cost, and the grid clients of one sample count, cost, grid array
-and loss, and builds one solver per block of a stack; a score-line client
-is a stack of its own, and a lone client a block of one.  The routes:
+features, once per ``answer_table`` call, and the solver answers a radius
+vector as a table (``table(rhos)``).  ``_profiles`` stacks the clients of one
+budget fit, sample count, cost, loss and grid array, and calls
+``answer_table`` once per block of a stack; a score-line client is a block
+of its own.  The routes:
 
   * zero-one loss with a binary linear rule on continuous features: a
     correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
@@ -49,11 +53,11 @@ concave pieces best gain per unit cost first, and gamma_star is the
 marginal slope at the budget.  Every route fills its pieces through one
 kernel, ``concave.RowFill``: each client's pieces in greedy order make one
 row, their running costs and gains are summed once, and one search answers
-every client and radius of a stack.  The flip route's pieces all gain 1, so
+every client and radius of a block.  The flip route's pieces all gain 1, so
 one sort of each row's flip costs orders them (``_by_key``); the grid and
 score-line routes order the segments of their samples' upper hulls by
 ``RowFill.greedy``'s stable sort on -gain/cost.  The flip and grid routes
-are exact, and ``flip_risk_values`` is the flip route's stacked table.
+are exact.
 
 Why the score-line route is sound.  A logistic rule's clipped losses see a
 sample only through its score u = w.x + b.  The cheapest point with score u
@@ -123,10 +127,9 @@ __all__ = [
     "BudgetExceededError",
     "Client",
     "query_profiles",
+    "answer_table",
     "empirical_risk",
-    "empirical_risks",
     "empirical_risk_values",
-    "flip_risk_values",
     "adversarial_risk",
     "phi_gamma",
 ]
@@ -222,32 +225,9 @@ class QueryValue:
 
 
 def empirical_risk(h: Hypothesis, dataset: LocalDataset, loss_fn: LossFn) -> QueryValue:
-    return empirical_risks(h, [dataset], loss_fn)[0]
-
-
-def empirical_risks(h: Hypothesis, datasets, loss_fn: LossFn) -> list[QueryValue]:
-    """The empirical risk of each dataset, in order, as a ``QueryValue``
-    (``_risks_of``)."""
-    return [QueryValue(value=v, rho=0.0, gamma_star=0.0, inner_iterations=0, status="exact")
-            for v in _risks_of(h, list(datasets), loss_fn).tolist()]
-
-
-def _risks_of(h: Hypothesis, datasets: list[LocalDataset], loss_fn: LossFn) -> np.ndarray:
-    """The empirical risk of each dataset, in order: ``empirical_risk_values``
-    on the datasets of each sample count, a block of about ``_BLOCK_BYTES``
-    of features at a time (``_stacked``: read in place when the block is
-    consecutive rows of one draw)."""
-    of_size: dict[int, list[int]] = {}
-    for i, ds in enumerate(datasets):
-        of_size.setdefault(len(ds), []).append(i)
-    values = np.zeros(len(datasets))
-    for n, same in of_size.items():
-        step = _block_rows(n, h)
-        for start in range(0, len(same), step):
-            rows = same[start:start + step]
-            values[rows] = empirical_risk_values(h, *_stacked([datasets[i] for i in rows]),
-                                                 loss_fn)
-    return values
+    """The empirical risk of ``dataset``: a fresh client's answer at radius
+    0 (``adversarial_risk``)."""
+    return adversarial_risk(h, dataset, 0.0, loss_fn=loss_fn)
 
 
 def _stacked(datasets: list[LocalDataset]) -> tuple[np.ndarray, np.ndarray]:
@@ -287,15 +267,6 @@ def empirical_risk_values(h: Hypothesis, features: np.ndarray, labels: np.ndarra
         losses = score_loss_values(loss_fn, h, scores, labels[block].reshape(-1))
         risks[block] = np.mean(losses.reshape(-1, n), axis=1)
     return risks
-
-
-def flip_risk_values(h: Hypothesis, features: np.ndarray, labels: np.ndarray, rhos,
-                     cost: TransportCost = TransportCost()) -> tuple[np.ndarray, np.ndarray]:
-    """(values, slopes), each (B, G), of B datasets of n samples stacked as
-    ``features`` (B, n, d) and ``labels`` (B, n), at the positive radii
-    ``rhos``: the flip route's table, as ``query_profiles`` builds it for a
-    block of flip clients."""
-    return _FlipInner(h, features, labels, cost).table(rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +636,35 @@ def _make_inner(h, X, y, cost, loss_fn, grid) -> _FillInner:
     return _ScoreLineInner(searched, X, y, cost, loss_fn)
 
 
+def answer_table(
+    h: Hypothesis,
+    X: np.ndarray,
+    y: np.ndarray,
+    rhos,
+    cost: TransportCost = TransportCost(),
+    loss_fn: LossFn = LossFn(ZERO_ONE),
+    grid: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """(values, slopes, status) of B clients of n samples each, stacked as
+    features X (B, n, d) and labels y (B, n), at the radii ``rhos``: values
+    and slopes (B, G), and the route's status.  The radii above 0 come from
+    one inner solver (``_make_inner``), built first, so that a route's
+    refusal is its own; a zero radius takes the empirical risk
+    (``empirical_risk_values``) and slope 0.  When every radius is 0, no
+    route is picked and no solver built, and the status is ``exact``."""
+    rhos = np.asarray(rhos, dtype=float)
+    robust = rhos != 0.0
+    values, slopes = np.zeros((len(y), len(rhos))), np.zeros((len(y), len(rhos)))
+    status = "exact"
+    if robust.any():
+        inner = _make_inner(h, X, y, cost, loss_fn, grid)
+        values[:, robust], slopes[:, robust] = inner.table(rhos[robust])
+        status = inner._status
+    if not robust.all():
+        values[:, ~robust] = empirical_risk_values(h, X, y, loss_fn)[:, None]
+    return values, slopes, status
+
+
 def phi_gamma(
     h: Hypothesis,
     gamma: float,
@@ -808,54 +808,42 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
     """The answers ``query_profiles`` and ``Client.query`` charge: (values,
     slopes, fits, status) for the clients up to the first whose budget runs
     out within ``rhos``, where ``fits`` counts the radii each has budget for
-    and ``status`` is each route's status.  Only those clients are answered.
+    and ``status`` is each client's route status.  Only those clients are
+    answered, each on the radii it has budget for.
 
-    Every client with a radius to answer above 0 joins a stack, by its route
-    (``_route``): flip clients of one feature shape and cost, grid clients
-    of one grid array, feature shape, cost and loss, and each score-line
-    client alone.  Every route is picked before any solver is built, so a
-    refused one is refused before any work.  A stack answers through one
-    inner (``_make_inner``) per block, of about ``_BLOCK_BYTES`` of features
-    for the flip route (as ``empirical_risk_values`` blocks them) and about
-    ``_GRID_BLOCK_BYTES`` of squared distances for the grid route; a lone
-    client is a block of one.  Every inner answers every radius above 0
-    through one ``RowFill`` call.  A zero radius takes the empirical risk
-    (``_risks_of``) and slope 0."""
-    G = len(rhos)
-    fits = []
-    for c in clients:
-        fits.append(G if c.max_queries is None else max(0, min(G, c.max_queries - c._used)))
-        if fits[-1] < G:
+    One loop groups the clients: each with a radius to answer joins the
+    stack of its fit, feature shape, cost, loss and grid array.  Each stack
+    with a radius above 0 picks its route (``_route``) before any solver is
+    built, so a refused one is refused before any work.  A stack answers
+    through one ``answer_table`` call per block: about ``_GRID_BLOCK_BYTES``
+    of squared distances for the grid route, one client for the score
+    line, and about ``_BLOCK_BYTES`` of features otherwise (as
+    ``empirical_risk_values`` blocks them); a block of consecutive rows of
+    one draw is read in place (``_stacked``)."""
+    G, fits, stacks = len(rhos), [], {}
+    for i, c in enumerate(clients):
+        fit = G if c.max_queries is None else max(0, min(G, c.max_queries - c._used))
+        fits.append(fit)
+        if fit:
+            stacks.setdefault((fit, c._dataset.features.shape, c._cost.kind, c._loss_fn.kind,
+                               id(c._grid)), []).append(i)
+        if fit < G:
             break
+    blocks = []
+    for (fit, (n, _), *_), idx in stacks.items():
+        c = clients[idx[0]]
+        route, searched = _route(h, c._loss_fn, c._grid) if any(rhos[:fit]) else (None, None)
+        step = (max(1, _GRID_BLOCK_BYTES // (8 * n * len(searched))) if route == "grid"
+                else 1 if route == "line" else _block_rows(n, h))
+        blocks += [(fit, c, idx[start:start + step]) for start in range(0, len(idx), step)]
     values, slopes = np.zeros((len(fits), G)), np.zeros((len(fits), G))
     status = ["exact"] * len(fits)
-    robust = [j for j, r in enumerate(rhos) if r != 0.0]
-    zero = [j for j, r in enumerate(rhos) if r == 0.0]
-    by_loss: dict[LossFn, list[int]] = {}
-    stacks: dict[tuple, tuple[object, list[int]]] = {}
-    for i, (c, fit) in enumerate(zip(clients, fits)):
-        if zero and zero[0] < fit:
-            by_loss.setdefault(c._loss_fn, []).append(i)
-        if robust and robust[0] < fit:
-            route, searched = _route(h, c._loss_fn, c._grid)
-            # a score-line client is a stack of its own
-            key = (route, c._dataset.features.shape, c._cost, c._loss_fn,
-                   i if route == "line" else id(searched))
-            stacks.setdefault(key, (searched, []))[1].append(i)
-    asked = [rhos[j] for j in robust]
-    for (route, (n, _), cost, loss_fn, _), (searched, idx) in stacks.items():
-        step = (max(1, _GRID_BLOCK_BYTES // (8 * n * len(searched))) if route == "grid"
-                else _block_rows(n, h))
-        for start in range(0, len(idx), step):
-            rows = idx[start:start + step]
-            X, y = _stacked([clients[i]._dataset for i in rows])
-            inner = _make_inner(h, X, y, cost, loss_fn, clients[rows[0]]._grid)
-            values[np.ix_(rows, robust)], slopes[np.ix_(rows, robust)] = inner.table(asked)
-            for i in rows:
-                status[i] = inner._status
-    for loss_fn, idx in by_loss.items():
-        values[np.ix_(idx, zero)] = _risks_of(h, [clients[i]._dataset for i in idx],
-                                              loss_fn)[:, None]
+    for fit, c, rows in blocks:
+        X, y = _stacked([clients[i]._dataset for i in rows])
+        values[rows, :fit], slopes[rows, :fit], st = answer_table(
+            h, X, y, rhos[:fit], c._cost, c._loss_fn, c._grid)
+        for i in rows:
+            status[i] = st
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValueError("query values live in [0, 1]")
     return values, slopes, fits, status

@@ -10,6 +10,7 @@ import pytest
 
 import fedcert.metasim
 import fedcert.oracle
+import fedcert.query
 from scipy.special import ndtr
 
 from fedcert import (
@@ -897,8 +898,8 @@ def test_wass_kinds_share_one_flip_build_per_block(monkeypatch):
     run = dict(trials=5, seed=3, target_clients=300)
     alone = [coverage_experiments(cfg, H, K, n_k, [request], **run)[0].to_json_dict()
              for request in requests]
-    builds = _counting(monkeypatch, "flip_risk_values")
-    blocks = _counting(monkeypatch, "empirical_risk_values")
+    blocks = _counting(monkeypatch, "answer_table")
+    builds = _counting(monkeypatch, "_FlipInner", fedcert.query)
     got = coverage_experiments(cfg, H, K, n_k, requests, **run)
     assert [r.to_json_dict() for r in got] == alone
     assert len(blocks) > 1 and len(builds) == len(blocks)

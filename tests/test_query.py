@@ -21,10 +21,10 @@ from fedcert import (
     TransportCost,
     QueryValue,
     adversarial_risk,
+    answer_table,
     draw_world,
     empirical_risk,
     empirical_risk_values,
-    empirical_risks,
     phi_gamma,
     query_profiles,
     wass_ball_lp_oracle,
@@ -167,18 +167,23 @@ def _one_at_a_time(h, ds, loss_fn):
 ], ids=["K1", "ragged", "over-a-block", "three-blocks", "ragged-blocks"])
 @pytest.mark.parametrize("kind", [ZERO_ONE, CROSS_ENTROPY, SQUARED])
 @pytest.mark.parametrize("rule", list(_BATCH_RULES))
-def test_empirical_risks_equal_each_datasets_own_risk(rule, kind, sizes):
+def test_zero_radius_profiles_equal_each_datasets_own_risk(rule, kind, sizes):
     h, loss_fn = _BATCH_RULES[rule], LossFn(kind)
     datasets = _batch_datasets(rule, sizes, seed=len(sizes))
+    clients = [Client(k, ds, loss_fn) for k, ds in enumerate(datasets)]
     if rule == "binary-linear" and kind == SQUARED:
-        for ask in (lambda: empirical_risks(h, datasets, loss_fn),
+        for ask in (lambda: query_profiles(clients, h, [0.0]),
                     lambda: empirical_risk(h, datasets[0], loss_fn)):
             with pytest.raises(ValueError):
                 ask()
+        assert all(c.queries_used == 0 for c in clients)
         return
-    got = empirical_risks(h, datasets, loss_fn)
-    assert got == [empirical_risk(h, ds, loss_fn) for ds in datasets]
-    assert got == [_one_at_a_time(h, ds, loss_fn) for ds in datasets]
+    values, slopes = query_profiles(clients, h, [0.0])
+    want = [_one_at_a_time(h, ds, loss_fn) for ds in datasets]
+    assert values[:, 0].tolist() == [qv.value for qv in want] and not slopes.any()
+    assert [c.audit_log for c in clients] == [[{"client": k, **qv.to_json_dict()}]
+                                              for k, qv in enumerate(want)]
+    assert [empirical_risk(h, ds, loss_fn) for ds in datasets] == want
 
 
 @pytest.mark.parametrize("K", [1, 2 * _PER_BLOCK[30] + 1])
@@ -197,8 +202,9 @@ def test_empirical_risk_values_of_stacked_datasets(rule, kind, K):
         h.stacked_scores(X[..., :1])
 
 
-def test_empirical_risks_of_no_datasets_is_empty():
-    assert empirical_risks(_BATCH_RULES["logistic"], [], LossFn(ZERO_ONE)) == []
+def test_zero_radius_profiles_of_no_clients_are_empty():
+    values, slopes = query_profiles([], _BATCH_RULES["logistic"], [0.0])
+    assert values.shape == slopes.shape == (0, 1)
 
 
 def _budget_clients():
@@ -1170,6 +1176,14 @@ def test_the_route_table_and_its_refusals_at_every_entry_point(rule, kind, decla
             ask(c)
         assert str(err.value) == want, name
         assert c.queries_used == 0 and c.audit_log == [], name
+    if kind == ZERO_ONE:
+        # a budget that covers only radius 0 answers it and never picks the
+        # refused route: the next radius raises BudgetExceededError
+        for name in ("query_profile", "query_profiles"):
+            c = Client(0, ds, loss_fn, max_queries=1, grid=grid)
+            with pytest.raises(BudgetExceededError):
+                asks[name](c)
+            assert c.queries_used == 1 and [e["rho"] for e in c.audit_log] == [0.0], name
 
 
 @pytest.mark.parametrize("h, labels, kind", [
@@ -1588,6 +1602,38 @@ def test_query_profiles_grid_budget_runs_out_partway_through_a_vector():
     assert [used for used, _ in logs] == [5, 5, 5, 7] + [0] * 7
 
 
+@pytest.mark.parametrize("rhos", [_GRID_RHOS, [0.0, 0.0]])
+@pytest.mark.parametrize("route", ["grid", "line"])
+def test_answer_table_equals_the_profiles_of_its_clients(monkeypatch, route, rhos):
+    # a grid stack (the four 12-sample clients of grid A, one off it) and a
+    # score-line client, answered as one table and through their clients
+    if route == "grid":
+        clients, want = [_grid_clients()[i] for i in (0, 3, 6, 7)], "exact"
+    else:
+        clients, want = [_mixed_clients()[7]], "bound"
+    first = clients[0]
+    X = np.stack([c._dataset.features for c in clients])
+    y = np.stack([c._dataset.labels for c in clients])
+    builds = []
+    make_inner = query._make_inner
+
+    def counted(*args):
+        builds.append(1)
+        return make_inner(*args)
+
+    monkeypatch.setattr(query, "_make_inner", counted)
+    values, slopes, status = answer_table(_PROFILES_H, X, y, rhos, first._cost,
+                                          first._loss_fn, first._grid)
+    robust = any(rhos)
+    assert builds == [1] * robust and status == (want if robust else "exact")
+    got = query_profiles(clients, _PROFILES_H, rhos)
+    assert values.tobytes() == got[0].tobytes() and slopes.tobytes() == got[1].tobytes()
+    if not robust:
+        assert not slopes.any()
+        assert values[:, 0].tolist() == empirical_risk_values(_PROFILES_H, X, y,
+                                                              first._loss_fn).tolist()
+
+
 _TABLE = np.stack(np.meshgrid(*[np.linspace(-3, 3, 7)] * 2), -1).reshape(-1, 2)
 _LOOKUP_H = Hypothesis(kind=LOOKUP, weights=np.arange(len(_TABLE)) % 5 / 4.0, grid=_TABLE)
 
@@ -1674,15 +1720,17 @@ def test_row_views_are_the_drawn_rows():
 @pytest.mark.parametrize("per_block", [None, 4])
 @pytest.mark.parametrize("order", _VIEW_ORDERS)
 @pytest.mark.parametrize("rule", ["logistic", "binary-linear"])
-def test_empirical_risks_of_row_views_equal_those_of_standalone_copies(
+def test_zero_radius_tables_of_row_views_equal_those_of_standalone_copies(
         monkeypatch, rule, order, per_block):
     if per_block is not None:
         monkeypatch.setattr(query, "_BLOCK_BYTES", per_block * 8 * 12 * 2)
     h, views = _BATCH_RULES[rule], _view_lists()[order]
     for kind in (ZERO_ONE, CROSS_ENTROPY):
-        got = empirical_risks(h, views, LossFn(kind))
-        assert got == empirical_risks(h, [_copied(ds) for ds in views], LossFn(kind))
-        assert got == [_one_at_a_time(h, ds, LossFn(kind)) for ds in views]
+        got, copied = (query_profiles([Client(i, ds, LossFn(kind)) for i, ds in enumerate(data)],
+                                      h, [0.0])[0]
+                       for data in (views, [_copied(ds) for ds in views]))
+        assert got.tolist() == copied.tolist()
+        assert got[:, 0].tolist() == [_one_at_a_time(h, ds, LossFn(kind)).value for ds in views]
 
 
 def _view_clients(order, route, copy, max_queries=None):

@@ -42,6 +42,13 @@ def _names(path):
     return imported, named
 
 
+def _taken_from(path, module):
+    """The names ``path`` imports from the sibling ``module``."""
+    return {a.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module
+            for a in node.names}
+
+
 def test_oracles_share_no_solution_code_with_the_solvers():
     imported, named = _names(ORACLE)
     assert not [m for m in imported if m.split(".")[-1] == "concave"]
@@ -52,14 +59,16 @@ def test_the_oracle_takes_from_wass_only_its_bound_and_default_grid():
     # the allocation oracle evaluates the tangent envelopes with its own
     # code; certify takes the one-row certificate of a table, the coverage
     # trials the rows kernel, and both the grid they read
-    tree = ast.parse(ORACLE.read_text())
-    taken = {a.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "wass"
-             for a in node.names}
-    assert taken == {"wass_mean_certificate", "wass_mean_rows", "certificate_grid",
-                     "DEFAULT_GRID_SIZE"}
+    assert _taken_from(ORACLE, "wass") == {"wass_mean_certificate", "wass_mean_rows",
+                                           "certificate_grid", "DEFAULT_GRID_SIZE"}
     _, named = _names(ORACLE)
     assert "wass" not in named
+
+
+def test_the_oracle_takes_from_query_only_the_table_its_trials_answer():
+    # the coverage trials answer their clients through the function that
+    # answers certify's, and take the cost name and the budget error
+    assert _taken_from(ORACLE, "query") == {"HALF_SQ", "BudgetExceededError", "answer_table"}
 
 
 def test_the_cli_wires_no_certificate_kind_itself():
