@@ -52,6 +52,7 @@ from .oracle import (
     CURVE_KINDS,
     FDIV_KINDS,
     TIGHTNESS_KINDS,
+    check_query_budget,
     coverage_experiments,
     issue_certificate,
     lambda_grid,
@@ -398,6 +399,8 @@ def config_digest(cfg: dict) -> str:
 def _world_from_config(cfg: dict, seed: int | None) -> MetaConfig:
     wd = dict(cfg["world"])
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"config error at $.world.seed: --seed {seed} is below 0")
         wd["seed"] = int(seed)
     try:
         return MetaConfig.from_json_dict(wd)
@@ -457,11 +460,7 @@ def _build_clients(cfg: dict, world: MetaConfig) -> tuple[list[Client], Transpor
                               f"and n_k = {data['n_k']}")
     else:
         datasets = draw_world(world, data["K"], data["n_k"]).datasets()
-    clients = [
-        Client(ds.client_id, ds, loss_fn,
-               cost=cost, max_queries=data.get("max_queries"), grid=grid)
-        for ds in datasets
-    ]
+    clients = [Client(ds.client_id, ds, loss_fn, cost=cost, grid=grid) for ds in datasets]
     return clients, cost
 
 
@@ -578,6 +577,7 @@ def cmd_certify(args) -> int:
     # kept, so each request reads its own columns
     grids = [request_grid(req, ns) if req["kind"] == "wass-mean" else np.empty(0)
              for req in cfg["certificates"]]
+    check_query_budget(grids, cfg["data"].get("max_queries"))
     values, slopes = query_profiles(clients, h, np.concatenate([[0.0], *grids]))
     qv = values[:, 0]
     ends = np.cumsum([len(g) for g in grids])[:-1]
@@ -699,6 +699,33 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
+def _read_input(path: Path, what: str, read):
+    """``read`` of the open file ``path``; a malformed file is a config
+    error that names it."""
+    try:
+        with open(path) as fh:
+            return read(fh)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad {what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _float_columns(fh, keys) -> list[list[float]]:
+    """The columns ``keys`` of a CSV, as floats."""
+    rows = list(csv.DictReader(fh))
+    return [[float(r[key]) for r in rows] for key in keys]
+
+
+def _target_rows(fh, curve: bool) -> list[tuple]:
+    """A target CSV's rows as (lambda text, empirical text, lambda,
+    empirical): a curve kind's every row, another kind's first, with a
+    blank lambda of None."""
+    target = list(csv.DictReader(fh))[:None if curve else 1]
+    if not target:
+        raise ValueError("no rows")
+    return [(r["lambda"], r["empirical"], float(r["lambda"]), float(r["empirical"])) if curve
+            else ("", r["empirical"], None, float(r["empirical"])) for r in target]
+
+
 def cmd_emit_plots(args) -> int:
     out = Path(args.out)
     summary_path = out / "summary.json"
@@ -717,33 +744,20 @@ def cmd_emit_plots(args) -> int:
     rows = []
     violations = []
     for entry in summary["requests"]:
-        kind = entry["kind"]
-        files = entry["files"]
-        with open(out / files["target"]) as fh:
-            target = list(csv.DictReader(fh))
-        if kind in CURVE_KINDS:
-            with open(out / files["curve"]) as fh:
-                curve = list(csv.DictReader(fh))
-            try:
-                steps = CdfCurve([float(r["lambda"]) for r in curve],
-                                 [float(r["bound"]) for r in curve])
-            except ValueError as exc:
-                raise ConfigError(f"bad curve {out / files['curve']}: {exc}") from exc
-            for r in target:
-                lam = float(r["lambda"])
-                emp = float(r["empirical"])
-                bound = steps.at(lam)
-                rows.append([r["lambda"], r["empirical"], _fmt(bound), kind])
-                if emp > bound + 1e-9:
-                    violations.append((kind, lam, emp, bound))
+        kind, files = entry["kind"], entry["files"]
+        curve = kind in CURVE_KINDS
+        target = _read_input(out / files["target"], "target", lambda fh: _target_rows(fh, curve))
+        if curve:
+            steps = _read_input(out / files["curve"], "curve",
+                                lambda fh: CdfCurve(*_float_columns(fh, ("lambda", "bound"))))
+            bounds = [steps.at(lam) for _, _, lam, _ in target]
         else:
-            with open(out / files["certificate"]) as fh:
-                cert = json.load(fh)
-            bound = float(cert["value"])
-            emp = float(target[0]["empirical"])
-            rows.append(["", target[0]["empirical"], _fmt(bound), kind])
+            bounds = [_read_input(out / files["certificate"], "certificate",
+                                  lambda fh: float(json.load(fh)["value"]))]
+        for (lam_text, emp_text, lam, emp), bound in zip(target, bounds):
+            rows.append([lam_text, emp_text, _fmt(bound), kind])
             if emp > bound + 1e-9:
-                violations.append((kind, None, emp, bound))
+                violations.append((kind, lam, emp, bound))
 
     with open(out / "plots.csv", "w", newline="") as fh:
         wr = csv.writer(fh)

@@ -87,6 +87,7 @@ __all__ = [
     "lambda_grid",
     "survival_at",
     "request_grid",
+    "check_query_budget",
     "issue_certificate",
     "certify_rows",
     "target_world",
@@ -650,6 +651,14 @@ def request_grid(req: dict, ns) -> np.ndarray:
                             grid_size=int(req.get("grid_size", DEFAULT_GRID_SIZE)))
 
 
+def check_query_budget(grids, max_queries: int | None) -> None:
+    """The run rule of ``data.max_queries`` (None: no cap), checked before
+    any query: each client pays one zero-radius query plus every radius of
+    ``grids``, or client 0 raises BudgetExceededError."""
+    if max_queries is not None and 1 + sum(len(grid) for grid in grids) > max_queries:
+        raise BudgetExceededError(0, max_queries)
+
+
 def issue_certificate(kind: str, req: dict, qv: np.ndarray, ns: np.ndarray,
                       table: tuple | None = None):
     """The certificate of ``kind`` from the clients' empirical answers ``qv``
@@ -856,10 +865,8 @@ def coverage_experiments(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int,
     grid_size; one that holds h, K, n_k, target_clients or max_queries
     raises ValueError.  The clients answer zero-one queries under the
     half-squared cost.  A trial certifies every kind on one client set, so
-    one zero-radius query plus every ``wass-mean`` radius grid, laid end to
-    end, must fit ``max_queries`` (None: no cap), as certify charges them in
-    its one table, or client 0 raises BudgetExceededError before the first
-    trial.
+    ``check_query_budget`` holds the ``wass-mean`` radius grids to
+    ``max_queries`` before the first trial, as certify's.
     A violation is recorded when the target statistic exceeds the certificate
     by more than a 1e-9 float guard; a report passes when its violation rate
     stays within delta plus three binomial standard errors.
@@ -882,8 +889,7 @@ def coverage_experiments(cfg: MetaConfig, h: Hypothesis, K: int, n_k: int,
     if not plans:
         return []
     grids = [plan.grid for plan in plans if plan.grid is not None]
-    if max_queries is not None and 1 + sum(len(grid) for grid in grids) > max_queries:
-        raise BudgetExceededError(0, max_queries)
+    check_query_budget(grids, max_queries)
     qv, tables = _source_risks(cfg, h, [_trial_seed(seed, t) for t in range(trials)],
                                K, n_k, grids)
     # the plans that declare one target world share its risks, and the

@@ -17,10 +17,11 @@ One function answers every query: ``answer_table``, for B clients stacked as
 their drawn samples.  Its zero radii come from one batched loss pass
 (``empirical_risk_values``), and the others from the route's inner solver.
 The datasets of a drawn world are row views of its columns, and a block of
-consecutive rows of one draw is read in place (``_stacked``).  A query is
-charged once answered.  At rho = 0 the answer is the plain empirical risk;
-at rho > 0 it is the worst-case risk over all data distributions within
-transport cost rho of the client's empirical sample,
+consecutive rows of one draw is read in place (``_stacked``).  ``_profiles``
+reads no budget: ``_charge`` charges each answer once the table is answered.
+At rho = 0 the answer is the plain empirical risk; at rho > 0 it is the
+worst-case risk over all data distributions within transport cost rho of
+the client's empirical sample,
 
     sup_{Q in ball(rho)}  E_Q[loss]
         =  min_{gamma >= 0}  gamma * rho + mean_i sup_{z'} [loss(z') - gamma c(z', z_i)]
@@ -31,9 +32,8 @@ route of a rule, loss and declared grid, and refuses what no route answers.
 ``_make_inner`` builds that route's solver for B clients stacked as (B, n, d)
 features, once per ``answer_table`` call, and the solver answers a radius
 vector as a table (``table(rhos)``).  ``_profiles`` stacks the clients of one
-budget fit, sample count, cost, loss and grid array, and calls
-``answer_table`` once per block of a stack; a score-line client is a block
-of its own.  The routes:
+sample count, cost, loss and grid array, and calls ``answer_table`` once per
+block of a stack; a score-line client is a block of its own.  The routes:
 
   * zero-one loss with a binary linear rule on continuous features: a
     correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
@@ -742,7 +742,7 @@ class Client:
             raise BudgetExceededError(self.client_id, self.max_queries)
         if _answer is None:
             rho = float(rho)
-            values, slopes, _, status = _profiles([self], h, [rho])
+            values, slopes, status = _profiles([self], h, [rho])
             _answer = QueryValue._read(float(values[0, 0]), rho, float(slopes[0, 0]), status[0])
         self._used += 1
         self.audit_log.append({"client": self.client_id, **_answer.to_json_dict()})
@@ -760,22 +760,24 @@ class Client:
 
 
 def _charge(clients: list[Client], h: Hypothesis, rhos: list[float], values, slopes,
-            fits: list[int], status: list[str]) -> list[list[QueryValue]]:
+            status: list[str]) -> list[list[QueryValue]]:
     """Pass the answers of the table (``_profiles``) through
-    ``Client.query``, which charges and logs each, one radius at a time:
-    each client answers the first of its ``fits`` radii, and the answers to
-    each radius come back as one list.  ``_profiles`` answers no client
-    past the first whose budget runs out, so only the last client can lack
-    budget for a radius; it then asks that radius with no answer, so that
-    ``query`` raises BudgetExceededError.  So budgets and audit logs end as
-    a loop of ``query`` calls, client by client, leaves them."""
+    ``Client.query``, which charges and logs each, and return them as one
+    list per radius.  The clients before the first whose cap cannot pay for
+    every radius are charged radius by radius; that client is then charged
+    one radius at a time until ``query`` raises BudgetExceededError.  So
+    budgets and audit logs end as a loop of ``query_profile`` calls leaves
+    them."""
+    G = len(rhos)
+    short = next((i for i, c in enumerate(clients)
+                  if c.max_queries is not None and c.max_queries - c._used < G), None)
+    paid = clients[:short]
     answered = [[c.query(h, r, _answer=QueryValue._read(v, r, g, st))
-                 for c, v, g, st, fit in zip(clients, column, slope, status, fits) if j < fit]
-                for j, (r, column, slope)
-                in enumerate(zip(rhos, values.T.tolist(), slopes.T.tolist()))]
-    if fits and fits[-1] < len(rhos):
-        # past the budget: raises before answering
-        clients[len(fits) - 1].query(h, rhos[fits[-1]])
+                 for c, v, g, st in zip(paid, column, slope, status)]
+                for r, column, slope in zip(rhos, values.T.tolist(), slopes.T.tolist())]
+    if short is not None:
+        for r, v, g in zip(rhos, values[short].tolist(), slopes[short].tolist()):
+            clients[short].query(h, r, _answer=QueryValue._read(v, r, g, status[short]))
     return answered
 
 
@@ -792,58 +794,49 @@ def query_profiles(clients: list[Client], h: Hypothesis, rhos) -> tuple[np.ndarr
     """Each client's answers to the radius vector ``rhos``, in order, as
     (values, slopes), each (K, G): ``QueryValue.value`` and ``gamma_star``.
 
-    Every answer then goes through ``Client.query``, which charges and logs
-    it (``_charge``).  So budgets and audit logs end as a loop of
-    ``c.query_profile(h, rhos)`` leaves them: the first client whose
-    budget runs out partway answers the radii that fit and raises
-    BudgetExceededError.  A negative or NaN radius, or a dataset its route
-    refuses, is refused whole, before anything is charged."""
+    The whole table is answered first (``_profiles``), then every answer
+    goes through ``Client.query``, which charges and logs it (``_charge``).
+    So budgets and audit logs end as a loop of ``c.query_profile(h, rhos)``
+    leaves them.  A negative or NaN radius, or a dataset its route refuses,
+    is refused whole, before anything is charged."""
     rhos = _radii(rhos)
-    values, slopes, fits, status = _profiles(clients, h, rhos)
-    _charge(clients, h, rhos, values, slopes, fits, status)
+    values, slopes, status = _profiles(clients, h, rhos)
+    _charge(clients, h, rhos, values, slopes, status)
     return values, slopes
 
 
 def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
     """The answers ``query_profiles`` and ``Client.query`` charge: (values,
-    slopes, fits, status) for the clients up to the first whose budget runs
-    out within ``rhos``, where ``fits`` counts the radii each has budget for
-    and ``status`` is each client's route status.  Only those clients are
-    answered, each on the radii it has budget for.
+    slopes, status), values and slopes (K, G), and each client's route
+    status.
 
-    One loop groups the clients: each with a radius to answer joins the
-    stack of its fit, feature shape, cost, loss and grid array.  Each stack
-    with a radius above 0 picks its route (``_route``) before any solver is
-    built, so a refused one is refused before any work.  A stack answers
-    through one ``answer_table`` call per block: about ``_GRID_BLOCK_BYTES``
-    of squared distances for the grid route, one client for the score
-    line, and about ``_BLOCK_BYTES`` of features otherwise (as
-    ``empirical_risk_values`` blocks them); a block of consecutive rows of
-    one draw is read in place (``_stacked``)."""
-    G, fits, stacks = len(rhos), [], {}
+    One loop stacks the clients by feature shape, cost, loss and grid
+    array.  With a radius above 0, each stack picks its route (``_route``)
+    before any solver is built, so a refused one is refused before any
+    work.  A stack answers through one ``answer_table`` call per block:
+    about ``_GRID_BLOCK_BYTES`` of squared distances for the grid route, one
+    client for the score line, and about ``_BLOCK_BYTES`` of features
+    otherwise; a block of consecutive rows of one draw is read in place
+    (``_stacked``)."""
+    stacks = {}
     for i, c in enumerate(clients):
-        fit = G if c.max_queries is None else max(0, min(G, c.max_queries - c._used))
-        fits.append(fit)
-        if fit:
-            stacks.setdefault((fit, c._dataset.features.shape, c._cost.kind, c._loss_fn.kind,
-                               id(c._grid)), []).append(i)
-        if fit < G:
-            break
+        stacks.setdefault((c._dataset.features.shape, c._cost.kind, c._loss_fn.kind,
+                           id(c._grid)), []).append(i)
     blocks = []
-    for (fit, (n, _), *_), idx in stacks.items():
+    for ((n, _), *_), idx in stacks.items():
         c = clients[idx[0]]
-        route, searched = _route(h, c._loss_fn, c._grid) if any(rhos[:fit]) else (None, None)
+        route, searched = _route(h, c._loss_fn, c._grid) if any(rhos) else (None, None)
         step = (max(1, _GRID_BLOCK_BYTES // (8 * n * len(searched))) if route == "grid"
                 else 1 if route == "line" else _block_rows(n, h))
-        blocks += [(fit, c, idx[start:start + step]) for start in range(0, len(idx), step)]
-    values, slopes = np.zeros((len(fits), G)), np.zeros((len(fits), G))
-    status = ["exact"] * len(fits)
-    for fit, c, rows in blocks:
+        blocks += [(c, idx[start:start + step]) for start in range(0, len(idx), step)]
+    values, slopes = np.zeros((len(clients), len(rhos))), np.zeros((len(clients), len(rhos)))
+    status = ["exact"] * len(clients)
+    for c, rows in blocks:
         X, y = _stacked([clients[i]._dataset for i in rows])
-        values[rows, :fit], slopes[rows, :fit], st = answer_table(
-            h, X, y, rhos[:fit], c._cost, c._loss_fn, c._grid)
+        values[rows], slopes[rows], st = answer_table(h, X, y, rhos, c._cost, c._loss_fn,
+                                                      c._grid)
         for i in rows:
             status[i] = st
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValueError("query values live in [0, 1]")
-    return values, slopes, fits, status
+    return values, slopes, status

@@ -353,6 +353,15 @@ def test_verify_without_trials_exits_one_before_writing(tmp_path, capsys, trials
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify", "verify"])
+def test_a_negative_seed_exits_one_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_config(tmp_path), "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "config error at $.world.seed: --seed -1 is below 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # the top-score archetype of BASE_CONFIG weighs 0.3: no tilt reaches a KL of
 # -log 0.3 or a chi-square of 1/0.3 - 1
 _TILT_LIMITS = {"kl": -math.log(0.3), "chi-square": 1.0 / 0.3 - 1.0}
@@ -746,7 +755,16 @@ def test_certify_asks_each_client_one_table(tmp_path, monkeypatch):
     assert seen[0] == seen[1] == {"flip": 1, "profiles": 1}
 
 
-def test_certify_budget_exhaustion_exits_three(tmp_path, capsys):
+def test_certify_budget_exhaustion_exits_three(tmp_path, capsys, monkeypatch):
+    # the cap is checked before any query: no client answers a table
+    from fedcert import query
+    tables = []
+    answer_table = query.answer_table
+
+    def counted(*args, **kwargs):
+        tables.append(args)
+        return answer_table(*args, **kwargs)
+    monkeypatch.setattr(query, "answer_table", counted)
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["data"]["max_queries"] = 3   # one ordinary query, then the radius grid
     rc = main(["certify", "--config", write_config(tmp_path, cfg),
@@ -754,6 +772,7 @@ def test_certify_budget_exhaustion_exits_three(tmp_path, capsys):
     assert rc == 3
     assert "quer" in capsys.readouterr().err.lower()
     assert not (tmp_path / "o").exists()
+    assert tables == []
 
 
 def test_certify_transport_target_follows_the_query_cost(tmp_path):
@@ -1040,6 +1059,26 @@ def test_emit_plots_rejects_an_unsorted_curve(tmp_path, capsys):
     (out / files["target"]).write_text("lambda,empirical\n0.2,0.3\n")
     assert main(["emit-plots", "--out", str(out)]) == 1
     assert "00_cdf.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("00_mean_target.csv", "lambda,empirical\n"),
+    ("00_mean_target.csv", "lambda,empirical\n,high\n"),
+    ("00_mean.json", "not json"),
+    ("00_mean.json", '{"status": "exact"}'),
+], ids=["target-header-only", "target-not-a-number", "certificate-not-json",
+        "certificate-without-value"])
+def test_emit_plots_rejects_a_malformed_target_or_certificate(tmp_path, capsys, name, text):
+    out = tmp_path / "run"
+    out.mkdir()
+    files = {"certificate": "00_mean.json", "target": "00_mean_target.csv"}
+    (out / "summary.json").write_text(json.dumps({"requests": [{"kind": "mean", "files": files}]}))
+    (out / files["certificate"]).write_text('{"value": 0.5}')
+    (out / files["target"]).write_text("lambda,empirical\n,0.25\n")
+    (out / name).write_text(text)
+    assert main(["emit-plots", "--out", str(out)]) == 1
+    assert name in capsys.readouterr().err
+    assert not (out / "plots.csv").exists()
 
 
 @pytest.mark.parametrize("command, flag", [

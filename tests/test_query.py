@@ -1153,7 +1153,8 @@ _ROUTE_TABLE = {
 @pytest.mark.parametrize("rule, kind", list(_ROUTE_TABLE))
 def test_the_route_table_and_its_refusals_at_every_entry_point(rule, kind, declared):
     """A refused rule, loss and grid raises the same ValueError through
-    every entry point, before anything is charged or logged."""
+    every entry point, before anything is charged or logged, also when the
+    cap covers only a leading radius 0: the table is refused whole."""
     h, loss_fn = _ROUTE_RULES[rule], LossFn(kind)
     grid = np.array([[0.0], [1.0], [2.0]]) if declared else None
     want = "grid" if declared else _ROUTE_TABLE[rule, kind]
@@ -1170,20 +1171,13 @@ def test_the_route_table_and_its_refusals_at_every_entry_point(rule, kind, decla
         "phi_gamma": lambda c: phi_gamma(h, 0.5, Sample(ds.features[0], 0), COST, loss_fn,
                                          grid),
     }
-    for name, ask in asks.items():
-        c = Client(0, ds, loss_fn, max_queries=3, grid=grid)
-        with pytest.raises(ValueError) as err:
-            ask(c)
-        assert str(err.value) == want, name
-        assert c.queries_used == 0 and c.audit_log == [], name
-    if kind == ZERO_ONE:
-        # a budget that covers only radius 0 answers it and never picks the
-        # refused route: the next radius raises BudgetExceededError
-        for name in ("query_profile", "query_profiles"):
-            c = Client(0, ds, loss_fn, max_queries=1, grid=grid)
-            with pytest.raises(BudgetExceededError):
-                asks[name](c)
-            assert c.queries_used == 1 and [e["rho"] for e in c.audit_log] == [0.0], name
+    for cap in (3, 1):
+        for name, ask in asks.items():
+            c = Client(0, ds, loss_fn, max_queries=cap, grid=grid)
+            with pytest.raises(ValueError) as err:
+                ask(c)
+            assert str(err.value) == want, (cap, name)
+            assert c.queries_used == 0 and c.audit_log == [], (cap, name)
 
 
 @pytest.mark.parametrize("h, labels, kind", [

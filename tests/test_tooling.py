@@ -144,6 +144,32 @@ def _top_level_calls(path, names):
             if isinstance(node, ast.Call) and _call_name(node) in names}
 
 
+def _function(path, name):
+    (func,) = [node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return func
+
+
+def test_the_query_table_reads_no_budget_and_the_cli_caps_no_client():
+    # a library client's cap is read where answers are charged (_charge),
+    # not by the table that answers them
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(_function(SRC / "query.py", "_profiles"))}
+    assert not named & {"max_queries", "_used"}
+    clients = [node for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+               if isinstance(node, ast.Call) and _call_name(node) == "Client"]
+    assert clients and not [k for c in clients for k in c.keywords if k.arg == "max_queries"]
+
+
+def test_one_oracle_rule_checks_the_run_budget_for_both_commands():
+    calls = (_top_level_calls(SRC / "cli.py", {"check_query_budget"})
+             | _top_level_calls(ORACLE, {"check_query_budget"}))
+    assert {top for top, _ in calls} >= {"cmd_certify", "coverage_experiments"}
+    source = ORACLE.read_text()
+    rule = ast.get_source_segment(source, _function(ORACLE, "check_query_budget"))
+    assert source.count("1 + sum(") == rule.count("1 + sum(") == 1
+
+
 def test_only_certificates_builds_certificates_and_writes_json():
     # every one-row certificate is made from its kernel's rows by
     # Rows.bound or Rows.curve, and every JSON artefact by write_json;
