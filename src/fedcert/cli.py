@@ -387,7 +387,7 @@ def _first_error(doc, schema: dict, path: str) -> tuple[str, str] | None:
 
 def load_config(path: str | Path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     return _load_json(path, CONFIG_SCHEMA, "config")
 
@@ -709,10 +709,18 @@ def _read_input(path: Path, what: str, read):
         raise ConfigError(f"bad {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _finite(text) -> float:
+    """``float(text)``; a NaN or an infinity is refused with ValueError."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
 def _float_columns(fh, keys) -> list[list[float]]:
-    """The columns ``keys`` of a CSV, as floats."""
+    """The columns ``keys`` of a CSV, as finite floats."""
     rows = list(csv.DictReader(fh))
-    return [[float(r[key]) for r in rows] for key in keys]
+    return [[_finite(r[key]) for r in rows] for key in keys]
 
 
 def _target_rows(fh, curve: bool) -> list[tuple]:
@@ -722,21 +730,21 @@ def _target_rows(fh, curve: bool) -> list[tuple]:
     target = list(csv.DictReader(fh))[:None if curve else 1]
     if not target:
         raise ValueError("no rows")
-    return [(r["lambda"], r["empirical"], float(r["lambda"]), float(r["empirical"])) if curve
-            else ("", r["empirical"], None, float(r["empirical"])) for r in target]
+    return [(r["lambda"], r["empirical"], _finite(r["lambda"]), _finite(r["empirical"]))
+            if curve else ("", r["empirical"], None, _finite(r["empirical"])) for r in target]
 
 
 def cmd_emit_plots(args) -> int:
     out = Path(args.out)
     summary_path = out / "summary.json"
-    if not summary_path.exists():
+    if not summary_path.is_file():
         raise ConfigError(f"missing inputs: {summary_path}")
     summary = _load_json(summary_path, _SUMMARY_SCHEMA, str(summary_path))
 
     missing = []
     for entry in summary["requests"]:
         for rel in entry["files"].values():
-            if not (out / rel).exists():
+            if not (out / rel).is_file():
                 missing.append(str(out / rel))
     if missing:
         raise ConfigError("missing inputs: " + ", ".join(missing))
@@ -753,7 +761,7 @@ def cmd_emit_plots(args) -> int:
             bounds = [steps.at(lam) for _, _, lam, _ in target]
         else:
             bounds = [_read_input(out / files["certificate"], "certificate",
-                                  lambda fh: float(json.load(fh)["value"]))]
+                                  lambda fh: _finite(json.load(fh)["value"]))]
         for (lam_text, emp_text, lam, emp), bound in zip(target, bounds):
             rows.append([lam_text, emp_text, _fmt(bound), kind])
             if emp > bound + 1e-9:

@@ -33,7 +33,10 @@ route of a rule, loss and declared grid, and refuses what no route answers.
 features, once per ``answer_table`` call, and the solver answers a radius
 vector as a table (``table(rhos)``).  ``_profiles`` stacks the clients of one
 sample count, cost, loss and grid array, and calls ``answer_table`` once per
-block of a stack; a score-line client is a block of its own.  The routes:
+block of a stack, blocks sized by their features; a score-line client is a
+block of its own.  The grid and score-line builds take their samples' keys to
+candidates a chunk at a time (``_grid_staircases``), so a block's size sets
+no temporary of theirs.  The routes:
 
   * zero-one loss with a binary linear rule on continuous features: a
     correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
@@ -106,7 +109,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concave import _HULL_BLOCK, RowFill, hull_pieces
+from .concave import RowFill, hull_pieces
 from .losses import (
     CROSS_ENTROPY,
     LINEAR,
@@ -287,9 +290,10 @@ class _FillInner:
         return np.clip((self._base[:, None] + gain) / self._n, 0.0, 1.0), slope
 
 
-# a stacked grid build spans about this many bytes of squared distances, taken
-# a label at a time: past about 200 KB a matrix costs more per row
-_GRID_BLOCK_BYTES = 1 << 19
+# a staircase pass (``_grid_staircases``) keys samples to candidates this
+# many bytes at a time: with a few hundred KB of keys, the pass's matrices
+# leave L2 cache and cost more per row
+_CHUNK_BYTES = 1 << 17
 
 
 class _GridInner(_FillInner):
@@ -303,8 +307,10 @@ class _GridInner(_FillInner):
     lookup data off the table is refused, and ``phi`` searches the grid alone.
     The build takes the grid's losses once per label of the block, and each
     sample's squared distance to every grid point, whose least per loss
-    level alone is mapped to a cost (``_grid_staircases``).  Only the fill
-    is kept: ``phi`` recomputes the candidates, at their costs.
+    level alone is mapped to a cost (``_grid_staircases``, about
+    ``_CHUNK_BYTES`` of distances at a time, so its temporaries do not grow
+    with the block).  Only the fill is kept: ``phi`` recomputes the
+    candidates, at their costs.
     """
 
     def __init__(self, h, X, y, grid, cost, loss_fn):
@@ -338,12 +344,16 @@ def _off_table(budget):
 def _grid_candidates(h, X, labels, grid, loss_fn):
     """(losses, which, own): the grid's losses under each distinct label,
     and which of them is each sample's; and each sample's loss at its own
-    point, or None for lookup data off the table."""
+    point, or None for lookup data off the table.  A lookup table finds a
+    point's row through its distance to every table point, so its samples
+    are taken about ``_CHUNK_BYTES`` of those distances at a time."""
     values, which = np.unique(labels, return_inverse=True)
     losses = np.array([loss_values(loss_fn, h, grid, np.full(len(grid), lab))
                        for lab in values])
+    step = max(1, _CHUNK_BYTES // (8 * h.grid.size) if h.kind == LOOKUP else len(X))
     try:
-        own = loss_values(loss_fn, h, X, labels)
+        own = np.concatenate([loss_values(loss_fn, h, X[i:i + step], labels[i:i + step])
+                              for i in range(0, len(X), step)])
     except ValueError:
         if h.kind != LOOKUP:
             raise
@@ -367,23 +377,30 @@ def _grid_staircases(key_of, losses, which, own, to_cost):
     the most loss among the points at cost 0, and then takes each distinct
     candidate loss above that, at its cheapest candidate, when that one is
     cheaper than every point with more loss.  The samples of one label
-    share a loss vector, so one sort of it serves them all.
+    share a loss vector, so one sort of it serves them all.  Each sample's
+    row is its own, so the samples of a label are taken a chunk at a time,
+    each chunk's keys about ``_CHUNK_BYTES``: every temporary of the pass is
+    bounded by that, whatever the number of samples or of loss levels.
     """
     rows, xs, ys = [], [], []
+    chunk = max(1, _CHUNK_BYTES // (8 * losses.shape[1]))
     for label, loss in enumerate(losses):
-        mine = np.flatnonzero(which == label)
         order = np.argsort(-loss, kind="stable")
         first = np.flatnonzero(np.r_[True, np.diff(loss[order]) != 0.0])
         level = loss[order][first]                   # the distinct losses, most first
-        cheapest = to_cost(np.minimum.reduceat(key_of(label, mine, order), first, axis=1))
-        base = np.maximum(own[mine], np.max(np.where(cheapest == 0.0, level, -np.inf), axis=1))
-        step = level > base[:, None]
-        step[:, 1:] &= cheapest[:, 1:] < np.minimum.accumulate(cheapest, axis=1)[:, :-1]
-        # each row from cost 0 outwards
-        on = np.column_stack([np.ones(len(mine), dtype=bool), step[:, ::-1]])
-        xs.append(np.column_stack([np.zeros(len(mine)), cheapest[:, ::-1]])[on])
-        ys.append(np.column_stack([base, np.broadcast_to(level[::-1], step.shape)])[on])
-        rows.append(np.repeat(mine, np.count_nonzero(on, axis=1)))
+        labelled = np.flatnonzero(which == label)
+        for start in range(0, len(labelled), chunk):
+            mine = labelled[start:start + chunk]
+            cheapest = to_cost(np.minimum.reduceat(key_of(label, mine, order), first, axis=1))
+            base = np.maximum(own[mine],
+                              np.max(np.where(cheapest == 0.0, level, -np.inf), axis=1))
+            step = level > base[:, None]
+            step[:, 1:] &= cheapest[:, 1:] < np.minimum.accumulate(cheapest, axis=1)[:, :-1]
+            # each row from cost 0 outwards
+            on = np.column_stack([np.ones(len(mine), dtype=bool), step[:, ::-1]])
+            xs.append(np.column_stack([np.zeros(len(mine)), cheapest[:, ::-1]])[on])
+            ys.append(np.column_stack([base, np.broadcast_to(level[::-1], step.shape)])[on])
+            rows.append(np.repeat(mine, np.count_nonzero(on, axis=1)))
     rows = np.concatenate(rows)
     order = np.argsort(rows, kind="stable")
     return (np.concatenate(xs)[order], np.concatenate(ys)[order],
@@ -476,6 +493,11 @@ def _distance_to_flip(h: Hypothesis, scores: np.ndarray) -> np.ndarray:
     return np.abs(margin) / norm
 
 
+# the score line's staircases are built and hulled this many candidates at a
+# time: larger blocks make fewer passes, and hold more at once
+_LINE_BLOCK = 1 << 15
+
+
 class _ScoreLineInner(_FillInner):
     """Clipped cross-entropy or squared loss with a logistic rule: the
     knapsack over the staircase candidates on each sample's score line, an
@@ -489,7 +511,7 @@ class _ScoreLineInner(_FillInner):
     label share its nodes and candidate losses, built once per label, and
     differ only in their costs: the grid route's input.  So
     ``_grid_staircases`` builds the staircases, a block of about
-    ``_HULL_BLOCK`` candidates at a time in sample order, and each block is
+    ``_LINE_BLOCK`` candidates at a time in sample order, and each block is
     hulled as it is built.  Only the fill is kept: ``phi`` recomputes the
     nodes' costs.
     """
@@ -521,7 +543,7 @@ class _ScoreLineInner(_FillInner):
         cost 0 where that node has no more loss than the sample's own point.
         The keys are the distances |u - s| / |w|, zeroed there, and
         ``of_distance`` maps them to costs."""
-        step = max(1, _HULL_BLOCK // self._loss.shape[1])
+        step = max(1, _LINE_BLOCK // self._loss.shape[1])
         for start in range(0, len(self._s), step):
             block = slice(start, start + step)
             present, which = np.unique(self._which[block], return_inverse=True)
@@ -813,10 +835,10 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
     One loop stacks the clients by feature shape, cost, loss and grid
     array.  With a radius above 0, each stack picks its route (``_route``)
     before any solver is built, so a refused one is refused before any
-    work.  A stack answers through one ``answer_table`` call per block:
-    about ``_GRID_BLOCK_BYTES`` of squared distances for the grid route, one
+    work.  A stack answers through one ``answer_table`` call per block: one
     client for the score line, and about ``_BLOCK_BYTES`` of features
-    otherwise; a block of consecutive rows of one draw is read in place
+    otherwise, since the grid route's staircase pass bounds its own
+    temporaries; a block of consecutive rows of one draw is read in place
     (``_stacked``)."""
     stacks = {}
     for i, c in enumerate(clients):
@@ -825,9 +847,8 @@ def _profiles(clients: list[Client], h: Hypothesis, rhos: list[float]):
     blocks = []
     for ((n, _), *_), idx in stacks.items():
         c = clients[idx[0]]
-        route, searched = _route(h, c._loss_fn, c._grid) if any(rhos) else (None, None)
-        step = (max(1, _GRID_BLOCK_BYTES // (8 * n * len(searched))) if route == "grid"
-                else 1 if route == "line" else _block_rows(n, h))
+        route = _route(h, c._loss_fn, c._grid)[0] if any(rhos) else None
+        step = 1 if route == "line" else _block_rows(n, h)
         blocks += [(c, idx[start:start + step]) for start in range(0, len(idx), step)]
     values, slopes = np.zeros((len(clients), len(rhos))), np.zeros((len(clients), len(rhos)))
     status = ["exact"] * len(clients)

@@ -88,6 +88,16 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_a_directory_in_place_of_the_config_exits_one(tmp_path, capsys, command):
+    where = tmp_path / "config.json"
+    where.mkdir()
+    rc = main([command, "--config", str(where), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert str(where) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unparseable_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
@@ -1078,6 +1088,55 @@ def test_emit_plots_rejects_a_malformed_target_or_certificate(tmp_path, capsys, 
     (out / name).write_text(text)
     assert main(["emit-plots", "--out", str(out)]) == 1
     assert name in capsys.readouterr().err
+    assert not (out / "plots.csv").exists()
+
+
+def _one_cdf_run(out, curve="lambda,bound\n0,1\n0.5,0.5\n",
+                 target="lambda,empirical\n0.2,0.3\n"):
+    """A hand-made ``cdf`` run in ``out``: its summary, certificate, curve
+    and target files, and their names."""
+    out.mkdir()
+    files = {"certificate": "00_cdf.json", "curve": "00_cdf.csv", "target": "00_cdf_target.csv"}
+    (out / "summary.json").write_text(json.dumps({"requests": [{"kind": "cdf", "files": files}]}))
+    (out / files["certificate"]).write_text("{}")
+    (out / files["curve"]).write_text(curve)
+    (out / files["target"]).write_text(target)
+    return files
+
+
+@pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["certificate value", "curve bound", "target lambda",
+                                   "target empirical"])
+def test_emit_plots_refuses_a_number_that_is_not_finite(tmp_path, capsys, where, number):
+    out = tmp_path / "run"
+    if where == "certificate value":
+        files = {"certificate": "00_mean.json", "target": "00_mean_target.csv"}
+        out.mkdir()
+        (out / "summary.json").write_text(
+            json.dumps({"requests": [{"kind": "mean", "files": files}]}))
+        (out / files["certificate"]).write_text(f'{{"value": "{number}"}}')
+        (out / files["target"]).write_text("lambda,empirical\n,0.25\n")
+        bad = files["certificate"]
+    elif where == "curve bound":
+        bad = _one_cdf_run(out, curve=f"lambda,bound\n0,1\n0.5,{number}\n")["curve"]
+    elif where == "target lambda":
+        bad = _one_cdf_run(out, target=f"lambda,empirical\n{number},0.3\n")["target"]
+    else:
+        bad = _one_cdf_run(out, target=f"lambda,empirical\n0.2,{number}\n")["target"]
+    assert main(["emit-plots", "--out", str(out)]) == 1
+    assert str(out / bad) in capsys.readouterr().err
+    assert not (out / "plots.csv").exists()
+
+
+@pytest.mark.parametrize("which", ["summary", "certificate", "curve", "target"])
+def test_emit_plots_refuses_a_directory_in_place_of_an_input(tmp_path, capsys, which):
+    out = tmp_path / "run"
+    files = _one_cdf_run(out)
+    name = "summary.json" if which == "summary" else files[which]
+    (out / name).unlink()
+    (out / name).mkdir()
+    assert main(["emit-plots", "--out", str(out)]) == 1
+    assert str(out / name) in capsys.readouterr().err
     assert not (out / "plots.csv").exists()
 
 

@@ -1,4 +1,5 @@
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,6 @@ from fedcert.losses import (
     loss_values,
     score_loss_values,
 )
-from fedcert import concave
 from fedcert.metasim import _BLOCK_BYTES
 from fedcert import query
 from fedcert.query import (
@@ -943,7 +943,8 @@ def test_score_line_fill_matches_the_per_row_reference(kind, cost_kind):
         inner = _make_inner(h, X[None], y[None], cost, loss_fn, None)
         rows, costly = line_reference_rows(h, X, y, cost, loss_fn)
         if name == "random":
-            assert sum(len(c) for c, _ in rows) > 2 * concave._HULL_BLOCK   # several blocks
+            # several staircase blocks
+            assert len(X) > 2 * max(1, query._LINE_BLOCK // inner._loss.shape[1])
             if kind == SQUARED:
                 # some staircases hold candidates of both sides
                 assert np.count_nonzero(costly == 2) >= 20
@@ -955,7 +956,7 @@ def test_score_line_fill_matches_the_per_row_reference(kind, cost_kind):
 def full_cost_line_staircases(inner):
     """The score-line staircases from every candidate's cost, the keys
     mapped before their minima are taken, in the inner's blocks."""
-    step = max(1, concave._HULL_BLOCK // inner._loss.shape[1])
+    step = max(1, query._LINE_BLOCK // inner._loss.shape[1])
     for start in range(0, inner._n, step):
         block = slice(start, start + step)
         present, which = np.unique(inner._which[block], return_inverse=True)
@@ -1536,6 +1537,26 @@ def test_stacked_grid_table_equals_each_clients_greedy_fill_on_random_stacks(sta
         assert slopes[b].tobytes() == want_s.tobytes()
 
 
+def test_a_stacked_grid_build_bounds_its_temporaries_by_the_chunk_size():
+    # 40 clients of 10 samples on a 4,096-point grid, under clipped
+    # cross-entropy: hundreds of loss levels per label.  One label's keys
+    # taken at once would be about 6.5 MB, 50 chunks' worth
+    rng = np.random.default_rng(np.random.SeedSequence(1908))
+    grid = np.stack(np.meshgrid(*[np.linspace(-3, 3, 64)] * 2), -1).reshape(-1, 2)
+    h = Hypothesis(kind=LOGISTIC, weights=np.array([0.9, -0.5]), bias=0.1)
+    X, y = rng.normal(size=(40, 10, 2)), rng.integers(0, 2, (40, 10))
+    loss_fn = LossFn(CROSS_ENTROPY)
+    losses = _grid_candidates(h, X.reshape(-1, 2), y.reshape(-1), grid, loss_fn)[0]
+    assert min(len(np.unique(row)) for row in losses) > 500
+    tracemalloc.start()
+    try:
+        query._GridInner(h, X, y, grid, COST, loss_fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * query._CHUNK_BYTES
+
+
 def _grid_clients(max_queries=None):
     """Zero-one grid clients of two grid arrays and two sample counts,
     interleaved, mostly on their grid and one off it; then one with the l2
@@ -1564,11 +1585,71 @@ _GRID_RHOS = [1e-3, 0.0, 0.05, 0.3, 0.0, 2.0]
 @pytest.mark.parametrize("rhos", [_GRID_RHOS, [0.0], [0.0, 0.0], [], [0.2, 0.2, np.inf]])
 @pytest.mark.parametrize("per_block", [None, 2])
 def test_query_profiles_matches_a_loop_over_grid_clients(monkeypatch, rhos, per_block):
+    builds, chunks = [], []
     if per_block is not None:
-        # blocks of two 12-sample clients on the 49-point grid
-        monkeypatch.setattr(query, "_GRID_BLOCK_BYTES", per_block * 8 * 12 * 49)
+        # blocks of two 12-sample clients of two features, and staircase
+        # passes of three samples on the 49-point grid (five on the 25-point)
+        monkeypatch.setattr(query, "_BLOCK_BYTES", per_block * 8 * 12 * 2)
+        monkeypatch.setattr(query, "_CHUNK_BYTES", 3 * 8 * 49)
+        distances, grid_init = query.sq_distances, query._GridInner.__init__
+
+        def counted(self, h, X, y, *args):
+            before = len(chunks)
+            grid_init(self, h, X, y, *args)
+            builds.append((len(y), len(np.unique(y)), len(chunks) - before))
+
+        monkeypatch.setattr(query, "sq_distances",
+                            lambda X, G: chunks.append(len(X)) or distances(X, G))
+        monkeypatch.setattr(query._GridInner, "__init__", counted)
     tables, err, logs = assert_profiles_match_a_loop(_grid_clients, _PROFILES_H, rhos)
     assert err is None and all(used == len(rhos) for used, _ in logs)
+    if builds:
+        # both loops ran more than once: a stack in several blocks of two
+        # clients, and a label's samples in several chunks
+        assert max(b for b, _, _ in builds) == 2 and [b for b, _, _ in builds].count(2) >= 2
+        assert any(b == 2 and passes > labels for b, labels, passes in builds)
+
+
+def _line_clients():
+    """Score-line clients of 12 samples: three under clipped cross-entropy,
+    two under the squared loss with real labels."""
+    rng = np.random.default_rng(np.random.SeedSequence(1907))
+    X = rng.normal(size=(5, 12, 2)) * 1.5
+    return ([Client(i, dataset(X[i], rng.integers(0, 2, 12), cid=i), LossFn(CROSS_ENTROPY))
+             for i in range(3)]
+            + [Client(i, dataset(X[i], rng.uniform(-0.5, 1.5, 12), cid=i), LossFn(SQUARED))
+               for i in (3, 4)])
+
+
+@pytest.mark.parametrize("chunk", ["one sample", "default"])
+@pytest.mark.parametrize("layout", ["one", "all"])
+@pytest.mark.parametrize("route", ["grid", "lookup", "line"])
+def test_grid_and_score_line_tables_equal_a_loop_across_chunks_and_blocks(
+        monkeypatch, route, layout, chunk):
+    # the reference is a loop of one-client tables at the default sizes; the
+    # layout is one client per block or a block per stack for the grid route,
+    # and one sample per staircase block or the whole client for the score line
+    make, h, rhos, stacks = {
+        "grid": (_grid_clients, _PROFILES_H, _GRID_RHOS, 5),
+        "lookup": (_lookup_clients, _LOOKUP_H, [0.0, 0.1, 0.4], 2),
+        "line": (_line_clients, _PROFILES_H, [0.0, 0.01, 0.3], None)}[route]
+    want = _profile_outcome(make(), _looped(h, rhos))
+    if chunk == "one sample":
+        monkeypatch.setattr(query, "_CHUNK_BYTES", 1)
+    big = 1 << 40
+    if route == "line":
+        monkeypatch.setattr(query, "_LINE_BLOCK", 1 if layout == "one" else big)
+    else:
+        monkeypatch.setattr(query, "_BLOCK_BYTES", 1 if layout == "one" else big)
+    builds = []
+    make_inner = query._make_inner
+    monkeypatch.setattr(query, "_make_inner",
+                        lambda h, X, *args: builds.append(len(X)) or make_inner(h, X, *args))
+    clients = make()
+    assert _profile_outcome(clients, lambda cs: query_profiles(cs, h, rhos)) == want
+    # a block per stack: grid A's two sample counts, grid B, the l2 cost and
+    # the squared loss; the lookup table's two sample counts
+    assert len(builds) == (stacks if route != "line" and layout == "all" else len(clients))
 
 
 def test_query_profiles_stacks_grid_clients_by_grid_size_cost_and_loss(monkeypatch):
@@ -1772,7 +1853,7 @@ def test_query_profiles_of_row_views_equal_a_loop_over_standalone_copies(
         monkeypatch, route, order, budget, per_block):
     if per_block is not None:
         monkeypatch.setattr(query, "_BLOCK_BYTES", per_block * 8 * 12 * 2)
-        monkeypatch.setattr(query, "_GRID_BLOCK_BYTES", per_block * 8 * 12 * len(_VIEW_GRID))
+        monkeypatch.setattr(query, "_CHUNK_BYTES", 5 * 8 * len(_VIEW_GRID))   # five samples
     h, rhos = _PROFILES_H, [0.0, 0.02, 0.3, 0.0, 1.0]
     # with a cap of 5, client 6 has three queries left for the five radii
     tables, err, logs = _views_against_copies(

@@ -71,6 +71,14 @@ def test_the_oracle_takes_from_query_only_the_table_its_trials_answer():
     assert _taken_from(ORACLE, "query") == {"HALF_SQ", "BudgetExceededError", "answer_table"}
 
 
+def test_the_query_routes_take_from_concave_only_the_hull_and_the_fill():
+    # the score line sizes its staircase blocks with a constant of its own,
+    # not with the hull's private block
+    assert _taken_from(SRC / "query.py", "concave") == {"RowFill", "hull_pieces"}
+    _, named = _names(SRC / "query.py")
+    assert "concave" not in named
+
+
 def test_the_cli_wires_no_certificate_kind_itself():
     # a wass-mean request's radius grid comes from oracle.request_grid too
     imported, named = _names(SRC / "cli.py")
