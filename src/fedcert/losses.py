@@ -43,6 +43,10 @@ LOSS_KINDS = (ZERO_ONE, CROSS_ENTROPY, SQUARED)
 # floor for probabilities inside log(); keeps cross-entropy finite before the clip
 _P_FLOOR = 1e-12
 
+# a lookup table finds the rows of this many bytes of point-to-table
+# differences at a time (``Hypothesis._table_rows``)
+_TABLE_BYTES = 1 << 17
+
 
 class DimensionMismatchError(ValueError):
     """Feature vector does not match the hypothesis' declared input width."""
@@ -191,11 +195,18 @@ class Hypothesis:
         raise ValueError("linear-classifier has no scalar predicted value")
 
     def _table_rows(self, X: np.ndarray) -> np.ndarray:
-        # every queried point must be a declared grid point, by contract
-        d = np.linalg.norm(X[:, None, :] - self.grid[None, :, :], axis=2)
-        rows = np.argmin(d, axis=1)
-        if np.any(d[np.arange(len(X)), rows] > 1e-9):
-            raise ValueError("lookup-table queried off its declared grid")
+        """The table row of each point of X, its nearest grid point; every
+        queried point must be a declared grid point, by contract.  The
+        points are taken about ``_TABLE_BYTES`` of differences to the grid
+        at a time, so no temporary grows with the number of points."""
+        rows = np.empty(len(X), dtype=np.intp)
+        step = max(1, _TABLE_BYTES // (8 * self.grid.size))
+        for start in range(0, len(X), step):
+            d = np.linalg.norm(X[start:start + step, None, :] - self.grid[None, :, :], axis=2)
+            near = np.argmin(d, axis=1)
+            if np.any(d[np.arange(len(d)), near] > 1e-9):
+                raise ValueError("lookup-table queried off its declared grid")
+            rows[start:start + step] = near
         return rows
 
     # binary margin direction: moving features along -u lowers the class-1 score

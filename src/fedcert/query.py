@@ -34,9 +34,11 @@ features, once per ``answer_table`` call, and the solver answers a radius
 vector as a table (``table(rhos)``).  ``_profiles`` stacks the clients of one
 sample count, cost, loss and grid array, and calls ``answer_table`` once per
 block of a stack, blocks sized by their features; a score-line client is a
-block of its own.  The grid and score-line builds take their samples' keys to
-candidates a chunk at a time (``_grid_staircases``), so a block's size sets
-no temporary of theirs.  The routes:
+block of its own.  The grid and score-line builds key each sample only to
+the candidates with more loss than its own point, the only ones that can be
+steps of its staircase, and take those keys a chunk at a time
+(``_grid_staircases``), so a block's size sets no temporary of theirs.  The
+routes:
 
   * zero-one loss with a binary linear rule on continuous features: a
     correctly classified sample stays (loss 0) or pays its flip cost for loss 1;
@@ -306,11 +308,11 @@ class _GridInner(_FillInner):
     A lookup table has losses only at its grid points: a robust query of
     lookup data off the table is refused, and ``phi`` searches the grid alone.
     The build takes the grid's losses once per label of the block, and each
-    sample's squared distance to every grid point, whose least per loss
-    level alone is mapped to a cost (``_grid_staircases``, about
-    ``_CHUNK_BYTES`` of distances at a time, so its temporaries do not grow
-    with the block).  Only the fill is kept: ``phi`` recomputes the
-    candidates, at their costs.
+    sample's squared distance to every grid point with more loss than its
+    own point, whose least per loss level alone is mapped to a cost
+    (``_grid_staircases``, about ``_CHUNK_BYTES`` of distances at a time, so
+    its temporaries do not grow with the block).  Only the fill is kept:
+    ``phi`` recomputes the candidates, at their costs.
     """
 
     def __init__(self, h, X, y, grid, cost, loss_fn):
@@ -344,16 +346,12 @@ def _off_table(budget):
 def _grid_candidates(h, X, labels, grid, loss_fn):
     """(losses, which, own): the grid's losses under each distinct label,
     and which of them is each sample's; and each sample's loss at its own
-    point, or None for lookup data off the table.  A lookup table finds a
-    point's row through its distance to every table point, so its samples
-    are taken about ``_CHUNK_BYTES`` of those distances at a time."""
+    point, or None for lookup data off the table."""
     values, which = np.unique(labels, return_inverse=True)
     losses = np.array([loss_values(loss_fn, h, grid, np.full(len(grid), lab))
                        for lab in values])
-    step = max(1, _CHUNK_BYTES // (8 * h.grid.size) if h.kind == LOOKUP else len(X))
     try:
-        own = np.concatenate([loss_values(loss_fn, h, X[i:i + step], labels[i:i + step])
-                              for i in range(0, len(X), step)])
+        own = loss_values(loss_fn, h, X, labels)
     except ValueError:
         if h.kind != LOOKUP:
             raise
@@ -377,30 +375,56 @@ def _grid_staircases(key_of, losses, which, own, to_cost):
     the most loss among the points at cost 0, and then takes each distinct
     candidate loss above that, at its cheapest candidate, when that one is
     cheaper than every point with more loss.  The samples of one label
-    share a loss vector, so one sort of it serves them all.  Each sample's
-    row is its own, so the samples of a label are taken a chunk at a time,
-    each chunk's keys about ``_CHUNK_BYTES``: every temporary of the pass is
-    bounded by that, whatever the number of samples or of loss levels.
+    share a loss vector, so one sort of it serves them all.
+
+    A candidate with no more loss than the sample's own point is never a
+    step, since the staircase starts at the own loss or above it; nor does
+    it raise the start, and its level sorts after every level above the own
+    loss, so it moves no running minimum over those.  So a sample keys only
+    the candidates of the levels above its own loss, a prefix of ``order``,
+    and a sample with none gets the one point (0, own) and no keys.  The
+    samples of a label are taken by own loss, most first, so their prefixes
+    widen, a chunk at a time: each chunk keys its samples to the prefix of
+    its last, about ``_CHUNK_BYTES`` of keys, so every temporary of the pass
+    is bounded by that, whatever the number of samples or of loss levels.
+    The wider prefix adds only levels at or below a sample's own loss, so
+    its row is as its own prefix makes it.
     """
     rows, xs, ys = [], [], []
-    chunk = max(1, _CHUNK_BYTES // (8 * losses.shape[1]))
+    fits = max(1, _CHUNK_BYTES // 8)     # keys per chunk
     for label, loss in enumerate(losses):
         order = np.argsort(-loss, kind="stable")
         first = np.flatnonzero(np.r_[True, np.diff(loss[order]) != 0.0])
         level = loss[order][first]                   # the distinct losses, most first
         labelled = np.flatnonzero(which == label)
-        for start in range(0, len(labelled), chunk):
-            mine = labelled[start:start + chunk]
-            cheapest = to_cost(np.minimum.reduceat(key_of(label, mine, order), first, axis=1))
+        labelled = labelled[np.argsort(-own[labelled], kind="stable")]
+        above = np.searchsorted(-level, -own[labelled])    # levels above the own loss
+        width = np.r_[first, len(order)][above]            # each sample's prefix of order
+        flat = labelled[above == 0]
+        rows.append(flat)
+        xs.append(np.zeros(len(flat)))
+        ys.append(own[flat])
+        start = len(flat)
+        while start < len(labelled):
+            # the prefixes widen, so a chunk's last sample sets its width
+            m = min(fits, len(labelled) - start)
+            fit = np.arange(1, m + 1) * width[start:start + m]
+            end = start + max(1, np.searchsorted(fit, fits, side="right"))
+            mine, k = labelled[start:end], above[end - 1]
+            keyed = level[:k]
+            # no name holds the keys, so two chunks' keys never coexist
+            cheapest = to_cost(np.minimum.reduceat(key_of(label, mine, order[:width[end - 1]]),
+                                                   first[:k], axis=1))
             base = np.maximum(own[mine],
-                              np.max(np.where(cheapest == 0.0, level, -np.inf), axis=1))
-            step = level > base[:, None]
+                              np.max(np.where(cheapest == 0.0, keyed, -np.inf), axis=1))
+            step = keyed > base[:, None]
             step[:, 1:] &= cheapest[:, 1:] < np.minimum.accumulate(cheapest, axis=1)[:, :-1]
             # each row from cost 0 outwards
             on = np.column_stack([np.ones(len(mine), dtype=bool), step[:, ::-1]])
             xs.append(np.column_stack([np.zeros(len(mine)), cheapest[:, ::-1]])[on])
-            ys.append(np.column_stack([base, np.broadcast_to(level[::-1], step.shape)])[on])
+            ys.append(np.column_stack([base, np.broadcast_to(keyed[::-1], step.shape)])[on])
             rows.append(np.repeat(mine, np.count_nonzero(on, axis=1)))
+            start = end
     rows = np.concatenate(rows)
     order = np.argsort(rows, kind="stable")
     return (np.concatenate(xs)[order], np.concatenate(ys)[order],
@@ -778,29 +802,32 @@ class Client:
         raised.  A negative or NaN radius, or a vector the inner solver
         refuses, is refused whole, before anything is charged."""
         rhos = _radii(rhos)
-        return [column[0] for column in _charge([self], h, rhos, *_profiles([self], h, rhos))]
+        answered = []
+        _charge([self], h, rhos, *_profiles([self], h, rhos), kept=answered)
+        return answered
 
 
 def _charge(clients: list[Client], h: Hypothesis, rhos: list[float], values, slopes,
-            status: list[str]) -> list[list[QueryValue]]:
+            status: list[str], kept: list[QueryValue] | None = None) -> None:
     """Pass the answers of the table (``_profiles``) through
-    ``Client.query``, which charges and logs each, and return them as one
-    list per radius.  The clients before the first whose cap cannot pay for
-    every radius are charged radius by radius; that client is then charged
-    one radius at a time until ``query`` raises BudgetExceededError.  So
-    budgets and audit logs end as a loop of ``query_profile`` calls leaves
-    them."""
+    ``Client.query``, which charges and logs each.  The clients before the
+    first whose cap cannot pay for every radius are charged radius by
+    radius, and their answers appended to ``kept`` when it is given (no
+    answer is held otherwise); that client is then charged one radius at a
+    time until ``query`` raises BudgetExceededError.  So budgets and audit
+    logs end as a loop of ``query_profile`` calls leaves them."""
     G = len(rhos)
     short = next((i for i, c in enumerate(clients)
                   if c.max_queries is not None and c.max_queries - c._used < G), None)
     paid = clients[:short]
-    answered = [[c.query(h, r, _answer=QueryValue._read(v, r, g, st))
-                 for c, v, g, st in zip(paid, column, slope, status)]
-                for r, column, slope in zip(rhos, values.T.tolist(), slopes.T.tolist())]
+    for r, column, slope in zip(rhos, values.T.tolist(), slopes.T.tolist()):
+        for c, v, g, st in zip(paid, column, slope, status):
+            answer = c.query(h, r, _answer=QueryValue._read(v, r, g, st))
+            if kept is not None:
+                kept.append(answer)
     if short is not None:
         for r, v, g in zip(rhos, values[short].tolist(), slopes[short].tolist()):
             clients[short].query(h, r, _answer=QueryValue._read(v, r, g, status[short]))
-    return answered
 
 
 def _radii(rhos) -> list[float]:

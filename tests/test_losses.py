@@ -18,6 +18,7 @@ from fedcert import (
     loss,
     loss_values,
 )
+from fedcert import losses
 
 
 def logistic_h(w=(1.0, -0.5), b=0.2):
@@ -72,6 +73,28 @@ def test_lookup_table_off_grid_rejected():
     assert loss(LossFn(ZERO_ONE), h, Sample(features=np.array([1.0]), label=1)) == 0.0
     with pytest.raises(ValueError):
         loss(LossFn(ZERO_ONE), h, Sample(features=np.array([0.5]), label=1))
+
+
+@pytest.mark.parametrize("chunk", [1, 3 * 8 * 7 * 2, None])
+def test_table_rows_and_the_off_grid_refusal_are_the_same_in_chunks(monkeypatch, chunk):
+    # a 7-point table in two dimensions, whose first point is listed twice,
+    # searched one point, three points or the default bytes at a time
+    rng = np.random.default_rng(1910)
+    grid = np.concatenate([rng.normal(size=(6, 2)), rng.normal(size=(1, 2))])
+    grid[6] = grid[0]
+    h = Hypothesis(kind=LOOKUP, weights=rng.uniform(size=7), grid=grid)
+    X = grid[rng.integers(0, 7, 40)]
+    if chunk is not None:
+        monkeypatch.setattr(losses, "_TABLE_BYTES", chunk)
+    want = np.argmin(np.linalg.norm(X[:, None, :] - grid[None, :, :], axis=2), axis=1)
+    got = h._table_rows(X)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not np.any(got == 6)     # a repeated point reads its first copy
+    for at in (0, 20, 39):
+        off = X.copy()
+        off[at] += 1e-6
+        with pytest.raises(ValueError, match="off its declared grid"):
+            h._table_rows(off)
 
 
 def test_hypothesis_json_round_trip():

@@ -31,6 +31,7 @@ from fedcert import (
     wass_ball_lp_oracle,
 )
 from fedcert.losses import (
+    _TABLE_BYTES,
     LINEAR,
     DimensionMismatchError,
     Sample,
@@ -836,12 +837,21 @@ def _grid_case(name):
         grid = np.concatenate([grid, [[-1e-200, 0.5]]])
         X = np.concatenate([[[0.0, 0.5]] * 3, rng.normal(size=(20, 2))])
         return h, X, np.r_[1, 1, 0, rng.integers(0, 2, 20)], grid, COST, LossFn(ZERO_ONE)
+    if name == "own extremes":
+        # a small grid by the boundary, whose squared losses are all middling:
+        # samples far out lose more or less than every grid point, and
+        # samples on the grid lose as much as one
+        grid = np.array([[a, b] for a in np.linspace(-0.5, 0.5, 5) for b in axis[3:6]])
+        X = np.concatenate([rng.normal(size=(40, 2)) * 4.0, grid[rng.integers(0, len(grid), 20)]])
+        return logistic, X, rng.integers(0, 2, 60), grid, COST, LossFn(SQUARED)
     X = np.concatenate([rng.normal(size=(40, 2)), grid[rng.integers(0, len(grid), 20)]])
     return logistic, X, rng.uniform(-0.5, 1.5, 60), grid, COST, LossFn(SQUARED)
 
 
-@pytest.mark.parametrize("name", ["on-grid", "off-grid", "lookup", "squared",
-                                  "cost-0 neighbour"])
+_GRID_CASES = ["on-grid", "off-grid", "lookup", "squared", "cost-0 neighbour", "own extremes"]
+
+
+@pytest.mark.parametrize("name", _GRID_CASES)
 def test_grid_fill_matches_the_per_row_reference(name):
     h, X, y, grid, cost, loss_fn = _grid_case(name)
     inner = _make_inner(h, X[None], np.asarray(y)[None], cost, loss_fn, grid)
@@ -852,18 +862,115 @@ def test_grid_fill_matches_the_per_row_reference(name):
     assert_answers_match(inner, *grid_reference(h, X, y, search, cost, loss_fn))
 
 
-@pytest.mark.parametrize("name", ["on-grid", "off-grid", "lookup", "squared",
-                                  "cost-0 neighbour"])
-def test_grid_staircases_from_squared_distance_minima_equal_the_full_cost_ones(name):
+def full_key_staircases(key_of, losses, which, own, to_cost):
+    """The staircases of ``query._grid_staircases``, with every sample of a
+    label keyed to every one of its candidates in one matrix: the cheapest
+    candidate of each loss level, the start at the most loss at cost 0, and
+    a step at each level above the start that is cheaper than every level
+    above it."""
+    rows, xs, ys = [], [], []
+    for label, loss in enumerate(losses):
+        order = np.argsort(-loss, kind="stable")
+        first = np.flatnonzero(np.r_[True, np.diff(loss[order]) != 0.0])
+        level = loss[order][first]
+        mine = np.flatnonzero(which == label)
+        cheapest = to_cost(np.minimum.reduceat(key_of(label, mine, order), first, axis=1))
+        base = np.maximum(own[mine], np.max(np.where(cheapest == 0.0, level, -np.inf), axis=1))
+        step = level > base[:, None]
+        step[:, 1:] &= cheapest[:, 1:] < np.minimum.accumulate(cheapest, axis=1)[:, :-1]
+        on = np.column_stack([np.ones(len(mine), dtype=bool), step[:, ::-1]])
+        xs.append(np.column_stack([np.zeros(len(mine)), cheapest[:, ::-1]])[on])
+        ys.append(np.column_stack([base, np.broadcast_to(level[::-1], step.shape)])[on])
+        rows.append(np.repeat(mine, np.count_nonzero(on, axis=1)))
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    return (np.concatenate(xs)[order], np.concatenate(ys)[order],
+            np.bincount(rows, minlength=len(which)))
+
+
+@pytest.mark.parametrize("chunk", ["one sample", "default"])
+@pytest.mark.parametrize("name", _GRID_CASES)
+def test_grid_staircases_from_squared_distance_minima_equal_the_full_cost_ones(
+        monkeypatch, name, chunk):
     h, X, y, grid, cost, loss_fn = _grid_case(name)
     search = h.grid if grid is None else grid
     losses, which, own = _grid_candidates(h, X, y, search, loss_fn)
+    if name == "own extremes":
+        # own losses above every level of their label, at one, and below all
+        assert np.any(own > losses.max(axis=1)[which])
+        assert np.any((losses[which] == own[:, None]).any(axis=1))
+        assert np.any(own < losses.min(axis=1)[which])
+    if chunk == "one sample":
+        monkeypatch.setattr(query, "_CHUNK_BYTES", 1)
     C = costs(cost, X, search)
-    full = _grid_staircases(lambda label, mine, order: C[mine][:, order],
-                            losses, which, own, lambda c: c)
-    got = _grid_staircases(lambda label, mine, order: sq_distances(X[mine], search[order]),
-                           losses, which, own, cost.of_sq_distance)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in full]
+    full = full_key_staircases(lambda label, mine, order: C[mine][:, order],
+                               losses, which, own, lambda c: c)
+    for key_of, to_cost in [(lambda label, mine, order: C[mine][:, order], lambda c: c),
+                            (lambda label, mine, order: sq_distances(X[mine], search[order]),
+                             cost.of_sq_distance)]:
+        got = _grid_staircases(key_of, losses, which, own, to_cost)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in full]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), labels=st.integers(1, 3), m=st.integers(1, 12),
+       n=st.integers(1, 30), levels=st.integers(1, 4),
+       chunk=st.sampled_from([1, 3 * 8 * 12, query._CHUNK_BYTES]))
+def test_grid_staircases_equal_the_full_key_ones_on_random_losses_that_repeat_levels(
+        seed, labels, m, n, levels, chunk):
+    # losses from a few levels, so candidates share them; own losses from
+    # the same levels, between them, above them and below them; costs from
+    # a few values with zeros, so cheapest candidates tie
+    rng = np.random.default_rng(seed)
+    grades = np.sort(rng.choice(np.arange(1, 10), levels, replace=False)) / 10.0
+    losses = rng.choice(grades, (labels, m))
+    own = rng.choice(np.r_[grades, 0.0, 0.05, 0.55, 1.0], n)
+    which = rng.integers(0, labels, n)
+    C = rng.choice([0.0, 0.5, 1.0, 2.0, 3.5], (n, m))
+
+    def key_of(label, mine, order):
+        return C[mine][:, order]
+    want = full_key_staircases(key_of, losses, which, own, np.sqrt)
+    saved = query._CHUNK_BYTES
+    query._CHUNK_BYTES = chunk
+    try:
+        got = _grid_staircases(key_of, losses, which, own, np.sqrt)
+    finally:
+        query._CHUNK_BYTES = saved
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_a_zero_one_grid_build_keys_only_the_loss_1_points_of_correct_samples(monkeypatch):
+    # the stacked samples of three clients, off the grid and unique, so each
+    # keyed row and column names one sample and one grid point
+    h, X, y, grid, cost, loss_fn = _grid_case("off-grid")
+    X, y = X.reshape(3, 20, 2), y.reshape(3, 20)
+    flat, labels = X.reshape(-1, 2), y.reshape(-1)
+    wrong = h.labels_from_scores(h.scores(flat)) != labels
+    assert 0 < np.count_nonzero(wrong) < len(labels)
+    sample = {row.tobytes(): i for i, row in enumerate(flat)}
+    point = {row.tobytes(): j for j, row in enumerate(grid)}
+    assert len(sample) == len(flat) and len(point) == len(grid)
+    keyed = []
+    distances = query.sq_distances
+    monkeypatch.setattr(query, "sq_distances",
+                        lambda A, G: keyed.append((A.copy(), G.copy())) or distances(A, G))
+    query._GridInner(h, X, y, grid, cost, loss_fn)
+    loss_1 = {lab: {j for j in range(len(grid))
+                    if loss_values(loss_fn, h, grid[j:j + 1], np.array([lab]))[0] == 1.0}
+              for lab in (0, 1)}
+    columns = {}
+    for A, G in keyed:
+        for row in A:
+            i = sample[row.tobytes()]
+            assert i not in columns
+            columns[i] = {point[g.tobytes()] for g in G}
+    # each correct sample is keyed once, to the loss-1 points of its label
+    # and no other column; a misclassified one is never keyed
+    assert set(columns) == set(np.flatnonzero(~wrong))
+    for i, cols in columns.items():
+        assert cols == loss_1[labels[i]]
+    assert sum(len(A) * len(G) for A, G in keyed) < len(flat) * len(grid) / 2
 
 
 def line_reference_rows(h, X, y, cost, loss_fn):
@@ -963,13 +1070,17 @@ def full_cost_line_staircases(inner):
         at, own = inner._which[block], inner._own[block]
         C = np.where(inner._via_l[at] > own[:, None],
                      inner._costs(inner._via_u[at], inner._s[block, None]), 0.0)
-        yield _grid_staircases(lambda label, mine, order, C=C: C[mine][:, order],
-                               inner._loss[present], which, own, lambda c: c)
+        yield full_key_staircases(lambda label, mine, order, C=C: C[mine][:, order],
+                                  inner._loss[present], which, own, lambda c: c)
 
 
+@pytest.mark.parametrize("chunk", ["one sample", "default"])
 @pytest.mark.parametrize("kind", [CROSS_ENTROPY, SQUARED])
 @pytest.mark.parametrize("cost_kind", ["half-squared-l2", "l2"])
-def test_score_line_staircases_from_distance_minima_equal_the_full_cost_ones(kind, cost_kind):
+def test_score_line_staircases_from_distance_minima_equal_the_full_cost_ones(
+        monkeypatch, kind, cost_kind, chunk):
+    if chunk == "one sample":
+        monkeypatch.setattr(query, "_CHUNK_BYTES", 1)
     rng = np.random.default_rng(np.random.SeedSequence([1705, len(kind), len(cost_kind)]))
     for name, h, X, y in _line_cases(kind, rng):
         inner = _make_inner(h, X[None], y[None], TransportCost(cost_kind), LossFn(kind), None)
@@ -1555,6 +1666,22 @@ def test_a_stacked_grid_build_bounds_its_temporaries_by_the_chunk_size():
     finally:
         tracemalloc.stop()
     assert peak < 16 * query._CHUNK_BYTES
+
+
+def test_a_lookup_grid_build_bounds_its_table_search_by_the_chunk_size():
+    # 64 clients of 50 samples on a 1,024-point table: the table's losses on
+    # its own points search (1024, 1024, 2) differences, 16 MB at once
+    rng = np.random.default_rng(np.random.SeedSequence(1909))
+    grid = np.stack(np.meshgrid(*[np.linspace(-3, 3, 32)] * 2), -1).reshape(-1, 2)
+    h = Hypothesis(kind=LOOKUP, weights=rng.integers(0, 3, len(grid)) / 2.0, grid=grid)
+    X, y = grid[rng.integers(0, len(grid), (64, 50))], rng.choice([0.0, 0.5, 1.0], (64, 50))
+    tracemalloc.start()
+    try:
+        query._GridInner(h, X, y, grid, COST, LossFn(SQUARED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * max(query._CHUNK_BYTES, _TABLE_BYTES)
 
 
 def _grid_clients(max_queries=None):
